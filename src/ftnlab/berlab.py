@@ -25,7 +25,7 @@ from scipy import signal
 
 from . import channel, equalize, icimodel, modem
 from .exceptions import ExportError, ParameterError
-from .transforms import TransformKind
+from .transforms import TransformKind, make_plan
 
 _Z95 = 1.959963984540054
 
@@ -38,6 +38,8 @@ def wilson_interval(errors, bits):
     """95% Wilson score interval for a BER estimate."""
     if bits <= 0:
         raise ParameterError(f"bits must be > 0, got {bits!r}")
+    if not 0 <= errors <= bits:
+        raise ParameterError(f"errors must lie in [0, bits={bits}], got {errors!r}")
     phat = errors / bits
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / bits
@@ -132,36 +134,42 @@ def _point_matrix(kind, n, alpha):
 
 
 def _simulate_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batch_idx):
-    """One frame batch at one grid point; returns (bits, errors)."""
+    """One frame batch at one grid point; returns (bits, errors).
+
+    The batch is one (frames, rows, n) array: every frame is multiplexed in
+    one product, the noise covers the serialized waveform (pilots and
+    prefixes included) in transmit order, and only the data rows are
+    demultiplexed.
+    """
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, point_idx, batch_idx, 0])
     )
-    frames = []
-    tx_bits = []
-    for _ in range(n_frames):
-        bits = modem.random_data_bits(config, bits_rng)
-        tx_bits.append(bits)
-        frames.append(modem.transmit(config, modem.make_frame(config, bits)).samples)
-    waveform = np.concatenate(frames)
+    sent = np.concatenate(
+        [modem.random_data_bits(config, bits_rng) for _ in range(n_frames)]
+    )
+    pilots = np.concatenate(modem.pilot_rows(config))
+    data = modem.pam_map(sent, config.pam_order).reshape(
+        n_frames, config.data_symbols_per_frame, config.n
+    )
+    rows = np.concatenate(
+        [np.broadcast_to(pilots, (n_frames,) + pilots.shape), data], axis=1
+    )
+    plan = make_plan(config.kind, config.n, config.alpha)
+    blocks = modem._to_blocks(plan, config.cp_len, rows)
     spec = channel.AwgnSpec(
         eb_n0_db=ebn0_db,
         bits_per_sample=bits_per_sample(config),
         rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
     )
-    noisy = channel.apply_awgn(spec, waveform).reshape(len(frames), -1)
-    data_rows = []
-    for row in noisy:
-        stream = modem.SampleStream(samples=row, cp_len=config.cp_len, n=config.n)
-        data_rows.append(modem.receive(config, stream).data)
-    received = np.concatenate(data_rows, axis=0)
+    noisy = channel.apply_awgn(spec, blocks.ravel()).reshape(blocks.shape)
+    received = modem._from_blocks(plan, config.cp_len, noisy[:, len(pilots):])
     id_cfg = equalize.IdConfig(
         iterations=iterations,
         matrix=_point_matrix(config.kind, config.n, config.alpha),
         constellation=config.pam_order,
     )
-    decided = equalize.id_equalize_frame(id_cfg, received)
+    decided = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n))
     rx_bits = modem.pam_demap(decided.ravel(), config.pam_order)
-    sent = np.concatenate(tx_bits)
     return sent.size, int(np.sum(rx_bits != sent))
 
 

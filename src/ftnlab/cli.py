@@ -309,7 +309,7 @@ def main(argv=None):
         out = getattr(args, "out", None)
         code = _RUNNERS[args.subcommand](resolved, out, args.format, workers)
         if out:
-            seed = resolved.get("seed", resolved.get("seed", 0))
+            seed = resolved.get("seed", 0)
             manifest = config.make_manifest(
                 args.subcommand,
                 resolved,

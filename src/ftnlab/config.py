@@ -92,10 +92,21 @@ def read_key_values(path):
 
 def _convert(path, key, value, lineno, kind):
     def scalar(text, caster):
+        if caster is int:
+            try:
+                return int(text)  # exact for integer literals of any size
+            except ValueError:
+                pass
         try:
-            return caster(float(text)) if caster is int else caster(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: cannot parse {key} value {text!r}")
+        if caster is float:
+            return value
+        # Integral float spellings such as 1e6 are accepted; 16.7 is not truncated.
+        if not value.is_integer():
+            raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {text!r}")
+        return int(value)
 
     if kind is int or kind is float:
         return scalar(value, kind)

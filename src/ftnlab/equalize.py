@@ -58,10 +58,12 @@ class IdTrace:
 
 
 def _map_band(values, d, levels):
-    """Snap entries farther than d from their nearest level midpoint; leave the
-    rest undecided.  For 2-PAM this is: > d -> +1, < -d -> -1, else unchanged."""
+    """In place: snap entries farther than d from their nearest level midpoint;
+    leave the rest undecided.  For 2-PAM this is: |v| > d -> sign(v), else
+    unchanged."""
     if len(levels) == 2:
-        return np.where(values > d, 1.0, np.where(values < -d, -1.0, values))
+        np.copyto(values, np.sign(values), where=np.abs(values) > d)
+        return
     # M > 2 (experimental): undecided iff within d * (half level spacing) of a
     # midpoint between adjacent levels; otherwise snap to the nearest level.
     half_gap = 0.5 * (levels[1] - levels[0])
@@ -69,7 +71,14 @@ def _map_band(values, d, levels):
     nearest = levels[0] + 2 * half_gap * idx
     dist_to_midpoint = half_gap - np.abs(values - nearest)
     undecided = (dist_to_midpoint <= d * half_gap) & (np.abs(values - nearest) < half_gap)
-    return np.where(undecided, values, nearest)
+    np.copyto(values, nearest, where=~undecided)
+
+
+def _off_diagonal(matrix):
+    """C - I, built without an identity matrix (same values, one n x n copy)."""
+    off = matrix.entries.copy()
+    off.flat[:: matrix.n + 1] -= 1.0
+    return off
 
 
 def _hard_decide(values, levels):
@@ -81,11 +90,10 @@ def _hard_decide(values, levels):
 
 def _iterate(config, received, trace=None):
     """Core recursion on an (m, N) stack of received vectors."""
-    c = config.matrix
     levels = pam_levels(config.constellation)
     if config.iterations == 0:
         return _hard_decide(received, levels)
-    off_diag = c.entries - np.eye(c.n)
+    off_diag = _off_diagonal(config.matrix)
     estimate = np.zeros_like(received)
     d = 1.0
     total = config.iterations
@@ -93,7 +101,7 @@ def _iterate(config, received, trace=None):
         estimate = received - estimate @ off_diag.T
         if config.shrink_before_mapping:
             d = 1.0 - i / total
-        estimate = _map_band(estimate, d, levels)
+        _map_band(estimate, d, levels)
         if trace is not None:
             decided = np.isin(estimate, levels)
             trace.undecided_counts.append(int(np.sum(~decided)))
@@ -133,7 +141,7 @@ class LinearIdResult:
 def id_equalize_linear(config, r):
     """Run the recursion without constellation mapping (analysis helper)."""
     r = _check_vector(config, r)
-    off_diag = config.matrix.entries - np.eye(config.matrix.n)
+    off_diag = _off_diagonal(config.matrix)
     estimate = np.zeros_like(r)
     scale = max(float(np.linalg.norm(r)), 1.0)
     norms = []
@@ -150,7 +158,7 @@ def id_equalize_linear(config, r):
 
 def iteration_spectral_radius(matrix):
     """Spectral radius of (C - I); below 1 means the linear recursion converges."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(matrix.entries - np.eye(matrix.n)))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(_off_diagonal(matrix)))))
 
 
 def trace_to_csv(trace, path):

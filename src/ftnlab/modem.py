@@ -196,17 +196,28 @@ def random_data_bits(config, rng):
     )
 
 
+def _to_blocks(plan, cp_len, rows):
+    """Multiplex (..., rows, n) frequency-domain rows in one product and
+    prepend each block's cyclic prefix; returns (..., rows, cp_len + n)."""
+    bodies = rows @ plan.kernel.T
+    if not cp_len:
+        return bodies
+    return np.concatenate([bodies[..., plan.n - cp_len:], bodies], axis=-1)
+
+
+def _from_blocks(plan, cp_len, blocks):
+    """Strip the cyclic prefix of (..., rows, cp_len + n) time-domain blocks
+    and demultiplex them in one product; returns (..., rows, n)."""
+    return blocks[..., cp_len:] @ plan.kernel
+
+
 def transmit(config, frame):
     """Multiplex each frame row, prepend the cyclic prefix, serialize."""
     rows = frame.stacked
     if rows.shape[1] != config.n:
         raise ShapeError(f"frame rows must have length {config.n}, got {rows.shape[1]}")
     plan = make_plan(config.kind, config.n, config.alpha)
-    bodies = rows @ plan.kernel.T
-    if config.cp_len:
-        blocks = np.concatenate([bodies[:, config.n - config.cp_len:], bodies], axis=1)
-    else:
-        blocks = bodies
+    blocks = _to_blocks(plan, config.cp_len, rows)
     return SampleStream(samples=blocks.ravel(), cp_len=config.cp_len, n=config.n)
 
 
@@ -228,8 +239,7 @@ def receive(config, stream):
             f"{config.symbols_per_frame} for this frame layout"
         )
     plan = make_plan(config.kind, config.n, config.alpha)
-    blocks = stream.samples.reshape(-1, block)[:, config.cp_len:]
-    rows = blocks @ plan.kernel
+    rows = _from_blocks(plan, config.cp_len, stream.samples.reshape(-1, block))
     s, t = config.sync_symbols, config.training_symbols
     return SymbolFrame(sync=rows[:s], training=rows[s:s + t], data=rows[s + t:])
 

@@ -20,10 +20,15 @@ alpha.  FrHT at alpha/2 therefore occupies the same spacing as FrCT at alpha.
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import ParameterError, ShapeError
+
+# Plans kept alive by make_plan.  A sweep uses one (kind, n, alpha) at a time
+# and an N = 1024 kernel is 8 MB, so a few suffice.
+_PLAN_CACHE_SIZE = 8
 
 
 class TransformKind(enum.Enum):
@@ -68,18 +73,22 @@ def validate_size_alpha(n, alpha):
 
 
 def make_plan(kind, n, alpha):
-    """Build a :class:`TransformPlan` with a fully materialized kernel.
+    """Return the :class:`TransformPlan` (fully materialized kernel) for
+    (kind, n, alpha).
 
-    Deterministic: identical arguments yield bit-identical kernels.
+    Plans are cached and shared between callers: identical arguments, also
+    as numpy scalars, return the same plan, whose kernel is read-only.
     """
     validate_size_alpha(n, alpha)
-    if kind is TransformKind.FRCT:
-        kernel = _frct_kernel(int(n), float(alpha))
-    elif kind is TransformKind.FRHT:
-        kernel = _frht_kernel(int(n), float(alpha))
-    else:
+    if not isinstance(kind, TransformKind):
         raise ParameterError(f"kind must be a TransformKind, got {kind!r}")
-    return TransformPlan(kind=kind, n=int(n), alpha=float(alpha), kernel=kernel)
+    return _cached_plan(kind, int(n), float(alpha))
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _cached_plan(kind, n, alpha):
+    build = _frct_kernel if kind is TransformKind.FRCT else _frht_kernel
+    return TransformPlan(kind=kind, n=n, alpha=alpha, kernel=build(n, alpha))
 
 
 def _check_last_axis(plan, values, name):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from ftnlab import channel, equalize, modem
 from ftnlab.berlab import (
     BerPoint,
     BerSweepResult,
@@ -21,8 +22,10 @@ from ftnlab.berlab import (
     required_ebn0_at_ber,
     run_ber_sweep,
     wilson_interval,
+    _simulate_batch,
 )
 from ftnlab.exceptions import ParameterError
+from ftnlab.icimodel import correlation_matrix
 from ftnlab.modem import ModemConfig, experiment_baseline
 from ftnlab.transforms import TransformKind
 
@@ -72,6 +75,11 @@ class TestWilsonInterval:
     def test_zero_bits_rejected(self):
         with pytest.raises(ParameterError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("errors", [-1, 11])
+    def test_errors_outside_bits_rejected(self, errors):
+        with pytest.raises(ParameterError, match="errors"):
+            wilson_interval(errors, 10)
 
     def test_matches_closed_form(self):
         errors, bits, z = 25, 5_000, 1.959963984540054
@@ -126,6 +134,59 @@ class TestBitsPerSample:
         assert bits_per_sample(_small_config(cp_len=8)) < bits_per_sample(
             _small_config(cp_len=0)
         )
+
+
+def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batch_idx):
+    """(bits, errors) of one batch through the public per-frame chain, drawing
+    bits and noise from the same seed sequences as the sweep."""
+    bits_rng = np.random.default_rng(
+        np.random.SeedSequence([seed, point_idx, batch_idx, 0])
+    )
+    sent = [modem.random_data_bits(config, bits_rng) for _ in range(n_frames)]
+    waveform = np.concatenate(
+        [modem.transmit(config, modem.make_frame(config, bits)).samples for bits in sent]
+    )
+    spec = channel.AwgnSpec(
+        eb_n0_db=ebn0_db,
+        bits_per_sample=bits_per_sample(config),
+        rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
+    )
+    noisy = channel.apply_awgn(spec, waveform).reshape(n_frames, -1)
+    received = np.concatenate([
+        modem.receive(
+            config, modem.SampleStream(samples=row, cp_len=config.cp_len, n=config.n)
+        ).data
+        for row in noisy
+    ])
+    id_cfg = equalize.IdConfig(
+        iterations=iterations,
+        matrix=correlation_matrix(config.kind, config.n, config.alpha),
+        constellation=config.pam_order,
+    )
+    decided = equalize.id_equalize_frame(id_cfg, received)
+    rx_bits = modem.pam_demap(decided.ravel(), config.pam_order)
+    sent = np.concatenate(sent)
+    return sent.size, int(np.sum(rx_bits != sent))
+
+
+class TestSimulateBatch:
+    @pytest.mark.parametrize("n_frames", [1, 4])
+    @pytest.mark.parametrize("iterations", [0, 20])
+    @pytest.mark.parametrize(
+        "kind,alpha", [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.45)]
+    )
+    @pytest.mark.parametrize("cp_len", [0, 16])
+    def test_matches_per_frame_chain(self, cp_len, kind, alpha, iterations, n_frames):
+        config = _small_config(
+            cp_len=cp_len, kind=kind, alpha=alpha, training_symbols=2, sync_symbols=1
+        )
+        errors = 0
+        for seed, batch_idx in [(0, 0), (0, 1), (7, 3)]:
+            args = (config, n_frames, 6.0, iterations, seed, 2, batch_idx)
+            batch = _simulate_batch(*args)
+            assert batch == _per_frame_batch(*args)
+            errors += batch[1]
+        assert errors > 0
 
 
 class TestRunSweep:

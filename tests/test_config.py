@@ -89,6 +89,23 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=":2:"):
             sweep_spec_from_file(path)
 
+    @pytest.mark.parametrize(
+        "line,key", [("n = 16.7", "n"), ("max_bits = inf", "max_bits"),
+                     ("iterations = 10, 20.5", "iterations")]
+    )
+    def test_non_integral_int_rejected(self, tmp_path, line, key):
+        path = _write(tmp_path, f"alpha = 0.8\n{line}\n")
+        with pytest.raises(ConfigError, match=f":2: {key} must be an integer"):
+            sweep_spec_from_file(path)
+
+    def test_integral_int_spellings_accepted(self, tmp_path):
+        path = _write(
+            tmp_path, "alpha = 0.8\nn = 64.0\nmax_bits = 1e6\nseed = 12345678901234567891\n"
+        )
+        spec = sweep_spec_from_file(path)
+        assert (spec.config.n, spec.max_bits) == (64, 1_000_000)
+        assert spec.seed == 12345678901234567891
+
     def test_bad_kind_rejected(self, tmp_path):
         path = _write(tmp_path, "alpha = 0.8\nkind = DFT\n")
         with pytest.raises(ConfigError, match="FrCT or FrHT"):

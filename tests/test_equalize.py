@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from ftnlab.equalize import (
     IdConfig,
+    _map_band,
     id_equalize,
     id_equalize_frame,
     id_equalize_linear,
@@ -14,6 +15,7 @@ from ftnlab.equalize import (
 )
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
+from ftnlab.modem import pam_levels
 from ftnlab.transforms import TransformKind
 
 
@@ -96,6 +98,20 @@ class TestNoiselessRecovery:
             out = id_equalize_frame(IdConfig(iterations=iters, matrix=c), r)
             errs.append(int(np.sum(out != sent)))
         assert errs[0] >= errs[1] >= errs[2]
+
+
+class TestMapBand:
+    @pytest.mark.parametrize("d", [0.0, 0.25, 1.0])
+    def test_matches_nested_where_at_boundaries(self, d):
+        above = np.nextafter(d, 2.0)
+        values = np.array(
+            [-2.0, -1.0, -above, -d, -0.1, -0.0, 0.0, 0.1, d, above, 1.0, 2.0, np.nan]
+        )
+        expected = np.where(values > d, 1.0, np.where(values < -d, -1.0, values))
+        mapped = values.copy()
+        _map_band(mapped, d, pam_levels(2))
+        np.testing.assert_array_equal(mapped, expected)
+        np.testing.assert_array_equal(np.signbit(mapped), np.signbit(expected))
 
 
 class TestTrace:

@@ -86,6 +86,12 @@ class TestIciPower:
         with pytest.raises(ParameterError):
             ici_power(c, 8)
 
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_mean_matches_per_subcarrier_loop(self, kind):
+        c = correlation_matrix(kind, 64, 0.7)
+        loop = np.mean([ici_power(c, k) for k in range(c.n)])
+        assert mean_ici_power(c) == pytest.approx(loop, rel=1e-12)
+
     def test_monotone_in_compression(self):
         means = [
             mean_ici_power(correlation_matrix(TransformKind.FRCT, 256, a))

@@ -46,6 +46,18 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             plan.kernel[0, 0] = 0.0
 
+    def test_numpy_scalar_arguments_share_the_cached_plan(self):
+        plan = make_plan(TransformKind.FRCT, 16, 0.8)
+        same = make_plan(TransformKind.FRCT, np.int64(16), np.float64(0.8))
+        assert same is plan
+        assert type(same.n) is int and type(same.alpha) is float
+        with pytest.raises(ValueError):
+            same.kernel[0, 0] = 0.0
+
+    def test_bad_kind(self):
+        with pytest.raises(ParameterError, match="kind"):
+            make_plan("FrCT", 8, 0.9)
+
 
 class TestMultiplex:
     def test_dc_subcarrier_is_constant(self):
