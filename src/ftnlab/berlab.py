@@ -144,25 +144,17 @@ def _simulate_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batc
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, point_idx, batch_idx, 0])
     )
-    sent = np.concatenate(
-        [modem.random_data_bits(config, bits_rng) for _ in range(n_frames)]
-    )
-    pilots = np.concatenate(modem.pilot_rows(config))
-    data = modem.pam_map(sent, config.pam_order).reshape(
-        n_frames, config.data_symbols_per_frame, config.n
-    )
-    rows = np.concatenate(
-        [np.broadcast_to(pilots, (n_frames,) + pilots.shape), data], axis=1
-    )
+    sent = np.stack([modem.random_data_bits(config, bits_rng) for _ in range(n_frames)])
     plan = make_plan(config.kind, config.n, config.alpha)
-    blocks = modem._to_blocks(plan, config.cp_len, rows)
+    blocks = modem._to_blocks(plan, config.cp_len, modem._frame_rows(config, sent))
     spec = channel.AwgnSpec(
         eb_n0_db=ebn0_db,
         bits_per_sample=bits_per_sample(config),
         rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
     )
     noisy = channel.apply_awgn(spec, blocks.ravel()).reshape(blocks.shape)
-    received = modem._from_blocks(plan, config.cp_len, noisy[:, len(pilots):])
+    _, _, data = modem._split_rows(config, noisy)
+    received = modem._from_blocks(plan, config.cp_len, data)
     id_cfg = equalize.IdConfig(
         iterations=iterations,
         matrix=_point_matrix(config.kind, config.n, config.alpha),
@@ -170,7 +162,7 @@ def _simulate_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batc
     )
     decided = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n))
     rx_bits = modem.pam_demap(decided.ravel(), config.pam_order)
-    return sent.size, int(np.sum(rx_bits != sent))
+    return sent.size, int(np.sum(rx_bits != sent.ravel()))
 
 
 def _run_point(spec, point_idx, kind, alpha, iterations, ebn0_db, workers):

@@ -183,11 +183,27 @@ def make_frame(config, data_bits):
         raise FramingError(
             f"data_bits must have {expected} bits for this layout, got {data_bits.size}"
         )
+    rows = _frame_rows(config, data_bits.reshape(1, -1))[0]
+    return SymbolFrame(*_split_rows(config, rows))
+
+
+def _frame_rows(config, data_bits):
+    """Rows sync | training | data of each frame, from (frames, data bits per
+    frame) bits; returns (frames, symbols_per_frame, n)."""
+    frames = data_bits.shape[0]
     data = pam_map(data_bits, config.pam_order).reshape(
-        config.data_symbols_per_frame, config.n
+        frames, config.data_symbols_per_frame, config.n
     )
-    sync, training = pilot_rows(config)
-    return SymbolFrame(sync=sync, training=training, data=data)
+    pilots = np.concatenate(pilot_rows(config))
+    return np.concatenate(
+        [np.broadcast_to(pilots, (frames,) + pilots.shape), data], axis=-2
+    )
+
+
+def _split_rows(config, rows):
+    """Views (sync, training, data) of (..., symbols_per_frame, n) frame rows."""
+    s, t = config.sync_symbols, config.training_symbols
+    return rows[..., :s, :], rows[..., s:s + t, :], rows[..., s + t:, :]
 
 
 def random_data_bits(config, rng):
@@ -240,8 +256,7 @@ def receive(config, stream):
         )
     plan = make_plan(config.kind, config.n, config.alpha)
     rows = _from_blocks(plan, config.cp_len, stream.samples.reshape(-1, block))
-    s, t = config.sync_symbols, config.training_symbols
-    return SymbolFrame(sync=rows[:s], training=rows[s:s + t], data=rows[s + t:])
+    return SymbolFrame(*_split_rows(config, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ import numpy as np
 
 from .exceptions import ParameterError, ShapeError
 
-# Plans kept alive by make_plan.  A sweep uses one (kind, n, alpha) at a time
-# and an N = 1024 kernel is 8 MB, so a few suffice.
-_PLAN_CACHE_SIZE = 8
+# Plans kept alive by make_plan.  A BER sweep walks (kind, alpha) as the outer
+# loop of its grid, so one plan serves a whole curve and repeated sweeps of
+# it; each plan holds an 8 N^2-byte kernel (128 MB at N = 4096).
+_PLAN_CACHE_SIZE = 1
 
 
 class TransformKind(enum.Enum):

@@ -113,6 +113,27 @@ class TestMapBand:
         np.testing.assert_array_equal(mapped, expected)
         np.testing.assert_array_equal(np.signbit(mapped), np.signbit(expected))
 
+    @pytest.mark.parametrize("d", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_multilevel_matches_where_form_at_boundaries(self, m, d):
+        levels = pam_levels(m)
+        half_gap = 0.5 * (levels[1] - levels[0])
+        midpoints = 0.5 * (levels[1:] + levels[:-1])
+        edges = np.concatenate([midpoints - d * half_gap, midpoints + d * half_gap])
+        values = np.concatenate([
+            levels, midpoints, edges, np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf), [levels[0] - 1.0, levels[-1] + 1.0, np.nan],
+        ])
+        idx = np.clip(np.round((values - levels[0]) / (2 * half_gap)), 0, m - 1)
+        nearest = levels[0] + 2 * half_gap * idx
+        undecided = (half_gap - np.abs(values - nearest) <= d * half_gap) & (
+            np.abs(values - nearest) < half_gap
+        )
+        expected = np.where(undecided, values, nearest)
+        mapped = values.copy()
+        _map_band(mapped, d, levels)
+        np.testing.assert_array_equal(mapped, expected)
+
 
 class TestTrace:
     def test_band_shrinks_to_zero(self):
