@@ -12,19 +12,17 @@ stopping decision only looks at batches in index order, so results are
 identical for any worker count.
 """
 
-import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 from scipy import signal
 
-from . import channel, equalize, icimodel, modem
-from .exceptions import ExportError, ParameterError
+from . import channel, equalize, icimodel, modem, records
+from .exceptions import ParameterError, check_alpha, check_power_of_two
 from .transforms import TransformKind, make_plan
 
 _Z95 = 1.959963984540054
@@ -69,6 +67,14 @@ class SweepSpec:
         for name in ("alphas", "ebn0_dbs", "iteration_counts", "kinds"):
             if len(getattr(self, name)) == 0:
                 raise ParameterError(f"{name} must be nonempty")
+        for alpha in self.alphas:
+            check_alpha(alpha)
+        for ebn0_db in self.ebn0_dbs:
+            if not math.isfinite(ebn0_db):
+                raise ParameterError(f"ebn0_dbs must be finite, got {ebn0_db!r}")
+        for kind in self.kinds:
+            if not isinstance(kind, TransformKind):
+                raise ParameterError(f"kinds must be TransformKind members, got {kind!r}")
         if self.max_bits < 100_000:
             raise ParameterError(f"max_bits must be >= 100000, got {self.max_bits!r}")
         if self.min_errors < 0:
@@ -128,7 +134,9 @@ def bits_per_sample(config):
     )
 
 
-@lru_cache(maxsize=64)
+# One entry, like the plan cache: the grid walks (kind, alpha) outermost, so
+# one C (8 N^2 bytes) serves a whole curve and repeated sweeps of it.
+@lru_cache(maxsize=1)
 def _point_matrix(kind, n, alpha):
     return icimodel.correlation_matrix(kind, n, alpha)
 
@@ -292,8 +300,13 @@ def estimate_psd(config, frames, seed, segment=1024, overlap=0.5, window="hann")
     """Welch-averaged periodogram of a randomly modulated waveform."""
     if frames < 1:
         raise ParameterError(f"frames must be >= 1, got {frames!r}")
-    if segment < 2 or segment & (segment - 1):
-        raise ParameterError(f"segment must be a power of two >= 2, got {segment!r}")
+    check_power_of_two(segment, "segment")
+    if not 0.0 <= overlap < 1.0:
+        raise ParameterError(f"overlap must lie in [0, 1), got {overlap!r}")
+    try:
+        signal.get_window(window, segment)
+    except ValueError:
+        raise ParameterError(f"window {window!r} is not a scipy.signal window") from None
     rng = np.random.default_rng(seed)
     waveform = np.concatenate(
         [
@@ -336,140 +349,60 @@ def psd_edge(estimate, threshold_db=-10.0):
 # ---------------------------------------------------------------------------
 # Export / import
 
-CSV_HEADER = ["kind", "alpha", "ebn0_db", "iterations", "bits", "errors", "ber", "ci_lo", "ci_hi"]
-
-
 def _point_record(p):
-    return {
-        "kind": p.kind.value,
-        "alpha": p.alpha,
-        "ebn0_db": p.ebn0_db,
-        "iterations": p.iterations,
-        "bits": p.bits,
-        "errors": p.errors,
-        "ber": p.ber,
-        "ci_lo": p.ci_lo,
-        "ci_hi": p.ci_hi,
-    }
+    return {**asdict(p), "kind": p.kind.value}
 
 
-def _sweep_to_csv(result, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for p in result.points:
-            writer.writerow(
-                [
-                    p.kind.value,
-                    repr(p.alpha),
-                    repr(p.ebn0_db),
-                    p.iterations,
-                    p.bits,
-                    p.errors,
-                    repr(p.ber),
-                    repr(p.ci_lo),
-                    repr(p.ci_hi),
-                ]
-            )
-
-
-def _sweep_from_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        points = tuple(
-            BerPoint(
-                kind=TransformKind(row["kind"]),
-                alpha=float(row["alpha"]),
-                ebn0_db=float(row["ebn0_db"]),
-                iterations=int(row["iterations"]),
-                bits=int(row["bits"]),
-                errors=int(row["errors"]),
-                ber=float(row["ber"]),
-                ci_lo=float(row["ci_lo"]),
-                ci_hi=float(row["ci_hi"]),
-            )
-            for row in reader
-        )
-    return BerSweepResult(points=points)
+def _point_from_record(rec, where):
+    """Inverse of `_point_record`, for CSV and JSON records alike.  Each value
+    is parsed from its text (a JSON number's text is its literal), so 2.5 is
+    no valid `bits`; a missing or bad field raises naming it and `where`."""
+    values = {}
+    for f in fields(BerPoint):
+        value = rec.get(f.name) if isinstance(rec, dict) else None
+        if value is None:
+            raise ParameterError(f"{where}: missing field {f.name!r}")
+        try:
+            values[f.name] = f.type(str(value))
+        except ValueError:
+            raise ParameterError(f"{where}: bad {f.name} value {value!r}") from None
+    return BerPoint(**values)
 
 
 def export_results(result, path, format="csv"):
     """Write a harness result (sweep, histogram, or PSD estimate) to disk."""
-    if format not in ("csv", "json"):
-        raise ParameterError(f"format must be 'csv' or 'json', got {format!r}")
-    try:
-        if isinstance(result, BerSweepResult):
-            if format == "csv":
-                _sweep_to_csv(result, path)
-            else:
-                with open(path, "w") as fh:
-                    json.dump({"points": [_point_record(p) for p in result.points]}, fh, indent=2)
-                    fh.write("\n")
-        elif isinstance(result, icimodel.IciHistogram):
-            if format == "csv":
-                icimodel.histogram_to_csv(result, path)
-            else:
-                with open(path, "w") as fh:
-                    json.dump(
-                        {
-                            "bin_center": [float(c) for c in result.bin_centers],
-                            "density": [float(d) for d in result.density],
-                            "sample_count": result.sample_count,
-                        },
-                        fh,
-                        indent=2,
-                    )
-                    fh.write("\n")
-        elif isinstance(result, PsdEstimate):
-            if format == "csv":
-                with open(path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["frequency_hz", "density_db"])
-                    for f, d in zip(result.frequency_hz, result.density_db):
-                        writer.writerow([repr(float(f)), repr(float(d))])
-            else:
-                with open(path, "w") as fh:
-                    json.dump(
-                        {
-                            "frequency_hz": [float(f) for f in result.frequency_hz],
-                            "density_db": [float(d) for d in result.density_db],
-                            "segment": result.segment,
-                            "overlap": result.overlap,
-                            "window": result.window,
-                        },
-                        fh,
-                        indent=2,
-                    )
-                    fh.write("\n")
+    records.check_format(format)
+    if isinstance(result, BerSweepResult):
+        recs = [_point_record(p) for p in result.points]
+        if format == "csv":
+            header = [f.name for f in fields(BerPoint)]
+            records.write_csv(path, [header, *(rec.values() for rec in recs)])
         else:
-            raise ParameterError(f"unsupported result type {type(result).__name__}")
-    except OSError as exc:
-        raise ExportError(f"{path}: {exc}")
+            records.write_json(path, {"points": recs})
+    elif isinstance(result, icimodel.IciHistogram):
+        columns = {"bin_center": result.bin_centers, "density": result.density}
+        records.write_table(path, format, columns, sample_count=result.sample_count)
+    elif isinstance(result, PsdEstimate):
+        columns = {"frequency_hz": result.frequency_hz, "density_db": result.density_db}
+        records.write_table(
+            path, format, columns,
+            segment=result.segment, overlap=result.overlap, window=result.window,
+        )
+    else:
+        raise ParameterError(f"unsupported result type {type(result).__name__}")
 
 
 def import_sweep(path, format="csv"):
     """Re-load an exported BER sweep; round-trips exactly."""
-    try:
-        if format == "csv":
-            return _sweep_from_csv(path)
-        if format == "json":
-            with open(path) as fh:
-                payload = json.load(fh)
-            points = tuple(
-                BerPoint(
-                    kind=TransformKind(rec["kind"]),
-                    alpha=rec["alpha"],
-                    ebn0_db=rec["ebn0_db"],
-                    iterations=rec["iterations"],
-                    bits=rec["bits"],
-                    errors=rec["errors"],
-                    ber=rec["ber"],
-                    ci_lo=rec["ci_lo"],
-                    ci_hi=rec["ci_hi"],
-                )
-                for rec in payload["points"]
-            )
-            return BerSweepResult(points=points)
-    except OSError as exc:
-        raise ExportError(f"{path}: {exc}")
-    raise ParameterError(f"format must be 'csv' or 'json', got {format!r}")
+    records.check_format(format)
+    if format == "csv":
+        header, *rows = records.read_csv(path) or [[]]
+        recs = [dict(zip(header, row)) for row in rows]
+    else:
+        payload = records.read_json(path)
+        recs = payload.get("points") if isinstance(payload, dict) else None
+        if not isinstance(recs, list):
+            raise ParameterError(f"{path}: missing field 'points'")
+    return BerSweepResult(points=tuple(
+        _point_from_record(rec, f"{path}: row {i}") for i, rec in enumerate(recs, 1)
+    ))

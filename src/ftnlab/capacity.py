@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, check_alpha
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class CapacityParams:
             raise ParameterError(f"noise_power must be > 0, got {self.noise_power!r}")
         if self.ici_power < 0:
             raise ParameterError(f"ici_power must be >= 0, got {self.ici_power!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        check_alpha(self.alpha)
         if not self.symbol_duration > 0:
             raise ParameterError(
                 f"symbol_duration must be > 0, got {self.symbol_duration!r}"

@@ -8,8 +8,9 @@ manifest and regenerates the output bit-identically.
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 
-from . import __version__, berlab, capacity, config, icimodel, modem
+from . import __version__, berlab, capacity, config, icimodel, modem, records
 from .exceptions import ConfigError, ExportError, FramingError, ParameterError, ShapeError
 from .transforms import TransformKind
 
@@ -104,7 +105,7 @@ def _run_corr_row(resolved, out, fmt, workers):
     c = icimodel.correlation_matrix(
         TransformKind(resolved["kind"]), resolved["n"], resolved["alpha"]
     )
-    icimodel.correlation_row_to_csv(c, resolved["k"], out)
+    records.write_table(out, fmt, icimodel.correlation_row(c, resolved["k"]))
     print(f"wrote |C[l, {resolved['k']}]| for N={resolved['n']} alpha={resolved['alpha']}")
     return 0
 
@@ -151,23 +152,12 @@ def _run_capacity(resolved, out, fmt, workers):
     record = {
         "shannon_limit_bps": capacity.shannon_limit(params),
         "log2_distinguishable_signals": capacity.distinguishable_signals(params),
-        "capacity_ftn_bps": capacity.capacity_ftn(
-            capacity.CapacityParams(
-                bandwidth_hz=params.bandwidth_hz,
-                signal_power=params.signal_power,
-                noise_power=params.noise_power,
-                ici_power=0.0,
-                alpha=params.alpha,
-                symbol_duration=params.symbol_duration,
-            )
-        ),
+        "capacity_ftn_bps": capacity.capacity_ftn(replace(params, ici_power=0.0)),
         "capacity_ftn_ici_bps": capacity.capacity_ftn(params),
     }
-    text = json.dumps(record, indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        records.write_json(out, record)
+    print(json.dumps(record, indent=2))
     return 0
 
 
@@ -188,19 +178,7 @@ def _run_rates(resolved, out, fmt, workers):
     print(f"baseband bandwidth : {report.baseband_bandwidth / 1e9:.3f} GHz")
     print(f"net bit rate       : {report.net_bit_rate / 1e9:.3f} Gbit/s")
     if out:
-        with open(out, "w") as fh:
-            json.dump(
-                {
-                    "symbol_rate": report.symbol_rate,
-                    "nyquist_rate": report.nyquist_rate,
-                    "baseband_bandwidth": report.baseband_bandwidth,
-                    "baseband_bandwidth_exact": report.baseband_bandwidth_exact,
-                    "net_bit_rate": report.net_bit_rate,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        records.write_json(out, asdict(report))
     return 0
 
 
@@ -294,29 +272,24 @@ def main(argv=None):
     try:
         if args.manifest:
             manifest = config.load_manifest(args.manifest)
-            runner = _RUNNERS[manifest.subcommand]
-            out = manifest.outputs[0]["path"] if manifest.outputs else None
-            fmt = manifest.outputs[0]["format"] if manifest.outputs else "csv"
-            code = runner(manifest.resolved, out, fmt, workers=1)
-            if out:
-                config.save_manifest(manifest, config.manifest_path_for(out))
-            return code
-        if not args.subcommand:
+            output = manifest.outputs[0] if manifest.outputs else {"path": None, "format": "csv"}
+            workers = 1
+        elif not args.subcommand:
             parser.print_usage(sys.stderr)
             return 2
-        resolved = _resolve(args)
-        workers = 1 if args.single_thread else max(1, args.workers)
-        out = getattr(args, "out", None)
-        code = _RUNNERS[args.subcommand](resolved, out, args.format, workers)
-        if out:
+        else:
+            resolved = _resolve(args)
             seed = resolved.get("seed", 0)
+            output = {"path": getattr(args, "out", None), "format": args.format}
             manifest = config.make_manifest(
-                args.subcommand,
-                resolved,
-                seed if isinstance(seed, int) else 0,
-                [{"path": out, "format": args.format}],
+                args.subcommand, resolved, seed if isinstance(seed, int) else 0, [output]
             )
-            config.save_manifest(manifest, config.manifest_path_for(out))
+            workers = 1 if args.single_thread else max(1, args.workers)
+        out = output["path"]
+        runner = _RUNNERS[manifest.subcommand]
+        code = runner(manifest.resolved, out, output["format"], workers)
+        if out:
+            records.write_json(config.manifest_path_for(out), asdict(manifest))
         return code
     except (ConfigError, ParameterError, ShapeError, FramingError, ExportError) as exc:
         return _error(str(exc))

@@ -8,7 +8,7 @@ Unknown keys are rejected so typos fail loudly.
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import __version__
 from .berlab import SweepSpec
@@ -266,12 +266,6 @@ def make_manifest(subcommand, resolved, seed, outputs):
 
 def manifest_path_for(output_path):
     return f"{output_path}.manifest.json"
-
-
-def save_manifest(manifest, path):
-    with open(path, "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-        fh.write("\n")
 
 
 def load_manifest(path):

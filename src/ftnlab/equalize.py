@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ParameterError, ShapeError
+from .exceptions import ParameterError, ShapeError, check_power_of_two
 from .modem import pam_levels
 
 _DIVERGENCE_FACTOR = 1e6
@@ -42,11 +42,7 @@ class IdConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ParameterError(f"iterations must be >= 0, got {self.iterations!r}")
-        m = self.constellation
-        if m < 2 or m & (m - 1):
-            raise ParameterError(
-                f"constellation must be a power of two >= 2, got {m!r}"
-            )
+        check_power_of_two(self.constellation, "constellation")
 
 
 @dataclass
@@ -159,16 +155,6 @@ def id_equalize_linear(config, r):
 def iteration_spectral_radius(matrix):
     """Spectral radius of (C - I); below 1 means the linear recursion converges."""
     return float(np.max(np.abs(np.linalg.eigvalsh(_off_diagonal(matrix)))))
-
-
-def trace_to_csv(trace, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "d", "undecided_count"])
-        for i, (d, cnt) in enumerate(zip(trace.d_values, trace.undecided_counts), 1):
-            writer.writerow([i, repr(float(d)), cnt])
 
 
 def _check_vector(config, r):

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the range checks that
+raise them for parameters checked in more than one place."""
+
+from numbers import Integral
 
 
 class ParameterError(ValueError):
@@ -19,3 +22,14 @@ class ConfigError(ValueError):
 
 class ExportError(OSError):
     """Result export/import failed; message carries the path."""
+
+
+def check_alpha(alpha):
+    """The spacing compression factor lies in (0, 1]; NaN does not."""
+    if not 0.0 < alpha <= 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
+
+
+def check_power_of_two(value, name):
+    if not isinstance(value, Integral) or value < 2 or value & (value - 1):
+        raise ParameterError(f"{name} must be a power of two >= 2, got {value!r}")

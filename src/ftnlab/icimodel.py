@@ -14,7 +14,6 @@ is modelled as an equal-weight two-component Gaussian mixture centred at
 -1 and +1 (sigma fitted by maximum likelihood).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,20 +176,8 @@ def ici_histogram(config, frames, rng_seed):
     )
 
 
-def histogram_to_csv(hist, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center", "density"])
-        for center, dens in zip(hist.bin_centers, hist.density):
-            writer.writerow([repr(float(center)), repr(float(dens))])
-
-
-def correlation_row_to_csv(c, k, path):
-    """Export |C[l, k]| versus l for one subcarrier k."""
+def correlation_row(c, k):
+    """Columns l and |C[l, k]| for one subcarrier k."""
     if not 0 <= k < c.n:
         raise ParameterError(f"k must lie in [0, {c.n}), got {k!r}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "abs_C_l_k"])
-        for l in range(c.n):
-            writer.writerow([l, repr(abs(float(c.entries[l, k])))])
+    return {"l": np.arange(c.n), "abs_C_l_k": np.abs(c.entries[:, k])}

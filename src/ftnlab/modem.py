@@ -6,13 +6,12 @@ outer-level patterns; the AWGN pipeline never uses them, but they are kept
 in the frame so overhead/rate accounting matches a realistic link budget.
 """
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import FramingError, ParameterError, ShapeError
-from .transforms import TransformKind, make_plan
+from .exceptions import FramingError, ParameterError, ShapeError, check_power_of_two
+from .transforms import TransformKind, make_plan, validate_size_alpha
 
 # Entropy constant for the fixed sync/training patterns.
 _PILOT_SEED = 0x0F7C
@@ -31,13 +30,8 @@ class ModemConfig:
     sample_rate: float = 10e9
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"n must be >= 2, got {self.n!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        m = self.pam_order
-        if m < 2 or m & (m - 1):
-            raise ParameterError(f"pam_order must be a power of two >= 2, got {m!r}")
+        validate_size_alpha(self.n, self.alpha)
+        check_power_of_two(self.pam_order, "pam_order")
         if self.cp_len < 0:
             raise ParameterError(f"cp_len must be >= 0, got {self.cp_len!r}")
         for name in ("data_symbols_per_frame", "training_symbols", "sync_symbols"):
@@ -90,8 +84,7 @@ def pam_map(bits, m):
     For M=2 the alphabet is exactly {-1, +1} with 0 -> -1, 1 -> +1.
     Bits are grouped MSB-first into log2(M)-bit Gray labels.
     """
-    if m < 2 or m & (m - 1):
-        raise ParameterError(f"m must be a power of two >= 2, got {m!r}")
+    check_power_of_two(m, "m")
     bits = np.asarray(bits, dtype=np.int64)
     k = int(np.log2(m))
     if bits.size % k:
@@ -114,8 +107,7 @@ def pam_map(bits, m):
 def pam_demap(values, m):
     """Nearest-level hard decision with ties broken toward the lower level,
     followed by Gray de-mapping back to bits."""
-    if m < 2 or m & (m - 1):
-        raise ParameterError(f"m must be a power of two >= 2, got {m!r}")
+    check_power_of_two(m, "m")
     values = np.asarray(values, dtype=np.float64)
     k = int(np.log2(m))
     t = (values / _pam_scale(m) + (m - 1)) / 2.0
@@ -285,50 +277,3 @@ def rate_report(config):
         + 1.0 / period,
         net_bit_rate=np.log2(config.pam_order) * fs * overhead,
     )
-
-
-# ---------------------------------------------------------------------------
-# Stream import/export
-
-def save_stream_binary(stream, path):
-    """Little-endian 64-bit float raw dump."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(np.ascontiguousarray(stream.samples, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise _export_error(path, exc)
-
-
-def load_stream_binary(path, cp_len, n):
-    try:
-        with open(path, "rb") as fh:
-            samples = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    except OSError as exc:
-        raise _export_error(path, exc)
-    return SampleStream(samples=samples, cp_len=cp_len, n=n)
-
-
-def save_stream_csv(stream, path):
-    """One sample per line."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for v in stream.samples:
-                writer.writerow([repr(float(v))])
-    except OSError as exc:
-        raise _export_error(path, exc)
-
-
-def load_stream_csv(path, cp_len, n):
-    try:
-        with open(path, newline="") as fh:
-            samples = np.array([float(row[0]) for row in csv.reader(fh)])
-    except OSError as exc:
-        raise _export_error(path, exc)
-    return SampleStream(samples=samples, cp_len=cp_len, n=n)
-
-
-def _export_error(path, exc):
-    from .exceptions import ExportError
-
-    return ExportError(f"{path}: {exc}")

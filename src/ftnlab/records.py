@@ -1,0 +1,81 @@
+"""Reading and writing result files.
+
+Every result file of the library (BER sweeps, histograms, spectra,
+correlation rows, rate and capacity reports, sample streams, run manifests)
+is opened here, so one failure has one form: an `ExportError` naming the
+path, whether the open, a read or a write failed.  `csv.writer` writes a
+float, numpy's included, as its shortest round-trip text (`repr`).
+"""
+
+import csv
+import json
+from contextlib import contextmanager
+
+import numpy as np
+
+from .exceptions import ExportError, ParameterError
+
+
+@contextmanager
+def opened(path, mode="r"):
+    """`open(path, mode)`; text is read and written without newline
+    translation, as `csv` requires.  An `OSError` or undecodable text inside
+    the block becomes an `ExportError` naming the path."""
+    try:
+        with open(path, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ExportError(f"{path}: {exc}") from exc
+
+
+def write_csv(path, rows):
+    with opened(path, "w") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def read_csv(path):
+    """Every row of a CSV file, as lists of strings."""
+    with opened(path) as fh:
+        return list(csv.reader(fh))
+
+
+def write_json(path, payload):
+    """`payload` as JSON indented by 2, with a trailing newline."""
+    with opened(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path):
+    with opened(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ExportError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def check_format(format):
+    if format not in ("csv", "json"):
+        raise ParameterError(f"format must be 'csv' or 'json', got {format!r}")
+
+
+def write_table(path, format, columns, **fields):
+    """Equal-length named columns: as CSV, a header row and then one row per
+    index; as JSON, one list per column followed by the scalar `fields`."""
+    check_format(format)
+    if format == "csv":
+        write_csv(path, [list(columns), *zip(*columns.values())])
+    else:
+        write_json(path, {**{k: np.asarray(v).tolist() for k, v in columns.items()}, **fields})
+
+
+def write_f8(path, values):
+    """Raw little-endian 64-bit floats."""
+    with opened(path, "wb") as fh:
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+
+
+def read_f8(path):
+    with opened(path, "rb") as fh:
+        return np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)

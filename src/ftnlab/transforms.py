@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ParameterError, ShapeError
+from .exceptions import ParameterError, ShapeError, check_alpha
 
 # Plans kept alive by make_plan.  A BER sweep walks (kind, alpha) as the outer
 # loop of its grid, so one plan serves a whole curve and repeated sweeps of
@@ -69,8 +69,7 @@ def _frht_kernel(n, alpha):
 def validate_size_alpha(n, alpha):
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
+    check_alpha(alpha)
 
 
 def make_plan(kind, n, alpha):

@@ -2,12 +2,13 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from ftnlab import channel, equalize, modem
+from ftnlab import channel, equalize, modem, records
 from ftnlab.berlab import (
     BerPoint,
     BerSweepResult,
@@ -22,6 +23,7 @@ from ftnlab.berlab import (
     required_ebn0_at_ber,
     run_ber_sweep,
     wilson_interval,
+    _point_matrix,
     _simulate_batch,
 )
 from ftnlab.exceptions import ParameterError
@@ -118,6 +120,18 @@ class TestSweepSpec:
     def test_max_bits_floor(self):
         with pytest.raises(ParameterError, match="max_bits"):
             _fast_spec(max_bits=50_000)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"alphas": (0.8, 1.5)}, "alpha must lie in (0, 1], got 1.5"),
+            ({"ebn0_dbs": (6.0, math.nan)}, "ebn0_dbs must be finite, got nan"),
+            ({"kinds": ("FrCT",)}, "kinds must be TransformKind members, got 'FrCT'"),
+        ],
+    )
+    def test_bad_entry_rejected(self, overrides, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            _fast_spec(**overrides)
 
 
 class TestBitsPerSample:
@@ -231,6 +245,10 @@ class TestRunSweep:
         tight = result.curve(TransformKind.FRCT, 0.7, 10)[0]
         assert tight.ber > ortho.ber
 
+    def test_point_matrix_cache_holds_one_c(self):
+        run_ber_sweep(_fast_spec(alphas=(0.9, 0.8, 0.7)))
+        assert _point_matrix.cache_info().currsize == 1
+
     def test_curves_grouping(self):
         spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0))
         result = run_ber_sweep(spec)
@@ -317,6 +335,16 @@ class TestPsd:
         with pytest.raises(ParameterError):
             estimate_psd(cfg, frames=0, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [({"overlap": 1.0}, "overlap"), ({"overlap": -0.25}, "overlap"),
+         ({"window": "nope"}, "window"), ({"segment": 256.0}, "segment")],
+    )
+    def test_welch_arguments_validated(self, kwargs, field):
+        cfg = _small_config(cp_len=0)
+        with pytest.raises(ParameterError, match=field):
+            estimate_psd(cfg, frames=4, seed=0, **{"segment": 256, **kwargs})
+
     def test_segment_longer_than_waveform(self):
         cfg = _small_config(cp_len=0)
         with pytest.raises(ParameterError, match="segment"):
@@ -374,3 +402,32 @@ class TestExportImport:
         payload = json.loads(json_path.read_text())
         assert payload["window"] == "hann"
         assert len(payload["frequency_hz"]) == len(est.frequency_hz)
+
+    @staticmethod
+    def _write_points(path, recs):
+        if path.suffix == ".csv":
+            records.write_csv(path, [list(recs[0]), *(rec.values() for rec in recs)])
+        else:
+            records.write_json(path, {"points": recs})
+
+    _RECORD = dict(kind="FrCT", alpha=0.8, ebn0_db=4.0, iterations=20, bits=1000,
+                   errors=10, ber=0.01, ci_lo=0.005, ci_hi=0.02)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("field,value", [("alpha", "abc"), ("bits", 2.5), ("kind", "FrXT")])
+    def test_bad_value_names_field_and_row(self, tmp_path, format, field, value):
+        path = tmp_path / f"sweep.{format}"
+        self._write_points(path, [self._RECORD, {**self._RECORD, field: value}])
+        message = f"{path}: row 2: bad {field} value {value!r}"
+        if format == "csv":
+            message = message.replace(repr(value), repr(str(value)))
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            import_sweep(path, format=format)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_missing_column_names_field_and_row(self, tmp_path, format):
+        rec = {k: v for k, v in self._RECORD.items() if k != "ebn0_db"}
+        path = tmp_path / f"sweep.{format}"
+        self._write_points(path, [rec, rec])
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: row 1: missing field 'ebn0_db'")):
+            import_sweep(path, format=format)

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ftnlab.cli import main
+from ftnlab.icimodel import correlation_matrix
+from ftnlab.transforms import TransformKind
 
 
 def _run(capsys, *argv):
@@ -69,6 +72,21 @@ class TestCorrRow:
         manifest = json.loads((tmp_path / "row.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "corr-row"
         assert manifest["resolved"]["n"] == 16
+
+    def test_json_is_columnar(self, capsys, tmp_path):
+        out = tmp_path / "row.json"
+        code, _, _ = _run(
+            capsys, "corr-row", "--n", "16", "--alpha", "0.8", "--k", "8",
+            "--format", "json", "--out", str(out),
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["l", "abs_C_l_k"]
+        assert payload["l"] == list(range(16))
+        c = correlation_matrix(TransformKind.FRCT, 16, 0.8)
+        assert payload["abs_C_l_k"] == pytest.approx(np.abs(c.entries[:, 8]), abs=1e-12)
+        manifest = json.loads((tmp_path / "row.json.manifest.json").read_text())
+        assert manifest["outputs"] == [{"path": str(out), "format": "json"}]
 
 
 class TestRates:
@@ -187,3 +205,38 @@ class TestManifestReplay:
         code, _, err = _run(capsys, "--manifest", str(tmp_path / "none.json"))
         assert code == 2
         assert "error:" in err
+
+
+def _one_json_error(err):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    return json.loads(lines[0][len("error: "):])["message"]
+
+
+class TestErrorsExitCleanly:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-ber", "--config", "SWEEP_CFG"],
+            ["corr-row", "--n", "16", "--k", "3"],
+            ["ici-pdf", "--n", "16", "--frames", "4"],
+            ["psd", "--n", "64", "--cp-len", "0", "--frames", "8", "--segment", "256"],
+            ["capacity", "--snr-db", "10", "--bandwidth", "1e9"],
+            ["rates"],
+        ],
+    )
+    def test_out_is_a_directory(self, capsys, tmp_path, sweep_cfg, argv):
+        argv = [sweep_cfg if a == "SWEEP_CFG" else a for a in argv]
+        code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in _one_json_error(err)
+
+    @pytest.mark.parametrize("flag,value", [("--overlap", "1.0"), ("--window", "nope")])
+    def test_bad_psd_argument(self, capsys, tmp_path, flag, value):
+        code, _, err = _run(
+            capsys, "psd", "--n", "64", "--frames", "8", "--segment", "256",
+            flag, value, "--out", str(tmp_path / "psd.csv"),
+        )
+        assert code == 2
+        assert flag[2:] in _one_json_error(err)

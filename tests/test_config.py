@@ -1,6 +1,7 @@
 """Config-file parsing, validation diagnostics, and run manifests."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -12,11 +13,11 @@ from ftnlab.config import (
     manifest_path_for,
     parse_config,
     read_key_values,
-    save_manifest,
     sweep_spec_from_file,
     sweep_spec_from_json_dict,
     sweep_spec_to_dict,
 )
+from ftnlab import records
 from ftnlab.exceptions import ConfigError
 from ftnlab.transforms import TransformKind
 
@@ -164,7 +165,7 @@ class TestManifests:
             [{"path": "row.csv", "format": "csv"}],
         )
         path = tmp_path / "row.csv.manifest.json"
-        save_manifest(manifest, path)
+        records.write_json(path, asdict(manifest))
         back = load_manifest(str(path))
         assert back.subcommand == manifest.subcommand
         assert back.resolved == manifest.resolved

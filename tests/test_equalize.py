@@ -11,8 +11,8 @@ from ftnlab.equalize import (
     id_equalize_frame,
     id_equalize_linear,
     iteration_spectral_radius,
-    trace_to_csv,
 )
+from ftnlab import records
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.modem import pam_levels
@@ -32,7 +32,7 @@ class TestIdConfig:
         with pytest.raises(ParameterError, match="iterations"):
             IdConfig(iterations=-1, matrix=_matrix(4, 0.9))
 
-    @pytest.mark.parametrize("m", [0, 1, 3, 5])
+    @pytest.mark.parametrize("m", [0, 1, 3, 5, 2.0])
     def test_bad_constellation(self, m):
         with pytest.raises(ParameterError, match="constellation"):
             IdConfig(iterations=5, matrix=_matrix(4, 0.9), constellation=m)
@@ -155,7 +155,11 @@ class TestTrace:
         cfg = IdConfig(iterations=3, matrix=_matrix(8, 0.9))
         _, trace = id_equalize(cfg, np.ones(8))
         path = tmp_path / "trace.csv"
-        trace_to_csv(trace, path)
+        records.write_table(path, "csv", {
+            "iteration": range(1, len(trace.d_values) + 1),
+            "d": trace.d_values,
+            "undecided_count": trace.undecided_counts,
+        })
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,d,undecided_count"
         assert len(lines) == 4

@@ -5,13 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from ftnlab import records
+from ftnlab.berlab import export_results
 from ftnlab.exceptions import ParameterError
 from ftnlab.icimodel import (
     IciPdfModel,
     correlation_matrix,
-    correlation_row_to_csv,
+    correlation_row,
     fit_sigma_mle,
-    histogram_to_csv,
     ici_histogram,
     ici_power,
     ici_samples,
@@ -177,7 +178,7 @@ class TestCsvExport:
         cfg = ModemConfig(n=32, alpha=0.9)
         hist = ici_histogram(cfg, frames=16, rng_seed=4)
         path = tmp_path / "hist.csv"
-        histogram_to_csv(hist, path)
+        export_results(hist, path, format="csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_center,density"
         assert len(lines) == 1 + len(hist.bin_centers)
@@ -185,7 +186,7 @@ class TestCsvExport:
     def test_correlation_row_csv(self, tmp_path):
         c = correlation_matrix(TransformKind.FRCT, 16, 0.8)
         path = tmp_path / "row.csv"
-        correlation_row_to_csv(c, 8, path)
+        records.write_table(path, "csv", correlation_row(c, 8))
         lines = path.read_text().splitlines()
         assert lines[0] == "l,abs_C_l_k"
         assert len(lines) == 17

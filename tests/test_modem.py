@@ -8,8 +8,6 @@ from ftnlab.exceptions import FramingError, ParameterError, ShapeError
 from ftnlab.modem import (
     ModemConfig,
     SampleStream,
-    load_stream_binary,
-    load_stream_csv,
     make_frame,
     pam_demap,
     pam_map,
@@ -18,10 +16,9 @@ from ftnlab.modem import (
     random_data_bits,
     rate_report,
     receive,
-    save_stream_binary,
-    save_stream_csv,
     transmit,
 )
+from ftnlab import records
 from ftnlab.icimodel import correlation_matrix
 
 
@@ -60,7 +57,7 @@ class TestPamMapping:
         bits = rng.integers(0, 2, size=10_000 * k)
         assert np.array_equal(pam_demap(pam_map(bits, m), m), bits)
 
-    @pytest.mark.parametrize("m", [0, 1, 3, 6])
+    @pytest.mark.parametrize("m", [0, 1, 3, 6, 4.0])
     def test_bad_order(self, m):
         with pytest.raises(ParameterError):
             pam_map([0, 1], m)
@@ -83,6 +80,7 @@ class TestConfig:
             ({"cp_len": -1}, "cp_len"),
             ({"sample_rate": 0.0}, "sample_rate"),
             ({"training_symbols": -2}, "training_symbols"),
+            ({"n": 16.5}, "n"),
         ],
     )
     def test_invalid_fields_named(self, kwargs, field):
@@ -188,20 +186,21 @@ class TestStreamIO:
     def test_binary_round_trip(self, tmp_path):
         cfg, stream = self._stream()
         path = tmp_path / "wave.f64"
-        save_stream_binary(stream, path)
-        back = load_stream_binary(path, cp_len=cfg.cp_len, n=cfg.n)
+        records.write_f8(path, stream.samples)
+        back = SampleStream(records.read_f8(path), cp_len=cfg.cp_len, n=cfg.n)
         assert np.array_equal(back.samples, stream.samples)
 
     def test_binary_is_little_endian_f64(self, tmp_path):
         _, stream = self._stream()
         path = tmp_path / "wave.f64"
-        save_stream_binary(stream, path)
+        records.write_f8(path, stream.samples)
         raw = np.frombuffer(path.read_bytes(), dtype="<f8")
         assert np.array_equal(raw, stream.samples)
 
     def test_csv_round_trip(self, tmp_path):
         cfg, stream = self._stream()
         path = tmp_path / "wave.csv"
-        save_stream_csv(stream, path)
-        back = load_stream_csv(path, cp_len=cfg.cp_len, n=cfg.n)
+        records.write_csv(path, stream.samples[:, None])
+        samples = np.array([float(v) for (v,) in records.read_csv(path)])
+        back = SampleStream(samples, cp_len=cfg.cp_len, n=cfg.n)
         assert np.array_equal(back.samples, stream.samples)
