@@ -20,8 +20,6 @@ from .icimodel import (
 )
 from .modem import (
     ModemConfig,
-    SymbolFrame,
-    SampleStream,
     experiment_baseline,
     pam_map,
     pam_demap,

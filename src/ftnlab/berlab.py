@@ -23,7 +23,7 @@ from scipy import signal
 
 from . import channel, equalize, icimodel, modem, records
 from .exceptions import ParameterError, check_alpha, check_power_of_two
-from .transforms import TransformKind, make_plan
+from .transforms import TransformKind
 
 _Z95 = 1.959963984540054
 
@@ -144,43 +144,33 @@ def _point_matrix(kind, n, alpha):
 def _simulate_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batch_idx):
     """One frame batch at one grid point; returns (bits, errors).
 
-    The batch is one (frames, rows, n) array: every frame is multiplexed in
-    one product, the noise covers the serialized waveform (pilots and
-    prefixes included) in transmit order, and only the data rows are
-    demultiplexed.
+    The noise covers the whole waveform (pilots and prefixes included) in
+    transmit order; only the data rows are demultiplexed and detected.
     """
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, point_idx, batch_idx, 0])
     )
-    sent = np.stack([modem.random_data_bits(config, bits_rng) for _ in range(n_frames)])
-    plan = make_plan(config.kind, config.n, config.alpha)
-    blocks = modem._to_blocks(plan, config.cp_len, modem._frame_rows(config, sent))
+    sent = modem.random_data_bits(config, bits_rng, n_frames)
     spec = channel.AwgnSpec(
         eb_n0_db=ebn0_db,
         bits_per_sample=bits_per_sample(config),
         rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
     )
-    noisy = channel.apply_awgn(spec, blocks.ravel()).reshape(blocks.shape)
-    _, _, data = modem._split_rows(config, noisy)
-    received = modem._from_blocks(plan, config.cp_len, data)
+    noisy = channel.apply_awgn(spec, modem.transmit(config, sent))
+    received = modem.receive(config, noisy)
     id_cfg = equalize.IdConfig(
         iterations=iterations,
         matrix=_point_matrix(config.kind, config.n, config.alpha),
         constellation=config.pam_order,
     )
     decided = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n))
-    rx_bits = modem.pam_demap(decided.ravel(), config.pam_order)
+    rx_bits = modem.pam_demap(decided, config.pam_order)
     return sent.size, int(np.sum(rx_bits != sent.ravel()))
 
 
 def _run_point(spec, point_idx, kind, alpha, iterations, ebn0_db, workers):
     config = replace(spec.config, kind=kind, alpha=alpha)
-    bits_per_batch = (
-        spec.frames_per_batch
-        * config.data_symbols_per_frame
-        * config.bits_per_symbol
-    )
-    if bits_per_batch == 0:
+    if config.data_bits_per_frame == 0:
         raise ParameterError("frame layout carries zero data bits per batch")
     total_bits = 0
     total_errors = 0
@@ -308,14 +298,9 @@ def estimate_psd(config, frames, seed, segment=1024, overlap=0.5, window="hann")
     except ValueError:
         raise ParameterError(f"window {window!r} is not a scipy.signal window") from None
     rng = np.random.default_rng(seed)
-    waveform = np.concatenate(
-        [
-            modem.transmit(
-                config, modem.make_frame(config, modem.random_data_bits(config, rng))
-            ).samples
-            for _ in range(int(frames))
-        ]
-    )
+    waveform = modem.transmit(
+        config, modem.random_data_bits(config, rng, int(frames))
+    ).ravel()
     if segment > waveform.size:
         raise ParameterError(
             f"segment {segment} exceeds waveform length {waveform.size}"

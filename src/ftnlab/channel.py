@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterError
-from .modem import SampleStream
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,9 @@ class AwgnSpec:
             )
 
 
-def measure_sample_energy(stream):
-    """Mean squared sample of a stream or raw array."""
-    samples = stream.samples if isinstance(stream, SampleStream) else np.asarray(stream)
+def measure_sample_energy(samples):
+    """Mean squared sample of a waveform."""
+    samples = np.asarray(samples)
     if samples.size == 0:
         raise ParameterError("stream must be nonempty")
     return float(np.mean(samples * samples))
@@ -48,18 +47,13 @@ def noise_sigma(spec, sample_energy):
     return float(np.sqrt(sample_energy / (2.0 * gamma * spec.bits_per_sample)))
 
 
-def apply_awgn(spec, stream):
+def apply_awgn(spec, samples):
     """Add independent zero-mean Gaussian noise to every sample.
 
-    Deterministic per seed; returns the same container type it was given.
+    Deterministic per seed; noise is drawn in C order, so a waveform gets the
+    same noise whether it is given raveled or as the blocks of `transmit`.
     """
-    is_stream = isinstance(stream, SampleStream)
-    samples = stream.samples if is_stream else np.asarray(stream, dtype=np.float64)
-    if samples.size == 0:
-        raise ParameterError("stream must be nonempty")
+    samples = np.asarray(samples, dtype=np.float64)
     sigma = noise_sigma(spec, measure_sample_energy(samples))
     rng = np.random.default_rng(spec.rng_seed)
-    noisy = samples + rng.normal(0.0, sigma, size=samples.shape)
-    if is_stream:
-        return SampleStream(samples=noisy, cp_len=stream.cp_len, n=stream.n)
-    return noisy
+    return samples + rng.normal(0.0, sigma, size=samples.shape)

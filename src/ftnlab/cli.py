@@ -225,15 +225,7 @@ def _resolve(args):
         }
     if args.subcommand == "capacity":
         if args.config:
-            params = config.capacity_params_from_file(args.config)
-            return {
-                "bandwidth_hz": params.bandwidth_hz,
-                "signal_power": params.signal_power,
-                "noise_power": params.noise_power,
-                "ici_power": params.ici_power,
-                "alpha": params.alpha,
-                "symbol_duration": params.symbol_duration,
-            }
+            return asdict(config.capacity_params_from_file(args.config))
         resolved = {
             "alpha": args.alpha,
             "ici_power": args.ici_power,
@@ -286,8 +278,15 @@ def main(argv=None):
             )
             workers = 1 if args.single_thread else max(1, args.workers)
         out = output["path"]
-        runner = _RUNNERS[manifest.subcommand]
-        code = runner(manifest.resolved, out, output["format"], workers)
+        runner = _RUNNERS.get(manifest.subcommand)
+        if runner is None:
+            raise ConfigError(f"{args.manifest}: unknown subcommand {manifest.subcommand!r}")
+        try:
+            code = runner(manifest.resolved, out, output["format"], workers)
+        except KeyError as exc:  # only a replayed `resolved` can lack a parameter
+            if not args.manifest:
+                raise
+            raise ConfigError(f"{args.manifest}: resolved lacks field {exc}") from None
         if out:
             records.write_json(config.manifest_path_for(out), asdict(manifest))
         return code

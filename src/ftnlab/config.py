@@ -8,7 +8,7 @@ Unknown keys are rejected so typos fail loudly.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from . import __version__
 from .berlab import SweepSpec
@@ -276,4 +276,21 @@ def load_manifest(path):
         raise ConfigError(f"{path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: a manifest must be a JSON object")
+    known = fields(RunManifest)
+    unknown = sorted(set(payload) - {f.name for f in known})
+    if unknown:
+        raise ConfigError(f"{path}: unknown manifest field(s) {unknown}")
+    for f in known:
+        if f.name not in payload and f.default is MISSING:
+            raise ConfigError(f"{path}: missing manifest field {f.name!r}")
+        if f.name in payload and not isinstance(payload[f.name], f.type):
+            raise ConfigError(
+                f"{path}: manifest field {f.name!r} must be a JSON {f.type.__name__}"
+            )
+    if not all(isinstance(o, dict) and {"path", "format"} <= o.keys()
+               for o in payload["outputs"]):
+        raise ConfigError(f"{path}: each entry of manifest field 'outputs' needs "
+                          "'path' and 'format'")
     return RunManifest(**payload)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ParameterError, ShapeError, check_power_of_two
-from .modem import pam_levels
+from .modem import pam_index, pam_levels
 
 _DIVERGENCE_FACTOR = 1e6
 
@@ -77,18 +77,11 @@ def _off_diagonal(matrix):
     return off
 
 
-def _hard_decide(values, levels):
-    # Nearest level, ties toward the lower level.
-    gap = levels[1] - levels[0]
-    idx = np.clip(np.ceil((values - levels[0]) / gap - 0.5), 0, len(levels) - 1)
-    return levels[0] + gap * idx
-
-
 def _iterate(config, received, trace=None):
     """Core recursion on an (m, N) stack of received vectors."""
     levels = pam_levels(config.constellation)
     if config.iterations == 0:
-        return _hard_decide(received, levels)
+        return levels[pam_index(received, config.constellation)]
     off_diag = _off_diagonal(config.matrix)
     estimate = np.zeros_like(received)
     d = 1.0
@@ -106,7 +99,7 @@ def _iterate(config, received, trace=None):
         if trace is not None:
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision.
-    return _hard_decide(estimate, levels)
+    return levels[pam_index(estimate, config.constellation)]
 
 
 def id_equalize(config, r):

@@ -33,3 +33,8 @@ def check_alpha(alpha):
 def check_power_of_two(value, name):
     if not isinstance(value, Integral) or value < 2 or value & (value - 1):
         raise ParameterError(f"{name} must be a power of two >= 2, got {value!r}")
+
+
+def check_integer(value, name, minimum):
+    if not isinstance(value, Integral) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize, stats
 
 from .exceptions import ParameterError
-from .transforms import TransformKind, validate_size_alpha
+from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_size_alpha
 
 HIST_RANGE = (-2.0, 2.0)
 HIST_BIN_WIDTH = 0.02
@@ -133,19 +133,15 @@ def ici_samples(config, frames, rng_seed):
     per-subcarrier diagonal gain C[k, k], and the same values minus the
     transmitted +/-1 symbols.  2-PAM only.
     """
-    from . import modem  # deferred; modem does not import this module
-
     if config.pam_order != 2:
         raise ParameterError("ici_samples requires pam_order == 2")
     if frames < 1:
         raise ParameterError(f"frames must be >= 1, got {frames!r}")
-    from .transforms import make_plan
-
     plan = make_plan(config.kind, config.n, config.alpha)
     diag = np.diag(correlation_matrix(config.kind, config.n, config.alpha).entries)
     rng = np.random.default_rng(rng_seed)
     sent = 2.0 * rng.integers(0, 2, size=(int(frames), config.n)) - 1.0
-    received = (sent @ plan.kernel.T) @ plan.kernel / diag
+    received = demultiplex(plan, multiplex(plan, sent)) / diag
     return received.ravel(), (received - sent).ravel()
 
 

@@ -1,4 +1,4 @@
-"""Transmit/receive chain: PAM mapping, framing, cyclic prefix, serialization.
+"""Transmit/receive chain: PAM mapping, framing, cyclic prefix.
 
 Frames carry three classes of multicarrier symbols in transmit order
 sync | training | data.  Sync and training rows are fixed pseudo-random
@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import FramingError, ParameterError, ShapeError, check_power_of_two
-from .transforms import TransformKind, make_plan, validate_size_alpha
+from .exceptions import FramingError, ParameterError, check_integer, check_power_of_two
+from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_size_alpha
 
 # Entropy constant for the fixed sync/training patterns.
 _PILOT_SEED = 0x0F7C
@@ -32,11 +32,14 @@ class ModemConfig:
     def __post_init__(self):
         validate_size_alpha(self.n, self.alpha)
         check_power_of_two(self.pam_order, "pam_order")
-        if self.cp_len < 0:
-            raise ParameterError(f"cp_len must be >= 0, got {self.cp_len!r}")
-        for name in ("data_symbols_per_frame", "training_symbols", "sync_symbols"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("cp_len", "data_symbols_per_frame", "training_symbols", "sync_symbols"):
+            check_integer(getattr(self, name), name, 0)
+        if self.cp_len > self.n:
+            raise ParameterError(f"cp_len must be <= n = {self.n}, got {self.cp_len!r}")
+        if self.symbols_per_frame == 0:
+            raise ParameterError(
+                "sync_symbols + training_symbols + data_symbols_per_frame must be >= 1"
+            )
         if not self.sample_rate > 0:
             raise ParameterError(f"sample_rate must be > 0, got {self.sample_rate!r}")
 
@@ -47,6 +50,10 @@ class ModemConfig:
     @property
     def bits_per_symbol(self):
         return self.n * int(np.log2(self.pam_order))
+
+    @property
+    def data_bits_per_frame(self):
+        return self.data_symbols_per_frame * self.bits_per_symbol
 
 
 def experiment_baseline(alpha=0.8, **overrides):
@@ -104,14 +111,29 @@ def pam_map(bits, m):
     return (2.0 * index - (m - 1)) * _pam_scale(m)
 
 
+def pam_index(values, m):
+    """Index of the nearest M-PAM level, ties toward the lower level.
+
+    Clipped to [0, M-1] in float before the cast, so +-inf land on the outer
+    levels (and NaN on level 0).
+    """
+    # ceil((v / scale + M - 1) / 2 - 0.5), in place on one temporary.
+    t = np.asarray(values, dtype=np.float64) / _pam_scale(m)
+    t += m - 1
+    t /= 2.0
+    t -= 0.5
+    np.ceil(t, out=t)
+    np.fmax(t, 0, out=t)
+    np.fmin(t, m - 1, out=t)
+    return t.astype(np.int64)
+
+
 def pam_demap(values, m):
-    """Nearest-level hard decision with ties broken toward the lower level,
-    followed by Gray de-mapping back to bits."""
+    """Nearest-level hard decision (`pam_index`) followed by Gray de-mapping
+    back to bits."""
     check_power_of_two(m, "m")
-    values = np.asarray(values, dtype=np.float64)
     k = int(np.log2(m))
-    t = (values / _pam_scale(m) + (m - 1)) / 2.0
-    index = np.clip(np.ceil(t - 0.5).astype(np.int64), 0, m - 1)
+    index = pam_index(values, m).ravel()
     gray = index ^ (index >> 1)
     bits = np.empty((gray.size, k), dtype=np.int64)
     for j in range(k):
@@ -120,42 +142,7 @@ def pam_demap(values, m):
 
 
 # ---------------------------------------------------------------------------
-# Frames and sample streams
-
-@dataclass(frozen=True)
-class SymbolFrame:
-    """Frequency-domain frame; each row is a length-N vector of PAM amplitudes."""
-
-    sync: np.ndarray      # (sync_symbols, n)
-    training: np.ndarray  # (training_symbols, n)
-    data: np.ndarray      # (data_symbols_per_frame, n)
-
-    @property
-    def stacked(self):
-        """All rows in transmit order sync | training | data."""
-        return np.concatenate([self.sync, self.training, self.data], axis=0)
-
-
-@dataclass(frozen=True)
-class SampleStream:
-    """Serialized real waveform; layout is consecutive (cp_len + n)-sample blocks."""
-
-    samples: np.ndarray
-    cp_len: int
-    n: int
-
-    def __post_init__(self):
-        block = self.cp_len + self.n
-        if self.samples.ndim != 1 or self.samples.size % block:
-            raise FramingError(
-                f"stream length {self.samples.size} is not a multiple of "
-                f"block length {block}"
-            )
-
-    @property
-    def n_blocks(self):
-        return self.samples.size // (self.cp_len + self.n)
-
+# Frames
 
 def pilot_rows(config):
     """The fixed sync and training rows (outer-level pseudo-random patterns)."""
@@ -167,88 +154,59 @@ def pilot_rows(config):
     return sync, training
 
 
-def make_frame(config, data_bits):
-    """Assemble a frame from data bits; sync/training rows are the fixed pilots."""
-    expected = config.data_symbols_per_frame * config.bits_per_symbol
+def random_data_bits(config, rng, frames):
+    """Uniform data bits for `frames` frames, shape (frames, data_bits_per_frame)."""
+    return rng.integers(0, 2, size=(frames, config.data_bits_per_frame))
+
+
+def transmit(config, data_bits):
+    """Time-domain blocks of whole frames from (frames, data_bits_per_frame) bits.
+
+    Each frame's rows sync | training | data are multiplexed in one product
+    and get their cyclic prefix; returns (frames, symbols_per_frame,
+    cp_len + n), whose ravel() is the serialized waveform.
+    """
     data_bits = np.asarray(data_bits)
-    if data_bits.size != expected:
+    if data_bits.ndim != 2 or data_bits.shape[1] != config.data_bits_per_frame:
         raise FramingError(
-            f"data_bits must have {expected} bits for this layout, got {data_bits.size}"
+            f"data_bits must have shape (frames, {config.data_bits_per_frame}) "
+            f"for this layout, got {data_bits.shape}"
         )
-    rows = _frame_rows(config, data_bits.reshape(1, -1))[0]
-    return SymbolFrame(*_split_rows(config, rows))
-
-
-def _frame_rows(config, data_bits):
-    """Rows sync | training | data of each frame, from (frames, data bits per
-    frame) bits; returns (frames, symbols_per_frame, n)."""
     frames = data_bits.shape[0]
     data = pam_map(data_bits, config.pam_order).reshape(
         frames, config.data_symbols_per_frame, config.n
     )
     pilots = np.concatenate(pilot_rows(config))
-    return np.concatenate(
+    rows = np.concatenate(
         [np.broadcast_to(pilots, (frames,) + pilots.shape), data], axis=-2
     )
-
-
-def _split_rows(config, rows):
-    """Views (sync, training, data) of (..., symbols_per_frame, n) frame rows."""
-    s, t = config.sync_symbols, config.training_symbols
-    return rows[..., :s, :], rows[..., s:s + t, :], rows[..., s + t:, :]
-
-
-def random_data_bits(config, rng):
-    return rng.integers(
-        0, 2, size=config.data_symbols_per_frame * config.bits_per_symbol
-    )
-
-
-def _to_blocks(plan, cp_len, rows):
-    """Multiplex (..., rows, n) frequency-domain rows in one product and
-    prepend each block's cyclic prefix; returns (..., rows, cp_len + n)."""
-    bodies = rows @ plan.kernel.T
-    if not cp_len:
+    bodies = multiplex(make_plan(config.kind, config.n, config.alpha), rows)
+    if not config.cp_len:
         return bodies
-    return np.concatenate([bodies[..., plan.n - cp_len:], bodies], axis=-1)
+    return np.concatenate([bodies[..., config.n - config.cp_len:], bodies], axis=-1)
 
 
-def _from_blocks(plan, cp_len, blocks):
-    """Strip the cyclic prefix of (..., rows, cp_len + n) time-domain blocks
-    and demultiplex them in one product; returns (..., rows, n)."""
-    return blocks[..., cp_len:] @ plan.kernel
+def receive(config, samples):
+    """Strip the cyclic prefixes of whole frames and demultiplex the data rows.
 
-
-def transmit(config, frame):
-    """Multiplex each frame row, prepend the cyclic prefix, serialize."""
-    rows = frame.stacked
-    if rows.shape[1] != config.n:
-        raise ShapeError(f"frame rows must have length {config.n}, got {rows.shape[1]}")
-    plan = make_plan(config.kind, config.n, config.alpha)
-    blocks = _to_blocks(plan, config.cp_len, rows)
-    return SampleStream(samples=blocks.ravel(), cp_len=config.cp_len, n=config.n)
-
-
-def receive(config, stream):
-    """Strip cyclic prefixes, demultiplex, and split rows back into a frame.
-
-    Output rows are raw frequency-domain values (no equalization); for
-    alpha < 1 each data row equals C @ (transmitted row) plus noise.
+    `samples` may have any shape whose size is a whole number of frames (a
+    raveled waveform or the blocks of `transmit`).  Returns raw
+    frequency-domain rows (frames, data_symbols_per_frame, n), no
+    equalization: for alpha < 1 each equals C @ (transmitted row) plus noise.
     """
+    samples = np.asarray(samples, dtype=np.float64)
     block = config.cp_len + config.n
-    if stream.cp_len != config.cp_len or stream.n != config.n:
-        raise FramingError(
-            f"stream layout (cp={stream.cp_len}, n={stream.n}) does not match "
-            f"config (cp={config.cp_len}, n={config.n})"
-        )
-    if stream.n_blocks != config.symbols_per_frame:
-        raise FramingError(
-            f"stream holds {stream.n_blocks} blocks, expected "
-            f"{config.symbols_per_frame} for this frame layout"
-        )
-    plan = make_plan(config.kind, config.n, config.alpha)
-    rows = _from_blocks(plan, config.cp_len, stream.samples.reshape(-1, block))
-    return SymbolFrame(*_split_rows(config, rows))
+    layout = (
+        f"frames of {config.symbols_per_frame} blocks of "
+        f"cp_len + n = {config.cp_len} + {config.n} samples"
+    )
+    if samples.ndim > 1 and samples.shape[-1] != block:
+        raise FramingError(f"block length {samples.shape[-1]} does not match {layout}")
+    if samples.size == 0 or samples.size % (config.symbols_per_frame * block):
+        raise FramingError(f"{samples.size} samples are not a whole number of {layout}")
+    blocks = samples.reshape(-1, config.symbols_per_frame, block)
+    data = blocks[:, config.sync_symbols + config.training_symbols:, config.cp_len:]
+    return demultiplex(make_plan(config.kind, config.n, config.alpha), data)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ParameterError, ShapeError, check_alpha
+from .exceptions import ParameterError, ShapeError, check_alpha, check_integer
 
 # Plans kept alive by make_plan.  A BER sweep walks (kind, alpha) as the outer
 # loop of its grid, so one plan serves a whole curve and repeated sweeps of
@@ -67,8 +67,7 @@ def _frht_kernel(n, alpha):
 
 
 def validate_size_alpha(n, alpha):
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
+    check_integer(n, "n", 2)
     check_alpha(alpha)
 
 

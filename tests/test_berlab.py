@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from ftnlab import channel, equalize, modem, records
+from ftnlab import channel, equalize, modem, records, transforms
 from ftnlab.berlab import (
     BerPoint,
     BerSweepResult,
@@ -151,33 +151,42 @@ class TestBitsPerSample:
 
 
 def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batch_idx):
-    """(bits, errors) of one batch through the public per-frame chain, drawing
-    bits and noise from the same seed sequences as the sweep."""
+    """(bits, errors) of one batch built frame by frame from the layout's parts
+    (PAM map, pilot rows, transforms, an explicit prefix slice), sharing no
+    code with modem.transmit/receive; bits and noise come from the same seed
+    sequences as the sweep."""
+    plan = transforms.make_plan(config.kind, config.n, config.alpha)
+    pilots = np.concatenate(modem.pilot_rows(config))
+    bits_per_frame = config.data_symbols_per_frame * config.bits_per_symbol
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, point_idx, batch_idx, 0])
     )
-    sent = [modem.random_data_bits(config, bits_rng) for _ in range(n_frames)]
-    waveform = np.concatenate(
-        [modem.transmit(config, modem.make_frame(config, bits)).samples for bits in sent]
-    )
+    sent, waveform = [], []
+    for _ in range(n_frames):
+        bits = bits_rng.integers(0, 2, size=bits_per_frame)
+        data = modem.pam_map(bits, config.pam_order).reshape(-1, config.n)
+        bodies = transforms.multiplex(plan, np.concatenate([pilots, data]))
+        prefixes = bodies[:, config.n - config.cp_len:]
+        waveform.append(np.concatenate([prefixes, bodies], axis=1).ravel())
+        sent.append(bits)
     spec = channel.AwgnSpec(
         eb_n0_db=ebn0_db,
         bits_per_sample=bits_per_sample(config),
         rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
     )
-    noisy = channel.apply_awgn(spec, waveform).reshape(n_frames, -1)
-    received = np.concatenate([
-        modem.receive(
-            config, modem.SampleStream(samples=row, cp_len=config.cp_len, n=config.n)
-        ).data
-        for row in noisy
-    ])
+    noisy = channel.apply_awgn(spec, np.concatenate(waveform))
+    block = config.cp_len + config.n
+    first_data = config.sync_symbols + config.training_symbols
+    received = [
+        transforms.demultiplex(plan, frame[first_data:, config.cp_len:])
+        for frame in noisy.reshape(n_frames, config.symbols_per_frame, block)
+    ]
     id_cfg = equalize.IdConfig(
         iterations=iterations,
         matrix=correlation_matrix(config.kind, config.n, config.alpha),
         constellation=config.pam_order,
     )
-    decided = equalize.id_equalize_frame(id_cfg, received)
+    decided = equalize.id_equalize_frame(id_cfg, np.concatenate(received))
     rx_bits = modem.pam_demap(decided.ravel(), config.pam_order)
     sent = np.concatenate(sent)
     return sent.size, int(np.sum(rx_bits != sent))

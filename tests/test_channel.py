@@ -6,7 +6,7 @@ from scipy.special import erfc
 
 from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy, noise_sigma
 from ftnlab.exceptions import ParameterError
-from ftnlab.modem import ModemConfig, make_frame, pam_demap, random_data_bits, receive, transmit
+from ftnlab.modem import ModemConfig, pam_demap, random_data_bits, receive, transmit
 from ftnlab.transforms import TransformKind
 
 
@@ -25,8 +25,8 @@ class TestSampleEnergy:
         cfg = ModemConfig(n=64, alpha=1.0, data_symbols_per_frame=64,
                           training_symbols=0, sync_symbols=0)
         rng = np.random.default_rng(0)
-        stream = transmit(cfg, make_frame(cfg, random_data_bits(cfg, rng)))
-        assert measure_sample_energy(stream) == pytest.approx(1.0, rel=1e-10)
+        samples = transmit(cfg, random_data_bits(cfg, rng, 1))
+        assert measure_sample_energy(samples) == pytest.approx(1.0, rel=1e-10)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -44,6 +44,11 @@ class TestApplyAwgn:
         x = np.ones(512)
         spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0, rng_seed=42)
         assert np.array_equal(apply_awgn(spec, x), apply_awgn(spec, x))
+
+    def test_noise_follows_c_order(self):
+        x = np.random.default_rng(6).normal(size=(4, 8, 16))
+        spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0, rng_seed=42)
+        assert np.array_equal(apply_awgn(spec, x).ravel(), apply_awgn(spec, x.ravel()))
 
     def test_different_seeds_differ(self):
         x = np.ones(512)
@@ -87,12 +92,11 @@ class TestBerCalibration:
         bits_done = 0
         frame_bits = cfg.data_symbols_per_frame * cfg.n
         while bits_done < total_bits:
-            bits = random_data_bits(cfg, rng)
-            stream = transmit(cfg, make_frame(cfg, bits))
+            bits = random_data_bits(cfg, rng, 1)
             spec = AwgnSpec(eb_n0_db=ebn0_db, bits_per_sample=1.0,
                             rng_seed=np.random.SeedSequence([17, bits_done]))
-            rx = receive(cfg, apply_awgn(spec, stream))
-            errors += np.sum(pam_demap(rx.data.ravel(), 2) != bits)
+            rx = receive(cfg, apply_awgn(spec, transmit(cfg, bits)))
+            errors += np.sum(pam_demap(rx, 2) != bits.ravel())
             bits_done += frame_bits
         gamma = 10 ** (ebn0_db / 10)
         assert errors / bits_done == pytest.approx(qfunc(np.sqrt(2 * gamma)), rel=0.10)

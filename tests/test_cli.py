@@ -206,6 +206,27 @@ class TestManifestReplay:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            ({"subcommand": "nope"}, "nope"),
+            ({"extra": 1}, "extra"),
+            ({"outputs": None}, "outputs"),
+            ({"resolved": {}}, "'n'"),
+        ],
+        ids=["unknown-subcommand", "extra-key", "missing-outputs", "empty-resolved"],
+    )
+    def test_malformed_manifest_names_field(self, capsys, tmp_path, edit, field):
+        out = tmp_path / "rates.json"
+        assert _run(capsys, "rates", "--out", str(out))[0] == 0
+        path = tmp_path / "rates.json.manifest.json"
+        manifest = {**json.loads(path.read_text()), **edit}
+        manifest = {k: v for k, v in manifest.items() if v is not None}
+        path.write_text(json.dumps(manifest))
+        code, _, err = _run(capsys, "--manifest", str(path))
+        assert code == 2
+        assert field in _one_json_error(err)
+
 
 def _one_json_error(err):
     lines = err.splitlines()

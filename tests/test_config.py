@@ -1,6 +1,7 @@
 """Config-file parsing, validation diagnostics, and run manifests."""
 
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -184,6 +185,25 @@ class TestManifests:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_manifest(str(tmp_path / "none.json"))
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ([], "JSON object"),
+            ({"subcommand": "rates", "resolved": {}, "seed": 0}, "'outputs'"),
+            ({"subcommand": "rates", "resolved": {}, "seed": 0, "outputs": [], "x": 1},
+             "['x']"),
+            ({"subcommand": "rates", "resolved": [], "seed": 0, "outputs": []},
+             "'resolved' must be a JSON dict"),
+            ({"subcommand": "rates", "resolved": {}, "seed": 0, "outputs": [{}]},
+             "'outputs'"),
+        ],
+    )
+    def test_malformed_rejected_naming_field(self, tmp_path, payload, message):
+        path = tmp_path / "m.json"
+        records.write_json(path, payload)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_manifest(str(path))
 
     def test_records_tool_version(self):
         manifest = make_manifest("rates", {}, 0, [])

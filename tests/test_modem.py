@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ftnlab.exceptions import FramingError, ParameterError, ShapeError
+from ftnlab.equalize import IdConfig, id_equalize_frame
+from ftnlab.exceptions import FramingError, ParameterError
 from ftnlab.modem import (
     ModemConfig,
-    SampleStream,
-    make_frame,
     pam_demap,
+    pam_index,
+    pam_levels,
     pam_map,
     experiment_baseline,
     pilot_rows,
@@ -19,7 +20,8 @@ from ftnlab.modem import (
     transmit,
 )
 from ftnlab import records
-from ftnlab.icimodel import correlation_matrix
+from ftnlab.icimodel import CorrelationMatrix, correlation_matrix
+from ftnlab.transforms import demultiplex, make_plan, multiplex
 
 
 class TestPamMapping:
@@ -62,6 +64,25 @@ class TestPamMapping:
         with pytest.raises(ParameterError):
             pam_map([0, 1], m)
 
+    def test_demap_infinities_on_outer_levels(self):
+        assert list(pam_demap([-np.inf, np.inf], 2)) == [0, 1]
+        assert list(pam_index([-np.inf, np.inf], 8)) == [0, 7]
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_equalizer_and_demap_decide_alike(self, m):
+        # The equalizer's final levels and pam_demap use one nearest-level
+        # rule: at the exact midpoints, beyond the outer levels and at +-inf.
+        levels = pam_levels(m)
+        values = np.concatenate([
+            [-np.inf, levels[0] - 1.0, levels[-1] + 1.0, np.inf],
+            0.5 * (levels[:-1] + levels[1:]),
+        ])
+        n = values.size
+        matrix = CorrelationMatrix(kind=None, n=n, alpha=1.0, entries=np.eye(n))
+        decided = id_equalize_frame(IdConfig(0, matrix, constellation=m), values[None, :])
+        assert set(decided.ravel()) <= set(levels)
+        assert np.array_equal(pam_demap(decided, m), pam_demap(values, m))
+
 
 class TestConfig:
     def test_experiment_baseline_layout(self):
@@ -81,6 +102,13 @@ class TestConfig:
             ({"sample_rate": 0.0}, "sample_rate"),
             ({"training_symbols": -2}, "training_symbols"),
             ({"n": 16.5}, "n"),
+            ({"cp_len": 1.5}, "cp_len"),
+            ({"data_symbols_per_frame": 2.5}, "data_symbols_per_frame"),
+            ({"training_symbols": 1.5}, "training_symbols"),
+            ({"sync_symbols": 0.5}, "sync_symbols"),
+            ({"n": 16, "cp_len": 17}, "cp_len"),
+            ({"data_symbols_per_frame": 0, "training_symbols": 0, "sync_symbols": 0},
+             "sync_symbols"),
         ],
     )
     def test_invalid_fields_named(self, kwargs, field):
@@ -89,58 +117,79 @@ class TestConfig:
 
 
 class TestTransmitReceive:
-    def _frame(self, cfg, seed=0):
-        rng = np.random.default_rng(seed)
-        return make_frame(cfg, random_data_bits(cfg, rng))
+    def _bits(self, cfg, frames=1, seed=0):
+        return random_data_bits(cfg, np.random.default_rng(seed), frames)
 
     def test_single_symbol_no_cp_equals_multiplex(self):
-        from ftnlab.transforms import make_plan, multiplex
-
         cfg = ModemConfig(
             n=16, alpha=0.8, cp_len=0,
             data_symbols_per_frame=1, training_symbols=0, sync_symbols=0,
         )
-        frame = self._frame(cfg)
-        stream = transmit(cfg, frame)
+        bits = self._bits(cfg)
+        blocks = transmit(cfg, bits)
+        assert blocks.shape == (1, 1, 16)
         plan = make_plan(cfg.kind, cfg.n, cfg.alpha)
-        assert_allclose(stream.samples, multiplex(plan, frame.data[0]), atol=0)
+        assert_allclose(blocks.ravel(), multiplex(plan, pam_map(bits, 2)), atol=0)
 
     def test_cyclic_prefix_layout(self):
         cfg = experiment_baseline(alpha=0.8)
-        stream = transmit(cfg, self._frame(cfg))
-        blocks = stream.samples.reshape(-1, 272)
-        assert blocks.shape[0] == 139
-        assert np.array_equal(blocks[:, :16], blocks[:, 256:])
+        blocks = transmit(cfg, self._bits(cfg))
+        assert blocks.shape == (1, 139, 272)
+        assert np.array_equal(blocks[..., :16], blocks[..., 256:])
 
     def test_orthogonal_loopback(self):
         cfg = ModemConfig(n=32, alpha=1.0, cp_len=4, data_symbols_per_frame=8)
-        frame = self._frame(cfg)
-        out = receive(cfg, transmit(cfg, frame))
-        assert_allclose(out.data, frame.data, atol=1e-10)
-        assert_allclose(out.sync, frame.sync, atol=1e-10)
-        assert_allclose(out.training, frame.training, atol=1e-10)
+        bits = self._bits(cfg, frames=3)
+        blocks = transmit(cfg, bits)
+        out = receive(cfg, blocks)
+        assert_allclose(out, pam_map(bits, 2).reshape(3, 8, 32), atol=1e-10)
+        # The frames lead with the fixed sync | training rows.
+        pilots = demultiplex(make_plan(cfg.kind, cfg.n, cfg.alpha), blocks[:, :11, 4:])
+        assert_allclose(pilots, np.broadcast_to(np.concatenate(pilot_rows(cfg)), (3, 11, 32)),
+                        atol=1e-10)
 
     def test_compressed_loopback_applies_correlation(self):
         cfg = ModemConfig(n=32, alpha=0.8, cp_len=4, data_symbols_per_frame=8)
-        frame = self._frame(cfg)
-        out = receive(cfg, transmit(cfg, frame))
+        bits = self._bits(cfg, frames=2)
+        out = receive(cfg, transmit(cfg, bits))
         c = correlation_matrix(cfg.kind, cfg.n, cfg.alpha).entries
-        assert_allclose(out.data, frame.data @ c.T, atol=1e-10)
+        assert_allclose(out, pam_map(bits, 2).reshape(2, 8, 32) @ c.T, atol=1e-10)
+
+    def test_raveled_and_block_input_agree(self):
+        cfg = ModemConfig(n=32, alpha=0.8, cp_len=4, data_symbols_per_frame=8)
+        blocks = transmit(cfg, self._bits(cfg, frames=2))
+        assert np.array_equal(receive(cfg, blocks.ravel()), receive(cfg, blocks))
+
+    def test_frames_are_independent(self):
+        cfg = ModemConfig(n=32, alpha=0.8, cp_len=4, data_symbols_per_frame=8)
+        bits = self._bits(cfg, frames=3)
+        blocks = transmit(cfg, bits)
+        for i in range(3):
+            assert np.array_equal(transmit(cfg, bits[i:i + 1])[0], blocks[i])
 
     def test_truncated_stream_rejected(self):
         cfg = ModemConfig(n=32, alpha=1.0, cp_len=4, data_symbols_per_frame=8)
-        stream = transmit(cfg, self._frame(cfg))
+        samples = transmit(cfg, self._bits(cfg)).ravel()
+        with pytest.raises(FramingError, match="whole number"):
+            receive(cfg, samples[:-5])
+        with pytest.raises(FramingError, match="19 blocks"):
+            receive(cfg, samples[:36])
         with pytest.raises(FramingError):
-            SampleStream(samples=stream.samples[:-5], cp_len=4, n=32)
-        short = SampleStream(samples=stream.samples[:36], cp_len=4, n=32)
-        with pytest.raises(FramingError):
-            receive(cfg, short)
+            receive(cfg, samples[:0])
+
+    def test_wrong_block_length_rejected(self):
+        cfg = ModemConfig(n=32, alpha=1.0, cp_len=4, data_symbols_per_frame=8)
+        blocks = transmit(cfg, self._bits(cfg))
+        with pytest.raises(FramingError, match="block length 35"):
+            receive(cfg, blocks[..., 1:])
 
     def test_wrong_row_length_rejected(self):
         cfg = ModemConfig(n=32, data_symbols_per_frame=2)
-        frame = self._frame(ModemConfig(n=16, data_symbols_per_frame=2))
-        with pytest.raises((ShapeError, FramingError)):
-            transmit(cfg, frame)
+        bits = self._bits(ModemConfig(n=16, data_symbols_per_frame=2))
+        with pytest.raises(FramingError):
+            transmit(cfg, bits)
+        with pytest.raises(FramingError):
+            transmit(cfg, self._bits(cfg).ravel())
 
     def test_pilots_are_fixed_and_on_outer_levels(self):
         cfg = experiment_baseline()
@@ -177,30 +226,31 @@ class TestRateReport:
 
 
 class TestStreamIO:
-    def _stream(self):
+    def _samples(self):
         cfg = ModemConfig(n=16, alpha=0.8, cp_len=2, data_symbols_per_frame=3,
                           training_symbols=0, sync_symbols=0)
         rng = np.random.default_rng(7)
-        return cfg, transmit(cfg, make_frame(cfg, random_data_bits(cfg, rng)))
+        return cfg, transmit(cfg, random_data_bits(cfg, rng, 1)).ravel()
 
     def test_binary_round_trip(self, tmp_path):
-        cfg, stream = self._stream()
+        cfg, samples = self._samples()
         path = tmp_path / "wave.f64"
-        records.write_f8(path, stream.samples)
-        back = SampleStream(records.read_f8(path), cp_len=cfg.cp_len, n=cfg.n)
-        assert np.array_equal(back.samples, stream.samples)
+        records.write_f8(path, samples)
+        back = records.read_f8(path)
+        assert np.array_equal(back, samples)
+        assert np.array_equal(receive(cfg, back), receive(cfg, samples))
 
     def test_binary_is_little_endian_f64(self, tmp_path):
-        _, stream = self._stream()
+        _, samples = self._samples()
         path = tmp_path / "wave.f64"
-        records.write_f8(path, stream.samples)
+        records.write_f8(path, samples)
         raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-        assert np.array_equal(raw, stream.samples)
+        assert np.array_equal(raw, samples)
 
     def test_csv_round_trip(self, tmp_path):
-        cfg, stream = self._stream()
+        cfg, samples = self._samples()
         path = tmp_path / "wave.csv"
-        records.write_csv(path, stream.samples[:, None])
-        samples = np.array([float(v) for (v,) in records.read_csv(path)])
-        back = SampleStream(samples, cp_len=cfg.cp_len, n=cfg.n)
-        assert np.array_equal(back.samples, stream.samples)
+        records.write_csv(path, samples[:, None])
+        back = np.array([float(v) for (v,) in records.read_csv(path)])
+        assert np.array_equal(back, samples)
+        assert np.array_equal(receive(cfg, back), receive(cfg, samples))
