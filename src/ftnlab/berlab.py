@@ -22,7 +22,7 @@ import numpy as np
 from scipy import signal
 
 from . import channel, equalize, icimodel, modem, records
-from .exceptions import ParameterError, check_alpha, check_power_of_two
+from .exceptions import ParameterError, check_alpha, check_integer, check_power_of_two
 from .transforms import TransformKind
 
 _Z95 = 1.959963984540054
@@ -54,10 +54,10 @@ def wilson_interval(errors, bits):
 @dataclass(frozen=True)
 class SweepSpec:
     config: modem.ModemConfig  # base layout; kind/alpha overridden per point
-    alphas: tuple
-    ebn0_dbs: tuple
-    iteration_counts: tuple = (20,)
-    kinds: tuple = (TransformKind.FRCT,)
+    alphas: tuple[float, ...]
+    ebn0_dbs: tuple[float, ...]
+    iteration_counts: tuple[int, ...] = (20,)
+    kinds: tuple[TransformKind, ...] = (TransformKind.FRCT,)
     max_bits: int = 1_000_000
     min_errors: int = 100
     frames_per_batch: int = 4
@@ -177,7 +177,7 @@ def _run_point(spec, point_idx, kind, alpha, iterations, ebn0_db, workers):
     batch_idx = 0
     done = False
     while not done:
-        wave = list(range(batch_idx, batch_idx + max(1, workers)))
+        wave = list(range(batch_idx, batch_idx + workers))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(
@@ -223,6 +223,7 @@ def _run_point(spec, point_idx, kind, alpha, iterations, ebn0_db, workers):
 
 def run_ber_sweep(spec, workers=1):
     """Run every grid point; deterministic for a fixed spec, any worker count."""
+    check_integer(workers, "workers", 1)
     points = []
     for idx, (kind, alpha, iterations, ebn0_db) in enumerate(spec.grid()):
         points.append(

@@ -8,25 +8,29 @@ manifest and regenerates the output bit-identically.
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from . import __version__, berlab, capacity, config, icimodel, modem, records
 from .exceptions import ConfigError, ExportError, FramingError, ParameterError, ShapeError
 from .transforms import TransformKind
 
 
-def _common_flags(parser, needs_out=False):
-    parser.add_argument("--config", help="key/value config file")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    parser.add_argument("--out", required=needs_out, help="output file path")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--workers", type=int, default=1, help="parallel batch workers")
-    parser.add_argument(
-        "--single-thread", action="store_true", help="force one worker (audit mode)"
-    )
+def _out_flags(parser, required=True, formats=True):
+    parser.add_argument("--out", required=required, help="output file path")
+    if formats:
+        parser.add_argument("--format", choices=["csv", "json"], default="csv")
+
+
+def _link_flags(parser):
+    parser.add_argument("--kind", choices=[k.value for k in TransformKind], default="FrCT")
+    parser.add_argument("--n", type=int, default=256)
+    parser.add_argument("--alpha", type=float, default=0.8)
 
 
 def build_parser():
+    """Each subcommand declares only the flags it reads.  Its parameters are
+    the flags outside `_RUN_FLAGS`; a manifest records them in declaration
+    order, so `--seed` comes last where it is one."""
     parser = argparse.ArgumentParser(
         prog="ftnlab",
         description="Faster-than-Nyquist multicarrier simulation laboratory",
@@ -36,44 +40,47 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("sweep-ber", help="Monte Carlo BER sweep over a parameter grid")
-    _common_flags(p, needs_out=True)
+    p.add_argument("--config", help="key/value config file")
+    p.add_argument("--seed", type=int, help="RNG seed override")
+    _out_flags(p)
+    p.add_argument("--workers", type=int, default=1, help="parallel batch workers")
+    p.add_argument(
+        "--single-thread", action="store_true", help="force one worker (audit mode)"
+    )
 
     p = sub.add_parser("corr-row", help="export one row of the correlation matrix")
-    _common_flags(p, needs_out=True)
-    p.add_argument("--kind", choices=["FrCT", "FrHT"], default="FrCT")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--alpha", type=float, default=0.8)
+    _out_flags(p)
+    _link_flags(p)
     p.add_argument("--k", type=int, default=128, help="subcarrier index")
 
     p = sub.add_parser("ici-pdf", help="histogram of demodulated 2-PAM values")
-    _common_flags(p, needs_out=True)
-    p.add_argument("--kind", choices=["FrCT", "FrHT"], default="FrCT")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--alpha", type=float, default=0.8)
+    _out_flags(p)
+    _link_flags(p)
     p.add_argument("--frames", type=int, default=4096)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = sub.add_parser("psd", help="Welch power spectral density of the waveform")
-    _common_flags(p, needs_out=True)
-    p.add_argument("--kind", choices=["FrCT", "FrHT"], default="FrCT")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--alpha", type=float, default=0.8)
+    _out_flags(p)
+    _link_flags(p)
     p.add_argument("--cp-len", type=int, default=16)
     p.add_argument("--sample-rate", type=float, default=10e9)
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--segment", type=int, default=1024)
     p.add_argument("--overlap", type=float, default=0.5)
     p.add_argument("--window", default="hann")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = sub.add_parser("capacity", help="capacity-limit calculators")
-    _common_flags(p)
+    p.add_argument("--config", help="key/value config file")
+    _out_flags(p, required=False, formats=False)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--snr-db", type=float, default=None)
-    p.add_argument("--bandwidth", type=float, default=None, help="Hz")
     p.add_argument("--ici-power", type=float, default=0.0, help="fraction of P_S")
     p.add_argument("--symbol-duration", type=float, default=1.0, help="seconds")
+    p.add_argument("--bandwidth", dest="bandwidth_hz", type=float, help="Hz")
+    p.add_argument("--snr-db", type=float)
 
     p = sub.add_parser("rates", help="symbol/Nyquist rate and bandwidth accounting")
-    _common_flags(p)
+    _out_flags(p, required=False, formats=False)
     p.add_argument("--alpha", type=float, default=0.8)
     p.add_argument("--sample-rate", type=float, default=10e9)
     p.add_argument("--n", type=int, default=256)
@@ -83,6 +90,23 @@ def build_parser():
     p.add_argument("--training-symbols", type=int, default=10)
     p.add_argument("--sync-symbols", type=int, default=1)
     return parser
+
+
+# Flags that steer a run rather than describe it; `resolved` leaves them out.
+_RUN_FLAGS = {"manifest", "subcommand", "config", "out", "format", "workers", "single_thread"}
+
+
+def _modem_config(resolved):
+    """The link of a psd, ici-pdf or rates run: the ModemConfig fields it
+    names (rates says `data_symbols` for data_symbols_per_frame)."""
+    values = {}
+    for f in fields(modem.ModemConfig):
+        key = "data_symbols" if f.name == "data_symbols_per_frame" else f.name
+        if key in resolved:
+            values[f.name] = resolved[key]
+    if "kind" in values:
+        values["kind"] = TransformKind(values["kind"])
+    return modem.ModemConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +135,7 @@ def _run_corr_row(resolved, out, fmt, workers):
 
 
 def _run_ici_pdf(resolved, out, fmt, workers):
-    cfg = modem.ModemConfig(
-        n=resolved["n"],
-        alpha=resolved["alpha"],
-        kind=TransformKind(resolved["kind"]),
-        pam_order=2,
-    )
+    cfg = _modem_config(resolved)
     hist = icimodel.ici_histogram(cfg, resolved["frames"], resolved["seed"])
     berlab.export_results(hist, out, fmt)
     values, _ = icimodel.ici_samples(cfg, resolved["frames"], resolved["seed"])
@@ -127,15 +146,8 @@ def _run_ici_pdf(resolved, out, fmt, workers):
 
 
 def _run_psd(resolved, out, fmt, workers):
-    cfg = modem.ModemConfig(
-        n=resolved["n"],
-        alpha=resolved["alpha"],
-        kind=TransformKind(resolved["kind"]),
-        cp_len=resolved["cp_len"],
-        sample_rate=resolved["sample_rate"],
-    )
     est = berlab.estimate_psd(
-        cfg,
+        _modem_config(resolved),
         resolved["frames"],
         resolved["seed"],
         segment=resolved["segment"],
@@ -148,7 +160,7 @@ def _run_psd(resolved, out, fmt, workers):
 
 
 def _run_capacity(resolved, out, fmt, workers):
-    params = config.capacity_params_from_dict(dict(resolved))
+    params = config.capacity_params_from_dict(resolved)
     record = {
         "shannon_limit_bps": capacity.shannon_limit(params),
         "log2_distinguishable_signals": capacity.distinguishable_signals(params),
@@ -162,17 +174,7 @@ def _run_capacity(resolved, out, fmt, workers):
 
 
 def _run_rates(resolved, out, fmt, workers):
-    cfg = modem.ModemConfig(
-        n=resolved["n"],
-        alpha=resolved["alpha"],
-        pam_order=resolved["pam_order"],
-        cp_len=resolved["cp_len"],
-        data_symbols_per_frame=resolved["data_symbols"],
-        training_symbols=resolved["training_symbols"],
-        sync_symbols=resolved["sync_symbols"],
-        sample_rate=resolved["sample_rate"],
-    )
-    report = modem.rate_report(cfg)
+    report = modem.rate_report(_modem_config(resolved))
     print(f"symbol rate        : {report.symbol_rate / 1e9:.3f} GS/s")
     print(f"nyquist rate       : {report.nyquist_rate / 1e9:.3f} Gbit/s")
     print(f"baseband bandwidth : {report.baseband_bandwidth / 1e9:.3f} GHz")
@@ -193,61 +195,16 @@ _RUNNERS = {
 
 
 def _resolve(args):
-    """Build the fully resolved parameter dict for a subcommand."""
-    seed = args.seed if args.seed is not None else 0
+    """The parameters a run records: those of its config file, or else the
+    subcommand's own parameter flags that are set, in declaration order."""
     if args.subcommand == "sweep-ber":
         if not args.config:
             raise ConfigError("sweep-ber requires --config")
         spec = config.sweep_spec_from_file(args.config, seed_override=args.seed)
         return config.sweep_spec_to_dict(spec)
-    if args.subcommand == "corr-row":
-        return {"kind": args.kind, "n": args.n, "alpha": args.alpha, "k": args.k}
-    if args.subcommand == "ici-pdf":
-        return {
-            "kind": args.kind,
-            "n": args.n,
-            "alpha": args.alpha,
-            "frames": args.frames,
-            "seed": seed,
-        }
-    if args.subcommand == "psd":
-        return {
-            "kind": args.kind,
-            "n": args.n,
-            "alpha": args.alpha,
-            "cp_len": args.cp_len,
-            "sample_rate": args.sample_rate,
-            "frames": args.frames,
-            "segment": args.segment,
-            "overlap": args.overlap,
-            "window": args.window,
-            "seed": seed,
-        }
-    if args.subcommand == "capacity":
-        if args.config:
-            return asdict(config.capacity_params_from_file(args.config))
-        resolved = {
-            "alpha": args.alpha,
-            "ici_power": args.ici_power,
-            "symbol_duration": args.symbol_duration,
-        }
-        if args.bandwidth is not None:
-            resolved["bandwidth_hz"] = args.bandwidth
-        if args.snr_db is not None:
-            resolved["snr_db"] = args.snr_db
-        return resolved
-    if args.subcommand == "rates":
-        return {
-            "alpha": args.alpha,
-            "sample_rate": args.sample_rate,
-            "n": args.n,
-            "cp_len": args.cp_len,
-            "pam_order": args.pam_order,
-            "data_symbols": args.data_symbols,
-            "training_symbols": args.training_symbols,
-            "sync_symbols": args.sync_symbols,
-        }
-    raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+    if getattr(args, "config", None):
+        return asdict(config.capacity_params_from_file(args.config))
+    return {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS and v is not None}
 
 
 def _error(message, code=2):
@@ -264,6 +221,15 @@ def main(argv=None):
     try:
         if args.manifest:
             manifest = config.load_manifest(args.manifest)
+            if manifest.subcommand not in _RUNNERS:
+                raise ConfigError(f"{args.manifest}: unknown subcommand {manifest.subcommand!r}")
+            # A replayed run names every parameter its flags default; the sweep
+            # parser checks a sweep's keys itself.
+            if manifest.subcommand != "sweep-ber":
+                defaults = _resolve(parser.parse_args([manifest.subcommand, "--out", "-"]))
+                missing = sorted(defaults.keys() - manifest.resolved.keys())
+                if missing:
+                    raise ConfigError(f"{args.manifest}: resolved lacks field(s) {missing}")
             output = manifest.outputs[0] if manifest.outputs else {"path": None, "format": "csv"}
             workers = 1
         elif not args.subcommand:
@@ -271,22 +237,14 @@ def main(argv=None):
             return 2
         else:
             resolved = _resolve(args)
-            seed = resolved.get("seed", 0)
-            output = {"path": getattr(args, "out", None), "format": args.format}
+            output = {"path": args.out, "format": getattr(args, "format", "json")}
             manifest = config.make_manifest(
-                args.subcommand, resolved, seed if isinstance(seed, int) else 0, [output]
+                args.subcommand, resolved, resolved.get("seed", 0), [output]
             )
-            workers = 1 if args.single_thread else max(1, args.workers)
+            # Only sweep-ber has workers.
+            workers = 1 if getattr(args, "single_thread", True) else args.workers
         out = output["path"]
-        runner = _RUNNERS.get(manifest.subcommand)
-        if runner is None:
-            raise ConfigError(f"{args.manifest}: unknown subcommand {manifest.subcommand!r}")
-        try:
-            code = runner(manifest.resolved, out, output["format"], workers)
-        except KeyError as exc:  # only a replayed `resolved` can lack a parameter
-            if not args.manifest:
-                raise
-            raise ConfigError(f"{args.manifest}: resolved lacks field {exc}") from None
+        code = _RUNNERS[manifest.subcommand](manifest.resolved, out, output["format"], workers)
         if out:
             records.write_json(config.manifest_path_for(out), asdict(manifest))
         return code

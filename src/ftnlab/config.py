@@ -8,7 +8,8 @@ Unknown keys are rejected so typos fail loudly.
 
 import json
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_args, get_origin
 
 from . import __version__
 from .berlab import SweepSpec
@@ -17,50 +18,36 @@ from .exceptions import ConfigError
 from .modem import ModemConfig
 from .transforms import TransformKind
 
-SWEEP_KEYS = {
-    "n": int,
-    "pam_order": int,
-    "cp_len": int,
-    "data_symbols_per_frame": int,
-    "training_symbols": int,
-    "sync_symbols": int,
-    "sample_rate": float,
-    "alpha": "float_list",
-    "ebn0_db": "float_list",
-    "iterations": "int_list",
-    "kind": "kind_list",
-    "max_bits": int,
-    "min_errors": int,
-    "frames_per_batch": int,
-    "seed": int,
+# A sweep axis holds the values of one grid coordinate; its config key is the
+# singular.  The alpha and kind axes also set those base ModemConfig fields.
+_AXIS_KEYS = {
+    "alphas": "alpha",
+    "ebn0_dbs": "ebn0_db",
+    "iteration_counts": "iterations",
+    "kinds": "kind",
 }
 
-CAPACITY_KEYS = {
-    "bandwidth_hz": float,
-    "signal_power": float,
-    "noise_power": float,
-    "snr_db": float,
-    "ici_power": float,
-    "alpha": float,
-    "symbol_duration": float,
-}
-
-SWEEP_DEFAULTS = {
-    "n": 256,
-    "pam_order": 2,
-    "cp_len": 0,
-    "data_symbols_per_frame": 128,
+# Defaults that differ from the dataclasses on purpose: a config file describes
+# a link without pilot rows, swept over five Eb/N0 points, and capacity powers
+# and bandwidth are normalised to 1.
+_SWEEP_DEFAULTS = {
     "training_symbols": 0,
     "sync_symbols": 0,
-    "sample_rate": 10e9,
     "ebn0_db": (4.0, 6.0, 8.0, 10.0, 12.0),
-    "iterations": (20,),
-    "kind": (TransformKind.FRCT,),
-    "max_bits": 1_000_000,
-    "min_errors": 100,
-    "frames_per_batch": 4,
-    "seed": 0,
 }
+_CAPACITY_DEFAULTS = {"bandwidth_hz": 1.0, "signal_power": 1.0, "noise_power": 1.0}
+
+# Capacity key -> type: the CapacityParams fields, and snr_db, which sets the
+# signal power in dB over a noise power of 1.
+_CAPACITY_KEYS = {**{f.name: f.type for f in fields(CapacityParams)}, "snr_db": float}
+
+# Sweep key -> dataclass field: the ModemConfig fields the axes leave free,
+# then the SweepSpec fields but the base config.
+_MODEM_FIELDS = {f.name: f for f in fields(ModemConfig) if f.name not in _AXIS_KEYS.values()}
+_SPEC_FIELDS = {
+    _AXIS_KEYS.get(f.name, f.name): f for f in fields(SweepSpec) if f.type is not ModemConfig
+}
+_SWEEP_FIELDS = {**_MODEM_FIELDS, **_SPEC_FIELDS}
 
 
 def read_key_values(path):
@@ -91,7 +78,15 @@ def read_key_values(path):
 
 
 def _convert(path, key, value, lineno, kind):
+    """Parse one value as its field's type: int, float, TransformKind, or a
+    tuple of one of them written as a comma list."""
     def scalar(text, caster):
+        if caster is TransformKind:
+            try:
+                return TransformKind(text)
+            except ValueError:
+                names = " or ".join(k.value for k in TransformKind)
+                raise ConfigError(f"{path}:{lineno}: {key} must be {names}, got {text!r}")
         if caster is int:
             try:
                 return int(text)  # exact for integer literals of any size
@@ -108,26 +103,12 @@ def _convert(path, key, value, lineno, kind):
             raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {text!r}")
         return int(value)
 
-    if kind is int or kind is float:
+    if get_origin(kind) is not tuple:
         return scalar(value, kind)
     items = [v.strip() for v in value.split(",") if v.strip()]
     if not items:
         raise ConfigError(f"{path}:{lineno}: {key} list is empty")
-    if kind == "float_list":
-        return tuple(scalar(v, float) for v in items)
-    if kind == "int_list":
-        return tuple(scalar(v, int) for v in items)
-    if kind == "kind_list":
-        kinds = []
-        for v in items:
-            try:
-                kinds.append(TransformKind(v))
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: kind must be FrCT or FrHT, got {v!r}"
-                )
-        return tuple(kinds)
-    raise AssertionError(kind)
+    return tuple(scalar(v, get_args(kind)[0]) for v in items)
 
 
 def _typed_values(path, raw, schema):
@@ -142,101 +123,73 @@ def _typed_values(path, raw, schema):
     }
 
 
+def _sweep_spec(values, source):
+    """The SweepSpec of a value for every sweep key."""
+    missing = sorted(_SWEEP_FIELDS.keys() - values.keys())
+    if missing:
+        raise ConfigError(f"{source}: missing required key(s) {missing}")
+    spec = SweepSpec(
+        config=ModemConfig(**{key: values[key] for key in _MODEM_FIELDS}),
+        **{f.name: values[key] for key, f in _SPEC_FIELDS.items()},
+    )
+    return replace(spec, config=replace(spec.config, alpha=spec.alphas[0], kind=spec.kinds[0]))
+
+
 def sweep_spec_from_file(path, seed_override=None):
-    values = dict(SWEEP_DEFAULTS)
-    values.update(_typed_values(path, read_key_values(path), SWEEP_KEYS))
-    if "alpha" not in values:
-        raise ConfigError(f"{path}: missing required key 'alpha'")
-    if seed_override is not None:
-        values["seed"] = seed_override
-    return sweep_spec_from_dict(values)
-
-
-def sweep_spec_from_dict(values):
-    config = ModemConfig(
-        n=values["n"],
-        alpha=values["alpha"][0],
-        kind=values["kind"][0],
-        pam_order=values["pam_order"],
-        cp_len=values["cp_len"],
-        data_symbols_per_frame=values["data_symbols_per_frame"],
-        training_symbols=values["training_symbols"],
-        sync_symbols=values["sync_symbols"],
-        sample_rate=values["sample_rate"],
-    )
-    return SweepSpec(
-        config=config,
-        alphas=tuple(values["alpha"]),
-        ebn0_dbs=tuple(values["ebn0_db"]),
-        iteration_counts=tuple(values["iterations"]),
-        kinds=tuple(values["kind"]),
-        max_bits=values["max_bits"],
-        min_errors=values["min_errors"],
-        frames_per_batch=values["frames_per_batch"],
-        seed=values["seed"],
-    )
+    values = {key: f.default for key, f in _SWEEP_FIELDS.items() if f.default is not MISSING}
+    values.update(_SWEEP_DEFAULTS)
+    values.update(_typed_values(
+        path, read_key_values(path), {key: f.type for key, f in _SWEEP_FIELDS.items()}
+    ))
+    spec = _sweep_spec(values, path)
+    return spec if seed_override is None else replace(spec, seed=seed_override)
 
 
 def sweep_spec_to_dict(spec):
+    """The spec as JSON values under its config keys, in schema order."""
+    def plain(value):
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return value.value if isinstance(value, TransformKind) else value
+
     return {
-        "n": spec.config.n,
-        "pam_order": spec.config.pam_order,
-        "cp_len": spec.config.cp_len,
-        "data_symbols_per_frame": spec.config.data_symbols_per_frame,
-        "training_symbols": spec.config.training_symbols,
-        "sync_symbols": spec.config.sync_symbols,
-        "sample_rate": spec.config.sample_rate,
-        "alpha": list(spec.alphas),
-        "ebn0_db": list(spec.ebn0_dbs),
-        "iterations": list(spec.iteration_counts),
-        "kind": [k.value for k in spec.kinds],
-        "max_bits": spec.max_bits,
-        "min_errors": spec.min_errors,
-        "frames_per_batch": spec.frames_per_batch,
-        "seed": spec.seed,
+        key: plain(getattr(spec.config if key in _MODEM_FIELDS else spec, f.name))
+        for key, f in _SWEEP_FIELDS.items()
     }
 
 
 def sweep_spec_from_json_dict(values):
-    values = dict(values)
-    values["alpha"] = tuple(values["alpha"])
-    values["ebn0_db"] = tuple(values["ebn0_db"])
-    values["iterations"] = tuple(values["iterations"])
-    values["kind"] = tuple(TransformKind(k) for k in values["kind"])
-    return sweep_spec_from_dict(values)
+    """Inverse of `sweep_spec_to_dict`."""
+    def typed(value, kind):
+        if get_origin(kind) is tuple:
+            return tuple(typed(v, get_args(kind)[0]) for v in value)
+        return TransformKind(value) if kind is TransformKind else value
 
-
-def capacity_params_from_file(path):
-    values = _typed_values(path, read_key_values(path), CAPACITY_KEYS)
-    return capacity_params_from_dict(values)
-
-
-def capacity_params_from_dict(values):
-    values = dict(values)
-    if "snr_db" in values:
-        if "signal_power" in values or "noise_power" in values:
-            raise ConfigError("give either snr_db or signal_power/noise_power, not both")
-        values["signal_power"] = 10.0 ** (values.pop("snr_db") / 10.0)
-        values["noise_power"] = 1.0
-    values.setdefault("signal_power", 1.0)
-    values.setdefault("noise_power", 1.0)
-    return CapacityParams(
-        bandwidth_hz=values.get("bandwidth_hz", 1.0),
-        signal_power=values["signal_power"],
-        noise_power=values["noise_power"],
-        ici_power=values.get("ici_power", 0.0),
-        alpha=values.get("alpha", 1.0),
-        symbol_duration=values.get("symbol_duration", 1.0),
+    return _sweep_spec(
+        {key: typed(values[key], f.type) for key, f in _SWEEP_FIELDS.items() if key in values},
+        "sweep dict",
     )
 
 
-def parse_config(path, target="sweep"):
-    """Load and validate a config file as a SweepSpec or CapacityParams."""
-    if target == "sweep":
-        return sweep_spec_from_file(path)
-    if target == "capacity":
-        return capacity_params_from_file(path)
-    raise ConfigError(f"target must be 'sweep' or 'capacity', got {target!r}")
+def capacity_params_from_file(path):
+    return capacity_params_from_dict(_typed_values(path, read_key_values(path), _CAPACITY_KEYS))
+
+
+def capacity_params_from_dict(values):
+    unknown = sorted(values.keys() - _CAPACITY_KEYS.keys())
+    if unknown:
+        raise ConfigError(f"unknown capacity key(s) {unknown}")
+    return _capacity_params(**values)
+
+
+def _capacity_params(snr_db=None, **values):
+    """CapacityParams from capacity keys, with the file defaults."""
+    if snr_db is not None:
+        powers = dict(signal_power=10.0 ** (snr_db / 10.0), noise_power=1.0)
+        if powers.keys() & values.keys():
+            raise ConfigError("give either snr_db or signal_power/noise_power, not both")
+        values.update(powers)
+    return CapacityParams(**{**_CAPACITY_DEFAULTS, **values})
 
 
 # ---------------------------------------------------------------------------

@@ -59,17 +59,7 @@ class ModemConfig:
 def experiment_baseline(alpha=0.8, **overrides):
     """The experimental baseline layout: N=256, CP 16, 128 data + 10 training
     + 1 sync symbol per frame, 2-PAM at 10 GS/s."""
-    cfg = ModemConfig(
-        n=256,
-        alpha=alpha,
-        pam_order=2,
-        cp_len=16,
-        data_symbols_per_frame=128,
-        training_symbols=10,
-        sync_symbols=1,
-        sample_rate=10e9,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(ModemConfig(alpha=alpha, cp_len=16), **overrides)
 
 
 # ---------------------------------------------------------------------------

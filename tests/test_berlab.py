@@ -233,6 +233,12 @@ class TestRunSweep:
         b = run_ber_sweep(_fast_spec(), workers=4)
         assert a == b
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5])
+    def test_bad_worker_count_rejected(self, workers):
+        message = f"workers must be an integer >= 1, got {workers!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            run_ber_sweep(_fast_spec(), workers=workers)
+
     def test_seed_changes_results(self):
         a = run_ber_sweep(_fast_spec(seed=0))
         b = run_ber_sweep(_fast_spec(seed=1))

@@ -213,8 +213,10 @@ class TestManifestReplay:
             ({"extra": 1}, "extra"),
             ({"outputs": None}, "outputs"),
             ({"resolved": {}}, "'n'"),
+            ({"resolved": {"n": 256, "alpha": 0.8}}, "'cp_len'"),
         ],
-        ids=["unknown-subcommand", "extra-key", "missing-outputs", "empty-resolved"],
+        ids=["unknown-subcommand", "extra-key", "missing-outputs", "empty-resolved",
+             "partial-resolved"],
     )
     def test_malformed_manifest_names_field(self, capsys, tmp_path, edit, field):
         out = tmp_path / "rates.json"
@@ -252,6 +254,35 @@ class TestErrorsExitCleanly:
         code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
         assert code == 2
         assert str(tmp_path) in _one_json_error(err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psd", "--config", "bogus.cfg"],
+            ["psd", "--workers", "7"],
+            ["corr-row", "--seed", "5"],
+            ["corr-row", "--config", "nonexistent.cfg"],
+            ["capacity", "--seed", "4"],
+            ["capacity", "--workers", "3"],
+            ["capacity", "--format", "csv"],
+            ["rates", "--single-thread"],
+            ["ici-pdf", "--workers", "2"],
+        ],
+        ids="-".join,
+    )
+    def test_flag_the_subcommand_does_not_read(self, capsys, tmp_path, argv):
+        code, _, err = _run(capsys, *argv, "--out", str(tmp_path / "out.json"))
+        assert code == 2
+        assert "unrecognized arguments: " + argv[1] in err
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_workers(self, capsys, tmp_path, sweep_cfg):
+        out = tmp_path / "sweep.csv"
+        code, _, err = _run(capsys, "sweep-ber", "--config", sweep_cfg,
+                            "--out", str(out), "--workers", "0")
+        assert code == 2
+        assert "workers must be an integer >= 1, got 0" in _one_json_error(err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--overlap", "1.0"), ("--window", "nope")])
     def test_bad_psd_argument(self, capsys, tmp_path, flag, value):

@@ -2,24 +2,29 @@
 
 import json
 import re
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ftnlab.config import (
     RunManifest,
+    capacity_params_from_dict,
     capacity_params_from_file,
     load_manifest,
     make_manifest,
     manifest_path_for,
-    parse_config,
     read_key_values,
     sweep_spec_from_file,
     sweep_spec_from_json_dict,
     sweep_spec_to_dict,
 )
 from ftnlab import records
+from ftnlab.berlab import SweepSpec
 from ftnlab.exceptions import ConfigError
+from ftnlab.modem import ModemConfig
 from ftnlab.transforms import TransformKind
 
 
@@ -129,6 +134,55 @@ class TestSweepSpec:
         assert sweep_spec_from_json_dict(payload) == spec
 
 
+def _axis(elements):
+    return st.lists(elements, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def _sweep_specs(draw):
+    """Any valid SweepSpec without pilot rows, whose base config takes the
+    first alpha and kind, as every parsed spec does."""
+    alphas = draw(_axis(st.floats(0.0, 1.0, exclude_min=True)))
+    kinds = draw(_axis(st.sampled_from(TransformKind)))
+    n = draw(st.integers(2, 4096))
+    config = ModemConfig(
+        n=n, alpha=alphas[0], kind=kinds[0],
+        pam_order=draw(st.sampled_from([2, 4, 8, 16])),
+        cp_len=draw(st.integers(0, n)),
+        data_symbols_per_frame=draw(st.integers(1, 512)),
+        training_symbols=0, sync_symbols=0,
+        sample_rate=draw(st.floats(0.0, 1e12, exclude_min=True)),
+    )
+    return SweepSpec(
+        config=config, alphas=alphas, kinds=kinds,
+        ebn0_dbs=draw(_axis(st.floats(allow_nan=False, allow_infinity=False))),
+        iteration_counts=draw(_axis(st.integers(0, 100))),
+        max_bits=draw(st.integers(100_000, 10**12)),
+        min_errors=draw(st.integers(0, 10**6)),
+        frames_per_batch=draw(st.integers(1, 64)),
+        seed=draw(st.integers(0, 2**80)),
+    )
+
+
+class TestSweepSpecRoundTrip:
+    @given(_sweep_specs())
+    def test_json(self, spec):
+        payload = json.loads(json.dumps(sweep_spec_to_dict(spec)))
+        assert sweep_spec_from_json_dict(payload) == spec
+
+    @given(_sweep_specs())
+    def test_config_file(self, spec):
+        lines = [
+            f"{key} = " + ", ".join(map(str, v if isinstance(v, list) else [v]))
+            for key, v in sweep_spec_to_dict(spec).items()
+            if key not in ("training_symbols", "sync_symbols")  # 0 in a file by default
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sweep.cfg"
+            path.write_text("\n".join(lines) + "\n")
+            assert sweep_spec_from_file(str(path)) == spec
+
+
 class TestCapacityParams:
     def test_explicit_powers(self, tmp_path):
         path = _write(tmp_path, "bandwidth_hz = 4e9\nsignal_power = 9\nnoise_power = 1\n")
@@ -143,18 +197,14 @@ class TestCapacityParams:
         assert params.noise_power == 1.0
         assert params.alpha == 0.8
 
+    def test_unknown_key_in_dict_rejected(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            capacity_params_from_dict({"alpha": 0.8, "bogus": 1.0})
+
     def test_snr_db_conflicts_with_powers(self, tmp_path):
         path = _write(tmp_path, "snr_db = 10\nsignal_power = 4\n")
         with pytest.raises(ConfigError, match="snr_db"):
             capacity_params_from_file(path)
-
-    def test_parse_config_targets(self, tmp_path):
-        sweep = _write(tmp_path, "alpha = 0.8\n", name="s.cfg")
-        cap = _write(tmp_path, "snr_db = 10\n", name="c.cfg")
-        assert parse_config(sweep, target="sweep").alphas == (0.8,)
-        assert parse_config(cap, target="capacity").signal_power == pytest.approx(10.0)
-        with pytest.raises(ConfigError):
-            parse_config(sweep, target="psd")
 
 
 class TestManifests:

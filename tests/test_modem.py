@@ -21,7 +21,7 @@ from ftnlab.modem import (
 )
 from ftnlab import records
 from ftnlab.icimodel import CorrelationMatrix, correlation_matrix
-from ftnlab.transforms import demultiplex, make_plan, multiplex
+from ftnlab.transforms import TransformKind, demultiplex, make_plan, multiplex
 
 
 class TestPamMapping:
@@ -88,6 +88,7 @@ class TestConfig:
     def test_experiment_baseline_layout(self):
         cfg = experiment_baseline()
         assert (cfg.n, cfg.cp_len) == (256, 16)
+        assert (cfg.alpha, cfg.kind, cfg.pam_order) == (0.8, TransformKind.FRCT, 2)
         assert (cfg.data_symbols_per_frame, cfg.training_symbols, cfg.sync_symbols) == (128, 10, 1)
         assert cfg.sample_rate == 10e9
 

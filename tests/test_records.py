@@ -15,17 +15,18 @@ from ftnlab.icimodel import CorrelationMatrix, IciHistogram, correlation_row
 from ftnlab.transforms import TransformKind
 
 # SHA-256 of each file as the hand-written writers of ftnlab 0.1.0 produced it
-# from the inputs below (manifests with "created_utc" blanked).
+# from the inputs below (manifests with "created_utc" blanked), except that the
+# rates and capacity manifests now record the JSON they write as "format": "json".
 GOLDEN = {
     "capacity.json": "9c65bf5ebb7f1e4f6be698075d97f2a73822d1a58e43a0d5d945954cf913245a",
-    "capacity.json.manifest.json": "6433bbfd4d4b029b8c544585af36c920b54b2ae58830df85fc3d55a3499eaec5",
+    "capacity.json.manifest.json": "d6103648cba83e55f8ab8018760866649cafcd7d7ddcae6a78dc6ec362953277",
     "corr_row.csv": "17b2ad4bd891b790608718b35165f72213f1ddf094d69072ed5e68b1a6afec28",
     "hist.csv": "3b7a9495684a54eee15211aeab64a4f1bf37197fa898481123eef17028e41dfc",
     "hist.json": "6002eb6fb7924654342c6b91b5b0945084b17c68b766fb7161aeb4c0f9c56aa0",
     "psd.csv": "020000cf47f2b57e572c31fcc7d069d2a9e9fcc5d09f2b3f96c1a38b3b6dc721",
     "psd.json": "d74bd7ef3d1737aa80ee79aa4eecf6f12383cf7d04218ae9513ca2a58f257b3f",
     "rates.json": "e4687da46c1a961ad944c7bbe4d1206c0bc946aac6ec25ffb579de4e62c380e3",
-    "rates.json.manifest.json": "40eb35434ee1a16f1f1d45cf302c5f1686e7469e18ab35a16a32d6a959c18ff0",
+    "rates.json.manifest.json": "7ae8fb9911a45feeaf30e060bcc4391fc7e52b49ccb3fe555f76307fa75173c0",
     "stream.csv": "36f1af17563fcd5f3e6094d132a6f13cac070dd84e7310a9654dd0e79680b3dc",
     "stream.f64": "345bc74d7b5e46bd907af9c92e3e9edea101f3c5de36973b7fb01c114ff1cb9c",
     "sweep.csv": "c036bf7152604e95233b811e6af347ac754186088e250ecb5069629cc4563be7",
