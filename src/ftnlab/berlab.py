@@ -75,14 +75,12 @@ class SweepSpec:
         for kind in self.kinds:
             if not isinstance(kind, TransformKind):
                 raise ParameterError(f"kinds must be TransformKind members, got {kind!r}")
-        if self.max_bits < 100_000:
-            raise ParameterError(f"max_bits must be >= 100000, got {self.max_bits!r}")
-        if self.min_errors < 0:
-            raise ParameterError(f"min_errors must be >= 0, got {self.min_errors!r}")
-        if self.frames_per_batch < 1:
-            raise ParameterError(
-                f"frames_per_batch must be >= 1, got {self.frames_per_batch!r}"
-            )
+        for count in self.iteration_counts:
+            check_integer(count, "iteration_counts", 0)
+        check_integer(self.max_bits, "max_bits", 100_000)
+        check_integer(self.min_errors, "min_errors", 0)
+        check_integer(self.frames_per_batch, "frames_per_batch", 1)
+        check_integer(self.seed, "seed", 0)
 
     def grid(self):
         """Grid points in their fixed enumeration (and output) order."""
@@ -157,15 +155,20 @@ def _simulate_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batc
         rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
     )
     noisy = channel.apply_awgn(spec, modem.transmit(config, sent))
-    received = modem.receive(config, noisy)
+    rx_bits = _detect(config, iterations, modem.receive(config, noisy))
+    return sent.size, int(np.count_nonzero(rx_bits != sent.ravel()))
+
+
+def _detect(config, iterations, received):
+    """Bits of received data rows: the ID's level indices, Gray-demapped, so
+    each entry is decided once."""
     id_cfg = equalize.IdConfig(
         iterations=iterations,
         matrix=_point_matrix(config.kind, config.n, config.alpha),
         constellation=config.pam_order,
     )
-    decided = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n))
-    rx_bits = modem.pam_demap(decided, config.pam_order)
-    return sent.size, int(np.sum(rx_bits != sent.ravel()))
+    index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n), indices=True)
+    return modem.gray_demap(index, config.pam_order)
 
 
 def _run_point(spec, point_idx, kind, alpha, iterations, ebn0_db, workers):

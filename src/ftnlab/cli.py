@@ -73,9 +73,9 @@ def build_parser():
     p = sub.add_parser("capacity", help="capacity-limit calculators")
     p.add_argument("--config", help="key/value config file")
     _out_flags(p, required=False, formats=False)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--ici-power", type=float, default=0.0, help="fraction of P_S")
-    p.add_argument("--symbol-duration", type=float, default=1.0, help="seconds")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--ici-power", type=float, help="fraction of P_S")
+    p.add_argument("--symbol-duration", type=float, help="seconds")
     p.add_argument("--bandwidth", dest="bandwidth_hz", type=float, help="Hz")
     p.add_argument("--snr-db", type=float)
 
@@ -94,6 +94,10 @@ def build_parser():
 
 # Flags that steer a run rather than describe it; `resolved` leaves them out.
 _RUN_FLAGS = {"manifest", "subcommand", "config", "out", "format", "workers", "single_thread"}
+
+# The capacity flags default to None, so that one given next to --config can be
+# told from its default; a run by flags records these defaults.
+_CAPACITY_FLAG_DEFAULTS = {"alpha": 1.0, "ici_power": 0.0, "symbol_duration": 1.0}
 
 
 def _modem_config(resolved):
@@ -202,9 +206,17 @@ def _resolve(args):
             raise ConfigError("sweep-ber requires --config")
         spec = config.sweep_spec_from_file(args.config, seed_override=args.seed)
         return config.sweep_spec_to_dict(spec)
-    if getattr(args, "config", None):
+    given = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS and v is not None}
+    if args.subcommand != "capacity":
+        return given
+    if args.config:
+        if given:
+            name, value = next(iter(given.items()))
+            raise ConfigError(
+                f"capacity --config takes no parameter flags, got {name} = {value!r}"
+            )
         return asdict(config.capacity_params_from_file(args.config))
-    return {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS and v is not None}
+    return {**_CAPACITY_FLAG_DEFAULTS, **given}
 
 
 def _error(message, code=2):
@@ -220,6 +232,11 @@ def main(argv=None):
         return exc.code or 0
     try:
         if args.manifest:
+            if args.subcommand:
+                raise ConfigError(
+                    f"--manifest replays the run it records; got subcommand "
+                    f"{args.subcommand!r} too"
+                )
             manifest = config.load_manifest(args.manifest)
             if manifest.subcommand not in _RUNNERS:
                 raise ConfigError(f"{args.manifest}: unknown subcommand {manifest.subcommand!r}")

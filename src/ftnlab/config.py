@@ -159,14 +159,25 @@ def sweep_spec_to_dict(spec):
 
 
 def sweep_spec_from_json_dict(values):
-    """Inverse of `sweep_spec_to_dict`."""
-    def typed(value, kind):
+    """Inverse of `sweep_spec_to_dict`; a value of the wrong JSON type raises
+    a ConfigError naming its key."""
+    def typed(key, value, kind):
         if get_origin(kind) is tuple:
-            return tuple(typed(v, get_args(kind)[0]) for v in value)
-        return TransformKind(value) if kind is TransformKind else value
+            if not isinstance(value, list):
+                raise ConfigError(f"sweep dict: {key} must be a list, got {value!r}")
+            return tuple(typed(key, v, get_args(kind)[0]) for v in value)
+        if kind is TransformKind:
+            if value in [k.value for k in TransformKind]:
+                return TransformKind(value)
+        elif isinstance(value, int if kind is int else (int, float)) and not isinstance(
+            value, bool
+        ):
+            return value
+        raise ConfigError(f"sweep dict: bad {key} value {value!r}")
 
     return _sweep_spec(
-        {key: typed(values[key], f.type) for key, f in _SWEEP_FIELDS.items() if key in values},
+        {key: typed(key, values[key], f.type)
+         for key, f in _SWEEP_FIELDS.items() if key in values},
         "sweep dict",
     )
 

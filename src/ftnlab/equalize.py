@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ParameterError, ShapeError, check_power_of_two
+from .exceptions import ShapeError, check_integer, check_power_of_two
 from .modem import pam_index, pam_levels
 
 _DIVERGENCE_FACTOR = 1e6
@@ -40,8 +40,7 @@ class IdConfig:
     shrink_before_mapping: bool = False
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ParameterError(f"iterations must be >= 0, got {self.iterations!r}")
+        check_integer(self.iterations, "iterations", 0)
         check_power_of_two(self.constellation, "constellation")
 
 
@@ -53,12 +52,20 @@ class IdTrace:
     undecided_counts: list = field(default_factory=list)
 
 
-def _map_band(values, d, levels):
+def _map_band(values, d, levels, mag=None, decided=None):
     """In place: snap entries farther than d from their nearest level midpoint;
     leave the rest undecided.  For 2-PAM this is: |v| > d -> sign(v), else
-    unchanged."""
+    unchanged; `mag` and `decided` are optional float and bool scratch arrays
+    of the shape of `values`."""
     if len(levels) == 2:
-        np.copyto(values, np.sign(values), where=np.abs(values) > d)
+        # Branch-free and exact for d in [0, 1]: a decided entry gets
+        # max(min(|v|, d), 1) = 1, an undecided one max(|v|, 0) = |v|; the
+        # sign comes back from v itself (so -0 and NaN keep theirs).
+        mag = np.abs(values, out=mag)
+        decided = np.greater(mag, d, out=decided)
+        np.minimum(mag, d, out=mag)
+        np.maximum(mag, decided, out=mag)
+        np.copysign(mag, values, out=values)
         return
     # M > 2 (experimental): undecided iff within d * (half level spacing) of a
     # midpoint between adjacent levels; otherwise snap to the nearest level.
@@ -78,19 +85,25 @@ def _off_diagonal(matrix):
 
 
 def _iterate(config, received, trace=None):
-    """Core recursion on an (m, N) stack of received vectors."""
-    levels = pam_levels(config.constellation)
+    """Core recursion on an (m, N) stack of received vectors; returns the
+    level index (`pam_index`) of every entry."""
     if config.iterations == 0:
-        return levels[pam_index(received, config.constellation)]
-    off_diag = _off_diagonal(config.matrix)
-    estimate = np.zeros_like(received)
+        return pam_index(received, config.constellation)
+    levels = pam_levels(config.constellation)
+    off_diag_t = _off_diagonal(config.matrix).T
+    # S_0 = 0 makes the first product exactly +0, so S_1 = R.
+    estimate = received.copy()
+    product = np.empty_like(estimate)
+    scratch = (np.empty_like(estimate), np.empty(estimate.shape, dtype=bool))
     d = 1.0
     total = config.iterations
     for i in range(1, total + 1):
-        estimate = received - estimate @ off_diag.T
+        if i > 1:
+            np.matmul(estimate, off_diag_t, out=product)
+            np.subtract(received, product, out=estimate)
         if config.shrink_before_mapping:
             d = 1.0 - i / total
-        _map_band(estimate, d, levels)
+        _map_band(estimate, d, levels, *scratch)
         if trace is not None:
             decided = np.isin(estimate, levels)
             trace.undecided_counts.append(int(np.sum(~decided)))
@@ -99,25 +112,31 @@ def _iterate(config, received, trace=None):
         if trace is not None:
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision.
-    return levels[pam_index(estimate, config.constellation)]
+    return pam_index(estimate, config.constellation)
 
 
 def id_equalize(config, r):
     """Equalize one received vector; returns (recovered levels, IdTrace)."""
     r = _check_vector(config, r)
     trace = IdTrace()
-    out = _iterate(config, r[None, :], trace)[0]
-    return out, trace
+    index = _iterate(config, r[None, :], trace)[0]
+    return pam_levels(config.constellation)[index], trace
 
 
-def id_equalize_frame(config, rows):
-    """Vectorized equalization of an (m, N) stack of received vectors."""
+def id_equalize_frame(config, rows, *, indices=False):
+    """Vectorized equalization of an (m, N) stack of received vectors.
+
+    Returns the decided levels, or with `indices=True` their level indices
+    (`modem.pam_index` of the levels, ready for `modem.gray_demap`), so a
+    caller that wants bits makes each decision once.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != config.matrix.n:
         raise ShapeError(
             f"rows must have shape (m, {config.matrix.n}), got {rows.shape}"
         )
-    return _iterate(config, rows)
+    index = _iterate(config, rows)
+    return index if indices else pam_levels(config.constellation)[index]
 
 
 @dataclass(frozen=True)

@@ -79,26 +79,38 @@ def pam_map(bits, m):
     """Gray-mapped M-PAM with unit average symbol energy.
 
     For M=2 the alphabet is exactly {-1, +1} with 0 -> -1, 1 -> +1.
-    Bits are grouped MSB-first into log2(M)-bit Gray labels.
+    Bits are grouped MSB-first into log2(M)-bit Gray labels, and each label
+    is looked up in a table of the levels indexed by label.
     """
     check_power_of_two(m, "m")
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
     k = int(np.log2(m))
     if bits.size % k:
         raise FramingError(
             f"bit count {bits.size} is not divisible by log2(m) = {k}"
         )
-    groups = bits.reshape(-1, k)
-    gray = np.zeros(groups.shape[0], dtype=np.int64)
-    for j in range(k):
-        gray = (gray << 1) | groups[:, j]
-    # Gray label -> level index.
-    index = gray.copy()
-    shift = 1
-    while shift < k:
-        index ^= index >> shift
-        shift <<= 1
-    return (2.0 * index - (m - 1)) * _pam_scale(m)
+    _check_bits(bits)
+    groups = bits.reshape(-1, k).astype(np.intp, copy=False)
+    label = groups[:, 0]
+    for j in range(1, k):
+        label = (label << 1) | groups[:, j]
+    # Level index i carries the Gray label i ^ (i >> 1).
+    index = np.arange(m)
+    table = np.empty(m)
+    table[index ^ (index >> 1)] = pam_levels(m)
+    return table[label]
+
+
+def _check_bits(bits):
+    """Every entry is 0 or 1: one min/max pass, and for floats an integrality pass."""
+    if bits.dtype.kind == "b" or bits.size == 0:
+        return
+    if bits.dtype.kind in "iuf" and bits.min() >= 0 and bits.max() <= 1 and (
+        bits.dtype.kind != "f" or np.all(bits == np.floor(bits))
+    ):
+        return
+    bad = [b for b in bits.ravel().tolist() if b not in (0, 1)][:1] or [bits.dtype]
+    raise ParameterError(f"bits must be 0 or 1, got {bad[0]!r}")
 
 
 def pam_index(values, m):
@@ -118,17 +130,28 @@ def pam_index(values, m):
     return t.astype(np.int64)
 
 
-def pam_demap(values, m):
-    """Nearest-level hard decision (`pam_index`) followed by Gray de-mapping
-    back to bits."""
+def gray_demap(index, m):
+    """Level indices back to bits: each index's Gray label, MSB first.
+
+    For M=2 the label is the index, so the (raveled) indices are returned.
+    """
     check_power_of_two(m, "m")
     k = int(np.log2(m))
-    index = pam_index(values, m).ravel()
+    index = np.asarray(index).ravel()
+    if k == 1:
+        return index
     gray = index ^ (index >> 1)
     bits = np.empty((gray.size, k), dtype=np.int64)
     for j in range(k):
         bits[:, j] = (gray >> (k - 1 - j)) & 1
     return bits.ravel()
+
+
+def pam_demap(values, m):
+    """Nearest-level hard decision (`pam_index`) followed by Gray de-mapping
+    (`gray_demap`) back to bits."""
+    check_power_of_two(m, "m")
+    return gray_demap(pam_index(values, m), m)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ftnlab.berlab import (
     required_ebn0_at_ber,
     run_ber_sweep,
     wilson_interval,
+    _detect,
     _point_matrix,
     _simulate_batch,
 )
@@ -127,6 +128,13 @@ class TestSweepSpec:
             ({"alphas": (0.8, 1.5)}, "alpha must lie in (0, 1], got 1.5"),
             ({"ebn0_dbs": (6.0, math.nan)}, "ebn0_dbs must be finite, got nan"),
             ({"kinds": ("FrCT",)}, "kinds must be TransformKind members, got 'FrCT'"),
+            ({"iteration_counts": (-1,)}, "iteration_counts must be an integer >= 0, got -1"),
+            ({"iteration_counts": (5, 2.5)},
+             "iteration_counts must be an integer >= 0, got 2.5"),
+            ({"frames_per_batch": 1.5}, "frames_per_batch must be an integer >= 1, got 1.5"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ({"max_bits": 2.5e5}, "max_bits must be an integer >= 100000, got 250000.0"),
+            ({"min_errors": 0.5}, "min_errors must be an integer >= 0, got 0.5"),
         ],
     )
     def test_bad_entry_rejected(self, overrides, message):
@@ -210,6 +218,24 @@ class TestSimulateBatch:
             assert batch == _per_frame_batch(*args)
             errors += batch[1]
         assert errors > 0
+
+
+    @pytest.mark.parametrize("iterations", [0, 1, 20])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_detected_bits_are_demap_of_equalized_levels(self, m, iterations):
+        # The sweep decides once (level indices, Gray-demapped); the two-step
+        # public chain decides twice and must give the same bits.
+        config = _small_config(pam_order=m, alpha=0.8)
+        rng = np.random.default_rng(m + iterations)
+        received = rng.normal(size=(2, config.data_symbols_per_frame, config.n)) * 1.5
+        id_cfg = equalize.IdConfig(
+            iterations=iterations,
+            matrix=correlation_matrix(config.kind, config.n, config.alpha),
+            constellation=m,
+        )
+        levels = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n))
+        expected = modem.pam_demap(levels, m)
+        assert np.array_equal(_detect(config, iterations, received), expected)
 
 
 class TestRunSweep:

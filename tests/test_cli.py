@@ -124,6 +124,30 @@ class TestCapacity:
         assert code == 0
         assert json.loads(out)["shannon_limit_bps"] > 0
 
+    @pytest.mark.parametrize(
+        "flag,value,name",
+        [
+            ("--alpha", "0.5", "alpha"),
+            ("--alpha", "1.0", "alpha"),
+            ("--ici-power", "0.0", "ici_power"),
+            ("--symbol-duration", "2", "symbol_duration"),
+            ("--bandwidth", "1e9", "bandwidth_hz"),
+            ("--snr-db", "3", "snr_db"),
+        ],
+    )
+    def test_config_file_with_parameter_flag_rejected(self, capsys, tmp_path, flag, value,
+                                                       name):
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("bandwidth_hz = 4e9\nsnr_db = 20\nalpha = 0.8\n")
+        out = tmp_path / "cap.json"
+        code, stdout, err = _run(
+            capsys, "capacity", "--config", str(cfg), flag, value, "--out", str(out)
+        )
+        assert code == 2
+        assert f"got {name} = " in _one_json_error(err)
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestIciPdf:
     def test_histogram_output(self, capsys, tmp_path):
@@ -200,6 +224,39 @@ class TestManifestReplay:
         )
         assert code == 0
         assert out.read_bytes() == original
+
+    def test_subcommand_with_manifest_rejected(self, capsys, tmp_path):
+        out = tmp_path / "rates.json"
+        assert _run(capsys, "rates", "--out", str(out))[0] == 0
+        out.unlink()
+        code, stdout, err = _run(
+            capsys, "--manifest", str(tmp_path / "rates.json.manifest.json"),
+            "rates", "--alpha", "0.3",
+        )
+        assert code == 2
+        assert "'rates'" in _one_json_error(err)
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("alpha", ["0.8"]), ("ebn0_db", "6"), ("iterations", [10.0]), ("kind", ["FrXT"]),
+         ("n", "64"), ("seed", True)],
+    )
+    def test_replayed_sweep_value_of_wrong_type_names_field(
+        self, capsys, tmp_path, sweep_cfg, key, value
+    ):
+        out = tmp_path / "sweep.csv"
+        assert _run(capsys, "sweep-ber", "--config", sweep_cfg, "--out", str(out))[0] == 0
+        out.unlink()
+        path = tmp_path / "sweep.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["resolved"][key] = value
+        path.write_text(json.dumps(manifest))
+        code, _, err = _run(capsys, "--manifest", str(path))
+        assert code == 2
+        assert key in _one_json_error(err)
+        assert not out.exists()
 
     def test_replay_missing_manifest(self, capsys, tmp_path):
         code, _, err = _run(capsys, "--manifest", str(tmp_path / "none.json"))

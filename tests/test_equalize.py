@@ -1,7 +1,11 @@
 """Iterative-detection equalizer: recovery, traces, and linear analysis."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ftnlab.equalize import (
@@ -31,6 +35,12 @@ class TestIdConfig:
     def test_negative_iterations(self):
         with pytest.raises(ParameterError, match="iterations"):
             IdConfig(iterations=-1, matrix=_matrix(4, 0.9))
+
+    @pytest.mark.parametrize("iterations", [2.5, "3", None])
+    def test_non_integral_iterations(self, iterations):
+        message = f"iterations must be an integer >= 0, got {iterations!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            IdConfig(iterations=iterations, matrix=_matrix(4, 0.9))
 
     @pytest.mark.parametrize("m", [0, 1, 3, 5, 2.0])
     def test_bad_constellation(self, m):
@@ -101,15 +111,30 @@ class TestNoiselessRecovery:
 
 
 class TestMapBand:
-    @pytest.mark.parametrize("d", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("d", [0.0, 0.25, 1.0, np.nextafter(0.5, 0.0)])
     def test_matches_nested_where_at_boundaries(self, d):
         above = np.nextafter(d, 2.0)
+        below = np.nextafter(d, -np.inf)
         values = np.array(
-            [-2.0, -1.0, -above, -d, -0.1, -0.0, 0.0, 0.1, d, above, 1.0, 2.0, np.nan]
+            [-2.0, -1.0, -above, -d, -0.1, -0.0, 0.0, 0.1, d, above, 1.0, 2.0, np.nan,
+             -np.inf, np.inf, -below, below]
         )
         expected = np.where(values > d, 1.0, np.where(values < -d, -1.0, values))
         mapped = values.copy()
         _map_band(mapped, d, pam_levels(2))
+        np.testing.assert_array_equal(mapped, expected)
+        np.testing.assert_array_equal(np.signbit(mapped), np.signbit(expected))
+
+    @given(
+        values=arrays(np.float64, st.integers(0, 64), elements=st.floats(width=64)),
+        d=st.floats(0.0, 1.0),
+        scratch=st.booleans(),
+    )
+    def test_two_level_map_is_sign_outside_band(self, values, d, scratch):
+        expected = np.where(np.abs(values) > d, np.sign(values), values)
+        mapped = values.copy()
+        buffers = (np.empty_like(values), np.empty(values.shape, bool)) if scratch else ()
+        _map_band(mapped, d, pam_levels(2), *buffers)
         np.testing.assert_array_equal(mapped, expected)
         np.testing.assert_array_equal(np.signbit(mapped), np.signbit(expected))
 

@@ -8,6 +8,7 @@ from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import FramingError, ParameterError
 from ftnlab.modem import (
     ModemConfig,
+    gray_demap,
     pam_demap,
     pam_index,
     pam_levels,
@@ -63,6 +64,37 @@ class TestPamMapping:
     def test_bad_order(self, m):
         with pytest.raises(ParameterError):
             pam_map([0, 1], m)
+
+    @pytest.mark.parametrize(
+        "bits", [[2, 0], [-1, 1], [0.5, 1.0], [0.0, np.nan], [1.0, np.inf], ["0", "1"]]
+    )
+    def test_non_binary_bits_rejected(self, bits):
+        with pytest.raises(ParameterError, match="bits must be 0 or 1"):
+            pam_map(bits, 2)
+
+    def test_bool_and_float_bits_accepted(self):
+        assert list(pam_map(np.array([True, False]), 2)) == [1.0, -1.0]
+        assert list(pam_map([1.0, 0.0, 0.0, 1.0], 4)) == list(pam_map([1, 0, 0, 1], 4))
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_table_equals_level_formula(self, m):
+        # Every label against the Gray-decode-then-formula route, bit for bit.
+        k = int(np.log2(m))
+        labels = np.arange(m)
+        bits = (labels[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        index = labels.copy()
+        shift = 1
+        while shift < k:
+            index ^= index >> shift
+            shift <<= 1
+        expected = (2.0 * index - (m - 1)) * np.sqrt(3.0 / (m * m - 1.0))
+        mapped = pam_map(bits.ravel(), m)
+        assert np.array_equal(mapped.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_gray_demap_inverts_pam_map(self, m):
+        index = np.random.default_rng(m).integers(0, m, size=(8, 50))
+        assert np.array_equal(pam_map(gray_demap(index, m), m), pam_levels(m)[index.ravel()])
 
     def test_demap_infinities_on_outer_levels(self):
         assert list(pam_demap([-np.inf, np.inf], 2)) == [0, 1]
