@@ -19,7 +19,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy import signal
 
 from . import channel, equalize, icimodel, modem, records
 from .exceptions import ParameterError, check_alpha, check_integer, check_power_of_two
@@ -292,8 +291,10 @@ class PsdEstimate:
 
 def estimate_psd(config, frames, seed, segment=1024, overlap=0.5, window="hann"):
     """Welch-averaged periodogram of a randomly modulated waveform."""
-    if frames < 1:
-        raise ParameterError(f"frames must be >= 1, got {frames!r}")
+    from scipy import signal
+
+    check_integer(frames, "frames", 1)
+    check_integer(seed, "seed", 0)
     check_power_of_two(segment, "segment")
     if not 0.0 <= overlap < 1.0:
         raise ParameterError(f"overlap must lie in [0, 1), got {overlap!r}")
@@ -303,7 +304,7 @@ def estimate_psd(config, frames, seed, segment=1024, overlap=0.5, window="hann")
         raise ParameterError(f"window {window!r} is not a scipy.signal window") from None
     rng = np.random.default_rng(seed)
     waveform = modem.transmit(
-        config, modem.random_data_bits(config, rng, int(frames))
+        config, modem.random_data_bits(config, rng, frames)
     ).ravel()
     if segment > waveform.size:
         raise ParameterError(

@@ -14,8 +14,6 @@ the dimension 2WT/alpha easily exceeds 1e3 and direct evaluation overflows.
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln
-
 from .exceptions import ParameterError, check_alpha
 
 
@@ -51,6 +49,8 @@ def shannon_limit(p):
 
 def log_sphere_volume(n, r):
     """Natural log of the n-dimensional sphere volume of radius r."""
+    from scipy.special import gammaln
+
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n!r}")
     if r < 0:

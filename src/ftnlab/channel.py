@@ -14,6 +14,7 @@ parallel derive child sequences so a fixed (seed, layout) pair reproduces
 the same noise regardless of worker count.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class AwgnSpec:
     rng_seed: object = 0  # int or numpy SeedSequence
 
     def __post_init__(self):
+        if not math.isfinite(self.eb_n0_db):
+            raise ParameterError(f"eb_n0_db must be finite, got {self.eb_n0_db!r}")
         if not self.bits_per_sample > 0:
             raise ParameterError(
                 f"bits_per_sample must be > 0, got {self.bits_per_sample!r}"

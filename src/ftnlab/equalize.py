@@ -77,20 +77,13 @@ def _map_band(values, d, levels, mag=None, decided=None):
     np.copyto(values, nearest, where=~undecided)
 
 
-def _off_diagonal(matrix):
-    """C - I, built without an identity matrix (same values, one n x n copy)."""
-    off = matrix.entries.copy()
-    off.flat[:: matrix.n + 1] -= 1.0
-    return off
-
-
 def _iterate(config, received, trace=None):
     """Core recursion on an (m, N) stack of received vectors; returns the
     level index (`pam_index`) of every entry."""
     if config.iterations == 0:
         return pam_index(received, config.constellation)
     levels = pam_levels(config.constellation)
-    off_diag_t = _off_diagonal(config.matrix).T
+    off_diag_t = config.matrix.off_diagonal.T
     # S_0 = 0 makes the first product exactly +0, so S_1 = R.
     estimate = received.copy()
     product = np.empty_like(estimate)
@@ -149,7 +142,7 @@ class LinearIdResult:
 def id_equalize_linear(config, r):
     """Run the recursion without constellation mapping (analysis helper)."""
     r = _check_vector(config, r)
-    off_diag = _off_diagonal(config.matrix)
+    off_diag = config.matrix.off_diagonal
     estimate = np.zeros_like(r)
     scale = max(float(np.linalg.norm(r)), 1.0)
     norms = []
@@ -166,7 +159,7 @@ def id_equalize_linear(config, r):
 
 def iteration_spectral_radius(matrix):
     """Spectral radius of (C - I); below 1 means the linear recursion converges."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(_off_diagonal(matrix)))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(matrix.off_diagonal))))
 
 
 def _check_vector(config, r):

@@ -36,5 +36,6 @@ def check_power_of_two(value, name):
 
 
 def check_integer(value, name, minimum):
-    if not isinstance(value, Integral) or value < minimum:
+    """An integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -1,13 +1,19 @@
 """Inter-carrier interference statistics for compressed-spacing multiplexing.
 
-The N x N correlation matrix
+The N x N correlation matrix C = K^T K of the multiplexing kernel K collects
+the cross-talk between subcarriers l and m.  It is evaluated here in closed
+form, independently of the kernel in :mod:`ftnlab.transforms`; the two routes
+agreeing is a key consistency check.  Both kinds give a Toeplitz plus a
+Hankel matrix, built in O(N^2) from sums evaluated once on j = 0 .. 2N-2:
 
-    C[l, m] = (2/N) * sum_n W_l cos(alpha*pi*l*(2n+1)/(2N))
-                          * W_m cos(alpha*pi*m*(2n+1)/(2N))
+    FrCT:  C[l, m] = (1/N) W_l W_m (g(l-m) + g(l+m)),
+           g(j) = sum_n cos(alpha*pi*j*(2n+1)/(2N))
+                = sin(alpha*pi*j) / (2 sin(alpha*pi*j/(2N))),   g(0) = N;
+    FrHT:  C[l, m] = (1/N) (sum_n cos(theta*n*(l-m)) + sum_n sin(theta*n*(l+m))),
+           theta = 2*pi*alpha/N,
 
-collects the cross-talk between subcarriers l and m.  It is evaluated here
-directly from the summation formula, independently of the kernel product in
-:mod:`ftnlab.transforms`; the two routes agreeing is a key consistency check.
+with W_0 = 1/sqrt(2), W_l = 1 otherwise, and n = 0 .. N-1.  The sums over n
+are geometric (see `_geometric_sums`).
 
 The pooled distribution of demodulated 2-PAM symbols under that cross-talk
 is modelled as an equal-weight two-component Gaussian mixture centred at
@@ -15,11 +21,12 @@ is modelled as an equal-weight two-component Gaussian mixture centred at
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import optimize, stats
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, check_integer
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_size_alpha
 
 HIST_RANGE = (-2.0, 2.0)
@@ -36,35 +43,77 @@ class CorrelationMatrix:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
+    @cached_property
+    def off_diagonal(self):
+        """C - I (read-only), built on first use and kept with C."""
+        off = self.entries.copy()
+        off.flat[:: self.n + 1] -= 1.0
+        off.setflags(write=False)
+        return off
+
+
+def _geometric_sums(n, t):
+    """sum_k cos(2*pi*k*t) and sum_k sin(2*pi*k*t) over k = 0 .. n-1, for an
+    array t.
+
+    Both sums have period 1 in t, so t is first reduced to r = t - round(t).
+    Then they are D * cos((n-1)*pi*r) and D * sin((n-1)*pi*r), with the
+    Dirichlet ratio D = sin(n*pi*r) / sin(pi*r), which is well conditioned
+    near its removable singularity r = 0 and takes its limit n there.
+    """
+    r = t - np.round(t)
+    ratio = np.full_like(r, float(n))
+    nonzero = r != 0.0
+    ratio[nonzero] = np.sin(n * np.pi * r[nonzero]) / np.sin(np.pi * r[nonzero])
+    phase = (n - 1) * np.pi * r
+    return ratio * np.cos(phase), ratio * np.sin(phase)
+
+
+def _toeplitz_plus_hankel(a, b, n):
+    """The n x n matrix a[|l - m|] + b[l + m], for a and b of length 2n - 1;
+    symmetric to the last bit, since entries (l, m) and (m, l) add the same
+    two numbers."""
+    # Over (a[n-1], ..., a[1], a[0], ..., a[n-1]), window p holds
+    # a[|p + m - (n-1)|] at column m; reversing the windows gives a[|l - m|].
+    toeplitz = sliding_window_view(np.concatenate((a[n - 1:0:-1], a[:n])), n)[::-1]
+    return toeplitz + sliding_window_view(b, n)
+
 
 def correlation_matrix(kind, n, alpha):
-    """Evaluate the subcarrier correlation matrix by direct summation."""
+    """Evaluate the subcarrier correlation matrix in closed form, in O(N^2)."""
     validate_size_alpha(n, alpha)
     n = int(n)
     alpha = float(alpha)
-    samp = np.arange(n)[:, None]
-    sub = np.arange(n)[None, :]
+    j = np.arange(2 * n - 1)
     if kind is TransformKind.FRCT:
-        weight = np.where(sub == 0, 1.0 / np.sqrt(2.0), 1.0)
-        # terms[j, l] = W_l * cos(alpha*pi*l*(2j+1)/(2N))
-        terms = weight * np.cos(alpha * np.pi * sub * (2 * samp + 1) / (2 * n))
-        entries = (2.0 / n) * terms.T @ terms
+        # g(j) = Re(exp(i*pi*s) * sum_n exp(2i*pi*n*s)) with s = alpha*j/(2N).
+        s = alpha * j / (2 * n)
+        cos_sum, sin_sum = _geometric_sums(n, s)
+        g = np.cos(np.pi * s) * cos_sum - np.sin(np.pi * s) * sin_sum
+        entries = _toeplitz_plus_hankel(g, g, n)
+        entries /= n
+        weight = 1.0 / np.sqrt(2.0)
+        entries[0] *= weight
+        entries[:, 0] *= weight
     elif kind is TransformKind.FRHT:
-        theta = 2.0 * np.pi * alpha * samp * sub / n
-        terms = np.cos(theta) + np.sin(theta)
-        entries = (1.0 / n) * terms.T @ terms
+        cos_sum, sin_sum = _geometric_sums(n, alpha * j / n)
+        entries = _toeplitz_plus_hankel(cos_sum, sin_sum, n)
+        entries /= n
     else:
         raise ParameterError(f"kind must be a TransformKind, got {kind!r}")
-    # Symmetrize exactly; the formula is symmetric but BLAS need not be.
-    entries = 0.5 * (entries + entries.T)
     return CorrelationMatrix(kind=kind, n=n, alpha=alpha, entries=entries)
+
+
+def _check_subcarrier(c, k):
+    check_integer(k, "k", 0)
+    if k >= c.n:
+        raise ParameterError(f"k must lie in [0, {c.n}), got {k!r}")
 
 
 def ici_power(c, k):
     """Interference variance on subcarrier k for unit-power independent symbols:
     sum over l != k of C[k, l]^2."""
-    if not 0 <= k < c.n:
-        raise ParameterError(f"k must lie in [0, {c.n}), got {k!r}")
+    _check_subcarrier(c, k)
     row = c.entries[k]
     return float(np.sum(row * row) - row[k] ** 2)
 
@@ -98,6 +147,8 @@ def mixture_pdf(model, x):
 
 
 def mixture_cdf(model, x):
+    from scipy import stats
+
     s = model.sigma
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * (stats.norm.cdf((x + 1.0) / s) + stats.norm.cdf((x - 1.0) / s))
@@ -105,6 +156,8 @@ def mixture_cdf(model, x):
 
 def fit_sigma_mle(samples):
     """Maximum-likelihood sigma of the +/-1 Gaussian mixture for pooled samples."""
+    from scipy import optimize
+
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ParameterError("samples must be nonempty")
@@ -135,12 +188,12 @@ def ici_samples(config, frames, rng_seed):
     """
     if config.pam_order != 2:
         raise ParameterError("ici_samples requires pam_order == 2")
-    if frames < 1:
-        raise ParameterError(f"frames must be >= 1, got {frames!r}")
+    check_integer(frames, "frames", 1)
+    check_integer(rng_seed, "rng_seed", 0)
     plan = make_plan(config.kind, config.n, config.alpha)
     diag = np.diag(correlation_matrix(config.kind, config.n, config.alpha).entries)
     rng = np.random.default_rng(rng_seed)
-    sent = 2.0 * rng.integers(0, 2, size=(int(frames), config.n)) - 1.0
+    sent = 2.0 * rng.integers(0, 2, size=(frames, config.n)) - 1.0
     received = demultiplex(plan, multiplex(plan, sent)) / diag
     return received.ravel(), (received - sent).ravel()
 
@@ -174,6 +227,5 @@ def ici_histogram(config, frames, rng_seed):
 
 def correlation_row(c, k):
     """Columns l and |C[l, k]| for one subcarrier k."""
-    if not 0 <= k < c.n:
-        raise ParameterError(f"k must lie in [0, {c.n}), got {k!r}")
+    _check_subcarrier(c, k)
     return {"l": np.arange(c.n), "abs_C_l_k": np.abs(c.entries[:, k])}

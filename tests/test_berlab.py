@@ -379,12 +379,14 @@ class TestPsd:
     @pytest.mark.parametrize(
         "kwargs,field",
         [({"overlap": 1.0}, "overlap"), ({"overlap": -0.25}, "overlap"),
-         ({"window": "nope"}, "window"), ({"segment": 256.0}, "segment")],
+         ({"window": "nope"}, "window"), ({"segment": 256.0}, "segment"),
+         ({"frames": 2.5}, "frames"), ({"frames": True}, "frames"),
+         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed")],
     )
     def test_welch_arguments_validated(self, kwargs, field):
         cfg = _small_config(cp_len=0)
         with pytest.raises(ParameterError, match=field):
-            estimate_psd(cfg, frames=4, seed=0, **{"segment": 256, **kwargs})
+            estimate_psd(cfg, **{"frames": 4, "seed": 0, "segment": 256, **kwargs})
 
     def test_segment_longer_than_waveform(self):
         cfg = _small_config(cp_len=0)

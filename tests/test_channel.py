@@ -65,6 +65,11 @@ class TestApplyAwgn:
         with pytest.raises(ParameterError, match="bits_per_sample"):
             AwgnSpec(eb_n0_db=5.0, bits_per_sample=0.0)
 
+    @pytest.mark.parametrize("eb_n0_db", [float("nan"), float("inf"), -float("inf")])
+    def test_eb_n0_finite(self, eb_n0_db):
+        with pytest.raises(ParameterError, match="eb_n0_db"):
+            AwgnSpec(eb_n0_db=eb_n0_db, bits_per_sample=1.0)
+
     def test_noise_variance_matches_derivation(self):
         n = 2_000_000
         x = np.ones(n)

@@ -1,6 +1,9 @@
 """Design guards over the library source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ftnlab
@@ -42,3 +45,30 @@ def test_only_transforms_reads_the_kernel():
                for node in ast.walk(ast.parse(path.read_text())))
     )
     assert readers == ["transforms.py"]
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # In a fresh interpreter: importing the package and its CLI loads none of
+    # scipy's heavy submodules, and each function that needs one still gets it.
+    code = """
+import sys
+import ftnlab, ftnlab.cli
+heavy = ("scipy.stats", "scipy.optimize", "scipy.signal", "scipy.special")
+print(sorted(m for m in heavy if m in sys.modules))
+from ftnlab.berlab import estimate_psd
+from ftnlab.capacity import log_sphere_volume
+from ftnlab.icimodel import IciPdfModel, fit_sigma_mle, mixture_cdf
+from ftnlab.modem import ModemConfig
+mixture_cdf(IciPdfModel(sigma=0.5), [0.0])
+fit_sigma_mle([-1.0, 1.0])
+estimate_psd(ModemConfig(n=16, alpha=0.8, cp_len=0), frames=4, seed=0, segment=64)
+log_sphere_volume(3, 1.0)
+print(sorted(m for m in heavy if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
+    assert before == "[]"
+    assert after == "['scipy.optimize', 'scipy.signal', 'scipy.special', 'scipy.stats']"

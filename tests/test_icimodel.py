@@ -58,6 +58,31 @@ class TestCorrelationMatrix:
         with pytest.raises(ParameterError):
             correlation_matrix(TransformKind.FRCT, n, alpha)
 
+    # The FrHT sums are singular where alpha*j/N is an integer: alpha = 1 at
+    # j = N, and alpha = 0.8 at j = 5N/4 for N divisible by 4.  Their float
+    # neighbours sit next to the singularity.
+    CLOSED_FORM_ALPHAS = (1.0, 0.9, 0.8, 0.7, 0.5, 0.45, 0.35) + tuple(
+        float(np.nextafter(a, to)) for a, to in ((1.0, 0.0), (0.8, 0.0), (0.8, 1.0))
+    )
+
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    @pytest.mark.parametrize("n", [2, 8, 64, 256, 1000, 1024])
+    def test_closed_form_matches_kernel_product(self, kind, n):
+        for alpha in self.CLOSED_FORM_ALPHAS:
+            c = correlation_matrix(kind, n, alpha)
+            plan = make_plan(kind, n, alpha)
+            dev = np.max(np.abs(c.entries - plan.kernel.T @ plan.kernel))
+            assert dev <= 1e-12, (alpha, dev)
+            assert np.array_equal(c.entries, c.entries.T), alpha
+
+    def test_off_diagonal_is_built_once(self):
+        c = correlation_matrix(TransformKind.FRHT, 16, 0.45)
+        off = c.off_diagonal
+        assert off is c.off_diagonal
+        assert np.array_equal(off, c.entries - np.eye(16))
+        with pytest.raises(ValueError):
+            off[0, 0] = 0.0
+
 
 class TestIciPower:
     def test_zero_at_alpha_one(self):
@@ -86,6 +111,17 @@ class TestIciPower:
         c = correlation_matrix(TransformKind.FRCT, 8, 0.8)
         with pytest.raises(ParameterError):
             ici_power(c, 8)
+
+    @pytest.mark.parametrize("k", [2.5, -1, True, "3"])
+    @pytest.mark.parametrize("func", [ici_power, correlation_row])
+    def test_index_must_be_an_integer(self, func, k):
+        c = correlation_matrix(TransformKind.FRCT, 8, 0.8)
+        with pytest.raises(ParameterError, match="k must"):
+            func(c, k)
+
+    def test_numpy_integer_index(self):
+        c = correlation_matrix(TransformKind.FRCT, 8, 0.8)
+        assert ici_power(c, np.int64(3)) == ici_power(c, 3)
 
     @pytest.mark.parametrize("kind", list(TransformKind))
     def test_mean_matches_per_subcarrier_loop(self, kind):
@@ -155,6 +191,16 @@ class TestIciHistogram:
         cfg = ModemConfig(n=32, alpha=0.8)
         with pytest.raises(ParameterError, match="frames"):
             ici_histogram(cfg, frames=0, rng_seed=1)
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [({"frames": 2.5}, "frames"), ({"frames": True}, "frames"),
+         ({"rng_seed": -1}, "rng_seed"), ({"rng_seed": 0.5}, "rng_seed")],
+    )
+    def test_count_and_seed_must_be_integers(self, kwargs, field):
+        cfg = ModemConfig(n=32, alpha=0.8)
+        with pytest.raises(ParameterError, match=field):
+            ici_samples(cfg, **{"frames": 4, "rng_seed": 1, **kwargs})
 
     def test_requires_binary_pam(self):
         cfg = ModemConfig(n=32, alpha=0.8, pam_order=4)
