@@ -7,22 +7,24 @@ iterative-detection -> demap round trips in fixed-size frame batches until
 it has either seen `min_errors` bit errors or spent `max_bits` bits.
 
 Reproducibility: every batch draws its bit and noise streams from a seed
-sequence derived from (sweep seed, grid-point index, batch index), and the
-stopping decision only looks at batches in index order, so results are
-identical for any worker count.
+sequence derived from (sweep seed, grid-point index, batch index), and a
+point runs its batches 0, 1, 2, ... in order, so it stops at the same batch
+wherever it runs.  `workers` threads share the points of one curve (a run of
+grid points with the same kind and alpha); results are identical for any
+worker count, and no batch is computed past a point's stopping point.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
 from . import channel, equalize, icimodel, modem, records
 from .exceptions import ParameterError, check_alpha, check_integer, check_power_of_two
-from .transforms import TransformKind
+from .transforms import TransformKind, make_plan
 
 _Z95 = 1.959963984540054
 
@@ -138,11 +140,13 @@ def _point_matrix(kind, n, alpha):
     return icimodel.correlation_matrix(kind, n, alpha)
 
 
-def _simulate_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batch_idx):
+def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_idx):
     """One frame batch at one grid point; returns (bits, errors).
 
     The noise covers the whole waveform (pilots and prefixes included) in
-    transmit order; only the data rows are demultiplexed and detected.
+    transmit order; only the data rows are demultiplexed and detected.  The
+    ID returns level indices, which are Gray-demapped, so each entry is
+    decided once.
     """
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, point_idx, batch_idx, 0])
@@ -153,84 +157,63 @@ def _simulate_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batc
         bits_per_sample=bits_per_sample(config),
         rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
     )
-    noisy = channel.apply_awgn(spec, modem.transmit(config, sent))
-    rx_bits = _detect(config, iterations, modem.receive(config, noisy))
+    received = modem.receive(config, channel.apply_awgn(spec, modem.transmit(config, sent)))
+    index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n), indices=True)
+    rx_bits = modem.gray_demap(index, config.pam_order)
     return sent.size, int(np.count_nonzero(rx_bits != sent.ravel()))
 
 
-def _detect(config, iterations, received):
-    """Bits of received data rows: the ID's level indices, Gray-demapped, so
-    each entry is decided once."""
-    id_cfg = equalize.IdConfig(
-        iterations=iterations,
-        matrix=_point_matrix(config.kind, config.n, config.alpha),
-        constellation=config.pam_order,
-    )
-    index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n), indices=True)
-    return modem.gray_demap(index, config.pam_order)
-
-
-def _run_point(spec, point_idx, kind, alpha, iterations, ebn0_db, workers):
-    config = replace(spec.config, kind=kind, alpha=alpha)
-    if config.data_bits_per_frame == 0:
-        raise ParameterError("frame layout carries zero data bits per batch")
-    total_bits = 0
-    total_errors = 0
-    batch_idx = 0
-    done = False
-    while not done:
-        wave = list(range(batch_idx, batch_idx + workers))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda b: _simulate_batch(
-                            config, spec.frames_per_batch, ebn0_db, iterations,
-                            spec.seed, point_idx, b,
-                        ),
-                        wave,
-                    )
-                )
-        else:
-            results = [
-                _simulate_batch(
-                    config, spec.frames_per_batch, ebn0_db, iterations,
-                    spec.seed, point_idx, b,
-                )
-                for b in wave
-            ]
-        # Consume in batch-index order so the stopping point is worker-invariant.
-        for bits, errors in results:
-            total_bits += bits
-            total_errors += errors
-            if (
-                spec.min_errors > 0 and total_errors >= spec.min_errors
-            ) or total_bits >= spec.max_bits:
-                done = True
-                break
-        batch_idx = wave[-1] + 1
-    lo, hi = wilson_interval(total_errors, total_bits)
+def _run_point(spec, config, id_cfg, point_idx, ebn0_db):
+    """Batches 0, 1, 2, ... in order until `min_errors` or `max_bits` stops."""
+    bits = errors = batch_idx = 0
+    while bits < spec.max_bits and (spec.min_errors == 0 or errors < spec.min_errors):
+        batch_bits, batch_errors = _simulate_batch(
+            config, id_cfg, spec.frames_per_batch, ebn0_db, spec.seed, point_idx, batch_idx
+        )
+        bits += batch_bits
+        errors += batch_errors
+        batch_idx += 1
+    lo, hi = wilson_interval(errors, bits)
     return BerPoint(
-        kind=kind,
-        alpha=alpha,
+        kind=config.kind,
+        alpha=config.alpha,
         ebn0_db=ebn0_db,
-        iterations=iterations,
-        bits=total_bits,
-        errors=total_errors,
-        ber=total_errors / total_bits,
+        iterations=id_cfg.iterations,
+        bits=bits,
+        errors=errors,
+        ber=errors / bits,
         ci_lo=lo,
         ci_hi=hi,
     )
 
 
 def run_ber_sweep(spec, workers=1):
-    """Run every grid point; deterministic for a fixed spec, any worker count."""
+    """Run every grid point; deterministic for a fixed spec, any worker count.
+
+    The grid is walked one curve, a run of points with the same (kind,
+    alpha), at a time, so the one-entry plan and C caches hold for the whole
+    curve; up to `workers` threads share the curve's points.
+    """
     check_integer(workers, "workers", 1)
+    if spec.config.data_bits_per_frame == 0:
+        raise ParameterError("frame layout carries zero data bits per batch")
     points = []
-    for idx, (kind, alpha, iterations, ebn0_db) in enumerate(spec.grid()):
-        points.append(
-            _run_point(spec, idx, kind, alpha, iterations, ebn0_db, workers)
-        )
+    for (kind, alpha), curve in groupby(enumerate(spec.grid()), key=lambda p: p[1][:2]):
+        config = replace(spec.config, kind=kind, alpha=alpha)
+        matrix = _point_matrix(kind, config.n, alpha)
+
+        def run(point):
+            idx, (_, _, iterations, ebn0_db) = point
+            id_cfg = equalize.IdConfig(iterations, matrix, config.pam_order)
+            return _run_point(spec, config, id_cfg, idx, ebn0_db)
+
+        curve = list(curve)
+        if workers == 1 or len(curve) == 1:
+            points.extend(map(run, curve))
+        else:
+            make_plan(kind, config.n, alpha)  # built here once, not by each thread
+            with ThreadPoolExecutor(min(workers, len(curve))) as pool:
+                points.extend(pool.map(run, curve))
     return BerSweepResult(points=tuple(points))
 
 

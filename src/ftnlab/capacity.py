@@ -12,7 +12,7 @@ the dimension 2WT/alpha easily exceeds 1e3 and direct evaluation overflows.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .exceptions import ParameterError, check_alpha
 
@@ -27,19 +27,13 @@ class CapacityParams:
     symbol_duration: float = 1.0
 
     def __post_init__(self):
-        if not self.bandwidth_hz > 0:
-            raise ParameterError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
-        if self.signal_power < 0:
-            raise ParameterError(f"signal_power must be >= 0, got {self.signal_power!r}")
-        if not self.noise_power > 0:
-            raise ParameterError(f"noise_power must be > 0, got {self.noise_power!r}")
-        if self.ici_power < 0:
-            raise ParameterError(f"ici_power must be >= 0, got {self.ici_power!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            zero_ok = f.name in ("signal_power", "ici_power")
+            if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+                bound = ">= 0" if zero_ok else "> 0"
+                raise ParameterError(f"{f.name} must be finite and {bound}, got {value!r}")
         check_alpha(self.alpha)
-        if not self.symbol_duration > 0:
-            raise ParameterError(
-                f"symbol_duration must be > 0, got {self.symbol_duration!r}"
-            )
 
 
 def shannon_limit(p):
@@ -51,10 +45,10 @@ def log_sphere_volume(n, r):
     """Natural log of the n-dimensional sphere volume of radius r."""
     from scipy.special import gammaln
 
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n!r}")
-    if r < 0:
-        raise ParameterError(f"r must be >= 0, got {r!r}")
+    if not 1 <= n < math.inf:
+        raise ParameterError(f"n must be finite and >= 1, got {n!r}")
+    if not 0 <= r < math.inf:
+        raise ParameterError(f"r must be finite and >= 0, got {r!r}")
     if r == 0:
         return -math.inf
     return 0.5 * n * math.log(math.pi) + n * math.log(r) - float(gammaln(n / 2.0 + 1.0))

@@ -9,9 +9,9 @@ net information-bit density of the stream.  With a unit-energy 2-PAM
 alphabet through an orthonormal kernel (alpha = 1, no prefix) this makes
 the end-to-end bit error rate equal the antipodal bound Q(sqrt(2 Eb/N0)).
 
-Seeding accepts an int or a numpy SeedSequence; callers running blocks in
-parallel derive child sequences so a fixed (seed, layout) pair reproduces
-the same noise regardless of worker count.
+Seeding accepts an integer >= 0 or a numpy SeedSequence; callers running
+blocks in parallel derive child sequences so a fixed (seed, layout) pair
+reproduces the same noise regardless of worker count.
 """
 
 import math
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, check_integer
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,12 @@ class AwgnSpec:
     def __post_init__(self):
         if not math.isfinite(self.eb_n0_db):
             raise ParameterError(f"eb_n0_db must be finite, got {self.eb_n0_db!r}")
-        if not self.bits_per_sample > 0:
+        if not 0 < self.bits_per_sample < math.inf:
             raise ParameterError(
-                f"bits_per_sample must be > 0, got {self.bits_per_sample!r}"
+                f"bits_per_sample must be finite and > 0, got {self.bits_per_sample!r}"
             )
+        if not isinstance(self.rng_seed, np.random.SeedSequence):
+            check_integer(self.rng_seed, "rng_seed", 0)
 
 
 def measure_sample_energy(samples):

@@ -43,9 +43,8 @@ def build_parser():
     p.add_argument("--config", help="key/value config file")
     p.add_argument("--seed", type=int, help="RNG seed override")
     _out_flags(p)
-    p.add_argument("--workers", type=int, default=1, help="parallel batch workers")
     p.add_argument(
-        "--single-thread", action="store_true", help="force one worker (audit mode)"
+        "--workers", type=int, default=1, help="threads sharing each curve's grid points"
     )
 
     p = sub.add_parser("corr-row", help="export one row of the correlation matrix")
@@ -93,7 +92,7 @@ def build_parser():
 
 
 # Flags that steer a run rather than describe it; `resolved` leaves them out.
-_RUN_FLAGS = {"manifest", "subcommand", "config", "out", "format", "workers", "single_thread"}
+_RUN_FLAGS = {"manifest", "subcommand", "config", "out", "format", "workers"}
 
 # The capacity flags default to None, so that one given next to --config can be
 # told from its default; a run by flags records these defaults.
@@ -259,7 +258,7 @@ def main(argv=None):
                 args.subcommand, resolved, resolved.get("seed", 0), [output]
             )
             # Only sweep-ber has workers.
-            workers = 1 if getattr(args, "single_thread", True) else args.workers
+            workers = getattr(args, "workers", 1)
         out = output["path"]
         code = _RUNNERS[manifest.subcommand](manifest.resolved, out, output["format"], workers)
         if out:

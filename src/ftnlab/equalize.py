@@ -11,10 +11,8 @@ linearly, d = 1 - i/I, reaching zero after the last iteration; a final
 zero-band pass hard-decides any entry still undecided, so the returned
 vector is fully mapped.
 
-The mapping-versus-band-update order is ambiguous by one step; the default
-maps with the band from the previous iteration (threshold 1 - (i-1)/I) and
-`shrink_before_mapping=True` selects the other reading.  Both converge to
-the same decisions in practice.
+Iteration i maps with the band of the previous iteration, threshold
+1 - (i-1)/I, and then shrinks it.
 
 `id_equalize_linear` runs the same recursion with the mapping disabled;
 when the spectral radius of (C - I) is below 1 it converges to the
@@ -37,7 +35,6 @@ class IdConfig:
     iterations: int
     matrix: object  # CorrelationMatrix
     constellation: int = 2
-    shrink_before_mapping: bool = False
 
     def __post_init__(self):
         check_integer(self.iterations, "iterations", 0)
@@ -94,15 +91,10 @@ def _iterate(config, received, trace=None):
         if i > 1:
             np.matmul(estimate, off_diag_t, out=product)
             np.subtract(received, product, out=estimate)
-        if config.shrink_before_mapping:
-            d = 1.0 - i / total
         _map_band(estimate, d, levels, *scratch)
+        d = 1.0 - i / total
         if trace is not None:
-            decided = np.isin(estimate, levels)
-            trace.undecided_counts.append(int(np.sum(~decided)))
-        if not config.shrink_before_mapping:
-            d = 1.0 - i / total
-        if trace is not None:
+            trace.undecided_counts.append(int(np.sum(~np.isin(estimate, levels))))
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision.
     return pam_index(estimate, config.constellation)

@@ -132,8 +132,8 @@ class IciPdfModel:
     levels: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma!r}")
+        if not 0 < self.sigma < np.inf:
+            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma!r}")
 
 
 def mixture_pdf(model, x):
@@ -159,8 +159,8 @@ def fit_sigma_mle(samples):
     from scipy import optimize
 
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ParameterError("samples must be nonempty")
+    if samples.size == 0 or not np.all(np.isfinite(samples)):
+        raise ParameterError("samples must be nonempty and finite")
 
     def nll(s):
         return -np.sum(np.log(mixture_pdf(IciPdfModel(sigma=s), samples) + 1e-300))

@@ -317,7 +317,7 @@ class TestCriterion12:
         )
         out = tmp_path / "sweep.csv"
         assert cli_main(["sweep-ber", "--config", str(cfg), "--out", str(out),
-                         "--single-thread"]) == 0
+                         "--workers", "1"]) == 0
         original = out.read_bytes()
         manifest = str(tmp_path / "sweep.csv.manifest.json")
         # Rerun at 8 workers, then replay the saved manifest.

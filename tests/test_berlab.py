@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from ftnlab.berlab import (
     required_ebn0_at_ber,
     run_ber_sweep,
     wilson_interval,
-    _detect,
     _point_matrix,
     _simulate_batch,
 )
@@ -214,7 +214,10 @@ class TestSimulateBatch:
         errors = 0
         for seed, batch_idx in [(0, 0), (0, 1), (7, 3)]:
             args = (config, n_frames, 6.0, iterations, seed, 2, batch_idx)
-            batch = _simulate_batch(*args)
+            id_cfg = equalize.IdConfig(
+                iterations, correlation_matrix(kind, config.n, alpha), config.pam_order
+            )
+            batch = _simulate_batch(config, id_cfg, n_frames, 6.0, seed, 2, batch_idx)
             assert batch == _per_frame_batch(*args)
             errors += batch[1]
         assert errors > 0
@@ -233,9 +236,10 @@ class TestSimulateBatch:
             matrix=correlation_matrix(config.kind, config.n, config.alpha),
             constellation=m,
         )
-        levels = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n))
-        expected = modem.pam_demap(levels, m)
-        assert np.array_equal(_detect(config, iterations, received), expected)
+        rows = received.reshape(-1, config.n)
+        expected = modem.pam_demap(equalize.id_equalize_frame(id_cfg, rows), m)
+        index = equalize.id_equalize_frame(id_cfg, rows, indices=True)
+        assert np.array_equal(modem.gray_demap(index, m), expected)
 
 
 class TestRunSweep:
@@ -255,9 +259,34 @@ class TestRunSweep:
         assert a == b
 
     def test_worker_count_invariant(self):
-        a = run_ber_sweep(_fast_spec(), workers=1)
-        b = run_ber_sweep(_fast_spec(), workers=4)
-        assert a == b
+        spec = _fast_spec(
+            kinds=(TransformKind.FRCT, TransformKind.FRHT), alphas=(1.0, 0.8),
+            iteration_counts=(0, 10), ebn0_dbs=(2.0, 4.0, 6.0),
+        )
+        serial = run_ber_sweep(spec, workers=1)
+        assert len(serial.points) == 24
+        # More threads than cores, switching often, share each curve's points.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (2, 4):
+                assert run_ber_sweep(spec, workers=workers) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_batch_past_the_stopping_point(self, monkeypatch):
+        apply_awgn = channel.apply_awgn
+        calls = []
+
+        def counted(spec, samples):
+            calls.append(None)
+            return apply_awgn(spec, samples)
+
+        monkeypatch.setattr(channel, "apply_awgn", counted)
+        spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
+        result = run_ber_sweep(spec, workers=4)
+        bits_per_batch = spec.frames_per_batch * spec.config.data_bits_per_frame
+        assert len(calls) == sum(p.bits for p in result.points) // bits_per_batch
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5])
     def test_bad_worker_count_rejected(self, workers):

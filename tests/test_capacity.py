@@ -34,6 +34,20 @@ class TestParams:
         with pytest.raises(ParameterError, match=field):
             CapacityParams(**base)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["bandwidth_hz", "signal_power", "noise_power", "ici_power", "alpha",
+         "symbol_duration", "n", "r"],
+    )
+    def test_non_finite_inputs_named(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            if field in ("n", "r"):
+                log_sphere_volume(**{"n": 3, "r": 1.0, field: value})
+            else:
+                base = dict(bandwidth_hz=1e9, signal_power=1.0, noise_power=1.0)
+                CapacityParams(**{**base, field: value})
+
 
 class TestShannonLimit:
     def test_unit_snr(self):

@@ -65,6 +65,19 @@ class TestApplyAwgn:
         with pytest.raises(ParameterError, match="bits_per_sample"):
             AwgnSpec(eb_n0_db=5.0, bits_per_sample=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [({"rng_seed": -1}, "rng_seed"), ({"rng_seed": "x"}, "rng_seed"),
+         ({"rng_seed": 1.5}, "rng_seed"), ({"rng_seed": True}, "rng_seed"),
+         ({"rng_seed": None}, "rng_seed"), ({"bits_per_sample": float("inf")}, "bits_per_sample"),
+         ({"bits_per_sample": float("nan")}, "bits_per_sample")],
+    )
+    def test_seed_and_density_checked(self, kwargs, field):
+        with pytest.raises(ParameterError, match=field):
+            AwgnSpec(**{"eb_n0_db": 5.0, "bits_per_sample": 1.0, **kwargs})
+        # A SeedSequence is a valid seed, as the sweep passes one per batch.
+        AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0, rng_seed=np.random.SeedSequence(3))
+
     @pytest.mark.parametrize("eb_n0_db", [float("nan"), float("inf"), -float("inf")])
     def test_eb_n0_finite(self, eb_n0_db):
         with pytest.raises(ParameterError, match="eb_n0_db"):

@@ -198,7 +198,7 @@ class TestSweepBer:
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         assert _run(capsys, "sweep-ber", "--config", sweep_cfg,
-                    "--out", str(a), "--single-thread")[0] == 0
+                    "--out", str(a), "--workers", "1")[0] == 0
         assert _run(capsys, "sweep-ber", "--config", sweep_cfg,
                     "--out", str(b), "--workers", "4")[0] == 0
         assert a.read_bytes() == b.read_bytes()
@@ -323,6 +323,7 @@ class TestErrorsExitCleanly:
             ["capacity", "--workers", "3"],
             ["capacity", "--format", "csv"],
             ["rates", "--single-thread"],
+            ["sweep-ber", "--single-thread"],
             ["ici-pdf", "--workers", "2"],
         ],
         ids="-".join,

@@ -171,6 +171,17 @@ class TestMixturePdf:
         with pytest.raises(ParameterError, match="sigma"):
             IciPdfModel(sigma=0.0)
 
+    @pytest.mark.parametrize(
+        "call,field",
+        [(lambda: IciPdfModel(sigma=np.inf), "sigma"),
+         (lambda: IciPdfModel(sigma=np.nan), "sigma"),
+         (lambda: fit_sigma_mle([np.nan]), "samples"),
+         (lambda: fit_sigma_mle([0.9, -np.inf, 1.1]), "samples")],
+    )
+    def test_non_finite_inputs_named(self, call, field):
+        with pytest.raises(ParameterError, match=f"^{field} must be .*finite"):
+            call()
+
 
 class TestIciHistogram:
     def test_orthogonal_case_is_two_spikes(self):
