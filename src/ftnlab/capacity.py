@@ -12,7 +12,7 @@ the dimension 2WT/alpha easily exceeds 1e3 and direct evaluation overflows.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .exceptions import ParameterError, check_alpha
 
@@ -27,13 +27,25 @@ class CapacityParams:
     symbol_duration: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            zero_ok = f.name in ("signal_power", "ici_power")
-            if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
-                bound = ">= 0" if zero_ok else "> 0"
-                raise ParameterError(f"{f.name} must be finite and {bound}, got {value!r}")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ParameterError(
+                f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz!r}"
+            )
+        if not 0 <= self.signal_power < math.inf:
+            raise ParameterError(
+                f"signal_power must be finite and >= 0, got {self.signal_power!r}"
+            )
+        if not 0 < self.noise_power < math.inf:
+            raise ParameterError(
+                f"noise_power must be finite and > 0, got {self.noise_power!r}"
+            )
+        if not 0 <= self.ici_power < math.inf:
+            raise ParameterError(f"ici_power must be finite and >= 0, got {self.ici_power!r}")
         check_alpha(self.alpha)
+        if not 0 < self.symbol_duration < math.inf:
+            raise ParameterError(
+                f"symbol_duration must be finite and > 0, got {self.symbol_duration!r}"
+            )
 
 
 def shannon_limit(p):

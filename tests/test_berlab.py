@@ -201,15 +201,20 @@ def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, bat
 
 
 class TestSimulateBatch:
+    @pytest.mark.parametrize("pam_order", [2, 4, 8])
     @pytest.mark.parametrize("n_frames", [1, 4])
     @pytest.mark.parametrize("iterations", [0, 20])
     @pytest.mark.parametrize(
         "kind,alpha", [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.45)]
     )
     @pytest.mark.parametrize("cp_len", [0, 16])
-    def test_matches_per_frame_chain(self, cp_len, kind, alpha, iterations, n_frames):
+    def test_matches_per_frame_chain(self, cp_len, kind, alpha, iterations, n_frames,
+                                     pam_order):
+        # The sweep decides once (level indices, Gray-demapped); the oracle
+        # decides levels and then demaps them, at every constellation order.
         config = _small_config(
-            cp_len=cp_len, kind=kind, alpha=alpha, training_symbols=2, sync_symbols=1
+            cp_len=cp_len, kind=kind, alpha=alpha, training_symbols=2, sync_symbols=1,
+            pam_order=pam_order,
         )
         errors = 0
         for seed, batch_idx in [(0, 0), (0, 1), (7, 3)]:
@@ -221,25 +226,6 @@ class TestSimulateBatch:
             assert batch == _per_frame_batch(*args)
             errors += batch[1]
         assert errors > 0
-
-
-    @pytest.mark.parametrize("iterations", [0, 1, 20])
-    @pytest.mark.parametrize("m", [2, 4, 8])
-    def test_detected_bits_are_demap_of_equalized_levels(self, m, iterations):
-        # The sweep decides once (level indices, Gray-demapped); the two-step
-        # public chain decides twice and must give the same bits.
-        config = _small_config(pam_order=m, alpha=0.8)
-        rng = np.random.default_rng(m + iterations)
-        received = rng.normal(size=(2, config.data_symbols_per_frame, config.n)) * 1.5
-        id_cfg = equalize.IdConfig(
-            iterations=iterations,
-            matrix=correlation_matrix(config.kind, config.n, config.alpha),
-            constellation=m,
-        )
-        rows = received.reshape(-1, config.n)
-        expected = modem.pam_demap(equalize.id_equalize_frame(id_cfg, rows), m)
-        index = equalize.id_equalize_frame(id_cfg, rows, indices=True)
-        assert np.array_equal(modem.gray_demap(index, m), expected)
 
 
 class TestRunSweep:
@@ -257,6 +243,19 @@ class TestRunSweep:
         a = run_ber_sweep(_fast_spec())
         b = run_ber_sweep(_fast_spec())
         assert a == b
+
+    @pytest.mark.parametrize("pam_order", [4, 8])
+    def test_higher_order_point_matches_per_frame_chain(self, pam_order):
+        config = _small_config(pam_order=pam_order, alpha=0.9)
+        spec = _fast_spec(config=config, ebn0_dbs=(8.0,))
+        (point,) = run_ber_sweep(spec).points
+        bits = errors = batch_idx = 0
+        while bits < point.bits:
+            batch = _per_frame_batch(config, spec.frames_per_batch, 8.0, 10, spec.seed, 0,
+                                     batch_idx)
+            bits, errors, batch_idx = bits + batch[0], errors + batch[1], batch_idx + 1
+        assert (point.bits, point.errors) == (bits, errors)
+        assert errors > 0
 
     def test_worker_count_invariant(self):
         spec = _fast_spec(
