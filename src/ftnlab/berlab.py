@@ -28,9 +28,8 @@ from .transforms import TransformKind, make_plan
 
 _Z95 = 1.959963984540054
 
-# Conventional hard-decision pre-FEC thresholds.
+# Conventional hard-decision pre-FEC threshold (7% overhead).
 FEC_LIMIT_7PCT = 3.8e-3
-FEC_LIMIT_20PCT = 2.0e-2
 
 
 def wilson_interval(errors, bits):
@@ -140,14 +139,48 @@ def _point_matrix(kind, n, alpha):
     return icimodel.correlation_matrix(kind, n, alpha)
 
 
-def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_idx):
+def _workspace(config, n_frames):
+    """Buffers for one batch of `n_frames` frames, which every batch of a grid
+    point reuses, so a batch allocates (and page-faults) no full-size array
+    but its bit draw.  Three float arrays serve two stages each: the
+    transmit rows, then the received data rows; the waveform, then the ID's
+    product; the AWGN scratch, then the ID's estimate."""
+    frame_rows = (n_frames, config.symbols_per_frame)
+    data_rows = (n_frames * config.data_symbols_per_frame, config.n)
+
+    def head(buf, shape):
+        return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+    rows = np.empty(frame_rows + (config.n,))
+    waveform = np.empty(frame_rows + (config.cp_len + config.n,))
+    noise = np.empty_like(waveform)
+    bit_count = n_frames * config.data_bits_per_frame
+    flags = np.empty(bit_count, dtype=bool)
+    return {
+        "rows": rows,
+        "waveform": waveform,
+        "noise": noise,
+        "received": head(rows, (n_frames, config.data_symbols_per_frame, config.n)),
+        "product": head(waveform, data_rows),
+        "estimate": head(noise, data_rows),
+        "decided": head(flags, data_rows),
+        "flags": flags,
+        "index": np.empty(data_rows, dtype=np.int64),
+        # At M = 2 the level indices are the bits.
+        "bits": None if config.pam_order == 2 else np.empty(bit_count, dtype=np.int64),
+    }
+
+
+def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_idx, work=None):
     """One frame batch at one grid point; returns (bits, errors).
 
     The noise covers the whole waveform (pilots and prefixes included) in
     transmit order; only the data rows are demultiplexed and detected.  The
     ID returns level indices, which are Gray-demapped, so each entry is
-    decided once.
+    decided once.  `work` is the point's `_workspace` (a new one if None).
     """
+    if work is None:
+        work = _workspace(config, n_frames)
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, point_idx, batch_idx, 0])
     )
@@ -157,18 +190,27 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
         bits_per_sample=bits_per_sample(config),
         rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
     )
-    received = modem.receive(config, channel.apply_awgn(spec, modem.transmit(config, sent)))
-    index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n), indices=True)
-    rx_bits = modem.gray_demap(index, config.pam_order)
-    return sent.size, int(np.count_nonzero(rx_bits != sent.ravel()))
+    waveform = modem.transmit(config, sent, out=work["waveform"], rows=work["rows"])
+    channel.apply_awgn(spec, waveform, out=waveform, scratch=work["noise"])
+    received = modem.receive(config, waveform, out=work["received"])
+    index = equalize.id_equalize_frame(
+        id_cfg, received.reshape(-1, config.n), indices=True, out=work["index"],
+        estimate=work["estimate"], product=work["product"], decided=work["decided"],
+    )
+    rx_bits = modem.gray_demap(index, config.pam_order, out=work["bits"])
+    errors = np.not_equal(rx_bits, sent.ravel(), out=work["flags"])
+    return sent.size, int(np.count_nonzero(errors))
 
 
 def _run_point(spec, config, id_cfg, point_idx, ebn0_db):
-    """Batches 0, 1, 2, ... in order until `min_errors` or `max_bits` stops."""
+    """Batches 0, 1, 2, ... in order until `min_errors` or `max_bits` stops,
+    all in one workspace."""
+    work = _workspace(config, spec.frames_per_batch)
     bits = errors = batch_idx = 0
     while bits < spec.max_bits and (spec.min_errors == 0 or errors < spec.min_errors):
         batch_bits, batch_errors = _simulate_batch(
-            config, id_cfg, spec.frames_per_batch, ebn0_db, spec.seed, point_idx, batch_idx
+            config, id_cfg, spec.frames_per_batch, ebn0_db, spec.seed, point_idx, batch_idx,
+            work,
         )
         bits += batch_bits
         errors += batch_errors
@@ -211,9 +253,10 @@ def run_ber_sweep(spec, workers=1):
         if workers == 1 or len(curve) == 1:
             points.extend(map(run, curve))
         else:
-            # Pays off when BLAS runs one thread: the 3 x 6-point 256-subcarrier
-            # grid (min_errors 400, max_bits 4e6) takes 5.4-6.6 s serially and
-            # 3.8-4.6 s at 2 or 4 workers with OPENBLAS_NUM_THREADS=1 on 2 vCPUs.
+            # Meant for BLAS at one thread.  The 3 x 6-point 256-subcarrier grid
+            # (min_errors 400, max_bits 4e6) with OPENBLAS_NUM_THREADS=1 on 2
+            # vCPUs, both measured 2026-10-18: 5.4-6.6 s serially and 3.8-4.6 s
+            # at 2 or 4 workers; later 6.2-6.4 s serially and 5.7-6.4 s at 2.
             make_plan(kind, config.n, alpha)  # built here once, not by each thread
             with ThreadPoolExecutor(min(workers, len(curve))) as pool:
                 points.extend(pool.map(run, curve))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError, check_integer
+from .exceptions import ParameterError, check_buffer, check_integer
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,14 @@ class AwgnSpec:
             check_integer(self.rng_seed, "rng_seed", 0)
 
 
-def measure_sample_energy(samples):
-    """Mean squared sample of a waveform."""
+def measure_sample_energy(samples, *, scratch=None):
+    """Mean squared sample of a waveform.  `scratch`, if given, receives the
+    squares: a C-contiguous float64 array of the waveform's shape."""
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ParameterError("stream must be nonempty")
-    return float(np.mean(samples * samples))
+    check_buffer(scratch, samples.shape, np.float64, "scratch")
+    return float(np.mean(np.multiply(samples, samples, out=scratch)))
 
 
 def noise_sigma(spec, sample_energy):
@@ -52,13 +54,20 @@ def noise_sigma(spec, sample_energy):
     return float(np.sqrt(sample_energy / (2.0 * gamma * spec.bits_per_sample)))
 
 
-def apply_awgn(spec, samples):
+def apply_awgn(spec, samples, *, out=None, scratch=None):
     """Add independent zero-mean Gaussian noise to every sample.
 
     Deterministic per seed; noise is drawn in C order, so a waveform gets the
     same noise whether it is given raveled or as the blocks of `transmit`.
+    `out` receives the noisy waveform (it may be `samples` itself) and
+    `scratch` the squares and then the noise; both are float64 arrays of the
+    waveform's shape, `scratch` C-contiguous and apart from `samples`.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    sigma = noise_sigma(spec, measure_sample_energy(samples))
+    check_buffer(out, samples.shape, np.float64, "out", contiguous=False)
+    sigma = noise_sigma(spec, measure_sample_energy(samples, scratch=scratch))
+    # Scaled in place, standard normals are the bits of normal(0, sigma).
     rng = np.random.default_rng(spec.rng_seed)
-    return samples + rng.normal(0.0, sigma, size=samples.shape)
+    noise = rng.standard_normal(samples.shape, out=scratch)
+    noise *= sigma
+    return np.add(samples, noise, out=out)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ShapeError, check_integer, check_power_of_two
+from .exceptions import ShapeError, check_buffer, check_integer, check_power_of_two
 from .modem import pam_index, pam_levels
 
 _DIVERGENCE_FACTOR = 1e6
@@ -74,30 +74,37 @@ def _map_band(values, d, levels, mag=None, decided=None):
     np.copyto(values, nearest, where=~undecided)
 
 
-def _iterate(config, received, trace=None):
+def _iterate(config, received, trace=None, index=None, estimate=None, product=None,
+             decided=None):
     """Core recursion on an (m, N) stack of received vectors; returns the
-    level index (`pam_index`) of every entry."""
+    level index (`pam_index`) of every entry, written to `index` if given.
+
+    `estimate` and `product` are float scratch of the stack's shape, and
+    `decided` bool; `product` doubles as the band map's magnitude, and the
+    final decision works in place on `estimate`.
+    """
     if config.iterations == 0:
-        return pam_index(received, config.constellation)
+        return pam_index(received, config.constellation, out=index, scratch=estimate)
     levels = pam_levels(config.constellation)
     off_diag_t = config.matrix.off_diagonal.T
     # S_0 = 0 makes the first product exactly +0, so S_1 = R.
-    estimate = received.copy()
-    product = np.empty_like(estimate)
-    scratch = (np.empty_like(estimate), np.empty(estimate.shape, dtype=bool))
+    estimate = np.empty(received.shape) if estimate is None else estimate
+    np.copyto(estimate, received)
+    product = np.empty(received.shape) if product is None else product
+    decided = np.empty(received.shape, dtype=bool) if decided is None else decided
     d = 1.0
     total = config.iterations
     for i in range(1, total + 1):
         if i > 1:
             np.matmul(estimate, off_diag_t, out=product)
             np.subtract(received, product, out=estimate)
-        _map_band(estimate, d, levels, *scratch)
+        _map_band(estimate, d, levels, product, decided)
         d = 1.0 - i / total
         if trace is not None:
             trace.undecided_counts.append(int(np.sum(~np.isin(estimate, levels))))
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision.
-    return pam_index(estimate, config.constellation)
+    return pam_index(estimate, config.constellation, out=index, scratch=estimate)
 
 
 def id_equalize(config, r):
@@ -108,20 +115,34 @@ def id_equalize(config, r):
     return pam_levels(config.constellation)[index], trace
 
 
-def id_equalize_frame(config, rows, *, indices=False):
+def id_equalize_frame(config, rows, *, indices=False, out=None, estimate=None,
+                      product=None, decided=None):
     """Vectorized equalization of an (m, N) stack of received vectors.
 
     Returns the decided levels, or with `indices=True` their level indices
     (`modem.pam_index` of the levels, ready for `modem.gray_demap`), so a
     caller that wants bits makes each decision once.
+
+    Optional buffers, each of the stack's shape and C-contiguous: `out` for
+    the result (int64 indices or float64 levels), float64 `estimate` and
+    `product` and bool `decided` for the iteration's work.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != config.matrix.n:
         raise ShapeError(
             f"rows must have shape (m, {config.matrix.n}), got {rows.shape}"
         )
-    index = _iterate(config, rows)
-    return index if indices else pam_levels(config.constellation)[index]
+    check_buffer(out, rows.shape, np.int64 if indices else np.float64, "out")
+    check_buffer(estimate, rows.shape, np.float64, "estimate")
+    check_buffer(product, rows.shape, np.float64, "product")
+    check_buffer(decided, rows.shape, bool, "decided")
+    work = dict(estimate=estimate, product=product, decided=decided)
+    if indices:
+        return _iterate(config, rows, index=out, **work)
+    # The indices borrow `product`'s memory, which the last decision no longer reads.
+    index = _iterate(config, rows, index=None if product is None else product.view(np.int64),
+                     **work)
+    return np.take(pam_levels(config.constellation), index, out=out, mode="clip")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ raise them for parameters checked in more than one place."""
 
 from numbers import Integral
 
+import numpy as np
+
 
 class ParameterError(ValueError):
     """An argument violates its documented constraint; message names the field."""
@@ -39,3 +41,18 @@ def check_integer(value, name, minimum):
     """An integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_buffer(buf, shape, dtype, name, contiguous=True):
+    """A caller's output or scratch array, if not None, is a writable ndarray
+    of exactly `shape` and `dtype`, C-contiguous unless `contiguous` is False."""
+    if buf is None:
+        return
+    shape, dtype = tuple(shape), np.dtype(dtype)
+    if not isinstance(buf, np.ndarray) or buf.shape != shape or buf.dtype != dtype:
+        got = f"{buf.dtype} {buf.shape}" if isinstance(buf, np.ndarray) else type(buf).__name__
+        raise ShapeError(f"{name} must be a {dtype} array of shape {shape}, got {got}")
+    if not buf.flags.writeable:
+        raise ShapeError(f"{name} must be writable")
+    if contiguous and not buf.flags.c_contiguous:
+        raise ShapeError(f"{name} must be C-contiguous")

@@ -10,7 +10,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import FramingError, ParameterError, check_integer, check_power_of_two
+from .exceptions import (
+    FramingError, ParameterError, check_buffer, check_integer, check_power_of_two,
+)
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_size_alpha
 
 # Entropy constant for the fixed sync/training patterns.
@@ -75,12 +77,13 @@ def pam_levels(m):
     return (2.0 * np.arange(m) - (m - 1)) * _pam_scale(m)
 
 
-def pam_map(bits, m):
+def pam_map(bits, m, *, out=None):
     """Gray-mapped M-PAM with unit average symbol energy.
 
     For M=2 the alphabet is exactly {-1, +1} with 0 -> -1, 1 -> +1.
     Bits are grouped MSB-first into log2(M)-bit Gray labels, and each label
-    is looked up in a table of the levels indexed by label.
+    is looked up in a table of the levels indexed by label.  `out`, if
+    given, receives the levels: a C-contiguous float64 vector, one per label.
     """
     check_power_of_two(m, "m")
     bits = np.asarray(bits)
@@ -98,7 +101,9 @@ def pam_map(bits, m):
     index = np.arange(m)
     table = np.empty(m)
     table[index ^ (index >> 1)] = pam_levels(m)
-    return table[label]
+    check_buffer(out, label.shape, np.float64, "out")
+    # Every label is in range, so "clip" only spares take() its buffered copy.
+    return np.take(table, label, out=out, mode="clip")
 
 
 def _check_bits(bits):
@@ -113,38 +118,54 @@ def _check_bits(bits):
     raise ParameterError(f"bits must be 0 or 1, got {bad[0]!r}")
 
 
-def pam_index(values, m):
+def pam_index(values, m, *, out=None, scratch=None):
     """Index of the nearest M-PAM level, ties toward the lower level.
 
     Clipped to [0, M-1] in float before the cast, so +-inf land on the outer
-    levels (and NaN on level 0).
+    levels (and NaN on level 0).  `out` (int64) receives the indices and
+    `scratch` (float64, which may be `values` itself) the float work; both
+    have the shape of `values`.
     """
+    values = np.asarray(values, dtype=np.float64)
+    check_buffer(out, values.shape, np.int64, "out", contiguous=False)
+    check_buffer(scratch, values.shape, np.float64, "scratch", contiguous=False)
     # ceil((v / scale + M - 1) / 2 - 0.5), in place on one temporary.
-    t = np.asarray(values, dtype=np.float64) / _pam_scale(m)
+    t = np.divide(values, _pam_scale(m), out=scratch)
     t += m - 1
     t /= 2.0
     t -= 0.5
     np.ceil(t, out=t)
     np.fmax(t, 0, out=t)
     np.fmin(t, m - 1, out=t)
-    return t.astype(np.int64)
+    if out is None:
+        return t.astype(np.int64)
+    np.copyto(out, t, casting="unsafe")
+    return out
 
 
-def gray_demap(index, m):
+def gray_demap(index, m, *, out=None):
     """Level indices back to bits: each index's Gray label, MSB first.
 
-    For M=2 the label is the index, so the (raveled) indices are returned.
+    For M=2 the label is the index, so the (raveled) indices are returned,
+    unless `out` is given: a C-contiguous int64 vector of log2(M) entries
+    per index, which receives the bits.
     """
     check_power_of_two(m, "m")
     k = int(np.log2(m))
     index = np.asarray(index).ravel()
-    if k == 1:
+    if k == 1 and out is None:
         return index
-    gray = index ^ (index >> 1)
-    bits = np.empty((gray.size, k), dtype=np.int64)
+    check_buffer(out, (index.size * k,), np.int64, "out")
+    out = np.empty(index.size * k, dtype=np.int64) if out is None else out
+    bits = out.reshape(-1, k)
+    # The last bit column holds the Gray labels until it takes its own bit.
+    gray = bits[:, k - 1]
+    np.right_shift(index, 1, out=gray)
+    np.bitwise_xor(index, gray, out=gray)
     for j in range(k):
-        bits[:, j] = (gray >> (k - 1 - j)) & 1
-    return bits.ravel()
+        np.right_shift(gray, k - 1 - j, out=bits[:, j])
+        np.bitwise_and(bits[:, j], 1, out=bits[:, j])
+    return out
 
 
 def pam_demap(values, m):
@@ -172,12 +193,14 @@ def random_data_bits(config, rng, frames):
     return rng.integers(0, 2, size=(frames, config.data_bits_per_frame))
 
 
-def transmit(config, data_bits):
+def transmit(config, data_bits, *, out=None, rows=None):
     """Time-domain blocks of whole frames from (frames, data_bits_per_frame) bits.
 
     Each frame's rows sync | training | data are multiplexed in one product
     and get their cyclic prefix; returns (frames, symbols_per_frame,
-    cp_len + n), whose ravel() is the serialized waveform.
+    cp_len + n), whose ravel() is the serialized waveform.  `out` receives
+    the blocks and `rows` the frequency-domain rows, (frames,
+    symbols_per_frame, n); both are C-contiguous float64 arrays.
     """
     data_bits = np.asarray(data_bits)
     if data_bits.ndim != 2 or data_bits.shape[1] != config.data_bits_per_frame:
@@ -185,27 +208,32 @@ def transmit(config, data_bits):
             f"data_bits must have shape (frames, {config.data_bits_per_frame}) "
             f"for this layout, got {data_bits.shape}"
         )
-    frames = data_bits.shape[0]
-    data = pam_map(data_bits, config.pam_order).reshape(
-        frames, config.data_symbols_per_frame, config.n
-    )
-    pilots = np.concatenate(pilot_rows(config))
-    rows = np.concatenate(
-        [np.broadcast_to(pilots, (frames,) + pilots.shape), data], axis=-2
-    )
-    bodies = multiplex(make_plan(config.kind, config.n, config.alpha), rows)
-    if not config.cp_len:
-        return bodies
-    return np.concatenate([bodies[..., config.n - config.cp_len:], bodies], axis=-1)
+    shape = (data_bits.shape[0], config.symbols_per_frame, config.n)
+    blocks_shape = shape[:2] + (config.cp_len + config.n,)
+    check_buffer(out, blocks_shape, np.float64, "out")
+    check_buffer(rows, shape, np.float64, "rows")
+    out = np.empty(blocks_shape) if out is None else out
+    rows = np.empty(shape) if rows is None else rows
+    sync, training = pilot_rows(config)
+    first = len(sync) + len(training)
+    rows[:, :len(sync)] = sync
+    rows[:, len(sync):first] = training
+    for frame, bits in zip(rows, data_bits):
+        pam_map(bits, config.pam_order, out=frame[first:].reshape(-1))
+    # The bodies go behind the prefixes, which then copy their tails.
+    multiplex(make_plan(config.kind, config.n, config.alpha), rows, out=out[..., config.cp_len:])
+    out[..., :config.cp_len] = out[..., config.n:]
+    return out
 
 
-def receive(config, samples):
+def receive(config, samples, *, out=None):
     """Strip the cyclic prefixes of whole frames and demultiplex the data rows.
 
     `samples` may have any shape whose size is a whole number of frames (a
     raveled waveform or the blocks of `transmit`).  Returns raw
     frequency-domain rows (frames, data_symbols_per_frame, n), no
     equalization: for alpha < 1 each equals C @ (transmitted row) plus noise.
+    `out`, if given, receives them (float64, as in `transforms.demultiplex`).
     """
     samples = np.asarray(samples, dtype=np.float64)
     block = config.cp_len + config.n
@@ -219,7 +247,7 @@ def receive(config, samples):
         raise FramingError(f"{samples.size} samples are not a whole number of {layout}")
     blocks = samples.reshape(-1, config.symbols_per_frame, block)
     data = blocks[:, config.sync_symbols + config.training_symbols:, config.cp_len:]
-    return demultiplex(make_plan(config.kind, config.n, config.alpha), data)
+    return demultiplex(make_plan(config.kind, config.n, config.alpha), data, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ParameterError, ShapeError, check_alpha, check_integer
+from .exceptions import ParameterError, ShapeError, check_alpha, check_buffer, check_integer
 
 # Plans kept alive by make_plan.  A BER sweep walks (kind, alpha) as the outer
 # loop of its grid, so one plan serves a whole curve and repeated sweeps of
@@ -99,20 +99,25 @@ def _check_last_axis(plan, values, name):
     return values
 
 
-def multiplex(plan, symbols):
+def multiplex(plan, symbols, *, out=None):
     """Frequency-domain symbols -> time-domain samples (kernel @ X).
 
-    Accepts a length-N vector or an (..., N) stack of vectors.
+    Accepts a length-N vector or an (..., N) stack of vectors.  `out`, if
+    given, receives the samples: a float64 array of the result's shape that
+    may be a strided view (the blocks after a cyclic prefix, say); with a
+    unit-stride last axis the product is byte-identical to the allocating one.
     """
     symbols = _check_last_axis(plan, symbols, "symbols")
-    return symbols @ plan.kernel.T
+    check_buffer(out, symbols.shape, np.float64, "out", contiguous=False)
+    return np.matmul(symbols, plan.kernel.T, out=out)
 
 
-def demultiplex(plan, samples):
+def demultiplex(plan, samples, *, out=None):
     """Time-domain samples -> frequency-domain outputs (kernel.T @ x).
 
     For alpha < 1 the round trip demultiplex(multiplex(v)) equals C @ v,
-    where C is the subcarrier correlation matrix.
+    where C is the subcarrier correlation matrix.  `out` is as in `multiplex`.
     """
     samples = _check_last_axis(plan, samples, "samples")
-    return samples @ plan.kernel
+    check_buffer(out, samples.shape, np.float64, "out", contiguous=False)
+    return np.matmul(samples, plan.kernel, out=out)
