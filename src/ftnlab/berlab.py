@@ -12,9 +12,16 @@ point runs its batches 0, 1, 2, ... in order, so it stops at the same batch
 wherever it runs.  `workers` threads share the points of one curve (a run of
 grid points with the same kind and alpha); results are identical for any
 worker count, and no batch is computed past a point's stopping point.
+
+Memory: each thread keeps one batch workspace for the last frame layout it
+ran, which every later point and sweep of that layout reuses, so the heap
+is not faulted in again per point.  It stays alive after the sweep (about
+4 MB at N = 256 and 4 frames per batch) until the thread ends or runs
+another layout.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
@@ -140,11 +147,11 @@ def _point_matrix(kind, n, alpha):
 
 
 def _workspace(config, n_frames):
-    """Buffers for one batch of `n_frames` frames, which every batch of a grid
-    point reuses, so a batch allocates (and page-faults) no full-size array
-    but its bit draw.  Three float arrays serve two stages each: the
-    transmit rows, then the received data rows; the waveform, then the ID's
-    product; the AWGN scratch, then the ID's estimate."""
+    """Buffers for one batch of `n_frames` frames, which every batch reuses,
+    so a batch allocates (and page-faults) no full-size array but its bit
+    draw.  Three float arrays serve two stages each: the transmit rows, then
+    the received data rows; the waveform, then the ID's product; the AWGN
+    scratch, then the ID's estimate."""
     frame_rows = (n_frames, config.symbols_per_frame)
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
 
@@ -171,13 +178,31 @@ def _workspace(config, n_frames):
     }
 
 
+# Per thread, one (layout, workspace) slot: the points of a sweep, and later
+# sweeps of the same layout, share their thread's workspace, and no two
+# threads share one.
+_THREAD_WORK = threading.local()
+
+
+def _thread_workspace(config, n_frames):
+    """This thread's workspace for the layout of `config` at `n_frames`
+    frames per batch; a new layout replaces it."""
+    layout = (config.n, config.cp_len, config.symbols_per_frame,
+              config.data_symbols_per_frame, config.pam_order, n_frames)
+    slot = getattr(_THREAD_WORK, "slot", None)
+    if slot is None or slot[0] != layout:
+        _THREAD_WORK.slot = None  # the old buffers go before the new ones come
+        slot = _THREAD_WORK.slot = (layout, _workspace(config, n_frames))
+    return slot[1]
+
+
 def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_idx, work=None):
     """One frame batch at one grid point; returns (bits, errors).
 
     The noise covers the whole waveform (pilots and prefixes included) in
     transmit order; only the data rows are demultiplexed and detected.  The
     ID returns level indices, which are Gray-demapped, so each entry is
-    decided once.  `work` is the point's `_workspace` (a new one if None).
+    decided once.  `work` is a `_workspace` of this layout (a new one if None).
     """
     if work is None:
         work = _workspace(config, n_frames)
@@ -204,8 +229,8 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
 
 def _run_point(spec, config, id_cfg, point_idx, ebn0_db):
     """Batches 0, 1, 2, ... in order until `min_errors` or `max_bits` stops,
-    all in one workspace."""
-    work = _workspace(config, spec.frames_per_batch)
+    all in this thread's workspace."""
+    work = _thread_workspace(config, spec.frames_per_batch)
     bits = errors = batch_idx = 0
     while bits < spec.max_bits and (spec.min_errors == 0 or errors < spec.min_errors):
         batch_bits, batch_errors = _simulate_batch(

@@ -124,11 +124,24 @@ def pam_index(values, m, *, out=None, scratch=None):
     Clipped to [0, M-1] in float before the cast, so +-inf land on the outer
     levels (and NaN on level 0).  `out` (int64) receives the indices and
     `scratch` (float64, which may be `values` itself) the float work; both
-    have the shape of `values`.
+    have the shape of `values`.  At M = 2 the decision is one comparison,
+    `v > 2**-53`, and `scratch` is not used.
     """
-    values = np.asarray(values, dtype=np.float64)
+    check_power_of_two(m, "m")
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise ParameterError(f"values must be real numbers: {exc}") from None
+    if values.dtype.kind not in "biuf":
+        raise ParameterError(f"values must be real numbers, got dtype {values.dtype}")
+    values = values.astype(np.float64, copy=False)
     check_buffer(out, values.shape, np.int64, "out", contiguous=False)
     check_buffer(scratch, values.shape, np.float64, "scratch", contiguous=False)
+    if m == 2:
+        # The formula below at M = 2 (scale 1): fl(1 + v) > 1 iff v > 2**-53,
+        # since the tie at 2**-53 rounds to even; NaN, +-0 and -inf give 0.
+        out = np.empty(values.shape, dtype=np.int64) if out is None else out
+        return np.greater(values, 2.0**-53, out=out)
     # ceil((v / scale + M - 1) / 2 - 0.5), in place on one temporary.
     t = np.divide(values, _pam_scale(m), out=scratch)
     t += m - 1
@@ -143,9 +156,20 @@ def pam_index(values, m, *, out=None, scratch=None):
     return out
 
 
+def _check_indices(index, m):
+    """Every entry is an integer in [0, m): one max pass over the entries read
+    as unsigned, where a negative index is huge."""
+    if index.dtype.kind not in "iu":
+        raise ParameterError(f"index must hold integers, got dtype {index.dtype}")
+    if index.size and index.view(f"u{index.itemsize}").max() >= m:
+        bad = index[(index < 0) | (index >= m)][0]
+        raise ParameterError(f"index must lie in [0, {m}), got {int(bad)}")
+
+
 def gray_demap(index, m, *, out=None):
     """Level indices back to bits: each index's Gray label, MSB first.
 
+    The indices must be integers in [0, M) (`ParameterError` otherwise).
     For M=2 the label is the index, so the (raveled) indices are returned,
     unless `out` is given: a C-contiguous int64 vector of log2(M) entries
     per index, which receives the bits.
@@ -153,6 +177,7 @@ def gray_demap(index, m, *, out=None):
     check_power_of_two(m, "m")
     k = int(np.log2(m))
     index = np.asarray(index).ravel()
+    _check_indices(index, m)
     if k == 1 and out is None:
         return index
     check_buffer(out, (index.size * k,), np.int64, "out")
@@ -171,7 +196,6 @@ def gray_demap(index, m, *, out=None):
 def pam_demap(values, m):
     """Nearest-level hard decision (`pam_index`) followed by Gray de-mapping
     (`gray_demap`) back to bits."""
-    check_power_of_two(m, "m")
     return gray_demap(pam_index(values, m), m)
 
 

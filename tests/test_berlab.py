@@ -4,12 +4,14 @@ import json
 import math
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from ftnlab import channel, equalize, modem, records, transforms
+from ftnlab import berlab, channel, equalize, modem, records, transforms
 from ftnlab.berlab import (
     BerPoint,
     BerSweepResult,
@@ -287,23 +289,58 @@ class TestRunSweep:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as on Linux")
     def test_batches_reuse_their_heap(self):
-        # One point of 40 batches of the orthogonal calibration layout.  Each
-        # batch used to allocate and free its full-size arrays, which the heap
-        # trimmed and the next batch faulted back in: about 1.9 k minor faults
-        # per batch.  With one workspace per point only its first touch is left.
+        # The orthogonal calibration layout.  Each batch used to allocate and
+        # free its full-size arrays, which the heap trimmed and the next batch
+        # faulted back in: about 1.9 k minor faults per batch.  Then each point
+        # faulted in its own workspace: about 1.4 k per point.  Now a thread
+        # keeps one workspace per layout, so a repeated sweep faults nothing.
         import resource
 
         config = ModemConfig(n=256, alpha=1.0, data_symbols_per_frame=128,
                              training_symbols=0, sync_symbols=0)
-        spec = SweepSpec(config=config, alphas=(1.0,), ebn0_dbs=(6.0,), iteration_counts=(0,),
-                         max_bits=40 * 4 * config.data_bits_per_frame, min_errors=0,
-                         frames_per_batch=4, seed=5)
-        first = run_ber_sweep(spec)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        second = run_ber_sweep(spec)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        for ebn0_dbs, batches in (((6.0,), 40), ((4.0, 6.0, 8.0), 6)):
+            spec = SweepSpec(config=config, alphas=(1.0,), ebn0_dbs=ebn0_dbs,
+                             iteration_counts=(0,),
+                             max_bits=batches * 4 * config.data_bits_per_frame, min_errors=0,
+                             frames_per_batch=4, seed=5)
+            first = run_ber_sweep(spec)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            second = run_ber_sweep(spec)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            assert second == first
+            assert faults < 100, ebn0_dbs
+
+    def test_one_workspace_per_thread_and_layout(self, monkeypatch):
+        workspace = berlab._workspace
+        made = []
+
+        def counted(config, n_frames):
+            made.append(None)
+            return workspace(config, n_frames)
+
+        monkeypatch.setattr(berlab, "_workspace", counted)
+        spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
+        other = replace(spec, frames_per_batch=3)
+
+        def sweeps():
+            # A new thread starts without a workspace; one layout gets one.
+            results = [run_ber_sweep(spec), run_ber_sweep(spec)]
+            assert len(made) == 1
+            # The slot holds one layout: a new one replaces it.
+            run_ber_sweep(other)
+            run_ber_sweep(spec)
+            assert len(made) == 3
+            return results
+
+        with ThreadPoolExecutor(1) as pool:
+            first, second = pool.submit(sweeps).result()
         assert second == first
-        assert faults < 0.1 * 1900 * 40
+        curves = len(spec.alphas)
+        for workers in (2, 3):
+            made.clear()
+            assert run_ber_sweep(spec, workers=workers) == first
+            # Each curve's pool threads make their own, at most one each.
+            assert 1 <= len(made) <= workers * curves
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5])
     def test_bad_worker_count_rejected(self, workers):

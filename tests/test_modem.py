@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import FramingError, ParameterError
@@ -114,6 +114,78 @@ class TestPamMapping:
         decided = id_equalize_frame(IdConfig(0, matrix, constellation=m), values[None, :])
         assert set(decided.ravel()) <= set(levels)
         assert np.array_equal(pam_demap(decided, m), pam_demap(values, m))
+
+
+def _binary_formula(values):
+    # The general nearest-level formula at M = 2 (scale 1), step by step.
+    t = np.asarray(values, dtype=np.float64) + 1.0
+    t /= 2.0
+    t -= 0.5
+    return np.fmin(np.fmax(np.ceil(t), 0), 1).astype(np.int64)
+
+
+_TIE = 2.0**-53
+_TINY = np.nextafter(0.0, 1.0)
+
+
+class TestPamIndex:
+    @pytest.mark.parametrize("values", [
+        [np.nextafter(_TIE, 0.0), _TIE, np.nextafter(_TIE, 1.0)],
+        [0.0, -0.0, _TINY, -_TINY],
+        [np.inf, -np.inf, np.nan, 1.0, -1.0],
+        np.random.default_rng(53).normal(size=10**6) * 1e-15,
+        np.random.default_rng(54).normal(size=10**6),
+    ], ids=["tie", "zeros", "specials", "scale_1e-15", "scale_1"])
+    def test_one_comparison_equals_the_formula(self, values):
+        values = np.asarray(values)
+        want = _binary_formula(values)
+        assert_array_equal(pam_index(values, 2), want, strict=True)
+        out, scratch = np.full(values.shape, -7, np.int64), np.full(values.shape, 9.0)
+        assert pam_index(values, 2, out=out, scratch=scratch) is out
+        assert_array_equal(out, want)
+        assert_array_equal(pam_demap(values, 2), want, strict=True)
+
+    def test_tie_and_its_neighbours(self):
+        assert list(pam_index([np.nextafter(_TIE, 0.0), _TIE, np.nextafter(_TIE, 1.0)], 2)) == [
+            0, 0, 1]
+
+    @pytest.mark.parametrize("values", [["a"], [1.0, "a"], [None], [[1.0], [1.0, 2.0]],
+                                        np.array([1 + 2j, -1]), [1 + 2j]])
+    def test_non_real_values_rejected(self, values):
+        with pytest.raises(ParameterError, match="values must be real numbers"):
+            pam_index(values, 2)
+
+    def test_integer_and_bool_values_accepted(self):
+        assert list(pam_index([3, -2, 0], 4)) == list(pam_index([3.0, -2.0, 0.0], 4))
+        assert list(pam_index(np.array([True, False]), 2)) == [1, 0]
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 2.0])
+    def test_bad_order_rejected(self, m):
+        with pytest.raises(ParameterError, match="m must be a power of two"):
+            pam_index([0.5], m)
+        with pytest.raises(ParameterError, match="m must be a power of two"):
+            pam_demap([0.5], m)
+
+
+class TestGrayDemapChecks:
+    @pytest.mark.parametrize("index,m,message", [
+        ([0.5, 3.0], 2, "index must hold integers, got dtype float64"),
+        ([1.5], 4, "index must hold integers, got dtype float64"),
+        (np.array([True, False]), 2, "index must hold integers, got dtype bool"),
+        ([7, -1], 4, r"index must lie in \[0, 4\), got 7"),
+        ([0, 1, -1], 2, r"index must lie in \[0, 2\), got -1"),
+        (np.array([3, 200], np.uint8), 4, r"index must lie in \[0, 4\), got 200"),
+    ])
+    def test_bad_index_rejected(self, index, m, message):
+        with pytest.raises(ParameterError, match=message):
+            gray_demap(index, m)
+        with pytest.raises(ParameterError, match=message):
+            gray_demap(index, m, out=np.empty(len(index) * (m.bit_length() - 1), np.int64))
+
+    def test_edges_and_empty_accepted(self):
+        assert list(gray_demap(np.array([0, 3], np.int32), 4)) == [0, 0, 1, 0]
+        assert list(gray_demap(np.array([1, 0], np.uint8), 2)) == [1, 0]
+        assert gray_demap(np.empty(0, np.int64), 8).size == 0
 
 
 class TestConfig:
