@@ -13,11 +13,10 @@ wherever it runs.  `workers` threads share the points of one curve (a run of
 grid points with the same kind and alpha); results are identical for any
 worker count, and no batch is computed past a point's stopping point.
 
-Memory: each thread keeps one batch workspace for the last frame layout it
-ran, which every later point and sweep of that layout reuses, so the heap
-is not faulted in again per point.  It stays alive after the sweep (about
-4 MB at N = 256 and 4 frames per batch) until the thread ends or runs
-another layout.
+Memory: every point of a sweep has the same frame layout, so each thread of
+a sweep allocates one batch workspace at its first point and reuses it for
+every later one; the heap is not faulted in again per point.  The
+workspaces go when the sweep returns.
 """
 
 import math
@@ -178,24 +177,6 @@ def _workspace(config, n_frames):
     }
 
 
-# Per thread, one (layout, workspace) slot: the points of a sweep, and later
-# sweeps of the same layout, share their thread's workspace, and no two
-# threads share one.
-_THREAD_WORK = threading.local()
-
-
-def _thread_workspace(config, n_frames):
-    """This thread's workspace for the layout of `config` at `n_frames`
-    frames per batch; a new layout replaces it."""
-    layout = (config.n, config.cp_len, config.symbols_per_frame,
-              config.data_symbols_per_frame, config.pam_order, n_frames)
-    slot = getattr(_THREAD_WORK, "slot", None)
-    if slot is None or slot[0] != layout:
-        _THREAD_WORK.slot = None  # the old buffers go before the new ones come
-        slot = _THREAD_WORK.slot = (layout, _workspace(config, n_frames))
-    return slot[1]
-
-
 def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_idx, work=None):
     """One frame batch at one grid point; returns (bits, errors).
 
@@ -227,10 +208,9 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
     return sent.size, int(np.count_nonzero(errors))
 
 
-def _run_point(spec, config, id_cfg, point_idx, ebn0_db):
+def _run_point(spec, config, id_cfg, point_idx, ebn0_db, work):
     """Batches 0, 1, 2, ... in order until `min_errors` or `max_bits` stops,
-    all in this thread's workspace."""
-    work = _thread_workspace(config, spec.frames_per_batch)
+    all in `work`, a `_workspace` of the sweep's layout."""
     bits = errors = batch_idx = 0
     while bits < spec.max_bits and (spec.min_errors == 0 or errors < spec.min_errors):
         batch_bits, batch_errors = _simulate_batch(
@@ -259,12 +239,14 @@ def run_ber_sweep(spec, workers=1):
 
     The grid is walked one curve, a run of points with the same (kind,
     alpha), at a time, so the one-entry plan and C caches hold for the whole
-    curve; up to `workers` threads share the curve's points.
+    curve; up to `workers` threads share the curve's points.  Each thread
+    makes one `_workspace` at its first point and reuses it.
     """
     check_integer(workers, "workers", 1)
     if spec.config.data_bits_per_frame == 0:
         raise ParameterError("frame layout carries zero data bits per batch")
     points = []
+    local = threading.local()  # this sweep's workspace, one per thread
     for (kind, alpha), curve in groupby(enumerate(spec.grid()), key=lambda p: p[1][:2]):
         config = replace(spec.config, kind=kind, alpha=alpha)
         matrix = _point_matrix(kind, config.n, alpha)
@@ -272,7 +254,9 @@ def run_ber_sweep(spec, workers=1):
         def run(point):
             idx, (_, _, iterations, ebn0_db) = point
             id_cfg = equalize.IdConfig(iterations, matrix, config.pam_order)
-            return _run_point(spec, config, id_cfg, idx, ebn0_db)
+            if not hasattr(local, "work"):
+                local.work = _workspace(config, spec.frames_per_batch)
+            return _run_point(spec, config, id_cfg, idx, ebn0_db, local.work)
 
         curve = list(curve)
         if workers == 1 or len(curve) == 1:

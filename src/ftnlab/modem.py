@@ -157,11 +157,10 @@ def pam_index(values, m, *, out=None, scratch=None):
 
 
 def _check_indices(index, m):
-    """Every entry is an integer in [0, m): one max pass over the entries read
-    as unsigned, where a negative index is huge."""
+    """Every entry is an integer in [0, m)."""
     if index.dtype.kind not in "iu":
         raise ParameterError(f"index must hold integers, got dtype {index.dtype}")
-    if index.size and index.view(f"u{index.itemsize}").max() >= m:
+    if index.size and (index.min() < 0 or index.max() >= m):
         bad = index[(index < 0) | (index >= m)][0]
         raise ParameterError(f"index must lie in [0, {m}), got {int(bad)}")
 

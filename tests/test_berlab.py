@@ -4,8 +4,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,13 +290,14 @@ class TestRunSweep:
         # The orthogonal calibration layout.  Each batch used to allocate and
         # free its full-size arrays, which the heap trimmed and the next batch
         # faulted back in: about 1.9 k minor faults per batch.  Then each point
-        # faulted in its own workspace: about 1.4 k per point.  Now a thread
-        # keeps one workspace per layout, so a repeated sweep faults nothing.
+        # faulted in its own workspace, about 1.4 k per point.  Now a sweep
+        # faults in one workspace, so its later points add no faults.
         import resource
 
         config = ModemConfig(n=256, alpha=1.0, data_symbols_per_frame=128,
                              training_symbols=0, sync_symbols=0)
-        for ebn0_dbs, batches in (((6.0,), 40), ((4.0, 6.0, 8.0), 6)):
+
+        def faults(ebn0_dbs, batches):
             spec = SweepSpec(config=config, alphas=(1.0,), ebn0_dbs=ebn0_dbs,
                              iteration_counts=(0,),
                              max_bits=batches * 4 * config.data_bits_per_frame, min_errors=0,
@@ -306,11 +305,14 @@ class TestRunSweep:
             first = run_ber_sweep(spec)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             second = run_ber_sweep(spec)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             assert second == first
-            assert faults < 100, ebn0_dbs
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-    def test_one_workspace_per_thread_and_layout(self, monkeypatch):
+        assert faults((6.0,), 40) < 0.1 * 1900 * 40
+        one_point = faults((6.0,), 6)
+        assert faults((4.0, 6.0, 8.0), 6) < one_point + 300
+
+    def test_one_workspace_per_thread_of_a_sweep(self, monkeypatch):
         workspace = berlab._workspace
         made = []
 
@@ -320,21 +322,12 @@ class TestRunSweep:
 
         monkeypatch.setattr(berlab, "_workspace", counted)
         spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
-        other = replace(spec, frames_per_batch=3)
-
-        def sweeps():
-            # A new thread starts without a workspace; one layout gets one.
-            results = [run_ber_sweep(spec), run_ber_sweep(spec)]
-            assert len(made) == 1
-            # The slot holds one layout: a new one replaces it.
-            run_ber_sweep(other)
-            run_ber_sweep(spec)
-            assert len(made) == 3
-            return results
-
-        with ThreadPoolExecutor(1) as pool:
-            first, second = pool.submit(sweeps).result()
-        assert second == first
+        first = run_ber_sweep(spec)
+        # Serially, one for all six points of both curves.
+        assert len(made) == 1
+        assert run_ber_sweep(spec) == first
+        # The workspace goes with its sweep.
+        assert len(made) == 2
         curves = len(spec.alphas)
         for workers in (2, 3):
             made.clear()
