@@ -29,7 +29,7 @@ from itertools import groupby, product
 import numpy as np
 
 from . import channel, equalize, icimodel, modem, records
-from .exceptions import ParameterError, check_alpha, check_integer, check_power_of_two
+from .exceptions import ParameterError, check_alpha, check_integer, check_power_of_two, check_real
 from .transforms import TransformKind, make_plan
 
 _Z95 = 1.959963984540054
@@ -40,10 +40,8 @@ FEC_LIMIT_7PCT = 3.8e-3
 
 def wilson_interval(errors, bits):
     """95% Wilson score interval for a BER estimate."""
-    if bits <= 0:
-        raise ParameterError(f"bits must be > 0, got {bits!r}")
-    if not 0 <= errors <= bits:
-        raise ParameterError(f"errors must lie in [0, bits={bits}], got {errors!r}")
+    check_real(bits, "bits", 0)
+    check_real(errors, "errors", 0, bits, "[]")
     phat = errors / bits
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / bits
@@ -76,8 +74,7 @@ class SweepSpec:
         for alpha in self.alphas:
             check_alpha(alpha)
         for ebn0_db in self.ebn0_dbs:
-            if not math.isfinite(ebn0_db):
-                raise ParameterError(f"ebn0_dbs must be finite, got {ebn0_db!r}")
+            check_real(ebn0_db, "ebn0_dbs")
         for kind in self.kinds:
             if not isinstance(kind, TransformKind):
                 raise ParameterError(f"kinds must be TransformKind members, got {kind!r}")
@@ -310,8 +307,7 @@ def _interp_ebn0(curve, target_ber):
 def required_ebn0_at_ber(result, target_ber):
     """Log-linear interpolation (linear in dB, log in BER) of the Eb/N0 at
     which each curve crosses `target_ber`; one outcome per curve."""
-    if not 0.0 < target_ber < 1.0:
-        raise ParameterError(f"target_ber must lie in (0, 1), got {target_ber!r}")
+    check_real(target_ber, "target_ber", 0, 1)
     return {key: _interp_ebn0(curve, target_ber) for key, curve in result.curves().items()}
 
 
@@ -334,8 +330,9 @@ def estimate_psd(config, frames, seed, segment=1024, overlap=0.5, window="hann")
     check_integer(frames, "frames", 1)
     check_integer(seed, "seed", 0)
     check_power_of_two(segment, "segment")
-    if not 0.0 <= overlap < 1.0:
-        raise ParameterError(f"overlap must lie in [0, 1), got {overlap!r}")
+    check_real(overlap, "overlap", 0, 1, "[)")
+    if not isinstance(window, (str, tuple)):  # welch, unlike get_window, takes no number
+        raise ParameterError(f"window must be a name or a tuple, got {window!r}")
     try:
         signal.get_window(window, segment)
     except ValueError:

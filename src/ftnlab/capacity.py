@@ -14,7 +14,7 @@ the dimension 2WT/alpha easily exceeds 1e3 and direct evaluation overflows.
 import math
 from dataclasses import dataclass
 
-from .exceptions import ParameterError, check_alpha
+from .exceptions import check_alpha, check_real
 
 
 @dataclass(frozen=True)
@@ -27,25 +27,12 @@ class CapacityParams:
     symbol_duration: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.bandwidth_hz < math.inf:
-            raise ParameterError(
-                f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz!r}"
-            )
-        if not 0 <= self.signal_power < math.inf:
-            raise ParameterError(
-                f"signal_power must be finite and >= 0, got {self.signal_power!r}"
-            )
-        if not 0 < self.noise_power < math.inf:
-            raise ParameterError(
-                f"noise_power must be finite and > 0, got {self.noise_power!r}"
-            )
-        if not 0 <= self.ici_power < math.inf:
-            raise ParameterError(f"ici_power must be finite and >= 0, got {self.ici_power!r}")
+        check_real(self.bandwidth_hz, "bandwidth_hz", 0)
+        check_real(self.signal_power, "signal_power", 0, closed="[)")
+        check_real(self.noise_power, "noise_power", 0)
+        check_real(self.ici_power, "ici_power", 0, closed="[)")
         check_alpha(self.alpha)
-        if not 0 < self.symbol_duration < math.inf:
-            raise ParameterError(
-                f"symbol_duration must be finite and > 0, got {self.symbol_duration!r}"
-            )
+        check_real(self.symbol_duration, "symbol_duration", 0)
 
 
 def shannon_limit(p):
@@ -57,10 +44,8 @@ def log_sphere_volume(n, r):
     """Natural log of the n-dimensional sphere volume of radius r."""
     from scipy.special import gammaln
 
-    if not 1 <= n < math.inf:
-        raise ParameterError(f"n must be finite and >= 1, got {n!r}")
-    if not 0 <= r < math.inf:
-        raise ParameterError(f"r must be finite and >= 0, got {r!r}")
+    check_real(n, "n", 1, closed="[)")
+    check_real(r, "r", 0, closed="[)")
     if r == 0:
         return -math.inf
     return 0.5 * n * math.log(math.pi) + n * math.log(r) - float(gammaln(n / 2.0 + 1.0))
@@ -70,8 +55,6 @@ def sphere_volume(n, r):
     """Volume pi^(n/2) r^n / Gamma(n/2 + 1); evaluated via logs so large n
     degrades to 0.0/inf instead of overflowing midway."""
     logv = log_sphere_volume(n, r)
-    if logv == -math.inf:
-        return 0.0
     try:
         return math.exp(logv)
     except OverflowError:

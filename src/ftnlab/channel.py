@@ -14,12 +14,11 @@ blocks in parallel derive child sequences so a fixed (seed, layout) pair
 reproduces the same noise regardless of worker count.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError, check_buffer, check_integer
+from .exceptions import ParameterError, check_buffer, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -29,12 +28,8 @@ class AwgnSpec:
     rng_seed: object = 0  # int or numpy SeedSequence
 
     def __post_init__(self):
-        if not math.isfinite(self.eb_n0_db):
-            raise ParameterError(f"eb_n0_db must be finite, got {self.eb_n0_db!r}")
-        if not 0 < self.bits_per_sample < math.inf:
-            raise ParameterError(
-                f"bits_per_sample must be finite and > 0, got {self.bits_per_sample!r}"
-            )
+        check_real(self.eb_n0_db, "eb_n0_db")
+        check_real(self.bits_per_sample, "bits_per_sample", 0)
         if not isinstance(self.rng_seed, np.random.SeedSequence):
             check_integer(self.rng_seed, "rng_seed", 0)
 

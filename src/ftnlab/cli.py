@@ -100,15 +100,15 @@ _CAPACITY_FLAG_DEFAULTS = {"alpha": 1.0, "ici_power": 0.0, "symbol_duration": 1.
 
 
 def _modem_config(resolved):
-    """The link of a psd, ici-pdf or rates run: the ModemConfig fields it
-    names (rates says `data_symbols` for data_symbols_per_frame)."""
+    """The link of a corr-row, psd, ici-pdf or rates run: the ModemConfig
+    fields it names (rates says `data_symbols` for data_symbols_per_frame)."""
     values = {}
     for f in fields(modem.ModemConfig):
         key = "data_symbols" if f.name == "data_symbols_per_frame" else f.name
         if key in resolved:
             values[f.name] = resolved[key]
     if "kind" in values:
-        values["kind"] = TransformKind(values["kind"])
+        values["kind"] = config.transform_kind(values["kind"])
     return modem.ModemConfig(**values)
 
 
@@ -129,9 +129,8 @@ def _run_sweep_ber(resolved, out, fmt, workers):
 
 
 def _run_corr_row(resolved, out, fmt, workers):
-    c = icimodel.correlation_matrix(
-        TransformKind(resolved["kind"]), resolved["n"], resolved["alpha"]
-    )
+    cfg = _modem_config(resolved)
+    c = icimodel.correlation_matrix(cfg.kind, cfg.n, cfg.alpha)
     records.write_table(out, fmt, icimodel.correlation_row(c, resolved["k"]))
     print(f"wrote |C[l, {resolved['k']}]| for N={resolved['n']} alpha={resolved['alpha']}")
     return 0
@@ -264,9 +263,8 @@ def main(argv=None):
         if out:
             records.write_json(config.manifest_path_for(out), asdict(manifest))
         return code
-    except (ConfigError, ParameterError, ShapeError, FramingError, ExportError) as exc:
-        return _error(str(exc))
-    except FileNotFoundError as exc:
+    except (ConfigError, ParameterError, ShapeError, FramingError, ExportError,
+            FileNotFoundError) as exc:
         return _error(str(exc))
 
 

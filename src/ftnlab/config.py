@@ -14,7 +14,7 @@ from typing import get_args, get_origin
 from . import __version__
 from .berlab import SweepSpec
 from .capacity import CapacityParams
-from .exceptions import ConfigError
+from .exceptions import ConfigError, check_real
 from .modem import ModemConfig
 from .transforms import TransformKind
 
@@ -77,16 +77,21 @@ def read_key_values(path):
     return out
 
 
+def transform_kind(value, where="kind"):
+    """The TransformKind named `value`, or a ConfigError naming `where`."""
+    try:
+        return TransformKind(value)
+    except ValueError:
+        names = " or ".join(k.value for k in TransformKind)
+        raise ConfigError(f"{where} must be {names}, got {value!r}") from None
+
+
 def _convert(path, key, value, lineno, kind):
     """Parse one value as its field's type: int, float, TransformKind, or a
     tuple of one of them written as a comma list."""
     def scalar(text, caster):
         if caster is TransformKind:
-            try:
-                return TransformKind(text)
-            except ValueError:
-                names = " or ".join(k.value for k in TransformKind)
-                raise ConfigError(f"{path}:{lineno}: {key} must be {names}, got {text!r}")
+            return transform_kind(text, f"{path}:{lineno}: {key}")
         if caster is int:
             try:
                 return int(text)  # exact for integer literals of any size
@@ -167,13 +172,10 @@ def sweep_spec_from_json_dict(values):
                 raise ConfigError(f"sweep dict: {key} must be a list, got {value!r}")
             return tuple(typed(key, v, get_args(kind)[0]) for v in value)
         if kind is TransformKind:
-            if value in [k.value for k in TransformKind]:
-                return TransformKind(value)
-        elif isinstance(value, int if kind is int else (int, float)) and not isinstance(
-            value, bool
-        ):
-            return value
-        raise ConfigError(f"sweep dict: bad {key} value {value!r}")
+            return transform_kind(value, f"sweep dict: {key}")
+        if not isinstance(value, int if kind is int else (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"sweep dict: bad {key} value {value!r}")
+        return value
 
     return _sweep_spec(
         {key: typed(key, values[key], f.type)
@@ -196,6 +198,7 @@ def capacity_params_from_dict(values):
 def _capacity_params(snr_db=None, **values):
     """CapacityParams from capacity keys, with the file defaults."""
     if snr_db is not None:
+        check_real(snr_db, "snr_db", high=3000, closed="(]")  # keeps 10 ** (snr_db / 10) finite
         powers = dict(signal_power=10.0 ** (snr_db / 10.0), noise_power=1.0)
         if powers.keys() & values.keys():
             raise ConfigError("give either snr_db or signal_power/noise_power, not both")

@@ -1,7 +1,8 @@
-"""Exception types shared across the library, and the range checks that
-raise them for parameters checked in more than one place."""
+"""Exception types shared across the library, and the checks that raise
+them: one per kind of parameter, such as every real-valued one."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,10 +27,26 @@ class ExportError(OSError):
     """Result export/import failed; message carries the path."""
 
 
+def check_real(value, name, low=-math.inf, high=math.inf, closed="()"):
+    """A real number (not a bool; numpy scalars pass) between `low` and `high`;
+    `closed` holds the brackets, so "(]" means low < value <= high.  With
+    infinite ends open, as they must be, NaN and +-inf never pass."""
+    if (isinstance(value, Real) and not isinstance(value, bool)
+            and (low <= value if closed[0] == "[" else low < value)
+            and (value <= high if closed[1] == "]" else value < high)):
+        return
+    if high < math.inf:
+        rule = f"lie in {closed[0]}{low}, {high}{closed[1]}"
+    elif low > -math.inf:
+        rule = f"be finite and {'>=' if closed[0] == '[' else '>'} {low}"
+    else:
+        rule = "be finite"
+    raise ParameterError(f"{name} must {rule}, got {value!r}")
+
+
 def check_alpha(alpha):
-    """The spacing compression factor lies in (0, 1]; NaN does not."""
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
+    """The spacing compression factor lies in (0, 1]."""
+    check_real(alpha, "alpha", 0, 1, "(]")
 
 
 def check_power_of_two(value, name):

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import ParameterError, check_integer
+from .exceptions import ParameterError, check_integer, check_real
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_size_alpha
 
 HIST_RANGE = (-2.0, 2.0)
@@ -129,11 +129,9 @@ class IciPdfModel:
     """Equal-weight Gaussian mixture centred on the 2-PAM levels."""
 
     sigma: float
-    levels: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        check_real(self.sigma, "sigma", 0)
 
 
 def mixture_pdf(model, x):

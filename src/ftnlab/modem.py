@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import (
-    FramingError, ParameterError, check_buffer, check_integer, check_power_of_two,
+    FramingError, ParameterError, check_buffer, check_integer, check_power_of_two, check_real,
 )
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_size_alpha
 
@@ -42,8 +42,7 @@ class ModemConfig:
             raise ParameterError(
                 "sync_symbols + training_symbols + data_symbols_per_frame must be >= 1"
             )
-        if not self.sample_rate > 0:
-            raise ParameterError(f"sample_rate must be > 0, got {self.sample_rate!r}")
+        check_real(self.sample_rate, "sample_rate", 0)
 
     @property
     def symbols_per_frame(self):

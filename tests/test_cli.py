@@ -1,9 +1,14 @@
 """Command-line front end: subcommands, error reporting, manifest replay."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftnlab.cli import main
 from ftnlab.icimodel import correlation_matrix
@@ -16,19 +21,32 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_SWEEP_CFG = (
+    "alpha = 0.9\n"
+    "n = 64\n"
+    "cp_len = 4\n"
+    "data_symbols_per_frame = 16\n"
+    "ebn0_db = 6\n"
+    "iterations = 10\n"
+    "min_errors = 50\n"
+    "frames_per_batch = 2\n"
+)
+
+# One small run of each subcommand; SWEEP_CFG stands for a file of _SWEEP_CFG.
+_SMALL_RUNS = [
+    ["sweep-ber", "--config", "SWEEP_CFG"],
+    ["corr-row", "--n", "16", "--k", "3"],
+    ["ici-pdf", "--n", "16", "--frames", "4"],
+    ["psd", "--n", "64", "--cp-len", "0", "--frames", "8", "--segment", "256"],
+    ["capacity", "--snr-db", "10", "--bandwidth", "1e9"],
+    ["rates"],
+]
+
+
 @pytest.fixture()
 def sweep_cfg(tmp_path):
     path = tmp_path / "sweep.cfg"
-    path.write_text(
-        "alpha = 0.9\n"
-        "n = 64\n"
-        "cp_len = 4\n"
-        "data_symbols_per_frame = 16\n"
-        "ebn0_db = 6\n"
-        "iterations = 10\n"
-        "min_errors = 50\n"
-        "frames_per_batch = 2\n"
-    )
+    path.write_text(_SWEEP_CFG)
     return str(path)
 
 
@@ -287,6 +305,65 @@ class TestManifestReplay:
         assert field in _one_json_error(err)
 
 
+# A JSON value of the wrong type, or a non-finite number.
+_BAD_JSON_VALUES = ["", "x", "0.5", None, True, False, [], [0.5], {}, {"n": 16},
+                    math.nan, math.inf, -math.inf]
+
+
+@pytest.fixture(scope="module")
+def small_manifests(tmp_path_factory):
+    """The manifest of each of `_SMALL_RUNS`, keyed by subcommand, and a
+    directory for edited copies."""
+    tmp = tmp_path_factory.mktemp("replays")
+    (tmp / "sweep.cfg").write_text(_SWEEP_CFG)
+    manifests = {}
+    for argv in _SMALL_RUNS:
+        argv = [str(tmp / "sweep.cfg") if a == "SWEEP_CFG" else a for a in argv]
+        out = tmp / f"{argv[0]}.out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(out)]) == 0
+        manifests[argv[0]] = json.loads((tmp / f"{out.name}.manifest.json").read_text())
+    return manifests, tmp
+
+
+def _replay_edited(small_manifests, subcommand, key, value):
+    """Replay the small run of `subcommand` with resolved[key] = value;
+    returns (exit code, stderr)."""
+    manifests, tmp = small_manifests
+    manifest = copy.deepcopy(manifests[subcommand])
+    manifest["resolved"][key] = value
+    path = tmp / "edited.json"
+    path.write_text(json.dumps(manifest))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--manifest", str(path)])
+    return code, err.getvalue()
+
+
+class TestReplayedValuesChecked:
+    @pytest.mark.parametrize(
+        "subcommand,key,value",
+        [("capacity", "alpha", "0.5"), ("rates", "alpha", "0.8"),
+         ("psd", "sample_rate", "1e10"), ("corr-row", "kind", "FrXT"),
+         ("ici-pdf", "kind", "FrXT"), ("psd", "kind", "FrXT")],
+    )
+    def test_bad_value_names_field(self, small_manifests, subcommand, key, value):
+        code, err = _replay_edited(small_manifests, subcommand, key, value)
+        assert code == 2
+        assert _one_json_error(err).startswith(f"{key} must ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_bad_value_exits_cleanly(self, small_manifests, data):
+        subcommand = data.draw(st.sampled_from(sorted(small_manifests[0])))
+        key = data.draw(st.sampled_from(sorted(small_manifests[0][subcommand]["resolved"])))
+        value = data.draw(st.sampled_from(_BAD_JSON_VALUES))
+        code, err = _replay_edited(small_manifests, subcommand, key, value)
+        assert code in (0, 2)
+        if code == 2:
+            _one_json_error(err)
+
+
 def _one_json_error(err):
     lines = err.splitlines()
     assert len(lines) == 1
@@ -295,17 +372,7 @@ def _one_json_error(err):
 
 
 class TestErrorsExitCleanly:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep-ber", "--config", "SWEEP_CFG"],
-            ["corr-row", "--n", "16", "--k", "3"],
-            ["ici-pdf", "--n", "16", "--frames", "4"],
-            ["psd", "--n", "64", "--cp-len", "0", "--frames", "8", "--segment", "256"],
-            ["capacity", "--snr-db", "10", "--bandwidth", "1e9"],
-            ["rates"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _SMALL_RUNS)
     def test_out_is_a_directory(self, capsys, tmp_path, sweep_cfg, argv):
         argv = [sweep_cfg if a == "SWEEP_CFG" else a for a in argv]
         code, _, err = _run(capsys, *argv, "--out", str(tmp_path))
@@ -340,6 +407,15 @@ class TestErrorsExitCleanly:
                             "--out", str(out), "--workers", "0")
         assert code == 2
         assert "workers must be an integer >= 1, got 0" in _one_json_error(err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["rates"], ["psd", "--n", "64", "--segment", "256"]])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_sample_rate_must_be_finite_and_positive(self, capsys, tmp_path, argv, value):
+        out = tmp_path / "out.json"
+        code, _, err = _run(capsys, *argv, "--sample-rate", value, "--out", str(out))
+        assert code == 2
+        assert _one_json_error(err).startswith("sample_rate must be finite and > 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--overlap", "1.0"), ("--window", "nope")])

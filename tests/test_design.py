@@ -72,3 +72,42 @@ print(sorted(m for m in heavy if m in sys.modules))
     before, after = proc.stdout.splitlines()
     assert before == "[]"
     assert after == "['scipy.optimize', 'scipy.signal', 'scipy.special', 'scipy.stats']"
+
+
+def _called_name(node):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _scalar_finiteness_tests(node):
+    """The `isfinite` calls and comparisons with `inf` in an `if` test, but
+    for element-wise array checks that `all`/`any` reduce."""
+    if isinstance(node, ast.Call) and _called_name(node) in ("all", "any"):
+        return
+    if isinstance(node, ast.Call) and _called_name(node) == "isfinite":
+        yield node
+    if isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Attribute) and side.attr == "inf"
+        for side in (node.left, *node.comparators)
+        for side in [side.operand if isinstance(side, ast.UnaryOp) else side]
+    ):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _scalar_finiteness_tests(child)
+
+
+def test_real_parameters_are_checked_in_one_place():
+    # A real-valued parameter goes through exceptions.check_real, so no other
+    # module tests finiteness or an infinite bound itself to raise ParameterError.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "exceptions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.If) or not any(_scalar_finiteness_tests(node.test)):
+                continue
+            raises = [r for stmt in node.body for r in ast.walk(stmt) if isinstance(r, ast.Raise)]
+            if any(isinstance(r.exc, ast.Call) and _called_name(r.exc) == "ParameterError"
+                   for r in raises):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
