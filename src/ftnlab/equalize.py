@@ -49,11 +49,11 @@ class IdTrace:
     undecided_counts: list = field(default_factory=list)
 
 
-def _map_band(values, d, levels, mag=None, decided=None, spare=None):
+def _map_band(values, d, levels, mag=None, decided=None):
     """In place: snap entries farther than d from their nearest level midpoint;
     leave the rest undecided.  For 2-PAM this is: |v| > d -> sign(v), else
-    unchanged.  `mag` and `spare` are optional float and `decided` bool
-    scratch arrays of the shape of `values`; 2-PAM needs no `spare`."""
+    unchanged; `mag` and `decided` are optional float and bool scratch arrays
+    of the shape of `values`."""
     if len(levels) == 2:
         # Branch-free and exact for d in [0, 1]: a decided entry gets
         # max(min(|v|, d), 1) = 1, an undecided one max(|v|, 0) = |v|; the
@@ -67,17 +67,11 @@ def _map_band(values, d, levels, mag=None, decided=None, spare=None):
     # M > 2 (experimental): undecided iff within d * (half level spacing) of a
     # midpoint between adjacent levels; otherwise snap to the nearest level.
     half_gap = 0.5 * (levels[1] - levels[0])
-    nearest = np.subtract(values, levels[0], out=mag)
-    nearest /= 2 * half_gap
-    np.clip(np.round(nearest, out=nearest), 0, len(levels) - 1, out=nearest)
-    nearest *= 2 * half_gap
-    nearest += levels[0]
-    dist = np.subtract(values, nearest, out=spare)
-    np.abs(dist, out=dist)
-    undecided = np.less(dist, half_gap, out=decided)
-    np.subtract(half_gap, dist, out=dist)  # now the distance to the midpoint
-    np.less_equal(dist, d * half_gap, out=undecided, where=undecided)
-    np.copyto(values, nearest, where=np.logical_not(undecided, out=undecided))
+    idx = np.clip(np.round((values - levels[0]) / (2 * half_gap)), 0, len(levels) - 1)
+    nearest = levels[0] + 2 * half_gap * idx
+    dist_to_midpoint = half_gap - np.abs(values - nearest)
+    undecided = (dist_to_midpoint <= d * half_gap) & (np.abs(values - nearest) < half_gap)
+    np.copyto(values, nearest, where=~undecided)
 
 
 def _iterate(config, received, trace=None, index=None, estimate=None, product=None,
@@ -98,15 +92,13 @@ def _iterate(config, received, trace=None, index=None, estimate=None, product=No
     np.copyto(estimate, received)
     product = np.empty(received.shape) if product is None else product
     decided = np.empty(received.shape, dtype=bool) if decided is None else decided
-    index = np.empty(received.shape, dtype=np.int64) if index is None else index
-    spare = index.view(np.float64)  # the M > 2 band map's, until the final decision
     d = 1.0
     total = config.iterations
     for i in range(1, total + 1):
         if i > 1:
             np.matmul(estimate, off_diag_t, out=product)
             np.subtract(received, product, out=estimate)
-        _map_band(estimate, d, levels, product, decided, spare)
+        _map_band(estimate, d, levels, product, decided)
         d = 1.0 - i / total
         if trace is not None:
             trace.undecided_counts.append(int(np.sum(~np.isin(estimate, levels))))
@@ -147,10 +139,9 @@ def id_equalize_frame(config, rows, *, indices=False, out=None, estimate=None,
     work = dict(estimate=estimate, product=product, decided=decided)
     if indices:
         return _iterate(config, rows, index=out, **work)
-    # At M = 2 the indices borrow `product`'s memory, which the last decision no
-    # longer reads; at M > 2 the band map needs both.
-    borrow = product is not None and config.constellation == 2
-    index = _iterate(config, rows, index=product.view(np.int64) if borrow else None, **work)
+    # The indices borrow `product`'s memory, which the last decision no longer reads.
+    index = _iterate(config, rows, index=None if product is None else product.view(np.int64),
+                     **work)
     return np.take(pam_levels(config.constellation), index, out=out, mode="clip")
 
 

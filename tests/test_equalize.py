@@ -155,40 +155,6 @@ class TestMapBand:
         _map_band(mapped, d, levels)
         np.testing.assert_array_equal(mapped, expected)
 
-    @staticmethod
-    def _allocating_multilevel_map(values, d, levels):
-        # The M > 2 band map as it was written before it worked in place.
-        values = values.copy()
-        half_gap = 0.5 * (levels[1] - levels[0])
-        idx = np.clip(np.round((values - levels[0]) / (2 * half_gap)), 0, len(levels) - 1)
-        nearest = levels[0] + 2 * half_gap * idx
-        dist_to_midpoint = half_gap - np.abs(values - nearest)
-        undecided = (dist_to_midpoint <= d * half_gap) & (np.abs(values - nearest) < half_gap)
-        np.copyto(values, nearest, where=~undecided)
-        return values
-
-    @pytest.mark.parametrize("scratch", [False, True])
-    @pytest.mark.parametrize("d", [0.0, 0.1, 0.25, 0.5, np.nextafter(0.5, 0.0), 0.9, 1.0])
-    @pytest.mark.parametrize("m", [4, 8])
-    def test_multilevel_in_place_is_byte_identical(self, m, d, scratch):
-        levels = pam_levels(m)
-        midpoints = 0.5 * (levels[1:] + levels[:-1])
-        outer = levels[[0, -1]]
-        values = np.concatenate([
-            np.random.default_rng(m).normal(0.0, 1.5, 4096),
-            levels, midpoints, np.nextafter(midpoints, np.inf), np.nextafter(midpoints, -np.inf),
-            np.nextafter(outer, np.inf), np.nextafter(outer, -np.inf),
-            [0.0, -0.0, np.inf, -np.inf, np.nan],
-        ]).reshape(-1, 1)
-        expected = self._allocating_multilevel_map(values, d, levels)
-        mapped = values.copy()
-        buffers = (
-            (np.empty_like(values), np.empty(values.shape, bool), np.empty_like(values))
-            if scratch else ()
-        )
-        _map_band(mapped, d, levels, *buffers)
-        assert mapped.tobytes() == expected.tobytes()
-
 
 class TestTrace:
     def test_band_shrinks_to_zero(self):

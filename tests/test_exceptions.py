@@ -99,7 +99,9 @@ REAL_PARAMETERS = [
 @pytest.mark.parametrize("field,call,valid", REAL_PARAMETERS,
                          ids=[f"{i}-{p[0]}" for i, p in enumerate(REAL_PARAMETERS)])
 class TestRealParameters:
-    @pytest.mark.parametrize("value", NOT_REAL + NOT_FINITE, ids=repr)
+    # check_real's verdict on each bad value is TestCheckReal's; here one
+    # wrong-typed and one non-finite value show the parameter goes through it.
+    @pytest.mark.parametrize("value", ["1", math.nan], ids=repr)
     def test_bad_value_names_field(self, field, call, valid, value):
         with pytest.raises(ParameterError, match=f"^{field} must "):
             call(value)
