@@ -365,6 +365,7 @@ def estimate_psd(config, frames, seed, segment=1024, overlap=0.5, window="hann")
 def psd_edge(estimate, threshold_db=-10.0):
     """Highest frequency at which the normalized density still reaches the
     threshold; the band edge of a flat-topped spectrum."""
+    check_real(threshold_db, "threshold_db")
     above = estimate.frequency_hz[estimate.density_db >= threshold_db]
     if above.size == 0:
         raise ParameterError(f"no bins reach {threshold_db} dB")

@@ -51,9 +51,9 @@ class IdTrace:
 
 def _map_band(values, d, levels, mag=None, decided=None):
     """In place: snap entries farther than d from their nearest level midpoint;
-    leave the rest undecided.  For 2-PAM this is: |v| > d -> sign(v), else
-    unchanged; `mag` and `decided` are optional float and bool scratch arrays
-    of the shape of `values`."""
+    leave the rest undecided.  Returns the mask of the snapped entries.  For
+    2-PAM this is: |v| > d -> sign(v), else unchanged; `mag` and `decided` are
+    optional float and bool scratch arrays of the shape of `values`."""
     if len(levels) == 2:
         # Branch-free and exact for d in [0, 1]: a decided entry gets
         # max(min(|v|, d), 1) = 1, an undecided one max(|v|, 0) = |v|; the
@@ -63,15 +63,16 @@ def _map_band(values, d, levels, mag=None, decided=None):
         np.minimum(mag, d, out=mag)
         np.maximum(mag, decided, out=mag)
         np.copysign(mag, values, out=values)
-        return
+        return decided
     # M > 2 (experimental): undecided iff within d * (half level spacing) of a
-    # midpoint between adjacent levels; otherwise snap to the nearest level.
+    # midpoint between adjacent levels; otherwise snap to the nearest level,
+    # the one `pam_index` decides for.
     half_gap = 0.5 * (levels[1] - levels[0])
-    idx = np.clip(np.round((values - levels[0]) / (2 * half_gap)), 0, len(levels) - 1)
-    nearest = levels[0] + 2 * half_gap * idx
-    dist_to_midpoint = half_gap - np.abs(values - nearest)
-    undecided = (dist_to_midpoint <= d * half_gap) & (np.abs(values - nearest) < half_gap)
+    nearest = levels[pam_index(values, len(levels), scratch=mag)]
+    dist = np.abs(values - nearest)
+    undecided = (half_gap - dist <= d * half_gap) & (dist < half_gap)
     np.copyto(values, nearest, where=~undecided)
+    return ~undecided
 
 
 def _iterate(config, received, trace=None, index=None, estimate=None, product=None,
@@ -98,10 +99,10 @@ def _iterate(config, received, trace=None, index=None, estimate=None, product=No
         if i > 1:
             np.matmul(estimate, off_diag_t, out=product)
             np.subtract(received, product, out=estimate)
-        _map_band(estimate, d, levels, product, decided)
+        snapped = _map_band(estimate, d, levels, product, decided)
         d = 1.0 - i / total
         if trace is not None:
-            trace.undecided_counts.append(int(np.sum(~np.isin(estimate, levels))))
+            trace.undecided_counts.append(snapped.size - int(np.count_nonzero(snapped)))
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision.
     return pam_index(estimate, config.constellation, out=index, scratch=estimate)

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ParameterError, check_integer, check_real
-from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_size_alpha
+from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
 
 HIST_RANGE = (-2.0, 2.0)
 HIST_BIN_WIDTH = 0.02
@@ -81,7 +81,7 @@ def _toeplitz_plus_hankel(a, b, n):
 
 def correlation_matrix(kind, n, alpha):
     """Evaluate the subcarrier correlation matrix in closed form, in O(N^2)."""
-    validate_size_alpha(n, alpha)
+    validate_transform(kind, n, alpha)
     n = int(n)
     alpha = float(alpha)
     j = np.arange(2 * n - 1)
@@ -95,12 +95,10 @@ def correlation_matrix(kind, n, alpha):
         weight = 1.0 / np.sqrt(2.0)
         entries[0] *= weight
         entries[:, 0] *= weight
-    elif kind is TransformKind.FRHT:
+    else:
         cos_sum, sin_sum = _geometric_sums(n, alpha * j / n)
         entries = _toeplitz_plus_hankel(cos_sum, sin_sum, n)
         entries /= n
-    else:
-        raise ParameterError(f"kind must be a TransformKind, got {kind!r}")
     return CorrelationMatrix(kind=kind, n=n, alpha=alpha, entries=entries)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .exceptions import (
     FramingError, ParameterError, check_buffer, check_integer, check_power_of_two, check_real,
 )
-from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_size_alpha
+from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
 
 # Entropy constant for the fixed sync/training patterns.
 _PILOT_SEED = 0x0F7C
@@ -32,7 +32,7 @@ class ModemConfig:
     sample_rate: float = 10e9
 
     def __post_init__(self):
-        validate_size_alpha(self.n, self.alpha)
+        validate_transform(self.kind, self.n, self.alpha)
         check_power_of_two(self.pam_order, "pam_order")
         for name in ("cp_len", "data_symbols_per_frame", "training_symbols", "sync_symbols"):
             check_integer(getattr(self, name), name, 0)

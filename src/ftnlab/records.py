@@ -1,10 +1,10 @@
 """Reading and writing result files.
 
 Every result file of the library (BER sweeps, histograms, spectra,
-correlation rows, rate and capacity reports, sample streams, run manifests)
-is opened here, so one failure has one form: an `ExportError` naming the
-path, whether the open, a read or a write failed.  `csv.writer` writes a
-float, numpy's included, as its shortest round-trip text (`repr`).
+correlation rows, rate and capacity reports, run manifests) is opened here,
+so one failure has one form: an `ExportError` naming the path, whether the
+open, a read or a write failed.  `csv.writer` writes a float, numpy's
+included, as its shortest round-trip text (`repr`).
 """
 
 import csv
@@ -22,7 +22,7 @@ def opened(path, mode="r"):
     translation, as `csv` requires.  An `OSError` or undecodable text inside
     the block becomes an `ExportError` naming the path."""
     try:
-        with open(path, mode, newline=None if "b" in mode else "") as fh:
+        with open(path, mode, newline="") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise ExportError(f"{path}: {exc}") from exc
@@ -69,13 +69,3 @@ def write_table(path, format, columns, **fields):
     else:
         write_json(path, {**{k: np.asarray(v).tolist() for k, v in columns.items()}, **fields})
 
-
-def write_f8(path, values):
-    """Raw little-endian 64-bit floats."""
-    with opened(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-
-
-def read_f8(path):
-    with opened(path, "rb") as fh:
-        return np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)

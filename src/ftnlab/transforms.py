@@ -37,6 +37,15 @@ class TransformKind(enum.Enum):
     FRHT = "FrHT"
 
 
+def validate_transform(kind, n, alpha):
+    """The checks every (kind, n, alpha) triple passes: a TransformKind, an
+    integer n >= 2 and alpha in (0, 1]."""
+    check_integer(n, "n", 2)
+    check_alpha(alpha)
+    if not isinstance(kind, TransformKind):
+        raise ParameterError(f"kind must be a TransformKind, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class TransformPlan:
     """Precomputed N x N multiplexing kernel for one (kind, n, alpha)."""
@@ -66,11 +75,6 @@ def _frht_kernel(n, alpha):
     return np.sqrt(1.0 / n) * (np.cos(theta) + np.sin(theta))
 
 
-def validate_size_alpha(n, alpha):
-    check_integer(n, "n", 2)
-    check_alpha(alpha)
-
-
 def make_plan(kind, n, alpha):
     """Return the :class:`TransformPlan` (fully materialized kernel) for
     (kind, n, alpha).
@@ -78,9 +82,7 @@ def make_plan(kind, n, alpha):
     Plans are cached and shared between callers: identical arguments, also
     as numpy scalars, return the same plan, whose kernel is read-only.
     """
-    validate_size_alpha(n, alpha)
-    if not isinstance(kind, TransformKind):
-        raise ParameterError(f"kind must be a TransformKind, got {kind!r}")
+    validate_transform(kind, n, alpha)
     return _cached_plan(kind, int(n), float(alpha))
 
 

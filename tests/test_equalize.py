@@ -16,10 +16,10 @@ from ftnlab.equalize import (
     id_equalize_linear,
     iteration_spectral_radius,
 )
-from ftnlab import records
+from ftnlab import equalize, records
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
-from ftnlab.modem import pam_levels
+from ftnlab.modem import pam_index, pam_levels
 from ftnlab.transforms import TransformKind
 
 
@@ -130,9 +130,10 @@ class TestMapBand:
         expected = np.where(np.abs(values) > d, np.sign(values), values)
         mapped = values.copy()
         buffers = (np.empty_like(values), np.empty(values.shape, bool)) if scratch else ()
-        _map_band(mapped, d, pam_levels(2), *buffers)
+        snapped = _map_band(mapped, d, pam_levels(2), *buffers)
         np.testing.assert_array_equal(mapped, expected)
         np.testing.assert_array_equal(np.signbit(mapped), np.signbit(expected))
+        np.testing.assert_array_equal(snapped, np.abs(values) > d)
 
     @pytest.mark.parametrize("d", [0.0, 0.25, 1.0])
     @pytest.mark.parametrize("m", [4, 8])
@@ -145,15 +146,15 @@ class TestMapBand:
             levels, midpoints, edges, np.nextafter(edges, np.inf),
             np.nextafter(edges, -np.inf), [levels[0] - 1.0, levels[-1] + 1.0, np.nan],
         ])
-        idx = np.clip(np.round((values - levels[0]) / (2 * half_gap)), 0, m - 1)
-        nearest = levels[0] + 2 * half_gap * idx
+        nearest = levels[pam_index(values, m)]
         undecided = (half_gap - np.abs(values - nearest) <= d * half_gap) & (
             np.abs(values - nearest) < half_gap
         )
         expected = np.where(undecided, values, nearest)
         mapped = values.copy()
-        _map_band(mapped, d, levels)
+        snapped = _map_band(mapped, d, levels)
         np.testing.assert_array_equal(mapped, expected)
+        np.testing.assert_array_equal(snapped, ~undecided)
 
 
 class TestTrace:
@@ -171,6 +172,32 @@ class TestTrace:
         counts = trace.undecided_counts
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] == 0
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_multilevel_counts_what_is_off_the_levels(self, m, monkeypatch):
+        # Each band map snaps to the exact levels, and the trace counts as
+        # undecided exactly the entries it left off them; only at the first
+        # iteration, d = 1, does an entry on a level count as undecided.
+        levels = pam_levels(m)
+        off_levels = []
+
+        def recording_map_band(values, d, *args):
+            snapped = _map_band(values, d, *args)
+            assert np.all(np.isin(values[snapped], levels))
+            off_levels.append(int(np.sum(~np.isin(values, levels))))
+            return snapped
+
+        monkeypatch.setattr(equalize, "_map_band", recording_map_band)
+        c = _matrix(64, 0.9)
+        rng = np.random.default_rng(7)
+        sent = levels[rng.integers(0, m, size=64)]
+        r = c.entries @ sent + 0.01 * rng.normal(size=64)
+        out, trace = id_equalize(IdConfig(iterations=10, matrix=c, constellation=m), r)
+        assert len(off_levels) == 10
+        assert trace.undecided_counts[1:] == off_levels[1:]
+        if m == 4:
+            assert np.array_equal(out, sent)
+            assert trace.undecided_counts[-1] == 0
 
     def test_csv_export(self, tmp_path):
         cfg = IdConfig(iterations=3, matrix=_matrix(8, 0.9))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ftnlab.berlab import (
-    BerSweepResult, SweepSpec, estimate_psd, required_ebn0_at_ber, wilson_interval,
+    BerSweepResult, PsdEstimate, SweepSpec, estimate_psd, psd_edge, required_ebn0_at_ber,
+    wilson_interval,
 )
 from ftnlab.capacity import CapacityParams, log_sphere_volume
 from ftnlab.channel import AwgnSpec
@@ -71,6 +72,9 @@ def _sweep(**kwargs):
                                                    **kwargs})
 
 
+_PSD = PsdEstimate(frequency_hz=np.array([0.0, 1.0]), density_db=np.array([0.0, -20.0]),
+                   segment=2, overlap=0.5, window="hann")
+
 # Each real-valued parameter: (field, a call that sets it to `value`, a valid value).
 REAL_PARAMETERS = [
     ("bandwidth_hz", lambda v: CapacityParams(v, 1, 1), 1e9),
@@ -93,6 +97,7 @@ REAL_PARAMETERS = [
     ("target_ber", lambda v: required_ebn0_at_ber(BerSweepResult(points=()), v), 3.8e-3),
     ("bits", lambda v: wilson_interval(0, v), 10),
     ("errors", lambda v: wilson_interval(v, 10), 3),
+    ("threshold_db", lambda v: psd_edge(_PSD, v), -10.0),
 ]
 
 

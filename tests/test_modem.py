@@ -222,6 +222,11 @@ class TestConfig:
         with pytest.raises(ParameterError, match=field):
             ModemConfig(**kwargs)
 
+    def test_kind_checked_at_construction(self):
+        with pytest.raises(ParameterError) as info:
+            ModemConfig(kind="FrCT")
+        assert str(info.value) == "kind must be a TransformKind, got 'FrCT'"
+
 
 class TestTransmitReceive:
     def _bits(self, cfg, frames=1, seed=0):
@@ -338,21 +343,6 @@ class TestStreamIO:
                           training_symbols=0, sync_symbols=0)
         rng = np.random.default_rng(7)
         return cfg, transmit(cfg, random_data_bits(cfg, rng, 1)).ravel()
-
-    def test_binary_round_trip(self, tmp_path):
-        cfg, samples = self._samples()
-        path = tmp_path / "wave.f64"
-        records.write_f8(path, samples)
-        back = records.read_f8(path)
-        assert np.array_equal(back, samples)
-        assert np.array_equal(receive(cfg, back), receive(cfg, samples))
-
-    def test_binary_is_little_endian_f64(self, tmp_path):
-        _, samples = self._samples()
-        path = tmp_path / "wave.f64"
-        records.write_f8(path, samples)
-        raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-        assert np.array_equal(raw, samples)
 
     def test_csv_round_trip(self, tmp_path):
         cfg, samples = self._samples()

@@ -28,7 +28,6 @@ GOLDEN = {
     "rates.json": "e4687da46c1a961ad944c7bbe4d1206c0bc946aac6ec25ffb579de4e62c380e3",
     "rates.json.manifest.json": "7ae8fb9911a45feeaf30e060bcc4391fc7e52b49ccb3fe555f76307fa75173c0",
     "stream.csv": "36f1af17563fcd5f3e6094d132a6f13cac070dd84e7310a9654dd0e79680b3dc",
-    "stream.f64": "345bc74d7b5e46bd907af9c92e3e9edea101f3c5de36973b7fb01c114ff1cb9c",
     "sweep.csv": "c036bf7152604e95233b811e6af347ac754186088e250ecb5069629cc4563be7",
     "sweep.json": "899b4251a2c5e168fb75997c7115466b87d8235ca5dd0b90b2681dd94f48500e",
     "trace.csv": "a0932b3c3d34f78ef09fb3a3e0101717ec75078ec38e94912236f98639c83127",
@@ -77,7 +76,6 @@ def digests(tmp_path_factory):
         export_results(psd, out / f"psd.{fmt}", fmt)
     records.write_table(out / "corr_row.csv", "csv", correlation_row(corr, 3))
     records.write_csv(out / "stream.csv", samples[:, None])
-    records.write_f8(out / "stream.f64", samples)
     records.write_table(out / "trace.csv", "csv", {
         "iteration": range(1, 4), "d": trace.d_values, "undecided_count": trace.undecided_counts,
     })
@@ -109,13 +107,12 @@ class TestErrors:
         lambda path: records.write_csv(path, [["a"], [1.0]]),
         lambda path: records.write_json(path, {"a": 1}),
         lambda path: records.write_table(path, "json", {"a": [1.0]}),
-        lambda path: records.write_f8(path, np.zeros(2)),
     ])
     def test_write_to_directory(self, tmp_path, write):
         with pytest.raises(ExportError, match=re.escape(str(tmp_path))):
             write(tmp_path)
 
-    @pytest.mark.parametrize("read", [records.read_csv, records.read_json, records.read_f8])
+    @pytest.mark.parametrize("read", [records.read_csv, records.read_json])
     def test_read_missing_file(self, tmp_path, read):
         missing = tmp_path / "none"
         with pytest.raises(ExportError, match=re.escape(str(missing))):
