@@ -45,7 +45,7 @@ def main():
     print("=" * 70)
     print("3. Histogram vs model (coarse ASCII rendering)")
     print("=" * 70)
-    hist = ici_histogram(cfg, frames=2048, rng_seed=0)
+    hist = ici_histogram(values)
     step = 10  # show every 10th bin (0.2-wide slices)
     peak = np.max(hist.density)
     for i in range(0, hist.bin_centers.size, step):

@@ -21,10 +21,21 @@ def _out_flags(parser, required=True, formats=True):
         parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def _link_flags(parser):
-    parser.add_argument("--kind", choices=[k.value for k in TransformKind], default="FrCT")
-    parser.add_argument("--n", type=int, default=256)
-    parser.add_argument("--alpha", type=float, default=0.8)
+_BASELINE = modem.experiment_baseline()
+_LINK_FIELDS = {f.name: f.type for f in fields(modem.ModemConfig)}
+
+
+def _link_flags(parser, *names):
+    """A flag for each named ModemConfig field, spelled from the field name,
+    typed by the field and defaulting to `modem.experiment_baseline()`."""
+    for name in names:
+        default = getattr(_BASELINE, name)
+        if name == "kind":
+            parser.add_argument("--kind", choices=[k.value for k in TransformKind],
+                                default=default.value)
+        else:
+            parser.add_argument("--" + name.replace("_", "-"), type=_LINK_FIELDS[name],
+                                default=default)
 
 
 def build_parser():
@@ -49,20 +60,18 @@ def build_parser():
 
     p = sub.add_parser("corr-row", help="export one row of the correlation matrix")
     _out_flags(p)
-    _link_flags(p)
+    _link_flags(p, "kind", "n", "alpha")
     p.add_argument("--k", type=int, default=128, help="subcarrier index")
 
     p = sub.add_parser("ici-pdf", help="histogram of demodulated 2-PAM values")
     _out_flags(p)
-    _link_flags(p)
+    _link_flags(p, "kind", "n", "alpha")
     p.add_argument("--frames", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = sub.add_parser("psd", help="Welch power spectral density of the waveform")
     _out_flags(p)
-    _link_flags(p)
-    p.add_argument("--cp-len", type=int, default=16)
-    p.add_argument("--sample-rate", type=float, default=10e9)
+    _link_flags(p, "kind", "n", "alpha", "cp_len", "sample_rate")
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--segment", type=int, default=1024)
     p.add_argument("--overlap", type=float, default=0.5)
@@ -80,33 +89,19 @@ def build_parser():
 
     p = sub.add_parser("rates", help="symbol/Nyquist rate and bandwidth accounting")
     _out_flags(p, required=False, formats=False)
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--sample-rate", type=float, default=10e9)
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--cp-len", type=int, default=16)
-    p.add_argument("--pam-order", type=int, default=2)
-    p.add_argument("--data-symbols", type=int, default=128)
-    p.add_argument("--training-symbols", type=int, default=10)
-    p.add_argument("--sync-symbols", type=int, default=1)
+    _link_flags(p, "alpha", "sample_rate", "n", "cp_len", "pam_order", "data_symbols_per_frame",
+                "training_symbols", "sync_symbols")
     return parser
 
 
 # Flags that steer a run rather than describe it; `resolved` leaves them out.
 _RUN_FLAGS = {"manifest", "subcommand", "config", "out", "format", "workers"}
 
-# The capacity flags default to None, so that one given next to --config can be
-# told from its default; a run by flags records these defaults.
-_CAPACITY_FLAG_DEFAULTS = {"alpha": 1.0, "ici_power": 0.0, "symbol_duration": 1.0}
-
 
 def _modem_config(resolved):
     """The link of a corr-row, psd, ici-pdf or rates run: the ModemConfig
-    fields it names (rates says `data_symbols` for data_symbols_per_frame)."""
-    values = {}
-    for f in fields(modem.ModemConfig):
-        key = "data_symbols" if f.name == "data_symbols_per_frame" else f.name
-        if key in resolved:
-            values[f.name] = resolved[key]
+    fields it names."""
+    values = {name: resolved[name] for name in _LINK_FIELDS if name in resolved}
     if "kind" in values:
         values["kind"] = config.transform_kind(values["kind"])
     return modem.ModemConfig(**values)
@@ -137,10 +132,10 @@ def _run_corr_row(resolved, out, fmt, workers):
 
 
 def _run_ici_pdf(resolved, out, fmt, workers):
-    cfg = _modem_config(resolved)
-    hist = icimodel.ici_histogram(cfg, resolved["frames"], resolved["seed"])
+    values, _ = icimodel.ici_samples(_modem_config(resolved), resolved["frames"],
+                                     resolved["seed"])
+    hist = icimodel.ici_histogram(values)
     berlab.export_results(hist, out, fmt)
-    values, _ = icimodel.ici_samples(cfg, resolved["frames"], resolved["seed"])
     sigma = icimodel.fit_sigma_mle(values)
     ks = icimodel.ks_distance(values, icimodel.IciPdfModel(sigma=sigma))
     print(f"samples={hist.sample_count} sigma_mle={sigma:.5f} ks={ks:.5f}")
@@ -162,7 +157,7 @@ def _run_psd(resolved, out, fmt, workers):
 
 
 def _run_capacity(resolved, out, fmt, workers):
-    params = config.capacity_params_from_dict(resolved)
+    params = capacity.CapacityParams(**resolved)
     record = {
         "shannon_limit_bps": capacity.shannon_limit(params),
         "log2_distinguishable_signals": capacity.distinguishable_signals(params),
@@ -207,19 +202,12 @@ def _resolve(args):
     given = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS and v is not None}
     if args.subcommand != "capacity":
         return given
-    if args.config:
-        if given:
-            name, value = next(iter(given.items()))
-            raise ConfigError(
-                f"capacity --config takes no parameter flags, got {name} = {value!r}"
-            )
-        return asdict(config.capacity_params_from_file(args.config))
-    return {**_CAPACITY_FLAG_DEFAULTS, **given}
-
-
-def _error(message, code=2):
-    sys.stderr.write("error: " + json.dumps({"message": message}) + "\n")
-    return code
+    if not args.config:
+        return asdict(config.capacity_params_from_dict(given))
+    if given:
+        name, value = next(iter(given.items()))
+        raise ConfigError(f"capacity --config takes no parameter flags, got {name} = {value!r}")
+    return asdict(config.capacity_params_from_file(args.config))
 
 
 def main(argv=None):
@@ -238,13 +226,16 @@ def main(argv=None):
             manifest = config.load_manifest(args.manifest)
             if manifest.subcommand not in _RUNNERS:
                 raise ConfigError(f"{args.manifest}: unknown subcommand {manifest.subcommand!r}")
-            # A replayed run names every parameter its flags default; the sweep
-            # parser checks a sweep's keys itself.
+            # A replayed run names exactly the parameters its subcommand records;
+            # the sweep parser checks a sweep's keys itself.
             if manifest.subcommand != "sweep-ber":
-                defaults = _resolve(parser.parse_args([manifest.subcommand, "--out", "-"]))
-                missing = sorted(defaults.keys() - manifest.resolved.keys())
+                recorded = _resolve(parser.parse_args([manifest.subcommand, "--out", "-"]))
+                missing = sorted(recorded.keys() - manifest.resolved.keys())
                 if missing:
                     raise ConfigError(f"{args.manifest}: resolved lacks field(s) {missing}")
+                unknown = sorted(manifest.resolved.keys() - recorded.keys())
+                if unknown:
+                    raise ConfigError(f"{args.manifest}: unknown resolved field(s) {unknown}")
             output = manifest.outputs[0] if manifest.outputs else {"path": None, "format": "csv"}
             workers = 1
         elif not args.subcommand:
@@ -263,9 +254,9 @@ def main(argv=None):
         if out:
             records.write_json(config.manifest_path_for(out), asdict(manifest))
         return code
-    except (ConfigError, ParameterError, ShapeError, FramingError, ExportError,
-            FileNotFoundError) as exc:
-        return _error(str(exc))
+    except (ConfigError, ParameterError, ShapeError, FramingError, ExportError) as exc:
+        sys.stderr.write("error: " + json.dumps({"message": str(exc)}) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

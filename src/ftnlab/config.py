@@ -6,15 +6,14 @@ unique).  Multi-valued axes are comma lists, e.g. `ebn0_db = 4, 6, 8`.
 Unknown keys are rejected so typos fail loudly.
 """
 
-import json
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_args, get_origin
 
-from . import __version__
+from . import __version__, records
 from .berlab import SweepSpec
 from .capacity import CapacityParams
-from .exceptions import ConfigError, check_real
+from .exceptions import ConfigError, ExportError, check_real
 from .modem import ModemConfig
 from .transforms import TransformKind
 
@@ -53,10 +52,10 @@ _SWEEP_FIELDS = {**_MODEM_FIELDS, **_SPEC_FIELDS}
 def read_key_values(path):
     """Parse the raw file into {key: (value_string, line_number)}."""
     try:
-        with open(path) as fh:
+        with records.opened(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    except ExportError as exc:
+        raise ConfigError(str(exc)) from exc
     out = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -164,8 +163,8 @@ def sweep_spec_to_dict(spec):
 
 
 def sweep_spec_from_json_dict(values):
-    """Inverse of `sweep_spec_to_dict`; a value of the wrong JSON type raises
-    a ConfigError naming its key."""
+    """Inverse of `sweep_spec_to_dict`; an unknown key, or a value of the
+    wrong JSON type, raises a ConfigError naming its key."""
     def typed(key, value, kind):
         if get_origin(kind) is tuple:
             if not isinstance(value, list):
@@ -177,6 +176,9 @@ def sweep_spec_from_json_dict(values):
             raise ConfigError(f"sweep dict: bad {key} value {value!r}")
         return value
 
+    unknown = sorted(values.keys() - _SWEEP_FIELDS.keys())
+    if unknown:
+        raise ConfigError(f"sweep dict: unknown key(s) {unknown}")
     return _sweep_spec(
         {key: typed(key, values[key], f.type)
          for key, f in _SWEEP_FIELDS.items() if key in values},
@@ -237,12 +239,9 @@ def manifest_path_for(output_path):
 
 def load_manifest(path):
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})")
+        payload = records.read_json(path)
+    except ExportError as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: a manifest must be a JSON object")
     known = fields(RunManifest)
@@ -256,8 +255,9 @@ def load_manifest(path):
             raise ConfigError(
                 f"{path}: manifest field {f.name!r} must be a JSON {f.type.__name__}"
             )
-    if not all(isinstance(o, dict) and {"path", "format"} <= o.keys()
-               for o in payload["outputs"]):
+    # A path that is not a string would reach open() as a file descriptor or fail raw.
+    if not all(isinstance(o, dict) and isinstance(o.get("path"), str)
+               and isinstance(o.get("format"), str) for o in payload["outputs"]):
         raise ConfigError(f"{path}: each entry of manifest field 'outputs' needs "
-                          "'path' and 'format'")
+                          "'path' and 'format' strings")
     return RunManifest(**payload)

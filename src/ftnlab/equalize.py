@@ -64,15 +64,18 @@ def _map_band(values, d, levels, mag=None, decided=None):
         np.maximum(mag, decided, out=mag)
         np.copysign(mag, values, out=values)
         return decided
-    # M > 2 (experimental): undecided iff within d * (half level spacing) of a
-    # midpoint between adjacent levels; otherwise snap to the nearest level,
-    # the one `pam_index` decides for.
+    # M > 2 (experimental): the 2-PAM rule in units of the half level spacing.
+    # An entry is snapped to its nearest level, the one `pam_index` decides
+    # for, iff it lies farther than d * half_gap from the nearest midpoint
+    # between adjacent levels: half_gap - |offset| away inside the outer
+    # levels, half_gap + |offset| past them.  NaN stays undecided.
     half_gap = 0.5 * (levels[1] - levels[0])
     nearest = levels[pam_index(values, len(levels), scratch=mag)]
-    dist = np.abs(values - nearest)
-    undecided = (half_gap - dist <= d * half_gap) & (dist < half_gap)
-    np.copyto(values, nearest, where=~undecided)
-    return ~undecided
+    offset = np.abs(values - nearest)
+    to_midpoint = np.where(np.abs(values) > levels[-1], half_gap + offset, half_gap - offset)
+    decided = np.greater(to_midpoint, d * half_gap, out=decided)
+    np.copyto(values, nearest, where=decided)
+    return decided
 
 
 def _iterate(config, received, trace=None, index=None, estimate=None, product=None,

@@ -199,26 +199,22 @@ class IciHistogram:
     bin_edges: np.ndarray
     density: np.ndarray  # normalized by total sample count, incl. out-of-range
     sample_count: int
-    residual_mean: float
 
     @property
     def bin_centers(self):
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-def ici_histogram(config, frames, rng_seed):
-    """Histogram of diagonal-normalized demodulated 2-PAM values on a fixed
-    [-2, 2] grid with 0.02-wide bins.  Deterministic for a fixed seed."""
-    values, residuals = ici_samples(config, frames, rng_seed)
+def ici_histogram(values):
+    """Histogram of samples (the `ici_samples` values) on a fixed [-2, 2]
+    grid with 0.02-wide bins."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0 or not np.all(np.isfinite(values)):
+        raise ParameterError("values must be nonempty and finite")
     nbins = int(round((HIST_RANGE[1] - HIST_RANGE[0]) / HIST_BIN_WIDTH))
     counts, edges = np.histogram(values, bins=nbins, range=HIST_RANGE)
     density = counts / (values.size * HIST_BIN_WIDTH)
-    return IciHistogram(
-        bin_edges=edges,
-        density=density,
-        sample_count=values.size,
-        residual_mean=float(np.mean(residuals)),
-    )
+    return IciHistogram(bin_edges=edges, density=density, sample_count=values.size)
 
 
 def correlation_row(c, k):

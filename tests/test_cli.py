@@ -371,6 +371,64 @@ def _one_json_error(err):
     return json.loads(lines[0][len("error: "):])["message"]
 
 
+# Bytes that are not UTF-8 text.
+_NOT_UTF8 = b"alpha = 0.8\n\xff\xfe = \x81\n"
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("argv", [["sweep-ber", "--config"], ["capacity", "--config"],
+                                      ["--manifest"]], ids=" ".join)
+    def test_undecodable_file_names_path(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.cfg"
+        path.write_bytes(_NOT_UTF8)
+        out = ["--out", str(tmp_path / "out.json")] if argv[0] != "--manifest" else []
+        code, stdout, err = _run(capsys, *argv, str(path), *out)
+        assert code == 2
+        assert _one_json_error(err).startswith(f"{path}: ")
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("subcommand", [argv[0] for argv in _SMALL_RUNS])
+    def test_replayed_unknown_key_rejected(self, small_manifests, subcommand):
+        code, err = _replay_edited(small_manifests, subcommand, "alhpa", 0.5)
+        assert code == 2
+        assert "['alhpa']" in _one_json_error(err)
+
+
+class TestOneResolvedRecord:
+    def test_capacity_records_its_params_from_flags_and_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("bandwidth_hz = 1e9\nsnr_db = 10\nalpha = 0.8\n")
+        out = tmp_path / "cap.json"
+        resolved = []
+        for argv in (["--snr-db", "10", "--bandwidth", "1e9", "--alpha", "0.8"],
+                     ["--config", str(cfg)]):
+            assert _run(capsys, "capacity", *argv, "--out", str(out))[0] == 0
+            resolved.append(json.loads((tmp_path / "cap.json.manifest.json").read_text())
+                            ["resolved"])
+        assert resolved[0] == resolved[1] == {
+            "bandwidth_hz": 1e9, "signal_power": 10.0, "noise_power": 1.0, "ici_power": 0.0,
+            "alpha": 0.8, "symbol_duration": 1.0,
+        }
+
+    def test_capacity_replay_is_byte_identical(self, capsys, tmp_path):
+        out = tmp_path / "cap.json"
+        assert _run(capsys, "capacity", "--snr-db", "10", "--bandwidth", "1e9",
+                    "--ici-power", "0.05", "--out", str(out))[0] == 0
+        original = out.read_bytes()
+        out.unlink()
+        assert _run(capsys, "--manifest", str(tmp_path / "cap.json.manifest.json"))[0] == 0
+        assert out.read_bytes() == original
+
+    def test_rate_flag_is_spelled_from_its_field(self, capsys, tmp_path):
+        out = tmp_path / "rates.json"
+        assert _run(capsys, "rates", "--data-symbols-per-frame", "64", "--out", str(out))[0] == 0
+        resolved = json.loads((tmp_path / "rates.json.manifest.json").read_text())["resolved"]
+        assert list(resolved) == ["alpha", "sample_rate", "n", "cp_len", "pam_order",
+                                  "data_symbols_per_frame", "training_symbols", "sync_symbols"]
+        assert resolved["data_symbols_per_frame"] == 64
+
+
 class TestErrorsExitCleanly:
     @pytest.mark.parametrize("argv", _SMALL_RUNS)
     def test_out_is_a_directory(self, capsys, tmp_path, sweep_cfg, argv):

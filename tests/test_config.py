@@ -247,6 +247,10 @@ class TestManifests:
              "'resolved' must be a JSON dict"),
             ({"subcommand": "rates", "resolved": {}, "seed": 0, "outputs": [{}]},
              "'outputs'"),
+            ({"subcommand": "rates", "resolved": {}, "seed": 0,
+              "outputs": [{"path": True, "format": "json"}]}, "'path' and 'format' strings"),
+            ({"subcommand": "rates", "resolved": {}, "seed": 0,
+              "outputs": [{"path": "r.json", "format": None}]}, "'path' and 'format' strings"),
         ],
     )
     def test_malformed_rejected_naming_field(self, tmp_path, payload, message):

@@ -1,5 +1,5 @@
-"""The quick demos run to completion as scripts (02, 04 and 05 take seconds
-each and are run by hand)."""
+"""The quick demos run to completion as scripts (04 and 05 take seconds each
+and are run by hand)."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("01_transforms_and_correlation.py", []),
     ("03_equalizer_convergence.py", ["  recovered exactly: True", "  words recovered: 256/256"]),
     ("06_capacity_limits.py", []),
+    ("02_ici_statistics.py", ["  samples            : 524288"]),  # last, so the ids above keep their numbers
 ])
 def test_demo_runs(name, expected_lines):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -111,3 +111,16 @@ def test_real_parameters_are_checked_in_one_place():
                    for r in raises):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_records_opens_files():
+    # Every file is read and written through records.opened, so an unreadable
+    # or undecodable file fails in one form wherever it is named.
+    openers = sorted(
+        f"{path.name}:{node.lineno}" for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _called_name(node) == "open"
+    )
+    assert [site for site in openers if not site.startswith("records.py:")] == []
+    assert openers, "records.py opens its files with open()"
+

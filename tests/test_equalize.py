@@ -147,14 +147,47 @@ class TestMapBand:
             np.nextafter(edges, -np.inf), [levels[0] - 1.0, levels[-1] + 1.0, np.nan],
         ])
         nearest = levels[pam_index(values, m)]
-        undecided = (half_gap - np.abs(values - nearest) <= d * half_gap) & (
-            np.abs(values - nearest) < half_gap
-        )
-        expected = np.where(undecided, values, nearest)
+        offset = np.abs(values - nearest)
+        to_midpoint = np.where(np.abs(values) > levels[-1], half_gap + offset,
+                               half_gap - offset)
+        decided = to_midpoint > d * half_gap
+        expected = np.where(decided, nearest, values)
         mapped = values.copy()
         snapped = _map_band(mapped, d, levels)
         np.testing.assert_array_equal(mapped, expected)
-        np.testing.assert_array_equal(snapped, ~undecided)
+        np.testing.assert_array_equal(snapped, decided)
+
+    @given(
+        values=arrays(np.float64, st.integers(1, 64), elements=st.floats(-3.0, 3.0)),
+        d=st.floats(0.01, 1.0),
+        m=st.sampled_from([2, 4, 8]),
+    )
+    def test_snaps_what_lies_beyond_the_band_around_every_midpoint(self, values, d, m):
+        # The rule of every PAM order: snapped iff farther than d half-gaps
+        # from the nearest midpoint between adjacent levels, measured here
+        # directly (entries within 1e-9 of the band edge are left out).
+        levels = pam_levels(m)
+        half_gap = 0.5 * (levels[1] - levels[0])
+        midpoints = 0.5 * (levels[1:] + levels[:-1])
+        to_midpoint = np.min(np.abs(values[:, None] - midpoints), axis=1) / half_gap
+        clear = np.abs(to_midpoint - d) > 1e-9
+        mapped = values.copy()
+        snapped = _map_band(mapped, d, levels)
+        np.testing.assert_array_equal(snapped[clear], to_midpoint[clear] > d)
+        np.testing.assert_array_equal(mapped[snapped], levels[pam_index(values, m)][snapped])
+        np.testing.assert_array_equal(mapped[~snapped], values[~snapped])
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_midpoints_and_nan_stay_undecided_and_outer_entries_snap(self, m):
+        levels = pam_levels(m)
+        half_gap = 0.5 * (levels[1] - levels[0])
+        midpoints = 0.5 * (levels[1:] + levels[:-1])
+        outer = [levels[0] - 0.9 * half_gap, levels[-1] + 0.9 * half_gap]
+        values = np.concatenate([midpoints, [np.nan], outer])
+        mapped = values.copy()
+        snapped = _map_band(mapped, 0.25, levels)
+        np.testing.assert_array_equal(snapped, [False] * (m - 1) + [False, True, True])
+        np.testing.assert_array_equal(mapped, [*midpoints, np.nan, levels[0], levels[-1]])
 
 
 class TestTrace:

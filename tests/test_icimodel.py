@@ -186,7 +186,7 @@ class TestMixturePdf:
 class TestIciHistogram:
     def test_orthogonal_case_is_two_spikes(self):
         cfg = ModemConfig(n=32, alpha=1.0, training_symbols=0, sync_symbols=0)
-        hist = ici_histogram(cfg, frames=64, rng_seed=1)
+        hist = ici_histogram(ici_samples(cfg, frames=64, rng_seed=1)[0])
         populated = hist.bin_centers[hist.density > 0]
         # All mass sits in the bins touching -1 and +1.
         assert np.all(np.abs(np.abs(populated) - 1.0) <= 0.021)
@@ -194,14 +194,27 @@ class TestIciHistogram:
 
     def test_deterministic(self):
         cfg = ModemConfig(n=32, alpha=0.8)
-        a = ici_histogram(cfg, frames=32, rng_seed=9)
-        b = ici_histogram(cfg, frames=32, rng_seed=9)
+        a = ici_histogram(ici_samples(cfg, frames=32, rng_seed=9)[0])
+        b = ici_histogram(ici_samples(cfg, frames=32, rng_seed=9)[0])
         assert np.array_equal(a.density, b.density)
 
     def test_zero_frames_rejected(self):
         cfg = ModemConfig(n=32, alpha=0.8)
         with pytest.raises(ParameterError, match="frames"):
-            ici_histogram(cfg, frames=0, rng_seed=1)
+            ici_samples(cfg, frames=0, rng_seed=1)
+
+    @pytest.mark.parametrize("values", [[], [0.5, np.nan], [np.inf]])
+    def test_bins_only_finite_samples(self, values):
+        with pytest.raises(ParameterError, match="^values must be nonempty and finite"):
+            ici_histogram(values)
+
+    def test_bins_the_samples_it_is_given(self):
+        hist = ici_histogram([-1.0, -1.0, 0.005, 1.99, 2.5])
+        assert hist.sample_count == 5
+        counts = np.rint(hist.density * 5 * 0.02).astype(int)
+        assert counts.sum() == 4  # 2.5 lies outside [-2, 2] but counts in the total
+        assert counts[np.searchsorted(hist.bin_edges, -1.0, side="right") - 1] == 2
+        assert counts[100] == 1 and counts[-1] == 1
 
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -216,7 +229,7 @@ class TestIciHistogram:
     def test_requires_binary_pam(self):
         cfg = ModemConfig(n=32, alpha=0.8, pam_order=4)
         with pytest.raises(ParameterError):
-            ici_histogram(cfg, frames=4, rng_seed=1)
+            ici_samples(cfg, frames=4, rng_seed=1)
 
     def test_interference_is_zero_mean(self):
         cfg = ModemConfig(n=64, alpha=0.8)
@@ -233,7 +246,7 @@ class TestIciHistogram:
 class TestCsvExport:
     def test_histogram_csv(self, tmp_path):
         cfg = ModemConfig(n=32, alpha=0.9)
-        hist = ici_histogram(cfg, frames=16, rng_seed=4)
+        hist = ici_histogram(ici_samples(cfg, frames=16, rng_seed=4)[0])
         path = tmp_path / "hist.csv"
         export_results(hist, path, format="csv")
         lines = path.read_text().splitlines()

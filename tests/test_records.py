@@ -15,18 +15,22 @@ from ftnlab.icimodel import CorrelationMatrix, IciHistogram, correlation_row
 from ftnlab.transforms import TransformKind
 
 # SHA-256 of each file as the hand-written writers of ftnlab 0.1.0 produced it
-# from the inputs below (manifests with "created_utc" blanked), except that the
-# rates and capacity manifests now record the JSON they write as "format": "json".
+# from the inputs below (manifests with "created_utc" blanked), except for the
+# rates and capacity manifests: both record the JSON they write as
+# "format": "json", the rates manifest names the data rows by their field name,
+# data_symbols_per_frame, and the capacity manifest records the resolved
+# CapacityParams (bandwidth_hz, signal_power, noise_power, ...) in place of the
+# --snr-db and --bandwidth flags it ran from.
 GOLDEN = {
     "capacity.json": "9c65bf5ebb7f1e4f6be698075d97f2a73822d1a58e43a0d5d945954cf913245a",
-    "capacity.json.manifest.json": "d6103648cba83e55f8ab8018760866649cafcd7d7ddcae6a78dc6ec362953277",
+    "capacity.json.manifest.json": "5956a1aa3ba55baf9f79af92971dfabbabc9a733c0f137bdb420791559fe48c6",
     "corr_row.csv": "17b2ad4bd891b790608718b35165f72213f1ddf094d69072ed5e68b1a6afec28",
     "hist.csv": "3b7a9495684a54eee15211aeab64a4f1bf37197fa898481123eef17028e41dfc",
     "hist.json": "6002eb6fb7924654342c6b91b5b0945084b17c68b766fb7161aeb4c0f9c56aa0",
     "psd.csv": "020000cf47f2b57e572c31fcc7d069d2a9e9fcc5d09f2b3f96c1a38b3b6dc721",
     "psd.json": "d74bd7ef3d1737aa80ee79aa4eecf6f12383cf7d04218ae9513ca2a58f257b3f",
     "rates.json": "e4687da46c1a961ad944c7bbe4d1206c0bc946aac6ec25ffb579de4e62c380e3",
-    "rates.json.manifest.json": "7ae8fb9911a45feeaf30e060bcc4391fc7e52b49ccb3fe555f76307fa75173c0",
+    "rates.json.manifest.json": "0cc51181c8085e8d28cb18a87df59cb25a3b791e6b3c996365461bd994144a6e",
     "stream.csv": "36f1af17563fcd5f3e6094d132a6f13cac070dd84e7310a9654dd0e79680b3dc",
     "sweep.csv": "c036bf7152604e95233b811e6af347ac754186088e250ecb5069629cc4563be7",
     "sweep.json": "899b4251a2c5e168fb75997c7115466b87d8235ca5dd0b90b2681dd94f48500e",
@@ -56,7 +60,7 @@ def digests(tmp_path_factory):
     density = rng.random(200) * 3.0
     density[:4] = (0.0, 0.0, 0.0, 5e-324)
     hist = IciHistogram(bin_edges=np.linspace(-2.0, 2.0, 201), density=density,
-                        sample_count=4096, residual_mean=0.0)
+                        sample_count=4096)
     density_db = rng.uniform(-80.0, 0.0, 129)
     density_db[:3] = (-np.inf, -0.0, 0.0)
     psd = PsdEstimate(frequency_hz=np.linspace(0.0, 5e9, 129), density_db=density_db,
