@@ -22,7 +22,6 @@ from .modem import (
     ModemConfig,
     experiment_baseline,
     pam_map,
-    pam_demap,
     transmit,
     receive,
     rate_report,

@@ -9,28 +9,26 @@ it has either seen `min_errors` bit errors or spent `max_bits` bits.
 Reproducibility: every batch draws its bit and noise streams from a seed
 sequence derived from (sweep seed, grid-point index, batch index), and a
 point runs its batches 0, 1, 2, ... in order, so it stops at the same batch
-wherever it runs.  `workers` threads share the points of one curve (a run of
-grid points with the same kind and alpha); results are identical for any
+wherever it runs.  At `workers` > 1 the grid is cut into contiguous runs of
+points, each run in its own worker process; results are identical for any
 worker count, and no batch is computed past a point's stopping point.
 
-Memory: every point of a sweep has the same frame layout, so each thread of
-a sweep allocates one batch workspace at its first point and reuses it for
-every later one; the heap is not faulted in again per point.  The
-workspaces go when the sweep returns.
+Memory: the points of a sweep share one frame layout, so each run of points
+reuses one batch workspace for all its batches; it goes with its run.
 """
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
 from . import channel, equalize, icimodel, modem, records
 from .exceptions import ParameterError, check_alpha, check_integer, check_power_of_two, check_real
-from .transforms import TransformKind, make_plan
+from .transforms import TransformKind
 
 _Z95 = 1.959963984540054
 
@@ -205,9 +203,12 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
     return sent.size, int(np.count_nonzero(errors))
 
 
-def _run_point(spec, config, id_cfg, point_idx, ebn0_db, work):
-    """Batches 0, 1, 2, ... in order until `min_errors` or `max_bits` stops,
-    all in `work`, a `_workspace` of the sweep's layout."""
+def _run_point(spec, point_idx, point, work):
+    """Grid point number `point_idx`: batches 0, 1, 2, ... in order until
+    `min_errors` or `max_bits` stops, all in `work`, a `_workspace`."""
+    kind, alpha, iterations, ebn0_db = point
+    config = replace(spec.config, kind=kind, alpha=alpha)
+    id_cfg = equalize.IdConfig(iterations, _point_matrix(kind, config.n, alpha), config.pam_order)
     bits = errors = batch_idx = 0
     while bits < spec.max_bits and (spec.min_errors == 0 or errors < spec.min_errors):
         batch_bits, batch_errors = _simulate_batch(
@@ -217,56 +218,58 @@ def _run_point(spec, config, id_cfg, point_idx, ebn0_db, work):
         bits += batch_bits
         errors += batch_errors
         batch_idx += 1
-    lo, hi = wilson_interval(errors, bits)
-    return BerPoint(
-        kind=config.kind,
-        alpha=config.alpha,
-        ebn0_db=ebn0_db,
-        iterations=id_cfg.iterations,
-        bits=bits,
-        errors=errors,
-        ber=errors / bits,
-        ci_lo=lo,
-        ci_hi=hi,
-    )
+    return BerPoint(kind, alpha, ebn0_db, iterations, bits, errors, errors / bits,
+                    *wilson_interval(errors, bits))
+
+
+def _run_points(spec, run):
+    """The points of `run`, (grid index, grid point) pairs, in one `_workspace`."""
+    work = _workspace(spec.config, spec.frames_per_batch)
+    return [_run_point(spec, idx, point, work) for idx, point in run]
+
+
+def _runs(spec, workers):
+    """The numbered grid in min(`workers`, points) contiguous runs."""
+    grid = list(enumerate(spec.grid()))
+    count = min(workers, len(grid))
+    bounds = [len(grid) * i // count for i in range(count + 1)]
+    return [grid[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# A spawned worker loads numpy, which sizes the BLAS thread pool, before it
+# runs our code, so these are set in the environment that it starts with.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _starmap_pinned(fn, arglists):
+    """`[fn(*args) for args in arglists]`, one spawned process per entry, BLAS at
+    one thread.  The caller's environment is left as it was; no worker outlives the call."""
+    saved = {name: os.environ[name] for name in _BLAS_THREADS if name in os.environ}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(len(arglists))
+    finally:
+        for name in _BLAS_THREADS:
+            del os.environ[name]
+        os.environ.update(saved)
+    with pool:  # terminates and joins the workers, also when a call raises
+        return pool.starmap(fn, arglists)
 
 
 def run_ber_sweep(spec, workers=1):
     """Run every grid point; deterministic for a fixed spec, any worker count.
 
-    The grid is walked one curve, a run of points with the same (kind,
-    alpha), at a time, so the one-entry plan and C caches hold for the whole
-    curve; up to `workers` threads share the curve's points.  Each thread
-    makes one `_workspace` at its first point and reuses it.
+    The grid is cut into min(`workers`, points) contiguous runs; several run in
+    one spawned process each, so a script calling this needs a __main__ guard.
     """
     check_integer(workers, "workers", 1)
     if spec.config.data_bits_per_frame == 0:
         raise ParameterError("frame layout carries zero data bits per batch")
-    points = []
-    local = threading.local()  # this sweep's workspace, one per thread
-    for (kind, alpha), curve in groupby(enumerate(spec.grid()), key=lambda p: p[1][:2]):
-        config = replace(spec.config, kind=kind, alpha=alpha)
-        matrix = _point_matrix(kind, config.n, alpha)
-
-        def run(point):
-            idx, (_, _, iterations, ebn0_db) = point
-            id_cfg = equalize.IdConfig(iterations, matrix, config.pam_order)
-            if not hasattr(local, "work"):
-                local.work = _workspace(config, spec.frames_per_batch)
-            return _run_point(spec, config, id_cfg, idx, ebn0_db, local.work)
-
-        curve = list(curve)
-        if workers == 1 or len(curve) == 1:
-            points.extend(map(run, curve))
-        else:
-            # Meant for BLAS at one thread.  The 3 x 6-point 256-subcarrier grid
-            # (min_errors 400, max_bits 4e6) with OPENBLAS_NUM_THREADS=1 on 2
-            # vCPUs, both measured 2026-10-18: 5.4-6.6 s serially and 3.8-4.6 s
-            # at 2 or 4 workers; later 6.2-6.4 s serially and 5.7-6.4 s at 2.
-            make_plan(kind, config.n, alpha)  # built here once, not by each thread
-            with ThreadPoolExecutor(min(workers, len(curve))) as pool:
-                points.extend(pool.map(run, curve))
-    return BerSweepResult(points=tuple(points))
+    runs = _runs(spec, workers)
+    if len(runs) == 1:
+        return BerSweepResult(points=tuple(_run_points(spec, runs[0])))
+    results = _starmap_pinned(_run_points, [(spec, run) for run in runs])
+    return BerSweepResult(points=tuple(p for points in results for p in points))
 
 
 # ---------------------------------------------------------------------------

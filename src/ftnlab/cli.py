@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 
 from . import __version__, berlab, capacity, config, icimodel, modem, records
 from .exceptions import ConfigError, ExportError, FramingError, ParameterError, ShapeError
@@ -45,31 +46,32 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ftnlab",
         description="Faster-than-Nyquist multicarrier simulation laboratory",
+        allow_abbrev=False,
     )
     parser.add_argument("--manifest", help="replay a run manifest")
     parser.add_argument("--version", action="version", version=f"ftnlab {__version__}")
-    sub = parser.add_subparsers(dest="subcommand")
+    add_parser = partial(parser.add_subparsers(dest="subcommand").add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("sweep-ber", help="Monte Carlo BER sweep over a parameter grid")
+    p = add_parser("sweep-ber", help="Monte Carlo BER sweep over a parameter grid")
     p.add_argument("--config", help="key/value config file")
     p.add_argument("--seed", type=int, help="RNG seed override")
     _out_flags(p)
     p.add_argument(
-        "--workers", type=int, default=1, help="threads sharing each curve's grid points"
+        "--workers", type=int, default=1, help="worker processes sharing the grid's points"
     )
 
-    p = sub.add_parser("corr-row", help="export one row of the correlation matrix")
+    p = add_parser("corr-row", help="export one row of the correlation matrix")
     _out_flags(p)
     _link_flags(p, "kind", "n", "alpha")
     p.add_argument("--k", type=int, default=128, help="subcarrier index")
 
-    p = sub.add_parser("ici-pdf", help="histogram of demodulated 2-PAM values")
+    p = add_parser("ici-pdf", help="histogram of demodulated 2-PAM values")
     _out_flags(p)
     _link_flags(p, "kind", "n", "alpha")
     p.add_argument("--frames", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
-    p = sub.add_parser("psd", help="Welch power spectral density of the waveform")
+    p = add_parser("psd", help="Welch power spectral density of the waveform")
     _out_flags(p)
     _link_flags(p, "kind", "n", "alpha", "cp_len", "sample_rate")
     p.add_argument("--frames", type=int, default=64)
@@ -78,7 +80,7 @@ def build_parser():
     p.add_argument("--window", default="hann")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
-    p = sub.add_parser("capacity", help="capacity-limit calculators")
+    p = add_parser("capacity", help="capacity-limit calculators")
     p.add_argument("--config", help="key/value config file")
     _out_flags(p, required=False, formats=False)
     p.add_argument("--alpha", type=float)
@@ -87,7 +89,7 @@ def build_parser():
     p.add_argument("--bandwidth", dest="bandwidth_hz", type=float, help="Hz")
     p.add_argument("--snr-db", type=float)
 
-    p = sub.add_parser("rates", help="symbol/Nyquist rate and bandwidth accounting")
+    p = add_parser("rates", help="symbol/Nyquist rate and bandwidth accounting")
     _out_flags(p, required=False, formats=False)
     _link_flags(p, "alpha", "sample_rate", "n", "cp_len", "pam_order", "data_symbols_per_frame",
                 "training_symbols", "sync_symbols")

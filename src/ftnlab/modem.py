@@ -191,12 +191,6 @@ def gray_demap(index, m, *, out=None):
     return out
 
 
-def pam_demap(values, m):
-    """Nearest-level hard decision (`pam_index`) followed by Gray de-mapping
-    (`gray_demap`) back to bits."""
-    return gray_demap(pam_index(values, m), m)
-
-
 # ---------------------------------------------------------------------------
 # Frames
 

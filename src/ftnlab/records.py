@@ -18,11 +18,11 @@ from .exceptions import ExportError, ParameterError
 
 @contextmanager
 def opened(path, mode="r"):
-    """`open(path, mode)`; text is read and written without newline
-    translation, as `csv` requires.  An `OSError` or undecodable text inside
-    the block becomes an `ExportError` naming the path."""
+    """`open(path, mode)`; UTF-8 text without newline translation, as `csv`
+    requires, and a read skips a leading byte-order mark.  An `OSError` or
+    undecodable text inside the block becomes an `ExportError` naming the path."""
     try:
-        with open(path, mode, newline="") as fh:
+        with open(path, mode, newline="", encoding="utf-8-sig" if mode == "r" else "utf-8") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise ExportError(f"{path}: {exc}") from exc

@@ -2,6 +2,8 @@
 
 import json
 import math
+import multiprocessing
+import os
 import re
 import sys
 
@@ -193,7 +195,8 @@ def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, bat
         constellation=config.pam_order,
     )
     decided = equalize.id_equalize_frame(id_cfg, np.concatenate(received))
-    rx_bits = modem.pam_demap(decided.ravel(), config.pam_order)
+    m = config.pam_order
+    rx_bits = modem.gray_demap(modem.pam_index(decided.ravel(), m), m)
     sent = np.concatenate(sent)
     return sent.size, int(np.sum(rx_bits != sent))
 
@@ -262,28 +265,39 @@ class TestRunSweep:
         )
         serial = run_ber_sweep(spec, workers=1)
         assert len(serial.points) == 24
-        # More threads than cores, switching often, share each curve's points.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for workers in (2, 4):
-                assert run_ber_sweep(spec, workers=workers) == serial
-        finally:
-            sys.setswitchinterval(interval)
+        for workers in (2, 4):
+            assert run_ber_sweep(spec, workers=workers) == serial
+
+    @staticmethod
+    def _check_pooled_runs(spec, monkeypatch):
+        # The runs a `workers=4` sweep hands its worker processes, run here
+        # instead, where the counters see them: a spawned worker does not see
+        # a monkeypatch.
+        apply_awgn, workspace = channel.apply_awgn, berlab._workspace
+        calls, made = [], []
+
+        def counted_awgn(awgn_spec, samples, **buffers):
+            calls.append(None)
+            return apply_awgn(awgn_spec, samples, **buffers)
+
+        def counted_workspace(config, n_frames):
+            made.append(None)
+            return workspace(config, n_frames)
+
+        monkeypatch.setattr(channel, "apply_awgn", counted_awgn)
+        monkeypatch.setattr(berlab, "_workspace", counted_workspace)
+        runs = berlab._runs(spec, 4)
+        assert len(runs) == 4
+        points = tuple(p for run in runs for p in berlab._run_points(spec, run))
+        assert points == run_ber_sweep(spec, workers=4).points
+        assert multiprocessing.active_children() == []
+        bits_per_batch = spec.frames_per_batch * spec.config.data_bits_per_frame
+        assert len(calls) == sum(p.bits for p in points) // bits_per_batch
+        assert len(made) == len(runs)
 
     def test_no_batch_past_the_stopping_point(self, monkeypatch):
-        apply_awgn = channel.apply_awgn
-        calls = []
-
-        def counted(spec, samples, **buffers):
-            calls.append(None)
-            return apply_awgn(spec, samples, **buffers)
-
-        monkeypatch.setattr(channel, "apply_awgn", counted)
-        spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
-        result = run_ber_sweep(spec, workers=4)
-        bits_per_batch = spec.frames_per_batch * spec.config.data_bits_per_frame
-        assert len(calls) == sum(p.bits for p in result.points) // bits_per_batch
+        self._check_pooled_runs(_fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0)),
+                                monkeypatch)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as on Linux")
     def test_batches_reuse_their_heap(self):
@@ -312,7 +326,7 @@ class TestRunSweep:
         one_point = faults((6.0,), 6)
         assert faults((4.0, 6.0, 8.0), 6) < one_point + 300
 
-    def test_one_workspace_per_thread_of_a_sweep(self, monkeypatch):
+    def test_one_workspace_per_run_of_a_sweep(self, monkeypatch):
         workspace = berlab._workspace
         made = []
 
@@ -328,12 +342,34 @@ class TestRunSweep:
         assert run_ber_sweep(spec) == first
         # The workspace goes with its sweep.
         assert len(made) == 2
-        curves = len(spec.alphas)
-        for workers in (2, 3):
-            made.clear()
-            assert run_ber_sweep(spec, workers=workers) == first
-            # Each curve's pool threads make their own, at most one each.
-            assert 1 <= len(made) <= workers * curves
+        monkeypatch.undo()
+        self._check_pooled_runs(spec, monkeypatch)
+
+    def test_runs_are_contiguous_in_grid_order(self):
+        spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
+        grid = list(enumerate(spec.grid()))
+        for workers, lengths in [(1, [6]), (4, [1, 2, 1, 2]), (6, [1] * 6), (9, [1] * 6)]:
+            runs = berlab._runs(spec, workers)
+            assert [len(run) for run in runs] == lengths
+            assert [p for run in runs for p in run] == grid
+
+    def test_raising_run_leaves_no_process_behind(self):
+        # A worker's exception reaches the caller, and its pool goes with it.
+        with pytest.raises(ValueError, match="invalid literal"):
+            berlab._starmap_pinned(int, [("1",), ("x",)])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_workers_run_blas_at_one_thread(self, monkeypatch, preset):
+        for name in berlab._BLAS_THREADS:
+            if preset is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, preset)
+        seen = berlab._starmap_pinned(os.getenv, [(name,) for name in berlab._BLAS_THREADS])
+        assert seen == ["1"] * 3
+        # The caller's environment is as it was.
+        assert [os.environ.get(name) for name in berlab._BLAS_THREADS] == [preset] * 3
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5])
     def test_bad_worker_count_rejected(self, workers):
@@ -487,6 +523,13 @@ class TestExportImport:
         export_results(result, path, format="csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "kind,alpha,ebn0_db,iterations,bits,errors,ber,ci_lo,ci_hi"
+        assert import_sweep(path, format="csv") == result
+
+    def test_csv_with_a_byte_order_mark(self, tmp_path, result):
+        path = tmp_path / "sweep.csv"
+        export_results(result, path, format="csv")
+        assert path.read_bytes().startswith(b"kind,")  # written without a mark
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert import_sweep(path, format="csv") == result
 
     def test_json_round_trip(self, tmp_path, result):

@@ -388,6 +388,19 @@ class TestBadInputFiles:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("subcommand,text", [
+        ("sweep-ber", _SWEEP_CFG), ("capacity", "bandwidth_hz = 1e9\nsnr_db = 10\n")])
+    def test_config_with_a_byte_order_mark(self, capsys, tmp_path, subcommand, text):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        outputs = []
+        for path in (plain, marked):
+            out = tmp_path / f"{path.stem}.json"
+            assert _run(capsys, subcommand, "--config", str(path), "--out", str(out))[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("subcommand", [argv[0] for argv in _SMALL_RUNS])
     def test_replayed_unknown_key_rejected(self, small_manifests, subcommand):
         code, err = _replay_edited(small_manifests, subcommand, "alhpa", 0.5)
@@ -450,6 +463,8 @@ class TestErrorsExitCleanly:
             ["rates", "--single-thread"],
             ["sweep-ber", "--single-thread"],
             ["ici-pdf", "--workers", "2"],
+            ["capacity", "--band", "1e9"],
+            ["rates", "--data-symbols", "64"],
         ],
         ids="-".join,
     )

@@ -124,3 +124,22 @@ def test_only_records_opens_files():
     assert [site for site in openers if not site.startswith("records.py:")] == []
     assert openers, "records.py opens its files with open()"
 
+
+
+def test_one_parallel_mechanism():
+    # A sweep's workers are processes that berlab starts; no module runs
+    # threads of its own or another pool.
+    imports = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imports.setdefault(name.split(".")[0], set()).add(path.name)
+    thread_modules = {name for name in sys.stdlib_module_names if "thread" in name}
+    assert not (thread_modules | {"concurrent"}) & imports.keys()
+    assert imports["multiprocessing"] == {"berlab.py"}

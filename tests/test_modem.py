@@ -9,7 +9,6 @@ from ftnlab.exceptions import FramingError, ParameterError
 from ftnlab.modem import (
     ModemConfig,
     gray_demap,
-    pam_demap,
     pam_index,
     pam_levels,
     pam_map,
@@ -48,17 +47,17 @@ class TestPamMapping:
             pam_map([0, 1, 1], 4)
 
     def test_demap_sign_decision(self):
-        assert list(pam_demap([-0.2, 0.9], 2)) == [0, 1]
+        assert list(gray_demap(pam_index([-0.2, 0.9], 2), 2)) == [0, 1]
 
     def test_demap_tie_breaks_low(self):
-        assert list(pam_demap([0.0], 2)) == [0]
+        assert list(gray_demap(pam_index([0.0], 2), 2)) == [0]
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_round_trip(self, m):
         rng = np.random.default_rng(0)
         k = int(np.log2(m))
         bits = rng.integers(0, 2, size=10_000 * k)
-        assert np.array_equal(pam_demap(pam_map(bits, m), m), bits)
+        assert np.array_equal(gray_demap(pam_index(pam_map(bits, m), m), m), bits)
 
     @pytest.mark.parametrize("m", [0, 1, 3, 6, 4.0])
     def test_bad_order(self, m):
@@ -97,12 +96,12 @@ class TestPamMapping:
         assert np.array_equal(pam_map(gray_demap(index, m), m), pam_levels(m)[index.ravel()])
 
     def test_demap_infinities_on_outer_levels(self):
-        assert list(pam_demap([-np.inf, np.inf], 2)) == [0, 1]
+        assert list(gray_demap(pam_index([-np.inf, np.inf], 2), 2)) == [0, 1]
         assert list(pam_index([-np.inf, np.inf], 8)) == [0, 7]
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_equalizer_and_demap_decide_alike(self, m):
-        # The equalizer's final levels and pam_demap use one nearest-level
+        # The equalizer's final levels and pam_index use one nearest-level
         # rule: at the exact midpoints, beyond the outer levels and at +-inf.
         levels = pam_levels(m)
         values = np.concatenate([
@@ -113,7 +112,8 @@ class TestPamMapping:
         matrix = CorrelationMatrix(kind=None, n=n, alpha=1.0, entries=np.eye(n))
         decided = id_equalize_frame(IdConfig(0, matrix, constellation=m), values[None, :])
         assert set(decided.ravel()) <= set(levels)
-        assert np.array_equal(pam_demap(decided, m), pam_demap(values, m))
+        assert np.array_equal(gray_demap(pam_index(decided, m), m),
+                              gray_demap(pam_index(values, m), m))
 
 
 def _binary_formula(values):
@@ -145,7 +145,7 @@ class TestPamIndex:
         out, scratch = np.full(values.shape, -7, np.int64), np.full(values.shape, 9.0)
         assert pam_index(values, 2, out=out, scratch=scratch) is out
         assert_array_equal(out, want)
-        assert_array_equal(pam_demap(values, 2), want, strict=True)
+        assert_array_equal(gray_demap(pam_index(values, 2), 2), want, strict=True)
 
     @pytest.mark.parametrize("values", [["a"], [1.0, "a"], [None], [[1.0], [1.0, 2.0]],
                                         np.array([1 + 2j, -1]), [1 + 2j]])
@@ -162,7 +162,7 @@ class TestPamIndex:
         with pytest.raises(ParameterError, match="m must be a power of two"):
             pam_index([0.5], m)
         with pytest.raises(ParameterError, match="m must be a power of two"):
-            pam_demap([0.5], m)
+            gray_demap([0], m)
 
 
 class TestGrayDemapChecks:
