@@ -14,7 +14,8 @@ points, each run in its own worker process; results are identical for any
 worker count, and no batch is computed past a point's stopping point.
 
 Memory: the points of a sweep share one frame layout, so each run of points
-reuses one batch workspace for all its batches; it goes with its run.
+reuses one batch workspace for all its batches; it goes with its run.  Of the
+N x N matrices, a sweep keeps the transform kernel and the detector's C - I.
 """
 
 import math
@@ -134,18 +135,19 @@ def bits_per_sample(config):
 
 
 # One entry, like the plan cache: the grid walks (kind, alpha) outermost, so
-# one C (8 N^2 bytes) serves a whole curve and repeated sweeps of it.
+# one detector config serves a curve's points and repeated sweeps of it.  It
+# holds C - I only (8 N^2 bytes); C itself is freed as soon as C - I exists.
 @lru_cache(maxsize=1)
-def _point_matrix(kind, n, alpha):
-    return icimodel.correlation_matrix(kind, n, alpha)
+def _point_matrix(kind, n, alpha, iterations, pam_order):
+    return equalize.IdConfig(iterations, icimodel.correlation_matrix(kind, n, alpha), pam_order)
 
 
 def _workspace(config, n_frames):
     """Buffers for one batch of `n_frames` frames, which every batch reuses,
     so a batch allocates (and page-faults) no full-size array but its bit
-    draw.  Three float arrays serve two stages each: the transmit rows, then
-    the received data rows; the waveform, then the ID's product; the AWGN
-    scratch, then the ID's estimate."""
+    draw.  Three float arrays serve several stages each: the transmit rows,
+    then the received data rows; the waveform, then the ID's product, then its
+    level indices; the AWGN scratch, then the ID's estimate."""
     frame_rows = (n_frames, config.symbols_per_frame)
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
 
@@ -166,7 +168,8 @@ def _workspace(config, n_frames):
         "estimate": head(noise, data_rows),
         "decided": head(flags, data_rows),
         "flags": flags,
-        "index": np.empty(data_rows, dtype=np.int64),
+        # The ID reads `product` last before its final decision (never at I = 0).
+        "index": head(waveform, data_rows).view(np.int64),
         # At M = 2 the level indices are the bits.
         "bits": None if config.pam_order == 2 else np.empty(bit_count, dtype=np.int64),
     }
@@ -208,7 +211,7 @@ def _run_point(spec, point_idx, point, work):
     `min_errors` or `max_bits` stops, all in `work`, a `_workspace`."""
     kind, alpha, iterations, ebn0_db = point
     config = replace(spec.config, kind=kind, alpha=alpha)
-    id_cfg = equalize.IdConfig(iterations, _point_matrix(kind, config.n, alpha), config.pam_order)
+    id_cfg = _point_matrix(kind, config.n, alpha, iterations, config.pam_order)
     bits = errors = batch_idx = 0
     while bits < spec.max_bits and (spec.min_errors == 0 or errors < spec.min_errors):
         batch_bits, batch_errors = _simulate_batch(

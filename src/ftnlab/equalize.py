@@ -14,13 +14,15 @@ vector is fully mapped.
 Iteration i maps with the band of the previous iteration, threshold
 1 - (i-1)/I, and then shrinks it.
 
+The detector reads C only through C - I, which `IdConfig` keeps in place of C.
+
 `id_equalize_linear` runs the same recursion with the mapping disabled;
 when the spectral radius of (C - I) is below 1 it converges to the
 zero-forcing solution C^-1 @ R, and for aggressive compression (where the
 radius reaches or exceeds 1) it reports divergence instead.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -30,15 +32,24 @@ from .modem import pam_index, pam_levels
 _DIVERGENCE_FACTOR = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdConfig:
-    iterations: int
-    matrix: object  # CorrelationMatrix
-    constellation: int = 2
+    """Detector settings for one correlation matrix C.
 
-    def __post_init__(self):
+    Only C - I (`matrix.off_diagonal`, read-only) is kept, as `off_diagonal`;
+    the `matrix` argument itself is not retained, so C can be freed once the
+    config exists.  Two configs compare equal only if they are the same object.
+    """
+
+    iterations: int
+    matrix: InitVar[object]  # CorrelationMatrix
+    constellation: int = 2
+    off_diagonal: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, matrix):
         check_integer(self.iterations, "iterations", 0)
         check_power_of_two(self.constellation, "constellation")
+        object.__setattr__(self, "off_diagonal", matrix.off_diagonal)
 
 
 @dataclass
@@ -90,7 +101,7 @@ def _iterate(config, received, trace=None, index=None, estimate=None, product=No
     if config.iterations == 0:
         return pam_index(received, config.constellation, out=index, scratch=estimate)
     levels = pam_levels(config.constellation)
-    off_diag_t = config.matrix.off_diagonal.T
+    off_diag_t = config.off_diagonal.T
     # S_0 = 0 makes the first product exactly +0, so S_1 = R.
     estimate = np.empty(received.shape) if estimate is None else estimate
     np.copyto(estimate, received)
@@ -132,10 +143,9 @@ def id_equalize_frame(config, rows, *, indices=False, out=None, estimate=None,
     `product` and bool `decided` for the iteration's work.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != config.matrix.n:
-        raise ShapeError(
-            f"rows must have shape (m, {config.matrix.n}), got {rows.shape}"
-        )
+    n = len(config.off_diagonal)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ShapeError(f"rows must have shape (m, {n}), got {rows.shape}")
     check_buffer(out, rows.shape, np.int64 if indices else np.float64, "out")
     check_buffer(estimate, rows.shape, np.float64, "estimate")
     check_buffer(product, rows.shape, np.float64, "product")
@@ -159,7 +169,7 @@ class LinearIdResult:
 def id_equalize_linear(config, r):
     """Run the recursion without constellation mapping (analysis helper)."""
     r = _check_vector(config, r)
-    off_diag = config.matrix.off_diagonal
+    off_diag = config.off_diagonal
     estimate = np.zeros_like(r)
     scale = max(float(np.linalg.norm(r)), 1.0)
     norms = []
@@ -181,8 +191,7 @@ def iteration_spectral_radius(matrix):
 
 def _check_vector(config, r):
     r = np.asarray(r, dtype=np.float64)
-    if r.ndim != 1 or r.size != config.matrix.n:
-        raise ShapeError(
-            f"r must be a length-{config.matrix.n} vector, got shape {r.shape}"
-        )
+    n = len(config.off_diagonal)
+    if r.ndim != 1 or r.size != n:
+        raise ShapeError(f"r must be a length-{n} vector, got shape {r.shape}")
     return r

@@ -60,19 +60,27 @@ class TransformPlan:
 
 
 def _frct_kernel(n, alpha):
+    # The module docstring's formula, one operation at a time in one N x N
+    # array: no N^2 temporaries, and the operation order (which fixes every
+    # rounding) of the plain one-expression form, so the bits are the same.
     samp = np.arange(n)[:, None]
     sub = np.arange(n)[None, :]
     weight = np.where(sub == 0, 1.0 / np.sqrt(2.0), 1.0)
-    return np.sqrt(2.0 / n) * weight * np.cos(
-        np.pi * alpha * (2 * samp + 1) * sub / (2 * n)
-    )
+    kernel = np.multiply(np.pi * alpha * (2 * samp + 1), sub, out=np.empty((n, n)))
+    np.divide(kernel, 2 * n, out=kernel)
+    np.cos(kernel, out=kernel)
+    return np.multiply(np.sqrt(2.0 / n) * weight, kernel, out=kernel)
 
 
 def _frht_kernel(n, alpha):
+    # As `_frct_kernel`, on two N x N arrays.
     samp = np.arange(n)[:, None]
     sub = np.arange(n)[None, :]
-    theta = 2.0 * np.pi * alpha * samp * sub / n
-    return np.sqrt(1.0 / n) * (np.cos(theta) + np.sin(theta))
+    theta = np.multiply(2.0 * np.pi * alpha * samp, sub, out=np.empty((n, n)))
+    np.divide(theta, n, out=theta)
+    kernel = np.cos(theta)
+    np.add(kernel, np.sin(theta, out=theta), out=kernel)
+    return np.multiply(np.sqrt(1.0 / n), kernel, out=kernel)
 
 
 def make_plan(kind, n, alpha):

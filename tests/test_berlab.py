@@ -6,12 +6,14 @@ import multiprocessing
 import os
 import re
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from ftnlab import berlab, channel, equalize, modem, records, transforms
+from ftnlab import berlab, channel, equalize, icimodel, modem, records, transforms
 from ftnlab.berlab import (
     BerPoint,
     BerSweepResult,
@@ -412,6 +414,90 @@ class TestRunSweep:
         }
         for curve in curves.values():
             assert [p.ebn0_db for p in curve] == [4.0, 6.0]
+
+
+class TestSweepMemory:
+    """A sweep keeps two N x N matrices, the kernel and the detector's C - I."""
+
+    N = 1024
+
+    def test_one_point_sweep_peak_and_held_memory(self):
+        spec = SweepSpec(
+            config=experiment_baseline(n=self.N), alphas=(0.8,), ebn0_dbs=(6.0,),
+            iteration_counts=(2,), frames_per_batch=1, max_bits=100_000, min_errors=0,
+        )
+        _point_matrix.cache_clear()
+        transforms._cached_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_ber_sweep(spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = 8 * self.N**2
+        assert (peak - base) < 3.0 * matrix_bytes
+        assert (held - base) < 2.5 * matrix_bytes
+
+    def test_sweep_keeps_no_correlation_matrix(self, monkeypatch):
+        built = []
+        build = icimodel.correlation_matrix
+
+        def tracked(*args):
+            c = build(*args)
+            built.append(weakref.ref(c))
+            return c
+
+        monkeypatch.setattr(icimodel, "correlation_matrix", tracked)
+        _point_matrix.cache_clear()
+        run_ber_sweep(_fast_spec(alphas=(0.9, 0.8), iteration_counts=(0, 10)), workers=1)
+        assert built and all(ref() is None for ref in built)
+        # One build per (kind, alpha, iterations) run of the grid.
+        assert len(built) == 4
+
+
+def _wilson_z(errors, bits, z):
+    """Wilson score interval at `z` standard deviations."""
+    phat, z2 = errors / bits, z * z
+    center = (phat + z2 / (2 * bits)) / (1 + z2 / bits)
+    half = z / (1 + z2 / bits) * math.sqrt(phat * (1 - phat) / bits + z2 / (4 * bits * bits))
+    return center - half, center + half
+
+
+class TestNoiseIntegratedReference:
+    """At I = 0 a data row is r = C s + K^T w with white w, so entry k of a
+    2-PAM row errs with probability Q(s_k (C s)_k / (sigma sqrt(C_kk))).
+    Averaged over random frames, with sigma from each draw's waveform energy,
+    this is a BER below alpha = 1 that uses no noise draw and no detector."""
+
+    @pytest.mark.parametrize(
+        "kind,alpha", [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.45)]
+    )
+    def test_sweep_matches_noise_integrated_ber(self, kind, alpha):
+        ebn0_db, frames, draws = 4.0, 4, 16
+        config = experiment_baseline(alpha=alpha, kind=kind)
+        c = correlation_matrix(kind, config.n, alpha).entries
+        awgn = channel.AwgnSpec(ebn0_db, bits_per_sample(config))
+        first_data = config.sync_symbols + config.training_symbols
+        rng = np.random.default_rng(2024)
+        probs = []
+        for _ in range(draws):
+            rows = np.empty((frames, config.symbols_per_frame, config.n))
+            bits = modem.random_data_bits(config, rng, frames)
+            waveform = modem.transmit(config, bits, rows=rows)
+            sigma = channel.noise_sigma(awgn, channel.measure_sample_energy(waveform))
+            s = rows[:, first_data:].reshape(-1, config.n)
+            margin = s * (s @ c) / (sigma * np.sqrt(np.diag(c)))
+            probs.append(np.mean(0.5 * erfc(margin / math.sqrt(2.0))))
+        expected = float(np.mean(probs))
+        spec = SweepSpec(
+            config=config, alphas=(alpha,), ebn0_dbs=(ebn0_db,), iteration_counts=(0,),
+            kinds=(kind,), max_bits=1_000_000, min_errors=0, frames_per_batch=frames, seed=5,
+        )
+        point = run_ber_sweep(spec).points[0]
+        lo, hi = _wilson_z(point.errors, point.bits, 5.0)
+        assert lo < expected < hi
 
 
 class TestRequiredEbn0:

@@ -48,6 +48,20 @@ class TestIdConfig:
             IdConfig(iterations=5, matrix=_matrix(4, 0.9), constellation=m)
 
 
+    def test_keeps_only_the_off_diagonal(self):
+        c = _matrix(8, 0.9)
+        cfg = IdConfig(3, c)
+        assert not hasattr(cfg, "matrix")
+        assert cfg.off_diagonal is c.off_diagonal
+        assert "off_diagonal" not in repr(cfg)
+
+    def test_configs_of_different_matrices_differ(self):
+        a = IdConfig(3, _matrix(8, 0.9))
+        assert a == a
+        assert a != IdConfig(3, _matrix(8, 0.8))
+        assert a != IdConfig(3, _matrix(8, 0.9))
+
+
 class TestNoiselessRecovery:
     def test_identity_matrix_is_hard_decision(self):
         cfg = IdConfig(iterations=5, matrix=_matrix(8, 1.0))

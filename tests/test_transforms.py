@@ -8,7 +8,27 @@ from numpy.testing import assert_allclose
 
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
-from ftnlab.transforms import TransformKind, demultiplex, make_plan, multiplex
+from ftnlab.transforms import (
+    TransformKind, _frct_kernel, _frht_kernel, demultiplex, make_plan, multiplex,
+)
+
+
+def _frct_reference(n, alpha):
+    """The FrCT kernel formula as one allocating expression."""
+    samp = np.arange(n)[:, None]
+    sub = np.arange(n)[None, :]
+    weight = np.where(sub == 0, 1.0 / np.sqrt(2.0), 1.0)
+    return np.sqrt(2.0 / n) * weight * np.cos(
+        np.pi * alpha * (2 * samp + 1) * sub / (2 * n)
+    )
+
+
+def _frht_reference(n, alpha):
+    """The FrHT kernel formula as one allocating expression."""
+    samp = np.arange(n)[:, None]
+    sub = np.arange(n)[None, :]
+    theta = 2.0 * np.pi * alpha * samp * sub / n
+    return np.sqrt(1.0 / n) * (np.cos(theta) + np.sin(theta))
 
 
 class TestMakePlan:
@@ -57,6 +77,18 @@ class TestMakePlan:
     def test_bad_kind(self):
         with pytest.raises(ParameterError, match="kind"):
             make_plan("FrCT", 8, 0.9)
+
+
+class TestKernelBuild:
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45, 0.1, np.float64(0.7)])
+    @pytest.mark.parametrize("n", [2, 3, 16, 100, 256, 1024])
+    @pytest.mark.parametrize(
+        "build,reference", [(_frct_kernel, _frct_reference), (_frht_kernel, _frht_reference)]
+    )
+    def test_in_place_build_is_byte_identical(self, build, reference, n, alpha):
+        kernel = build(n, alpha)
+        assert kernel.dtype == np.float64 and kernel.shape == (n, n)
+        assert kernel.tobytes() == reference(n, alpha).tobytes()
 
 
 class TestMultiplex:
