@@ -26,10 +26,14 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .exceptions import ShapeError, check_buffer, check_integer, check_power_of_two
+from .exceptions import (
+    ParameterError, ShapeError, check_buffer, check_integer, check_power_of_two,
+)
+from .icimodel import CorrelationMatrix
 from .modem import pam_index, pam_levels
 
 _DIVERGENCE_FACTOR = 1e6
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +46,17 @@ class IdConfig:
     """
 
     iterations: int
-    matrix: InitVar[object]  # CorrelationMatrix
+    matrix: InitVar[CorrelationMatrix]
     constellation: int = 2
     off_diagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, matrix):
         check_integer(self.iterations, "iterations", 0)
         check_power_of_two(self.constellation, "constellation")
+        if not isinstance(matrix, CorrelationMatrix):
+            raise ParameterError(
+                f"matrix must be an icimodel.CorrelationMatrix, got {type(matrix).__name__}"
+            )
         object.__setattr__(self, "off_diagonal", matrix.off_diagonal)
 
 
@@ -63,17 +71,22 @@ class IdTrace:
 def _map_band(values, d, levels, mag=None, decided=None):
     """In place: snap entries farther than d from their nearest level midpoint;
     leave the rest undecided.  Returns the mask of the snapped entries.  For
-    2-PAM this is: |v| > d -> sign(v), else unchanged; `mag` and `decided` are
-    optional float and bool scratch arrays of the shape of `values`."""
+    2-PAM this is: |v| > d -> sign(v), else unchanged, bit for bit, each entry
+    keeping its own sign bit; `mag` and `decided` are optional float and bool
+    scratch arrays of the shape of `values`."""
     if len(levels) == 2:
         # Branch-free and exact for d in [0, 1]: a decided entry gets
-        # max(min(|v|, d), 1) = 1, an undecided one max(|v|, 0) = |v|; the
-        # sign comes back from v itself (so -0 and NaN keep theirs).
+        # max(min(|v|, d), 1) = 1, an undecided one max(|v|, 0) = |v|.  The
+        # sign bit comes back from v itself (so -0 and NaN keep theirs): the
+        # magnitude's sign bit is clear, so keeping v's sign bit and OR-ing in
+        # the magnitude's bits is copysign(mag, v) in two integer passes.
         mag = np.abs(values, out=mag)
         decided = np.greater(mag, d, out=decided)
         np.minimum(mag, d, out=mag)
         np.maximum(mag, decided, out=mag)
-        np.copysign(mag, values, out=values)
+        bits = values.view(np.uint64)
+        bits &= _SIGN_BIT
+        bits |= mag.view(np.uint64)
         return decided
     # M > 2 (experimental): the 2-PAM rule in units of the half level spacing.
     # An entry is snapped to its nearest level, the one `pam_index` decides
@@ -95,25 +108,32 @@ def _iterate(config, received, trace=None, index=None, estimate=None, product=No
     level index (`pam_index`) of every entry, written to `index` if given.
 
     `estimate` and `product` are float scratch of the stack's shape, and
-    `decided` bool; `product` doubles as the band map's magnitude, and the
-    final decision works in place on `estimate`.
+    `decided` bool.  S_i and S_{i-1} take the two float buffers in turn: the
+    product (C - I) @ S_{i-1} goes to the buffer S_{i-1} does not hold, the
+    residual R - product replaces it there as S_i, and the buffer of S_{i-1}
+    becomes the band map's magnitude.  The start is chosen so that S_I ends
+    in `estimate`, and the final decision works in place on it, so `index`
+    may share `product`'s memory.
     """
     if config.iterations == 0:
         return pam_index(received, config.constellation, out=index, scratch=estimate)
     levels = pam_levels(config.constellation)
     off_diag_t = config.off_diagonal.T
-    # S_0 = 0 makes the first product exactly +0, so S_1 = R.
     estimate = np.empty(received.shape) if estimate is None else estimate
-    np.copyto(estimate, received)
     product = np.empty(received.shape) if product is None else product
     decided = np.empty(received.shape, dtype=bool) if decided is None else decided
-    d = 1.0
     total = config.iterations
+    # S_1 lands in `estimate` iff I is odd; S_0 = 0 makes the first product
+    # exactly +0, so S_1 = R.
+    current, spare = (estimate, product) if total % 2 else (product, estimate)
+    np.copyto(current, received)
+    d = 1.0
     for i in range(1, total + 1):
         if i > 1:
-            np.matmul(estimate, off_diag_t, out=product)
-            np.subtract(received, product, out=estimate)
-        snapped = _map_band(estimate, d, levels, product, decided)
+            current, spare = spare, current
+            np.matmul(spare, off_diag_t, out=current)
+            np.subtract(received, current, out=current)
+        snapped = _map_band(current, d, levels, spare, decided)
         d = 1.0 - i / total
         if trace is not None:
             trace.undecided_counts.append(snapped.size - int(np.count_nonzero(snapped)))

@@ -500,6 +500,26 @@ class TestNoiseIntegratedReference:
         assert lo < expected < hi
 
 
+class TestNoiseFreeFloor:
+    def test_frct_alpha09_has_no_floor_at_20_iterations(self):
+        # Without noise a data row is exactly C s, so every error is the
+        # detector's own; FrCT alpha 0.9 at I = 20 makes none in 2 M bits.
+        frames, draws = 4, 16
+        config = experiment_baseline(alpha=0.9)
+        id_cfg = equalize.IdConfig(20, correlation_matrix(config.kind, config.n, config.alpha))
+        rng = np.random.default_rng(9)
+        bits = errors = 0
+        for _ in range(draws):
+            sent = modem.random_data_bits(config, rng, frames)
+            received = modem.receive(config, modem.transmit(config, sent))
+            index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n),
+                                               indices=True)
+            bits += sent.size
+            errors += int(np.count_nonzero(modem.gray_demap(index, 2) != sent.ravel()))
+        assert bits == 2_097_152
+        assert errors == 0
+
+
 class TestRequiredEbn0:
     def _result(self, bers, ebn0s=None):
         ebn0s = ebn0s or list(range(len(bers)))

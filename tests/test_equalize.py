@@ -1,6 +1,7 @@
 """Iterative-detection equalizer: recovery, traces, and linear analysis."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,17 @@ def _compress(c, sent):
     return sent @ c.entries.T
 
 
+# Quiet and signalling NaNs of both signs with several payloads, signed
+# zeros, infinities and subnormals (the smallest and the largest).
+_SPECIAL_VALUES = np.concatenate([
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+              0xFFF80000DEADBEEF, 0x7FF0000000000001, 0xFFF0000000000001,
+              0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64),
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nextafter(2.0**-1022, 0.0),
+     -np.nextafter(2.0**-1022, 0.0)],
+])
+
+
 class TestIdConfig:
     def test_negative_iterations(self):
         with pytest.raises(ParameterError, match="iterations"):
@@ -47,6 +59,10 @@ class TestIdConfig:
         with pytest.raises(ParameterError, match="constellation"):
             IdConfig(iterations=5, matrix=_matrix(4, 0.9), constellation=m)
 
+    @pytest.mark.parametrize("matrix", [np.eye(4), None, "C"])
+    def test_matrix_must_be_a_correlation_matrix(self, matrix):
+        with pytest.raises(ParameterError, match="^matrix must be an icimodel.CorrelationMatrix"):
+            IdConfig(3, matrix)
 
     def test_keeps_only_the_off_diagonal(self):
         c = _matrix(8, 0.9)
@@ -141,12 +157,14 @@ class TestMapBand:
         scratch=st.booleans(),
     )
     def test_two_level_map_is_sign_outside_band(self, values, d, scratch):
-        expected = np.where(np.abs(values) > d, np.sign(values), values)
+        # Compared bit for bit: array equality treats every NaN alike and
+        # -0 like +0, so it cannot see a slip in the sign transfer.
+        values = np.concatenate([values, _SPECIAL_VALUES])
+        expected = np.where(np.abs(values) > d, np.copysign(1.0, values), values)
         mapped = values.copy()
         buffers = (np.empty_like(values), np.empty(values.shape, bool)) if scratch else ()
         snapped = _map_band(mapped, d, pam_levels(2), *buffers)
-        np.testing.assert_array_equal(mapped, expected)
-        np.testing.assert_array_equal(np.signbit(mapped), np.signbit(expected))
+        np.testing.assert_array_equal(mapped.view(np.uint64), expected.view(np.uint64))
         np.testing.assert_array_equal(snapped, np.abs(values) > d)
 
     @pytest.mark.parametrize("d", [0.0, 0.25, 1.0])
@@ -282,6 +300,80 @@ class TestShapes:
         for i in range(10):
             single, _ = id_equalize(cfg, rows[i])
             assert np.array_equal(batch[i], single)
+
+
+def _reference_indices(off_diagonal, received, iterations, m):
+    """The module docstring's recursion, out of place and with np.where:
+    S_0 = 0, S_i = R - (C - I) @ S_{i-1}, and iteration i's band map at
+    d = 1 - (i-1)/I; returns the level indices of the final hard decision."""
+    levels = pam_levels(m)
+    half_gap = 0.5 * (levels[1] - levels[0])
+    s = np.zeros_like(received)
+    for i in range(1, iterations + 1):
+        s = received - s @ off_diagonal.T
+        d = 1.0 - (i - 1) / iterations
+        if m == 2:
+            s = np.where(np.abs(s) > d, np.copysign(1.0, s), s)
+            continue
+        nearest = levels[pam_index(s, m)]
+        offset = np.abs(s - nearest)
+        to_midpoint = np.where(np.abs(s) > levels[-1], half_gap + offset, half_gap - offset)
+        s = np.where(to_midpoint > d * half_gap, nearest, s)
+    return pam_index(s, m)
+
+
+class TestReferenceRecursion:
+    @pytest.mark.parametrize(
+        "layout", ["levels", "levels+buffers", "indices", "indices+buffers", "indices+aliased"]
+    )
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 20])
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize(
+        "kind,alpha", [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.6)]
+    )
+    def test_frame_matches_out_of_place_recursion(self, kind, alpha, m, iterations, layout):
+        rows, n = 48, 32
+        c = _matrix(n, alpha, kind)
+        rng = np.random.default_rng(11)
+        sent = pam_levels(m)[rng.integers(0, m, size=(rows, n))]
+        received = _compress(c, sent) + 0.05 * rng.normal(size=(rows, n))
+        expected = _reference_indices(c.off_diagonal, received, iterations, m)
+        indices = layout.startswith("indices")
+        buffers = {}
+        if "+" in layout:
+            # Stale contents must not leak into the result.
+            product = np.full((rows, n), np.nan)
+            buffers = dict(estimate=np.full((rows, n), np.nan), product=product,
+                           decided=np.ones((rows, n), bool))
+            if layout == "indices+aliased":
+                # The sweep's layout: the indices share `product`'s memory.
+                buffers["out"] = product.view(np.int64)
+        got = id_equalize_frame(IdConfig(iterations, c, m), received, indices=indices, **buffers)
+        if not indices:
+            expected = pam_levels(m)[expected]
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_two_level_loop_allocates_no_full_size_array(self):
+        # With every buffer given, the loop runs in place: the traced peak
+        # stays below the size of one bool array of the stack's shape.
+        rows, n = 512, 256
+        c = _matrix(n, 0.8)
+        rng = np.random.default_rng(12)
+        received = _compress(c, 2.0 * rng.integers(0, 2, size=(rows, n)) - 1.0)
+        received += 0.1 * rng.normal(size=(rows, n))
+        product = np.empty((rows, n))
+        buffers = dict(out=product.view(np.int64), estimate=np.empty((rows, n)),
+                       product=product, decided=np.empty((rows, n), bool))
+        cfg = IdConfig(20, c)
+        id_equalize_frame(cfg, received, indices=True, **buffers)
+        tracemalloc.start()
+        try:
+            id_equalize_frame(cfg, received, indices=True, **buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * n
 
 
 class TestLinearRecursion:
