@@ -17,6 +17,7 @@ from ftnlab.equalize import (
     iteration_spectral_radius,
 )
 from ftnlab.icimodel import correlation_matrix
+from ftnlab.modem import pam_levels
 from ftnlab.transforms import TransformKind
 
 
@@ -40,7 +41,7 @@ def main():
     print("=" * 70)
     c = correlation_matrix(TransformKind.FRCT, 8, 0.9)
     words = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
-    out = id_equalize_frame(IdConfig(iterations=20, matrix=c), words @ c.entries.T)
+    out = pam_levels(2)[id_equalize_frame(IdConfig(iterations=20, matrix=c), words @ c.entries.T)]
     print(f"  words recovered: {int(np.sum(np.all(out == words, axis=1)))}/256")
 
     print()

@@ -198,8 +198,8 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
     channel.apply_awgn(spec, waveform, out=waveform, scratch=work["noise"])
     received = modem.receive(config, waveform, out=work["received"])
     index = equalize.id_equalize_frame(
-        id_cfg, received.reshape(-1, config.n), indices=True, out=work["index"],
-        estimate=work["estimate"], product=work["product"], decided=work["decided"],
+        id_cfg, received.reshape(-1, config.n), out=work["index"], estimate=work["estimate"],
+        product=work["product"], decided=work["decided"],
     )
     rx_bits = modem.gray_demap(index, config.pam_order, out=work["bits"])
     errors = np.not_equal(rx_bits, sent.ravel(), out=work["flags"])
@@ -266,8 +266,8 @@ def run_ber_sweep(spec, workers=1):
     one spawned process each, so a script calling this needs a __main__ guard.
     """
     check_integer(workers, "workers", 1)
-    if spec.config.data_bits_per_frame == 0:
-        raise ParameterError("frame layout carries zero data bits per batch")
+    if spec.config.data_symbols_per_frame == 0:
+        raise ParameterError("data_symbols_per_frame must be >= 1 in a BER sweep, got 0")
     runs = _runs(spec, workers)
     if len(runs) == 1:
         return BerSweepResult(points=tuple(_run_points(spec, runs[0])))
@@ -291,23 +291,22 @@ class RequiredEbn0:
 
 
 def _interp_ebn0(curve, target_ber):
-    bers = [p.ber for p in curve]
-    if all(b > target_ber for b in bers):
+    # The first point at or below the target; a curve that only touches it is "ok".
+    reached = next((i for i, p in enumerate(curve) if p.ber <= target_ber), None)
+    if reached is None:
         return RequiredEbn0(status="floor")
-    if bers[0] < target_ber:
+    right = curve[reached]
+    if reached == 0 and right.ber < target_ber:
         return RequiredEbn0(status="all_below")
-    for left, right in zip(curve, curve[1:]):
-        if left.ber >= target_ber and right.ber < target_ber:
-            # Zero-error points get a half-error continuity floor for the log.
-            b_left = max(left.ber, 0.5 / left.bits)
-            b_right = max(right.ber, 0.5 / right.bits)
-            t = (math.log10(target_ber) - math.log10(b_left)) / (
-                math.log10(b_right) - math.log10(b_left)
-            )
-            return RequiredEbn0(
-                status="ok", ebn0_db=left.ebn0_db + t * (right.ebn0_db - left.ebn0_db)
-            )
-    return RequiredEbn0(status="floor")
+    # A zero-error point gets a half-error continuity floor for the log; where
+    # that floor is not below the target, the point itself places the crossing.
+    b_right = max(right.ber, 0.5 / right.bits)
+    if reached == 0 or b_right >= target_ber:
+        return RequiredEbn0(status="ok", ebn0_db=right.ebn0_db)
+    left = curve[reached - 1]  # left.ber > target_ber > 0
+    log_left = math.log10(left.ber)
+    t = (math.log10(target_ber) - log_left) / (math.log10(b_right) - log_left)
+    return RequiredEbn0(status="ok", ebn0_db=left.ebn0_db + t * (right.ebn0_db - left.ebn0_db))
 
 
 def required_ebn0_at_ber(result, target_ber):
@@ -421,7 +420,7 @@ def export_results(result, path, format="csv"):
             segment=result.segment, overlap=result.overlap, window=result.window,
         )
     else:
-        raise ParameterError(f"unsupported result type {type(result).__name__}")
+        raise ParameterError(f"result of type {type(result).__name__} cannot be exported")
 
 
 def import_sweep(path, format="csv"):

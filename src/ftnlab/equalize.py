@@ -73,7 +73,9 @@ def _map_band(values, d, levels, mag=None, decided=None):
     leave the rest undecided.  Returns the mask of the snapped entries.  For
     2-PAM this is: |v| > d -> sign(v), else unchanged, bit for bit, each entry
     keeping its own sign bit; `mag` and `decided` are optional float and bool
-    scratch arrays of the shape of `values`."""
+    scratch arrays of the shape of `values`.  Needs d >= 2**-53 (the loop's
+    bands are about 1/I or wider): `pam_index` puts (0, 2**-53] on the lower
+    level, so only then does every snapped entry get the level it decides."""
     if len(levels) == 2:
         # Branch-free and exact for d in [0, 1]: a decided entry gets
         # max(min(|v|, d), 1) = 1, an undecided one max(|v|, 0) = |v|.  The
@@ -113,7 +115,7 @@ def _iterate(config, received, trace=None, index=None, estimate=None, product=No
     residual R - product replaces it there as S_i, and the buffer of S_{i-1}
     becomes the band map's magnitude.  The start is chosen so that S_I ends
     in `estimate`, and the final decision works in place on it, so `index`
-    may share `product`'s memory.
+    may share `product`'s memory, as in the sweep's workspace.
     """
     if config.iterations == 0:
         return pam_index(received, config.constellation, out=index, scratch=estimate)
@@ -150,33 +152,24 @@ def id_equalize(config, r):
     return pam_levels(config.constellation)[index], trace
 
 
-def id_equalize_frame(config, rows, *, indices=False, out=None, estimate=None,
-                      product=None, decided=None):
+def id_equalize_frame(config, rows, *, out=None, estimate=None, product=None, decided=None):
     """Vectorized equalization of an (m, N) stack of received vectors.
 
-    Returns the decided levels, or with `indices=True` their level indices
-    (`modem.pam_index` of the levels, ready for `modem.gray_demap`), so a
-    caller that wants bits makes each decision once.
-
-    Optional buffers, each of the stack's shape and C-contiguous: `out` for
-    the result (int64 indices or float64 levels), float64 `estimate` and
-    `product` and bool `decided` for the iteration's work.
+    Returns the level index (`modem.pam_index`, ready for `modem.gray_demap`)
+    of every decision; `pam_levels(config.constellation)[index]` gives the
+    levels.  Optional buffers, each of the stack's shape and C-contiguous:
+    int64 `out` for the result, float64 `estimate` and `product` and bool
+    `decided` for the iteration's work.
     """
     rows = np.asarray(rows, dtype=np.float64)
     n = len(config.off_diagonal)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ShapeError(f"rows must have shape (m, {n}), got {rows.shape}")
-    check_buffer(out, rows.shape, np.int64 if indices else np.float64, "out")
+    check_buffer(out, rows.shape, np.int64, "out")
     check_buffer(estimate, rows.shape, np.float64, "estimate")
     check_buffer(product, rows.shape, np.float64, "product")
     check_buffer(decided, rows.shape, bool, "decided")
-    work = dict(estimate=estimate, product=product, decided=decided)
-    if indices:
-        return _iterate(config, rows, index=out, **work)
-    # The indices borrow `product`'s memory, which the last decision no longer reads.
-    index = _iterate(config, rows, index=None if product is None else product.view(np.int64),
-                     **work)
-    return np.take(pam_levels(config.constellation), index, out=out, mode="clip")
+    return _iterate(config, rows, index=out, estimate=estimate, product=product, decided=decided)
 
 
 @dataclass(frozen=True)

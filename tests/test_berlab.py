@@ -18,6 +18,7 @@ from ftnlab.berlab import (
     BerPoint,
     BerSweepResult,
     FEC_LIMIT_7PCT,
+    RequiredEbn0,
     SweepSpec,
     bits_per_sample,
     estimate_psd,
@@ -196,9 +197,8 @@ def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, bat
         matrix=correlation_matrix(config.kind, config.n, config.alpha),
         constellation=config.pam_order,
     )
-    decided = equalize.id_equalize_frame(id_cfg, np.concatenate(received))
-    m = config.pam_order
-    rx_bits = modem.gray_demap(modem.pam_index(decided.ravel(), m), m)
+    index = equalize.id_equalize_frame(id_cfg, np.concatenate(received))
+    rx_bits = modem.gray_demap(index.ravel(), config.pam_order)
     sent = np.concatenate(sent)
     return sent.size, int(np.sum(rx_bits != sent))
 
@@ -379,6 +379,11 @@ class TestRunSweep:
         with pytest.raises(ParameterError, match=re.escape(message)):
             run_ber_sweep(_fast_spec(), workers=workers)
 
+    def test_layout_without_data_rows_rejected(self):
+        spec = _fast_spec(config=_small_config(data_symbols_per_frame=0, sync_symbols=1))
+        with pytest.raises(ParameterError, match="^data_symbols_per_frame must be >= 1"):
+            run_ber_sweep(spec)
+
     def test_seed_changes_results(self):
         a = run_ber_sweep(_fast_spec(seed=0))
         b = run_ber_sweep(_fast_spec(seed=1))
@@ -512,8 +517,7 @@ class TestNoiseFreeFloor:
         for _ in range(draws):
             sent = modem.random_data_bits(config, rng, frames)
             received = modem.receive(config, modem.transmit(config, sent))
-            index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n),
-                                               indices=True)
+            index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n))
             bits += sent.size
             errors += int(np.count_nonzero(modem.gray_demap(index, 2) != sent.ravel()))
         assert bits == 2_097_152
@@ -551,11 +555,33 @@ class TestRequiredEbn0:
         req = required_ebn0_at_ber(result, 1e-3)[(TransformKind.FRCT, 0.9, 10)]
         assert req.status == "all_below"
 
+    @pytest.mark.parametrize("bers,ebn0s,expected", [
+        ([1e-2, 1e-3], [4.0, 6.0], 6.0),
+        ([1e-2, 1e-3, 1e-5], [4.0, 6.0, 8.0], 6.0),
+        ([1e-3, 1e-3], [4.0, 6.0], 4.0),
+        ([1e-3], [4.0], 4.0),
+    ])
+    def test_curve_reaching_the_target_exactly_is_ok(self, bers, ebn0s, expected):
+        req = required_ebn0_at_ber(self._result(bers, ebn0s), 1e-3)
+        assert req[(TransformKind.FRCT, 0.9, 10)] == RequiredEbn0(status="ok", ebn0_db=expected)
+
     def test_zero_error_point_handled(self):
         result = self._result([1e-2, 0.0], ebn0s=[4.0, 8.0])
         req = required_ebn0_at_ber(result, 1e-3)[(TransformKind.FRCT, 0.9, 10)]
         assert req.status == "ok"
         assert 4.0 < req.ebn0_db < 8.0
+
+    @pytest.mark.parametrize("left_errors", [5, 2])
+    def test_zero_error_point_with_a_floor_above_the_target(self, left_errors):
+        # 0 errors in 1e5 bits floors at 5e-6, at or above the left point's
+        # BER: the log span is 0 or reversed, so the right point places it.
+        points = tuple(
+            BerPoint(kind=TransformKind.FRCT, alpha=0.9, ebn0_db=e, iterations=10,
+                     bits=bits, errors=errors, ber=errors / bits, ci_lo=0.0, ci_hi=1.0)
+            for e, bits, errors in ((4.0, 1_000_000, left_errors), (6.0, 100_000, 0))
+        )
+        req = required_ebn0_at_ber(BerSweepResult(points=points), 1e-6)
+        assert req[(TransformKind.FRCT, 0.9, 10)] == RequiredEbn0(status="ok", ebn0_db=6.0)
 
     def test_target_range_checked(self):
         result = self._result([1e-2, 1e-4])
@@ -659,6 +685,17 @@ class TestExportImport:
             export_results(result, tmp_path / "x", format="xml")
         with pytest.raises(ParameterError):
             import_sweep(tmp_path / "x", format="xml")
+
+    def test_unsupported_result_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="^result of type dict cannot be exported$"):
+            export_results({}, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("payload", [{}, {"point": []}, {"points": {}}, []])
+    def test_json_without_points_names_path_and_field(self, tmp_path, payload):
+        path = tmp_path / "sweep.json"
+        records.write_json(path, payload)
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: missing field 'points'")):
+            import_sweep(path, format="json")
 
     def test_psd_export(self, tmp_path):
         cfg = _small_config(cp_len=0)

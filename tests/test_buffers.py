@@ -185,24 +185,21 @@ class TestChannel:
 
 
 class TestEqualize:
-    @pytest.mark.parametrize("indices", [False, True])
     @pytest.mark.parametrize("iterations", [0, 7])
     @LAYOUTS
     @KIND_ALPHA
-    def test_id_equalize_frame(self, kind, alpha, pam_order, iterations, indices):
+    def test_id_equalize_frame(self, kind, alpha, pam_order, iterations):
         config = IdConfig(iterations, correlation_matrix(kind, 32, alpha), pam_order)
         rows = np.random.default_rng(11).normal(scale=1.2, size=(9, 32))
-        want = id_equalize_frame(config, rows, indices=indices)
+        want = id_equalize_frame(config, rows)
         shape = rows.shape
         buffers = dict(estimate=garbage(shape), product=garbage(shape),
                        decided=garbage(shape, bool))
-        out = garbage(shape, np.int64 if indices else np.float64)
+        out = garbage(shape, np.int64)
         for _ in range(2):
-            got = id_equalize_frame(config, rows, indices=indices, out=out, **buffers)
+            got = id_equalize_frame(config, rows, out=out, **buffers)
             assert got is out
             assert_same_bytes(out, want)
-        assert_same_bytes(want if indices else pam_index(want, pam_order),
-                          id_equalize_frame(config, rows, indices=True))
 
 
 def _bad_buffers():
@@ -229,9 +226,7 @@ def _bad_buffers():
         (lambda buf: apply_awgn(spec, waveform, scratch=buf), "scratch", (2, 5, 18), np.float64),
         (lambda buf: measure_sample_energy(rows, scratch=buf), "scratch", (6, 16), np.float64),
     ]
-    for indices, dtype in ((True, np.int64), (False, np.float64)):
-        cases.append((lambda buf, i=indices: id_equalize_frame(id_cfg, rows, indices=i, out=buf),
-                      "out", (6, 16), dtype))
+    cases.append((lambda buf: id_equalize_frame(id_cfg, rows, out=buf), "out", (6, 16), np.int64))
     for name, dtype in (("estimate", np.float64), ("product", np.float64), ("decided", bool)):
         cases.append((lambda buf, n=name: id_equalize_frame(id_cfg, rows, **{n: buf}),
                       name, (6, 16), dtype))

@@ -84,6 +84,10 @@ class TestSphereVolume:
     def test_unit_radius_volume_vanishes_at_high_dimension(self):
         assert sphere_volume(10_000, 1.0) == 0.0
 
+    def test_volume_past_the_float_range_is_inf(self):
+        assert math.isfinite(log_sphere_volume(2, 1e200))
+        assert sphere_volume(2, 1e200) == math.inf
+
     def test_zero_radius(self):
         assert sphere_volume(7, 0.0) == 0.0
 

@@ -21,9 +21,10 @@ from ftnlab.config import (
     sweep_spec_from_json_dict,
     sweep_spec_to_dict,
 )
-from ftnlab import records
+from ftnlab import config, records
 from ftnlab.berlab import SweepSpec
-from ftnlab.exceptions import ConfigError
+from ftnlab.capacity import CapacityParams
+from ftnlab.exceptions import ConfigError, ParameterError
 from ftnlab.modem import ModemConfig
 from ftnlab.transforms import TransformKind
 
@@ -56,6 +57,11 @@ class TestReadKeyValues:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             read_key_values(str(tmp_path / "nope.cfg"))
+
+    def test_empty_key_reports_path_and_line(self, tmp_path):
+        path = _write(tmp_path, "n = 64\n = 0.8\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: empty key")):
+            read_key_values(path)
 
 
 class TestSweepSpec:
@@ -112,6 +118,12 @@ class TestSweepSpec:
         spec = sweep_spec_from_file(path)
         assert (spec.config.n, spec.max_bits) == (64, 1_000_000)
         assert spec.seed == 12345678901234567891
+
+    @pytest.mark.parametrize("value", ["", ",", " , ,"])
+    def test_empty_list_names_key_and_line(self, tmp_path, value):
+        path = _write(tmp_path, f"alpha = 0.8\nebn0_db = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: ebn0_db list is empty")):
+            sweep_spec_from_file(path)
 
     def test_bad_kind_rejected(self, tmp_path):
         path = _write(tmp_path, "alpha = 0.8\nkind = DFT\n")
@@ -181,6 +193,67 @@ class TestSweepSpecRoundTrip:
             path = Path(tmp) / "sweep.cfg"
             path.write_text("\n".join(lines) + "\n")
             assert sweep_spec_from_file(str(path)) == spec
+
+
+# Every name an error may give for a file key: the keys themselves and the
+# dataclass fields they set (the axis `iterations` sets `iteration_counts`).
+_KEY_NAMES = {*config._SWEEP_FIELDS, *(f.name for f in config._SWEEP_FIELDS.values()),
+              *config._CAPACITY_KEYS}
+_NUMBER_TEXTS = st.one_of(
+    st.floats(-1e308, 1e308, allow_nan=False).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+)
+_VALUE_TEXTS = st.one_of(
+    _NUMBER_TEXTS,
+    st.lists(_NUMBER_TEXTS, max_size=4).map(", ".join),
+    st.sampled_from([k.value for k in TransformKind]),
+    st.text(st.characters(codec="ascii", exclude_characters="\n\r"), max_size=12),
+)
+_SWEEP_LINES = _sweep_specs().map(lambda spec: [
+    (key, ", ".join(map(str, v if isinstance(v, list) else [v])))
+    for key, v in sweep_spec_to_dict(spec).items()
+])
+# Every capacity key but snr_db, which replaces two of them, takes any value in (0, 1].
+_CAPACITY_LINES = st.lists(st.sampled_from(sorted(config._CAPACITY_KEYS.keys() - {"snr_db"})),
+                           unique=True).flatmap(lambda keys: st.tuples(*(
+                               st.tuples(st.just(key), st.floats(0.0, 1.0, exclude_min=True)
+                                         .map(repr)) for key in keys)).map(list))
+
+
+@st.composite
+def _config_lines(draw, valid_lines, keys):
+    """The (key, value text) lines of a valid file, some dropped, some given
+    other values, and at times a stray line whose key is unknown or repeated,
+    in any order."""
+    lines = dict(draw(valid_lines))
+    for key in draw(st.lists(st.sampled_from(sorted(lines)), unique=True, max_size=2)
+                    if lines else st.just([])):
+        del lines[key]
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
+        lines[key] = draw(_VALUE_TEXTS)
+    strays = st.tuples(st.sampled_from(keys) | st.from_regex(r"[a-z_]{1,12}", fullmatch=True),
+                       _VALUE_TEXTS)
+    return draw(st.permutations(list(lines.items()) + draw(st.lists(strays, max_size=1))))
+
+
+class TestConfigTextProperty:
+    @pytest.mark.parametrize("parser,valid_lines,keys,result_type", [
+        (sweep_spec_from_file, _SWEEP_LINES, sorted(config._SWEEP_FIELDS), SweepSpec),
+        (capacity_params_from_file, _CAPACITY_LINES, sorted(config._CAPACITY_KEYS),
+         CapacityParams),
+    ], ids=["sweep", "capacity"])
+    @given(data=st.data())
+    def test_parses_or_names_a_key(self, parser, valid_lines, keys, result_type, data):
+        # Parse only: any text of key/value lines gives a spec, or an error
+        # naming a key; never another exception.
+        lines = data.draw(_config_lines(valid_lines, keys))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+            try:
+                assert isinstance(parser(str(path)), result_type)
+            except (ConfigError, ParameterError) as exc:
+                assert any(name in str(exc) for name in _KEY_NAMES | {k for k, _ in lines})
 
 
 class TestCapacityParams:

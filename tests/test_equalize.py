@@ -99,14 +99,14 @@ class TestNoiselessRecovery:
         c = _matrix(8, 0.9)
         cfg = IdConfig(iterations=20, matrix=c)
         words = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
-        out = id_equalize_frame(cfg, _compress(c, words))
+        out = pam_levels(2)[id_equalize_frame(cfg, _compress(c, words))]
         assert np.array_equal(out, words)
 
     def test_exhaustive_recovery_n4_alpha08(self):
         c = _matrix(4, 0.8)
         cfg = IdConfig(iterations=20, matrix=c)
         words = 2.0 * ((np.arange(16)[:, None] >> np.arange(4)) & 1) - 1.0
-        out = id_equalize_frame(cfg, _compress(c, words))
+        out = pam_levels(2)[id_equalize_frame(cfg, _compress(c, words))]
         assert np.array_equal(out, words)
 
     def test_output_is_always_on_levels(self):
@@ -114,14 +114,15 @@ class TestNoiselessRecovery:
         cfg = IdConfig(iterations=3, matrix=c)
         rng = np.random.default_rng(1)
         out = id_equalize_frame(cfg, rng.normal(size=(32, 16)))
-        assert np.all(np.isin(out, (-1.0, 1.0)))
+        assert out.dtype == np.int64
+        assert np.all(np.isin(out, (0, 1)))
 
     def test_order_variants_agree_on_clean_input(self):
         c = _matrix(16, 0.8)
         rng = np.random.default_rng(2)
         sent = 2.0 * rng.integers(0, 2, size=(64, 16)) - 1.0
         r = _compress(c, sent)
-        a = id_equalize_frame(IdConfig(iterations=20, matrix=c), r)
+        a = pam_levels(2)[id_equalize_frame(IdConfig(iterations=20, matrix=c), r)]
         assert np.array_equal(a, sent)
 
     def test_more_iterations_never_hurt_noiseless(self):
@@ -131,7 +132,7 @@ class TestNoiselessRecovery:
         r = _compress(c, sent)
         errs = []
         for iters in (1, 5, 20):
-            out = id_equalize_frame(IdConfig(iterations=iters, matrix=c), r)
+            out = pam_levels(2)[id_equalize_frame(IdConfig(iterations=iters, matrix=c), r)]
             errs.append(int(np.sum(out != sent)))
         assert errs[0] >= errs[1] >= errs[2]
 
@@ -208,6 +209,33 @@ class TestMapBand:
         np.testing.assert_array_equal(snapped[clear], to_midpoint[clear] > d)
         np.testing.assert_array_equal(mapped[snapped], levels[pam_index(values, m)][snapped])
         np.testing.assert_array_equal(mapped[~snapped], values[~snapped])
+
+    @given(
+        values=arrays(np.float64, st.integers(0, 64), elements=st.floats(width=64)),
+        d=st.floats(2.0**-53, 1.0),
+    )
+    def test_two_level_snap_is_the_pam_index_level_from_the_smallest_band(self, values, d):
+        # The precondition d >= 2**-53: every snapped entry goes to the level
+        # `pam_index` decides, tiny positives and its 2**-53 tie included.
+        values = np.concatenate([values, _SPECIAL_VALUES, [1e-20, 2.0**-53, -2.0**-53,
+                                                           np.nextafter(2.0**-53, 1.0)]])
+        mapped = values.copy()
+        snapped = _map_band(mapped, d, pam_levels(2))
+        np.testing.assert_array_equal(mapped[snapped], pam_levels(2)[pam_index(values, 2)][snapped])
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 7, 20, 1000])
+    def test_detector_bands_meet_the_precondition(self, iterations, monkeypatch):
+        bands = []
+
+        def recording_map_band(values, d, *args):
+            bands.append(d)
+            return _map_band(values, d, *args)
+
+        monkeypatch.setattr(equalize, "_map_band", recording_map_band)
+        id_equalize_frame(IdConfig(iterations, _matrix(8, 0.9)), np.ones((2, 8)))
+        assert len(bands) == iterations
+        assert_allclose(min(bands), 1.0 / iterations)
+        assert min(bands) >= 2.0**-53
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_midpoints_and_nan_stay_undecided_and_outer_entries_snap(self, m):
@@ -296,7 +324,7 @@ class TestShapes:
         cfg = IdConfig(iterations=6, matrix=c)
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(10, 8))
-        batch = id_equalize_frame(cfg, rows)
+        batch = pam_levels(2)[id_equalize_frame(cfg, rows)]
         for i in range(10):
             single, _ = id_equalize(cfg, rows[i])
             assert np.array_equal(batch[i], single)
@@ -323,9 +351,7 @@ def _reference_indices(off_diagonal, received, iterations, m):
 
 
 class TestReferenceRecursion:
-    @pytest.mark.parametrize(
-        "layout", ["levels", "levels+buffers", "indices", "indices+buffers", "indices+aliased"]
-    )
+    @pytest.mark.parametrize("layout", ["plain", "out", "buffers", "buffers+out", "aliased"])
     @pytest.mark.parametrize("iterations", [1, 2, 3, 20])
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize(
@@ -338,19 +364,21 @@ class TestReferenceRecursion:
         sent = pam_levels(m)[rng.integers(0, m, size=(rows, n))]
         received = _compress(c, sent) + 0.05 * rng.normal(size=(rows, n))
         expected = _reference_indices(c.off_diagonal, received, iterations, m)
-        indices = layout.startswith("indices")
         buffers = {}
-        if "+" in layout:
-            # Stale contents must not leak into the result.
+        # Stale contents must not leak into the result.
+        if layout.startswith("buffers") or layout == "aliased":
             product = np.full((rows, n), np.nan)
             buffers = dict(estimate=np.full((rows, n), np.nan), product=product,
                            decided=np.ones((rows, n), bool))
-            if layout == "indices+aliased":
+            if layout == "aliased":
                 # The sweep's layout: the indices share `product`'s memory.
                 buffers["out"] = product.view(np.int64)
-        got = id_equalize_frame(IdConfig(iterations, c, m), received, indices=indices, **buffers)
-        if not indices:
-            expected = pam_levels(m)[expected]
+        if layout.endswith("out"):
+            # An `out` of its own, apart from the work buffers.
+            buffers["out"] = np.full((rows, n), -7, np.int64)
+        got = id_equalize_frame(IdConfig(iterations, c, m), received, **buffers)
+        if "out" in buffers:
+            assert got is buffers["out"]
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
@@ -366,10 +394,10 @@ class TestReferenceRecursion:
         buffers = dict(out=product.view(np.int64), estimate=np.empty((rows, n)),
                        product=product, decided=np.empty((rows, n), bool))
         cfg = IdConfig(20, c)
-        id_equalize_frame(cfg, received, indices=True, **buffers)
+        id_equalize_frame(cfg, received, **buffers)
         tracemalloc.start()
         try:
-            id_equalize_frame(cfg, received, indices=True, **buffers)
+            id_equalize_frame(cfg, received, **buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -110,7 +110,7 @@ class TestPamMapping:
         ])
         n = values.size
         matrix = CorrelationMatrix(kind=None, n=n, alpha=1.0, entries=np.eye(n))
-        decided = id_equalize_frame(IdConfig(0, matrix, constellation=m), values[None, :])
+        decided = levels[id_equalize_frame(IdConfig(0, matrix, constellation=m), values[None, :])]
         assert set(decided.ravel()) <= set(levels)
         assert np.array_equal(gray_demap(pam_index(decided, m), m),
                               gray_demap(pam_index(values, m), m))
