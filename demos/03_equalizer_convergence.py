@@ -11,7 +11,7 @@ import numpy as np
 
 from ftnlab.equalize import (
     IdConfig,
-    id_equalize,
+    IdTrace,
     id_equalize_frame,
     id_equalize_linear,
     iteration_spectral_radius,
@@ -29,7 +29,9 @@ def main():
     rng = np.random.default_rng(0)
     sent = 2.0 * rng.integers(0, 2, size=16) - 1.0
     received = c.entries @ sent
-    recovered, trace = id_equalize(IdConfig(iterations=10, matrix=c), received)
+    trace = IdTrace()
+    index = id_equalize_frame(IdConfig(iterations=10, matrix=c), received[None, :], trace=trace)
+    recovered = pam_levels(2)[index[0]]
     print("  iter   band d   undecided")
     for i, (d, undecided) in enumerate(zip(trace.d_values, trace.undecided_counts), 1):
         print(f"  {i:4d}   {d:6.2f}   {undecided:9d}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError, check_buffer, check_integer, check_real
+from .exceptions import ParameterError, check_buffer, check_integer, check_real, check_real_array
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ class AwgnSpec:
 def measure_sample_energy(samples, *, scratch=None):
     """Mean squared sample of a waveform.  `scratch`, if given, receives the
     squares: a C-contiguous float64 array of the waveform's shape."""
-    samples = np.asarray(samples)
+    samples = check_real_array(samples, "samples")
     if samples.size == 0:
-        raise ParameterError("stream must be nonempty")
+        raise ParameterError("samples must be nonempty")
     check_buffer(scratch, samples.shape, np.float64, "scratch")
     return float(np.mean(np.multiply(samples, samples, out=scratch)))
 
@@ -58,7 +58,7 @@ def apply_awgn(spec, samples, *, out=None, scratch=None):
     `scratch` the squares and then the noise; both are float64 arrays of the
     waveform's shape, `scratch` C-contiguous and apart from `samples`.
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = check_real_array(samples, "samples")
     check_buffer(out, samples.shape, np.float64, "out", contiguous=False)
     sigma = noise_sigma(spec, measure_sample_energy(samples, scratch=scratch))
     # Scaled in place, standard normals are the bits of normal(0, sigma).

@@ -16,6 +16,11 @@ from .exceptions import ConfigError, ExportError, FramingError, ParameterError, 
 from .transforms import TransformKind
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, reported as every other error
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def _out_flags(parser, required=True, formats=True):
     parser.add_argument("--out", required=required, help="output file path")
     if formats:
@@ -43,7 +48,7 @@ def build_parser():
     """Each subcommand declares only the flags it reads.  Its parameters are
     the flags outside `_RUN_FLAGS`; a manifest records them in declaration
     order, so `--seed` comes last where it is one."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ftnlab",
         description="Faster-than-Nyquist multicarrier simulation laboratory",
         allow_abbrev=False,
@@ -216,9 +221,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code or 0
-    try:
         if args.manifest:
             if args.subcommand:
                 raise ConfigError(
@@ -256,6 +258,8 @@ def main(argv=None):
         if out:
             records.write_json(config.manifest_path_for(out), asdict(manifest))
         return code
+    except SystemExit as exc:  # --help, --version
+        return exc.code or 0
     except (ConfigError, ParameterError, ShapeError, FramingError, ExportError) as exc:
         sys.stderr.write("error: " + json.dumps({"message": str(exc)}) + "\n")
         return 2

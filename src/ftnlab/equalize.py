@@ -27,7 +27,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .exceptions import (
-    ParameterError, ShapeError, check_buffer, check_integer, check_power_of_two,
+    ParameterError, ShapeError, check_buffer, check_integer, check_power_of_two, check_real_array,
 )
 from .icimodel import CorrelationMatrix
 from .modem import pam_index, pam_levels
@@ -104,10 +104,10 @@ def _map_band(values, d, levels, mag=None, decided=None):
     return decided
 
 
-def _iterate(config, received, trace=None, index=None, estimate=None, product=None,
-             decided=None):
+def _iterate(config, received, trace, index, estimate, product, decided):
     """Core recursion on an (m, N) stack of received vectors; returns the
-    level index (`pam_index`) of every entry, written to `index` if given.
+    level index (`pam_index`) of every entry, written to `index` if not None.
+    `trace`, if not None, is the `IdTrace` to append each iteration to.
 
     `estimate` and `product` are float scratch of the stack's shape, and
     `decided` bool.  S_i and S_{i-1} take the two float buffers in turn: the
@@ -144,32 +144,27 @@ def _iterate(config, received, trace=None, index=None, estimate=None, product=No
     return pam_index(estimate, config.constellation, out=index, scratch=estimate)
 
 
-def id_equalize(config, r):
-    """Equalize one received vector; returns (recovered levels, IdTrace)."""
-    r = _check_vector(config, r)
-    trace = IdTrace()
-    index = _iterate(config, r[None, :], trace)[0]
-    return pam_levels(config.constellation)[index], trace
-
-
-def id_equalize_frame(config, rows, *, out=None, estimate=None, product=None, decided=None):
-    """Vectorized equalization of an (m, N) stack of received vectors.
+def id_equalize_frame(config, rows, *, trace=None, out=None, estimate=None, product=None,
+                      decided=None):
+    """Equalize an (m, N) stack of received vectors (one vector: m = 1).
 
     Returns the level index (`modem.pam_index`, ready for `modem.gray_demap`)
     of every decision; `pam_levels(config.constellation)[index]` gives the
-    levels.  Optional buffers, each of the stack's shape and C-contiguous:
-    int64 `out` for the result, float64 `estimate` and `product` and bool
-    `decided` for the iteration's work.
+    levels.  An `IdTrace` as `trace` gets each iteration's band and undecided
+    count over the stack.  Optional buffers, each of the stack's shape and
+    C-contiguous: int64 `out` for the result, float64 `estimate` and
+    `product` and bool `decided` for the iteration's work.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    n = len(config.off_diagonal)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ShapeError(f"rows must have shape (m, {n}), got {rows.shape}")
+    rows = check_real_array(rows, "rows", len(config.off_diagonal))
+    if rows.ndim != 2:
+        raise ShapeError(f"rows must be an (m, N) stack, got shape {rows.shape}")
+    if trace is not None and not isinstance(trace, IdTrace):
+        raise ParameterError(f"trace must be an IdTrace or None, got {type(trace).__name__}")
     check_buffer(out, rows.shape, np.int64, "out")
     check_buffer(estimate, rows.shape, np.float64, "estimate")
     check_buffer(product, rows.shape, np.float64, "product")
     check_buffer(decided, rows.shape, bool, "decided")
-    return _iterate(config, rows, index=out, estimate=estimate, product=product, decided=decided)
+    return _iterate(config, rows, trace, out, estimate, product, decided)
 
 
 @dataclass(frozen=True)
@@ -203,8 +198,7 @@ def iteration_spectral_radius(matrix):
 
 
 def _check_vector(config, r):
-    r = np.asarray(r, dtype=np.float64)
-    n = len(config.off_diagonal)
-    if r.ndim != 1 or r.size != n:
-        raise ShapeError(f"r must be a length-{n} vector, got shape {r.shape}")
+    r = check_real_array(r, "r", len(config.off_diagonal))
+    if r.ndim != 1:
+        raise ShapeError(f"r must be a vector, got shape {r.shape}")
     return r

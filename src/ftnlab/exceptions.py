@@ -60,6 +60,21 @@ def check_integer(value, name, minimum):
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_real_array(values, name, last_axis=None):
+    """`values`, real numbers in a rectangular nesting, as float64 (never a
+    copy of a float64 array); with `last_axis`, the last axis has that length."""
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise ParameterError(f"{name} must be real numbers: {exc}") from None
+    if values.dtype.kind not in "biuf":
+        raise ParameterError(f"{name} must be real numbers, got dtype {values.dtype}")
+    if last_axis is not None and values.shape[-1:] != (last_axis,):
+        got = values.shape[-1] if values.ndim else "no axis"
+        raise ShapeError(f"{name} last axis must have length {last_axis}, got {got}")
+    return values.astype(np.float64, copy=False)
+
+
 def check_buffer(buf, shape, dtype, name, contiguous=True):
     """A caller's output or scratch array, if not None, is a writable ndarray
     of exactly `shape` and `dtype`, C-contiguous unless `contiguous` is False."""

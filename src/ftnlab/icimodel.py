@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import ParameterError, check_integer, check_real
+from .exceptions import ParameterError, check_integer, check_real, check_real_array
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
 
 HIST_RANGE = (-2.0, 2.0)
@@ -134,7 +134,7 @@ class IciPdfModel:
 
 def mixture_pdf(model, x):
     s = model.sigma
-    x = np.asarray(x, dtype=np.float64)
+    x = check_real_array(x, "x")
     norm = 1.0 / (2.0 * np.sqrt(2.0 * np.pi) * s)
     return norm * (
         np.exp(-((x + 1.0) ** 2) / (2.0 * s * s))
@@ -146,7 +146,7 @@ def mixture_cdf(model, x):
     from scipy import stats
 
     s = model.sigma
-    x = np.asarray(x, dtype=np.float64)
+    x = check_real_array(x, "x")
     return 0.5 * (stats.norm.cdf((x + 1.0) / s) + stats.norm.cdf((x - 1.0) / s))
 
 
@@ -154,7 +154,7 @@ def fit_sigma_mle(samples):
     """Maximum-likelihood sigma of the +/-1 Gaussian mixture for pooled samples."""
     from scipy import optimize
 
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = check_real_array(samples, "samples")
     if samples.size == 0 or not np.all(np.isfinite(samples)):
         raise ParameterError("samples must be nonempty and finite")
 
@@ -167,7 +167,7 @@ def fit_sigma_mle(samples):
 
 def ks_distance(samples, model):
     """Kolmogorov-Smirnov distance between the sample CDF and the mixture CDF."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
+    x = np.sort(check_real_array(samples, "samples"))
     m = x.size
     cdf = mixture_cdf(model, x)
     ecdf_hi = np.arange(1, m + 1) / m
@@ -208,7 +208,7 @@ class IciHistogram:
 def ici_histogram(values):
     """Histogram of samples (the `ici_samples` values) on a fixed [-2, 2]
     grid with 0.02-wide bins."""
-    values = np.asarray(values, dtype=np.float64)
+    values = check_real_array(values, "values")
     if values.size == 0 or not np.all(np.isfinite(values)):
         raise ParameterError("values must be nonempty and finite")
     nbins = int(round((HIST_RANGE[1] - HIST_RANGE[0]) / HIST_BIN_WIDTH))

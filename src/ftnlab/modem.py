@@ -12,6 +12,7 @@ import numpy as np
 
 from .exceptions import (
     FramingError, ParameterError, check_buffer, check_integer, check_power_of_two, check_real,
+    check_real_array,
 )
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
 
@@ -127,13 +128,7 @@ def pam_index(values, m, *, out=None, scratch=None):
     `v > 2**-53`, and `scratch` is not used.
     """
     check_power_of_two(m, "m")
-    try:
-        values = np.asarray(values)
-    except ValueError as exc:  # a ragged nesting
-        raise ParameterError(f"values must be real numbers: {exc}") from None
-    if values.dtype.kind not in "biuf":
-        raise ParameterError(f"values must be real numbers, got dtype {values.dtype}")
-    values = values.astype(np.float64, copy=False)
+    values = check_real_array(values, "values")
     check_buffer(out, values.shape, np.int64, "out", contiguous=False)
     check_buffer(scratch, values.shape, np.float64, "scratch", contiguous=False)
     if m == 2:
@@ -251,7 +246,7 @@ def receive(config, samples, *, out=None):
     equalization: for alpha < 1 each equals C @ (transmitted row) plus noise.
     `out`, if given, receives them (float64, as in `transforms.demultiplex`).
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = check_real_array(samples, "samples")
     block = config.cp_len + config.n
     layout = (
         f"frames of {config.symbols_per_frame} blocks of "

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ParameterError, ShapeError, check_alpha, check_buffer, check_integer
+from .exceptions import ParameterError, check_alpha, check_buffer, check_integer, check_real_array
 
 # Plans kept alive by make_plan.  A BER sweep walks (kind, alpha) as the outer
 # loop of its grid, so one plan serves a whole curve and repeated sweeps of
@@ -100,15 +100,6 @@ def _cached_plan(kind, n, alpha):
     return TransformPlan(kind=kind, n=n, alpha=alpha, kernel=build(n, alpha))
 
 
-def _check_last_axis(plan, values, name):
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-1] != plan.n:
-        raise ShapeError(
-            f"{name} last axis must have length {plan.n}, got {values.shape[-1]}"
-        )
-    return values
-
-
 def multiplex(plan, symbols, *, out=None):
     """Frequency-domain symbols -> time-domain samples (kernel @ X).
 
@@ -117,7 +108,7 @@ def multiplex(plan, symbols, *, out=None):
     may be a strided view (the blocks after a cyclic prefix, say); with a
     unit-stride last axis the product is byte-identical to the allocating one.
     """
-    symbols = _check_last_axis(plan, symbols, "symbols")
+    symbols = check_real_array(symbols, "symbols", plan.n)
     check_buffer(out, symbols.shape, np.float64, "out", contiguous=False)
     return np.matmul(symbols, plan.kernel.T, out=out)
 
@@ -128,6 +119,6 @@ def demultiplex(plan, samples, *, out=None):
     For alpha < 1 the round trip demultiplex(multiplex(v)) equals C @ v,
     where C is the subcarrier correlation matrix.  `out` is as in `multiplex`.
     """
-    samples = _check_last_axis(plan, samples, "samples")
+    samples = check_real_array(samples, "samples", plan.n)
     check_buffer(out, samples.shape, np.float64, "out", contiguous=False)
     return np.matmul(samples, plan.kernel, out=out)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from ftnlab.cli import main
 from ftnlab.icimodel import correlation_matrix
@@ -499,3 +499,89 @@ class TestErrorsExitCleanly:
         )
         assert code == 2
         assert flag[2:] in _one_json_error(err)
+
+
+# A sweep that stops at its first batch: one point, 64 bits, at 0 dB.
+_TINY_SWEEP_CFG = (
+    "alpha = 0.9\nn = 16\ncp_len = 0\ndata_symbols_per_frame = 4\nebn0_db = 0\n"
+    "iterations = 2\nmin_errors = 1\nframes_per_batch = 1\n"
+)
+_ALPHAS = ["0.8", "1", "0", "-0.5", "1.5", "nan", "inf", "x"]
+_KINDS = ["FrCT", "FrHT", "FrXT", ""]
+_SEEDS = ["0", "7", "-1", "1.5", "x"]
+_COUNTS = ["0", "1", "-1", "x", "1.5"]
+# Never more than 16 subcarriers, 4 frames or one worker process: a valid
+# argument list runs in milliseconds.
+_NS = ["16", "2", "1", "0", "-4", "x", "1.5", "nan", ""]
+_FRAMES = ["4", "1", "0", "-1", "x"]
+_SAMPLE_RATES = ["1e10", "1", "0", "-1", "nan", "inf", "x"]
+_FORMATS = ["csv", "json", "xml"]
+
+# Per subcommand, the values drawn for each flag: valid ones, junk and
+# out-of-range ones.  SWEEP_CFG, CAPACITY_CFG and JUNK_CFG name files.
+_FLAG_VALUES = {
+    "sweep-ber": {"--config": ["SWEEP_CFG", "JUNK_CFG", "missing.cfg"], "--seed": _SEEDS,
+                  "--workers": ["1", "0", "-1", "x"], "--format": _FORMATS},
+    "corr-row": {"--n": _NS, "--k": ["3", "0", "15", "16", "-1", "x"], "--kind": _KINDS,
+                 "--alpha": _ALPHAS, "--format": _FORMATS},
+    "ici-pdf": {"--n": _NS, "--frames": _FRAMES, "--kind": _KINDS, "--alpha": _ALPHAS,
+                "--seed": _SEEDS, "--format": _FORMATS},
+    "psd": {"--n": _NS, "--frames": _FRAMES, "--segment": ["64", "2", "3", "0", "-8", "x"],
+            "--cp-len": ["0", "4", "16", "17", "-1", "x"], "--kind": _KINDS,
+            "--alpha": _ALPHAS, "--sample-rate": _SAMPLE_RATES,
+            "--overlap": ["0.5", "0", "0.99", "1", "-0.1", "nan", "x"],
+            "--window": ["hann", "boxcar", "nope", ""], "--seed": _SEEDS, "--format": _FORMATS},
+    "capacity": {"--config": ["CAPACITY_CFG", "JUNK_CFG", "missing.cfg"],
+                 "--alpha": _ALPHAS, "--ici-power": ["0", "0.1", "-0.1", "1.5", "nan", "x"],
+                 "--symbol-duration": ["1e-9", "0", "-1", "inf", "x"],
+                 "--bandwidth": ["1e9", "0", "-1", "nan", "x"],
+                 "--snr-db": ["10", "-10", "3000", "3001", "1e308", "nan", "x"]},
+    "rates": {"--alpha": _ALPHAS, "--sample-rate": _SAMPLE_RATES, "--n": _NS,
+              "--cp-len": ["0", "16", "300", "-1", "x"], "--pam-order": ["2", "4", "3", "1", "x"],
+              "--data-symbols-per-frame": _COUNTS, "--training-symbols": _COUNTS,
+              "--sync-symbols": _COUNTS},
+}
+# The flags that set a run's size are always given.
+_SIZE_FLAGS = {"--n", "--frames", "--segment"}
+_STRAY_ARGUMENTS = [["--bogus"], ["--bogus", "1"], ["--workers", "1"], ["--seed"],
+                    ["stray"], ["-x"], ["--out"]]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli")
+    (tmp / "SWEEP_CFG").write_text(_TINY_SWEEP_CFG)
+    (tmp / "CAPACITY_CFG").write_text("bandwidth_hz = 1e9\nsnr_db = 10\n")
+    (tmp / "JUNK_CFG").write_bytes(b"alpha = 2\nn = x\n" + _NOT_UTF8)
+    return tmp
+
+
+class TestArgumentListProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_argument_list_exits_cleanly(self, cli_dir, data):
+        # Junk or out-of-range values, unknown flags and missing required
+        # flags: exit 0, or exit 2 with one JSON error line, and never raise.
+        # Each flag that is given takes its first, valid value, but for the
+        # drawn set of flags whose value is drawn from all of them.
+        subcommand = data.draw(st.sampled_from(sorted(_FLAG_VALUES)))
+        flags = _FLAG_VALUES[subcommand]
+        drawn = data.draw(st.sets(st.sampled_from(sorted(flags))))
+        argv = [subcommand]
+        for flag, values in flags.items():
+            if flag in _SIZE_FLAGS or data.draw(st.booleans()):
+                value = data.draw(st.sampled_from(values)) if flag in drawn else values[0]
+                argv += [flag, str(cli_dir / value) if value.endswith("_CFG") else value]
+        out = data.draw(st.one_of(st.just("out.json"), st.sampled_from(["", None])))
+        if out is not None:
+            argv += ["--out", str(cli_dir / out)]
+        argv += data.draw(st.one_of(st.just([]), st.sampled_from(_STRAY_ARGUMENTS)))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2), argv
+        event(f"{subcommand} exits {code}")
+        if code == 2:
+            _one_json_error(stderr.getvalue())
+        else:
+            assert stderr.getvalue() == "", argv

@@ -2,6 +2,7 @@
 and are run by hand)."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,35 @@ def test_demo_runs(name, expected_lines):
     lines = proc.stdout.splitlines()
     for line in expected_lines:
         assert line in lines
+
+
+# Demo 03's first two sections, byte for byte: the IdTrace of a one-row
+# stack and both recovery lines.
+_DEMO03_HEAD = """\
+======================================================================
+1. One equalization trace (N = 16, alpha = 0.85, I = 10)
+======================================================================
+  iter   band d   undecided
+     1     0.90           6
+     2     0.80           0
+     3     0.70           0
+     4     0.60           0
+     5     0.50           0
+     6     0.40           0
+     7     0.30           0
+     8     0.20           0
+     9     0.10           0
+    10     0.00           0
+  recovered exactly: True
+
+======================================================================
+2. Exhaustive recovery of every 8-bit word (alpha = 0.9)
+======================================================================
+  words recovered: 256/256
+
+"""
+
+
+def test_demo03_trace_is_unchanged(capsys):
+    runpy.run_path(str(ROOT / "demos" / "03_equalizer_convergence.py"), run_name="__main__")
+    assert capsys.readouterr().out.startswith(_DEMO03_HEAD)

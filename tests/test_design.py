@@ -113,6 +113,34 @@ def test_real_parameters_are_checked_in_one_place():
     assert found == []
 
 
+def _float64_conversions(tree):
+    """The calls that convert to float64: `asarray`/`array` with a float
+    `dtype=`, and `astype` to a float type."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called_name(node)
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if name == "astype":
+            dtypes += node.args[:1]
+        elif name not in ("asarray", "asanyarray", "array"):
+            continue
+        if any("float" in ast.unparse(dtype) for dtype in dtypes):
+            yield node
+
+
+def test_real_arrays_are_checked_in_one_place():
+    # An array argument becomes float64 through exceptions.check_real_array,
+    # which rejects complex, object, string and ragged input first.
+    found = [
+        f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+        if path.name != "exceptions.py"
+        for node in _float64_conversions(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    assert list(_float64_conversions(ast.parse((SRC / "exceptions.py").read_text())))
+
+
 def test_only_records_opens_files():
     # Every file is read and written through records.opened, so an unreadable
     # or undecodable file fails in one form wherever it is named.

@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 
 from ftnlab.equalize import (
     IdConfig,
+    IdTrace,
     _map_band,
-    id_equalize,
     id_equalize_frame,
     id_equalize_linear,
     iteration_spectral_radius,
@@ -30,6 +30,13 @@ def _matrix(n, alpha, kind=TransformKind.FRCT):
 
 def _compress(c, sent):
     return sent @ c.entries.T
+
+
+def _equalize_one(cfg, r):
+    """One received vector as a one-row stack: (decided levels, its IdTrace)."""
+    trace = IdTrace()
+    index = id_equalize_frame(cfg, np.asarray(r)[None, :], trace=trace)
+    return pam_levels(cfg.constellation)[index[0]], trace
 
 
 # Quiet and signalling NaNs of both signs with several payloads, signed
@@ -82,13 +89,13 @@ class TestNoiselessRecovery:
     def test_identity_matrix_is_hard_decision(self):
         cfg = IdConfig(iterations=5, matrix=_matrix(8, 1.0))
         r = np.array([0.4, -0.1, 1.2, -2.0, 0.3, 0.6, -0.6, 1.0])
-        out, _ = id_equalize(cfg, r)
+        out, _ = _equalize_one(cfg, r)
         assert np.array_equal(out, np.where(r > 0, 1.0, -1.0))
 
     def test_zero_iterations_is_plain_hard_decision(self):
         cfg = IdConfig(iterations=0, matrix=_matrix(8, 0.8))
         r = np.array([0.4, -0.1, 1.2, -2.0, 0.0, 0.6, -0.6, 1.0])
-        out, _ = id_equalize(cfg, r)
+        out, _ = _equalize_one(cfg, r)
         expected = np.where(r > 0, 1.0, -1.0)
         # A tie at zero decides toward the lower level.
         expected[4] = -1.0
@@ -253,7 +260,7 @@ class TestMapBand:
 class TestTrace:
     def test_band_shrinks_to_zero(self):
         cfg = IdConfig(iterations=4, matrix=_matrix(8, 0.9))
-        _, trace = id_equalize(cfg, np.zeros(8))
+        _, trace = _equalize_one(cfg, np.zeros(8))
         assert_allclose(trace.d_values, [0.75, 0.5, 0.25, 0.0])
 
     def test_undecided_counts_monotone_on_clean_input(self):
@@ -261,7 +268,7 @@ class TestTrace:
         cfg = IdConfig(iterations=10, matrix=c)
         rng = np.random.default_rng(4)
         sent = 2.0 * rng.integers(0, 2, size=16) - 1.0
-        _, trace = id_equalize(cfg, c.entries @ sent)
+        _, trace = _equalize_one(cfg, c.entries @ sent)
         counts = trace.undecided_counts
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] == 0
@@ -285,16 +292,49 @@ class TestTrace:
         rng = np.random.default_rng(7)
         sent = levels[rng.integers(0, m, size=64)]
         r = c.entries @ sent + 0.01 * rng.normal(size=64)
-        out, trace = id_equalize(IdConfig(iterations=10, matrix=c, constellation=m), r)
+        out, trace = _equalize_one(IdConfig(iterations=10, matrix=c, constellation=m), r)
         assert len(off_levels) == 10
         assert trace.undecided_counts[1:] == off_levels[1:]
         if m == 4:
             assert np.array_equal(out, sent)
             assert trace.undecided_counts[-1] == 0
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_stack_trace_pools_its_rows(self, m):
+        c = _matrix(16, 0.8)
+        cfg = IdConfig(iterations=8, matrix=c, constellation=m)
+        rng = np.random.default_rng(8)
+        rows = _compress(c, pam_levels(m)[rng.integers(0, m, size=(12, 16))])
+        rows += 0.2 * rng.normal(size=rows.shape)
+        pooled = IdTrace()
+        id_equalize_frame(cfg, rows, trace=pooled)
+        singles = [_equalize_one(cfg, row)[1] for row in rows]
+        for single in singles:
+            assert single.d_values == pooled.d_values
+        assert_allclose(pooled.d_values, [1.0 - i / 8 for i in range(1, 9)])
+        counts = np.sum([single.undecided_counts for single in singles], axis=0)
+        assert pooled.undecided_counts == counts.tolist()
+        assert pooled.undecided_counts[0] > 0
+
+    @pytest.mark.parametrize("iterations", [0, 1, 6])
+    def test_trace_leaves_the_indices_unchanged(self, iterations):
+        c = _matrix(16, 0.8)
+        cfg = IdConfig(iterations=iterations, matrix=c)
+        rows = np.random.default_rng(9).normal(size=(20, 16))
+        trace = IdTrace()
+        traced = id_equalize_frame(cfg, rows, trace=trace)
+        assert traced.tobytes() == id_equalize_frame(cfg, rows).tobytes()
+        assert len(trace.d_values) == len(trace.undecided_counts) == iterations
+
+    @pytest.mark.parametrize("trace", [[], {}, "trace"])
+    def test_trace_must_be_an_id_trace(self, trace):
+        cfg = IdConfig(iterations=2, matrix=_matrix(8, 0.9))
+        with pytest.raises(ParameterError, match="^trace must be an IdTrace"):
+            id_equalize_frame(cfg, np.zeros((1, 8)), trace=trace)
+
     def test_csv_export(self, tmp_path):
         cfg = IdConfig(iterations=3, matrix=_matrix(8, 0.9))
-        _, trace = id_equalize(cfg, np.ones(8))
+        _, trace = _equalize_one(cfg, np.ones(8))
         path = tmp_path / "trace.csv"
         records.write_table(path, "csv", {
             "iteration": range(1, len(trace.d_values) + 1),
@@ -310,7 +350,7 @@ class TestShapes:
     def test_vector_length_checked(self):
         cfg = IdConfig(iterations=2, matrix=_matrix(8, 0.9))
         with pytest.raises(ShapeError):
-            id_equalize(cfg, np.zeros(7))
+            _equalize_one(cfg, np.zeros(7))
 
     def test_frame_shape_checked(self):
         cfg = IdConfig(iterations=2, matrix=_matrix(8, 0.9))
@@ -326,7 +366,7 @@ class TestShapes:
         rows = rng.normal(size=(10, 8))
         batch = pam_levels(2)[id_equalize_frame(cfg, rows)]
         for i in range(10):
-            single, _ = id_equalize(cfg, rows[i])
+            single, _ = _equalize_one(cfg, rows[i])
             assert np.array_equal(batch[i], single)
 
 

@@ -1,4 +1,5 @@
-"""The shared parameter checks, and the real-valued parameters that use them."""
+"""The shared parameter checks, and the real-valued parameters and arrays
+that use them."""
 
 import math
 from fractions import Fraction
@@ -11,10 +12,15 @@ from ftnlab.berlab import (
     wilson_interval,
 )
 from ftnlab.capacity import CapacityParams, log_sphere_volume
-from ftnlab.channel import AwgnSpec
-from ftnlab.exceptions import ParameterError, check_real
-from ftnlab.icimodel import IciPdfModel
-from ftnlab.modem import ModemConfig
+from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy
+from ftnlab.equalize import IdConfig, id_equalize_frame, id_equalize_linear
+from ftnlab.exceptions import ParameterError, ShapeError, check_real, check_real_array
+from ftnlab.icimodel import (
+    IciPdfModel, correlation_matrix, fit_sigma_mle, ici_histogram, ks_distance, mixture_cdf,
+    mixture_pdf,
+)
+from ftnlab.modem import ModemConfig, pam_index, receive
+from ftnlab.transforms import TransformKind, demultiplex, make_plan, multiplex
 
 NOT_REAL = ["1", None, True, False, np.bool_(True), 1j, [0.5], np.array([0.5])]
 NOT_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf")]
@@ -114,3 +120,77 @@ class TestRealParameters:
     def test_valid_value_and_its_numpy_scalar_pass(self, field, call, valid):
         call(valid)
         call(np.float64(valid))
+
+
+_N = 8
+_PLAN = make_plan(TransformKind.FRCT, _N, 0.9)
+_ID = IdConfig(2, correlation_matrix(TransformKind.FRCT, _N, 0.9))
+_LINK = ModemConfig(n=_N, alpha=0.9, data_symbols_per_frame=1, training_symbols=0,
+                    sync_symbols=0)
+_MIXTURE = IciPdfModel(sigma=0.5)
+
+# Each public function with a real-array argument: (its name, a call that
+# passes `v`, a length-8 nesting or array, as that argument).
+REAL_ARRAYS = {
+    "multiplex": ("symbols", lambda v: multiplex(_PLAN, v)),
+    "demultiplex": ("samples", lambda v: demultiplex(_PLAN, v)),
+    "measure_sample_energy": ("samples", measure_sample_energy),
+    "apply_awgn": ("samples", lambda v: apply_awgn(AwgnSpec(10.0, 1.0), v)),
+    "receive": ("samples", lambda v: receive(_LINK, v)),
+    "pam_index": ("values", lambda v: pam_index(v, 2)),
+    "id_equalize_frame": ("rows", lambda v: id_equalize_frame(_ID, [v])),
+    "id_equalize_linear": ("r", lambda v: id_equalize_linear(_ID, v)),
+    "mixture_pdf": ("x", lambda v: mixture_pdf(_MIXTURE, v)),
+    "mixture_cdf": ("x", lambda v: mixture_cdf(_MIXTURE, v)),
+    "fit_sigma_mle": ("samples", fit_sigma_mle),
+    "ks_distance": ("samples", lambda v: ks_distance(v, _MIXTURE)),
+    "ici_histogram": ("values", ici_histogram),
+}
+
+NOT_REAL_ARRAYS = {
+    "complex": np.full(_N, 0.5 + 0.5j),
+    "none": [None] * _N,
+    "strings": ["0.5"] * _N,
+    "ragged": [[0.5] * 4, [0.5] * 5],
+    "objects": np.full(_N, 0.5, dtype=object),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestRealArrays:
+    @pytest.mark.parametrize("kind", NOT_REAL_ARRAYS)
+    @pytest.mark.parametrize("function", REAL_ARRAYS)
+    def test_non_real_input_names_the_argument(self, function, kind):
+        # Complex input is not truncated (no ComplexWarning), nor None made NaN.
+        name, call = REAL_ARRAYS[function]
+        with pytest.raises(ParameterError, match=f"^{name} must be real numbers"):
+            call(NOT_REAL_ARRAYS[kind])
+
+    @pytest.mark.parametrize("function", REAL_ARRAYS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
+    def test_real_input_passes(self, function, dtype):
+        REAL_ARRAYS[function][1](np.linspace(-1.0, 1.0, _N).astype(dtype))
+
+    @pytest.mark.parametrize("function,name", [
+        ("multiplex", "symbols"), ("demultiplex", "samples"),
+    ])
+    @pytest.mark.parametrize("value,got", [(np.float64(0.5), "no axis"), (np.zeros(_N - 1), _N - 1),
+                                           (np.zeros((_N, 1)), 1)])
+    def test_missing_or_wrong_last_axis(self, function, name, value, got):
+        message = f"{name} last axis must have length {_N}, got {got}"
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            REAL_ARRAYS[function][1](value)
+
+    @pytest.mark.parametrize("call", [lambda v: id_equalize_frame(_ID, v),
+                                      lambda v: id_equalize_linear(_ID, v)],
+                             ids=["id_equalize_frame", "id_equalize_linear"])
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.zeros(_N - 1), np.zeros((1, _N - 1))])
+    def test_detector_shapes(self, call, value):
+        with pytest.raises(ShapeError):
+            call(value)
+
+    def test_float64_input_is_not_copied(self):
+        values = np.zeros((3, _N))
+        assert check_real_array(values, "x") is values
+        assert check_real_array(values[:, ::2], "x", _N // 2).base is values
+        assert check_real_array([1, True], "x").dtype == np.float64
