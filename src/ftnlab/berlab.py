@@ -15,7 +15,8 @@ worker count, and no batch is computed past a point's stopping point.
 
 Memory: the points of a sweep share one frame layout, so each run of points
 reuses one batch workspace for all its batches; it goes with its run.  Of the
-N x N matrices, a sweep keeps the transform kernel and the detector's C - I.
+N x N matrices, a sweep keeps the transform kernel and, at 2-PAM, the
+detector's C - I; a higher PAM order is hard-decided, with no detector.
 """
 
 import math
@@ -67,9 +68,12 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.config, modem.ModemConfig):
+            raise ParameterError(f"config must be a ModemConfig, got {type(self.config).__name__}")
         for name in ("alphas", "ebn0_dbs", "iteration_counts", "kinds"):
-            if len(getattr(self, name)) == 0:
-                raise ParameterError(f"{name} must be nonempty")
+            axis = getattr(self, name)
+            if not isinstance(axis, tuple) or not axis:
+                raise ParameterError(f"{name} must be a nonempty tuple, got {axis!r}")
         for alpha in self.alphas:
             check_alpha(alpha)
         for ebn0_db in self.ebn0_dbs:
@@ -83,6 +87,9 @@ class SweepSpec:
         check_integer(self.min_errors, "min_errors", 0)
         check_integer(self.frames_per_batch, "frames_per_batch", 1)
         check_integer(self.seed, "seed", 0)
+        if self.config.pam_order > 2 and any(self.iteration_counts):  # the ID is 2-PAM only
+            raise ParameterError(f"pam_order {self.config.pam_order} is hard-decided, so "
+                                 f"iteration_counts must be 0, got {self.iteration_counts}")
 
     def grid(self):
         """Grid points in their fixed enumeration (and output) order."""
@@ -138,8 +145,8 @@ def bits_per_sample(config):
 # one detector config serves a curve's points and repeated sweeps of it.  It
 # holds C - I only (8 N^2 bytes); C itself is freed as soon as C - I exists.
 @lru_cache(maxsize=1)
-def _point_matrix(kind, n, alpha, iterations, pam_order):
-    return equalize.IdConfig(iterations, icimodel.correlation_matrix(kind, n, alpha), pam_order)
+def _point_matrix(kind, n, alpha, iterations):
+    return equalize.IdConfig(iterations, icimodel.correlation_matrix(kind, n, alpha))
 
 
 def _workspace(config, n_frames):
@@ -179,8 +186,9 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
     """One frame batch at one grid point; returns (bits, errors).
 
     The noise covers the whole waveform (pilots and prefixes included) in
-    transmit order; only the data rows are demultiplexed and detected.  The
-    ID returns level indices, which are Gray-demapped, so each entry is
+    transmit order; only the data rows are demultiplexed and detected: by the
+    2-PAM detector `id_cfg`, or, if it is None, by a plain hard decision.
+    Either gives level indices, which are Gray-demapped, so each entry is
     decided once.  `work` is a `_workspace` of this layout (a new one if None).
     """
     if work is None:
@@ -196,11 +204,15 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
     )
     waveform = modem.transmit(config, sent, out=work["waveform"], rows=work["rows"])
     channel.apply_awgn(spec, waveform, out=waveform, scratch=work["noise"])
-    received = modem.receive(config, waveform, out=work["received"])
-    index = equalize.id_equalize_frame(
-        id_cfg, received.reshape(-1, config.n), out=work["index"], estimate=work["estimate"],
-        product=work["product"], decided=work["decided"],
-    )
+    rows = modem.receive(config, waveform, out=work["received"]).reshape(-1, config.n)
+    if id_cfg is None:
+        index = modem.pam_index(rows, config.pam_order, out=work["index"],
+                                scratch=work["estimate"])
+    else:
+        index = equalize.id_equalize_frame(
+            id_cfg, rows, out=work["index"], estimate=work["estimate"],
+            product=work["product"], decided=work["decided"],
+        )
     rx_bits = modem.gray_demap(index, config.pam_order, out=work["bits"])
     errors = np.not_equal(rx_bits, sent.ravel(), out=work["flags"])
     return sent.size, int(np.count_nonzero(errors))
@@ -211,7 +223,7 @@ def _run_point(spec, point_idx, point, work):
     `min_errors` or `max_bits` stops, all in `work`, a `_workspace`."""
     kind, alpha, iterations, ebn0_db = point
     config = replace(spec.config, kind=kind, alpha=alpha)
-    id_cfg = _point_matrix(kind, config.n, alpha, iterations, config.pam_order)
+    id_cfg = _point_matrix(kind, config.n, alpha, iterations) if config.pam_order == 2 else None
     bits = errors = batch_idx = 0
     while bits < spec.max_bits and (spec.min_errors == 0 or errors < spec.min_errors):
         batch_bits, batch_errors = _simulate_batch(

@@ -243,8 +243,7 @@ def main(argv=None):
             output = manifest.outputs[0] if manifest.outputs else {"path": None, "format": "csv"}
             workers = 1
         elif not args.subcommand:
-            parser.print_usage(sys.stderr)
-            return 2
+            parser.error("a subcommand or --manifest is required")
         else:
             resolved = _resolve(args)
             output = {"path": args.out, "format": getattr(args, "format", "json")}

@@ -9,7 +9,8 @@ then snaps entries outside the uncertainty band [-d, d] to the nearest
 2-PAM level and leaves entries inside it untouched.  The band shrinks
 linearly, d = 1 - i/I, reaching zero after the last iteration; a final
 zero-band pass hard-decides any entry still undecided, so the returned
-vector is fully mapped.
+vector is fully mapped.  The detector is 2-PAM only; higher PAM orders are
+hard-decided by `modem.pam_index` without it.
 
 Iteration i maps with the band of the previous iteration, threshold
 1 - (i-1)/I, and then shrinks it.
@@ -26,11 +27,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    ParameterError, ShapeError, check_buffer, check_integer, check_power_of_two, check_real_array,
-)
+from .exceptions import ParameterError, ShapeError, check_buffer, check_integer, check_real_array
 from .icimodel import CorrelationMatrix
-from .modem import pam_index, pam_levels
+from .modem import pam_index
 
 _DIVERGENCE_FACTOR = 1e6
 _SIGN_BIT = np.uint64(1 << 63)
@@ -38,7 +37,7 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 @dataclass(frozen=True, eq=False)
 class IdConfig:
-    """Detector settings for one correlation matrix C.
+    """2-PAM detector settings for one correlation matrix C.
 
     Only C - I (`matrix.off_diagonal`, read-only) is kept, as `off_diagonal`;
     the `matrix` argument itself is not retained, so C can be freed once the
@@ -47,12 +46,10 @@ class IdConfig:
 
     iterations: int
     matrix: InitVar[CorrelationMatrix]
-    constellation: int = 2
     off_diagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, matrix):
         check_integer(self.iterations, "iterations", 0)
-        check_power_of_two(self.constellation, "constellation")
         if not isinstance(matrix, CorrelationMatrix):
             raise ParameterError(
                 f"matrix must be an icimodel.CorrelationMatrix, got {type(matrix).__name__}"
@@ -68,39 +65,25 @@ class IdTrace:
     undecided_counts: list = field(default_factory=list)
 
 
-def _map_band(values, d, levels, mag=None, decided=None):
-    """In place: snap entries farther than d from their nearest level midpoint;
-    leave the rest undecided.  Returns the mask of the snapped entries.  For
-    2-PAM this is: |v| > d -> sign(v), else unchanged, bit for bit, each entry
-    keeping its own sign bit; `mag` and `decided` are optional float and bool
-    scratch arrays of the shape of `values`.  Needs d >= 2**-53 (the loop's
-    bands are about 1/I or wider): `pam_index` puts (0, 2**-53] on the lower
-    level, so only then does every snapped entry get the level it decides."""
-    if len(levels) == 2:
-        # Branch-free and exact for d in [0, 1]: a decided entry gets
-        # max(min(|v|, d), 1) = 1, an undecided one max(|v|, 0) = |v|.  The
-        # sign bit comes back from v itself (so -0 and NaN keep theirs): the
-        # magnitude's sign bit is clear, so keeping v's sign bit and OR-ing in
-        # the magnitude's bits is copysign(mag, v) in two integer passes.
-        mag = np.abs(values, out=mag)
-        decided = np.greater(mag, d, out=decided)
-        np.minimum(mag, d, out=mag)
-        np.maximum(mag, decided, out=mag)
-        bits = values.view(np.uint64)
-        bits &= _SIGN_BIT
-        bits |= mag.view(np.uint64)
-        return decided
-    # M > 2 (experimental): the 2-PAM rule in units of the half level spacing.
-    # An entry is snapped to its nearest level, the one `pam_index` decides
-    # for, iff it lies farther than d * half_gap from the nearest midpoint
-    # between adjacent levels: half_gap - |offset| away inside the outer
-    # levels, half_gap + |offset| past them.  NaN stays undecided.
-    half_gap = 0.5 * (levels[1] - levels[0])
-    nearest = levels[pam_index(values, len(levels), scratch=mag)]
-    offset = np.abs(values - nearest)
-    to_midpoint = np.where(np.abs(values) > levels[-1], half_gap + offset, half_gap - offset)
-    decided = np.greater(to_midpoint, d * half_gap, out=decided)
-    np.copyto(values, nearest, where=decided)
+def _map_band(values, d, mag=None, decided=None):
+    """In place, the 2-PAM band map: |v| > d -> sign(v), else unchanged, bit
+    for bit, each entry keeping its own sign bit.  Returns the mask of the
+    snapped entries; `mag` and `decided` are optional float and bool scratch
+    arrays of the shape of `values`.  Needs d >= 2**-53 (the loop's bands are
+    about 1/I or wider): `pam_index` puts (0, 2**-53] on the lower level, so
+    only then does every snapped entry get the level it decides."""
+    # Branch-free and exact for d in [0, 1]: a decided entry gets
+    # max(min(|v|, d), 1) = 1, an undecided one max(|v|, 0) = |v|.  The sign
+    # bit comes back from v itself (so -0 and NaN keep theirs): the
+    # magnitude's sign bit is clear, so keeping v's sign bit and OR-ing in the
+    # magnitude's bits is copysign(mag, v) in two integer passes.
+    mag = np.abs(values, out=mag)
+    decided = np.greater(mag, d, out=decided)
+    np.minimum(mag, d, out=mag)
+    np.maximum(mag, decided, out=mag)
+    bits = values.view(np.uint64)
+    bits &= _SIGN_BIT
+    bits |= mag.view(np.uint64)
     return decided
 
 
@@ -118,8 +101,7 @@ def _iterate(config, received, trace, index, estimate, product, decided):
     may share `product`'s memory, as in the sweep's workspace.
     """
     if config.iterations == 0:
-        return pam_index(received, config.constellation, out=index, scratch=estimate)
-    levels = pam_levels(config.constellation)
+        return pam_index(received, 2, out=index, scratch=estimate)
     off_diag_t = config.off_diagonal.T
     estimate = np.empty(received.shape) if estimate is None else estimate
     product = np.empty(received.shape) if product is None else product
@@ -135,21 +117,21 @@ def _iterate(config, received, trace, index, estimate, product, decided):
             current, spare = spare, current
             np.matmul(spare, off_diag_t, out=current)
             np.subtract(received, current, out=current)
-        snapped = _map_band(current, d, levels, spare, decided)
+        snapped = _map_band(current, d, spare, decided)
         d = 1.0 - i / total
         if trace is not None:
             trace.undecided_counts.append(snapped.size - int(np.count_nonzero(snapped)))
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision.
-    return pam_index(estimate, config.constellation, out=index, scratch=estimate)
+    return pam_index(estimate, 2, out=index, scratch=estimate)
 
 
 def id_equalize_frame(config, rows, *, trace=None, out=None, estimate=None, product=None,
                       decided=None):
     """Equalize an (m, N) stack of received vectors (one vector: m = 1).
 
-    Returns the level index (`modem.pam_index`, ready for `modem.gray_demap`)
-    of every decision; `pam_levels(config.constellation)[index]` gives the
+    Returns the 2-PAM level index (`modem.pam_index`, ready for
+    `modem.gray_demap`) of every decision; `pam_levels(2)[index]` gives the
     levels.  An `IdTrace` as `trace` gets each iteration's band and undecided
     count over the stack.  Optional buffers, each of the stack's shape and
     C-contiguous: int64 `out` for the result, float64 `estimate` and

@@ -144,6 +144,39 @@ class TestSweepSpec:
         with pytest.raises(ParameterError, match=re.escape(message)):
             _fast_spec(**overrides)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("config", None),
+            ("config", {"n": 64}),
+            ("alphas", 0.8),
+            ("alphas", "0.8"),
+            ("alphas", [0.8]),
+            ("ebn0_dbs", 6.0),
+            ("ebn0_dbs", [6.0]),
+            ("iteration_counts", 10),
+            ("iteration_counts", range(3)),
+            ("kinds", TransformKind.FRCT),
+            ("kinds", [TransformKind.FRCT]),
+            ("max_bits", "100000"),
+            ("min_errors", None),
+            ("frames_per_batch", 2.0),
+            ("seed", True),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            _fast_spec(**{field: value})
+
+    @pytest.mark.parametrize("pam_order", [4, 8, 16])
+    @pytest.mark.parametrize("counts", [(10,), (0, 1), (0, 20)])
+    def test_higher_pam_order_needs_zero_iterations(self, pam_order, counts):
+        # The iterative detector is 2-PAM only.
+        with pytest.raises(ParameterError, match=f"^pam_order {pam_order} .*iteration_counts"):
+            _fast_spec(config=_small_config(pam_order=pam_order), iteration_counts=counts)
+        spec = _fast_spec(config=_small_config(pam_order=pam_order), iteration_counts=(0, 0))
+        assert spec.iteration_counts == (0, 0)
+
 
 class TestBitsPerSample:
     def test_no_overhead(self):
@@ -165,7 +198,8 @@ def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, bat
     """(bits, errors) of one batch built frame by frame from the layout's parts
     (PAM map, pilot rows, transforms, an explicit prefix slice), sharing no
     code with modem.transmit/receive; bits and noise come from the same seed
-    sequences as the sweep."""
+    sequences as the sweep.  2-PAM rows go through the detector, higher
+    orders (at I = 0) through a plain hard decision."""
     plan = transforms.make_plan(config.kind, config.n, config.alpha)
     pilots = np.concatenate(modem.pilot_rows(config))
     bits_per_frame = config.data_symbols_per_frame * config.bits_per_symbol
@@ -192,21 +226,25 @@ def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, bat
         transforms.demultiplex(plan, frame[first_data:, config.cp_len:])
         for frame in noisy.reshape(n_frames, config.symbols_per_frame, block)
     ]
-    id_cfg = equalize.IdConfig(
-        iterations=iterations,
-        matrix=correlation_matrix(config.kind, config.n, config.alpha),
-        constellation=config.pam_order,
-    )
-    index = equalize.id_equalize_frame(id_cfg, np.concatenate(received))
+    if config.pam_order == 2:
+        id_cfg = equalize.IdConfig(
+            iterations=iterations,
+            matrix=correlation_matrix(config.kind, config.n, config.alpha),
+        )
+        index = equalize.id_equalize_frame(id_cfg, np.concatenate(received))
+    else:
+        assert iterations == 0
+        index = modem.pam_index(np.concatenate(received), config.pam_order)
     rx_bits = modem.gray_demap(index.ravel(), config.pam_order)
     sent = np.concatenate(sent)
     return sent.size, int(np.sum(rx_bits != sent))
 
 
 class TestSimulateBatch:
-    @pytest.mark.parametrize("pam_order", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "pam_order,iterations", [(2, 0), (2, 1), (2, 20), (4, 0), (8, 0), (16, 0)]
+    )
     @pytest.mark.parametrize("n_frames", [1, 4])
-    @pytest.mark.parametrize("iterations", [0, 20])
     @pytest.mark.parametrize(
         "kind,alpha", [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.45)]
     )
@@ -214,7 +252,8 @@ class TestSimulateBatch:
     def test_matches_per_frame_chain(self, cp_len, kind, alpha, iterations, n_frames,
                                      pam_order):
         # The sweep decides once (level indices, Gray-demapped); the oracle
-        # decides levels and then demaps them, at every constellation order.
+        # decides levels and then demaps them, at every PAM order.  Only
+        # 2-PAM has a detector; higher orders are hard-decided (I = 0).
         config = _small_config(
             cp_len=cp_len, kind=kind, alpha=alpha, training_symbols=2, sync_symbols=1,
             pam_order=pam_order,
@@ -222,9 +261,8 @@ class TestSimulateBatch:
         errors = 0
         for seed, batch_idx in [(0, 0), (0, 1), (7, 3)]:
             args = (config, n_frames, 6.0, iterations, seed, 2, batch_idx)
-            id_cfg = equalize.IdConfig(
-                iterations, correlation_matrix(kind, config.n, alpha), config.pam_order
-            )
+            id_cfg = (equalize.IdConfig(iterations, correlation_matrix(kind, config.n, alpha))
+                      if pam_order == 2 else None)
             batch = _simulate_batch(config, id_cfg, n_frames, 6.0, seed, 2, batch_idx)
             assert batch == _per_frame_batch(*args)
             errors += batch[1]
@@ -250,11 +288,11 @@ class TestRunSweep:
     @pytest.mark.parametrize("pam_order", [4, 8])
     def test_higher_order_point_matches_per_frame_chain(self, pam_order):
         config = _small_config(pam_order=pam_order, alpha=0.9)
-        spec = _fast_spec(config=config, ebn0_dbs=(8.0,))
+        spec = _fast_spec(config=config, ebn0_dbs=(8.0,), iteration_counts=(0,))
         (point,) = run_ber_sweep(spec).points
         bits = errors = batch_idx = 0
         while bits < point.bits:
-            batch = _per_frame_batch(config, spec.frames_per_batch, 8.0, 10, spec.seed, 0,
+            batch = _per_frame_batch(config, spec.frames_per_batch, 8.0, 0, spec.seed, 0,
                                      batch_idx)
             bits, errors, batch_idx = bits + batch[0], errors + batch[1], batch_idx + 1
         assert (point.bits, point.errors) == (bits, errors)
@@ -460,6 +498,23 @@ class TestSweepMemory:
         assert built and all(ref() is None for ref in built)
         # One build per (kind, alpha, iterations) run of the grid.
         assert len(built) == 4
+
+    @pytest.mark.parametrize("pam_order", [4, 8])
+    def test_higher_order_sweep_builds_no_correlation_matrix(self, pam_order, monkeypatch):
+        built = []
+        build = icimodel.correlation_matrix
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(icimodel, "correlation_matrix", counted)
+        _point_matrix.cache_clear()
+        spec = _fast_spec(config=_small_config(pam_order=pam_order), alphas=(0.9, 0.8),
+                          iteration_counts=(0,), ebn0_dbs=(8.0, 10.0))
+        assert len(run_ber_sweep(spec).points) == 4
+        assert built == []
+        assert _point_matrix.cache_info().currsize == 0
 
 
 def _wilson_z(errors, bits, z):

@@ -186,10 +186,9 @@ class TestChannel:
 
 class TestEqualize:
     @pytest.mark.parametrize("iterations", [0, 7])
-    @LAYOUTS
     @KIND_ALPHA
-    def test_id_equalize_frame(self, kind, alpha, pam_order, iterations):
-        config = IdConfig(iterations, correlation_matrix(kind, 32, alpha), pam_order)
+    def test_id_equalize_frame(self, kind, alpha, iterations):
+        config = IdConfig(iterations, correlation_matrix(kind, 32, alpha))
         rows = np.random.default_rng(11).normal(scale=1.2, size=(9, 32))
         want = id_equalize_frame(config, rows)
         shape = rows.shape

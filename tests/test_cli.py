@@ -52,9 +52,10 @@ def sweep_cfg(tmp_path):
 
 class TestBasics:
     def test_no_subcommand_usage(self, capsys):
-        code, _, err = _run(capsys)
+        code, out, err = _run(capsys)
         assert code == 2
-        assert "usage" in err
+        assert out == ""
+        assert _one_json_error(err) == "ftnlab: a subcommand or --manifest is required"
 
     def test_version(self, capsys):
         code, out, _ = _run(capsys, "--version")
@@ -221,6 +222,22 @@ class TestSweepBer:
                     "--out", str(b), "--workers", "4")[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_higher_pam_order_needs_zero_iterations(self, capsys, tmp_path):
+        # The iterative detector is 2-PAM only; a 4-PAM sweep hard-decides.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(_SWEEP_CFG + "pam_order = 4\n")
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        message = _one_json_error(err)
+        assert "pam_order" in message and "iteration_counts" in message
+        assert stdout == ""
+        assert not out.exists()
+        cfg.write_text(_SWEEP_CFG.replace("iterations = 10", "iterations = 0")
+                       + "pam_order = 4\n")
+        assert _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))[0] == 0
+        assert out.read_text().splitlines()[1].startswith("FrCT,0.9,6.0,0,")
+
     def test_seed_override_changes_result(self, capsys, tmp_path, sweep_cfg):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -274,6 +291,21 @@ class TestManifestReplay:
         code, _, err = _run(capsys, "--manifest", str(path))
         assert code == 2
         assert key in _one_json_error(err)
+        assert not out.exists()
+
+    def test_replayed_higher_pam_order_with_iterations_refused(self, capsys, tmp_path,
+                                                               sweep_cfg):
+        out = tmp_path / "sweep.csv"
+        assert _run(capsys, "sweep-ber", "--config", sweep_cfg, "--out", str(out))[0] == 0
+        out.unlink()
+        path = tmp_path / "sweep.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["resolved"]["pam_order"] = 4
+        path.write_text(json.dumps(manifest))
+        code, _, err = _run(capsys, "--manifest", str(path))
+        assert code == 2
+        message = _one_json_error(err)
+        assert "pam_order" in message and "iteration_counts" in message
         assert not out.exists()
 
     def test_replay_missing_manifest(self, capsys, tmp_path):

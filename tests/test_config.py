@@ -130,6 +130,14 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="FrCT or FrHT"):
             sweep_spec_from_file(path)
 
+    def test_higher_pam_order_needs_zero_iterations(self, tmp_path):
+        # The iterative detector is 2-PAM only, and a file's default is 20 iterations.
+        path = _write(tmp_path, "alpha = 0.8\npam_order = 4\n")
+        with pytest.raises(ParameterError, match="^pam_order 4 .*iteration_counts"):
+            sweep_spec_from_file(path)
+        path = _write(tmp_path, "alpha = 0.8\npam_order = 4\niterations = 0\n")
+        assert sweep_spec_from_file(path).iteration_counts == (0,)
+
     def test_seed_override(self, tmp_path):
         path = _write(tmp_path, "alpha = 0.8\nseed = 3\n")
         assert sweep_spec_from_file(path).seed == 3
@@ -153,13 +161,14 @@ def _axis(elements):
 @st.composite
 def _sweep_specs(draw):
     """Any valid SweepSpec without pilot rows, whose base config takes the
-    first alpha and kind, as every parsed spec does."""
+    first alpha and kind, as every parsed spec does; above 2-PAM, with no
+    iterations, as the detector is 2-PAM only."""
     alphas = draw(_axis(st.floats(0.0, 1.0, exclude_min=True)))
     kinds = draw(_axis(st.sampled_from(TransformKind)))
     n = draw(st.integers(2, 4096))
+    pam_order = draw(st.sampled_from([2, 4, 8, 16]))
     config = ModemConfig(
-        n=n, alpha=alphas[0], kind=kinds[0],
-        pam_order=draw(st.sampled_from([2, 4, 8, 16])),
+        n=n, alpha=alphas[0], kind=kinds[0], pam_order=pam_order,
         cp_len=draw(st.integers(0, n)),
         data_symbols_per_frame=draw(st.integers(1, 512)),
         training_symbols=0, sync_symbols=0,
@@ -168,7 +177,7 @@ def _sweep_specs(draw):
     return SweepSpec(
         config=config, alphas=alphas, kinds=kinds,
         ebn0_dbs=draw(_axis(st.floats(allow_nan=False, allow_infinity=False))),
-        iteration_counts=draw(_axis(st.integers(0, 100))),
+        iteration_counts=draw(_axis(st.integers(0, 100) if pam_order == 2 else st.just(0))),
         max_bits=draw(st.integers(100_000, 10**12)),
         min_errors=draw(st.integers(0, 10**6)),
         frames_per_batch=draw(st.integers(1, 64)),

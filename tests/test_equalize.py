@@ -36,7 +36,7 @@ def _equalize_one(cfg, r):
     """One received vector as a one-row stack: (decided levels, its IdTrace)."""
     trace = IdTrace()
     index = id_equalize_frame(cfg, np.asarray(r)[None, :], trace=trace)
-    return pam_levels(cfg.constellation)[index[0]], trace
+    return pam_levels(2)[index[0]], trace
 
 
 # Quiet and signalling NaNs of both signs with several payloads, signed
@@ -61,10 +61,10 @@ class TestIdConfig:
         with pytest.raises(ParameterError, match=re.escape(message)):
             IdConfig(iterations=iterations, matrix=_matrix(4, 0.9))
 
-    @pytest.mark.parametrize("m", [0, 1, 3, 5, 2.0])
-    def test_bad_constellation(self, m):
-        with pytest.raises(ParameterError, match="constellation"):
-            IdConfig(iterations=5, matrix=_matrix(4, 0.9), constellation=m)
+    def test_takes_no_constellation(self):
+        # The detector is 2-PAM only: iterations and the matrix are its settings.
+        with pytest.raises(TypeError):
+            IdConfig(5, _matrix(4, 0.9), 4)
 
     @pytest.mark.parametrize("matrix", [np.eye(4), None, "C"])
     def test_matrix_must_be_a_correlation_matrix(self, matrix):
@@ -155,7 +155,7 @@ class TestMapBand:
         )
         expected = np.where(values > d, 1.0, np.where(values < -d, -1.0, values))
         mapped = values.copy()
-        _map_band(mapped, d, pam_levels(2))
+        _map_band(mapped, d)
         np.testing.assert_array_equal(mapped, expected)
         np.testing.assert_array_equal(np.signbit(mapped), np.signbit(expected))
 
@@ -171,50 +171,27 @@ class TestMapBand:
         expected = np.where(np.abs(values) > d, np.copysign(1.0, values), values)
         mapped = values.copy()
         buffers = (np.empty_like(values), np.empty(values.shape, bool)) if scratch else ()
-        snapped = _map_band(mapped, d, pam_levels(2), *buffers)
+        snapped = _map_band(mapped, d, *buffers)
         np.testing.assert_array_equal(mapped.view(np.uint64), expected.view(np.uint64))
         np.testing.assert_array_equal(snapped, np.abs(values) > d)
-
-    @pytest.mark.parametrize("d", [0.0, 0.25, 1.0])
-    @pytest.mark.parametrize("m", [4, 8])
-    def test_multilevel_matches_where_form_at_boundaries(self, m, d):
-        levels = pam_levels(m)
-        half_gap = 0.5 * (levels[1] - levels[0])
-        midpoints = 0.5 * (levels[1:] + levels[:-1])
-        edges = np.concatenate([midpoints - d * half_gap, midpoints + d * half_gap])
-        values = np.concatenate([
-            levels, midpoints, edges, np.nextafter(edges, np.inf),
-            np.nextafter(edges, -np.inf), [levels[0] - 1.0, levels[-1] + 1.0, np.nan],
-        ])
-        nearest = levels[pam_index(values, m)]
-        offset = np.abs(values - nearest)
-        to_midpoint = np.where(np.abs(values) > levels[-1], half_gap + offset,
-                               half_gap - offset)
-        decided = to_midpoint > d * half_gap
-        expected = np.where(decided, nearest, values)
-        mapped = values.copy()
-        snapped = _map_band(mapped, d, levels)
-        np.testing.assert_array_equal(mapped, expected)
-        np.testing.assert_array_equal(snapped, decided)
 
     @given(
         values=arrays(np.float64, st.integers(1, 64), elements=st.floats(-3.0, 3.0)),
         d=st.floats(0.01, 1.0),
-        m=st.sampled_from([2, 4, 8]),
     )
-    def test_snaps_what_lies_beyond_the_band_around_every_midpoint(self, values, d, m):
-        # The rule of every PAM order: snapped iff farther than d half-gaps
-        # from the nearest midpoint between adjacent levels, measured here
-        # directly (entries within 1e-9 of the band edge are left out).
-        levels = pam_levels(m)
+    def test_snaps_what_lies_beyond_the_band_around_every_midpoint(self, values, d):
+        # Snapped iff farther than d half-gaps from the midpoint between the
+        # two levels, measured here directly (entries within 1e-9 of the band
+        # edge are left out).
+        levels = pam_levels(2)
         half_gap = 0.5 * (levels[1] - levels[0])
         midpoints = 0.5 * (levels[1:] + levels[:-1])
         to_midpoint = np.min(np.abs(values[:, None] - midpoints), axis=1) / half_gap
         clear = np.abs(to_midpoint - d) > 1e-9
         mapped = values.copy()
-        snapped = _map_band(mapped, d, levels)
+        snapped = _map_band(mapped, d)
         np.testing.assert_array_equal(snapped[clear], to_midpoint[clear] > d)
-        np.testing.assert_array_equal(mapped[snapped], levels[pam_index(values, m)][snapped])
+        np.testing.assert_array_equal(mapped[snapped], levels[pam_index(values, 2)][snapped])
         np.testing.assert_array_equal(mapped[~snapped], values[~snapped])
 
     @given(
@@ -227,7 +204,7 @@ class TestMapBand:
         values = np.concatenate([values, _SPECIAL_VALUES, [1e-20, 2.0**-53, -2.0**-53,
                                                            np.nextafter(2.0**-53, 1.0)]])
         mapped = values.copy()
-        snapped = _map_band(mapped, d, pam_levels(2))
+        snapped = _map_band(mapped, d)
         np.testing.assert_array_equal(mapped[snapped], pam_levels(2)[pam_index(values, 2)][snapped])
 
     @pytest.mark.parametrize("iterations", [1, 2, 3, 7, 20, 1000])
@@ -244,16 +221,15 @@ class TestMapBand:
         assert_allclose(min(bands), 1.0 / iterations)
         assert min(bands) >= 2.0**-53
 
-    @pytest.mark.parametrize("m", [2, 4, 8])
-    def test_midpoints_and_nan_stay_undecided_and_outer_entries_snap(self, m):
-        levels = pam_levels(m)
+    def test_midpoints_and_nan_stay_undecided_and_outer_entries_snap(self):
+        levels = pam_levels(2)
         half_gap = 0.5 * (levels[1] - levels[0])
         midpoints = 0.5 * (levels[1:] + levels[:-1])
         outer = [levels[0] - 0.9 * half_gap, levels[-1] + 0.9 * half_gap]
         values = np.concatenate([midpoints, [np.nan], outer])
         mapped = values.copy()
-        snapped = _map_band(mapped, 0.25, levels)
-        np.testing.assert_array_equal(snapped, [False] * (m - 1) + [False, True, True])
+        snapped = _map_band(mapped, 0.25)
+        np.testing.assert_array_equal(snapped, [False, False, True, True])
         np.testing.assert_array_equal(mapped, [*midpoints, np.nan, levels[0], levels[-1]])
 
 
@@ -273,38 +249,11 @@ class TestTrace:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] == 0
 
-    @pytest.mark.parametrize("m", [4, 16])
-    def test_multilevel_counts_what_is_off_the_levels(self, m, monkeypatch):
-        # Each band map snaps to the exact levels, and the trace counts as
-        # undecided exactly the entries it left off them; only at the first
-        # iteration, d = 1, does an entry on a level count as undecided.
-        levels = pam_levels(m)
-        off_levels = []
-
-        def recording_map_band(values, d, *args):
-            snapped = _map_band(values, d, *args)
-            assert np.all(np.isin(values[snapped], levels))
-            off_levels.append(int(np.sum(~np.isin(values, levels))))
-            return snapped
-
-        monkeypatch.setattr(equalize, "_map_band", recording_map_band)
-        c = _matrix(64, 0.9)
-        rng = np.random.default_rng(7)
-        sent = levels[rng.integers(0, m, size=64)]
-        r = c.entries @ sent + 0.01 * rng.normal(size=64)
-        out, trace = _equalize_one(IdConfig(iterations=10, matrix=c, constellation=m), r)
-        assert len(off_levels) == 10
-        assert trace.undecided_counts[1:] == off_levels[1:]
-        if m == 4:
-            assert np.array_equal(out, sent)
-            assert trace.undecided_counts[-1] == 0
-
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_stack_trace_pools_its_rows(self, m):
+    def test_stack_trace_pools_its_rows(self):
         c = _matrix(16, 0.8)
-        cfg = IdConfig(iterations=8, matrix=c, constellation=m)
+        cfg = IdConfig(iterations=8, matrix=c)
         rng = np.random.default_rng(8)
-        rows = _compress(c, pam_levels(m)[rng.integers(0, m, size=(12, 16))])
+        rows = _compress(c, pam_levels(2)[rng.integers(0, 2, size=(12, 16))])
         rows += 0.2 * rng.normal(size=rows.shape)
         pooled = IdTrace()
         id_equalize_frame(cfg, rows, trace=pooled)
@@ -370,40 +319,34 @@ class TestShapes:
             assert np.array_equal(batch[i], single)
 
 
-def _reference_indices(off_diagonal, received, iterations, m):
+def _reference_indices(off_diagonal, received, iterations):
     """The module docstring's recursion, out of place and with np.where:
     S_0 = 0, S_i = R - (C - I) @ S_{i-1}, and iteration i's band map at
     d = 1 - (i-1)/I; returns the level indices of the final hard decision."""
-    levels = pam_levels(m)
-    half_gap = 0.5 * (levels[1] - levels[0])
     s = np.zeros_like(received)
     for i in range(1, iterations + 1):
         s = received - s @ off_diagonal.T
         d = 1.0 - (i - 1) / iterations
-        if m == 2:
-            s = np.where(np.abs(s) > d, np.copysign(1.0, s), s)
-            continue
-        nearest = levels[pam_index(s, m)]
-        offset = np.abs(s - nearest)
-        to_midpoint = np.where(np.abs(s) > levels[-1], half_gap + offset, half_gap - offset)
-        s = np.where(to_midpoint > d * half_gap, nearest, s)
-    return pam_index(s, m)
+        s = np.where(np.abs(s) > d, np.copysign(1.0, s), s)
+    return pam_index(s, 2)
 
 
 class TestReferenceRecursion:
     @pytest.mark.parametrize("layout", ["plain", "out", "buffers", "buffers+out", "aliased"])
     @pytest.mark.parametrize("iterations", [1, 2, 3, 20])
-    @pytest.mark.parametrize("m", [2, 4])
+    # Light noise, and heavy noise that leaves many entries inside the band.
+    @pytest.mark.parametrize("noise", [0.05, 0.6])
     @pytest.mark.parametrize(
         "kind,alpha", [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.6)]
     )
-    def test_frame_matches_out_of_place_recursion(self, kind, alpha, m, iterations, layout):
+    def test_frame_matches_out_of_place_recursion(self, kind, alpha, noise, iterations,
+                                                  layout):
         rows, n = 48, 32
         c = _matrix(n, alpha, kind)
         rng = np.random.default_rng(11)
-        sent = pam_levels(m)[rng.integers(0, m, size=(rows, n))]
-        received = _compress(c, sent) + 0.05 * rng.normal(size=(rows, n))
-        expected = _reference_indices(c.off_diagonal, received, iterations, m)
+        sent = pam_levels(2)[rng.integers(0, 2, size=(rows, n))]
+        received = _compress(c, sent) + noise * rng.normal(size=(rows, n))
+        expected = _reference_indices(c.off_diagonal, received, iterations)
         buffers = {}
         # Stale contents must not leak into the result.
         if layout.startswith("buffers") or layout == "aliased":
@@ -416,7 +359,7 @@ class TestReferenceRecursion:
         if layout.endswith("out"):
             # An `out` of its own, apart from the work buffers.
             buffers["out"] = np.full((rows, n), -7, np.int64)
-        got = id_equalize_frame(IdConfig(iterations, c, m), received, **buffers)
+        got = id_equalize_frame(IdConfig(iterations, c), received, **buffers)
         if "out" in buffers:
             assert got is buffers["out"]
         assert got.dtype == expected.dtype
