@@ -17,7 +17,7 @@ from ftnlab.equalize import (
     iteration_spectral_radius,
 )
 from ftnlab.icimodel import correlation_matrix
-from ftnlab.modem import pam_levels
+from ftnlab.modem import PAM_LEVELS
 from ftnlab.transforms import TransformKind
 
 
@@ -31,7 +31,7 @@ def main():
     received = c.entries @ sent
     trace = IdTrace()
     index = id_equalize_frame(IdConfig(iterations=10, matrix=c), received[None, :], trace=trace)
-    recovered = pam_levels(2)[index[0]]
+    recovered = PAM_LEVELS[index[0]]
     print("  iter   band d   undecided")
     for i, (d, undecided) in enumerate(zip(trace.d_values, trace.undecided_counts), 1):
         print(f"  {i:4d}   {d:6.2f}   {undecided:9d}")
@@ -43,7 +43,7 @@ def main():
     print("=" * 70)
     c = correlation_matrix(TransformKind.FRCT, 8, 0.9)
     words = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
-    out = pam_levels(2)[id_equalize_frame(IdConfig(iterations=20, matrix=c), words @ c.entries.T)]
+    out = PAM_LEVELS[id_equalize_frame(IdConfig(iterations=20, matrix=c), words @ c.entries.T)]
     print(f"  words recovered: {int(np.sum(np.all(out == words, axis=1)))}/256")
 
     print()

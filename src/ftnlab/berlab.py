@@ -3,8 +3,9 @@ spectral density estimation, and structured result export.
 
 Sweeps walk the grid (transform kind) x (alpha) x (iteration count) x
 (Eb/N0); each grid point simulates full transmit -> AWGN -> receive ->
-iterative-detection -> demap round trips in fixed-size frame batches until
-it has either seen `min_errors` bit errors or spent `max_bits` bits.
+iterative-detection round trips in fixed-size frame batches, whose 2-PAM
+decisions are the received bits, until it has either seen `min_errors` bit
+errors or spent `max_bits` bits.
 
 Reproducibility: every batch draws its bit and noise streams from a seed
 sequence derived from (sweep seed, grid-point index, batch index), and a
@@ -15,8 +16,7 @@ worker count, and no batch is computed past a point's stopping point.
 
 Memory: the points of a sweep share one frame layout, so each run of points
 reuses one batch workspace for all its batches; it goes with its run.  Of the
-N x N matrices, a sweep keeps the transform kernel and, at 2-PAM, the
-detector's C - I; a higher PAM order is hard-decided, with no detector.
+N x N matrices, a sweep keeps the transform kernel and the detector's C - I.
 """
 
 import math
@@ -87,9 +87,6 @@ class SweepSpec:
         check_integer(self.min_errors, "min_errors", 0)
         check_integer(self.frames_per_batch, "frames_per_batch", 1)
         check_integer(self.seed, "seed", 0)
-        if self.config.pam_order > 2 and any(self.iteration_counts):  # the ID is 2-PAM only
-            raise ParameterError(f"pam_order {self.config.pam_order} is hard-decided, so "
-                                 f"iteration_counts must be 0, got {self.iteration_counts}")
 
     def grid(self):
         """Grid points in their fixed enumeration (and output) order."""
@@ -133,12 +130,7 @@ class BerSweepResult:
 def bits_per_sample(config):
     """Net information bits per transmitted sample (overhead symbols and the
     cyclic prefix carry no counted bits)."""
-    return (
-        math.log2(config.pam_order)
-        * config.n
-        * config.data_symbols_per_frame
-        / ((config.n + config.cp_len) * config.symbols_per_frame)
-    )
+    return config.data_bits_per_frame / ((config.n + config.cp_len) * config.symbols_per_frame)
 
 
 # One entry, like the plan cache: the grid walks (kind, alpha) outermost, so
@@ -154,7 +146,8 @@ def _workspace(config, n_frames):
     so a batch allocates (and page-faults) no full-size array but its bit
     draw.  Three float arrays serve several stages each: the transmit rows,
     then the received data rows; the waveform, then the ID's product, then its
-    level indices; the AWGN scratch, then the ID's estimate."""
+    decisions, which are the received bits; the AWGN scratch, then the ID's
+    estimate."""
     frame_rows = (n_frames, config.symbols_per_frame)
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
 
@@ -164,8 +157,7 @@ def _workspace(config, n_frames):
     rows = np.empty(frame_rows + (config.n,))
     waveform = np.empty(frame_rows + (config.cp_len + config.n,))
     noise = np.empty_like(waveform)
-    bit_count = n_frames * config.data_bits_per_frame
-    flags = np.empty(bit_count, dtype=bool)
+    flags = np.empty(n_frames * config.data_bits_per_frame, dtype=bool)
     return {
         "rows": rows,
         "waveform": waveform,
@@ -177,8 +169,6 @@ def _workspace(config, n_frames):
         "flags": flags,
         # The ID reads `product` last before its final decision (never at I = 0).
         "index": head(waveform, data_rows).view(np.int64),
-        # At M = 2 the level indices are the bits.
-        "bits": None if config.pam_order == 2 else np.empty(bit_count, dtype=np.int64),
     }
 
 
@@ -186,10 +176,10 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
     """One frame batch at one grid point; returns (bits, errors).
 
     The noise covers the whole waveform (pilots and prefixes included) in
-    transmit order; only the data rows are demultiplexed and detected: by the
-    2-PAM detector `id_cfg`, or, if it is None, by a plain hard decision.
-    Either gives level indices, which are Gray-demapped, so each entry is
-    decided once.  `work` is a `_workspace` of this layout (a new one if None).
+    transmit order; only the data rows are demultiplexed and detected, by
+    the detector `id_cfg`, whose decisions are the received bits (at I = 0 it
+    hard-decides the rows).  `work` is a `_workspace` of this layout (a new
+    one if None).
     """
     if work is None:
         work = _workspace(config, n_frames)
@@ -205,16 +195,11 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
     waveform = modem.transmit(config, sent, out=work["waveform"], rows=work["rows"])
     channel.apply_awgn(spec, waveform, out=waveform, scratch=work["noise"])
     rows = modem.receive(config, waveform, out=work["received"]).reshape(-1, config.n)
-    if id_cfg is None:
-        index = modem.pam_index(rows, config.pam_order, out=work["index"],
-                                scratch=work["estimate"])
-    else:
-        index = equalize.id_equalize_frame(
-            id_cfg, rows, out=work["index"], estimate=work["estimate"],
-            product=work["product"], decided=work["decided"],
-        )
-    rx_bits = modem.gray_demap(index, config.pam_order, out=work["bits"])
-    errors = np.not_equal(rx_bits, sent.ravel(), out=work["flags"])
+    index = equalize.id_equalize_frame(
+        id_cfg, rows, out=work["index"], estimate=work["estimate"],
+        product=work["product"], decided=work["decided"],
+    )
+    errors = np.not_equal(index.reshape(-1), sent.ravel(), out=work["flags"])
     return sent.size, int(np.count_nonzero(errors))
 
 
@@ -223,7 +208,7 @@ def _run_point(spec, point_idx, point, work):
     `min_errors` or `max_bits` stops, all in `work`, a `_workspace`."""
     kind, alpha, iterations, ebn0_db = point
     config = replace(spec.config, kind=kind, alpha=alpha)
-    id_cfg = _point_matrix(kind, config.n, alpha, iterations) if config.pam_order == 2 else None
+    id_cfg = _point_matrix(kind, config.n, alpha, iterations)
     bits = errors = batch_idx = 0
     while bits < spec.max_bits and (spec.min_errors == 0 or errors < spec.min_errors):
         batch_bits, batch_errors = _simulate_batch(
@@ -396,10 +381,18 @@ def _point_record(p):
     return {**asdict(p), "kind": p.kind.value}
 
 
+# The ranges of schemas/ber_sweep.schema.json as check_real's (low, high, brackets);
+# Eb/N0 only has to be finite.
+_RECORD_RANGES = {"alpha": (0, 1, "(]"), "bits": (1, math.inf, "[)"),
+                  **dict.fromkeys(("iterations", "errors"), (0, math.inf, "[)")),
+                  **dict.fromkeys(("ber", "ci_lo", "ci_hi"), (0, 1, "[]"))}
+
+
 def _point_from_record(rec, where):
     """Inverse of `_point_record`, for CSV and JSON records alike.  Each value
     is parsed from its text (a JSON number's text is its literal), so 2.5 is
-    no valid `bits`; a missing or bad field raises naming it and `where`."""
+    no valid `bits`; a missing field, or a value out of the schema's range or
+    errors > bits, raises naming the field and `where`."""
     values = {}
     for f in fields(BerPoint):
         value = rec.get(f.name) if isinstance(rec, dict) else None
@@ -407,8 +400,12 @@ def _point_from_record(rec, where):
             raise ParameterError(f"{where}: missing field {f.name!r}")
         try:
             values[f.name] = f.type(str(value))
-        except ValueError:
+            if f.type is not TransformKind:
+                check_real(values[f.name], f.name, *_RECORD_RANGES.get(f.name, ()))
+        except ValueError:  # a ParameterError too
             raise ParameterError(f"{where}: bad {f.name} value {value!r}") from None
+    if values["errors"] > values["bits"]:
+        raise ParameterError(f"{where}: bad errors value {rec['errors']!r}: more than the bits")
     return BerPoint(**values)
 
 

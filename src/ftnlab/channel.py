@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError, check_buffer, check_integer, check_real, check_real_array
+from .exceptions import (
+    ParameterError, check_apart, check_buffer, check_integer, check_real, check_real_array,
+)
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,13 @@ class AwgnSpec:
 
 def measure_sample_energy(samples, *, scratch=None):
     """Mean squared sample of a waveform.  `scratch`, if given, receives the
-    squares: a C-contiguous float64 array of the waveform's shape."""
+    squares: a C-contiguous float64 array of the waveform's shape, apart from
+    `samples`."""
     samples = check_real_array(samples, "samples")
     if samples.size == 0:
         raise ParameterError("samples must be nonempty")
     check_buffer(scratch, samples.shape, np.float64, "scratch")
+    check_apart(samples=samples, scratch=scratch)
     return float(np.mean(np.multiply(samples, samples, out=scratch)))
 
 

@@ -96,7 +96,7 @@ def build_parser():
 
     p = add_parser("rates", help="symbol/Nyquist rate and bandwidth accounting")
     _out_flags(p, required=False, formats=False)
-    _link_flags(p, "alpha", "sample_rate", "n", "cp_len", "pam_order", "data_symbols_per_frame",
+    _link_flags(p, "alpha", "sample_rate", "n", "cp_len", "data_symbols_per_frame",
                 "training_symbols", "sync_symbols")
     return parser
 

@@ -9,8 +9,8 @@ then snaps entries outside the uncertainty band [-d, d] to the nearest
 2-PAM level and leaves entries inside it untouched.  The band shrinks
 linearly, d = 1 - i/I, reaching zero after the last iteration; a final
 zero-band pass hard-decides any entry still undecided, so the returned
-vector is fully mapped.  The detector is 2-PAM only; higher PAM orders are
-hard-decided by `modem.pam_index` without it.
+vector is fully mapped.  At I = 0 the detector is the plain hard decision
+`modem.pam_index` of R.
 
 Iteration i maps with the band of the previous iteration, threshold
 1 - (i-1)/I, and then shrinks it.
@@ -27,7 +27,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .exceptions import ParameterError, ShapeError, check_buffer, check_integer, check_real_array
+from .exceptions import (
+    ParameterError, ShapeError, check_apart, check_buffer, check_integer, check_real_array,
+)
 from .icimodel import CorrelationMatrix
 from .modem import pam_index
 
@@ -101,7 +103,7 @@ def _iterate(config, received, trace, index, estimate, product, decided):
     may share `product`'s memory, as in the sweep's workspace.
     """
     if config.iterations == 0:
-        return pam_index(received, 2, out=index, scratch=estimate)
+        return pam_index(received, out=index)
     off_diag_t = config.off_diagonal.T
     estimate = np.empty(received.shape) if estimate is None else estimate
     product = np.empty(received.shape) if product is None else product
@@ -123,19 +125,20 @@ def _iterate(config, received, trace, index, estimate, product, decided):
             trace.undecided_counts.append(snapped.size - int(np.count_nonzero(snapped)))
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision.
-    return pam_index(estimate, 2, out=index, scratch=estimate)
+    return pam_index(estimate, out=index)
 
 
 def id_equalize_frame(config, rows, *, trace=None, out=None, estimate=None, product=None,
                       decided=None):
     """Equalize an (m, N) stack of received vectors (one vector: m = 1).
 
-    Returns the 2-PAM level index (`modem.pam_index`, ready for
-    `modem.gray_demap`) of every decision; `pam_levels(2)[index]` gives the
-    levels.  An `IdTrace` as `trace` gets each iteration's band and undecided
-    count over the stack.  Optional buffers, each of the stack's shape and
-    C-contiguous: int64 `out` for the result, float64 `estimate` and
-    `product` and bool `decided` for the iteration's work.
+    Returns the 2-PAM decision (`modem.pam_index`) on every entry, which is
+    its bit; `modem.PAM_LEVELS[index]` gives the levels.  An `IdTrace` as
+    `trace` gets each iteration's band and undecided count over the stack.
+    Optional buffers, each of the stack's shape and C-contiguous: int64 `out`
+    for the result, float64 `estimate` and `product` and bool `decided` for
+    the iteration's work.  The work buffers may share no memory with `rows`
+    or with each other (`ParameterError`); `out` may share `product`'s.
     """
     rows = check_real_array(rows, "rows", len(config.off_diagonal))
     if rows.ndim != 2:
@@ -146,6 +149,7 @@ def id_equalize_frame(config, rows, *, trace=None, out=None, estimate=None, prod
     check_buffer(estimate, rows.shape, np.float64, "estimate")
     check_buffer(product, rows.shape, np.float64, "product")
     check_buffer(decided, rows.shape, bool, "decided")
+    check_apart(rows=rows, estimate=estimate, product=product, decided=decided)
     return _iterate(config, rows, trace, out, estimate, product, decided)
 
 
@@ -158,7 +162,9 @@ class LinearIdResult:
 
 def id_equalize_linear(config, r):
     """Run the recursion without constellation mapping (analysis helper)."""
-    r = _check_vector(config, r)
+    r = check_real_array(r, "r", len(config.off_diagonal))
+    if r.ndim != 1:
+        raise ShapeError(f"r must be a vector, got shape {r.shape}")
     off_diag = config.off_diagonal
     estimate = np.zeros_like(r)
     scale = max(float(np.linalg.norm(r)), 1.0)
@@ -177,10 +183,3 @@ def id_equalize_linear(config, r):
 def iteration_spectral_radius(matrix):
     """Spectral radius of (C - I); below 1 means the linear recursion converges."""
     return float(np.max(np.abs(np.linalg.eigvalsh(matrix.off_diagonal))))
-
-
-def _check_vector(config, r):
-    r = check_real_array(r, "r", len(config.off_diagonal))
-    if r.ndim != 1:
-        raise ShapeError(f"r must be a vector, got shape {r.shape}")
-    return r

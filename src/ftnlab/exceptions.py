@@ -2,6 +2,7 @@
 them: one per kind of parameter, such as every real-valued one."""
 
 import math
+from itertools import combinations
 from numbers import Integral, Real
 
 import numpy as np
@@ -88,3 +89,11 @@ def check_buffer(buf, shape, dtype, name, contiguous=True):
         raise ShapeError(f"{name} must be writable")
     if contiguous and not buf.flags.c_contiguous:
         raise ShapeError(f"{name} must be C-contiguous")
+
+
+def check_apart(**buffers):
+    """No two of the named arrays (None skips one) may share memory: an O(1)
+    bounds test, so two views that only interleave are refused too."""
+    for (name, a), (other, b) in combinations(buffers.items(), 2):
+        if a is not None and b is not None and np.may_share_memory(a, b):
+            raise ParameterError(f"{name} and {other} must not share memory")

@@ -180,10 +180,8 @@ def ici_samples(config, frames, rng_seed):
 
     Returns (values, residuals): demodulated outputs normalized by the
     per-subcarrier diagonal gain C[k, k], and the same values minus the
-    transmitted +/-1 symbols.  2-PAM only.
+    transmitted +/-1 symbols.
     """
-    if config.pam_order != 2:
-        raise ParameterError("ici_samples requires pam_order == 2")
     check_integer(frames, "frames", 1)
     check_integer(rng_seed, "rng_seed", 0)
     plan = make_plan(config.kind, config.n, config.alpha)

@@ -1,9 +1,10 @@
-"""Transmit/receive chain: PAM mapping, framing, cyclic prefix.
+"""Transmit/receive chain: 2-PAM mapping, framing, cyclic prefix.
 
+Every subcarrier of a data row carries one bit as a 2-PAM level, -1 or +1.
 Frames carry three classes of multicarrier symbols in transmit order
-sync | training | data.  Sync and training rows are fixed pseudo-random
-outer-level patterns; the AWGN pipeline never uses them, but they are kept
-in the frame so overhead/rate accounting matches a realistic link budget.
+sync | training | data.  Sync and training rows are fixed pseudo-random +-1
+patterns; the AWGN pipeline never uses them, but they are kept in the frame
+so overhead/rate accounting matches a realistic link budget.
 """
 
 from dataclasses import dataclass, replace
@@ -11,8 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import (
-    FramingError, ParameterError, check_buffer, check_integer, check_power_of_two, check_real,
-    check_real_array,
+    FramingError, ParameterError, check_buffer, check_integer, check_real, check_real_array,
 )
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
 
@@ -25,7 +25,6 @@ class ModemConfig:
     n: int = 256
     alpha: float = 1.0
     kind: TransformKind = TransformKind.FRCT
-    pam_order: int = 2
     cp_len: int = 0
     data_symbols_per_frame: int = 128
     training_symbols: int = 10
@@ -34,7 +33,6 @@ class ModemConfig:
 
     def __post_init__(self):
         validate_transform(self.kind, self.n, self.alpha)
-        check_power_of_two(self.pam_order, "pam_order")
         for name in ("cp_len", "data_symbols_per_frame", "training_symbols", "sync_symbols"):
             check_integer(getattr(self, name), name, 0)
         if self.cp_len > self.n:
@@ -51,7 +49,7 @@ class ModemConfig:
 
     @property
     def bits_per_symbol(self):
-        return self.n * int(np.log2(self.pam_order))
+        return self.n  # one 2-PAM bit per subcarrier
 
     @property
     def data_bits_per_frame(self):
@@ -65,137 +63,49 @@ def experiment_baseline(alpha=0.8, **overrides):
 
 
 # ---------------------------------------------------------------------------
-# PAM mapping
+# 2-PAM mapping
 
-def _pam_scale(m):
-    # Unit average symbol energy over the uniform alphabet {+-1, +-3, ...}*scale.
-    return np.sqrt(3.0 / (m * m - 1.0))
-
-
-def pam_levels(m):
-    """The normalized M-PAM alphabet in ascending order."""
-    return (2.0 * np.arange(m) - (m - 1)) * _pam_scale(m)
+# The 2-PAM levels, indexed by bit or by decision: 0 -> -1, 1 -> +1.
+PAM_LEVELS = np.array([-1.0, 1.0])
+PAM_LEVELS.flags.writeable = False
 
 
-def pam_map(bits, m, *, out=None):
-    """Gray-mapped M-PAM with unit average symbol energy.
-
-    For M=2 the alphabet is exactly {-1, +1} with 0 -> -1, 1 -> +1.
-    Bits are grouped MSB-first into log2(M)-bit Gray labels, and each label
-    is looked up in a table of the levels indexed by label.  `out`, if
-    given, receives the levels: a C-contiguous float64 vector, one per label.
-    """
-    check_power_of_two(m, "m")
+def pam_map(bits, *, out=None):
+    """The 2-PAM level of each bit, as a vector: 0 -> -1, 1 -> +1.  `out`, if
+    given, receives the levels: a C-contiguous float64 vector, one per bit."""
     bits = np.asarray(bits)
-    k = int(np.log2(m))
-    if bits.size % k:
-        raise FramingError(
-            f"bit count {bits.size} is not divisible by log2(m) = {k}"
-        )
-    _check_bits(bits)
-    groups = bits.reshape(-1, k).astype(np.intp, copy=False)
-    label = groups[:, 0]
-    for j in range(1, k):
-        label = (label << 1) | groups[:, j]
-    # Level index i carries the Gray label i ^ (i >> 1).
-    index = np.arange(m)
-    table = np.empty(m)
-    table[index ^ (index >> 1)] = pam_levels(m)
-    check_buffer(out, label.shape, np.float64, "out")
-    # Every label is in range, so "clip" only spares take() its buffered copy.
-    return np.take(table, label, out=out, mode="clip")
-
-
-def _check_bits(bits):
-    """Every entry is 0 or 1: one min/max pass, and for floats an integrality pass."""
-    if bits.dtype.kind == "b" or bits.size == 0:
-        return
-    if bits.dtype.kind in "iuf" and bits.min() >= 0 and bits.max() <= 1 and (
-        bits.dtype.kind != "f" or np.all(bits == np.floor(bits))
+    # Every bit is 0 or 1: one min/max pass, and for floats an integrality pass.
+    if bits.dtype.kind != "b" and bits.size and not (
+        bits.dtype.kind in "iuf" and bits.min() >= 0 and bits.max() <= 1
+        and (bits.dtype.kind != "f" or np.all(bits == np.floor(bits)))
     ):
-        return
-    bad = [b for b in bits.ravel().tolist() if b not in (0, 1)][:1] or [bits.dtype]
-    raise ParameterError(f"bits must be 0 or 1, got {bad[0]!r}")
+        bad = [b for b in bits.ravel().tolist() if b not in (0, 1)][:1] or [bits.dtype]
+        raise ParameterError(f"bits must be 0 or 1, got {bad[0]!r}")
+    check_buffer(out, (bits.size,), np.float64, "out")
+    # Every bit is 0 or 1, so "clip" only spares take() its buffered copy.
+    return np.take(PAM_LEVELS, bits.reshape(-1).astype(np.intp, copy=False), out=out, mode="clip")
 
 
-def pam_index(values, m, *, out=None, scratch=None):
-    """Index of the nearest M-PAM level, ties toward the lower level.
-
-    Clipped to [0, M-1] in float before the cast, so +-inf land on the outer
-    levels (and NaN on level 0).  `out` (int64) receives the indices and
-    `scratch` (float64, which may be `values` itself) the float work; both
-    have the shape of `values`.  At M = 2 the decision is one comparison,
-    `v > 2**-53`, and `scratch` is not used.
-    """
-    check_power_of_two(m, "m")
+def pam_index(values, *, out=None):
+    """The 2-PAM decision on each value, which is its bit: 1 iff v > 2**-53
+    (nearest level, ties to the lower: fl(1 + v) > 1), else 0, NaN included.
+    `out` (int64, of the shape of `values`) receives the indices."""
     values = check_real_array(values, "values")
     check_buffer(out, values.shape, np.int64, "out", contiguous=False)
-    check_buffer(scratch, values.shape, np.float64, "scratch", contiguous=False)
-    if m == 2:
-        # The formula below at M = 2 (scale 1): fl(1 + v) > 1 iff v > 2**-53,
-        # since the tie at 2**-53 rounds to even; NaN, +-0 and -inf give 0.
-        out = np.empty(values.shape, dtype=np.int64) if out is None else out
-        return np.greater(values, 2.0**-53, out=out)
-    # ceil((v / scale + M - 1) / 2 - 0.5), in place on one temporary.
-    t = np.divide(values, _pam_scale(m), out=scratch)
-    t += m - 1
-    t /= 2.0
-    t -= 0.5
-    np.ceil(t, out=t)
-    np.fmax(t, 0, out=t)
-    np.fmin(t, m - 1, out=t)
-    if out is None:
-        return t.astype(np.int64)
-    np.copyto(out, t, casting="unsafe")
-    return out
-
-
-def _check_indices(index, m):
-    """Every entry is an integer in [0, m)."""
-    if index.dtype.kind not in "iu":
-        raise ParameterError(f"index must hold integers, got dtype {index.dtype}")
-    if index.size and (index.min() < 0 or index.max() >= m):
-        bad = index[(index < 0) | (index >= m)][0]
-        raise ParameterError(f"index must lie in [0, {m}), got {int(bad)}")
-
-
-def gray_demap(index, m, *, out=None):
-    """Level indices back to bits: each index's Gray label, MSB first.
-
-    The indices must be integers in [0, M) (`ParameterError` otherwise).
-    For M=2 the label is the index, so the (raveled) indices are returned,
-    unless `out` is given: a C-contiguous int64 vector of log2(M) entries
-    per index, which receives the bits.
-    """
-    check_power_of_two(m, "m")
-    k = int(np.log2(m))
-    index = np.asarray(index).ravel()
-    _check_indices(index, m)
-    if k == 1 and out is None:
-        return index
-    check_buffer(out, (index.size * k,), np.int64, "out")
-    out = np.empty(index.size * k, dtype=np.int64) if out is None else out
-    bits = out.reshape(-1, k)
-    # The last bit column holds the Gray labels until it takes its own bit.
-    gray = bits[:, k - 1]
-    np.right_shift(index, 1, out=gray)
-    np.bitwise_xor(index, gray, out=gray)
-    for j in range(k):
-        np.right_shift(gray, k - 1 - j, out=bits[:, j])
-        np.bitwise_and(bits[:, j], 1, out=bits[:, j])
-    return out
+    out = np.empty(values.shape, dtype=np.int64) if out is None else out
+    return np.greater(values, 2.0**-53, out=out)
 
 
 # ---------------------------------------------------------------------------
 # Frames
 
 def pilot_rows(config):
-    """The fixed sync and training rows (outer-level pseudo-random patterns)."""
+    """The fixed sync and training rows: one pseudo-random +-1 pattern each,
+    repeated on every row."""
     rng = np.random.default_rng(np.random.SeedSequence(_PILOT_SEED))
-    outer = pam_levels(config.pam_order)[-1]
     signs = 2.0 * rng.integers(0, 2, size=(1 + 1, config.n)) - 1.0
-    sync = np.tile(signs[0] * outer, (config.sync_symbols, 1))
-    training = np.tile(signs[1] * outer, (config.training_symbols, 1))
+    sync = np.tile(signs[0], (config.sync_symbols, 1))
+    training = np.tile(signs[1], (config.training_symbols, 1))
     return sync, training
 
 
@@ -230,7 +140,7 @@ def transmit(config, data_bits, *, out=None, rows=None):
     rows[:, :len(sync)] = sync
     rows[:, len(sync):first] = training
     for frame, bits in zip(rows, data_bits):
-        pam_map(bits, config.pam_order, out=frame[first:].reshape(-1))
+        pam_map(bits, out=frame[first:].reshape(-1))
     # The bodies go behind the prefixes, which then copy their tails.
     multiplex(make_plan(config.kind, config.n, config.alpha), rows, out=out[..., config.cp_len:])
     out[..., :config.cp_len] = out[..., config.n:]
@@ -285,5 +195,5 @@ def rate_report(config):
         baseband_bandwidth=config.alpha * fs / 2.0,
         baseband_bandwidth_exact=(config.n - 1) * config.alpha / (2.0 * period)
         + 1.0 / period,
-        net_bit_rate=np.log2(config.pam_order) * fs * overhead,
+        net_bit_rate=fs * overhead,
     )

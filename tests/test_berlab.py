@@ -168,15 +168,6 @@ class TestSweepSpec:
         with pytest.raises(ParameterError, match=f"^{field} must be"):
             _fast_spec(**{field: value})
 
-    @pytest.mark.parametrize("pam_order", [4, 8, 16])
-    @pytest.mark.parametrize("counts", [(10,), (0, 1), (0, 20)])
-    def test_higher_pam_order_needs_zero_iterations(self, pam_order, counts):
-        # The iterative detector is 2-PAM only.
-        with pytest.raises(ParameterError, match=f"^pam_order {pam_order} .*iteration_counts"):
-            _fast_spec(config=_small_config(pam_order=pam_order), iteration_counts=counts)
-        spec = _fast_spec(config=_small_config(pam_order=pam_order), iteration_counts=(0, 0))
-        assert spec.iteration_counts == (0, 0)
-
 
 class TestBitsPerSample:
     def test_no_overhead(self):
@@ -198,8 +189,7 @@ def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, bat
     """(bits, errors) of one batch built frame by frame from the layout's parts
     (PAM map, pilot rows, transforms, an explicit prefix slice), sharing no
     code with modem.transmit/receive; bits and noise come from the same seed
-    sequences as the sweep.  2-PAM rows go through the detector, higher
-    orders (at I = 0) through a plain hard decision."""
+    sequences as the sweep.  The rows go through the detector."""
     plan = transforms.make_plan(config.kind, config.n, config.alpha)
     pilots = np.concatenate(modem.pilot_rows(config))
     bits_per_frame = config.data_symbols_per_frame * config.bits_per_symbol
@@ -209,7 +199,7 @@ def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, bat
     sent, waveform = [], []
     for _ in range(n_frames):
         bits = bits_rng.integers(0, 2, size=bits_per_frame)
-        data = modem.pam_map(bits, config.pam_order).reshape(-1, config.n)
+        data = modem.pam_map(bits).reshape(-1, config.n)
         bodies = transforms.multiplex(plan, np.concatenate([pilots, data]))
         prefixes = bodies[:, config.n - config.cp_len:]
         waveform.append(np.concatenate([prefixes, bodies], axis=1).ravel())
@@ -226,43 +216,32 @@ def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, bat
         transforms.demultiplex(plan, frame[first_data:, config.cp_len:])
         for frame in noisy.reshape(n_frames, config.symbols_per_frame, block)
     ]
-    if config.pam_order == 2:
-        id_cfg = equalize.IdConfig(
-            iterations=iterations,
-            matrix=correlation_matrix(config.kind, config.n, config.alpha),
-        )
-        index = equalize.id_equalize_frame(id_cfg, np.concatenate(received))
-    else:
-        assert iterations == 0
-        index = modem.pam_index(np.concatenate(received), config.pam_order)
-    rx_bits = modem.gray_demap(index.ravel(), config.pam_order)
+    id_cfg = equalize.IdConfig(
+        iterations=iterations,
+        matrix=correlation_matrix(config.kind, config.n, config.alpha),
+    )
+    rx_bits = equalize.id_equalize_frame(id_cfg, np.concatenate(received)).ravel()
     sent = np.concatenate(sent)
     return sent.size, int(np.sum(rx_bits != sent))
 
 
 class TestSimulateBatch:
-    @pytest.mark.parametrize(
-        "pam_order,iterations", [(2, 0), (2, 1), (2, 20), (4, 0), (8, 0), (16, 0)]
-    )
+    @pytest.mark.parametrize("iterations", [0, 1, 20])
     @pytest.mark.parametrize("n_frames", [1, 4])
     @pytest.mark.parametrize(
         "kind,alpha", [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.45)]
     )
     @pytest.mark.parametrize("cp_len", [0, 16])
-    def test_matches_per_frame_chain(self, cp_len, kind, alpha, iterations, n_frames,
-                                     pam_order):
-        # The sweep decides once (level indices, Gray-demapped); the oracle
-        # decides levels and then demaps them, at every PAM order.  Only
-        # 2-PAM has a detector; higher orders are hard-decided (I = 0).
+    def test_matches_per_frame_chain(self, cp_len, kind, alpha, iterations, n_frames):
+        # The sweep's workspace chain against the oracle's allocating one,
+        # both through the detector (at I = 0 a plain hard decision).
         config = _small_config(
             cp_len=cp_len, kind=kind, alpha=alpha, training_symbols=2, sync_symbols=1,
-            pam_order=pam_order,
         )
         errors = 0
         for seed, batch_idx in [(0, 0), (0, 1), (7, 3)]:
             args = (config, n_frames, 6.0, iterations, seed, 2, batch_idx)
-            id_cfg = (equalize.IdConfig(iterations, correlation_matrix(kind, config.n, alpha))
-                      if pam_order == 2 else None)
+            id_cfg = equalize.IdConfig(iterations, correlation_matrix(kind, config.n, alpha))
             batch = _simulate_batch(config, id_cfg, n_frames, 6.0, seed, 2, batch_idx)
             assert batch == _per_frame_batch(*args)
             errors += batch[1]
@@ -284,19 +263,6 @@ class TestRunSweep:
         a = run_ber_sweep(_fast_spec())
         b = run_ber_sweep(_fast_spec())
         assert a == b
-
-    @pytest.mark.parametrize("pam_order", [4, 8])
-    def test_higher_order_point_matches_per_frame_chain(self, pam_order):
-        config = _small_config(pam_order=pam_order, alpha=0.9)
-        spec = _fast_spec(config=config, ebn0_dbs=(8.0,), iteration_counts=(0,))
-        (point,) = run_ber_sweep(spec).points
-        bits = errors = batch_idx = 0
-        while bits < point.bits:
-            batch = _per_frame_batch(config, spec.frames_per_batch, 8.0, 0, spec.seed, 0,
-                                     batch_idx)
-            bits, errors, batch_idx = bits + batch[0], errors + batch[1], batch_idx + 1
-        assert (point.bits, point.errors) == (bits, errors)
-        assert errors > 0
 
     def test_worker_count_invariant(self):
         spec = _fast_spec(
@@ -499,23 +465,6 @@ class TestSweepMemory:
         # One build per (kind, alpha, iterations) run of the grid.
         assert len(built) == 4
 
-    @pytest.mark.parametrize("pam_order", [4, 8])
-    def test_higher_order_sweep_builds_no_correlation_matrix(self, pam_order, monkeypatch):
-        built = []
-        build = icimodel.correlation_matrix
-
-        def counted(*args):
-            built.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(icimodel, "correlation_matrix", counted)
-        _point_matrix.cache_clear()
-        spec = _fast_spec(config=_small_config(pam_order=pam_order), alphas=(0.9, 0.8),
-                          iteration_counts=(0,), ebn0_dbs=(8.0, 10.0))
-        assert len(run_ber_sweep(spec).points) == 4
-        assert built == []
-        assert _point_matrix.cache_info().currsize == 0
-
 
 def _wilson_z(errors, bits, z):
     """Wilson score interval at `z` standard deviations."""
@@ -574,7 +523,7 @@ class TestNoiseFreeFloor:
             received = modem.receive(config, modem.transmit(config, sent))
             index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n))
             bits += sent.size
-            errors += int(np.count_nonzero(modem.gray_demap(index, 2) != sent.ravel()))
+            errors += int(np.count_nonzero(index.ravel() != sent.ravel()))
         assert bits == 2_097_152
         assert errors == 0
 
@@ -775,15 +724,33 @@ class TestExportImport:
                    errors=10, ber=0.01, ci_lo=0.005, ci_hi=0.02)
 
     @pytest.mark.parametrize("format", ["csv", "json"])
-    @pytest.mark.parametrize("field,value", [("alpha", "abc"), ("bits", 2.5), ("kind", "FrXT")])
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", "abc"), ("bits", 2.5), ("kind", "FrXT"),
+        # Out of the schema's ranges, or more errors than bits.
+        ("alpha", 7.5), ("alpha", 0), ("ebn0_db", math.nan), ("ebn0_db", math.inf),
+        ("iterations", -3), ("bits", 0), ("errors", -1), ("errors", 1001), ("ber", -2),
+        ("ber", 1.5), ("ci_lo", -0.1), ("ci_hi", 2),
+    ])
     def test_bad_value_names_field_and_row(self, tmp_path, format, field, value):
         path = tmp_path / f"sweep.{format}"
         self._write_points(path, [self._RECORD, {**self._RECORD, field: value}])
-        message = f"{path}: row 2: bad {field} value {value!r}"
-        if format == "csv":
-            message = message.replace(repr(value), repr(str(value)))
+        shown = str(value) if format == "csv" else value  # a CSV value is its text
+        message = f"{path}: row 2: bad {field} value {shown!r}"
         with pytest.raises(ParameterError, match=re.escape(message)):
             import_sweep(path, format=format)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("edge", [
+        dict(alpha=1.0), dict(ebn0_db=-30.0), dict(iterations=0),
+        dict(errors=0, ber=0.0, ci_lo=0.0),
+        dict(errors=1000, ber=1.0, ci_hi=1.0),
+        dict(bits=1, errors=1, ber=1.0, ci_lo=0.0, ci_hi=1.0),
+    ], ids=lambda edge: "-".join(edge))
+    def test_values_on_the_range_edges_accepted(self, tmp_path, format, edge):
+        path = tmp_path / f"sweep.{format}"
+        self._write_points(path, [self._RECORD, {**self._RECORD, **edge}])
+        point = import_sweep(path, format=format).points[1]
+        assert {field: getattr(point, field) for field in edge} == edge
 
     @pytest.mark.parametrize("format", ["csv", "json"])
     def test_missing_column_names_field_and_row(self, tmp_path, format):

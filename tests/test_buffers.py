@@ -6,19 +6,21 @@ garbage here), and reject a bad buffer with a ShapeError that names it.
 """
 
 import re
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy, noise_sigma
 from ftnlab.equalize import IdConfig, id_equalize_frame
-from ftnlab.exceptions import ShapeError
+from ftnlab.berlab import _workspace
+from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.modem import (
+    PAM_LEVELS,
     ModemConfig,
-    gray_demap,
     pam_index,
-    pam_levels,
     pam_map,
     pilot_rows,
     random_data_bits,
@@ -40,14 +42,13 @@ def garbage(shape, dtype=np.float64):
     return np.full(shape, fill[np.dtype(dtype)], dtype=dtype)
 
 
-def _config(kind, alpha, cp_len, pilots, pam_order):
+def _config(kind, alpha, cp_len, pilots):
     return ModemConfig(
-        n=32, alpha=alpha, kind=kind, pam_order=pam_order, cp_len=cp_len,
+        n=32, alpha=alpha, kind=kind, cp_len=cp_len,
         data_symbols_per_frame=6, sync_symbols=pilots[0], training_symbols=pilots[1],
     )
 
 
-LAYOUTS = pytest.mark.parametrize("pam_order", [2, 4, 8])
 PILOTS = pytest.mark.parametrize("pilots", [(0, 0), (1, 2)])
 CP_LENS = pytest.mark.parametrize("cp_len", [0, 5])
 KIND_ALPHA = pytest.mark.parametrize("kind,alpha", KINDS)
@@ -87,12 +88,11 @@ class TestTransforms:
 
 
 class TestModem:
-    @LAYOUTS
     @PILOTS
     @CP_LENS
     @KIND_ALPHA
-    def test_transmit(self, kind, alpha, cp_len, pilots, pam_order):
-        config = _config(kind, alpha, cp_len, pilots, pam_order)
+    def test_transmit(self, kind, alpha, cp_len, pilots):
+        config = _config(kind, alpha, cp_len, pilots)
         rng = np.random.default_rng(4)
         out = garbage((3, config.symbols_per_frame, cp_len + 32))
         rows = garbage((3, config.symbols_per_frame, 32))
@@ -102,19 +102,18 @@ class TestModem:
             assert transmit(config, bits, out=out, rows=rows) is out
             assert_same_bytes(out, want)
         # The allocating form equals a prefix concatenated onto a contiguous product.
-        data = pam_map(bits, pam_order).reshape(3, 6, 32)
+        data = pam_map(bits).reshape(3, 6, 32)
         pilot = np.broadcast_to(np.concatenate(pilot_rows(config)), (3, sum(pilots), 32))
         full = np.concatenate([pilot, data], axis=1)
         assert_same_bytes(rows, full)
         bodies = multiplex(make_plan(kind, 32, alpha), full)
         assert_same_bytes(want, np.concatenate([bodies[..., 32 - cp_len:], bodies], axis=-1))
 
-    @LAYOUTS
     @PILOTS
     @CP_LENS
     @KIND_ALPHA
-    def test_receive(self, kind, alpha, cp_len, pilots, pam_order):
-        config = _config(kind, alpha, cp_len, pilots, pam_order)
+    def test_receive(self, kind, alpha, cp_len, pilots):
+        config = _config(kind, alpha, cp_len, pilots)
         samples = np.random.default_rng(5).normal(
             size=(2, config.symbols_per_frame, cp_len + 32))
         want = receive(config, samples)
@@ -122,35 +121,39 @@ class TestModem:
         assert receive(config, samples.ravel(), out=out) is out
         assert_same_bytes(out, want)
 
-    @LAYOUTS
-    def test_pam_map(self, pam_order):
+    @pytest.mark.parametrize("frames", [1, 3])
+    @PILOTS
+    @CP_LENS
+    @KIND_ALPHA
+    def test_loopback_through_the_buffers(self, kind, alpha, cp_len, pilots, frames):
+        # Noise-free, each received data row is C times its 2-PAM levels,
+        # whatever the prefix, the pilots and the frame count.
+        config = _config(kind, alpha, cp_len, pilots)
+        bits = random_data_bits(config, np.random.default_rng(13), frames)
+        blocks = garbage((frames, config.symbols_per_frame, cp_len + 32))
+        rows = garbage((frames, config.symbols_per_frame, 32))
+        out = garbage((frames, 6, 32))
+        transmit(config, bits, out=blocks, rows=rows)
+        assert receive(config, blocks, out=out) is out
+        levels = PAM_LEVELS[bits].reshape(frames, 6, 32)
+        assert_same_bytes(rows[:, sum(pilots):], levels)
+        c = correlation_matrix(kind, 32, alpha).entries
+        np.testing.assert_allclose(out, levels @ c.T, rtol=0, atol=1e-12)
+
+    def test_pam_map(self):
         bits = np.random.default_rng(6).integers(0, 2, size=60 * 3)
-        want = pam_map(bits, pam_order)
+        want = pam_map(bits)
         out = garbage(want.shape)
-        assert pam_map(bits, pam_order, out=out) is out
+        assert pam_map(bits, out=out) is out
         assert_same_bytes(out, want)
 
-    @LAYOUTS
-    def test_pam_index(self, pam_order):
+    def test_pam_index(self):
         values = np.random.default_rng(7).normal(scale=1.5, size=(4, 25))
-        special = np.concatenate([pam_levels(pam_order), [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        special = np.concatenate([PAM_LEVELS, [0.0, -0.0, np.inf, -np.inf, np.nan]])
         values.flat[:special.size] = special
-        want = pam_index(values, pam_order)
-        out, scratch = garbage(values.shape, np.int64), garbage(values.shape)
-        assert pam_index(values, pam_order, out=out, scratch=scratch) is out
-        assert_same_bytes(out, want)
-        # In place: the values themselves are the scratch.
-        assert_same_bytes(pam_index(values, pam_order, scratch=values), want)
-
-    @LAYOUTS
-    def test_gray_demap(self, pam_order):
-        index = np.random.default_rng(12).integers(0, pam_order, size=(5, 9))
-        bits = np.random.default_rng(12).integers(0, 2, size=45 * (pam_order.bit_length() - 1))
-        assert_same_bytes(gray_demap(pam_index(pam_map(bits, pam_order), pam_order), pam_order),
-                          bits)
-        want = gray_demap(index, pam_order)
-        out = garbage(want.shape, np.int64)
-        assert gray_demap(index, pam_order, out=out) is out
+        want = pam_index(values)
+        out = garbage(values.shape, np.int64)
+        assert pam_index(values, out=out) is out
         assert_same_bytes(out, want)
 
 
@@ -217,10 +220,8 @@ def _bad_buffers():
         (lambda buf: transmit(config, bits, out=buf), "out", (2, 5, 18), np.float64),
         (lambda buf: transmit(config, bits, rows=buf), "rows", (2, 5, 16), np.float64),
         (lambda buf: receive(config, waveform, out=buf), "out", (2, 3, 16), np.float64),
-        (lambda buf: pam_map(bits[0], 2, out=buf), "out", (48,), np.float64),
-        (lambda buf: gray_demap(rows.astype(int), 4, out=buf), "out", (192,), np.int64),
-        (lambda buf: pam_index(rows, 2, out=buf), "out", (6, 16), np.int64),
-        (lambda buf: pam_index(rows, 2, scratch=buf), "scratch", (6, 16), np.float64),
+        (lambda buf: pam_map(bits[0], out=buf), "out", (48,), np.float64),
+        (lambda buf: pam_index(rows, out=buf), "out", (6, 16), np.int64),
         (lambda buf: apply_awgn(spec, waveform, out=buf), "out", (2, 5, 18), np.float64),
         (lambda buf: apply_awgn(spec, waveform, scratch=buf), "scratch", (2, 5, 18), np.float64),
         (lambda buf: measure_sample_energy(rows, scratch=buf), "scratch", (6, 16), np.float64),
@@ -264,3 +265,65 @@ class TestBadBuffers:
         x = np.ones((4, 6))
         with pytest.raises(ShapeError, match="^scratch must be C-contiguous$"):
             apply_awgn(spec, x, scratch=np.zeros((6, 4)).T)
+
+
+
+def _one_allocation(*dtypes):
+    """C-contiguous (6, 16) arrays of `dtypes`, each a view of one allocation."""
+    raw = np.zeros(6 * 16 * 8, dtype=np.uint8)
+    return [raw[:6 * 16 * np.dtype(t).itemsize].view(t).reshape(6, 16) for t in dtypes]
+
+
+_ID_ARRAYS = {"rows": np.float64, "estimate": np.float64, "product": np.float64, "decided": bool}
+OVERLAPS = [("apply_awgn", "samples", "scratch"), ("measure_sample_energy", "samples", "scratch"),
+            *(("id_equalize_frame", a, b) for a, b in combinations(_ID_ARRAYS, 2))]
+
+
+class TestOverlappingBuffers:
+    """A scratch or work buffer that overlaps the input or another work buffer
+    would give wrong results, so it is refused, naming both arguments."""
+
+    @pytest.mark.parametrize("function,first,second", OVERLAPS,
+                             ids=["-".join(case) for case in OVERLAPS])
+    def test_refused_naming_both(self, function, first, second):
+        if function == "id_equalize_frame":
+            buffers = dict(zip((first, second),
+                               _one_allocation(_ID_ARRAYS[first], _ID_ARRAYS[second])))
+            rows = buffers.pop("rows", np.zeros((6, 16)))
+            config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
+            call = partial(id_equalize_frame, config, rows, **buffers)
+        else:
+            samples, scratch = _one_allocation(np.float64, np.float64)
+            samples[:] = np.linspace(-1.0, 1.0, samples.size).reshape(samples.shape)
+            spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
+            call = partial(apply_awgn, spec) if function == "apply_awgn" else measure_sample_energy
+            call = partial(call, samples, scratch=scratch)
+        with pytest.raises(ParameterError, match=f"^{first} and {second} must not share memory$"):
+            call()
+
+    def test_disjoint_parts_of_one_allocation_pass(self):
+        raw = np.zeros(3 * 6 * 16 * 8 + 6 * 16, dtype=np.uint8)
+        rows, estimate, product = raw[:3 * 6 * 16 * 8].view(np.float64).reshape(3, 6, 16)
+        decided = raw[3 * 6 * 16 * 8:].view(bool).reshape(6, 16)
+        rows[:] = np.random.default_rng(14).normal(size=rows.shape)
+        config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
+        want = id_equalize_frame(config, rows.copy())
+        got = id_equalize_frame(config, rows, estimate=estimate, product=product,
+                                decided=decided)
+        assert_same_bytes(got, want)
+        assert measure_sample_energy(rows, scratch=estimate) == measure_sample_energy(rows.copy())
+
+    @pytest.mark.parametrize("iterations", [0, 5])
+    def test_the_sweep_workspace_passes(self, iterations):
+        # The sweep's decisions share the product's memory, which is allowed.
+        config = ModemConfig(n=16, alpha=0.9, data_symbols_per_frame=3, training_symbols=0,
+                             sync_symbols=0)
+        work = _workspace(config, 2)
+        rows = work["received"].reshape(-1, 16)
+        rows[:] = np.random.default_rng(15).normal(size=rows.shape)
+        id_cfg = IdConfig(iterations, correlation_matrix(TransformKind.FRCT, 16, 0.9))
+        want = id_equalize_frame(id_cfg, rows.copy())
+        got = id_equalize_frame(id_cfg, rows, out=work["index"], estimate=work["estimate"],
+                                product=work["product"], decided=work["decided"])
+        assert np.shares_memory(got, work["product"])
+        assert_same_bytes(got, want)

@@ -7,7 +7,7 @@ from scipy.special import erfc
 from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy, noise_sigma
 from ftnlab.exceptions import ParameterError
 from ftnlab.modem import (
-    ModemConfig, gray_demap, pam_index, random_data_bits, receive, transmit,
+    ModemConfig, pam_index, random_data_bits, receive, transmit,
 )
 from ftnlab.transforms import TransformKind
 
@@ -116,7 +116,7 @@ class TestBerCalibration:
             spec = AwgnSpec(eb_n0_db=ebn0_db, bits_per_sample=1.0,
                             rng_seed=np.random.SeedSequence([17, bits_done]))
             rx = receive(cfg, apply_awgn(spec, transmit(cfg, bits)))
-            errors += np.sum(gray_demap(pam_index(rx, 2), 2) != bits.ravel())
+            errors += np.sum(pam_index(rx).ravel() != bits.ravel())
             bits_done += frame_bits
         gamma = 10 ** (ebn0_db / 10)
         assert errors / bits_done == pytest.approx(qfunc(np.sqrt(2 * gamma)), rel=0.10)

@@ -223,20 +223,18 @@ class TestSweepBer:
         assert a.read_bytes() == b.read_bytes()
 
     def test_higher_pam_order_needs_zero_iterations(self, capsys, tmp_path):
-        # The iterative detector is 2-PAM only; a 4-PAM sweep hard-decides.
+        # The link is 2-PAM end to end: pam_order is no key, at any value.
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(_SWEEP_CFG + "pam_order = 4\n")
         out = tmp_path / "sweep.csv"
-        code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))
-        assert code == 2
-        message = _one_json_error(err)
-        assert "pam_order" in message and "iteration_counts" in message
-        assert stdout == ""
-        assert not out.exists()
-        cfg.write_text(_SWEEP_CFG.replace("iterations = 10", "iterations = 0")
-                       + "pam_order = 4\n")
-        assert _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))[0] == 0
-        assert out.read_text().splitlines()[1].startswith("FrCT,0.9,6.0,0,")
+        for text in (_SWEEP_CFG, _SWEEP_CFG.replace("iterations = 10", "iterations = 0")):
+            for order in (4, 2):
+                cfg.write_text(text + f"pam_order = {order}\n")
+                code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg),
+                                         "--out", str(out))
+                assert code == 2
+                assert "unknown key(s) ['pam_order']" in _one_json_error(err)
+                assert stdout == ""
+                assert not out.exists()
 
     def test_seed_override_changes_result(self, capsys, tmp_path, sweep_cfg):
         a = tmp_path / "a.csv"
@@ -300,12 +298,12 @@ class TestManifestReplay:
         out.unlink()
         path = tmp_path / "sweep.csv.manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["resolved"]["pam_order"] = 4
+        # A manifest written while the link had a PAM order recorded it as 2.
+        manifest["resolved"]["pam_order"] = 2
         path.write_text(json.dumps(manifest))
         code, _, err = _run(capsys, "--manifest", str(path))
         assert code == 2
-        message = _one_json_error(err)
-        assert "pam_order" in message and "iteration_counts" in message
+        assert "unknown key(s) ['pam_order']" in _one_json_error(err)
         assert not out.exists()
 
     def test_replay_missing_manifest(self, capsys, tmp_path):
@@ -439,6 +437,13 @@ class TestBadInputFiles:
         assert code == 2
         assert "['alhpa']" in _one_json_error(err)
 
+    @pytest.mark.parametrize("subcommand", [argv[0] for argv in _SMALL_RUNS])
+    def test_replayed_pam_order_rejected(self, small_manifests, subcommand):
+        # The link is 2-PAM end to end, so an old record of the order is no key.
+        code, err = _replay_edited(small_manifests, subcommand, "pam_order", 2)
+        assert code == 2
+        assert "['pam_order']" in _one_json_error(err)
+
 
 class TestOneResolvedRecord:
     def test_capacity_records_its_params_from_flags_and_config(self, capsys, tmp_path):
@@ -469,9 +474,27 @@ class TestOneResolvedRecord:
         out = tmp_path / "rates.json"
         assert _run(capsys, "rates", "--data-symbols-per-frame", "64", "--out", str(out))[0] == 0
         resolved = json.loads((tmp_path / "rates.json.manifest.json").read_text())["resolved"]
-        assert list(resolved) == ["alpha", "sample_rate", "n", "cp_len", "pam_order",
+        assert list(resolved) == ["alpha", "sample_rate", "n", "cp_len",
                                   "data_symbols_per_frame", "training_symbols", "sync_symbols"]
         assert resolved["data_symbols_per_frame"] == 64
+
+    def test_rates_has_no_pam_order_flag(self, capsys, tmp_path):
+        out = tmp_path / "rates.json"
+        code, stdout, err = _run(capsys, "rates", "--pam-order", "4", "--out", str(out))
+        assert code == 2
+        assert "--pam-order" in _one_json_error(err)
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda argv: argv[0])
+    def test_no_subcommand_takes_a_pam_order_flag(self, capsys, tmp_path, sweep_cfg, argv):
+        argv = [sweep_cfg if a == "SWEEP_CFG" else a for a in argv]
+        out = tmp_path / "out.json"
+        code, stdout, err = _run(capsys, *argv, "--pam-order", "2", "--out", str(out))
+        assert code == 2
+        assert "--pam-order" in _one_json_error(err)
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestErrorsExitCleanly:
@@ -569,7 +592,7 @@ _FLAG_VALUES = {
                  "--bandwidth": ["1e9", "0", "-1", "nan", "x"],
                  "--snr-db": ["10", "-10", "3000", "3001", "1e308", "nan", "x"]},
     "rates": {"--alpha": _ALPHAS, "--sample-rate": _SAMPLE_RATES, "--n": _NS,
-              "--cp-len": ["0", "16", "300", "-1", "x"], "--pam-order": ["2", "4", "3", "1", "x"],
+              "--cp-len": ["0", "16", "300", "-1", "x"],
               "--data-symbols-per-frame": _COUNTS, "--training-symbols": _COUNTS,
               "--sync-symbols": _COUNTS},
 }

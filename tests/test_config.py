@@ -131,12 +131,11 @@ class TestSweepSpec:
             sweep_spec_from_file(path)
 
     def test_higher_pam_order_needs_zero_iterations(self, tmp_path):
-        # The iterative detector is 2-PAM only, and a file's default is 20 iterations.
-        path = _write(tmp_path, "alpha = 0.8\npam_order = 4\n")
-        with pytest.raises(ParameterError, match="^pam_order 4 .*iteration_counts"):
-            sweep_spec_from_file(path)
-        path = _write(tmp_path, "alpha = 0.8\npam_order = 4\niterations = 0\n")
-        assert sweep_spec_from_file(path).iteration_counts == (0,)
+        # The link is 2-PAM end to end: pam_order is no key, at any value.
+        for text in ("pam_order = 4\n", "pam_order = 4\niterations = 0\n", "pam_order = 2\n"):
+            path = _write(tmp_path, "alpha = 0.8\n" + text)
+            with pytest.raises(ConfigError, match=re.escape("unknown key(s) ['pam_order']")):
+                sweep_spec_from_file(path)
 
     def test_seed_override(self, tmp_path):
         path = _write(tmp_path, "alpha = 0.8\nseed = 3\n")
@@ -161,14 +160,12 @@ def _axis(elements):
 @st.composite
 def _sweep_specs(draw):
     """Any valid SweepSpec without pilot rows, whose base config takes the
-    first alpha and kind, as every parsed spec does; above 2-PAM, with no
-    iterations, as the detector is 2-PAM only."""
+    first alpha and kind, as every parsed spec does."""
     alphas = draw(_axis(st.floats(0.0, 1.0, exclude_min=True)))
     kinds = draw(_axis(st.sampled_from(TransformKind)))
     n = draw(st.integers(2, 4096))
-    pam_order = draw(st.sampled_from([2, 4, 8, 16]))
     config = ModemConfig(
-        n=n, alpha=alphas[0], kind=kinds[0], pam_order=pam_order,
+        n=n, alpha=alphas[0], kind=kinds[0],
         cp_len=draw(st.integers(0, n)),
         data_symbols_per_frame=draw(st.integers(1, 512)),
         training_symbols=0, sync_symbols=0,
@@ -177,7 +174,7 @@ def _sweep_specs(draw):
     return SweepSpec(
         config=config, alphas=alphas, kinds=kinds,
         ebn0_dbs=draw(_axis(st.floats(allow_nan=False, allow_infinity=False))),
-        iteration_counts=draw(_axis(st.integers(0, 100) if pam_order == 2 else st.just(0))),
+        iteration_counts=draw(_axis(st.integers(0, 100))),
         max_bits=draw(st.integers(100_000, 10**12)),
         min_errors=draw(st.integers(0, 10**6)),
         frames_per_batch=draw(st.integers(1, 64)),

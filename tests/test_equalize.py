@@ -20,7 +20,7 @@ from ftnlab.equalize import (
 from ftnlab import equalize, records
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
-from ftnlab.modem import pam_index, pam_levels
+from ftnlab.modem import PAM_LEVELS, pam_index
 from ftnlab.transforms import TransformKind
 
 
@@ -36,7 +36,7 @@ def _equalize_one(cfg, r):
     """One received vector as a one-row stack: (decided levels, its IdTrace)."""
     trace = IdTrace()
     index = id_equalize_frame(cfg, np.asarray(r)[None, :], trace=trace)
-    return pam_levels(2)[index[0]], trace
+    return PAM_LEVELS[index[0]], trace
 
 
 # Quiet and signalling NaNs of both signs with several payloads, signed
@@ -106,14 +106,14 @@ class TestNoiselessRecovery:
         c = _matrix(8, 0.9)
         cfg = IdConfig(iterations=20, matrix=c)
         words = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
-        out = pam_levels(2)[id_equalize_frame(cfg, _compress(c, words))]
+        out = PAM_LEVELS[id_equalize_frame(cfg, _compress(c, words))]
         assert np.array_equal(out, words)
 
     def test_exhaustive_recovery_n4_alpha08(self):
         c = _matrix(4, 0.8)
         cfg = IdConfig(iterations=20, matrix=c)
         words = 2.0 * ((np.arange(16)[:, None] >> np.arange(4)) & 1) - 1.0
-        out = pam_levels(2)[id_equalize_frame(cfg, _compress(c, words))]
+        out = PAM_LEVELS[id_equalize_frame(cfg, _compress(c, words))]
         assert np.array_equal(out, words)
 
     def test_output_is_always_on_levels(self):
@@ -129,7 +129,7 @@ class TestNoiselessRecovery:
         rng = np.random.default_rng(2)
         sent = 2.0 * rng.integers(0, 2, size=(64, 16)) - 1.0
         r = _compress(c, sent)
-        a = pam_levels(2)[id_equalize_frame(IdConfig(iterations=20, matrix=c), r)]
+        a = PAM_LEVELS[id_equalize_frame(IdConfig(iterations=20, matrix=c), r)]
         assert np.array_equal(a, sent)
 
     def test_more_iterations_never_hurt_noiseless(self):
@@ -139,7 +139,7 @@ class TestNoiselessRecovery:
         r = _compress(c, sent)
         errs = []
         for iters in (1, 5, 20):
-            out = pam_levels(2)[id_equalize_frame(IdConfig(iterations=iters, matrix=c), r)]
+            out = PAM_LEVELS[id_equalize_frame(IdConfig(iterations=iters, matrix=c), r)]
             errs.append(int(np.sum(out != sent)))
         assert errs[0] >= errs[1] >= errs[2]
 
@@ -183,7 +183,7 @@ class TestMapBand:
         # Snapped iff farther than d half-gaps from the midpoint between the
         # two levels, measured here directly (entries within 1e-9 of the band
         # edge are left out).
-        levels = pam_levels(2)
+        levels = PAM_LEVELS
         half_gap = 0.5 * (levels[1] - levels[0])
         midpoints = 0.5 * (levels[1:] + levels[:-1])
         to_midpoint = np.min(np.abs(values[:, None] - midpoints), axis=1) / half_gap
@@ -191,7 +191,7 @@ class TestMapBand:
         mapped = values.copy()
         snapped = _map_band(mapped, d)
         np.testing.assert_array_equal(snapped[clear], to_midpoint[clear] > d)
-        np.testing.assert_array_equal(mapped[snapped], levels[pam_index(values, 2)][snapped])
+        np.testing.assert_array_equal(mapped[snapped], levels[pam_index(values)][snapped])
         np.testing.assert_array_equal(mapped[~snapped], values[~snapped])
 
     @given(
@@ -205,7 +205,7 @@ class TestMapBand:
                                                            np.nextafter(2.0**-53, 1.0)]])
         mapped = values.copy()
         snapped = _map_band(mapped, d)
-        np.testing.assert_array_equal(mapped[snapped], pam_levels(2)[pam_index(values, 2)][snapped])
+        np.testing.assert_array_equal(mapped[snapped], PAM_LEVELS[pam_index(values)][snapped])
 
     @pytest.mark.parametrize("iterations", [1, 2, 3, 7, 20, 1000])
     def test_detector_bands_meet_the_precondition(self, iterations, monkeypatch):
@@ -222,7 +222,7 @@ class TestMapBand:
         assert min(bands) >= 2.0**-53
 
     def test_midpoints_and_nan_stay_undecided_and_outer_entries_snap(self):
-        levels = pam_levels(2)
+        levels = PAM_LEVELS
         half_gap = 0.5 * (levels[1] - levels[0])
         midpoints = 0.5 * (levels[1:] + levels[:-1])
         outer = [levels[0] - 0.9 * half_gap, levels[-1] + 0.9 * half_gap]
@@ -253,7 +253,7 @@ class TestTrace:
         c = _matrix(16, 0.8)
         cfg = IdConfig(iterations=8, matrix=c)
         rng = np.random.default_rng(8)
-        rows = _compress(c, pam_levels(2)[rng.integers(0, 2, size=(12, 16))])
+        rows = _compress(c, PAM_LEVELS[rng.integers(0, 2, size=(12, 16))])
         rows += 0.2 * rng.normal(size=rows.shape)
         pooled = IdTrace()
         id_equalize_frame(cfg, rows, trace=pooled)
@@ -313,7 +313,7 @@ class TestShapes:
         cfg = IdConfig(iterations=6, matrix=c)
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(10, 8))
-        batch = pam_levels(2)[id_equalize_frame(cfg, rows)]
+        batch = PAM_LEVELS[id_equalize_frame(cfg, rows)]
         for i in range(10):
             single, _ = _equalize_one(cfg, rows[i])
             assert np.array_equal(batch[i], single)
@@ -328,7 +328,7 @@ def _reference_indices(off_diagonal, received, iterations):
         s = received - s @ off_diagonal.T
         d = 1.0 - (i - 1) / iterations
         s = np.where(np.abs(s) > d, np.copysign(1.0, s), s)
-    return pam_index(s, 2)
+    return pam_index(s)
 
 
 class TestReferenceRecursion:
@@ -344,7 +344,7 @@ class TestReferenceRecursion:
         rows, n = 48, 32
         c = _matrix(n, alpha, kind)
         rng = np.random.default_rng(11)
-        sent = pam_levels(2)[rng.integers(0, 2, size=(rows, n))]
+        sent = PAM_LEVELS[rng.integers(0, 2, size=(rows, n))]
         received = _compress(c, sent) + noise * rng.normal(size=(rows, n))
         expected = _reference_indices(c.off_diagonal, received, iterations)
         buffers = {}

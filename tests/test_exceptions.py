@@ -137,7 +137,7 @@ REAL_ARRAYS = {
     "measure_sample_energy": ("samples", measure_sample_energy),
     "apply_awgn": ("samples", lambda v: apply_awgn(AwgnSpec(10.0, 1.0), v)),
     "receive": ("samples", lambda v: receive(_LINK, v)),
-    "pam_index": ("values", lambda v: pam_index(v, 2)),
+    "pam_index": ("values", pam_index),
     "id_equalize_frame": ("rows", lambda v: id_equalize_frame(_ID, [v])),
     "id_equalize_linear": ("r", lambda v: id_equalize_linear(_ID, v)),
     "mixture_pdf": ("x", lambda v: mixture_pdf(_MIXTURE, v)),

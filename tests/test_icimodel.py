@@ -226,11 +226,6 @@ class TestIciHistogram:
         with pytest.raises(ParameterError, match=field):
             ici_samples(cfg, **{"frames": 4, "rng_seed": 1, **kwargs})
 
-    def test_requires_binary_pam(self):
-        cfg = ModemConfig(n=32, alpha=0.8, pam_order=4)
-        with pytest.raises(ParameterError):
-            ici_samples(cfg, frames=4, rng_seed=1)
-
     def test_interference_is_zero_mean(self):
         cfg = ModemConfig(n=64, alpha=0.8)
         _, residuals = ici_samples(cfg, frames=512, rng_seed=2)

@@ -1,4 +1,6 @@
-"""PAM mapping, framing, cyclic prefix, rate accounting, stream I/O."""
+"""2-PAM mapping, framing, cyclic prefix, rate accounting, stream I/O."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,9 +10,8 @@ from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import FramingError, ParameterError
 from ftnlab.modem import (
     ModemConfig,
-    gray_demap,
+    PAM_LEVELS,
     pam_index,
-    pam_levels,
     pam_map,
     experiment_baseline,
     pilot_rows,
@@ -26,84 +27,53 @@ from ftnlab.transforms import TransformKind, demultiplex, make_plan, multiplex
 
 class TestPamMapping:
     def test_binary_antipodal(self):
-        assert_allclose(pam_map([0, 1], 2), [-1.0, 1.0])
-
-    def test_quaternary_unit_energy_and_distinct(self):
-        bits = [0, 0, 0, 1, 1, 1, 1, 0]
-        levels = pam_map(bits, 4)
-        assert len(set(np.round(levels, 12))) == 4
-        assert np.mean(levels**2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_gray_adjacency(self):
-        # Adjacent 4-PAM levels differ in exactly one bit.
-        order = np.argsort(pam_map([0, 0, 0, 1, 1, 1, 1, 0], 4))
-        labels = [(0, 0), (0, 1), (1, 1), (1, 0)]
-        for a, b in zip(order, order[1:]):
-            diff = sum(x != y for x, y in zip(labels[a], labels[b]))
-            assert diff == 1
-
-    def test_indivisible_bit_count(self):
-        with pytest.raises(FramingError):
-            pam_map([0, 1, 1], 4)
+        assert_allclose(pam_map([0, 1]), [-1.0, 1.0])
 
     def test_demap_sign_decision(self):
-        assert list(gray_demap(pam_index([-0.2, 0.9], 2), 2)) == [0, 1]
+        assert list(pam_index([-0.2, 0.9])) == [0, 1]
 
     def test_demap_tie_breaks_low(self):
-        assert list(gray_demap(pam_index([0.0], 2), 2)) == [0]
+        assert list(pam_index([0.0])) == [0]
 
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_round_trip(self, m):
+    def test_round_trip(self):
         rng = np.random.default_rng(0)
-        k = int(np.log2(m))
-        bits = rng.integers(0, 2, size=10_000 * k)
-        assert np.array_equal(gray_demap(pam_index(pam_map(bits, m), m), m), bits)
-
-    @pytest.mark.parametrize("m", [0, 1, 3, 6, 4.0])
-    def test_bad_order(self, m):
-        with pytest.raises(ParameterError):
-            pam_map([0, 1], m)
+        bits = rng.integers(0, 2, size=10_000)
+        assert np.array_equal(pam_index(pam_map(bits)), bits)
 
     @pytest.mark.parametrize(
         "bits", [[2, 0], [-1, 1], [0.5, 1.0], [0.0, np.nan], [1.0, np.inf], ["0", "1"]]
     )
     def test_non_binary_bits_rejected(self, bits):
         with pytest.raises(ParameterError, match="bits must be 0 or 1"):
-            pam_map(bits, 2)
+            pam_map(bits)
 
     def test_bool_and_float_bits_accepted(self):
-        assert list(pam_map(np.array([True, False]), 2)) == [1.0, -1.0]
-        assert list(pam_map([1.0, 0.0, 0.0, 1.0], 4)) == list(pam_map([1, 0, 0, 1], 4))
+        assert list(pam_map(np.array([True, False]))) == [1.0, -1.0]
+        assert list(pam_map([1.0, 0.0, 0.0, 1.0])) == list(pam_map([1, 0, 0, 1]))
 
-    @pytest.mark.parametrize("m", [2, 4, 8, 16])
-    def test_table_equals_level_formula(self, m):
-        # Every label against the Gray-decode-then-formula route, bit for bit.
-        k = int(np.log2(m))
-        labels = np.arange(m)
-        bits = (labels[:, None] >> np.arange(k - 1, -1, -1)) & 1
-        index = labels.copy()
-        shift = 1
-        while shift < k:
-            index ^= index >> shift
-            shift <<= 1
-        expected = (2.0 * index - (m - 1)) * np.sqrt(3.0 / (m * m - 1.0))
-        mapped = pam_map(bits.ravel(), m)
+    def test_table_equals_level_formula(self):
+        # Both bits against the unit-energy level formula at M = 2, bit for bit.
+        bits = np.arange(2)
+        expected = (2.0 * bits - 1) * np.sqrt(3.0 / (2 * 2 - 1.0))
+        mapped = pam_map(bits)
         assert np.array_equal(mapped.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(PAM_LEVELS.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("m", [2, 4, 8])
-    def test_gray_demap_inverts_pam_map(self, m):
-        index = np.random.default_rng(m).integers(0, m, size=(8, 50))
-        assert np.array_equal(pam_map(gray_demap(index, m), m), pam_levels(m)[index.ravel()])
+    def test_levels_are_indexed_by_bit(self):
+        index = np.random.default_rng(2).integers(0, 2, size=(8, 50))
+        assert np.array_equal(pam_map(index), PAM_LEVELS[index.ravel()])
+
+    def test_levels_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            PAM_LEVELS[0] = 0.0
 
     def test_demap_infinities_on_outer_levels(self):
-        assert list(gray_demap(pam_index([-np.inf, np.inf], 2), 2)) == [0, 1]
-        assert list(pam_index([-np.inf, np.inf], 8)) == [0, 7]
+        assert list(pam_index([-np.inf, np.inf])) == [0, 1]
 
     def test_equalizer_and_demap_decide_alike(self):
         # The equalizer's final levels and pam_index use one nearest-level
         # rule: at the exact midpoint, beyond the outer levels and at +-inf.
-        m = 2
-        levels = pam_levels(m)
+        levels = PAM_LEVELS
         values = np.concatenate([
             [-np.inf, levels[0] - 1.0, levels[-1] + 1.0, np.inf],
             0.5 * (levels[:-1] + levels[1:]),
@@ -112,8 +82,7 @@ class TestPamMapping:
         matrix = CorrelationMatrix(kind=None, n=n, alpha=1.0, entries=np.eye(n))
         decided = levels[id_equalize_frame(IdConfig(0, matrix), values[None, :])]
         assert set(decided.ravel()) <= set(levels)
-        assert np.array_equal(gray_demap(pam_index(decided, m), m),
-                              gray_demap(pam_index(values, m), m))
+        assert np.array_equal(pam_index(decided).ravel(), pam_index(values))
 
 
 def _binary_formula(values):
@@ -126,6 +95,38 @@ def _binary_formula(values):
 
 _TIE = 2.0**-53
 _TINY = np.nextafter(0.0, 1.0)
+
+
+# Every real dtype a detector input or a bit array may have.
+_REAL_DTYPES = [bool, np.int8, np.int16, np.int64, np.uint8, np.uint64,
+                np.float16, np.float32, np.float64]
+
+
+def _edge_values(dtype):
+    """Twelve values of `dtype`: its extremes, +-1, zeros, and for floats
+    the subnormals, the 2-PAM tie and its upper neighbour, +-inf and NaN."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "b":
+        edges = [False, True]
+    elif dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        edges = [info.min, info.max, 0, 1] + ([] if dtype.kind == "u" else [-1])
+    else:
+        tiny = np.nextafter(dtype.type(0), dtype.type(1))
+        tie = dtype.type(_TIE)  # 0 in float16, where 2**-53 underflows
+        edges = [-np.inf, np.finfo(dtype).min, -1.0, -tiny, -0.0, 0.0, tiny,
+                 tie, np.nextafter(tie, dtype.type(1)), 1.0, np.inf, np.nan]
+    return np.resize(np.array(edges, dtype=dtype), 12)
+
+
+# One array in the memory layouts a caller may pass: contiguous, transposed,
+# strided and zero-dimensional.
+_LAYOUTS = {
+    "vector": lambda v: v,
+    "transposed": lambda v: v.reshape(3, 4).T,
+    "strided": lambda v: v[::3],
+    "scalar": lambda v: v[7].reshape(()),
+}
 
 
 class TestPamIndex:
@@ -141,60 +142,55 @@ class TestPamIndex:
         want = _binary_formula(values)
         if literal is not None:
             assert list(want) == literal
-        assert_array_equal(pam_index(values, 2), want, strict=True)
-        out, scratch = np.full(values.shape, -7, np.int64), np.full(values.shape, 9.0)
-        assert pam_index(values, 2, out=out, scratch=scratch) is out
+        assert_array_equal(pam_index(values), want, strict=True)
+        out = np.full(values.shape, -7, np.int64)
+        assert pam_index(values, out=out) is out
         assert_array_equal(out, want)
-        assert_array_equal(gray_demap(pam_index(values, 2), 2), want, strict=True)
 
     @pytest.mark.parametrize("values", [["a"], [1.0, "a"], [None], [[1.0], [1.0, 2.0]],
                                         np.array([1 + 2j, -1]), [1 + 2j]])
     def test_non_real_values_rejected(self, values):
         with pytest.raises(ParameterError, match="values must be real numbers"):
-            pam_index(values, 2)
+            pam_index(values)
 
     def test_integer_and_bool_values_accepted(self):
-        assert list(pam_index([3, -2, 0], 4)) == list(pam_index([3.0, -2.0, 0.0], 4))
-        assert list(pam_index(np.array([True, False]), 2)) == [1, 0]
+        assert list(pam_index([3, -2, 0])) == list(pam_index([3.0, -2.0, 0.0]))
+        assert list(pam_index(np.array([True, False]))) == [1, 0]
 
-    @pytest.mark.parametrize("m", [0, 1, 3, 2.0])
-    def test_bad_order_rejected(self, m):
-        with pytest.raises(ParameterError, match="m must be a power of two"):
-            pam_index([0.5], m)
-        with pytest.raises(ParameterError, match="m must be a power of two"):
-            gray_demap([0], m)
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("dtype", _REAL_DTYPES)
+    def test_decides_each_exact_value(self, dtype, layout):
+        # Against Python's exact scalar comparison, value by value, in the
+        # shape of the input and through `out=`.
+        values = _LAYOUTS[layout](_edge_values(dtype))
+        want = np.array([int(v > _TIE) for v in values.ravel().tolist()],
+                        dtype=np.int64).reshape(values.shape)
+        assert_array_equal(pam_index(values), want, strict=True)
+        out = np.full(values.shape, -7, np.int64)
+        assert pam_index(values, out=out) is out
+        assert_array_equal(out, want, strict=True)
 
 
-class TestGrayDemapChecks:
-    @pytest.mark.parametrize("index,m,message", [
-        ([0.5, 3.0], 2, "index must hold integers, got dtype float64"),
-        ([1.5], 4, "index must hold integers, got dtype float64"),
-        (np.array([True, False]), 2, "index must hold integers, got dtype bool"),
-        ([7, -1], 4, r"index must lie in \[0, 4\), got 7"),
-        ([0, 1, -1], 2, r"index must lie in \[0, 2\), got -1"),
-        (np.array([3, 200], np.uint8), 4, r"index must lie in \[0, 4\), got 200"),
-        (np.array([1, -1], ">i8"), 2, r"index must lie in \[0, 2\), got -1"),
-    ])
-    def test_bad_index_rejected(self, index, m, message):
-        with pytest.raises(ParameterError, match=message):
-            gray_demap(index, m)
-        with pytest.raises(ParameterError, match=message):
-            gray_demap(index, m, out=np.empty(len(index) * (m.bit_length() - 1), np.int64))
-
-    def test_edges_and_empty_accepted(self):
-        assert list(gray_demap(np.array([0, 3], np.int32), 4)) == [0, 0, 1, 0]
-        assert list(gray_demap(np.array([1, 0], np.uint8), 2)) == [1, 0]
-        # Read by value, not by the host's byte order.
-        assert list(gray_demap(np.array([1, 0], ">i8"), 2)) == [1, 0]
-        assert list(gray_demap(np.array([3, 1], ">i4"), 4)) == [1, 0, 0, 1]
-        assert gray_demap(np.empty(0, np.int64), 8).size == 0
+class TestPamMapDtypes:
+    @pytest.mark.parametrize("layout", ["vector", "transposed", "matrix"])
+    @pytest.mark.parametrize("dtype", _REAL_DTYPES)
+    def test_maps_each_bit_in_c_order(self, dtype, layout):
+        bits = np.resize(np.array([0, 1, 1, 0, 0, 0, 1], dtype=dtype), 12)
+        bits = {"vector": bits, "transposed": bits.reshape(4, 3).T,
+                "matrix": bits.reshape(3, 4)}[layout]
+        want = np.array([(-1.0, 1.0)[int(b)] for b in bits.ravel().tolist()])
+        assert_array_equal(pam_map(bits), want, strict=True)
+        out = np.full(bits.size, np.nan)
+        assert pam_map(bits, out=out) is out
+        assert_array_equal(out, want, strict=True)
+        assert_array_equal(pam_index(out), bits.ravel().astype(np.int64), strict=True)
 
 
 class TestConfig:
     def test_experiment_baseline_layout(self):
         cfg = experiment_baseline()
         assert (cfg.n, cfg.cp_len) == (256, 16)
-        assert (cfg.alpha, cfg.kind, cfg.pam_order) == (0.8, TransformKind.FRCT, 2)
+        assert (cfg.alpha, cfg.kind, cfg.bits_per_symbol) == (0.8, TransformKind.FRCT, 256)
         assert (cfg.data_symbols_per_frame, cfg.training_symbols, cfg.sync_symbols) == (128, 10, 1)
         assert cfg.sample_rate == 10e9
 
@@ -204,7 +200,6 @@ class TestConfig:
             ({"n": 1}, "n"),
             ({"alpha": 0.0}, "alpha"),
             ({"alpha": 1.2}, "alpha"),
-            ({"pam_order": 3}, "pam_order"),
             ({"cp_len": -1}, "cp_len"),
             ({"sample_rate": 0.0}, "sample_rate"),
             ({"training_symbols": -2}, "training_symbols"),
@@ -227,6 +222,14 @@ class TestConfig:
             ModemConfig(kind="FrCT")
         assert str(info.value) == "kind must be a TransformKind, got 'FrCT'"
 
+    def test_link_is_two_pam_with_no_order_field(self):
+        assert [f.name for f in fields(ModemConfig)] == [
+            "n", "alpha", "kind", "cp_len", "data_symbols_per_frame", "training_symbols",
+            "sync_symbols", "sample_rate",
+        ]
+        with pytest.raises(TypeError, match="pam_order"):
+            ModemConfig(pam_order=2)
+
 
 class TestTransmitReceive:
     def _bits(self, cfg, frames=1, seed=0):
@@ -241,7 +244,7 @@ class TestTransmitReceive:
         blocks = transmit(cfg, bits)
         assert blocks.shape == (1, 1, 16)
         plan = make_plan(cfg.kind, cfg.n, cfg.alpha)
-        assert_allclose(blocks.ravel(), multiplex(plan, pam_map(bits, 2)), atol=0)
+        assert_allclose(blocks.ravel(), multiplex(plan, pam_map(bits)), atol=0)
 
     def test_cyclic_prefix_layout(self):
         cfg = experiment_baseline(alpha=0.8)
@@ -254,7 +257,7 @@ class TestTransmitReceive:
         bits = self._bits(cfg, frames=3)
         blocks = transmit(cfg, bits)
         out = receive(cfg, blocks)
-        assert_allclose(out, pam_map(bits, 2).reshape(3, 8, 32), atol=1e-10)
+        assert_allclose(out, pam_map(bits).reshape(3, 8, 32), atol=1e-10)
         # The frames lead with the fixed sync | training rows.
         pilots = demultiplex(make_plan(cfg.kind, cfg.n, cfg.alpha), blocks[:, :11, 4:])
         assert_allclose(pilots, np.broadcast_to(np.concatenate(pilot_rows(cfg)), (3, 11, 32)),
@@ -265,7 +268,7 @@ class TestTransmitReceive:
         bits = self._bits(cfg, frames=2)
         out = receive(cfg, transmit(cfg, bits))
         c = correlation_matrix(cfg.kind, cfg.n, cfg.alpha).entries
-        assert_allclose(out, pam_map(bits, 2).reshape(2, 8, 32) @ c.T, atol=1e-10)
+        assert_allclose(out, pam_map(bits).reshape(2, 8, 32) @ c.T, atol=1e-10)
 
     def test_raveled_and_block_input_agree(self):
         cfg = ModemConfig(n=32, alpha=0.8, cp_len=4, data_symbols_per_frame=8)

@@ -18,9 +18,10 @@ from ftnlab.transforms import TransformKind
 # from the inputs below (manifests with "created_utc" blanked), except for the
 # rates and capacity manifests: both record the JSON they write as
 # "format": "json", the rates manifest names the data rows by their field name,
-# data_symbols_per_frame, and the capacity manifest records the resolved
-# CapacityParams (bandwidth_hz, signal_power, noise_power, ...) in place of the
-# --snr-db and --bandwidth flags it ran from.
+# data_symbols_per_frame, and records no pam_order (the link is 2-PAM), and the
+# capacity manifest records the resolved CapacityParams (bandwidth_hz,
+# signal_power, noise_power, ...) in place of the --snr-db and --bandwidth
+# flags it ran from.
 GOLDEN = {
     "capacity.json": "9c65bf5ebb7f1e4f6be698075d97f2a73822d1a58e43a0d5d945954cf913245a",
     "capacity.json.manifest.json": "5956a1aa3ba55baf9f79af92971dfabbabc9a733c0f137bdb420791559fe48c6",
@@ -30,7 +31,7 @@ GOLDEN = {
     "psd.csv": "020000cf47f2b57e572c31fcc7d069d2a9e9fcc5d09f2b3f96c1a38b3b6dc721",
     "psd.json": "d74bd7ef3d1737aa80ee79aa4eecf6f12383cf7d04218ae9513ca2a58f257b3f",
     "rates.json": "e4687da46c1a961ad944c7bbe4d1206c0bc946aac6ec25ffb579de4e62c380e3",
-    "rates.json.manifest.json": "0cc51181c8085e8d28cb18a87df59cb25a3b791e6b3c996365461bd994144a6e",
+    "rates.json.manifest.json": "fbb51feb2aac0a5379674e435777b3597fd73046cac43aa52e230fdcb95a9654",
     "stream.csv": "36f1af17563fcd5f3e6094d132a6f13cac070dd84e7310a9654dd0e79680b3dc",
     "sweep.csv": "c036bf7152604e95233b811e6af347ac754186088e250ecb5069629cc4563be7",
     "sweep.json": "899b4251a2c5e168fb75997c7115466b87d8235ca5dd0b90b2681dd94f48500e",
