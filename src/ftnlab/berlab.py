@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from . import channel, equalize, icimodel, modem, records
-from .exceptions import ParameterError, check_alpha, check_integer, check_power_of_two, check_real
+from .exceptions import ParameterError, check_alpha, check_integer, check_real
 from .transforms import TransformKind
 
 _Z95 = 1.959963984540054
@@ -316,61 +316,44 @@ def required_ebn0_at_ber(result, target_ber):
 # ---------------------------------------------------------------------------
 # Spectral density
 
+# Welch's method at scipy's defaults: Hann windows of this many samples,
+# overlapping by half.
+PSD_SEGMENT = 1024
+# The level, below the peak, that marks the band edge.
+PSD_EDGE_DB = -10.0
+
+
 @dataclass(frozen=True)
 class PsdEstimate:
     frequency_hz: np.ndarray
     density_db: np.ndarray  # peak-normalized to 0 dB
-    segment: int
-    overlap: float
-    window: str
 
 
-def estimate_psd(config, frames, seed, segment=1024, overlap=0.5, window="hann"):
+def estimate_psd(config, frames, seed):
     """Welch-averaged periodogram of a randomly modulated waveform."""
     from scipy import signal
 
     check_integer(frames, "frames", 1)
     check_integer(seed, "seed", 0)
-    check_power_of_two(segment, "segment")
-    check_real(overlap, "overlap", 0, 1, "[)")
-    if not isinstance(window, (str, tuple)):  # welch, unlike get_window, takes no number
-        raise ParameterError(f"window must be a name or a tuple, got {window!r}")
-    try:
-        signal.get_window(window, segment)
-    except ValueError:
-        raise ParameterError(f"window {window!r} is not a scipy.signal window") from None
     rng = np.random.default_rng(seed)
     waveform = modem.transmit(
         config, modem.random_data_bits(config, rng, frames)
     ).ravel()
-    if segment > waveform.size:
+    if PSD_SEGMENT > waveform.size:
         raise ParameterError(
-            f"segment {segment} exceeds waveform length {waveform.size}"
+            f"segment {PSD_SEGMENT} exceeds waveform length {waveform.size}"
         )
-    freq, power = signal.welch(
-        waveform,
-        fs=config.sample_rate,
-        window=window,
-        nperseg=segment,
-        noverlap=int(segment * overlap),
-    )
+    freq, power = signal.welch(waveform, fs=config.sample_rate, nperseg=PSD_SEGMENT)
     density_db = 10.0 * np.log10(power / np.max(power))
-    return PsdEstimate(
-        frequency_hz=freq,
-        density_db=density_db,
-        segment=segment,
-        overlap=overlap,
-        window=window,
-    )
+    return PsdEstimate(frequency_hz=freq, density_db=density_db)
 
 
-def psd_edge(estimate, threshold_db=-10.0):
-    """Highest frequency at which the normalized density still reaches the
-    threshold; the band edge of a flat-topped spectrum."""
-    check_real(threshold_db, "threshold_db")
-    above = estimate.frequency_hz[estimate.density_db >= threshold_db]
+def psd_edge(estimate):
+    """Highest frequency at which the normalized density still reaches
+    `PSD_EDGE_DB`; the band edge of a flat-topped spectrum."""
+    above = estimate.frequency_hz[estimate.density_db >= PSD_EDGE_DB]
     if above.size == 0:
-        raise ParameterError(f"no bins reach {threshold_db} dB")
+        raise ParameterError(f"no bins reach {PSD_EDGE_DB} dB")
     return float(above.max())
 
 
@@ -393,9 +376,13 @@ def _point_from_record(rec, where):
     is parsed from its text (a JSON number's text is its literal), so 2.5 is
     no valid `bits`; a missing field, or a value out of the schema's range or
     errors > bits, raises naming the field and `where`."""
+    rec = rec if isinstance(rec, dict) else {}
+    unknown = sorted(rec.keys() - {f.name for f in fields(BerPoint)})
+    if unknown:
+        raise ParameterError(f"{where}: unknown field(s) {unknown}")
     values = {}
     for f in fields(BerPoint):
-        value = rec.get(f.name) if isinstance(rec, dict) else None
+        value = rec.get(f.name)
         if value is None:
             raise ParameterError(f"{where}: missing field {f.name!r}")
         try:
@@ -424,10 +411,7 @@ def export_results(result, path, format="csv"):
         records.write_table(path, format, columns, sample_count=result.sample_count)
     elif isinstance(result, PsdEstimate):
         columns = {"frequency_hz": result.frequency_hz, "density_db": result.density_db}
-        records.write_table(
-            path, format, columns,
-            segment=result.segment, overlap=result.overlap, window=result.window,
-        )
+        records.write_table(path, format, columns)
     else:
         raise ParameterError(f"result of type {type(result).__name__} cannot be exported")
 
@@ -443,6 +427,9 @@ def import_sweep(path, format="csv"):
         recs = payload.get("points") if isinstance(payload, dict) else None
         if not isinstance(recs, list):
             raise ParameterError(f"{path}: missing field 'points'")
+        unknown = sorted(payload.keys() - {"points"})
+        if unknown:
+            raise ParameterError(f"{path}: unknown field(s) {unknown}")
     return BerSweepResult(points=tuple(
         _point_from_record(rec, f"{path}: row {i}") for i, rec in enumerate(recs, 1)
     ))

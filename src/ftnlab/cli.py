@@ -80,16 +80,12 @@ def build_parser():
     _out_flags(p)
     _link_flags(p, "kind", "n", "alpha", "cp_len", "sample_rate")
     p.add_argument("--frames", type=int, default=64)
-    p.add_argument("--segment", type=int, default=1024)
-    p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--window", default="hann")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = add_parser("capacity", help="capacity-limit calculators")
-    p.add_argument("--config", help="key/value config file")
     _out_flags(p, required=False, formats=False)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--ici-power", type=float, help="fraction of P_S")
+    p.add_argument("--ici-power", type=float, help="P_ICI, in units of P_N = 1")
     p.add_argument("--symbol-duration", type=float, help="seconds")
     p.add_argument("--bandwidth", dest="bandwidth_hz", type=float, help="Hz")
     p.add_argument("--snr-db", type=float)
@@ -150,14 +146,7 @@ def _run_ici_pdf(resolved, out, fmt, workers):
 
 
 def _run_psd(resolved, out, fmt, workers):
-    est = berlab.estimate_psd(
-        _modem_config(resolved),
-        resolved["frames"],
-        resolved["seed"],
-        segment=resolved["segment"],
-        overlap=resolved["overlap"],
-        window=resolved["window"],
-    )
+    est = berlab.estimate_psd(_modem_config(resolved), resolved["frames"], resolved["seed"])
     berlab.export_results(est, out, fmt)
     print(f"-10 dB edge: {berlab.psd_edge(est) / 1e9:.3f} GHz")
     return 0
@@ -199,8 +188,9 @@ _RUNNERS = {
 
 
 def _resolve(args):
-    """The parameters a run records: those of its config file, or else the
-    subcommand's own parameter flags that are set, in declaration order."""
+    """The parameters a run records: those of sweep-ber's config file, the
+    CapacityParams of the capacity flags, or else the subcommand's own
+    parameter flags that are set, in declaration order."""
     if args.subcommand == "sweep-ber":
         if not args.config:
             raise ConfigError("sweep-ber requires --config")
@@ -209,12 +199,7 @@ def _resolve(args):
     given = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS and v is not None}
     if args.subcommand != "capacity":
         return given
-    if not args.config:
-        return asdict(config.capacity_params_from_dict(given))
-    if given:
-        name, value = next(iter(given.items()))
-        raise ConfigError(f"capacity --config takes no parameter flags, got {name} = {value!r}")
-    return asdict(config.capacity_params_from_file(args.config))
+    return asdict(config.capacity_params(**given))
 
 
 def main(argv=None):
@@ -240,6 +225,9 @@ def main(argv=None):
                 unknown = sorted(manifest.resolved.keys() - recorded.keys())
                 if unknown:
                     raise ConfigError(f"{args.manifest}: unknown resolved field(s) {unknown}")
+            if not manifest.outputs and manifest.subcommand not in ("capacity", "rates"):
+                raise ConfigError(f"{args.manifest}: manifest field 'outputs' is empty, "
+                                  f"but {manifest.subcommand} requires --out")
             output = manifest.outputs[0] if manifest.outputs else {"path": None, "format": "csv"}
             workers = 1
         elif not args.subcommand:

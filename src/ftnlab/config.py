@@ -27,18 +27,14 @@ _AXIS_KEYS = {
 }
 
 # Defaults that differ from the dataclasses on purpose: a config file describes
-# a link without pilot rows, swept over five Eb/N0 points, and capacity powers
-# and bandwidth are normalised to 1.
+# a link without pilot rows, swept over five Eb/N0 points, and the capacity
+# flags normalise the powers and bandwidth to 1.
 _SWEEP_DEFAULTS = {
     "training_symbols": 0,
     "sync_symbols": 0,
     "ebn0_db": (4.0, 6.0, 8.0, 10.0, 12.0),
 }
 _CAPACITY_DEFAULTS = {"bandwidth_hz": 1.0, "signal_power": 1.0, "noise_power": 1.0}
-
-# Capacity key -> type: the CapacityParams fields, and snr_db, which sets the
-# signal power in dB over a noise power of 1.
-_CAPACITY_KEYS = {**{f.name: f.type for f in fields(CapacityParams)}, "snr_db": float}
 
 # Sweep key -> dataclass field: the ModemConfig fields the axes leave free,
 # then the SweepSpec fields but the base config.
@@ -109,22 +105,12 @@ def _convert(path, key, value, lineno, kind):
 
     if get_origin(kind) is not tuple:
         return scalar(value, kind)
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    if not items:
+    items = [v.strip() for v in value.split(",")]
+    if not any(items):
         raise ConfigError(f"{path}:{lineno}: {key} list is empty")
+    if not all(items):
+        raise ConfigError(f"{path}:{lineno}: {key} list has an empty item")
     return tuple(scalar(v, get_args(kind)[0]) for v in items)
-
-
-def _typed_values(path, raw, schema):
-    unknown = set(raw) - set(schema)
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown key(s) {sorted(unknown)}; known keys: {sorted(schema)}"
-        )
-    return {
-        key: _convert(path, key, value, lineno, schema[key])
-        for key, (value, lineno) in raw.items()
-    }
 
 
 def _sweep_spec(values, source):
@@ -140,11 +126,14 @@ def _sweep_spec(values, source):
 
 
 def sweep_spec_from_file(path, seed_override=None):
+    raw = read_key_values(path)
+    unknown = sorted(raw.keys() - _SWEEP_FIELDS.keys())
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(_SWEEP_FIELDS)}")
     values = {key: f.default for key, f in _SWEEP_FIELDS.items() if f.default is not MISSING}
     values.update(_SWEEP_DEFAULTS)
-    values.update(_typed_values(
-        path, read_key_values(path), {key: f.type for key, f in _SWEEP_FIELDS.items()}
-    ))
+    values.update({key: _convert(path, key, value, lineno, _SWEEP_FIELDS[key].type)
+                   for key, (value, lineno) in raw.items()})
     spec = _sweep_spec(values, path)
     return spec if seed_override is None else replace(spec, seed=seed_override)
 
@@ -186,25 +175,12 @@ def sweep_spec_from_json_dict(values):
     )
 
 
-def capacity_params_from_file(path):
-    return capacity_params_from_dict(_typed_values(path, read_key_values(path), _CAPACITY_KEYS))
-
-
-def capacity_params_from_dict(values):
-    unknown = sorted(values.keys() - _CAPACITY_KEYS.keys())
-    if unknown:
-        raise ConfigError(f"unknown capacity key(s) {unknown}")
-    return _capacity_params(**values)
-
-
-def _capacity_params(snr_db=None, **values):
-    """CapacityParams from capacity keys, with the file defaults."""
+def capacity_params(snr_db=None, **values):
+    """CapacityParams from the capacity flags: `snr_db` sets the signal power
+    in dB over a noise power of 1, and what is not given takes the defaults."""
     if snr_db is not None:
         check_real(snr_db, "snr_db", high=3000, closed="(]")  # keeps 10 ** (snr_db / 10) finite
-        powers = dict(signal_power=10.0 ** (snr_db / 10.0), noise_power=1.0)
-        if powers.keys() & values.keys():
-            raise ConfigError("give either snr_db or signal_power/noise_power, not both")
-        values.update(powers)
+        values.update(signal_power=10.0 ** (snr_db / 10.0), noise_power=1.0)
     return CapacityParams(**{**_CAPACITY_DEFAULTS, **values})
 
 

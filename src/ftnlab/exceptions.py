@@ -50,11 +50,6 @@ def check_alpha(alpha):
     check_real(alpha, "alpha", 0, 1, "(]")
 
 
-def check_power_of_two(value, name):
-    if not isinstance(value, Integral) or value < 2 or value & (value - 1):
-        raise ParameterError(f"{name} must be a power of two >= 2, got {value!r}")
-
-
 def check_integer(value, name, minimum):
     """An integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:

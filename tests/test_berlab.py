@@ -18,6 +18,7 @@ from ftnlab.berlab import (
     BerPoint,
     BerSweepResult,
     FEC_LIMIT_7PCT,
+    PsdEstimate,
     RequiredEbn0,
     SweepSpec,
     bits_per_sample,
@@ -608,45 +609,47 @@ class TestPsd:
 
     def test_peak_normalized(self):
         cfg = _small_config(cp_len=0)
-        est = estimate_psd(cfg, frames=4, seed=1, segment=256)
+        est = estimate_psd(cfg, frames=4, seed=1)
         assert np.max(est.density_db) == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic(self):
         cfg = _small_config(cp_len=0)
-        a = estimate_psd(cfg, frames=4, seed=2, segment=256)
-        b = estimate_psd(cfg, frames=4, seed=2, segment=256)
+        a = estimate_psd(cfg, frames=4, seed=2)
+        b = estimate_psd(cfg, frames=4, seed=2)
         assert np.array_equal(a.density_db, b.density_db)
 
-    def test_segment_validation(self):
+    def test_is_welch_at_scipy_defaults(self):
+        # Hann windows of 1024 samples overlapping by half, peak-normalized.
+        from scipy import signal
+
         cfg = _small_config(cp_len=0)
-        with pytest.raises(ParameterError):
-            estimate_psd(cfg, frames=4, seed=0, segment=300)
-        with pytest.raises(ParameterError):
-            estimate_psd(cfg, frames=0, seed=0)
+        est = estimate_psd(cfg, frames=4, seed=3)
+        bits = modem.random_data_bits(cfg, np.random.default_rng(3), 4)
+        freq, power = signal.welch(modem.transmit(cfg, bits).ravel(), fs=cfg.sample_rate,
+                                   nperseg=1024)
+        assert np.array_equal(est.frequency_hz, freq)
+        assert np.array_equal(est.density_db, 10.0 * np.log10(power / np.max(power)))
 
     @pytest.mark.parametrize(
         "kwargs,field",
-        [({"overlap": 1.0}, "overlap"), ({"overlap": -0.25}, "overlap"),
-         ({"window": "nope"}, "window"), ({"segment": 256.0}, "segment"),
-         ({"frames": 2.5}, "frames"), ({"frames": True}, "frames"),
-         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
-         ({"window": 8.0}, "window"), ({"window": None}, "window")],
+        [({"frames": 0}, "frames"), ({"frames": 2.5}, "frames"), ({"frames": True}, "frames"),
+         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed")],
     )
-    def test_welch_arguments_validated(self, kwargs, field):
+    def test_arguments_validated(self, kwargs, field):
         cfg = _small_config(cp_len=0)
         with pytest.raises(ParameterError, match=field):
-            estimate_psd(cfg, **{"frames": 4, "seed": 0, "segment": 256, **kwargs})
+            estimate_psd(cfg, **{"frames": 4, "seed": 0, **kwargs})
 
     def test_segment_longer_than_waveform(self):
-        cfg = _small_config(cp_len=0)
-        with pytest.raises(ParameterError, match="segment"):
-            estimate_psd(cfg, frames=1, seed=0, segment=4096)
+        cfg = _small_config(n=16, cp_len=0)  # 256 samples a frame
+        with pytest.raises(ParameterError,
+                           match="^segment 1024 exceeds waveform length 768$"):
+            estimate_psd(cfg, frames=3, seed=0)
 
-    def test_edge_threshold_unreachable(self):
-        cfg = _small_config(cp_len=0)
-        est = estimate_psd(cfg, frames=4, seed=0, segment=256)
-        with pytest.raises(ParameterError):
-            psd_edge(est, threshold_db=10.0)
+    def test_edge_unreachable(self):
+        est = PsdEstimate(frequency_hz=np.array([0.0, 1.0]), density_db=np.array([-20.0, -11.0]))
+        with pytest.raises(ParameterError, match="no bins reach -10.0 dB"):
+            psd_edge(est)
 
 
 class TestExportImport:
@@ -703,14 +706,14 @@ class TestExportImport:
 
     def test_psd_export(self, tmp_path):
         cfg = _small_config(cp_len=0)
-        est = estimate_psd(cfg, frames=4, seed=0, segment=256)
+        est = estimate_psd(cfg, frames=4, seed=0)
         csv_path = tmp_path / "psd.csv"
         export_results(est, csv_path, format="csv")
         assert csv_path.read_text().splitlines()[0] == "frequency_hz,density_db"
         json_path = tmp_path / "psd.json"
         export_results(est, json_path, format="json")
         payload = json.loads(json_path.read_text())
-        assert payload["window"] == "hann"
+        assert list(payload) == ["frequency_hz", "density_db"]
         assert len(payload["frequency_hz"]) == len(est.frequency_hz)
 
     @staticmethod
@@ -751,6 +754,24 @@ class TestExportImport:
         self._write_points(path, [self._RECORD, {**self._RECORD, **edge}])
         point = import_sweep(path, format=format).points[1]
         assert {field: getattr(point, field) for field in edge} == edge
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("field", ["pam_order", "note"])
+    def test_unknown_field_names_field_and_row(self, tmp_path, format, field):
+        # The schema allows no other point field, such as the PAM order an
+        # older sweep may have recorded.
+        path = tmp_path / f"sweep.{format}"
+        self._write_points(path, [{**self._RECORD, field: 2}, {**self._RECORD, field: 2}])
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"{path}: row 1: unknown field(s) ['{field}']")):
+            import_sweep(path, format=format)
+
+    def test_unknown_top_level_json_field_named(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        records.write_json(path, {"points": [self._RECORD], "pam_order": 2})
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"{path}: unknown field(s) ['pam_order']")):
+            import_sweep(path, format="json")
 
     @pytest.mark.parametrize("format", ["csv", "json"])
     def test_missing_column_names_field_and_row(self, tmp_path, format):

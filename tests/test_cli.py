@@ -37,7 +37,7 @@ _SMALL_RUNS = [
     ["sweep-ber", "--config", "SWEEP_CFG"],
     ["corr-row", "--n", "16", "--k", "3"],
     ["ici-pdf", "--n", "16", "--frames", "4"],
-    ["psd", "--n", "64", "--cp-len", "0", "--frames", "8", "--segment", "256"],
+    ["psd", "--n", "64", "--cp-len", "0", "--frames", "8"],
     ["capacity", "--snr-db", "10", "--bandwidth", "1e9"],
     ["rates"],
 ]
@@ -136,36 +136,13 @@ class TestCapacity:
             payload["shannon_limit_bps"] / 0.8, rel=1e-12
         )
 
-    def test_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "cap.cfg"
-        cfg.write_text("bandwidth_hz = 4e9\nsnr_db = 20\nalpha = 0.8\n")
-        code, out, _ = _run(capsys, "capacity", "--config", str(cfg))
+    def test_ici_power_is_in_units_of_the_noise_power(self, capsys):
+        # --snr-db sets P_N = 1, so P_ICI = 1 doubles the interference plus noise.
+        code, out, _ = _run(capsys, "capacity", "--snr-db", "10", "--bandwidth", "1",
+                            "--ici-power", "1")
         assert code == 0
-        assert json.loads(out)["shannon_limit_bps"] > 0
-
-    @pytest.mark.parametrize(
-        "flag,value,name",
-        [
-            ("--alpha", "0.5", "alpha"),
-            ("--alpha", "1.0", "alpha"),
-            ("--ici-power", "0.0", "ici_power"),
-            ("--symbol-duration", "2", "symbol_duration"),
-            ("--bandwidth", "1e9", "bandwidth_hz"),
-            ("--snr-db", "3", "snr_db"),
-        ],
-    )
-    def test_config_file_with_parameter_flag_rejected(self, capsys, tmp_path, flag, value,
-                                                       name):
-        cfg = tmp_path / "cap.cfg"
-        cfg.write_text("bandwidth_hz = 4e9\nsnr_db = 20\nalpha = 0.8\n")
-        out = tmp_path / "cap.json"
-        code, stdout, err = _run(
-            capsys, "capacity", "--config", str(cfg), flag, value, "--out", str(out)
-        )
-        assert code == 2
-        assert f"got {name} = " in _one_json_error(err)
-        assert stdout == ""
-        assert not out.exists()
+        assert json.loads(out)["capacity_ftn_ici_bps"] == pytest.approx(math.log2(6),
+                                                                        rel=1e-12)
 
 
 class TestIciPdf:
@@ -185,7 +162,7 @@ class TestPsd:
         out = tmp_path / "psd.csv"
         code, stdout, _ = _run(
             capsys, "psd", "--n", "64", "--alpha", "0.8", "--cp-len", "0",
-            "--frames", "8", "--segment", "256", "--out", str(out),
+            "--frames", "8", "--out", str(out),
         )
         assert code == 0
         assert "edge" in stdout
@@ -235,6 +212,16 @@ class TestSweepBer:
                 assert "unknown key(s) ['pam_order']" in _one_json_error(err)
                 assert stdout == ""
                 assert not out.exists()
+
+    def test_empty_list_item_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(_SWEEP_CFG.replace("ebn0_db = 6", "ebn0_db = 4,,8"))
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert _one_json_error(err) == f"{cfg}:5: ebn0_db list has an empty item"
+        assert stdout == ""
+        assert not out.exists()
 
     def test_seed_override_changes_result(self, capsys, tmp_path, sweep_cfg):
         a = tmp_path / "a.csv"
@@ -406,8 +393,8 @@ _NOT_UTF8 = b"alpha = 0.8\n\xff\xfe = \x81\n"
 
 
 class TestBadInputFiles:
-    @pytest.mark.parametrize("argv", [["sweep-ber", "--config"], ["capacity", "--config"],
-                                      ["--manifest"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", [["sweep-ber", "--config"], ["--manifest"]],
+                             ids=" ".join)
     def test_undecodable_file_names_path(self, capsys, tmp_path, argv):
         path = tmp_path / "input.cfg"
         path.write_bytes(_NOT_UTF8)
@@ -418,16 +405,14 @@ class TestBadInputFiles:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("subcommand,text", [
-        ("sweep-ber", _SWEEP_CFG), ("capacity", "bandwidth_hz = 1e9\nsnr_db = 10\n")])
-    def test_config_with_a_byte_order_mark(self, capsys, tmp_path, subcommand, text):
+    def test_config_with_a_byte_order_mark(self, capsys, tmp_path):
         plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
-        plain.write_text(text, encoding="utf-8")
-        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        plain.write_text(_SWEEP_CFG, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + _SWEEP_CFG.encode())
         outputs = []
         for path in (plain, marked):
             out = tmp_path / f"{path.stem}.json"
-            assert _run(capsys, subcommand, "--config", str(path), "--out", str(out))[0] == 0
+            assert _run(capsys, "sweep-ber", "--config", str(path), "--out", str(out))[0] == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -436,6 +421,35 @@ class TestBadInputFiles:
         code, err = _replay_edited(small_manifests, subcommand, "alhpa", 0.5)
         assert code == 2
         assert "['alhpa']" in _one_json_error(err)
+
+    @pytest.mark.parametrize("key,value", [("segment", 1024), ("overlap", 0.5),
+                                           ("window", "hann")])
+    def test_replayed_welch_setting_rejected(self, small_manifests, key, value):
+        # The PSD is Welch at fixed settings, so an old record of one is no key.
+        code, err = _replay_edited(small_manifests, "psd", key, value)
+        assert code == 2
+        assert f"unknown resolved field(s) ['{key}']" in _one_json_error(err)
+
+    @pytest.mark.parametrize("subcommand", ["sweep-ber", "corr-row", "ici-pdf", "psd"])
+    def test_replay_without_outputs_refused_before_the_run(self, small_manifests, subcommand):
+        manifests, tmp = small_manifests
+        path = tmp / "no-outputs.json"
+        path.write_text(json.dumps({**manifests[subcommand], "outputs": []}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--manifest", str(path)])
+        assert code == 2
+        assert "manifest field 'outputs' is empty" in _one_json_error(err.getvalue())
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("subcommand", ["capacity", "rates"])
+    def test_replay_without_outputs_prints_only(self, small_manifests, subcommand):
+        manifests, tmp = small_manifests
+        path = tmp / "no-outputs.json"
+        path.write_text(json.dumps({**manifests[subcommand], "outputs": []}))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["--manifest", str(path)]) == 0
+        assert out.getvalue()
 
     @pytest.mark.parametrize("subcommand", [argv[0] for argv in _SMALL_RUNS])
     def test_replayed_pam_order_rejected(self, small_manifests, subcommand):
@@ -446,17 +460,12 @@ class TestBadInputFiles:
 
 
 class TestOneResolvedRecord:
-    def test_capacity_records_its_params_from_flags_and_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cap.cfg"
-        cfg.write_text("bandwidth_hz = 1e9\nsnr_db = 10\nalpha = 0.8\n")
+    def test_capacity_records_its_params_from_flags(self, capsys, tmp_path):
         out = tmp_path / "cap.json"
-        resolved = []
-        for argv in (["--snr-db", "10", "--bandwidth", "1e9", "--alpha", "0.8"],
-                     ["--config", str(cfg)]):
-            assert _run(capsys, "capacity", *argv, "--out", str(out))[0] == 0
-            resolved.append(json.loads((tmp_path / "cap.json.manifest.json").read_text())
-                            ["resolved"])
-        assert resolved[0] == resolved[1] == {
+        assert _run(capsys, "capacity", "--snr-db", "10", "--bandwidth", "1e9", "--alpha", "0.8",
+                    "--out", str(out))[0] == 0
+        resolved = json.loads((tmp_path / "cap.json.manifest.json").read_text())["resolved"]
+        assert resolved == {
             "bandwidth_hz": 1e9, "signal_power": 10.0, "noise_power": 1.0, "ici_power": 0.0,
             "alpha": 0.8, "symbol_duration": 1.0,
         }
@@ -509,6 +518,10 @@ class TestErrorsExitCleanly:
         "argv",
         [
             ["psd", "--config", "bogus.cfg"],
+            ["psd", "--segment", "1024"],
+            ["psd", "--overlap", "0.5"],
+            ["psd", "--window", "hann"],
+            ["capacity", "--config", "cap.cfg"],
             ["psd", "--workers", "7"],
             ["corr-row", "--seed", "5"],
             ["corr-row", "--config", "nonexistent.cfg"],
@@ -537,7 +550,7 @@ class TestErrorsExitCleanly:
         assert "workers must be an integer >= 1, got 0" in _one_json_error(err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["rates"], ["psd", "--n", "64", "--segment", "256"]])
+    @pytest.mark.parametrize("argv", [["rates"], ["psd", "--n", "64"]])
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     def test_sample_rate_must_be_finite_and_positive(self, capsys, tmp_path, argv, value):
         out = tmp_path / "out.json"
@@ -545,15 +558,6 @@ class TestErrorsExitCleanly:
         assert code == 2
         assert _one_json_error(err).startswith("sample_rate must be finite and > 0")
         assert not out.exists()
-
-    @pytest.mark.parametrize("flag,value", [("--overlap", "1.0"), ("--window", "nope")])
-    def test_bad_psd_argument(self, capsys, tmp_path, flag, value):
-        code, _, err = _run(
-            capsys, "psd", "--n", "64", "--frames", "8", "--segment", "256",
-            flag, value, "--out", str(tmp_path / "psd.csv"),
-        )
-        assert code == 2
-        assert flag[2:] in _one_json_error(err)
 
 
 # A sweep that stops at its first batch: one point, 64 bits, at 0 dB.
@@ -573,7 +577,7 @@ _SAMPLE_RATES = ["1e10", "1", "0", "-1", "nan", "inf", "x"]
 _FORMATS = ["csv", "json", "xml"]
 
 # Per subcommand, the values drawn for each flag: valid ones, junk and
-# out-of-range ones.  SWEEP_CFG, CAPACITY_CFG and JUNK_CFG name files.
+# out-of-range ones.  SWEEP_CFG and JUNK_CFG name files.
 _FLAG_VALUES = {
     "sweep-ber": {"--config": ["SWEEP_CFG", "JUNK_CFG", "missing.cfg"], "--seed": _SEEDS,
                   "--workers": ["1", "0", "-1", "x"], "--format": _FORMATS},
@@ -581,13 +585,11 @@ _FLAG_VALUES = {
                  "--alpha": _ALPHAS, "--format": _FORMATS},
     "ici-pdf": {"--n": _NS, "--frames": _FRAMES, "--kind": _KINDS, "--alpha": _ALPHAS,
                 "--seed": _SEEDS, "--format": _FORMATS},
-    "psd": {"--n": _NS, "--frames": _FRAMES, "--segment": ["64", "2", "3", "0", "-8", "x"],
+    "psd": {"--n": _NS, "--frames": _FRAMES,
             "--cp-len": ["0", "4", "16", "17", "-1", "x"], "--kind": _KINDS,
-            "--alpha": _ALPHAS, "--sample-rate": _SAMPLE_RATES,
-            "--overlap": ["0.5", "0", "0.99", "1", "-0.1", "nan", "x"],
-            "--window": ["hann", "boxcar", "nope", ""], "--seed": _SEEDS, "--format": _FORMATS},
-    "capacity": {"--config": ["CAPACITY_CFG", "JUNK_CFG", "missing.cfg"],
-                 "--alpha": _ALPHAS, "--ici-power": ["0", "0.1", "-0.1", "1.5", "nan", "x"],
+            "--alpha": _ALPHAS, "--sample-rate": _SAMPLE_RATES, "--seed": _SEEDS,
+            "--format": _FORMATS},
+    "capacity": {"--alpha": _ALPHAS, "--ici-power": ["0", "0.1", "-0.1", "1.5", "nan", "x"],
                  "--symbol-duration": ["1e-9", "0", "-1", "inf", "x"],
                  "--bandwidth": ["1e9", "0", "-1", "nan", "x"],
                  "--snr-db": ["10", "-10", "3000", "3001", "1e308", "nan", "x"]},
@@ -597,7 +599,7 @@ _FLAG_VALUES = {
               "--sync-symbols": _COUNTS},
 }
 # The flags that set a run's size are always given.
-_SIZE_FLAGS = {"--n", "--frames", "--segment"}
+_SIZE_FLAGS = {"--n", "--frames"}
 _STRAY_ARGUMENTS = [["--bogus"], ["--bogus", "1"], ["--workers", "1"], ["--seed"],
                     ["stray"], ["-x"], ["--out"]]
 
@@ -606,7 +608,6 @@ _STRAY_ARGUMENTS = [["--bogus"], ["--bogus", "1"], ["--workers", "1"], ["--seed"
 def cli_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
     (tmp / "SWEEP_CFG").write_text(_TINY_SWEEP_CFG)
-    (tmp / "CAPACITY_CFG").write_text("bandwidth_hz = 1e9\nsnr_db = 10\n")
     (tmp / "JUNK_CFG").write_bytes(b"alpha = 2\nn = x\n" + _NOT_UTF8)
     return tmp
 

@@ -11,8 +11,7 @@ from hypothesis import given, strategies as st
 
 from ftnlab.config import (
     RunManifest,
-    capacity_params_from_dict,
-    capacity_params_from_file,
+    capacity_params,
     load_manifest,
     make_manifest,
     manifest_path_for,
@@ -125,6 +124,14 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=re.escape(f"{path}:2: ebn0_db list is empty")):
             sweep_spec_from_file(path)
 
+    @pytest.mark.parametrize("key,value", [("ebn0_db", "4,,8"), ("alpha", "1.0,"),
+                                           ("alpha", ", 0.8")])
+    def test_empty_list_item_names_key_and_line(self, tmp_path, key, value):
+        path = _write(tmp_path, f"n = 16\n{key} = {value}\n")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}:2: {key} list has an empty item")):
+            sweep_spec_from_file(path)
+
     def test_bad_kind_rejected(self, tmp_path):
         path = _write(tmp_path, "alpha = 0.8\nkind = DFT\n")
         with pytest.raises(ConfigError, match="FrCT or FrHT"):
@@ -203,8 +210,7 @@ class TestSweepSpecRoundTrip:
 
 # Every name an error may give for a file key: the keys themselves and the
 # dataclass fields they set (the axis `iterations` sets `iteration_counts`).
-_KEY_NAMES = {*config._SWEEP_FIELDS, *(f.name for f in config._SWEEP_FIELDS.values()),
-              *config._CAPACITY_KEYS}
+_KEY_NAMES = {*config._SWEEP_FIELDS, *(f.name for f in config._SWEEP_FIELDS.values())}
 _NUMBER_TEXTS = st.one_of(
     st.floats(-1e308, 1e308, allow_nan=False).map(repr),
     st.integers(-2**70, 2**70).map(str),
@@ -219,11 +225,6 @@ _SWEEP_LINES = _sweep_specs().map(lambda spec: [
     (key, ", ".join(map(str, v if isinstance(v, list) else [v])))
     for key, v in sweep_spec_to_dict(spec).items()
 ])
-# Every capacity key but snr_db, which replaces two of them, takes any value in (0, 1].
-_CAPACITY_LINES = st.lists(st.sampled_from(sorted(config._CAPACITY_KEYS.keys() - {"snr_db"})),
-                           unique=True).flatmap(lambda keys: st.tuples(*(
-                               st.tuples(st.just(key), st.floats(0.0, 1.0, exclude_min=True)
-                                         .map(repr)) for key in keys)).map(list))
 
 
 @st.composite
@@ -245,9 +246,7 @@ def _config_lines(draw, valid_lines, keys):
 class TestConfigTextProperty:
     @pytest.mark.parametrize("parser,valid_lines,keys,result_type", [
         (sweep_spec_from_file, _SWEEP_LINES, sorted(config._SWEEP_FIELDS), SweepSpec),
-        (capacity_params_from_file, _CAPACITY_LINES, sorted(config._CAPACITY_KEYS),
-         CapacityParams),
-    ], ids=["sweep", "capacity"])
+    ], ids=["sweep"])
     @given(data=st.data())
     def test_parses_or_names_a_key(self, parser, valid_lines, keys, result_type, data):
         # Parse only: any text of key/value lines gives a spec, or an error
@@ -263,27 +262,20 @@ class TestConfigTextProperty:
 
 
 class TestCapacityParams:
-    def test_explicit_powers(self, tmp_path):
-        path = _write(tmp_path, "bandwidth_hz = 4e9\nsignal_power = 9\nnoise_power = 1\n")
-        params = capacity_params_from_file(path)
-        assert params.bandwidth_hz == 4e9
-        assert params.signal_power == 9.0
+    def test_defaults_normalise_powers_and_bandwidth(self):
+        assert capacity_params() == CapacityParams(bandwidth_hz=1.0, signal_power=1.0,
+                                                   noise_power=1.0)
 
-    def test_snr_db_shorthand(self, tmp_path):
-        path = _write(tmp_path, "bandwidth_hz = 1e9\nsnr_db = 10\nalpha = 0.8\n")
-        params = capacity_params_from_file(path)
+    def test_snr_db_shorthand(self):
+        params = capacity_params(snr_db=10, bandwidth_hz=1e9, alpha=0.8)
         assert params.signal_power == pytest.approx(10.0)
         assert params.noise_power == 1.0
         assert params.alpha == 0.8
 
-    def test_unknown_key_in_dict_rejected(self):
-        with pytest.raises(ConfigError, match="bogus"):
-            capacity_params_from_dict({"alpha": 0.8, "bogus": 1.0})
-
-    def test_snr_db_conflicts_with_powers(self, tmp_path):
-        path = _write(tmp_path, "snr_db = 10\nsignal_power = 4\n")
-        with pytest.raises(ConfigError, match="snr_db"):
-            capacity_params_from_file(path)
+    @pytest.mark.parametrize("snr_db", [3000.5, 1e308])
+    def test_snr_db_bounded(self, snr_db):
+        with pytest.raises(ParameterError, match="^snr_db must "):
+            capacity_params(snr_db=snr_db)
 
 
 class TestManifests:

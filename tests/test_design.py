@@ -61,7 +61,7 @@ from ftnlab.icimodel import IciPdfModel, fit_sigma_mle, mixture_cdf
 from ftnlab.modem import ModemConfig
 mixture_cdf(IciPdfModel(sigma=0.5), [0.0])
 fit_sigma_mle([-1.0, 1.0])
-estimate_psd(ModemConfig(n=16, alpha=0.8, cp_len=0), frames=4, seed=0, segment=64)
+estimate_psd(ModemConfig(n=16, alpha=0.8, cp_len=0), frames=4, seed=0)
 log_sphere_volume(3, 1.0)
 print(sorted(m for m in heavy if m in sys.modules))
 """

@@ -7,10 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ftnlab.berlab import (
-    BerSweepResult, PsdEstimate, SweepSpec, estimate_psd, psd_edge, required_ebn0_at_ber,
-    wilson_interval,
-)
+from ftnlab.berlab import BerSweepResult, SweepSpec, required_ebn0_at_ber, wilson_interval
 from ftnlab.capacity import CapacityParams, log_sphere_volume
 from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy
 from ftnlab.equalize import IdConfig, id_equalize_frame, id_equalize_linear
@@ -78,9 +75,6 @@ def _sweep(**kwargs):
                                                    **kwargs})
 
 
-_PSD = PsdEstimate(frequency_hz=np.array([0.0, 1.0]), density_db=np.array([0.0, -20.0]),
-                   segment=2, overlap=0.5, window="hann")
-
 # Each real-valued parameter: (field, a call that sets it to `value`, a valid value).
 REAL_PARAMETERS = [
     ("bandwidth_hz", lambda v: CapacityParams(v, 1, 1), 1e9),
@@ -98,12 +92,9 @@ REAL_PARAMETERS = [
     ("sigma", lambda v: IciPdfModel(sigma=v), 0.3),
     ("alpha", lambda v: _sweep(alphas=(1.0, v)), 0.9),
     ("ebn0_dbs", lambda v: _sweep(ebn0_dbs=(4.0, v)), -2),
-    ("overlap", lambda v: estimate_psd(ModemConfig(n=16, cp_len=0), 4, 0, segment=64,
-                                       overlap=v), 0.25),
     ("target_ber", lambda v: required_ebn0_at_ber(BerSweepResult(points=()), v), 3.8e-3),
     ("bits", lambda v: wilson_interval(0, v), 10),
     ("errors", lambda v: wilson_interval(v, 10), 3),
-    ("threshold_db", lambda v: psd_edge(_PSD, v), -10.0),
 ]
 
 

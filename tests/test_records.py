@@ -15,13 +15,14 @@ from ftnlab.icimodel import CorrelationMatrix, IciHistogram, correlation_row
 from ftnlab.transforms import TransformKind
 
 # SHA-256 of each file as the hand-written writers of ftnlab 0.1.0 produced it
-# from the inputs below (manifests with "created_utc" blanked), except for the
-# rates and capacity manifests: both record the JSON they write as
-# "format": "json", the rates manifest names the data rows by their field name,
-# data_symbols_per_frame, and records no pam_order (the link is 2-PAM), and the
-# capacity manifest records the resolved CapacityParams (bandwidth_hz,
-# signal_power, noise_power, ...) in place of the --snr-db and --bandwidth
-# flags it ran from.
+# from the inputs below (manifests with "created_utc" blanked), except for
+# psd.json, which holds the two columns without the fixed Welch segment,
+# overlap and window, and the rates and capacity manifests: both record the
+# JSON they write as "format": "json", the rates manifest names the data rows
+# by their field name, data_symbols_per_frame, and records no pam_order (the
+# link is 2-PAM), and the capacity manifest records the resolved
+# CapacityParams (bandwidth_hz, signal_power, noise_power, ...) in place of
+# the --snr-db and --bandwidth flags it ran from.
 GOLDEN = {
     "capacity.json": "9c65bf5ebb7f1e4f6be698075d97f2a73822d1a58e43a0d5d945954cf913245a",
     "capacity.json.manifest.json": "5956a1aa3ba55baf9f79af92971dfabbabc9a733c0f137bdb420791559fe48c6",
@@ -29,7 +30,7 @@ GOLDEN = {
     "hist.csv": "3b7a9495684a54eee15211aeab64a4f1bf37197fa898481123eef17028e41dfc",
     "hist.json": "6002eb6fb7924654342c6b91b5b0945084b17c68b766fb7161aeb4c0f9c56aa0",
     "psd.csv": "020000cf47f2b57e572c31fcc7d069d2a9e9fcc5d09f2b3f96c1a38b3b6dc721",
-    "psd.json": "d74bd7ef3d1737aa80ee79aa4eecf6f12383cf7d04218ae9513ca2a58f257b3f",
+    "psd.json": "d1911ea5e7193997247cb1b06d672a6bc8de9b4ebfc7e2815408f181998fbf0f",
     "rates.json": "e4687da46c1a961ad944c7bbe4d1206c0bc946aac6ec25ffb579de4e62c380e3",
     "rates.json.manifest.json": "fbb51feb2aac0a5379674e435777b3597fd73046cac43aa52e230fdcb95a9654",
     "stream.csv": "36f1af17563fcd5f3e6094d132a6f13cac070dd84e7310a9654dd0e79680b3dc",
@@ -64,8 +65,7 @@ def digests(tmp_path_factory):
                         sample_count=4096)
     density_db = rng.uniform(-80.0, 0.0, 129)
     density_db[:3] = (-np.inf, -0.0, 0.0)
-    psd = PsdEstimate(frequency_hz=np.linspace(0.0, 5e9, 129), density_db=density_db,
-                      segment=256, overlap=0.5, window="hann")
+    psd = PsdEstimate(frequency_hz=np.linspace(0.0, 5e9, 129), density_db=density_db)
     entries = rng.uniform(-1.0, 1.0, (16, 16))
     entries[2, 3] = -0.0
     corr = CorrelationMatrix(kind=TransformKind.FRCT, n=16, alpha=0.8, entries=entries)
