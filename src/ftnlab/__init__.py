@@ -43,5 +43,4 @@ from .berlab import (
     estimate_psd,
     psd_edge,
     export_results,
-    import_sweep,
 )

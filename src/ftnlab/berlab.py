@@ -83,6 +83,11 @@ class SweepSpec:
                 raise ParameterError(f"kinds must be TransformKind members, got {kind!r}")
         for count in self.iteration_counts:
             check_integer(count, "iteration_counts", 0)
+        for name in ("alphas", "ebn0_dbs", "iteration_counts", "kinds"):
+            axis = [getattr(v, "value", v) for v in getattr(self, name)]  # kinds by name
+            repeated = [v for i, v in enumerate(axis) if v in axis[:i]]
+            if repeated:  # one grid point would get two results
+                raise ParameterError(f"{name} has a repeated value {repeated[0]}")
         check_integer(self.max_bits, "max_bits", 100_000)
         check_integer(self.min_errors, "min_errors", 0)
         check_integer(self.frames_per_batch, "frames_per_batch", 1)
@@ -341,7 +346,8 @@ def estimate_psd(config, frames, seed):
     ).ravel()
     if PSD_SEGMENT > waveform.size:
         raise ParameterError(
-            f"segment {PSD_SEGMENT} exceeds waveform length {waveform.size}"
+            f"frames={frames} give {waveform.size} samples, "
+            f"fewer than the {PSD_SEGMENT}-sample Welch segment"
         )
     freq, power = signal.welch(waveform, fs=config.sample_rate, nperseg=PSD_SEGMENT)
     density_db = 10.0 * np.log10(power / np.max(power))
@@ -358,42 +364,10 @@ def psd_edge(estimate):
 
 
 # ---------------------------------------------------------------------------
-# Export / import
+# Export
 
 def _point_record(p):
     return {**asdict(p), "kind": p.kind.value}
-
-
-# The ranges of schemas/ber_sweep.schema.json as check_real's (low, high, brackets);
-# Eb/N0 only has to be finite.
-_RECORD_RANGES = {"alpha": (0, 1, "(]"), "bits": (1, math.inf, "[)"),
-                  **dict.fromkeys(("iterations", "errors"), (0, math.inf, "[)")),
-                  **dict.fromkeys(("ber", "ci_lo", "ci_hi"), (0, 1, "[]"))}
-
-
-def _point_from_record(rec, where):
-    """Inverse of `_point_record`, for CSV and JSON records alike.  Each value
-    is parsed from its text (a JSON number's text is its literal), so 2.5 is
-    no valid `bits`; a missing field, or a value out of the schema's range or
-    errors > bits, raises naming the field and `where`."""
-    rec = rec if isinstance(rec, dict) else {}
-    unknown = sorted(rec.keys() - {f.name for f in fields(BerPoint)})
-    if unknown:
-        raise ParameterError(f"{where}: unknown field(s) {unknown}")
-    values = {}
-    for f in fields(BerPoint):
-        value = rec.get(f.name)
-        if value is None:
-            raise ParameterError(f"{where}: missing field {f.name!r}")
-        try:
-            values[f.name] = f.type(str(value))
-            if f.type is not TransformKind:
-                check_real(values[f.name], f.name, *_RECORD_RANGES.get(f.name, ()))
-        except ValueError:  # a ParameterError too
-            raise ParameterError(f"{where}: bad {f.name} value {value!r}") from None
-    if values["errors"] > values["bits"]:
-        raise ParameterError(f"{where}: bad errors value {rec['errors']!r}: more than the bits")
-    return BerPoint(**values)
 
 
 def export_results(result, path, format="csv"):
@@ -414,22 +388,3 @@ def export_results(result, path, format="csv"):
         records.write_table(path, format, columns)
     else:
         raise ParameterError(f"result of type {type(result).__name__} cannot be exported")
-
-
-def import_sweep(path, format="csv"):
-    """Re-load an exported BER sweep; round-trips exactly."""
-    records.check_format(format)
-    if format == "csv":
-        header, *rows = records.read_csv(path) or [[]]
-        recs = [dict(zip(header, row)) for row in rows]
-    else:
-        payload = records.read_json(path)
-        recs = payload.get("points") if isinstance(payload, dict) else None
-        if not isinstance(recs, list):
-            raise ParameterError(f"{path}: missing field 'points'")
-        unknown = sorted(payload.keys() - {"points"})
-        if unknown:
-            raise ParameterError(f"{path}: unknown field(s) {unknown}")
-    return BerSweepResult(points=tuple(
-        _point_from_record(rec, f"{path}: row {i}") for i, rec in enumerate(recs, 1)
-    ))

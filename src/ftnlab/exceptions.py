@@ -25,7 +25,7 @@ class ConfigError(ValueError):
 
 
 class ExportError(OSError):
-    """Result export/import failed; message carries the path."""
+    """Reading or writing a file failed; message carries the path."""
 
 
 def check_real(value, name, low=-math.inf, high=math.inf, closed="()"):

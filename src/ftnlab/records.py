@@ -33,12 +33,6 @@ def write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-def read_csv(path):
-    """Every row of a CSV file, as lists of strings."""
-    with opened(path) as fh:
-        return list(csv.reader(fh))
-
-
 def write_json(path, payload):
     """`payload` as JSON indented by 2, with a trailing newline."""
     with opened(path, "w") as fh:

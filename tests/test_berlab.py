@@ -1,5 +1,6 @@
 """Monte Carlo harness: intervals, sweeps, determinism, thresholds, PSD, export."""
 
+import csv
 import json
 import math
 import multiprocessing
@@ -8,12 +9,13 @@ import re
 import sys
 import tracemalloc
 import weakref
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from ftnlab import berlab, channel, equalize, icimodel, modem, records, transforms
+from ftnlab import berlab, channel, equalize, icimodel, modem, transforms
 from ftnlab.berlab import (
     BerPoint,
     BerSweepResult,
@@ -24,7 +26,6 @@ from ftnlab.berlab import (
     bits_per_sample,
     estimate_psd,
     export_results,
-    import_sweep,
     psd_edge,
     required_ebn0_at_ber,
     run_ber_sweep,
@@ -139,11 +140,27 @@ class TestSweepSpec:
             ({"seed": -1}, "seed must be an integer >= 0, got -1"),
             ({"max_bits": 2.5e5}, "max_bits must be an integer >= 100000, got 250000.0"),
             ({"min_errors": 0.5}, "min_errors must be an integer >= 0, got 0.5"),
+            # A repeated axis value would give one grid point two results.
+            ({"alphas": (1.0, 0.9, 1.0)}, "alphas has a repeated value 1.0"),
+            ({"ebn0_dbs": (4.0, 4.0)}, "ebn0_dbs has a repeated value 4.0"),
+            ({"iteration_counts": (10, 20, 20)}, "iteration_counts has a repeated value 20"),
+            ({"kinds": (TransformKind.FRCT,) * 2}, "kinds has a repeated value FrCT"),
+            ({"kinds": (TransformKind.FRHT, TransformKind.FRCT, TransformKind.FRHT)},
+             "kinds has a repeated value FrHT"),
+            ({"ebn0_dbs": (0.0, 2.0, -0.0)}, "ebn0_dbs has a repeated value -0.0"),
+            ({"alphas": (1, 0.9, 1.0)}, "alphas has a repeated value 1.0"),
         ],
     )
     def test_bad_entry_rejected(self, overrides, message):
         with pytest.raises(ParameterError, match=re.escape(message)):
             _fast_spec(**overrides)
+
+    def test_axis_values_one_ulp_apart_are_distinct(self):
+        alphas = (0.8, math.nextafter(0.8, 1.0))
+        ebn0_dbs = (4.0, math.nextafter(4.0, 5.0))
+        spec = _fast_spec(alphas=alphas, ebn0_dbs=ebn0_dbs, iteration_counts=(0, 10))
+        assert (spec.alphas, spec.ebn0_dbs) == (alphas, ebn0_dbs)
+        assert len(set(spec.grid())) == len(spec.grid()) == 8
 
     @pytest.mark.parametrize(
         "field,value",
@@ -643,8 +660,15 @@ class TestPsd:
     def test_segment_longer_than_waveform(self):
         cfg = _small_config(n=16, cp_len=0)  # 256 samples a frame
         with pytest.raises(ParameterError,
-                           match="^segment 1024 exceeds waveform length 768$"):
+                           match="^frames=3 give 768 samples, fewer than the 1024-sample "
+                                 "Welch segment$"):
             estimate_psd(cfg, frames=3, seed=0)
+
+    @pytest.mark.parametrize("n,frames", [(16, 4), (64, 1)])
+    def test_waveform_of_exactly_one_segment_accepted(self, n, frames):
+        cfg = _small_config(n=n, cp_len=0)  # 16 n samples a frame
+        est = estimate_psd(cfg, frames=frames, seed=0)
+        assert est.frequency_hz.shape == est.density_db.shape == (berlab.PSD_SEGMENT // 2 + 1,)
 
     def test_edge_unreachable(self):
         est = PsdEstimate(frequency_hz=np.array([0.0, 1.0]), density_db=np.array([-20.0, -11.0]))
@@ -652,57 +676,119 @@ class TestPsd:
             psd_edge(est)
 
 
-class TestExportImport:
+class TestExport:
     @pytest.fixture()
     def result(self):
         return run_ber_sweep(_fast_spec())
 
-    def test_csv_round_trip(self, tmp_path, result):
-        path = tmp_path / "sweep.csv"
-        export_results(result, path, format="csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "kind,alpha,ebn0_db,iterations,bits,errors,ber,ci_lo,ci_hi"
-        assert import_sweep(path, format="csv") == result
+    @staticmethod
+    def _assert_written_exactly(path, format, result):
+        # Every value is written as text that parses back to it exactly: a float
+        # as its shortest round-trip text, a count as an integer, a kind by name.
+        assert not path.read_bytes().startswith(b"\xef\xbb\xbf")  # no byte-order mark
+        with open(path, newline="", encoding="utf-8") as fh:
+            if format == "csv":
+                recs = list(csv.DictReader(fh))
+            else:  # each number as its literal text
+                recs = json.load(fh, parse_float=str, parse_int=str)["points"]
+        names = [f.name for f in fields(BerPoint)]
+        assert len(recs) == len(result.points)
+        for rec, point in zip(recs, result.points):
+            assert list(rec) == names
+            assert {f.name: f.type(rec[f.name]) for f in fields(BerPoint)} == asdict(point)
 
-    def test_csv_with_a_byte_order_mark(self, tmp_path, result):
-        path = tmp_path / "sweep.csv"
-        export_results(result, path, format="csv")
-        assert path.read_bytes().startswith(b"kind,")  # written without a mark
-        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        assert import_sweep(path, format="csv") == result
+    @staticmethod
+    def _schema():
+        from importlib import resources
 
-    def test_json_round_trip(self, tmp_path, result):
-        path = tmp_path / "sweep.json"
-        export_results(result, path, format="json")
-        assert import_sweep(path, format="json") == result
+        return json.loads(
+            resources.files("ftnlab.schemas").joinpath("ber_sweep.schema.json").read_text()
+        )
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_sweep_written_exactly(self, tmp_path, result, format):
+        path = tmp_path / f"sweep.{format}"
+        export_results(result, path, format=format)
+        self._assert_written_exactly(path, format, result)
 
     def test_json_matches_schema(self, tmp_path, result):
         jsonschema = pytest.importorskip("jsonschema")
-        from importlib import resources
-
         path = tmp_path / "sweep.json"
         export_results(result, path, format="json")
-        schema = json.loads(
-            resources.files("ftnlab.schemas").joinpath("ber_sweep.schema.json").read_text()
-        )
-        jsonschema.validate(json.loads(path.read_text()), schema)
+        jsonschema.validate(json.loads(path.read_text()), self._schema())
+
+    _RECORD = dict(kind="FrCT", alpha=0.8, ebn0_db=4.0, iterations=20, bits=1000,
+                   errors=10, ber=0.01, ci_lo=0.005, ci_hi=0.02)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("edge", [
+        dict(alpha=1.0), dict(ebn0_db=-30.0), dict(iterations=0),
+        dict(errors=0, ber=0.0, ci_lo=0.0),
+        dict(errors=1000, ber=1.0, ci_hi=1.0),
+        dict(bits=1, errors=1, ber=1.0, ci_lo=0.0, ci_hi=1.0),
+    ], ids=lambda edge: "-".join(edge))
+    def test_values_on_the_range_edges_accepted(self, tmp_path, format, edge):
+        # A point on an edge of the schema's ranges is written exactly, and the
+        # schema accepts the JSON file that holds it.
+        jsonschema = pytest.importorskip("jsonschema")
+        points = tuple(BerPoint(**{**self._RECORD, "kind": kind, **edge})
+                       for kind in (TransformKind.FRCT, TransformKind.FRHT))
+        result = BerSweepResult(points=points)
+        path = tmp_path / f"sweep.{format}"
+        export_results(result, path, format=format)
+        self._assert_written_exactly(path, format, result)
+        if format == "json":
+            jsonschema.validate(json.loads(path.read_text()), self._schema())
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", "abc"), ("bits", 2.5), ("kind", "FrXT"), ("kind", "frct"),
+        # Out of the schema's ranges.
+        ("alpha", 7.5), ("alpha", 0), ("iterations", -3), ("bits", 0), ("errors", -1),
+        ("ber", -2), ("ber", 1.5), ("ci_lo", -0.1), ("ci_hi", 2),
+    ])
+    def test_schema_refuses_bad_value(self, field, value):
+        jsonschema = pytest.importorskip("jsonschema")
+        payload = {"points": [self._RECORD, {**self._RECORD, field: value}]}
+        with pytest.raises(jsonschema.ValidationError) as info:
+            jsonschema.validate(payload, self._schema())
+        assert list(info.value.absolute_path) == ["points", 1, field]
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(BerPoint)])
+    def test_schema_requires_every_point_field(self, field):
+        jsonschema = pytest.importorskip("jsonschema")
+        rec = {k: v for k, v in self._RECORD.items() if k != field}
+        with pytest.raises(jsonschema.ValidationError,
+                           match=re.escape(f"'{field}' is a required property")) as info:
+            jsonschema.validate({"points": [self._RECORD, rec]}, self._schema())
+        assert list(info.value.absolute_path) == ["points", 1]
+
+    @pytest.mark.parametrize("field", ["pam_order", "note"])
+    def test_schema_refuses_unknown_point_field(self, field):
+        # The schema allows no other point field, such as the PAM order an
+        # older sweep may have recorded.
+        jsonschema = pytest.importorskip("jsonschema")
+        with pytest.raises(jsonschema.ValidationError, match=f"'{field}' was unexpected") as info:
+            jsonschema.validate({"points": [{**self._RECORD, field: 2}]}, self._schema())
+        assert list(info.value.absolute_path) == ["points", 0]
+
+    def test_schema_refuses_unknown_top_level_field(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        with pytest.raises(jsonschema.ValidationError, match="'pam_order' was unexpected"):
+            jsonschema.validate({"points": [self._RECORD], "pam_order": 2}, self._schema())
+
+    @pytest.mark.parametrize("payload", [{}, {"point": []}, {"points": {}}, []])
+    def test_schema_refuses_a_file_without_points(self, payload):
+        jsonschema = pytest.importorskip("jsonschema")
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, self._schema())
 
     def test_bad_format_rejected(self, tmp_path, result):
         with pytest.raises(ParameterError):
             export_results(result, tmp_path / "x", format="xml")
-        with pytest.raises(ParameterError):
-            import_sweep(tmp_path / "x", format="xml")
 
     def test_unsupported_result_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="^result of type dict cannot be exported$"):
             export_results({}, tmp_path / "x.csv")
-
-    @pytest.mark.parametrize("payload", [{}, {"point": []}, {"points": {}}, []])
-    def test_json_without_points_names_path_and_field(self, tmp_path, payload):
-        path = tmp_path / "sweep.json"
-        records.write_json(path, payload)
-        with pytest.raises(ParameterError, match=re.escape(f"{path}: missing field 'points'")):
-            import_sweep(path, format="json")
 
     def test_psd_export(self, tmp_path):
         cfg = _small_config(cp_len=0)
@@ -715,68 +801,3 @@ class TestExportImport:
         payload = json.loads(json_path.read_text())
         assert list(payload) == ["frequency_hz", "density_db"]
         assert len(payload["frequency_hz"]) == len(est.frequency_hz)
-
-    @staticmethod
-    def _write_points(path, recs):
-        if path.suffix == ".csv":
-            records.write_csv(path, [list(recs[0]), *(rec.values() for rec in recs)])
-        else:
-            records.write_json(path, {"points": recs})
-
-    _RECORD = dict(kind="FrCT", alpha=0.8, ebn0_db=4.0, iterations=20, bits=1000,
-                   errors=10, ber=0.01, ci_lo=0.005, ci_hi=0.02)
-
-    @pytest.mark.parametrize("format", ["csv", "json"])
-    @pytest.mark.parametrize("field,value", [
-        ("alpha", "abc"), ("bits", 2.5), ("kind", "FrXT"),
-        # Out of the schema's ranges, or more errors than bits.
-        ("alpha", 7.5), ("alpha", 0), ("ebn0_db", math.nan), ("ebn0_db", math.inf),
-        ("iterations", -3), ("bits", 0), ("errors", -1), ("errors", 1001), ("ber", -2),
-        ("ber", 1.5), ("ci_lo", -0.1), ("ci_hi", 2),
-    ])
-    def test_bad_value_names_field_and_row(self, tmp_path, format, field, value):
-        path = tmp_path / f"sweep.{format}"
-        self._write_points(path, [self._RECORD, {**self._RECORD, field: value}])
-        shown = str(value) if format == "csv" else value  # a CSV value is its text
-        message = f"{path}: row 2: bad {field} value {shown!r}"
-        with pytest.raises(ParameterError, match=re.escape(message)):
-            import_sweep(path, format=format)
-
-    @pytest.mark.parametrize("format", ["csv", "json"])
-    @pytest.mark.parametrize("edge", [
-        dict(alpha=1.0), dict(ebn0_db=-30.0), dict(iterations=0),
-        dict(errors=0, ber=0.0, ci_lo=0.0),
-        dict(errors=1000, ber=1.0, ci_hi=1.0),
-        dict(bits=1, errors=1, ber=1.0, ci_lo=0.0, ci_hi=1.0),
-    ], ids=lambda edge: "-".join(edge))
-    def test_values_on_the_range_edges_accepted(self, tmp_path, format, edge):
-        path = tmp_path / f"sweep.{format}"
-        self._write_points(path, [self._RECORD, {**self._RECORD, **edge}])
-        point = import_sweep(path, format=format).points[1]
-        assert {field: getattr(point, field) for field in edge} == edge
-
-    @pytest.mark.parametrize("format", ["csv", "json"])
-    @pytest.mark.parametrize("field", ["pam_order", "note"])
-    def test_unknown_field_names_field_and_row(self, tmp_path, format, field):
-        # The schema allows no other point field, such as the PAM order an
-        # older sweep may have recorded.
-        path = tmp_path / f"sweep.{format}"
-        self._write_points(path, [{**self._RECORD, field: 2}, {**self._RECORD, field: 2}])
-        with pytest.raises(ParameterError,
-                           match=re.escape(f"{path}: row 1: unknown field(s) ['{field}']")):
-            import_sweep(path, format=format)
-
-    def test_unknown_top_level_json_field_named(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        records.write_json(path, {"points": [self._RECORD], "pam_order": 2})
-        with pytest.raises(ParameterError,
-                           match=re.escape(f"{path}: unknown field(s) ['pam_order']")):
-            import_sweep(path, format="json")
-
-    @pytest.mark.parametrize("format", ["csv", "json"])
-    def test_missing_column_names_field_and_row(self, tmp_path, format):
-        rec = {k: v for k, v in self._RECORD.items() if k != "ebn0_db"}
-        path = tmp_path / f"sweep.{format}"
-        self._write_points(path, [rec, rec])
-        with pytest.raises(ParameterError, match=re.escape(f"{path}: row 1: missing field 'ebn0_db'")):
-            import_sweep(path, format=format)

@@ -223,6 +223,20 @@ class TestSweepBer:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,repeated,message", [
+        ("alpha = 0.9", "alpha = 1.0, 1.0", "alphas has a repeated value 1.0"),
+        ("ebn0_db = 6", "ebn0_db = 6, 4, 6", "ebn0_dbs has a repeated value 6.0"),
+    ], ids=["alpha", "ebn0_db"])
+    def test_repeated_axis_value_rejected(self, capsys, tmp_path, line, repeated, message):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(_SWEEP_CFG.replace(line, repeated))
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert _one_json_error(err) == message
+        assert stdout == ""
+        assert not out.exists()
+
     def test_seed_override_changes_result(self, capsys, tmp_path, sweep_cfg):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -132,6 +132,18 @@ class TestSweepSpec:
                            match=re.escape(f"{path}:2: {key} list has an empty item")):
             sweep_spec_from_file(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("alpha = 0.9, 0.8, 0.9\n", "alphas has a repeated value 0.9"),
+        ("alpha = 0.8\nebn0_db = 4, 4.0\n", "ebn0_dbs has a repeated value 4.0"),
+        ("alpha = 0.8\niterations = 20, 10, 20\n", "iteration_counts has a repeated value 20"),
+        ("alpha = 0.8\nkind = FrHT, FrHT\n", "kinds has a repeated value FrHT"),
+    ], ids=["alpha", "ebn0_db", "iterations", "kind"])
+    def test_repeated_axis_value_rejected(self, tmp_path, text, message):
+        # Two results for one grid point: the axis and the value are named.
+        path = _write(tmp_path, text)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            sweep_spec_from_file(path)
+
     def test_bad_kind_rejected(self, tmp_path):
         path = _write(tmp_path, "alpha = 0.8\nkind = DFT\n")
         with pytest.raises(ConfigError, match="FrCT or FrHT"):
@@ -161,7 +173,8 @@ class TestSweepSpec:
 
 
 def _axis(elements):
-    return st.lists(elements, min_size=1, max_size=4).map(tuple)
+    # An axis repeats no value: a repeated one is no valid SweepSpec.
+    return st.lists(elements, min_size=1, max_size=4, unique=True).map(tuple)
 
 
 @st.composite

@@ -117,11 +117,10 @@ class TestErrors:
         with pytest.raises(ExportError, match=re.escape(str(tmp_path))):
             write(tmp_path)
 
-    @pytest.mark.parametrize("read", [records.read_csv, records.read_json])
-    def test_read_missing_file(self, tmp_path, read):
+    def test_read_missing_file(self, tmp_path):
         missing = tmp_path / "none"
         with pytest.raises(ExportError, match=re.escape(str(missing))):
-            read(missing)
+            records.read_json(missing)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -130,10 +129,10 @@ class TestErrors:
             records.read_json(path)
 
     def test_undecodable_text(self, tmp_path):
-        path = tmp_path / "bad.csv"
+        path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe\x00\x81")
         with pytest.raises(ExportError, match=re.escape(str(path))):
-            records.read_csv(path)
+            records.read_json(path)
 
     def test_bad_table_format(self, tmp_path):
         with pytest.raises(ParameterError, match="format"):
