@@ -11,8 +11,9 @@ Reproducibility: every batch draws its bit and noise streams from a seed
 sequence derived from (sweep seed, grid-point index, batch index), and a
 point runs its batches 0, 1, 2, ... in order, so it stops at the same batch
 wherever it runs.  At `workers` > 1 the grid is cut into contiguous runs of
-points, each run in its own worker process; results are identical for any
-worker count, and no batch is computed past a point's stopping point.
+points, no more than the CPUs the process may use, each run in its own worker
+process; results are identical for any worker count, and no batch is computed
+past a point's stopping point.
 
 Memory: the points of a sweep share one frame layout, so each run of points
 reuses one batch workspace for all its batches; it goes with its run.  Of the
@@ -261,16 +262,24 @@ def _starmap_pinned(fn, arglists):
         return pool.starmap(fn, arglists)
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_ber_sweep(spec, workers=1):
     """Run every grid point; deterministic for a fixed spec, any worker count.
 
-    The grid is cut into min(`workers`, points) contiguous runs; several run in
-    one spawned process each, so a script calling this needs a __main__ guard.
+    The grid is cut into min(`workers`, points, usable CPUs) contiguous runs, as
+    more processes than CPUs would only contend; several run in one spawned
+    process each, so a script calling this needs a __main__ guard.
     """
     check_integer(workers, "workers", 1)
     if spec.config.data_symbols_per_frame == 0:
         raise ParameterError("data_symbols_per_frame must be >= 1 in a BER sweep, got 0")
-    runs = _runs(spec, workers)
+    runs = _runs(spec, min(workers, _usable_cpus()))
     if len(runs) == 1:
         return BerSweepResult(points=tuple(_run_points(spec, runs[0])))
     results = _starmap_pinned(_run_points, [(spec, run) for run in runs])
@@ -349,7 +358,7 @@ def estimate_psd(config, frames, seed):
             f"frames={frames} give {waveform.size} samples, "
             f"fewer than the {PSD_SEGMENT}-sample Welch segment"
         )
-    freq, power = signal.welch(waveform, fs=config.sample_rate, nperseg=PSD_SEGMENT)
+    freq, power = signal.welch(waveform, fs=modem.SAMPLE_RATE, nperseg=PSD_SEGMENT)
     density_db = 10.0 * np.log10(power / np.max(power))
     return PsdEstimate(frequency_hz=freq, density_db=density_db)
 

@@ -45,7 +45,7 @@ def measure_sample_energy(samples, *, scratch=None):
         raise ParameterError("samples must be nonempty")
     check_buffer(scratch, samples.shape, np.float64, "scratch")
     check_apart(samples=samples, scratch=scratch)
-    return float(np.mean(np.multiply(samples, samples, out=scratch)))
+    return float(np.mean(np.square(samples, out=scratch)))
 
 
 def noise_sigma(spec, sample_energy):

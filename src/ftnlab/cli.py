@@ -12,7 +12,7 @@ from dataclasses import asdict, fields, replace
 from functools import partial
 
 from . import __version__, berlab, capacity, config, icimodel, modem, records
-from .exceptions import ConfigError, ExportError, FramingError, ParameterError, ShapeError
+from .exceptions import ConfigError, ExportError, ParameterError
 from .transforms import TransformKind
 
 
@@ -78,7 +78,7 @@ def build_parser():
 
     p = add_parser("psd", help="Welch power spectral density of the waveform")
     _out_flags(p)
-    _link_flags(p, "kind", "n", "alpha", "cp_len", "sample_rate")
+    _link_flags(p, "kind", "n", "alpha", "cp_len")
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
@@ -92,8 +92,8 @@ def build_parser():
 
     p = add_parser("rates", help="symbol/Nyquist rate and bandwidth accounting")
     _out_flags(p, required=False, formats=False)
-    _link_flags(p, "alpha", "sample_rate", "n", "cp_len", "data_symbols_per_frame",
-                "training_symbols", "sync_symbols")
+    _link_flags(p, "alpha", "n", "cp_len", "data_symbols_per_frame", "training_symbols",
+                "sync_symbols")
     return parser
 
 
@@ -247,7 +247,7 @@ def main(argv=None):
         return code
     except SystemExit as exc:  # --help, --version
         return exc.code or 0
-    except (ConfigError, ParameterError, ShapeError, FramingError, ExportError) as exc:
+    except (ConfigError, ParameterError, ExportError) as exc:
         sys.stderr.write("error: " + json.dumps({"message": str(exc)}) + "\n")
         return 2
 

@@ -13,7 +13,7 @@ from typing import get_args, get_origin
 from . import __version__, records
 from .berlab import SweepSpec
 from .capacity import CapacityParams
-from .exceptions import ConfigError, ExportError, check_real
+from .exceptions import ConfigError, ExportError, ParameterError, check_real
 from .modem import ModemConfig
 from .transforms import TransformKind
 
@@ -114,14 +114,19 @@ def _convert(path, key, value, lineno, kind):
 
 
 def _sweep_spec(values, source):
-    """The SweepSpec of a value for every sweep key."""
+    """The SweepSpec of a value for every sweep key; a value that it refuses is
+    a ConfigError naming `source` and the key."""
     missing = sorted(_SWEEP_FIELDS.keys() - values.keys())
     if missing:
         raise ConfigError(f"{source}: missing required key(s) {missing}")
-    spec = SweepSpec(
-        config=ModemConfig(**{key: values[key] for key in _MODEM_FIELDS}),
-        **{f.name: values[key] for key, f in _SPEC_FIELDS.items()},
-    )
+    try:
+        spec = SweepSpec(
+            config=ModemConfig(**{key: values[key] for key in _MODEM_FIELDS}),
+            **{f.name: values[key] for key, f in _SPEC_FIELDS.items()},
+        )
+    except ParameterError as exc:  # its message starts with the field
+        field, _, rule = str(exc).partition(" ")
+        raise ConfigError(f"{source}: {_AXIS_KEYS.get(field, field)} {rule}") from None
     return replace(spec, config=replace(spec.config, alpha=spec.alphas[0], kind=spec.kinds[0]))
 
 

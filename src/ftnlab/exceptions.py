@@ -12,11 +12,11 @@ class ParameterError(ValueError):
     """An argument violates its documented constraint; message names the field."""
 
 
-class ShapeError(ValueError):
+class ShapeError(ParameterError):
     """Array dimensions do not match the operation's contract."""
 
 
-class FramingError(ValueError):
+class FramingError(ParameterError):
     """A bit vector or sample stream is inconsistent with the frame layout."""
 
 

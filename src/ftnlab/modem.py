@@ -11,13 +11,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import (
-    FramingError, ParameterError, check_buffer, check_integer, check_real, check_real_array,
-)
+from .exceptions import FramingError, ParameterError, check_buffer, check_integer, check_real_array
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
 
 # Entropy constant for the fixed sync/training patterns.
 _PILOT_SEED = 0x0F7C
+
+# The link's sample rate, samples per second: the paper's 10 GS/s.
+SAMPLE_RATE = 10e9
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class ModemConfig:
     data_symbols_per_frame: int = 128
     training_symbols: int = 10
     sync_symbols: int = 1
-    sample_rate: float = 10e9
 
     def __post_init__(self):
         validate_transform(self.kind, self.n, self.alpha)
@@ -41,7 +41,6 @@ class ModemConfig:
             raise ParameterError(
                 "sync_symbols + training_symbols + data_symbols_per_frame must be >= 1"
             )
-        check_real(self.sample_rate, "sample_rate", 0)
 
     @property
     def symbols_per_frame(self):
@@ -58,7 +57,7 @@ class ModemConfig:
 
 def experiment_baseline(alpha=0.8, **overrides):
     """The experimental baseline layout: N=256, CP 16, 128 data + 10 training
-    + 1 sync symbol per frame, 2-PAM at 10 GS/s."""
+    + 1 sync symbol per frame, 2-PAM at `SAMPLE_RATE`."""
     return replace(ModemConfig(alpha=alpha, cp_len=16), **overrides)
 
 
@@ -184,7 +183,7 @@ class RateReport:
 
 
 def rate_report(config):
-    fs = config.sample_rate
+    fs = SAMPLE_RATE
     period = config.n / fs
     overhead = (config.n / (config.n + config.cp_len)) * (
         config.data_symbols_per_frame / config.symbols_per_frame

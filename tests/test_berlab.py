@@ -377,6 +377,22 @@ class TestRunSweep:
             assert [len(run) for run in runs] == lengths
             assert [p for run in runs for p in run] == grid
 
+    @pytest.mark.parametrize("cpus,processes", [(1, 0), (2, 2), (3, 3), (8, 4)])
+    def test_no_more_processes_than_usable_cpus(self, monkeypatch, cpus, processes):
+        # The runs a `workers=4` sweep would hand its processes are run here.
+        spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
+        serial = run_ber_sweep(spec)
+        started = []
+
+        def in_process(fn, arglists):
+            started.append(len(arglists))
+            return [fn(*args) for args in arglists]
+
+        monkeypatch.setattr(berlab, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(berlab, "_starmap_pinned", in_process)
+        assert run_ber_sweep(spec, workers=4) == serial
+        assert sum(started) == processes
+
     def test_raising_run_leaves_no_process_behind(self):
         # A worker's exception reaches the caller, and its pool goes with it.
         with pytest.raises(ValueError, match="invalid literal"):
@@ -642,7 +658,7 @@ class TestPsd:
         cfg = _small_config(cp_len=0)
         est = estimate_psd(cfg, frames=4, seed=3)
         bits = modem.random_data_bits(cfg, np.random.default_rng(3), 4)
-        freq, power = signal.welch(modem.transmit(cfg, bits).ravel(), fs=cfg.sample_rate,
+        freq, power = signal.welch(modem.transmit(cfg, bits).ravel(), fs=modem.SAMPLE_RATE,
                                    nperseg=1024)
         assert np.array_equal(est.frequency_hz, freq)
         assert np.array_equal(est.density_db, 10.0 * np.log10(power / np.max(power)))

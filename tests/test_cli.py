@@ -213,6 +213,16 @@ class TestSweepBer:
                 assert stdout == ""
                 assert not out.exists()
 
+    def test_sample_rate_is_no_key(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(_SWEEP_CFG + "sample_rate = 5e9\n")
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "unknown key(s) ['sample_rate']" in _one_json_error(err)
+        assert stdout == ""
+        assert not out.exists()
+
     def test_empty_list_item_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(_SWEEP_CFG.replace("ebn0_db = 6", "ebn0_db = 4,,8"))
@@ -223,17 +233,20 @@ class TestSweepBer:
         assert stdout == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("line,repeated,message", [
-        ("alpha = 0.9", "alpha = 1.0, 1.0", "alphas has a repeated value 1.0"),
-        ("ebn0_db = 6", "ebn0_db = 6, 4, 6", "ebn0_dbs has a repeated value 6.0"),
-    ], ids=["alpha", "ebn0_db"])
-    def test_repeated_axis_value_rejected(self, capsys, tmp_path, line, repeated, message):
+    @pytest.mark.parametrize("line,bad,message", [
+        ("alpha = 0.9", "alpha = 1.0, 1.0", "alpha has a repeated value 1.0"),
+        ("ebn0_db = 6", "ebn0_db = 6, 4, 6", "ebn0_db has a repeated value 6.0"),
+        ("ebn0_db = 6", "ebn0_db = nan", "ebn0_db must be finite, got nan"),
+        ("frames_per_batch = 2", "frames_per_batch = 0",
+         "frames_per_batch must be an integer >= 1, got 0"),
+    ], ids=["alpha-repeated", "ebn0_db-repeated", "ebn0_db-nan", "frames_per_batch"])
+    def test_refused_value_names_file_and_key(self, capsys, tmp_path, line, bad, message):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(_SWEEP_CFG.replace(line, repeated))
+        cfg.write_text(_SWEEP_CFG.replace(line, bad))
         out = tmp_path / "sweep.csv"
         code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))
         assert code == 2
-        assert _one_json_error(err) == message
+        assert _one_json_error(err) == f"{cfg}: {message}"
         assert stdout == ""
         assert not out.exists()
 
@@ -375,7 +388,7 @@ class TestReplayedValuesChecked:
     @pytest.mark.parametrize(
         "subcommand,key,value",
         [("capacity", "alpha", "0.5"), ("rates", "alpha", "0.8"),
-         ("psd", "sample_rate", "1e10"), ("corr-row", "kind", "FrXT"),
+         ("psd", "alpha", "0.8"), ("corr-row", "kind", "FrXT"),
          ("ici-pdf", "kind", "FrXT"), ("psd", "kind", "FrXT")],
     )
     def test_bad_value_names_field(self, small_manifests, subcommand, key, value):
@@ -472,6 +485,14 @@ class TestBadInputFiles:
         assert code == 2
         assert "['pam_order']" in _one_json_error(err)
 
+    @pytest.mark.parametrize("subcommand", ["sweep-ber", "psd", "rates"])
+    def test_replayed_sample_rate_rejected(self, small_manifests, subcommand):
+        # The link runs at the fixed modem.SAMPLE_RATE, so the runs that
+        # recorded it as 1e10 are replayed with that one key deleted.
+        code, err = _replay_edited(small_manifests, subcommand, "sample_rate", 1e10)
+        assert code == 2
+        assert "['sample_rate']" in _one_json_error(err)
+
 
 class TestOneResolvedRecord:
     def test_capacity_records_its_params_from_flags(self, capsys, tmp_path):
@@ -497,8 +518,8 @@ class TestOneResolvedRecord:
         out = tmp_path / "rates.json"
         assert _run(capsys, "rates", "--data-symbols-per-frame", "64", "--out", str(out))[0] == 0
         resolved = json.loads((tmp_path / "rates.json.manifest.json").read_text())["resolved"]
-        assert list(resolved) == ["alpha", "sample_rate", "n", "cp_len",
-                                  "data_symbols_per_frame", "training_symbols", "sync_symbols"]
+        assert list(resolved) == ["alpha", "n", "cp_len", "data_symbols_per_frame",
+                                  "training_symbols", "sync_symbols"]
         assert resolved["data_symbols_per_frame"] == 64
 
     def test_rates_has_no_pam_order_flag(self, capsys, tmp_path):
@@ -547,6 +568,8 @@ class TestErrorsExitCleanly:
             ["ici-pdf", "--workers", "2"],
             ["capacity", "--band", "1e9"],
             ["rates", "--data-symbols", "64"],
+            ["psd", "--sample-rate", "1e10"],
+            ["rates", "--sample-rate", "1e10"],
         ],
         ids="-".join,
     )
@@ -564,15 +587,6 @@ class TestErrorsExitCleanly:
         assert "workers must be an integer >= 1, got 0" in _one_json_error(err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["rates"], ["psd", "--n", "64"]])
-    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
-    def test_sample_rate_must_be_finite_and_positive(self, capsys, tmp_path, argv, value):
-        out = tmp_path / "out.json"
-        code, _, err = _run(capsys, *argv, "--sample-rate", value, "--out", str(out))
-        assert code == 2
-        assert _one_json_error(err).startswith("sample_rate must be finite and > 0")
-        assert not out.exists()
-
 
 # A sweep that stops at its first batch: one point, 64 bits, at 0 dB.
 _TINY_SWEEP_CFG = (
@@ -587,7 +601,6 @@ _COUNTS = ["0", "1", "-1", "x", "1.5"]
 # argument list runs in milliseconds.
 _NS = ["16", "2", "1", "0", "-4", "x", "1.5", "nan", ""]
 _FRAMES = ["4", "1", "0", "-1", "x"]
-_SAMPLE_RATES = ["1e10", "1", "0", "-1", "nan", "inf", "x"]
 _FORMATS = ["csv", "json", "xml"]
 
 # Per subcommand, the values drawn for each flag: valid ones, junk and
@@ -601,13 +614,12 @@ _FLAG_VALUES = {
                 "--seed": _SEEDS, "--format": _FORMATS},
     "psd": {"--n": _NS, "--frames": _FRAMES,
             "--cp-len": ["0", "4", "16", "17", "-1", "x"], "--kind": _KINDS,
-            "--alpha": _ALPHAS, "--sample-rate": _SAMPLE_RATES, "--seed": _SEEDS,
-            "--format": _FORMATS},
+            "--alpha": _ALPHAS, "--seed": _SEEDS, "--format": _FORMATS},
     "capacity": {"--alpha": _ALPHAS, "--ici-power": ["0", "0.1", "-0.1", "1.5", "nan", "x"],
                  "--symbol-duration": ["1e-9", "0", "-1", "inf", "x"],
                  "--bandwidth": ["1e9", "0", "-1", "nan", "x"],
                  "--snr-db": ["10", "-10", "3000", "3001", "1e308", "nan", "x"]},
-    "rates": {"--alpha": _ALPHAS, "--sample-rate": _SAMPLE_RATES, "--n": _NS,
+    "rates": {"--alpha": _ALPHAS, "--n": _NS,
               "--cp-len": ["0", "16", "300", "-1", "x"],
               "--data-symbols-per-frame": _COUNTS, "--training-symbols": _COUNTS,
               "--sync-symbols": _COUNTS},

@@ -133,15 +133,15 @@ class TestSweepSpec:
             sweep_spec_from_file(path)
 
     @pytest.mark.parametrize("text,message", [
-        ("alpha = 0.9, 0.8, 0.9\n", "alphas has a repeated value 0.9"),
-        ("alpha = 0.8\nebn0_db = 4, 4.0\n", "ebn0_dbs has a repeated value 4.0"),
-        ("alpha = 0.8\niterations = 20, 10, 20\n", "iteration_counts has a repeated value 20"),
-        ("alpha = 0.8\nkind = FrHT, FrHT\n", "kinds has a repeated value FrHT"),
+        ("alpha = 0.9, 0.8, 0.9\n", "alpha has a repeated value 0.9"),
+        ("alpha = 0.8\nebn0_db = 4, 4.0\n", "ebn0_db has a repeated value 4.0"),
+        ("alpha = 0.8\niterations = 20, 10, 20\n", "iterations has a repeated value 20"),
+        ("alpha = 0.8\nkind = FrHT, FrHT\n", "kind has a repeated value FrHT"),
     ], ids=["alpha", "ebn0_db", "iterations", "kind"])
     def test_repeated_axis_value_rejected(self, tmp_path, text, message):
-        # Two results for one grid point: the axis and the value are named.
+        # Two results for one grid point: the file, the key and the value are named.
         path = _write(tmp_path, text)
-        with pytest.raises(ParameterError, match=re.escape(message)):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
             sweep_spec_from_file(path)
 
     def test_bad_kind_rejected(self, tmp_path):
@@ -189,7 +189,6 @@ def _sweep_specs(draw):
         cp_len=draw(st.integers(0, n)),
         data_symbols_per_frame=draw(st.integers(1, 512)),
         training_symbols=0, sync_symbols=0,
-        sample_rate=draw(st.floats(0.0, 1e12, exclude_min=True)),
     )
     return SweepSpec(
         config=config, alphas=alphas, kinds=kinds,
@@ -221,9 +220,6 @@ class TestSweepSpecRoundTrip:
             assert sweep_spec_from_file(str(path)) == spec
 
 
-# Every name an error may give for a file key: the keys themselves and the
-# dataclass fields they set (the axis `iterations` sets `iteration_counts`).
-_KEY_NAMES = {*config._SWEEP_FIELDS, *(f.name for f in config._SWEEP_FIELDS.values())}
 _NUMBER_TEXTS = st.one_of(
     st.floats(-1e308, 1e308, allow_nan=False).map(repr),
     st.integers(-2**70, 2**70).map(str),
@@ -262,16 +258,17 @@ class TestConfigTextProperty:
     ], ids=["sweep"])
     @given(data=st.data())
     def test_parses_or_names_a_key(self, parser, valid_lines, keys, result_type, data):
-        # Parse only: any text of key/value lines gives a spec, or an error
-        # naming a key; never another exception.
+        # Parse only: any text of key/value lines gives a spec, or a
+        # ConfigError naming the file and a key; never another exception.
         lines = data.draw(_config_lines(valid_lines, keys))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.cfg"
             path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
             try:
                 assert isinstance(parser(str(path)), result_type)
-            except (ConfigError, ParameterError) as exc:
-                assert any(name in str(exc) for name in _KEY_NAMES | {k for k, _ in lines})
+            except ConfigError as exc:
+                assert str(exc).startswith(str(path))
+                assert any(name in str(exc) for name in {*keys, *(k for k, _ in lines)})
 
 
 class TestCapacityParams:

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import ftnlab
+from ftnlab import config
+from ftnlab.berlab import run_ber_sweep
 
 SRC = Path(ftnlab.__file__).parent
 MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
@@ -171,3 +173,25 @@ def test_one_parallel_mechanism():
     thread_modules = {name for name in sys.stdlib_module_names if "thread" in name}
     assert not (thread_modules | {"concurrent"}) & imports.keys()
     assert imports["multiprocessing"] == {"berlab.py"}
+
+
+def test_every_sweep_key_changes_a_sweep():
+    # A key whose value no sweep reads is a setting in name only.  Each key
+    # moved off a tiny base sweep (N = 16, I = 2, 13 batches that run to
+    # max_bits) changes the bits or the errors it counts.
+    base = {"n": 16, "cp_len": 0, "data_symbols_per_frame": 16, "training_symbols": 0,
+            "sync_symbols": 0, "alpha": [0.9], "ebn0_db": [4.0], "iterations": [2],
+            "kind": ["FrCT"], "max_bits": 100_000, "min_errors": 10**6,
+            "frames_per_batch": 32, "seed": 0}
+    moved = {"n": 32, "cp_len": 4, "data_symbols_per_frame": 15, "training_symbols": 1,
+             "sync_symbols": 1, "alpha": [0.8], "ebn0_db": [6.0], "iterations": [1],
+             "kind": ["FrHT"], "max_bits": 200_000, "min_errors": 10,
+             "frames_per_batch": 31, "seed": 1}
+    assert sorted(moved) == sorted(config._SWEEP_FIELDS)
+
+    def counts(values):
+        spec = config.sweep_spec_from_json_dict(values)
+        return [(p.bits, p.errors) for p in run_ber_sweep(spec).points]
+
+    default = counts(base)
+    assert [key for key, value in moved.items() if counts({**base, key: value}) == default] == []

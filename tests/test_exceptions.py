@@ -11,7 +11,10 @@ from ftnlab.berlab import BerSweepResult, SweepSpec, required_ebn0_at_ber, wilso
 from ftnlab.capacity import CapacityParams, log_sphere_volume
 from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy
 from ftnlab.equalize import IdConfig, id_equalize_frame, id_equalize_linear
-from ftnlab.exceptions import ParameterError, ShapeError, check_real, check_real_array
+from ftnlab.exceptions import (
+    ConfigError, ExportError, FramingError, ParameterError, ShapeError, check_real,
+    check_real_array,
+)
 from ftnlab.icimodel import (
     IciPdfModel, correlation_matrix, fit_sigma_mle, ici_histogram, ks_distance, mixture_cdf,
     mixture_pdf,
@@ -21,6 +24,14 @@ from ftnlab.transforms import TransformKind, demultiplex, make_plan, multiplex
 
 NOT_REAL = ["1", None, True, False, np.bool_(True), 1j, [0.5], np.array([0.5])]
 NOT_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf")]
+
+
+def test_every_bad_input_is_a_parameter_error():
+    # A caller catches one type for any bad argument; files have their own two.
+    assert issubclass(ShapeError, ParameterError)
+    assert issubclass(FramingError, ParameterError)
+    assert not issubclass(ConfigError, ParameterError)
+    assert not issubclass(ExportError, ParameterError)
 
 
 class TestCheckReal:
@@ -87,7 +98,6 @@ REAL_PARAMETERS = [
     ("r", lambda v: log_sphere_volume(3, v), 0.0),
     ("eb_n0_db", lambda v: AwgnSpec(v, 1.0), -3.0),
     ("bits_per_sample", lambda v: AwgnSpec(5.0, v), 0.5),
-    ("sample_rate", lambda v: ModemConfig(sample_rate=v), 1),
     ("alpha", lambda v: ModemConfig(alpha=v), 0.8),
     ("sigma", lambda v: IciPdfModel(sigma=v), 0.3),
     ("alpha", lambda v: _sweep(alphas=(1.0, v)), 0.9),

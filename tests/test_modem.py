@@ -12,6 +12,7 @@ from ftnlab.exceptions import FramingError, ParameterError
 from ftnlab.modem import (
     ModemConfig,
     PAM_LEVELS,
+    SAMPLE_RATE,
     pam_index,
     pam_map,
     experiment_baseline,
@@ -193,7 +194,7 @@ class TestConfig:
         assert (cfg.n, cfg.cp_len) == (256, 16)
         assert (cfg.alpha, cfg.kind, cfg.bits_per_symbol) == (0.8, TransformKind.FRCT, 256)
         assert (cfg.data_symbols_per_frame, cfg.training_symbols, cfg.sync_symbols) == (128, 10, 1)
-        assert cfg.sample_rate == 10e9
+        assert SAMPLE_RATE == 10e9
 
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -202,7 +203,6 @@ class TestConfig:
             ({"alpha": 0.0}, "alpha"),
             ({"alpha": 1.2}, "alpha"),
             ({"cp_len": -1}, "cp_len"),
-            ({"sample_rate": 0.0}, "sample_rate"),
             ({"training_symbols": -2}, "training_symbols"),
             ({"n": 16.5}, "n"),
             ({"cp_len": 1.5}, "cp_len"),
@@ -226,10 +226,12 @@ class TestConfig:
     def test_link_is_two_pam_with_no_order_field(self):
         assert [f.name for f in fields(ModemConfig)] == [
             "n", "alpha", "kind", "cp_len", "data_symbols_per_frame", "training_symbols",
-            "sync_symbols", "sample_rate",
+            "sync_symbols",
         ]
         with pytest.raises(TypeError, match="pam_order"):
             ModemConfig(pam_order=2)
+        with pytest.raises(TypeError, match="sample_rate"):
+            ModemConfig(sample_rate=10e9)
 
 
 class TestTransmitReceive:

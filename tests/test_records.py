@@ -32,7 +32,7 @@ GOLDEN = {
     "psd.csv": "020000cf47f2b57e572c31fcc7d069d2a9e9fcc5d09f2b3f96c1a38b3b6dc721",
     "psd.json": "d1911ea5e7193997247cb1b06d672a6bc8de9b4ebfc7e2815408f181998fbf0f",
     "rates.json": "e4687da46c1a961ad944c7bbe4d1206c0bc946aac6ec25ffb579de4e62c380e3",
-    "rates.json.manifest.json": "fbb51feb2aac0a5379674e435777b3597fd73046cac43aa52e230fdcb95a9654",
+    "rates.json.manifest.json": "46f81eb6228dcd9093be24f177c9f435af7773a4989c2da6a36d551aaf450e8d",
     "stream.csv": "36f1af17563fcd5f3e6094d132a6f13cac070dd84e7310a9654dd0e79680b3dc",
     "sweep.csv": "c036bf7152604e95233b811e6af347ac754186088e250ecb5069629cc4563be7",
     "sweep.json": "899b4251a2c5e168fb75997c7115466b87d8235ca5dd0b90b2681dd94f48500e",
