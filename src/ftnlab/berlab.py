@@ -17,7 +17,8 @@ past a point's stopping point.
 
 Memory: the points of a sweep share one frame layout, so each run of points
 reuses one batch workspace for all its batches; it goes with its run.  Of the
-N x N matrices, a sweep keeps the transform kernel and the detector's C - I.
+N x N matrices, a sweep keeps the transform kernel (float64) and the
+detector's C - I (float32).
 """
 
 import math
@@ -141,7 +142,8 @@ def bits_per_sample(config):
 
 # One entry, like the plan cache: the grid walks (kind, alpha) outermost, so
 # one detector config serves a curve's points and repeated sweeps of it.  It
-# holds C - I only (8 N^2 bytes); C itself is freed as soon as C - I exists.
+# holds C - I only, in float32 (4 N^2 bytes); C itself is freed as soon as
+# C - I exists.
 @lru_cache(maxsize=1)
 def _point_matrix(kind, n, alpha, iterations):
     return equalize.IdConfig(iterations, icimodel.correlation_matrix(kind, n, alpha))
@@ -150,15 +152,17 @@ def _point_matrix(kind, n, alpha, iterations):
 def _workspace(config, n_frames):
     """Buffers for one batch of `n_frames` frames, which every batch reuses,
     so a batch allocates (and page-faults) no full-size array but its bit
-    draw.  Three float arrays serve several stages each: the transmit rows,
-    then the received data rows; the waveform, then the ID's product, then its
-    decisions, which are the received bits; the AWGN scratch, then the ID's
-    estimate."""
+    draw.  Three float64 arrays serve several stages each: the transmit rows,
+    then the received data rows; the waveform, then the ID's float32 product
+    and float32 copy of the data rows, then its int64 decisions, which are
+    the received bits; the AWGN scratch, then the ID's float32 estimate."""
     frame_rows = (n_frames, config.symbols_per_frame)
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
+    size = math.prod(data_rows)
 
-    def head(buf, shape):
-        return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+    def part(buf, dtype, k=0):
+        """The k-th run of `size` entries of `dtype` in `buf`, as data rows."""
+        return buf.reshape(-1).view(dtype)[k * size:(k + 1) * size].reshape(data_rows)
 
     rows = np.empty(frame_rows + (config.n,))
     waveform = np.empty(frame_rows + (config.cp_len + config.n,))
@@ -168,13 +172,15 @@ def _workspace(config, n_frames):
         "rows": rows,
         "waveform": waveform,
         "noise": noise,
-        "received": head(rows, (n_frames, config.data_symbols_per_frame, config.n)),
-        "product": head(waveform, data_rows),
-        "estimate": head(noise, data_rows),
-        "decided": head(flags, data_rows),
+        "data": part(rows, np.float64).reshape(n_frames, -1, config.n),
+        "product": part(waveform, np.float32),
+        "received": part(waveform, np.float32, 1),
+        "estimate": part(noise, np.float32),
+        "decided": part(flags, bool),
         "flags": flags,
-        # The ID reads `product` last before its final decision (never at I = 0).
-        "index": head(waveform, data_rows).view(np.int64),
+        # The ID's final decision reads neither `product` nor `received` (and
+        # at I = 0 it reads only `data`).
+        "index": part(waveform, np.int64),
     }
 
 
@@ -200,10 +206,10 @@ def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_id
     )
     waveform = modem.transmit(config, sent, out=work["waveform"], rows=work["rows"])
     channel.apply_awgn(spec, waveform, out=waveform, scratch=work["noise"])
-    rows = modem.receive(config, waveform, out=work["received"]).reshape(-1, config.n)
+    rows = modem.receive(config, waveform, out=work["data"]).reshape(-1, config.n)
     index = equalize.id_equalize_frame(
-        id_cfg, rows, out=work["index"], estimate=work["estimate"],
-        product=work["product"], decided=work["decided"],
+        id_cfg, rows, out=work["index"], received=work["received"],
+        estimate=work["estimate"], product=work["product"], decided=work["decided"],
     )
     errors = np.not_equal(index.reshape(-1), sent.ravel(), out=work["flags"])
     return sent.size, int(np.count_nonzero(errors))

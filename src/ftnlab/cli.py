@@ -217,7 +217,9 @@ def main(argv=None):
                 raise ConfigError(f"{args.manifest}: unknown subcommand {manifest.subcommand!r}")
             # A replayed run names exactly the parameters its subcommand records;
             # the sweep parser checks a sweep's keys itself.
-            if manifest.subcommand != "sweep-ber":
+            if manifest.subcommand == "sweep-ber":
+                config.sweep_spec_from_json_dict(manifest.resolved, args.manifest)
+            else:
                 recorded = _resolve(parser.parse_args([manifest.subcommand, "--out", "-"]))
                 missing = sorted(recorded.keys() - manifest.resolved.keys())
                 if missing:

@@ -156,27 +156,28 @@ def sweep_spec_to_dict(spec):
     }
 
 
-def sweep_spec_from_json_dict(values):
+def sweep_spec_from_json_dict(values, source="sweep dict"):
     """Inverse of `sweep_spec_to_dict`; an unknown key, or a value of the
-    wrong JSON type, raises a ConfigError naming its key."""
+    wrong JSON type, raises a ConfigError naming `source` (such as the
+    manifest the values come from) and its key."""
     def typed(key, value, kind):
         if get_origin(kind) is tuple:
             if not isinstance(value, list):
-                raise ConfigError(f"sweep dict: {key} must be a list, got {value!r}")
+                raise ConfigError(f"{source}: {key} must be a list, got {value!r}")
             return tuple(typed(key, v, get_args(kind)[0]) for v in value)
         if kind is TransformKind:
-            return transform_kind(value, f"sweep dict: {key}")
+            return transform_kind(value, f"{source}: {key}")
         if not isinstance(value, int if kind is int else (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"sweep dict: bad {key} value {value!r}")
+            raise ConfigError(f"{source}: bad {key} value {value!r}")
         return value
 
     unknown = sorted(values.keys() - _SWEEP_FIELDS.keys())
     if unknown:
-        raise ConfigError(f"sweep dict: unknown key(s) {unknown}")
+        raise ConfigError(f"{source}: unknown key(s) {unknown}")
     return _sweep_spec(
         {key: typed(key, values[key], f.type)
          for key, f in _SWEEP_FIELDS.items() if key in values},
-        "sweep dict",
+        source,
     )
 
 

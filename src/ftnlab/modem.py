@@ -68,6 +68,10 @@ def experiment_baseline(alpha=0.8, **overrides):
 PAM_LEVELS = np.array([-1.0, 1.0])
 PAM_LEVELS.flags.writeable = False
 
+# The 2-PAM decision is v > PAM_THRESHOLD.  2**-53 is exact in float32 too,
+# so float32 values decide as their float64 conversions would.
+PAM_THRESHOLD = 2.0**-53
+
 
 def pam_map(bits, *, out=None):
     """The 2-PAM level of each bit, as a vector: 0 -> -1, 1 -> +1.  `out`, if
@@ -87,12 +91,14 @@ def pam_map(bits, *, out=None):
 
 def pam_index(values, *, out=None):
     """The 2-PAM decision on each value, which is its bit: 1 iff v > 2**-53
-    (nearest level, ties to the lower: fl(1 + v) > 1), else 0, NaN included.
+    (`PAM_THRESHOLD`), else 0, NaN included.  In float64 this is the nearest
+    level with ties to the lower, fl(1 + v) > 1; in float32 that sum would tie
+    at 2**-24 instead, so the rule is the comparison, not the sum.
     `out` (int64, of the shape of `values`) receives the indices."""
     values = check_real_array(values, "values")
     check_buffer(out, values.shape, np.int64, "out", contiguous=False)
     out = np.empty(values.shape, dtype=np.int64) if out is None else out
-    return np.greater(values, 2.0**-53, out=out)
+    return np.greater(values, PAM_THRESHOLD, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -460,7 +460,8 @@ class TestRunSweep:
 
 
 class TestSweepMemory:
-    """A sweep keeps two N x N matrices, the kernel and the detector's C - I."""
+    """A sweep keeps two N x N matrices, the float64 kernel and the detector's
+    float32 C - I: 1.5 x 8 N^2 bytes."""
 
     N = 1024
 
@@ -480,8 +481,8 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         matrix_bytes = 8 * self.N**2
-        assert (peak - base) < 3.0 * matrix_bytes
-        assert (held - base) < 2.5 * matrix_bytes
+        assert (peak - base) < 2.5 * matrix_bytes
+        assert (held - base) < 2.0 * matrix_bytes
 
     def test_sweep_keeps_no_correlation_matrix(self, monkeypatch):
         built = []

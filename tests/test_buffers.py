@@ -38,7 +38,8 @@ def assert_same_bytes(got, want):
 
 
 def garbage(shape, dtype=np.float64):
-    fill = {np.dtype(np.float64): np.nan, np.dtype(np.int64): -7, np.dtype(bool): True}
+    fill = {np.dtype(np.float64): np.nan, np.dtype(np.float32): np.nan,
+            np.dtype(np.int64): -7, np.dtype(bool): True}
     return np.full(shape, fill[np.dtype(dtype)], dtype=dtype)
 
 
@@ -195,8 +196,9 @@ class TestEqualize:
         rows = np.random.default_rng(11).normal(scale=1.2, size=(9, 32))
         want = id_equalize_frame(config, rows)
         shape = rows.shape
-        buffers = dict(estimate=garbage(shape), product=garbage(shape),
-                       decided=garbage(shape, bool))
+        buffers = dict(received=garbage(shape, np.float32),
+                       estimate=garbage(shape, np.float32),
+                       product=garbage(shape, np.float32), decided=garbage(shape, bool))
         out = garbage(shape, np.int64)
         for _ in range(2):
             got = id_equalize_frame(config, rows, out=out, **buffers)
@@ -227,7 +229,8 @@ def _bad_buffers():
         (lambda buf: measure_sample_energy(rows, scratch=buf), "scratch", (6, 16), np.float64),
     ]
     cases.append((lambda buf: id_equalize_frame(id_cfg, rows, out=buf), "out", (6, 16), np.int64))
-    for name, dtype in (("estimate", np.float64), ("product", np.float64), ("decided", bool)):
+    for name, dtype in (("estimate", np.float32), ("product", np.float32), ("decided", bool),
+                        ("received", np.float32)):
         cases.append((lambda buf, n=name: id_equalize_frame(id_cfg, rows, **{n: buf}),
                       name, (6, 16), dtype))
     return cases
@@ -245,8 +248,9 @@ class TestBadBuffers:
 
     @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS, ids=BAD_IDS)
     def test_wrong_dtype(self, call, name, shape, dtype):
+        wrong = np.float64 if dtype == np.float32 else np.float32
         with pytest.raises(ShapeError, match=re.escape(f"{name} must be a {np.dtype(dtype)}")):
-            call(np.zeros(shape, dtype=np.float32))
+            call(np.zeros(shape, dtype=wrong))
 
     @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS, ids=BAD_IDS)
     def test_read_only(self, call, name, shape, dtype):
@@ -274,7 +278,8 @@ def _one_allocation(*dtypes):
     return [raw[:6 * 16 * np.dtype(t).itemsize].view(t).reshape(6, 16) for t in dtypes]
 
 
-_ID_ARRAYS = {"rows": np.float64, "estimate": np.float64, "product": np.float64, "decided": bool}
+_ID_ARRAYS = {"rows": np.float64, "received": np.float32, "estimate": np.float32,
+              "product": np.float32, "decided": bool}
 OVERLAPS = [("apply_awgn", "samples", "scratch"), ("measure_sample_energy", "samples", "scratch"),
             *(("id_equalize_frame", a, b) for a, b in combinations(_ID_ARRAYS, 2))]
 
@@ -302,28 +307,35 @@ class TestOverlappingBuffers:
             call()
 
     def test_disjoint_parts_of_one_allocation_pass(self):
-        raw = np.zeros(3 * 6 * 16 * 8 + 6 * 16, dtype=np.uint8)
-        rows, estimate, product = raw[:3 * 6 * 16 * 8].view(np.float64).reshape(3, 6, 16)
-        decided = raw[3 * 6 * 16 * 8:].view(bool).reshape(6, 16)
+        size = 6 * 16
+        raw = np.zeros(size * (8 + 3 * 4 + 1), dtype=np.uint8)
+        rows = raw[:size * 8].view(np.float64).reshape(6, 16)
+        work = raw[size * 8:size * 20]
+        received, estimate, product = work.view(np.float32).reshape(3, 6, 16)
+        decided = raw[size * 20:].view(bool).reshape(6, 16)
         rows[:] = np.random.default_rng(14).normal(size=rows.shape)
         config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
         want = id_equalize_frame(config, rows.copy())
-        got = id_equalize_frame(config, rows, estimate=estimate, product=product,
-                                decided=decided)
+        got = id_equalize_frame(config, rows, received=received, estimate=estimate,
+                                product=product, decided=decided)
         assert_same_bytes(got, want)
-        assert measure_sample_energy(rows, scratch=estimate) == measure_sample_energy(rows.copy())
+        scratch = work[:size * 8].view(np.float64).reshape(6, 16)
+        assert measure_sample_energy(rows, scratch=scratch) == measure_sample_energy(rows.copy())
 
     @pytest.mark.parametrize("iterations", [0, 5])
     def test_the_sweep_workspace_passes(self, iterations):
-        # The sweep's decisions share the product's memory, which is allowed.
+        # The sweep's decisions share the memory of the product and the
+        # float32 copy of the rows, which is allowed.
         config = ModemConfig(n=16, alpha=0.9, data_symbols_per_frame=3, training_symbols=0,
                              sync_symbols=0)
         work = _workspace(config, 2)
-        rows = work["received"].reshape(-1, 16)
+        rows = work["data"].reshape(-1, 16)
         rows[:] = np.random.default_rng(15).normal(size=rows.shape)
         id_cfg = IdConfig(iterations, correlation_matrix(TransformKind.FRCT, 16, 0.9))
         want = id_equalize_frame(id_cfg, rows.copy())
-        got = id_equalize_frame(id_cfg, rows, out=work["index"], estimate=work["estimate"],
-                                product=work["product"], decided=work["decided"])
+        got = id_equalize_frame(id_cfg, rows, out=work["index"], received=work["received"],
+                                estimate=work["estimate"], product=work["product"],
+                                decided=work["decided"])
         assert np.shares_memory(got, work["product"])
+        assert np.shares_memory(got, work["received"])
         assert_same_bytes(got, want)

@@ -320,6 +320,21 @@ class TestManifestReplay:
         assert "unknown key(s) ['pam_order']" in _one_json_error(err)
         assert not out.exists()
 
+    def test_replayed_sample_rate_refused_naming_the_manifest(self, capsys, tmp_path,
+                                                              sweep_cfg):
+        out = tmp_path / "sweep.csv"
+        assert _run(capsys, "sweep-ber", "--config", sweep_cfg, "--out", str(out))[0] == 0
+        out.unlink()
+        path = tmp_path / "sweep.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        # A manifest written while the link had a settable sample rate recorded it.
+        manifest["resolved"]["sample_rate"] = 10e9
+        path.write_text(json.dumps(manifest))
+        code, _, err = _run(capsys, "--manifest", str(path))
+        assert code == 2
+        assert _one_json_error(err) == f"{path}: unknown key(s) ['sample_rate']"
+        assert not out.exists()
+
     def test_replay_missing_manifest(self, capsys, tmp_path):
         code, _, err = _run(capsys, "--manifest", str(tmp_path / "none.json"))
         assert code == 2

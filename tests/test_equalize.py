@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from ftnlab.berlab import SweepSpec, run_ber_sweep
 from ftnlab.equalize import (
     IdConfig,
     IdTrace,
@@ -20,7 +21,7 @@ from ftnlab.equalize import (
 from ftnlab import equalize, records
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
-from ftnlab.modem import PAM_LEVELS, pam_index
+from ftnlab.modem import PAM_LEVELS, experiment_baseline, pam_index
 from ftnlab.transforms import TransformKind
 
 
@@ -49,6 +50,18 @@ _SPECIAL_VALUES = np.concatenate([
      -np.nextafter(2.0**-1022, 0.0)],
 ])
 
+# Their float32 counterparts, and the 2**-53 tie of `pam_index` with its
+# neighbours, which float32 holds exactly.
+_TINY32 = np.float32(2.0**-126)
+_SPECIAL_VALUES32 = np.concatenate([
+    np.array([0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFFC0BEEF, 0x7F800001, 0xFF800001,
+              0x7FFFFFFF, 0xFFFFFFFF], dtype=np.uint32).view(np.float32),
+    np.array([0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, np.nextafter(_TINY32, 0),
+              -np.nextafter(_TINY32, 0), 2.0**-53, -(2.0**-53),
+              np.nextafter(np.float32(2.0**-53), 1), np.nextafter(np.float32(2.0**-53), 0)],
+             dtype=np.float32),
+])
+
 
 class TestIdConfig:
     def test_negative_iterations(self):
@@ -75,7 +88,12 @@ class TestIdConfig:
         c = _matrix(8, 0.9)
         cfg = IdConfig(3, c)
         assert not hasattr(cfg, "matrix")
-        assert cfg.off_diagonal is c.off_diagonal
+        # Built without C's float64 C - I, which is cached on C once used.
+        assert "off_diagonal" not in vars(c)
+        off = cfg.off_diagonal
+        assert off.dtype == np.float32 and not off.flags.writeable
+        # Every entry is C - I rounded once, the diagonal C_kk - 1 included.
+        assert off.tobytes() == c.off_diagonal.astype(np.float32).tobytes()
         assert "off_diagonal" not in repr(cfg)
 
     def test_configs_of_different_matrices_differ(self):
@@ -174,6 +192,28 @@ class TestMapBand:
         snapped = _map_band(mapped, d, *buffers)
         np.testing.assert_array_equal(mapped.view(np.uint64), expected.view(np.uint64))
         np.testing.assert_array_equal(snapped, np.abs(values) > d)
+
+    @given(
+        values=arrays(np.float32, st.integers(0, 64), elements=st.floats(width=32)),
+        d=st.one_of(st.floats(0.0, 1.0), st.just(2.0**-53)),
+        scratch=st.booleans(),
+    )
+    def test_two_level_map_is_sign_outside_band_in_float32(self, values, d, scratch):
+        # As above, bit for bit, on the detector's float32 iterates: the band is
+        # compared in float32, and the sign bit is the 32-bit word's.
+        values = np.concatenate([values, _SPECIAL_VALUES32])
+        band = np.float32(d)
+        expected = np.where(np.abs(values) > band, np.copysign(np.float32(1.0), values), values)
+        mapped = values.copy()
+        buffers = (np.empty_like(values), np.empty(values.shape, bool)) if scratch else ()
+        snapped = _map_band(mapped, d, *buffers)
+        assert mapped.dtype == np.float32
+        np.testing.assert_array_equal(mapped.view(np.uint32), expected.view(np.uint32))
+        np.testing.assert_array_equal(snapped, np.abs(values) > band)
+        if d >= 2.0**-53:  # each snapped entry gets the level `pam_index` decides
+            with np.errstate(invalid="ignore"):  # widening a signalling NaN
+                levels = PAM_LEVELS[pam_index(values)]
+            np.testing.assert_array_equal(mapped[snapped], levels[snapped])
 
     @given(
         values=arrays(np.float64, st.integers(1, 64), elements=st.floats(-3.0, 3.0)),
@@ -320,15 +360,21 @@ class TestShapes:
 
 
 def _reference_indices(off_diagonal, received, iterations):
-    """The module docstring's recursion, out of place and with np.where:
-    S_0 = 0, S_i = R - (C - I) @ S_{i-1}, and iteration i's band map at
-    d = 1 - (i-1)/I; returns the level indices of the final hard decision."""
+    """The module docstring's recursion, out of place and with np.where, in
+    the precision of its arguments: S_0 = 0, S_i = R - (C - I) @ S_{i-1}, and
+    iteration i's band map at d = 1 - (i-1)/I; returns the level indices of
+    the final hard decision."""
     s = np.zeros_like(received)
     for i in range(1, iterations + 1):
         s = received - s @ off_diagonal.T
         d = 1.0 - (i - 1) / iterations
         s = np.where(np.abs(s) > d, np.copysign(1.0, s), s)
     return pam_index(s)
+
+
+def _float32(shape):
+    """A float32 buffer full of NaN, as stale contents."""
+    return np.full(shape, np.nan, np.float32)
 
 
 class TestReferenceRecursion:
@@ -341,25 +387,32 @@ class TestReferenceRecursion:
     )
     def test_frame_matches_out_of_place_recursion(self, kind, alpha, noise, iterations,
                                                   layout):
+        # In the detector's precision: float32 R and C - I.
         rows, n = 48, 32
         c = _matrix(n, alpha, kind)
         rng = np.random.default_rng(11)
         sent = PAM_LEVELS[rng.integers(0, 2, size=(rows, n))]
         received = _compress(c, sent) + noise * rng.normal(size=(rows, n))
-        expected = _reference_indices(c.off_diagonal, received, iterations)
+        cfg = IdConfig(iterations, c)
+        expected = _reference_indices(cfg.off_diagonal, received.astype(np.float32),
+                                      iterations)
         buffers = {}
         # Stale contents must not leak into the result.
-        if layout.startswith("buffers") or layout == "aliased":
-            product = np.full((rows, n), np.nan)
-            buffers = dict(estimate=np.full((rows, n), np.nan), product=product,
-                           decided=np.ones((rows, n), bool))
-            if layout == "aliased":
-                # The sweep's layout: the indices share `product`'s memory.
-                buffers["out"] = product.view(np.int64)
+        if layout.startswith("buffers"):
+            buffers = {name: _float32((rows, n)) for name in ("received", "estimate", "product")}
+        if layout == "aliased":
+            # The sweep's layout: `product` and `received` side by side, and
+            # the indices in the memory of both.
+            block = _float32(2 * rows * n)
+            product, copy = block.reshape(2, rows, n)
+            buffers = dict(received=copy, estimate=_float32((rows, n)), product=product,
+                           out=block.view(np.int64).reshape(rows, n))
+        if buffers:
+            buffers["decided"] = np.ones((rows, n), bool)
         if layout.endswith("out"):
             # An `out` of its own, apart from the work buffers.
             buffers["out"] = np.full((rows, n), -7, np.int64)
-        got = id_equalize_frame(IdConfig(iterations, c), received, **buffers)
+        got = id_equalize_frame(cfg, received, **buffers)
         if "out" in buffers:
             assert got is buffers["out"]
         assert got.dtype == expected.dtype
@@ -373,9 +426,11 @@ class TestReferenceRecursion:
         rng = np.random.default_rng(12)
         received = _compress(c, 2.0 * rng.integers(0, 2, size=(rows, n)) - 1.0)
         received += 0.1 * rng.normal(size=(rows, n))
-        product = np.empty((rows, n))
-        buffers = dict(out=product.view(np.int64), estimate=np.empty((rows, n)),
-                       product=product, decided=np.empty((rows, n), bool))
+        block = _float32(2 * rows * n)
+        product, copy = block.reshape(2, rows, n)
+        buffers = dict(out=block.view(np.int64).reshape(rows, n), received=copy,
+                       estimate=_float32((rows, n)), product=product,
+                       decided=np.empty((rows, n), bool))
         cfg = IdConfig(20, c)
         id_equalize_frame(cfg, received, **buffers)
         tracemalloc.start()
@@ -385,6 +440,59 @@ class TestReferenceRecursion:
         finally:
             tracemalloc.stop()
         assert peak < rows * n
+
+
+# The ID points of acceptance criteria 05b, 06a and 06b, and FrCT 0.8 at
+# 10 dB with I = 5 and 20, at N = 256 in the baseline layout:
+# (kind, alpha, Eb/N0s, iteration counts).
+_GATE_CELLS = [
+    (TransformKind.FRCT, 0.8, (10.0, 20.0), (5, 20)),
+    (TransformKind.FRCT, 0.7, (20.0,), (20, 40)),
+    (TransformKind.FRHT, 0.45, (10.0, 20.0), (20,)),
+]
+
+
+class TestFloat64Agreement:
+    """The float32 detector decides as the float64 recursion does, but for
+    entries that float32 rounding moves across a band edge or the decision
+    threshold.  On the first four batches of each of these points (the
+    gate's seed, 0), at most 1e-5 of all decisions may differ."""
+
+    BATCHES = 4
+    BOUND = 1e-5
+
+    def test_decisions_agree_with_float64_on_the_gate_cells(self, monkeypatch):
+        detector = equalize.id_equalize_frame
+        cell = {}
+
+        def compared(config, rows, **buffers):
+            index = detector(config, rows, **buffers)
+            expected = _reference_indices(cell["off_diagonal"], rows, config.iterations)
+            cell["differing"] += int(np.count_nonzero(index != expected))
+            cell["decisions"] += index.size
+            return index
+
+        monkeypatch.setattr(equalize, "id_equalize_frame", compared)
+        baseline = experiment_baseline()
+        batch_bits = 4 * baseline.data_bits_per_frame
+        differing = decisions = 0
+        for kind, alpha, ebn0_dbs, iteration_counts in _GATE_CELLS:
+            off_diagonal = _matrix(baseline.n, alpha, kind).off_diagonal
+            for iterations in iteration_counts:
+                for ebn0_db in ebn0_dbs:
+                    cell.update(off_diagonal=off_diagonal, differing=0, decisions=0)
+                    run_ber_sweep(SweepSpec(
+                        config=baseline, alphas=(alpha,), ebn0_dbs=(ebn0_db,),
+                        iteration_counts=(iterations,), kinds=(kind,),
+                        max_bits=self.BATCHES * batch_bits, min_errors=0,
+                    ))
+                    print(f"[float64 agreement] {kind.value} alpha={alpha} {ebn0_db} dB "
+                          f"I={iterations}: {cell['differing']} of {cell['decisions']} "
+                          "decisions differ")
+                    differing += cell["differing"]
+                    decisions += cell["decisions"]
+        assert decisions == 8 * self.BATCHES * batch_bits
+        assert differing <= self.BOUND * decisions, (differing, decisions)
 
 
 class TestLinearRecursion:
