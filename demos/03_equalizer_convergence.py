@@ -2,20 +2,12 @@
 """Iterative detection with a shrinking uncertainty interval.
 
 Shows the equalizer's per-iteration trace (band width d and undecided
-entries), exhaustive noiseless recovery at moderate compression, and the
-linear-recursion view: convergence is governed by the spectral radius of
-(C - I), which crosses 1 as the spacing tightens.
+entries) and exhaustive noiseless recovery at moderate compression.
 """
 
 import numpy as np
 
-from ftnlab.equalize import (
-    IdConfig,
-    IdTrace,
-    id_equalize_frame,
-    id_equalize_linear,
-    iteration_spectral_radius,
-)
+from ftnlab.equalize import IdConfig, IdTrace, id_equalize_frame
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.modem import PAM_LEVELS
 from ftnlab.transforms import TransformKind
@@ -45,19 +37,6 @@ def main():
     words = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
     out = PAM_LEVELS[id_equalize_frame(IdConfig(iterations=20, matrix=c), words @ c.entries.T)]
     print(f"  words recovered: {int(np.sum(np.all(out == words, axis=1)))}/256")
-
-    print()
-    print("=" * 70)
-    print("3. Spectral radius of (C - I) controls the linear recursion")
-    print("=" * 70)
-    for n, alpha in ((8, 0.95), (16, 0.9), (16, 0.3)):
-        c = correlation_matrix(TransformKind.FRCT, n, alpha)
-        rho = iteration_spectral_radius(c)
-        sent = np.linspace(-1, 1, n)
-        res = id_equalize_linear(IdConfig(iterations=200, matrix=c), c.entries @ sent)
-        err = float(np.max(np.abs(res.values - sent)))
-        verdict = "diverged" if res.diverged else f"max err {err:.1e}"
-        print(f"  N={n:3d} alpha={alpha}: rho={rho:.3f} -> {verdict}")
 
 
 if __name__ == "__main__":

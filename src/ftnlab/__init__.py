@@ -27,11 +27,10 @@ from .modem import (
     rate_report,
 )
 from .channel import AwgnSpec, apply_awgn, measure_sample_energy
-from .equalize import IdConfig, IdTrace, id_equalize_frame, id_equalize_linear
+from .equalize import IdConfig, IdTrace, id_equalize_frame
 from .capacity import (
     CapacityParams,
     shannon_limit,
-    sphere_volume,
     distinguishable_signals,
     capacity_ftn,
 )

@@ -1,14 +1,17 @@
 """Capacity-limit calculators for compressed-spacing multicarrier signaling.
 
 The chain: Shannon bound W*log2(1+SNR) for orthogonal signaling; the
-n-sphere volume pi^(n/2) r^n / Gamma(n/2+1) behind the sphere-packing count
-of distinguishable signals; and the compressed-spacing bound
+sphere-packing count of distinguishable signals; and the compressed-spacing
+bound
 
     C <= (1/alpha) * W * log2(1 + P_S / (P_N + P_ICI)),
 
 which reduces to the Shannon bound at alpha = 1 with no self-interference.
-Sphere/count arithmetic is done in the log domain: at communication scale
-the dimension 2WT/alpha easily exceeds 1e3 and direct evaluation overflows.
+The count is the log-ratio of the volume of the (signal + noise) sphere to
+that of the noise sphere in 2WT/alpha dimensions.  At equal dimension the
+pi and Gamma terms of the two volumes cancel, so it takes closed form, and
+it is returned in the log domain: at communication scale the dimension
+easily exceeds 1e3 and the count itself overflows.
 """
 
 import math
@@ -38,27 +41,6 @@ class CapacityParams:
 def shannon_limit(p):
     """Orthogonal-signaling capacity bound W * log2(1 + P_S/P_N), bits/s."""
     return p.bandwidth_hz * math.log2(1.0 + p.signal_power / p.noise_power)
-
-
-def log_sphere_volume(n, r):
-    """Natural log of the n-dimensional sphere volume of radius r."""
-    from scipy.special import gammaln
-
-    check_real(n, "n", 1, closed="[)")
-    check_real(r, "r", 0, closed="[)")
-    if r == 0:
-        return -math.inf
-    return 0.5 * n * math.log(math.pi) + n * math.log(r) - float(gammaln(n / 2.0 + 1.0))
-
-
-def sphere_volume(n, r):
-    """Volume pi^(n/2) r^n / Gamma(n/2 + 1); evaluated via logs so large n
-    degrades to 0.0/inf instead of overflowing midway."""
-    logv = log_sphere_volume(n, r)
-    try:
-        return math.exp(logv)
-    except OverflowError:
-        return math.inf
 
 
 def distinguishable_signals(p):

@@ -249,8 +249,9 @@ def main(argv=None):
         return code
     except SystemExit as exc:  # --help, --version
         return exc.code or 0
-    except (ConfigError, ParameterError, ExportError) as exc:
-        sys.stderr.write("error: " + json.dumps({"message": str(exc)}) + "\n")
+    except (ConfigError, ParameterError, ExportError, MemoryError) as exc:
+        # A bare MemoryError carries no message.
+        sys.stderr.write("error: " + json.dumps({"message": str(exc) or "out of memory"}) + "\n")
         return 2
 
 

@@ -242,4 +242,10 @@ def load_manifest(path):
                and isinstance(o.get("format"), str) for o in payload["outputs"]):
         raise ConfigError(f"{path}: each entry of manifest field 'outputs' needs "
                           "'path' and 'format' strings")
+    # Checked here, so a replay never runs before its output is refused.
+    for o in payload["outputs"]:
+        try:
+            records.check_format(o["format"])
+        except ParameterError as exc:
+            raise ConfigError(f"{path}: manifest field 'outputs': {exc}") from None
     return RunManifest(**payload)

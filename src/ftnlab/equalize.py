@@ -24,12 +24,6 @@ C - I is rounded once from float64 (the diagonal C_kk - 1 is formed in
 float64 first), and the final decision compares the float32 estimate with
 `modem.PAM_THRESHOLD`, 2**-53, which float32 holds exactly.  At I = 0 the
 float64 rows are decided as they are.
-
-`id_equalize_linear` runs the same recursion with the mapping disabled, in
-float64 over the float32 C - I; when the spectral radius of (C - I) is
-below 1 it converges to the zero-forcing solution C^-1 @ R (C as rounded to
-float32), and for aggressive compression (where the radius reaches or
-exceeds 1) it reports divergence instead.
 """
 
 from dataclasses import InitVar, dataclass, field
@@ -42,18 +36,16 @@ from .exceptions import (
 from .icimodel import CorrelationMatrix
 from .modem import PAM_THRESHOLD, pam_index
 
-_DIVERGENCE_FACTOR = 1e6
-
 
 @dataclass(frozen=True, eq=False)
 class IdConfig:
     """2-PAM detector settings for one correlation matrix C.
 
     Only C - I is kept, as `off_diagonal`: a read-only float32 array (4 N^2
-    bytes), rounded once from C, built without C's float64
-    `CorrelationMatrix.off_diagonal`.  The `matrix` argument itself is not
-    retained, so C can be freed once the config exists.  Two configs compare
-    equal only if they are the same object.
+    bytes), rounded once from C, with no float64 C - I built on the way.
+    The `matrix` argument itself is not retained, so C can be freed once the
+    config exists.  Two configs compare equal only if they are the same
+    object.
     """
 
     iterations: int
@@ -178,38 +170,3 @@ def id_equalize_frame(config, rows, *, trace=None, out=None, received=None, esti
     check_apart(rows=rows, received=received, estimate=estimate, product=product,
                 decided=decided)
     return _iterate(config, rows, trace, out, received, estimate, product, decided)
-
-
-@dataclass(frozen=True)
-class LinearIdResult:
-    values: np.ndarray
-    diverged: bool
-    norms: np.ndarray  # ||S_i|| per iteration
-
-
-def id_equalize_linear(config, r):
-    """Run the recursion without constellation mapping (analysis helper).
-
-    It runs in float64 over the config's float32 C - I, so its zero-forcing
-    limit is C^-1 @ r only to within the float32 rounding of C."""
-    r = check_real_array(r, "r", len(config.off_diagonal))
-    if r.ndim != 1:
-        raise ShapeError(f"r must be a vector, got shape {r.shape}")
-    off_diag = config.off_diagonal
-    estimate = np.zeros_like(r)
-    scale = max(float(np.linalg.norm(r)), 1.0)
-    norms = []
-    diverged = False
-    for _ in range(config.iterations):
-        estimate = r - off_diag @ estimate
-        norm = float(np.linalg.norm(estimate))
-        norms.append(norm)
-        if not np.isfinite(norm) or norm > _DIVERGENCE_FACTOR * scale:
-            diverged = True
-            break
-    return LinearIdResult(values=estimate, diverged=diverged, norms=np.array(norms))
-
-
-def iteration_spectral_radius(matrix):
-    """Spectral radius of (C - I); below 1 means the linear recursion converges."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(matrix.off_diagonal))))

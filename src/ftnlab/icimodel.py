@@ -21,7 +21,6 @@ is modelled as an equal-weight two-component Gaussian mixture centred at
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,14 +41,6 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-
-    @cached_property
-    def off_diagonal(self):
-        """C - I (read-only), built on first use and kept with C."""
-        off = self.entries.copy()
-        off.flat[:: self.n + 1] -= 1.0
-        off.setflags(write=False)
-        return off
 
 
 def _geometric_sums(n, t):

@@ -1,4 +1,4 @@
-"""Capacity bounds, sphere volumes, and compressed-spacing gain."""
+"""Capacity bounds, the sphere-packing count, and compressed-spacing gain."""
 
 import math
 
@@ -8,9 +8,7 @@ from ftnlab.capacity import (
     CapacityParams,
     capacity_ftn,
     distinguishable_signals,
-    log_sphere_volume,
     shannon_limit,
-    sphere_volume,
 )
 from ftnlab.exceptions import ParameterError
 
@@ -38,15 +36,12 @@ class TestParams:
     @pytest.mark.parametrize(
         "field",
         ["bandwidth_hz", "signal_power", "noise_power", "ici_power", "alpha",
-         "symbol_duration", "n", "r"],
+         "symbol_duration"],
     )
     def test_non_finite_inputs_named(self, field, value):
+        base = dict(bandwidth_hz=1e9, signal_power=1.0, noise_power=1.0)
         with pytest.raises(ParameterError, match=f"^{field} must"):
-            if field in ("n", "r"):
-                log_sphere_volume(**{"n": 3, "r": 1.0, field: value})
-            else:
-                base = dict(bandwidth_hz=1e9, signal_power=1.0, noise_power=1.0)
-                CapacityParams(**{**base, field: value})
+            CapacityParams(**{**base, field: value})
 
 
 class TestShannonLimit:
@@ -63,56 +58,59 @@ class TestShannonLimit:
         assert shannon_limit(p) == 0.0
 
 
-class TestSphereVolume:
-    def test_low_dimensions_closed_form(self):
-        assert sphere_volume(1, 2.0) == pytest.approx(4.0)
-        assert sphere_volume(2, 1.0) == pytest.approx(math.pi)
-        assert sphere_volume(3, 1.0) == pytest.approx(4.0 * math.pi / 3.0)
-
-    def test_log_matches_direct(self):
-        for n, r in [(2, 0.5), (5, 3.0), (10, 1.0)]:
-            assert log_sphere_volume(n, r) == pytest.approx(
-                math.log(sphere_volume(n, r)), rel=1e-12
-            )
-
-    def test_huge_dimension_no_overflow(self):
-        # 2WT/alpha at communication scale; direct Gamma evaluation would
-        # overflow long before this.
-        logv = log_sphere_volume(100_000, 10.0)
-        assert math.isfinite(logv)
-
-    def test_unit_radius_volume_vanishes_at_high_dimension(self):
-        assert sphere_volume(10_000, 1.0) == 0.0
-
-    def test_volume_past_the_float_range_is_inf(self):
-        assert math.isfinite(log_sphere_volume(2, 1e200))
-        assert sphere_volume(2, 1e200) == math.inf
-
-    def test_zero_radius(self):
-        assert sphere_volume(7, 0.0) == 0.0
-
-    def test_errors(self):
-        with pytest.raises(ParameterError):
-            log_sphere_volume(0, 1.0)
-        with pytest.raises(ParameterError):
-            log_sphere_volume(4, -1.0)
-
-
 class TestDistinguishableSignals:
     def test_matches_sphere_ratio_in_low_dimension(self):
         # log2 M = WT/alpha * log2(1 + S/N) equals the log-ratio of the
         # (signal+noise) sphere to the noise sphere in 2WT/alpha dimensions.
+        # At equal dimension the pi and Gamma terms of the two volumes
+        # cancel, leaving dims * ln(r1 / r2).
         w, t, alpha, s, n0 = 3.0, 1.0, 1.0, 4.0, 1.0
         p = CapacityParams(
             bandwidth_hz=w, signal_power=s, noise_power=n0,
             alpha=alpha, symbol_duration=t,
         )
         dims = int(2 * w * t / alpha)
-        ratio = (
-            log_sphere_volume(dims, math.sqrt(dims * (s + n0)))
-            - log_sphere_volume(dims, math.sqrt(dims * n0))
-        ) / math.log(2.0)
+        r1, r2 = math.sqrt(dims * (s + n0)), math.sqrt(dims * n0)
+        ratio = dims * math.log(r1 / r2) / math.log(2.0)
         assert distinguishable_signals(p) == pytest.approx(ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("w,t,alpha,s,n0", [
+        (1.0, 1.0, 1.0, 1.0, 1.0), (2.5, 1.0, 1.0, 0.5, 2.0), (5.0, 2.0, 0.5, 9.0, 0.25),
+    ])
+    def test_matches_sphere_ratio_over_dimensions(self, w, t, alpha, s, n0):
+        # 2, 5 and 40 dimensions.
+        p = CapacityParams(bandwidth_hz=w, signal_power=s, noise_power=n0,
+                           alpha=alpha, symbol_duration=t)
+        dims = 2 * w * t / alpha
+        ratio = dims * math.log(math.sqrt(dims * (s + n0)) / math.sqrt(dims * n0))
+        assert distinguishable_signals(p) == pytest.approx(ratio / math.log(2.0), rel=1e-12)
+
+    def test_communication_scale_stays_finite(self):
+        # 2WT/alpha = 4e9 dimensions: the count itself, 2**(log2 M), overflows.
+        p = CapacityParams(bandwidth_hz=1e9, signal_power=10.0, noise_power=1.0,
+                           alpha=0.5, symbol_duration=1.0)
+        bits = distinguishable_signals(p)
+        assert math.isfinite(bits) and bits > 1024
+        assert bits == pytest.approx(2e9 * math.log2(11.0), rel=1e-12)
+
+    def test_zero_signal_power_leaves_one_signal(self):
+        # Equal spheres: the volume ratio is 1.
+        p = CapacityParams(bandwidth_hz=1e9, signal_power=0.0, noise_power=1.0,
+                           symbol_duration=1e-6)
+        assert distinguishable_signals(p) == 0.0
+
+    def test_ici_counts_as_noise(self):
+        base = dict(bandwidth_hz=1e9, signal_power=10.0, alpha=0.8, symbol_duration=1e-6)
+        with_ici = CapacityParams(**base, noise_power=1.0, ici_power=2.0)
+        assert distinguishable_signals(with_ici) == distinguishable_signals(
+            CapacityParams(**base, noise_power=3.0)
+        )
+
+    def test_exponent_grows_with_duration(self):
+        base = dict(bandwidth_hz=1e9, signal_power=10.0, noise_power=1.0, alpha=0.8)
+        short = distinguishable_signals(CapacityParams(**base, symbol_duration=1e-6))
+        long = distinguishable_signals(CapacityParams(**base, symbol_duration=2e-6))
+        assert long == pytest.approx(2.0 * short, rel=1e-12)
 
     def test_compression_multiplies_exponent(self):
         base = dict(bandwidth_hz=1e9, signal_power=10.0, noise_power=1.0,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from ftnlab import berlab, icimodel
 from ftnlab.cli import main
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.transforms import TransformKind
@@ -335,6 +336,26 @@ class TestManifestReplay:
         assert _one_json_error(err) == f"{path}: unknown key(s) ['sample_rate']"
         assert not out.exists()
 
+    def test_replayed_unknown_format_refused_before_the_sweep(self, capsys, tmp_path,
+                                                             sweep_cfg, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        assert _run(capsys, "sweep-ber", "--config", sweep_cfg, "--out", str(out))[0] == 0
+        out.unlink()
+        path = tmp_path / "sweep.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["outputs"][0]["format"] = "xml"
+        path.write_text(json.dumps(manifest))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(berlab, "run_ber_sweep", never)
+        code, _, err = _run(capsys, "--manifest", str(path))
+        assert code == 2
+        assert _one_json_error(err) == (f"{path}: manifest field 'outputs': "
+                                        "format must be 'csv' or 'json', got 'xml'")
+        assert not out.exists()
+
     def test_replay_missing_manifest(self, capsys, tmp_path):
         code, _, err = _run(capsys, "--manifest", str(tmp_path / "none.json"))
         assert code == 2
@@ -593,6 +614,20 @@ class TestErrorsExitCleanly:
         assert code == 2
         assert "unrecognized arguments: " + argv[1] in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 65.5 TiB"),
+                                       MemoryError()], ids=["numpy", "bare"])
+    def test_allocation_failure_is_one_json_line(self, capsys, tmp_path, monkeypatch,
+                                                 error):
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(icimodel, "correlation_matrix", refuse)
+        out = tmp_path / "row.csv"
+        code, _, err = _run(capsys, "corr-row", "--n", "16", "--k", "1", "--out", str(out))
+        assert code == 2
+        assert _one_json_error(err) == (str(error) or "out of memory")
+        assert not out.exists()
 
     def test_zero_workers(self, capsys, tmp_path, sweep_cfg):
         out = tmp_path / "sweep.csv"

@@ -332,6 +332,15 @@ class TestManifests:
               "outputs": [{"path": True, "format": "json"}]}, "'path' and 'format' strings"),
             ({"subcommand": "rates", "resolved": {}, "seed": 0,
               "outputs": [{"path": "r.json", "format": None}]}, "'path' and 'format' strings"),
+            ({"subcommand": "rates", "resolved": {}, "seed": 0,
+              "outputs": [{"path": "r.xml", "format": "xml"}]},
+             "manifest field 'outputs': format must be 'csv' or 'json', got 'xml'"),
+            ({"subcommand": "rates", "resolved": {}, "seed": 0,
+              "outputs": [{"path": "r.csv", "format": "CSV"}]},
+             "manifest field 'outputs': format must be 'csv' or 'json', got 'CSV'"),
+            ({"subcommand": "rates", "resolved": {}, "seed": 0,
+              "outputs": [{"path": "r.json", "format": "json"}, {"path": "r", "format": ""}]},
+             "manifest field 'outputs': format must be 'csv' or 'json', got ''"),
         ],
     )
     def test_malformed_rejected_naming_field(self, tmp_path, payload, message):

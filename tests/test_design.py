@@ -40,6 +40,66 @@ def test_no_module_reads_another_modules_private_names():
     assert found == []
 
 
+def _ftnlab_imports(tree):
+    """The names a module binds by importing from ftnlab: {bound name:
+    `module.name`} for functions and classes, and {bound name: module} for
+    the modules themselves.  A name imported from the package is filed
+    under `__init__`."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module
+        elif node.module == "ftnlab" or (node.module or "").startswith("ftnlab."):
+            source = node.module.removeprefix("ftnlab").removeprefix(".")
+        else:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            if not source and alias.name in MODULES:
+                modules[bound] = alias.name
+            else:
+                names[bound] = f"{source or '__init__'}.{alias.name}"
+    return names, modules
+
+
+def _ftnlab_reads(path):
+    """The `module.name` pairs a file reads from ftnlab: a name it imports
+    or (in the package) defines at top level and then loads, or an attribute
+    of an imported ftnlab module.  An attribute of anything else (a
+    dataclass field such as `p.ici_power`) is not a read of the function of
+    that name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, modules = _ftnlab_imports(tree)
+    if path.parent == SRC:
+        names.update({node.name: f"{path.stem}.{node.name}" for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+            reads.add(names[node.id])
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            reads.add(f"{modules[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_every_public_name_has_a_caller():
+    # Each name the package exports is read by a module of the package, its
+    # own included, or by a demo: not only by the tests.
+    exported = set(_ftnlab_imports(ast.parse((SRC / "__init__.py").read_text()))[0].values())
+    assert "icimodel.ici_power" in exported
+    # A demo may read a name through the package.
+    through_package = {f"__init__.{name.split('.')[1]}": name for name in exported}
+    demos = sorted((SRC.parents[1] / "demos").glob("*.py"))
+    assert demos
+    unread = set(exported)
+    for path in [*SRC.glob("*.py"), *demos]:
+        unread -= {through_package.get(name, name) for name in _ftnlab_reads(path)}
+    assert sorted(unread) == []
+
+
 def test_only_transforms_reads_the_kernel():
     readers = sorted(
         path.name for path in SRC.glob("*.py")
@@ -58,13 +118,11 @@ import ftnlab, ftnlab.cli
 heavy = ("scipy.stats", "scipy.optimize", "scipy.signal", "scipy.special")
 print(sorted(m for m in heavy if m in sys.modules))
 from ftnlab.berlab import estimate_psd
-from ftnlab.capacity import log_sphere_volume
 from ftnlab.icimodel import IciPdfModel, fit_sigma_mle, mixture_cdf
 from ftnlab.modem import ModemConfig
 mixture_cdf(IciPdfModel(sigma=0.5), [0.0])
 fit_sigma_mle([-1.0, 1.0])
 estimate_psd(ModemConfig(n=16, alpha=0.8, cp_len=0), frames=4, seed=0)
-log_sphere_volume(3, 1.0)
 print(sorted(m for m in heavy if m in sys.modules))
 """
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}

@@ -1,4 +1,4 @@
-"""Iterative-detection equalizer: recovery, traces, and linear analysis."""
+"""Iterative-detection equalizer: recovery, traces, and the reference recursion."""
 
 import re
 import tracemalloc
@@ -10,14 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from ftnlab.berlab import SweepSpec, run_ber_sweep
-from ftnlab.equalize import (
-    IdConfig,
-    IdTrace,
-    _map_band,
-    id_equalize_frame,
-    id_equalize_linear,
-    iteration_spectral_radius,
-)
+from ftnlab.equalize import IdConfig, IdTrace, _map_band, id_equalize_frame
 from ftnlab import equalize, records
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
@@ -85,16 +78,43 @@ class TestIdConfig:
             IdConfig(3, matrix)
 
     def test_keeps_only_the_off_diagonal(self):
-        c = _matrix(8, 0.9)
+        n = 8
+        c = _matrix(n, 0.9)
         cfg = IdConfig(3, c)
         assert not hasattr(cfg, "matrix")
-        # Built without C's float64 C - I, which is cached on C once used.
-        assert "off_diagonal" not in vars(c)
         off = cfg.off_diagonal
         assert off.dtype == np.float32 and not off.flags.writeable
         # Every entry is C - I rounded once, the diagonal C_kk - 1 included.
-        assert off.tobytes() == c.off_diagonal.astype(np.float32).tobytes()
+        assert off.tobytes() == (c.entries - np.eye(n)).astype(np.float32).tobytes()
         assert "off_diagonal" not in repr(cfg)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45])
+    @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+    def test_off_diagonal_is_c_minus_i_rounded_once(self, kind, alpha):
+        n = 16
+        c = _matrix(n, alpha, kind)
+        off = IdConfig(3, c).off_diagonal
+        assert off.tobytes() == (c.entries - np.eye(n)).astype(np.float32).tobytes()
+
+    def test_off_diagonal_is_one_read_only_array(self):
+        cfg = IdConfig(3, _matrix(16, 0.45, TransformKind.FRHT))
+        off = cfg.off_diagonal
+        assert off is cfg.off_diagonal
+        with pytest.raises(ValueError):
+            off[0, 0] = 0.0
+
+    def test_builds_no_float64_off_diagonal(self):
+        # The build's traced peak stays below the 8 N^2 bytes of a float64
+        # C - I: only the float32 result (4 N^2) and a diagonal are allocated.
+        n = 256
+        c = _matrix(n, 0.8)
+        tracemalloc.start()
+        try:
+            IdConfig(3, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4 * n * n <= peak < 5 * n * n
 
     def test_configs_of_different_matrices_differ(self):
         a = IdConfig(3, _matrix(8, 0.9))
@@ -109,6 +129,14 @@ class TestNoiselessRecovery:
         r = np.array([0.4, -0.1, 1.2, -2.0, 0.3, 0.6, -0.6, 1.0])
         out, _ = _equalize_one(cfg, r)
         assert np.array_equal(out, np.where(r > 0, 1.0, -1.0))
+
+    @pytest.mark.parametrize("iterations", [1, 20])
+    @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+    def test_orthogonal_spacing_is_hard_decision(self, kind, iterations):
+        # At alpha = 1, C - I is zero to rounding: there is nothing to cancel.
+        cfg = IdConfig(iterations, _matrix(32, 1.0, kind))
+        rows = np.random.default_rng(4).normal(size=(16, 32))
+        assert np.array_equal(id_equalize_frame(cfg, rows), pam_index(rows))
 
     def test_zero_iterations_is_plain_hard_decision(self):
         cfg = IdConfig(iterations=0, matrix=_matrix(8, 0.8))
@@ -477,7 +505,7 @@ class TestFloat64Agreement:
         batch_bits = 4 * baseline.data_bits_per_frame
         differing = decisions = 0
         for kind, alpha, ebn0_dbs, iteration_counts in _GATE_CELLS:
-            off_diagonal = _matrix(baseline.n, alpha, kind).off_diagonal
+            off_diagonal = _matrix(baseline.n, alpha, kind).entries - np.eye(baseline.n)
             for iterations in iteration_counts:
                 for ebn0_db in ebn0_dbs:
                     cell.update(off_diagonal=off_diagonal, differing=0, decisions=0)
@@ -493,33 +521,3 @@ class TestFloat64Agreement:
                     decisions += cell["decisions"]
         assert decisions == 8 * self.BATCHES * batch_bits
         assert differing <= self.BOUND * decisions, (differing, decisions)
-
-
-class TestLinearRecursion:
-    def test_converges_to_zero_forcing_when_contractive(self):
-        c = _matrix(8, 0.95)
-        assert iteration_spectral_radius(c) < 1.0
-        rng = np.random.default_rng(6)
-        sent = rng.normal(size=8)
-        r = c.entries @ sent
-        res = id_equalize_linear(IdConfig(iterations=200, matrix=c), r)
-        assert not res.diverged
-        assert np.max(np.abs(res.values - sent)) < 1e-6
-
-    def test_divergence_reported(self):
-        c = _matrix(16, 0.3)
-        assert iteration_spectral_radius(c) > 1.0
-        res = id_equalize_linear(
-            IdConfig(iterations=500, matrix=c), np.ones(16)
-        )
-        assert res.diverged
-        assert len(res.norms) < 500
-
-    def test_spectral_radius_zero_at_alpha_one(self):
-        assert iteration_spectral_radius(_matrix(32, 1.0)) < 1e-10
-
-    def test_norm_history_recorded(self):
-        c = _matrix(8, 0.95)
-        res = id_equalize_linear(IdConfig(iterations=10, matrix=c), np.ones(8))
-        assert res.norms.shape == (10,)
-        assert np.all(res.norms > 0)

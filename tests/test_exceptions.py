@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from ftnlab.berlab import BerSweepResult, SweepSpec, required_ebn0_at_ber, wilson_interval
-from ftnlab.capacity import CapacityParams, log_sphere_volume
+from ftnlab.capacity import CapacityParams
 from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy
-from ftnlab.equalize import IdConfig, id_equalize_frame, id_equalize_linear
+from ftnlab.config import capacity_params
+from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import (
     ConfigError, ExportError, FramingError, ParameterError, ShapeError, check_real,
     check_real_array,
@@ -94,8 +95,6 @@ REAL_PARAMETERS = [
     ("ici_power", lambda v: CapacityParams(1, 1, 1, ici_power=v), 0),
     ("alpha", lambda v: CapacityParams(1, 1, 1, alpha=v), 0.5),
     ("symbol_duration", lambda v: CapacityParams(1, 1, 1, symbol_duration=v), 2.0),
-    ("n", lambda v: log_sphere_volume(v, 1.0), 3),
-    ("r", lambda v: log_sphere_volume(3, v), 0.0),
     ("eb_n0_db", lambda v: AwgnSpec(v, 1.0), -3.0),
     ("bits_per_sample", lambda v: AwgnSpec(5.0, v), 0.5),
     ("alpha", lambda v: ModemConfig(alpha=v), 0.8),
@@ -105,6 +104,9 @@ REAL_PARAMETERS = [
     ("target_ber", lambda v: required_ebn0_at_ber(BerSweepResult(points=()), v), 3.8e-3),
     ("bits", lambda v: wilson_interval(0, v), 10),
     ("errors", lambda v: wilson_interval(v, 10), 3),
+    ("alpha", lambda v: make_plan(TransformKind.FRCT, 8, v), 0.9),
+    ("alpha", lambda v: correlation_matrix(TransformKind.FRCT, 8, v), 0.9),
+    ("snr_db", lambda v: capacity_params(snr_db=v), 10.0),
 ]
 
 
@@ -140,7 +142,6 @@ REAL_ARRAYS = {
     "receive": ("samples", lambda v: receive(_LINK, v)),
     "pam_index": ("values", pam_index),
     "id_equalize_frame": ("rows", lambda v: id_equalize_frame(_ID, [v])),
-    "id_equalize_linear": ("r", lambda v: id_equalize_linear(_ID, v)),
     "mixture_pdf": ("x", lambda v: mixture_pdf(_MIXTURE, v)),
     "mixture_cdf": ("x", lambda v: mixture_cdf(_MIXTURE, v)),
     "fit_sigma_mle": ("samples", fit_sigma_mle),
@@ -182,13 +183,10 @@ class TestRealArrays:
         with pytest.raises(ShapeError, match=f"^{message}$"):
             REAL_ARRAYS[function][1](value)
 
-    @pytest.mark.parametrize("call", [lambda v: id_equalize_frame(_ID, v),
-                                      lambda v: id_equalize_linear(_ID, v)],
-                             ids=["id_equalize_frame", "id_equalize_linear"])
     @pytest.mark.parametrize("value", [np.float64(0.5), np.zeros(_N - 1), np.zeros((1, _N - 1))])
-    def test_detector_shapes(self, call, value):
+    def test_detector_shapes(self, value):
         with pytest.raises(ShapeError):
-            call(value)
+            id_equalize_frame(_ID, value)
 
     def test_float64_input_is_not_copied(self):
         values = np.zeros((3, _N))

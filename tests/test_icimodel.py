@@ -75,14 +75,6 @@ class TestCorrelationMatrix:
             assert dev <= 1e-12, (alpha, dev)
             assert np.array_equal(c.entries, c.entries.T), alpha
 
-    def test_off_diagonal_is_built_once(self):
-        c = correlation_matrix(TransformKind.FRHT, 16, 0.45)
-        off = c.off_diagonal
-        assert off is c.off_diagonal
-        assert np.array_equal(off, c.entries - np.eye(16))
-        with pytest.raises(ValueError):
-            off[0, 0] = 0.0
-
 
 class TestIciPower:
     def test_zero_at_alpha_one(self):
