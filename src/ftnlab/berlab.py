@@ -7,18 +7,26 @@ iterative-detection round trips in fixed-size frame batches, whose 2-PAM
 decisions are the received bits, until it has either seen `min_errors` bit
 errors or spent `max_bits` bits.
 
-Reproducibility: every batch draws its bit and noise streams from a seed
-sequence derived from (sweep seed, grid-point index, batch index), and a
-point runs its batches 0, 1, 2, ... in order, so it stops at the same batch
-wherever it runs.  At `workers` > 1 the grid is cut into contiguous runs of
-points, no more than the CPUs the process may use, each run in its own worker
-process; results are identical for any worker count, and no batch is computed
-past a point's stopping point.
+Reproducibility: the points of one (kind, alpha), a curve, share their
+random numbers.  Curves are numbered in (kind, alpha) grid order, and batch
+b of curve c draws its bits and noise from seed sequences derived from
+(sweep seed, c, b).  Every point of the curve detects that batch's one
+waveform, its noise drawn at the curve's first Eb/N0 and scaled to the
+point's own; points at one Eb/N0 detect the same rows whatever their
+iteration counts.  A curve runs batches 0, 1, 2, ... in order, each point
+counting until its own rule stops it, so a point stops at the same batch
+wherever it runs, and a one-point curve runs exactly the chain of a lone
+point.  At `workers` > 1 the curves are cut into contiguous runs, no more
+than the CPUs the process may use, each run in its own worker process;
+results are identical for any worker count, and no batch is computed past
+the stopping point of a curve's last point.
 
-Memory: the points of a sweep share one frame layout, so each run of points
-reuses one batch workspace for all its batches; it goes with its run.  Of the
-N x N matrices, a sweep keeps the transform kernel (float64) and the
-detector's C - I (float32).
+Memory: the curves of a sweep share one frame layout, so each run of curves
+reuses one batch workspace for all its batches; it goes with its run.  With
+more than one Eb/N0 the workspace holds two float64 data-row arrays more,
+the demultiplexed noise and a point's scaled rows.  Of the N x N matrices, a
+sweep keeps the transform kernel (float64) and one detector C - I (float32),
+which a curve's iteration counts share.
 """
 
 import math
@@ -141,21 +149,24 @@ def bits_per_sample(config):
 
 
 # One entry, like the plan cache: the grid walks (kind, alpha) outermost, so
-# one detector config serves a curve's points and repeated sweeps of it.  It
-# holds C - I only, in float32 (4 N^2 bytes); C itself is freed as soon as
-# C - I exists.
+# one detector serves a curve, whose iteration counts share its C - I
+# (`IdConfig.with_iterations`), and repeated sweeps of it.  It holds C - I
+# only, in float32 (4 N^2 bytes); C itself is freed as soon as C - I exists.
 @lru_cache(maxsize=1)
-def _point_matrix(kind, n, alpha, iterations):
-    return equalize.IdConfig(iterations, icimodel.correlation_matrix(kind, n, alpha))
+def _curve_detector(kind, n, alpha):
+    return equalize.IdConfig(0, icimodel.correlation_matrix(kind, n, alpha))
 
 
-def _workspace(config, n_frames):
+def _workspace(config, n_frames, scaled=False):
     """Buffers for one batch of `n_frames` frames, which every batch reuses,
     so a batch allocates (and page-faults) no full-size array but its bit
     draw.  Three float64 arrays serve several stages each: the transmit rows,
     then the received data rows; the waveform, then the ID's float32 product
     and float32 copy of the data rows, then its int64 decisions, which are
-    the received bits; the AWGN scratch, then the ID's float32 estimate."""
+    the received bits; the AWGN scratch, which holds the noise, then the ID's
+    float32 estimate.  With `scaled`, for a curve of more than one Eb/N0, two
+    float64 data-row arrays more: the demultiplexed noise, and the rows of a
+    point off the reference Eb/N0."""
     frame_rows = (n_frames, config.symbols_per_frame)
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
     size = math.prod(data_rows)
@@ -168,7 +179,7 @@ def _workspace(config, n_frames):
     waveform = np.empty(frame_rows + (config.cp_len + config.n,))
     noise = np.empty_like(waveform)
     flags = np.empty(n_frames * config.data_bits_per_frame, dtype=bool)
-    return {
+    work = {
         "rows": rows,
         "waveform": waveform,
         "noise": noise,
@@ -182,70 +193,104 @@ def _workspace(config, n_frames):
         # at I = 0 it reads only `data`).
         "index": part(waveform, np.int64),
     }
+    if scaled:
+        work["noise_rows"] = np.empty_like(work["data"])
+        work["scaled_rows"] = np.empty(data_rows)
+    return work
 
 
-def _simulate_batch(config, id_cfg, n_frames, ebn0_db, seed, point_idx, batch_idx, work=None):
-    """One frame batch at one grid point; returns (bits, errors).
+def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx, work=None):
+    """One frame batch of curve number `curve_idx`; returns (bits, the errors
+    of each of `points`), which are (detector, Eb/N0) pairs.
 
     The noise covers the whole waveform (pilots and prefixes included) in
-    transmit order; only the data rows are demultiplexed and detected, by
-    the detector `id_cfg`, whose decisions are the received bits (at I = 0 it
-    hard-decides the rows).  `work` is a `_workspace` of this layout (a new
-    one if None).
+    transmit order and is drawn at the curve's reference Eb/N0 `ref_db`; only
+    the data rows are demultiplexed and detected, by each point's detector,
+    whose decisions are the received bits (at I = 0 it hard-decides the
+    rows).  The rows are linear in the noise, so a point at Eb/N0 e detects
+    the reference rows plus 10^((ref_db - e)/20) - 1 times the demultiplexed
+    noise: the noise scaled to e.  A run of points at one Eb/N0 detects rows
+    formed once.  `work` is a `_workspace` of this layout (a new one if None).
     """
+    scaled = any(ebn0_db != ref_db for _, ebn0_db in points)
     if work is None:
-        work = _workspace(config, n_frames)
+        work = _workspace(config, n_frames, scaled)
     bits_rng = np.random.default_rng(
-        np.random.SeedSequence([seed, point_idx, batch_idx, 0])
+        np.random.SeedSequence([seed, curve_idx, batch_idx, 0])
     )
     sent = modem.random_data_bits(config, bits_rng, n_frames)
     spec = channel.AwgnSpec(
-        eb_n0_db=ebn0_db,
+        eb_n0_db=ref_db,
         bits_per_sample=bits_per_sample(config),
-        rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
+        rng_seed=np.random.SeedSequence([seed, curve_idx, batch_idx, 1]),
     )
     waveform = modem.transmit(config, sent, out=work["waveform"], rows=work["rows"])
     channel.apply_awgn(spec, waveform, out=waveform, scratch=work["noise"])
-    rows = modem.receive(config, waveform, out=work["data"]).reshape(-1, config.n)
-    index = equalize.id_equalize_frame(
-        id_cfg, rows, out=work["index"], received=work["received"],
-        estimate=work["estimate"], product=work["product"], decided=work["decided"],
-    )
-    errors = np.not_equal(index.reshape(-1), sent.ravel(), out=work["flags"])
-    return sent.size, int(np.count_nonzero(errors))
-
-
-def _run_point(spec, point_idx, point, work):
-    """Grid point number `point_idx`: batches 0, 1, 2, ... in order until
-    `min_errors` or `max_bits` stops, all in `work`, a `_workspace`."""
-    kind, alpha, iterations, ebn0_db = point
-    config = replace(spec.config, kind=kind, alpha=alpha)
-    id_cfg = _point_matrix(kind, config.n, alpha, iterations)
-    bits = errors = batch_idx = 0
-    while bits < spec.max_bits and (spec.min_errors == 0 or errors < spec.min_errors):
-        batch_bits, batch_errors = _simulate_batch(
-            config, id_cfg, spec.frames_per_batch, ebn0_db, spec.seed, point_idx, batch_idx,
-            work,
+    anchor = modem.receive(config, waveform, out=work["data"]).reshape(-1, config.n)
+    if scaled:  # before any detection, whose `estimate` overwrites the noise
+        noise = modem.receive(config, work["noise"], out=work["noise_rows"]).reshape(anchor.shape)
+    errors, formed = [], None
+    for id_cfg, ebn0_db in points:
+        if ebn0_db not in (ref_db, formed):
+            np.multiply(noise, 10.0 ** ((ref_db - ebn0_db) / 20.0) - 1.0,
+                        out=work["scaled_rows"])
+            work["scaled_rows"] += anchor
+            formed = ebn0_db
+        rows = anchor if ebn0_db == ref_db else work["scaled_rows"]
+        index = equalize.id_equalize_frame(
+            id_cfg, rows, out=work["index"], received=work["received"],
+            estimate=work["estimate"], product=work["product"], decided=work["decided"],
         )
-        bits += batch_bits
-        errors += batch_errors
+        wrong = np.not_equal(index.reshape(-1), sent.ravel(), out=work["flags"])
+        errors.append(int(np.count_nonzero(wrong)))
+    return sent.size, errors
+
+
+def _run_curve(spec, curve_idx, kind, alpha, work):
+    """Curve number `curve_idx`, the grid points of (`kind`, `alpha`) in grid
+    order, in lockstep batches 0, 1, 2, ..., all in `work`, a `_workspace`:
+    each point takes batches until its own `min_errors` or `max_bits` stops
+    it, and the curve stops with its last point."""
+    config = replace(spec.config, kind=kind, alpha=alpha)
+    detector = _curve_detector(kind, config.n, alpha)
+    detectors = {i: detector.with_iterations(i) for i in spec.iteration_counts}
+    grid = list(product(spec.iteration_counts, spec.ebn0_dbs))
+    # Eb/N0 by Eb/N0, so that a batch forms each point's rows once.
+    order = sorted(range(len(grid)), key=lambda k: k % len(spec.ebn0_dbs))
+    bits, errors = [0] * len(grid), [0] * len(grid)
+
+    def running(k):
+        return bits[k] < spec.max_bits and (spec.min_errors == 0 or errors[k] < spec.min_errors)
+
+    batch_idx = 0
+    while live := [k for k in order if running(k)]:
+        batch_bits, batch_errors = _simulate_batch(
+            config, spec.ebn0_dbs[0], [(detectors[grid[k][0]], grid[k][1]) for k in live],
+            spec.frames_per_batch, spec.seed, curve_idx, batch_idx, work,
+        )
+        for k, point_errors in zip(live, batch_errors):
+            bits[k] += batch_bits
+            errors[k] += point_errors
         batch_idx += 1
-    return BerPoint(kind, alpha, ebn0_db, iterations, bits, errors, errors / bits,
-                    *wilson_interval(errors, bits))
+    return [
+        BerPoint(kind, alpha, ebn0_db, iterations, b, e, e / b, *wilson_interval(e, b))
+        for (iterations, ebn0_db), b, e in zip(grid, bits, errors)
+    ]
 
 
-def _run_points(spec, run):
-    """The points of `run`, (grid index, grid point) pairs, in one `_workspace`."""
-    work = _workspace(spec.config, spec.frames_per_batch)
-    return [_run_point(spec, idx, point, work) for idx, point in run]
+def _run_curves(spec, run):
+    """The curves of `run`, (curve index, (kind, alpha)) pairs, in one `_workspace`."""
+    work = _workspace(spec.config, spec.frames_per_batch, len(spec.ebn0_dbs) > 1)
+    return [p for idx, (kind, alpha) in run for p in _run_curve(spec, idx, kind, alpha, work)]
 
 
 def _runs(spec, workers):
-    """The numbered grid in min(`workers`, points) contiguous runs."""
-    grid = list(enumerate(spec.grid()))
-    count = min(workers, len(grid))
-    bounds = [len(grid) * i // count for i in range(count + 1)]
-    return [grid[a:b] for a, b in zip(bounds, bounds[1:])]
+    """The numbered curves, (kind, alpha) in grid order, in min(`workers`,
+    curves) contiguous runs."""
+    curves = list(enumerate(product(spec.kinds, spec.alphas)))
+    count = min(workers, len(curves))
+    bounds = [len(curves) * i // count for i in range(count + 1)]
+    return [curves[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # A spawned worker loads numpy, which sizes the BLAS thread pool, before it
@@ -278,17 +323,17 @@ def _usable_cpus():
 def run_ber_sweep(spec, workers=1):
     """Run every grid point; deterministic for a fixed spec, any worker count.
 
-    The grid is cut into min(`workers`, points, usable CPUs) contiguous runs, as
-    more processes than CPUs would only contend; several run in one spawned
-    process each, so a script calling this needs a __main__ guard.
+    The curves are cut into min(`workers`, curves, usable CPUs) contiguous
+    runs, as more processes than CPUs would only contend; several run in one
+    spawned process each, so a script calling this needs a __main__ guard.
     """
     check_integer(workers, "workers", 1)
     if spec.config.data_symbols_per_frame == 0:
         raise ParameterError("data_symbols_per_frame must be >= 1 in a BER sweep, got 0")
     runs = _runs(spec, min(workers, _usable_cpus()))
     if len(runs) == 1:
-        return BerSweepResult(points=tuple(_run_points(spec, runs[0])))
-    results = _starmap_pinned(_run_points, [(spec, run) for run in runs])
+        return BerSweepResult(points=tuple(_run_curves(spec, runs[0])))
+    results = _starmap_pinned(_run_curves, [(spec, run) for run in runs])
     return BerSweepResult(points=tuple(p for points in results for p in points))
 
 

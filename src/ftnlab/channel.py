@@ -60,7 +60,9 @@ def apply_awgn(spec, samples, *, out=None, scratch=None):
     same noise whether it is given raveled or as the blocks of `transmit`.
     `out` receives the noisy waveform (it may be `samples` itself) and
     `scratch` the squares and then the noise; both are float64 arrays of the
-    waveform's shape, `scratch` C-contiguous and apart from `samples`.
+    waveform's shape, `scratch` C-contiguous and apart from `samples`.  On
+    return `scratch` holds exactly the noise that was added: `out` is
+    `samples + scratch`, rounded once per sample.
     """
     samples = check_real_array(samples, "samples")
     check_buffer(out, samples.shape, np.float64, "out", contiguous=False)

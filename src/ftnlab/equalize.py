@@ -26,6 +26,7 @@ float64 first), and the final decision compares the float32 estimate with
 float64 rows are decided as they are.
 """
 
+import copy
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -44,8 +45,9 @@ class IdConfig:
     Only C - I is kept, as `off_diagonal`: a read-only float32 array (4 N^2
     bytes), rounded once from C, with no float64 C - I built on the way.
     The `matrix` argument itself is not retained, so C can be freed once the
-    config exists.  Two configs compare equal only if they are the same
-    object.
+    config exists; `with_iterations` gives the detector at another iteration
+    count on the same array.  Two configs compare equal only if they are the
+    same object.
     """
 
     iterations: int
@@ -63,6 +65,13 @@ class IdConfig:
         off.flat[:: matrix.n + 1] = np.diagonal(matrix.entries) - 1.0
         off.setflags(write=False)
         object.__setattr__(self, "off_diagonal", off)
+
+    def with_iterations(self, iterations):
+        """This detector at `iterations` iterations, sharing its C - I."""
+        check_integer(iterations, "iterations", 0)
+        config = copy.copy(self)
+        object.__setattr__(config, "iterations", iterations)
+        return config
 
 
 @dataclass

@@ -30,7 +30,7 @@ from ftnlab.berlab import (
     required_ebn0_at_ber,
     run_ber_sweep,
     wilson_interval,
-    _point_matrix,
+    _curve_detector,
     _simulate_batch,
 )
 from ftnlab.exceptions import ParameterError
@@ -203,16 +203,19 @@ class TestBitsPerSample:
         )
 
 
-def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, batch_idx):
+def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, curve_idx, batch_idx):
     """(bits, errors) of one batch built frame by frame from the layout's parts
     (PAM map, pilot rows, transforms, an explicit prefix slice), sharing no
     code with modem.transmit/receive; bits and noise come from the same seed
-    sequences as the sweep.  The rows go through the detector."""
+    sequences as batch `batch_idx` of the sweep's curve `curve_idx`.  The
+    noise sigma_e z is added in the time domain at `ebn0_db` itself and the
+    sum demultiplexed, which is the chain the sweep shortens for a point off
+    its curve's reference Eb/N0.  The rows go through the detector."""
     plan = transforms.make_plan(config.kind, config.n, config.alpha)
     pilots = np.concatenate(modem.pilot_rows(config))
     bits_per_frame = config.data_symbols_per_frame * config.bits_per_symbol
     bits_rng = np.random.default_rng(
-        np.random.SeedSequence([seed, point_idx, batch_idx, 0])
+        np.random.SeedSequence([seed, curve_idx, batch_idx, 0])
     )
     sent, waveform = [], []
     for _ in range(n_frames):
@@ -225,7 +228,7 @@ def _per_frame_batch(config, n_frames, ebn0_db, iterations, seed, point_idx, bat
     spec = channel.AwgnSpec(
         eb_n0_db=ebn0_db,
         bits_per_sample=bits_per_sample(config),
-        rng_seed=np.random.SeedSequence([seed, point_idx, batch_idx, 1]),
+        rng_seed=np.random.SeedSequence([seed, curve_idx, batch_idx, 1]),
     )
     noisy = channel.apply_awgn(spec, np.concatenate(waveform))
     block = config.cp_len + config.n
@@ -260,10 +263,35 @@ class TestSimulateBatch:
         for seed, batch_idx in [(0, 0), (0, 1), (7, 3)]:
             args = (config, n_frames, 6.0, iterations, seed, 2, batch_idx)
             id_cfg = equalize.IdConfig(iterations, correlation_matrix(kind, config.n, alpha))
-            batch = _simulate_batch(config, id_cfg, n_frames, 6.0, seed, 2, batch_idx)
-            assert batch == _per_frame_batch(*args)
-            errors += batch[1]
+            bits, [point_errors] = _simulate_batch(
+                config, 6.0, [(id_cfg, 6.0)], n_frames, seed, 2, batch_idx)
+            assert (bits, point_errors) == _per_frame_batch(*args)
+            errors += point_errors
         assert errors > 0
+
+    @pytest.mark.parametrize(
+        "kind,alpha", [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.45)]
+    )
+    @pytest.mark.parametrize("cp_len", [0, 16])
+    def test_points_off_the_reference_match_their_own_noise(self, cp_len, kind, alpha):
+        # Each point of a curve, its noise drawn at the reference 6 dB and
+        # scaled to its own Eb/N0, against the oracle's noise added at that
+        # Eb/N0 in the time domain.  The order returns to 2 dB after the
+        # reference and to 6 dB after 9 dB.
+        config = _small_config(
+            cp_len=cp_len, kind=kind, alpha=alpha, training_symbols=2, sync_symbols=1,
+        )
+        matrix = correlation_matrix(kind, config.n, alpha)
+        points = [(equalize.IdConfig(iterations, matrix), ebn0_db) for iterations, ebn0_db in
+                  [(0, 2.0), (0, 6.0), (20, 2.0), (0, 9.0), (20, 6.0), (20, 9.0)]]
+        seen = set()
+        for seed, batch_idx in [(0, 0), (7, 3)]:
+            bits, errors = _simulate_batch(config, 6.0, points, 4, seed, 1, batch_idx)
+            for (id_cfg, ebn0_db), point_errors in zip(points, errors):
+                args = (config, 4, ebn0_db, id_cfg.iterations, seed, 1, batch_idx)
+                assert (bits, point_errors) == _per_frame_batch(*args)
+                seen.add(point_errors)
+        assert len(seen) > 4
 
 
 class TestRunSweep:
@@ -304,19 +332,23 @@ class TestRunSweep:
             calls.append(None)
             return apply_awgn(awgn_spec, samples, **buffers)
 
-        def counted_workspace(config, n_frames):
+        def counted_workspace(*args):
             made.append(None)
-            return workspace(config, n_frames)
+            return workspace(*args)
 
         monkeypatch.setattr(channel, "apply_awgn", counted_awgn)
         monkeypatch.setattr(berlab, "_workspace", counted_workspace)
         runs = berlab._runs(spec, 4)
-        assert len(runs) == 4
-        points = tuple(p for run in runs for p in berlab._run_points(spec, run))
+        assert len(runs) == len(spec.kinds) * len(spec.alphas)
+        points = tuple(p for run in runs for p in berlab._run_curves(spec, run))
         assert points == run_ber_sweep(spec, workers=4).points
         assert multiprocessing.active_children() == []
+        # A curve's batches serve all its points and stop with its last one.
         bits_per_batch = spec.frames_per_batch * spec.config.data_bits_per_frame
-        assert len(calls) == sum(p.bits for p in points) // bits_per_batch
+        curves = {}
+        for p in points:
+            curves.setdefault((p.kind, p.alpha), []).append(p.bits)
+        assert len(calls) == sum(max(bits) // bits_per_batch for bits in curves.values())
         assert len(made) == len(runs)
 
     def test_no_batch_past_the_stopping_point(self, monkeypatch):
@@ -329,7 +361,10 @@ class TestRunSweep:
         # free its full-size arrays, which the heap trimmed and the next batch
         # faulted back in: about 1.9 k minor faults per batch.  Then each point
         # faulted in its own workspace, about 1.4 k per point.  Now a sweep
-        # faults in one workspace, so its later points add no faults.
+        # faults in one workspace, so its later points add no faults.  With a
+        # second Eb/N0 the workspace gains two data-row arrays (1 MiB, 256
+        # pages, each), faulted in once per sweep like the rest: about 750
+        # faults more, bounded here by twice their pages.
         import resource
 
         config = ModemConfig(n=256, alpha=1.0, data_symbols_per_frame=128,
@@ -348,15 +383,18 @@ class TestRunSweep:
 
         assert faults((6.0,), 40) < 0.1 * 1900 * 40
         one_point = faults((6.0,), 6)
-        assert faults((4.0, 6.0, 8.0), 6) < one_point + 300
+        two_points = faults((4.0, 6.0), 6)
+        assert two_points < one_point + 300 + 2 * 2 * 256
+        assert faults((4.0, 6.0, 8.0), 6) < two_points + 300
+        assert faults((4.0, 6.0, 8.0, 10.0), 6) < two_points + 300
 
     def test_one_workspace_per_run_of_a_sweep(self, monkeypatch):
         workspace = berlab._workspace
         made = []
 
-        def counted(config, n_frames):
+        def counted(*args):
             made.append(None)
-            return workspace(config, n_frames)
+            return workspace(*args)
 
         monkeypatch.setattr(berlab, "_workspace", counted)
         spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
@@ -370,16 +408,20 @@ class TestRunSweep:
         self._check_pooled_runs(spec, monkeypatch)
 
     def test_runs_are_contiguous_in_grid_order(self):
-        spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
-        grid = list(enumerate(spec.grid()))
+        # Runs hold whole curves, (kind, alpha) in grid order.
+        spec = _fast_spec(kinds=(TransformKind.FRCT, TransformKind.FRHT),
+                          alphas=(1.0, 0.9, 0.8), ebn0_dbs=(4.0, 6.0, 8.0))
+        curves = [(TransformKind.FRCT, 1.0), (TransformKind.FRCT, 0.9), (TransformKind.FRCT, 0.8),
+                  (TransformKind.FRHT, 1.0), (TransformKind.FRHT, 0.9), (TransformKind.FRHT, 0.8)]
         for workers, lengths in [(1, [6]), (4, [1, 2, 1, 2]), (6, [1] * 6), (9, [1] * 6)]:
             runs = berlab._runs(spec, workers)
             assert [len(run) for run in runs] == lengths
-            assert [p for run in runs for p in run] == grid
+            assert [c for run in runs for c in run] == list(enumerate(curves))
 
-    @pytest.mark.parametrize("cpus,processes", [(1, 0), (2, 2), (3, 3), (8, 4)])
+    @pytest.mark.parametrize("cpus,processes", [(1, 0), (2, 2), (3, 2), (8, 2)])
     def test_no_more_processes_than_usable_cpus(self, monkeypatch, cpus, processes):
-        # The runs a `workers=4` sweep would hand its processes are run here.
+        # The runs a `workers=4` sweep would hand its processes are run here;
+        # its two curves make at most two.
         spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
         serial = run_ber_sweep(spec)
         started = []
@@ -445,7 +487,7 @@ class TestRunSweep:
 
     def test_point_matrix_cache_holds_one_c(self):
         run_ber_sweep(_fast_spec(alphas=(0.9, 0.8, 0.7)))
-        assert _point_matrix.cache_info().currsize == 1
+        assert _curve_detector.cache_info().currsize == 1
 
     def test_curves_grouping(self):
         spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0))
@@ -459,6 +501,52 @@ class TestRunSweep:
             assert [p.ebn0_db for p in curve] == [4.0, 6.0]
 
 
+class TestCurveStreams:
+    """The points of a curve share its bits and noise, batch by batch."""
+
+    def test_equal_ebn0_points_detect_identical_rows(self, monkeypatch):
+        detector = equalize.id_equalize_frame
+        seen = []
+
+        def recorded(config, rows, **buffers):
+            seen.append((config.iterations, rows.tobytes()))
+            return detector(config, rows, **buffers)
+
+        monkeypatch.setattr(equalize, "id_equalize_frame", recorded)
+        spec = _fast_spec(ebn0_dbs=(4.0, 7.0), iteration_counts=(0, 5, 10), min_errors=0,
+                          frames_per_batch=8)
+        run_ber_sweep(spec)
+        batches = -(-spec.max_bits // (8 * spec.config.data_bits_per_frame))
+        assert len(seen) == 6 * batches
+        for b in range(batches):
+            calls = seen[6 * b:6 * (b + 1)]
+            assert [iterations for iterations, _ in calls] == [0, 5, 10] * 2
+            at_4db, at_7db = {r for _, r in calls[:3]}, {r for _, r in calls[3:]}
+            assert len(at_4db) == len(at_7db) == 1 and at_4db != at_7db
+
+    def test_reference_point_stops_as_a_lone_point(self):
+        # The reference 6 dB point of a curve whose other points stop
+        # earlier (0 dB) or later (12 dB) gets the result of a one-point sweep.
+        spec = _fast_spec(ebn0_dbs=(6.0, 0.0, 12.0), iteration_counts=(0, 10), min_errors=100)
+        curve = run_ber_sweep(spec)
+        for iterations in (0, 10):
+            points = curve.curve(TransformKind.FRCT, 0.9, iterations)
+            assert len({p.bits for p in points}) == 3
+            alone = run_ber_sweep(_fast_spec(iteration_counts=(iterations,), min_errors=100))
+            assert [p for p in points if p.ebn0_db == 6.0] == list(alone.points)
+
+    @pytest.mark.parametrize("spec,expected", [
+        (SweepSpec(config=experiment_baseline(), alphas=(0.8,), ebn0_dbs=(10.0,),
+                   max_bits=200_000, min_errors=0, seed=3), (262144, 412)),
+        (_fast_spec(), (14336, 51)),
+    ])
+    def test_one_point_sweeps_keep_their_counts(self, spec, expected):
+        # (bits, errors) as ftnlab counted them when every grid point drew
+        # its own streams: a one-point curve runs the same chain.
+        [point] = run_ber_sweep(spec).points
+        assert (point.bits, point.errors) == expected
+
+
 class TestSweepMemory:
     """A sweep keeps two N x N matrices, the float64 kernel and the detector's
     float32 C - I: 1.5 x 8 N^2 bytes."""
@@ -470,7 +558,7 @@ class TestSweepMemory:
             config=experiment_baseline(n=self.N), alphas=(0.8,), ebn0_dbs=(6.0,),
             iteration_counts=(2,), frames_per_batch=1, max_bits=100_000, min_errors=0,
         )
-        _point_matrix.cache_clear()
+        _curve_detector.cache_clear()
         transforms._cached_plan.cache_clear()
         tracemalloc.start()
         try:
@@ -494,11 +582,11 @@ class TestSweepMemory:
             return c
 
         monkeypatch.setattr(icimodel, "correlation_matrix", tracked)
-        _point_matrix.cache_clear()
+        _curve_detector.cache_clear()
         run_ber_sweep(_fast_spec(alphas=(0.9, 0.8), iteration_counts=(0, 10)), workers=1)
         assert built and all(ref() is None for ref in built)
-        # One build per (kind, alpha, iterations) run of the grid.
-        assert len(built) == 4
+        # One build per curve, (kind, alpha), whatever its iteration counts.
+        assert len(built) == 2
 
 
 def _wilson_z(errors, bits, z):

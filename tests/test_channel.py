@@ -93,6 +93,19 @@ class TestApplyAwgn:
         noise = apply_awgn(spec, x) - x
         assert np.var(noise) == pytest.approx(sigma**2, rel=0.01)
 
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_scratch_holds_the_added_noise(self, in_place):
+        # A sweep demultiplexes the noise `scratch` holds on return, so it is
+        # the noise in `out`, for a new `out` and for `out=samples` alike.
+        x = np.random.default_rng(7).normal(size=(3, 5, 20))
+        spec = AwgnSpec(eb_n0_db=3.0, bits_per_sample=0.9, rng_seed=8)
+        samples, scratch = x.copy(), np.empty_like(x)
+        out = apply_awgn(spec, samples, out=samples if in_place else None, scratch=scratch)
+        assert (out is samples) == in_place
+        assert np.array_equal(out, x + scratch)
+        assert np.allclose(out - x, scratch, rtol=0, atol=1e-15 * np.abs(out).max())
+        assert np.array_equal(out, apply_awgn(spec, x))
+
     def test_noise_independent_of_signal(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=500_000)

@@ -116,6 +116,21 @@ class TestIdConfig:
             tracemalloc.stop()
         assert 4 * n * n <= peak < 5 * n * n
 
+    def test_with_iterations_shares_the_off_diagonal(self):
+        cfg = IdConfig(3, _matrix(8, 0.9))
+        other = cfg.with_iterations(20)
+        assert (cfg.iterations, other.iterations) == (3, 20)
+        assert other.off_diagonal is cfg.off_diagonal and other != cfg
+        rows = np.random.default_rng(16).normal(size=(5, 8))
+        assert np.array_equal(id_equalize_frame(other, rows),
+                              id_equalize_frame(IdConfig(20, _matrix(8, 0.9)), rows))
+
+    @pytest.mark.parametrize("iterations", [-1, 2.5, None])
+    def test_with_iterations_checks_the_count(self, iterations):
+        message = f"iterations must be an integer >= 0, got {iterations!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            IdConfig(3, _matrix(4, 0.9)).with_iterations(iterations)
+
     def test_configs_of_different_matrices_differ(self):
         a = IdConfig(3, _matrix(8, 0.9))
         assert a == a
