@@ -39,7 +39,9 @@ from itertools import product
 import numpy as np
 
 from . import channel, equalize, icimodel, modem, records
-from .exceptions import ParameterError, check_alpha, check_integer, check_real
+from .exceptions import (
+    ParameterError, allocating_for, check_alpha, check_integer, check_real,
+)
 from .transforms import TransformKind
 
 _Z95 = 1.959963984540054
@@ -175,10 +177,13 @@ def _workspace(config, n_frames, scaled=False):
         """The k-th run of `size` entries of `dtype` in `buf`, as data rows."""
         return buf.reshape(-1).view(dtype)[k * size:(k + 1) * size].reshape(data_rows)
 
-    rows = np.empty(frame_rows + (config.n,))
-    waveform = np.empty(frame_rows + (config.cp_len + config.n,))
-    noise = np.empty_like(waveform)
-    flags = np.empty(n_frames * config.data_bits_per_frame, dtype=bool)
+    with allocating_for("frames_per_batch", n_frames):
+        rows = np.empty(frame_rows + (config.n,))
+        waveform = np.empty(frame_rows + (config.cp_len + config.n,))
+        noise = np.empty_like(waveform)
+        flags = np.empty(n_frames * config.data_bits_per_frame, dtype=bool)
+        if scaled:
+            noise_rows, scaled_rows = np.empty(data_rows), np.empty(data_rows)
     work = {
         "rows": rows,
         "waveform": waveform,
@@ -194,8 +199,8 @@ def _workspace(config, n_frames, scaled=False):
         "index": part(waveform, np.int64),
     }
     if scaled:
-        work["noise_rows"] = np.empty_like(work["data"])
-        work["scaled_rows"] = np.empty(data_rows)
+        work["noise_rows"] = noise_rows.reshape(work["data"].shape)
+        work["scaled_rows"] = scaled_rows
     return work
 
 
@@ -401,9 +406,8 @@ def estimate_psd(config, frames, seed):
     check_integer(frames, "frames", 1)
     check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    waveform = modem.transmit(
-        config, modem.random_data_bits(config, rng, frames)
-    ).ravel()
+    with allocating_for("frames", frames):
+        waveform = modem.transmit(config, modem.random_data_bits(config, rng, frames)).ravel()
     if PSD_SEGMENT > waveform.size:
         raise ParameterError(
             f"frames={frames} give {waveform.size} samples, "

@@ -24,6 +24,15 @@ C - I is rounded once from float64 (the diagonal C_kk - 1 is formed in
 float64 first), and the final decision compares the float32 estimate with
 `modem.PAM_THRESHOLD`, 2**-53, which float32 holds exactly.  At I = 0 the
 float64 rows are decided as they are.
+
+An (m, N) stack is the rows S of m vectors, and each iteration's GEMM takes
+one of two orientations by the stack's shape alone.  With m >= N it
+multiplies rows, S @ (C - I)^T; with m < N it runs the loop on the (N, m)
+transpose and multiplies (C - I) @ S^T, which OpenBLAS's sgemm runs 5-30%
+faster at those shapes (at 128 x 1024, one frame of N = 1024, the ID takes
+about a seventh less time).  C - I is symmetric to the last bit, so both
+multiply by the same matrix; on OpenBLAS the two give the same decisions bit
+for bit, as the tests check, though BLAS does not promise it.
 """
 
 import copy
@@ -121,6 +130,12 @@ def _iterate(config, rows, trace, index, received, estimate, product, decided):
     The start is chosen so that S_I ends in `estimate`, and the final
     decision reads only `estimate`, so `index` may share the memory of
     `received` and `product`, as in the sweep's workspace.
+
+    With m < N the loop runs on the transpose: the float32 buffers and
+    `decided` are read as (N, m) arrays (views, as they are C-contiguous),
+    the copy-in reads `rows.T`, each product is (C - I) @ S^T, and the final
+    decision writes `index.T`.  The residual, band map and trace work entry
+    by entry, so they run unchanged.
     """
     if config.iterations == 0:
         return pam_index(rows, out=index)
@@ -130,7 +145,11 @@ def _iterate(config, rows, trace, index, received, estimate, product, decided):
     product = np.empty(rows.shape, np.float32) if product is None else product
     decided = np.empty(rows.shape, dtype=bool) if decided is None else decided
     index = np.empty(rows.shape, dtype=np.int64) if index is None else index
-    np.copyto(received, rows)
+    m, n = rows.shape
+    if m < n:  # the (N, m) transpose, in views of the same memory
+        received, estimate, product, decided = (
+            a.reshape(n, m) for a in (received, estimate, product, decided))
+    np.copyto(received, rows.T if m < n else rows)
     total = config.iterations
     # S_1 lands in `estimate` iff I is odd; S_0 = 0 makes the first product
     # exactly +0, so S_1 = R.
@@ -140,7 +159,10 @@ def _iterate(config, rows, trace, index, received, estimate, product, decided):
     for i in range(1, total + 1):
         if i > 1:
             current, spare = spare, current
-            np.matmul(spare, off_diag_t, out=current)
+            if m < n:
+                np.matmul(config.off_diagonal, spare, out=current)
+            else:
+                np.matmul(spare, off_diag_t, out=current)
             np.subtract(received, current, out=current)
         snapped = _map_band(current, d, spare, decided)
         d = 1.0 - i / total
@@ -149,7 +171,8 @@ def _iterate(config, rows, trace, index, received, estimate, product, decided):
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision, the rule
     # of `pam_index` on the float32 values themselves.
-    return np.greater(estimate, PAM_THRESHOLD, out=index)
+    np.greater(estimate, PAM_THRESHOLD, out=index.T if m < n else index)
+    return index
 
 
 def id_equalize_frame(config, rows, *, trace=None, out=None, received=None, estimate=None,

@@ -2,6 +2,7 @@
 them: one per kind of parameter, such as every real-valued one."""
 
 import math
+from contextlib import contextmanager
 from itertools import combinations
 from numbers import Integral, Real
 
@@ -92,3 +93,17 @@ def check_apart(**buffers):
     for (name, a), (other, b) in combinations(buffers.items(), 2):
         if a is not None and b is not None and np.may_share_memory(a, b):
             raise ParameterError(f"{name} and {other} must not share memory")
+
+
+@contextmanager
+def allocating_for(name, value):
+    """Allocations whose size the parameter `name` sets: a MemoryError inside
+    becomes a ParameterError naming `name` and `value`, followed by numpy's
+    message, which gives the size asked."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ParameterError(
+            f"{name} = {value!r} asks for more memory than can be allocated: "
+            f"{str(exc) or 'out of memory'}"
+        ) from None

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import ParameterError, check_integer, check_real, check_real_array
+from .exceptions import (
+    ParameterError, allocating_for, check_integer, check_real, check_real_array,
+)
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
 
 HIST_RANGE = (-2.0, 2.0)
@@ -178,9 +180,10 @@ def ici_samples(config, frames, rng_seed):
     plan = make_plan(config.kind, config.n, config.alpha)
     diag = np.diag(correlation_matrix(config.kind, config.n, config.alpha).entries)
     rng = np.random.default_rng(rng_seed)
-    sent = 2.0 * rng.integers(0, 2, size=(frames, config.n)) - 1.0
-    received = demultiplex(plan, multiplex(plan, sent)) / diag
-    return received.ravel(), (received - sent).ravel()
+    with allocating_for("frames", frames):
+        sent = 2.0 * rng.integers(0, 2, size=(frames, config.n)) - 1.0
+        received = demultiplex(plan, multiplex(plan, sent)) / diag
+        return received.ravel(), (received - sent).ravel()
 
 
 @dataclass(frozen=True)

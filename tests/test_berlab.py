@@ -320,6 +320,19 @@ class TestRunSweep:
         for workers in (2, 4):
             assert run_ber_sweep(spec, workers=workers) == serial
 
+    def test_worker_count_invariant_at_larger_n(self):
+        # 16 data rows at N = 256: the detector runs its loop transposed.  The
+        # two curves run in spawned workers at one BLAS thread, the serial
+        # sweep here at the calling process's thread count.
+        spec = _fast_spec(
+            config=_small_config(n=256, cp_len=16), kinds=(TransformKind.FRCT, TransformKind.FRHT),
+            alphas=(0.8,), iteration_counts=(0, 10), ebn0_dbs=(4.0, 8.0), frames_per_batch=1,
+        )
+        serial = run_ber_sweep(spec, workers=1)
+        assert len(serial.points) == 8
+        assert all(p.errors > 0 for p in serial.points)
+        assert run_ber_sweep(spec, workers=2) == serial
+
     @staticmethod
     def _check_pooled_runs(spec, monkeypatch):
         # The runs a `workers=4` sweep hands its worker processes, run here

@@ -629,6 +629,26 @@ class TestErrorsExitCleanly:
         assert _one_json_error(err) == (str(error) or "out of memory")
         assert not out.exists()
 
+    # Each run asks for more than a 47-bit address space (128 TiB) holds, so
+    # no host grants it: numpy refuses at once, and the error names the field.
+    @pytest.mark.parametrize("argv,field", [
+        (["ici-pdf", "--frames", "100000000000"], "frames = 100000000000"),
+        (["psd", "--frames", "100000000000"], "frames = 100000000000"),
+        (["sweep-ber", "--config", "BIG_CFG"], "frames_per_batch = 1000000000000"),
+    ], ids=["ici-pdf", "psd", "sweep-ber"])
+    def test_run_too_large_to_allocate_names_its_field(self, capsys, tmp_path, argv, field):
+        big_cfg = tmp_path / "big.cfg"
+        big_cfg.write_text(_SWEEP_CFG.replace("frames_per_batch = 2",
+                                              "frames_per_batch = 1000000000000"))
+        out = tmp_path / "out.json"
+        argv = [str(big_cfg) if arg == "BIG_CFG" else arg for arg in argv]
+        code, _, err = _run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        message = _one_json_error(err)
+        assert message.startswith(field + " asks for more memory than can be allocated: ")
+        assert "Unable to allocate" in message
+        assert not out.exists()
+
     def test_zero_workers(self, capsys, tmp_path, sweep_cfg):
         out = tmp_path / "sweep.csv"
         code, _, err = _run(capsys, "sweep-ber", "--config", sweep_cfg,

@@ -428,10 +428,13 @@ class TestReferenceRecursion:
     @pytest.mark.parametrize(
         "kind,alpha", [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.6)]
     )
+    # Stacks with fewer rows than N run the loop transposed; the reference
+    # multiplies rows, so both orientations are checked against it.
+    @pytest.mark.parametrize("rows,n", [(48, 32), (33, 32), (32, 32), (31, 32), (1, 32),
+                                        (16, 64)])
     def test_frame_matches_out_of_place_recursion(self, kind, alpha, noise, iterations,
-                                                  layout):
+                                                  layout, rows, n):
         # In the detector's precision: float32 R and C - I.
-        rows, n = 48, 32
         c = _matrix(n, alpha, kind)
         rng = np.random.default_rng(11)
         sent = PAM_LEVELS[rng.integers(0, 2, size=(rows, n))]
@@ -461,10 +464,39 @@ class TestReferenceRecursion:
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
-    def test_two_level_loop_allocates_no_full_size_array(self):
+    @pytest.mark.parametrize("m,n", [(1, 32), (31, 32)])
+    def test_fewer_rows_than_n_decide_as_inside_a_taller_stack(self, m, n):
+        # The m rows alone run the transposed loop, and among 2N rows the row
+        # loop.  The other rows lie far outside every band, so they add no
+        # undecided entry and the two traces agree too.
+        c = _matrix(n, 0.8)
+        rng = np.random.default_rng(13)
+        received = _compress(c, PAM_LEVELS[rng.integers(0, 2, size=(m, n))])
+        received += 0.6 * rng.normal(size=(m, n))
+        tall = 100.0 * PAM_LEVELS[rng.integers(0, 2, size=(2 * n, n))]
+        tall[5:5 + m] = received
+        for iterations in (1, 2, 5, 20):
+            cfg = IdConfig(iterations, c)
+            alone, inside = IdTrace(), IdTrace()
+            got = id_equalize_frame(cfg, received, trace=alone)
+            expected = id_equalize_frame(cfg, tall, trace=inside)[5:5 + m]
+            assert got.tobytes() == expected.tobytes()
+            assert alone == inside
+            assert sum(alone.undecided_counts) > 0
+
+    def test_off_diagonal_is_symmetric_to_the_last_bit(self):
+        # The transposed loop multiplies by C - I where the row loop
+        # multiplies by its transpose.
+        for kind, alpha in [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.45)]:
+            off = IdConfig(1, _matrix(1024, alpha, kind)).off_diagonal
+            assert off.tobytes() == np.ascontiguousarray(off.T).tobytes()
+
+    # The sweep's stacks: 512 x 256 multiplies rows, 128 x 1024 (one frame
+    # of the large-N layout) runs transposed.
+    @pytest.mark.parametrize("rows,n", [(512, 256), (128, 1024)])
+    def test_two_level_loop_allocates_no_full_size_array(self, rows, n):
         # With every buffer given, the loop runs in place: the traced peak
         # stays below the size of one bool array of the stack's shape.
-        rows, n = 512, 256
         c = _matrix(n, 0.8)
         rng = np.random.default_rng(12)
         received = _compress(c, 2.0 * rng.integers(0, 2, size=(rows, n)) - 1.0)

@@ -13,8 +13,8 @@ from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy
 from ftnlab.config import capacity_params
 from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import (
-    ConfigError, ExportError, FramingError, ParameterError, ShapeError, check_real,
-    check_real_array,
+    ConfigError, ExportError, FramingError, ParameterError, ShapeError, allocating_for,
+    check_real, check_real_array,
 )
 from ftnlab.icimodel import (
     IciPdfModel, correlation_matrix, fit_sigma_mle, ici_histogram, ks_distance, mixture_cdf,
@@ -33,6 +33,19 @@ def test_every_bad_input_is_a_parameter_error():
     assert issubclass(FramingError, ParameterError)
     assert not issubclass(ConfigError, ParameterError)
     assert not issubclass(ExportError, ParameterError)
+
+
+@pytest.mark.parametrize("error,said", [
+    (MemoryError("Unable to allocate 186. TiB"), "Unable to allocate 186. TiB"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_allocation_failure_names_the_field(error, said):
+    with pytest.raises(ParameterError) as caught:
+        with allocating_for("frames", 10**11):
+            raise error
+    assert str(caught.value) == (
+        f"frames = 100000000000 asks for more memory than can be allocated: {said}"
+    )
 
 
 class TestCheckReal:
