@@ -166,9 +166,9 @@ def _workspace(config, n_frames, scaled=False):
     then the received data rows; the waveform, then the ID's float32 product
     and float32 copy of the data rows, then its int64 decisions, which are
     the received bits; the AWGN scratch, which holds the noise, then the ID's
-    float32 estimate.  With `scaled`, for a curve of more than one Eb/N0, two
-    float64 data-row arrays more: the demultiplexed noise, and the rows of a
-    point off the reference Eb/N0."""
+    float32 estimate and uint32 band flags.  With `scaled`, for a curve of
+    more than one Eb/N0, two float64 data-row arrays more: the demultiplexed
+    noise, and the rows of a point off the reference Eb/N0."""
     frame_rows = (n_frames, config.symbols_per_frame)
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
     size = math.prod(data_rows)
@@ -181,7 +181,7 @@ def _workspace(config, n_frames, scaled=False):
         rows = np.empty(frame_rows + (config.n,))
         waveform = np.empty(frame_rows + (config.cp_len + config.n,))
         noise = np.empty_like(waveform)
-        flags = np.empty(n_frames * config.data_bits_per_frame, dtype=bool)
+        wrong = np.empty(n_frames * config.data_bits_per_frame, dtype=bool)
         if scaled:
             noise_rows, scaled_rows = np.empty(data_rows), np.empty(data_rows)
     work = {
@@ -192,8 +192,8 @@ def _workspace(config, n_frames, scaled=False):
         "product": part(waveform, np.float32),
         "received": part(waveform, np.float32, 1),
         "estimate": part(noise, np.float32),
-        "decided": part(flags, bool),
-        "flags": flags,
+        "flags": part(noise, np.uint32, 1),
+        "wrong": wrong,
         # The ID's final decision reads neither `product` nor `received` (and
         # at I = 0 it reads only `data`).
         "index": part(waveform, np.int64),
@@ -232,7 +232,7 @@ def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx
     waveform = modem.transmit(config, sent, out=work["waveform"], rows=work["rows"])
     channel.apply_awgn(spec, waveform, out=waveform, scratch=work["noise"])
     anchor = modem.receive(config, waveform, out=work["data"]).reshape(-1, config.n)
-    if scaled:  # before any detection, whose `estimate` overwrites the noise
+    if scaled:  # before any detection, whose work buffers overwrite the noise
         noise = modem.receive(config, work["noise"], out=work["noise_rows"]).reshape(anchor.shape)
     errors, formed = [], None
     for id_cfg, ebn0_db in points:
@@ -244,9 +244,9 @@ def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx
         rows = anchor if ebn0_db == ref_db else work["scaled_rows"]
         index = equalize.id_equalize_frame(
             id_cfg, rows, out=work["index"], received=work["received"],
-            estimate=work["estimate"], product=work["product"], decided=work["decided"],
+            estimate=work["estimate"], product=work["product"], flags=work["flags"],
         )
-        wrong = np.not_equal(index.reshape(-1), sent.ravel(), out=work["flags"])
+        wrong = np.not_equal(index.reshape(-1), sent.ravel(), out=work["wrong"])
         errors.append(int(np.count_nonzero(wrong)))
     return sent.size, errors
 

@@ -23,16 +23,17 @@ precision throughout spares a mixed-type pass per iteration.  Each entry of
 C - I is rounded once from float64 (the diagonal C_kk - 1 is formed in
 float64 first), and the final decision compares the float32 estimate with
 `modem.PAM_THRESHOLD`, 2**-53, which float32 holds exactly.  At I = 0 the
-float64 rows are decided as they are.
+float64 rows are decided as they are.  The band map leaves a uint32 0/1
+flag per entry, 1 where it snapped, from which a trace counts the undecided.
 
 An (m, N) stack is the rows S of m vectors, and each iteration's GEMM takes
-one of two orientations by the stack's shape alone.  With m >= N it
-multiplies rows, S @ (C - I)^T; with m < N it runs the loop on the (N, m)
-transpose and multiplies (C - I) @ S^T, which OpenBLAS's sgemm runs 5-30%
-faster at those shapes (at 128 x 1024, one frame of N = 1024, the ID takes
-about a seventh less time).  C - I is symmetric to the last bit, so both
-multiply by the same matrix; on OpenBLAS the two give the same decisions bit
-for bit, as the tests check, though BLAS does not promise it.
+one of two orientations by the stack's shape alone, both reading C - I as
+stored, which is symmetric to the last bit.  With m >= N it multiplies rows,
+S @ (C - I); with m < N it runs the loop on the (N, m) transpose and
+multiplies (C - I) @ S^T, which OpenBLAS's sgemm runs 5-30% faster at those
+shapes (at 128 x 1024, one frame of N = 1024, the ID takes about a seventh
+less time).  On OpenBLAS the two give the same decisions bit for bit, as the
+tests check, though BLAS does not promise it.
 """
 
 import copy
@@ -91,64 +92,63 @@ class IdTrace:
     undecided_counts: list = field(default_factory=list)
 
 
-def _map_band(values, d, mag=None, decided=None):
+def _map_band(values, d, mag=None, flags=None):
     """In place, the 2-PAM band map: |v| > d -> sign(v), else unchanged, bit
-    for bit, each entry keeping its own sign bit.  Returns the mask of the
-    snapped entries; `mag` and `decided` are optional scratch arrays of the
-    shape of `values`, of its float dtype and bool.  The band d is compared
-    in that dtype.  Needs d >= 2**-53 (the loop's bands are about 1/I or
-    wider): `pam_index` puts (0, 2**-53] on the lower level, so only then
-    does every snapped entry get the level it decides."""
-    # Branch-free and exact for d in [0, 1]: a decided entry gets
-    # max(min(|v|, d), 1) = 1, an undecided one max(|v|, 0) = |v|.  The sign
-    # bit comes back from v itself (so -0 and NaN keep theirs): the
-    # magnitude's sign bit is clear, so keeping v's sign bit and OR-ing in the
-    # magnitude's bits is copysign(mag, v) in two integer passes, on the
-    # unsigned word of the float's width.
-    mag = np.abs(values, out=mag)
-    decided = np.greater(mag, d, out=decided)
-    np.minimum(mag, d, out=mag)
-    np.maximum(mag, decided, out=mag)
+    for bit, each entry keeping its own sign bit.  Returns the flags of the
+    snapped entries, 1 where snapped and 0 elsewhere, as words of the unsigned
+    dtype of the float's width; `mag` and `flags` are optional scratch arrays
+    of the shape of `values`, of its float dtype and that unsigned dtype.  The
+    band d is compared in the float dtype.  Needs d >= 2**-53 (the loop's
+    bands are about 1/I or wider): `pam_index` puts (0, 2**-53] on the lower
+    level, so only then does every snapped entry get the level it decides."""
+    # Branch-free and exact, in five passes on the float's unsigned word.  The
+    # bits of v and |v| differ in the sign bit alone, so v ^ |v| ^ 1.0 is
+    # copysign(1, v); multiplying |v| ^ 1.0 by the 0/1 flag first leaves every
+    # undecided entry as it is (NaN compares false, so -0 and NaN payloads
+    # keep their bits).
     word = f"u{values.itemsize}"
-    bits = values.view(word)
-    bits &= np.array(-0.0, values.dtype).view(word)  # the sign bit alone
-    bits |= mag.view(word)
-    return decided
+    mag = np.abs(values, out=mag)
+    flags = np.greater(mag, d, out=np.empty(values.shape, word) if flags is None else flags)
+    bits = mag.view(word)
+    bits ^= np.array(1.0, values.dtype).view(word)
+    bits *= flags
+    np.bitwise_xor(values.view(word), bits, out=values.view(word))
+    return flags
 
 
-def _iterate(config, rows, trace, index, received, estimate, product, decided):
+def _iterate(config, rows, trace, index, received, estimate, product, flags):
     """Core recursion on an (m, N) float64 stack of received vectors; returns
     the level index (`pam_index`) of every entry, written to `index` if not
     None.  `trace`, if not None, is the `IdTrace` to append each iteration to.
 
     `received`, `estimate` and `product` are float32 scratch of the stack's
-    shape, and `decided` bool.  `received` takes R rounded once to float32,
+    shape, and `flags` uint32.  `received` takes R rounded once to float32,
     so every iteration works in one precision.  S_i and S_{i-1} take
     `estimate` and `product` in turn: the product (C - I) @ S_{i-1} goes to
     the buffer S_{i-1} does not hold, the residual R - product replaces it
-    there as S_i, and the buffer of S_{i-1} becomes the band map's magnitude.
+    there as S_i, and the buffer of S_{i-1} becomes the band map's magnitude;
+    `flags` takes the band map's 0/1 words.
     The start is chosen so that S_I ends in `estimate`, and the final
     decision reads only `estimate`, so `index` may share the memory of
     `received` and `product`, as in the sweep's workspace.
 
     With m < N the loop runs on the transpose: the float32 buffers and
-    `decided` are read as (N, m) arrays (views, as they are C-contiguous),
+    `flags` are read as (N, m) arrays (views, as they are C-contiguous),
     the copy-in reads `rows.T`, each product is (C - I) @ S^T, and the final
     decision writes `index.T`.  The residual, band map and trace work entry
     by entry, so they run unchanged.
     """
     if config.iterations == 0:
         return pam_index(rows, out=index)
-    off_diag_t = config.off_diagonal.T
     received = np.empty(rows.shape, np.float32) if received is None else received
     estimate = np.empty(rows.shape, np.float32) if estimate is None else estimate
     product = np.empty(rows.shape, np.float32) if product is None else product
-    decided = np.empty(rows.shape, dtype=bool) if decided is None else decided
+    flags = np.empty(rows.shape, np.uint32) if flags is None else flags
     index = np.empty(rows.shape, dtype=np.int64) if index is None else index
     m, n = rows.shape
     if m < n:  # the (N, m) transpose, in views of the same memory
-        received, estimate, product, decided = (
-            a.reshape(n, m) for a in (received, estimate, product, decided))
+        received, estimate, product, flags = (
+            a.reshape(n, m) for a in (received, estimate, product, flags))
     np.copyto(received, rows.T if m < n else rows)
     total = config.iterations
     # S_1 lands in `estimate` iff I is odd; S_0 = 0 makes the first product
@@ -162,12 +162,12 @@ def _iterate(config, rows, trace, index, received, estimate, product, decided):
             if m < n:
                 np.matmul(config.off_diagonal, spare, out=current)
             else:
-                np.matmul(spare, off_diag_t, out=current)
+                np.matmul(spare, config.off_diagonal, out=current)
             np.subtract(received, current, out=current)
-        snapped = _map_band(current, d, spare, decided)
+        _map_band(current, d, spare, flags)
         d = 1.0 - i / total
         if trace is not None:
-            trace.undecided_counts.append(snapped.size - int(np.count_nonzero(snapped)))
+            trace.undecided_counts.append(flags.size - int(np.count_nonzero(flags)))
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision, the rule
     # of `pam_index` on the float32 values themselves.
@@ -176,7 +176,7 @@ def _iterate(config, rows, trace, index, received, estimate, product, decided):
 
 
 def id_equalize_frame(config, rows, *, trace=None, out=None, received=None, estimate=None,
-                      product=None, decided=None):
+                      product=None, flags=None):
     """Equalize an (m, N) stack of received vectors (one vector: m = 1).
 
     Returns the 2-PAM decision (`modem.pam_index`) on every entry, which is
@@ -184,7 +184,7 @@ def id_equalize_frame(config, rows, *, trace=None, out=None, received=None, esti
     `trace` gets each iteration's band and undecided count over the stack.
     Optional buffers, each of the stack's shape and C-contiguous: int64 `out`
     for the result, float32 `received` (the rows rounded to float32),
-    `estimate` and `product` and bool `decided` for the iteration's work.
+    `estimate` and `product` and uint32 `flags` for the iteration's work.
     The work buffers may share no memory with `rows` or with each other
     (`ParameterError`); `out` may share the memory of `received` and
     `product`, not that of `estimate`.
@@ -198,7 +198,7 @@ def id_equalize_frame(config, rows, *, trace=None, out=None, received=None, esti
     check_buffer(received, rows.shape, np.float32, "received")
     check_buffer(estimate, rows.shape, np.float32, "estimate")
     check_buffer(product, rows.shape, np.float32, "product")
-    check_buffer(decided, rows.shape, bool, "decided")
+    check_buffer(flags, rows.shape, np.uint32, "flags")
     check_apart(rows=rows, received=received, estimate=estimate, product=product,
-                decided=decided)
-    return _iterate(config, rows, trace, out, received, estimate, product, decided)
+                flags=flags)
+    return _iterate(config, rows, trace, out, received, estimate, product, flags)

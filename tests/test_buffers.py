@@ -6,6 +6,7 @@ garbage here), and reject a bad buffer with a ShapeError that names it.
 """
 
 import re
+import tracemalloc
 from functools import partial
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from ftnlab.icimodel import correlation_matrix
 from ftnlab.modem import (
     PAM_LEVELS,
     ModemConfig,
+    experiment_baseline,
     pam_index,
     pam_map,
     pilot_rows,
@@ -39,7 +41,7 @@ def assert_same_bytes(got, want):
 
 def garbage(shape, dtype=np.float64):
     fill = {np.dtype(np.float64): np.nan, np.dtype(np.float32): np.nan,
-            np.dtype(np.int64): -7, np.dtype(bool): True}
+            np.dtype(np.int64): -7, np.dtype(np.uint32): 7}
     return np.full(shape, fill[np.dtype(dtype)], dtype=dtype)
 
 
@@ -198,7 +200,7 @@ class TestEqualize:
         shape = rows.shape
         buffers = dict(received=garbage(shape, np.float32),
                        estimate=garbage(shape, np.float32),
-                       product=garbage(shape, np.float32), decided=garbage(shape, bool))
+                       product=garbage(shape, np.float32), flags=garbage(shape, np.uint32))
         out = garbage(shape, np.int64)
         for _ in range(2):
             got = id_equalize_frame(config, rows, out=out, **buffers)
@@ -229,7 +231,7 @@ def _bad_buffers():
         (lambda buf: measure_sample_energy(rows, scratch=buf), "scratch", (6, 16), np.float64),
     ]
     cases.append((lambda buf: id_equalize_frame(id_cfg, rows, out=buf), "out", (6, 16), np.int64))
-    for name, dtype in (("estimate", np.float32), ("product", np.float32), ("decided", bool),
+    for name, dtype in (("estimate", np.float32), ("product", np.float32), ("flags", np.uint32),
                         ("received", np.float32)):
         cases.append((lambda buf, n=name: id_equalize_frame(id_cfg, rows, **{n: buf}),
                       name, (6, 16), dtype))
@@ -279,7 +281,7 @@ def _one_allocation(*dtypes):
 
 
 _ID_ARRAYS = {"rows": np.float64, "received": np.float32, "estimate": np.float32,
-              "product": np.float32, "decided": bool}
+              "product": np.float32, "flags": np.uint32}
 OVERLAPS = [("apply_awgn", "samples", "scratch"), ("measure_sample_energy", "samples", "scratch"),
             *(("id_equalize_frame", a, b) for a, b in combinations(_ID_ARRAYS, 2))]
 
@@ -308,16 +310,16 @@ class TestOverlappingBuffers:
 
     def test_disjoint_parts_of_one_allocation_pass(self):
         size = 6 * 16
-        raw = np.zeros(size * (8 + 3 * 4 + 1), dtype=np.uint8)
+        raw = np.zeros(size * (8 + 4 * 4), dtype=np.uint8)
         rows = raw[:size * 8].view(np.float64).reshape(6, 16)
         work = raw[size * 8:size * 20]
         received, estimate, product = work.view(np.float32).reshape(3, 6, 16)
-        decided = raw[size * 20:].view(bool).reshape(6, 16)
+        flags = raw[size * 20:].view(np.uint32).reshape(6, 16)
         rows[:] = np.random.default_rng(14).normal(size=rows.shape)
         config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
         want = id_equalize_frame(config, rows.copy())
         got = id_equalize_frame(config, rows, received=received, estimate=estimate,
-                                product=product, decided=decided)
+                                product=product, flags=flags)
         assert_same_bytes(got, want)
         scratch = work[:size * 8].view(np.float64).reshape(6, 16)
         assert measure_sample_energy(rows, scratch=scratch) == measure_sample_energy(rows.copy())
@@ -335,7 +337,32 @@ class TestOverlappingBuffers:
         want = id_equalize_frame(id_cfg, rows.copy())
         got = id_equalize_frame(id_cfg, rows, out=work["index"], received=work["received"],
                                 estimate=work["estimate"], product=work["product"],
-                                decided=work["decided"])
+                                flags=work["flags"])
         assert np.shares_memory(got, work["product"])
         assert np.shares_memory(got, work["received"])
         assert_same_bytes(got, want)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_id_flags_take_the_free_half_of_the_noise(self, scaled):
+        # The ID's uint32 flags sit in the float32 view of the noise buffer,
+        # past `estimate`: apart from every other buffer the detector writes,
+        # and with no allocation of their own.
+        config = experiment_baseline()
+        tracemalloc.start()
+        try:
+            work = _workspace(config, 4, scaled)
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        flags = work["flags"]
+        assert (flags.dtype, flags.shape) == (np.uint32, work["estimate"].shape)
+        assert flags.flags.c_contiguous and flags.flags.writeable
+        assert np.shares_memory(flags, work["noise"])
+        for name in ("estimate", "product", "received", "index"):
+            assert not np.shares_memory(flags, work[name]), name
+        owners = ["rows", "waveform", "noise", "wrong"]
+        owners += ["noise_rows", "scaled_rows"] if scaled else []
+        arrays = sum(work[name].nbytes for name in owners)
+        assert arrays <= allocated < arrays + flags.nbytes // 8

@@ -205,6 +205,24 @@ class TestNoiselessRecovery:
         assert errs[0] >= errs[1] >= errs[2]
 
 
+def _six_pass_map(values, d):
+    """The band map as min/max passes, as a reference: a copy of `values`
+    mapped, and the bool mask of the snapped entries.  A snapped entry gets
+    max(min(|v|, d), 1) = 1 and an undecided one max(|v|, 0) = |v|, so it
+    holds for d in [0, 1]; the magnitude's bits are then OR-ed into v's sign
+    bit."""
+    values = values.copy()
+    mag = np.abs(values)
+    decided = np.greater(mag, d)
+    np.minimum(mag, d, out=mag)
+    np.maximum(mag, decided, out=mag)
+    word = f"u{values.itemsize}"
+    bits = values.view(word)
+    bits &= np.array(-0.0, values.dtype).view(word)
+    bits |= mag.view(word)
+    return values, decided
+
+
 class TestMapBand:
     @pytest.mark.parametrize("d", [0.0, 0.25, 1.0, np.nextafter(0.5, 0.0)])
     def test_matches_nested_where_at_boundaries(self, d):
@@ -231,10 +249,11 @@ class TestMapBand:
         values = np.concatenate([values, _SPECIAL_VALUES])
         expected = np.where(np.abs(values) > d, np.copysign(1.0, values), values)
         mapped = values.copy()
-        buffers = (np.empty_like(values), np.empty(values.shape, bool)) if scratch else ()
-        snapped = _map_band(mapped, d, *buffers)
+        buffers = (np.empty_like(values), np.full(values.shape, 7, np.uint64)) if scratch else ()
+        flags = _map_band(mapped, d, *buffers)
         np.testing.assert_array_equal(mapped.view(np.uint64), expected.view(np.uint64))
-        np.testing.assert_array_equal(snapped, np.abs(values) > d)
+        assert flags.dtype == np.uint64 and set(np.unique(flags)) <= {0, 1}
+        np.testing.assert_array_equal(flags != 0, np.abs(values) > d)
 
     @given(
         values=arrays(np.float32, st.integers(0, 64), elements=st.floats(width=32)),
@@ -248,15 +267,38 @@ class TestMapBand:
         band = np.float32(d)
         expected = np.where(np.abs(values) > band, np.copysign(np.float32(1.0), values), values)
         mapped = values.copy()
-        buffers = (np.empty_like(values), np.empty(values.shape, bool)) if scratch else ()
-        snapped = _map_band(mapped, d, *buffers)
+        buffers = (np.empty_like(values), np.full(values.shape, 7, np.uint32)) if scratch else ()
+        flags = _map_band(mapped, d, *buffers)
         assert mapped.dtype == np.float32
         np.testing.assert_array_equal(mapped.view(np.uint32), expected.view(np.uint32))
+        assert flags.dtype == np.uint32 and set(np.unique(flags)) <= {0, 1}
+        snapped = flags != 0
         np.testing.assert_array_equal(snapped, np.abs(values) > band)
         if d >= 2.0**-53:  # each snapped entry gets the level `pam_index` decides
             with np.errstate(invalid="ignore"):  # widening a signalling NaN
                 levels = PAM_LEVELS[pam_index(values)]
             np.testing.assert_array_equal(mapped[snapped], levels[snapped])
+
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        words=st.data(),
+        d=st.sampled_from([0.0, 2.0**-53, np.nextafter(0.0, 1.0), np.nextafter(2.0**-53, 1.0),
+                           np.nextafter(1.0, 0.0), 1.0]),
+    )
+    def test_five_pass_map_equals_the_six_pass_map(self, dtype, words, d):
+        # Random bit patterns cover subnormals and NaN payloads of both signs
+        # throughout; the special values add signed zeros and infinities.
+        word = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        drawn = words.draw(arrays(word, st.integers(0, 64))).view(dtype)
+        special = _SPECIAL_VALUES32 if dtype == np.float32 else _SPECIAL_VALUES
+        values = np.concatenate([drawn, special])
+        d = float(d)
+        expected, decided = _six_pass_map(values, d)
+        mapped = values.copy()
+        flags = _map_band(mapped, d)
+        np.testing.assert_array_equal(mapped.view(word), expected.view(word))
+        assert flags.dtype == word
+        np.testing.assert_array_equal(flags, decided.astype(word))
 
     @given(
         values=arrays(np.float64, st.integers(1, 64), elements=st.floats(-3.0, 3.0)),
@@ -272,7 +314,7 @@ class TestMapBand:
         to_midpoint = np.min(np.abs(values[:, None] - midpoints), axis=1) / half_gap
         clear = np.abs(to_midpoint - d) > 1e-9
         mapped = values.copy()
-        snapped = _map_band(mapped, d)
+        snapped = _map_band(mapped, d) != 0
         np.testing.assert_array_equal(snapped[clear], to_midpoint[clear] > d)
         np.testing.assert_array_equal(mapped[snapped], levels[pam_index(values)][snapped])
         np.testing.assert_array_equal(mapped[~snapped], values[~snapped])
@@ -287,7 +329,7 @@ class TestMapBand:
         values = np.concatenate([values, _SPECIAL_VALUES, [1e-20, 2.0**-53, -2.0**-53,
                                                            np.nextafter(2.0**-53, 1.0)]])
         mapped = values.copy()
-        snapped = _map_band(mapped, d)
+        snapped = _map_band(mapped, d) != 0
         np.testing.assert_array_equal(mapped[snapped], PAM_LEVELS[pam_index(values)][snapped])
 
     @pytest.mark.parametrize("iterations", [1, 2, 3, 7, 20, 1000])
@@ -311,8 +353,8 @@ class TestMapBand:
         outer = [levels[0] - 0.9 * half_gap, levels[-1] + 0.9 * half_gap]
         values = np.concatenate([midpoints, [np.nan], outer])
         mapped = values.copy()
-        snapped = _map_band(mapped, 0.25)
-        np.testing.assert_array_equal(snapped, [False, False, True, True])
+        flags = _map_band(mapped, 0.25)
+        np.testing.assert_array_equal(flags, [0, 0, 1, 1])
         np.testing.assert_array_equal(mapped, [*midpoints, np.nan, levels[0], levels[-1]])
 
 
@@ -454,7 +496,7 @@ class TestReferenceRecursion:
             buffers = dict(received=copy, estimate=_float32((rows, n)), product=product,
                            out=block.view(np.int64).reshape(rows, n))
         if buffers:
-            buffers["decided"] = np.ones((rows, n), bool)
+            buffers["flags"] = np.full((rows, n), 7, np.uint32)
         if layout.endswith("out"):
             # An `out` of its own, apart from the work buffers.
             buffers["out"] = np.full((rows, n), -7, np.int64)
@@ -484,12 +526,17 @@ class TestReferenceRecursion:
             assert alone == inside
             assert sum(alone.undecided_counts) > 0
 
-    def test_off_diagonal_is_symmetric_to_the_last_bit(self):
-        # The transposed loop multiplies by C - I where the row loop
+    # Every (kind, alpha) the acceptance gate detects with I > 0.
+    @pytest.mark.parametrize("kind,alpha", [
+        *((TransformKind.FRCT, alpha) for alpha in (1.0, 0.9, 0.8, 0.7)),
+        *((TransformKind.FRHT, alpha) for alpha in (0.45, 0.4, 0.35)),
+    ])
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    def test_off_diagonal_is_symmetric_to_the_last_bit(self, kind, alpha, n):
+        # Both loops multiply by C - I as stored, where the recursion
         # multiplies by its transpose.
-        for kind, alpha in [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.45)]:
-            off = IdConfig(1, _matrix(1024, alpha, kind)).off_diagonal
-            assert off.tobytes() == np.ascontiguousarray(off.T).tobytes()
+        off = IdConfig(1, _matrix(n, alpha, kind)).off_diagonal
+        assert off.tobytes() == np.ascontiguousarray(off.T).tobytes()
 
     # The sweep's stacks: 512 x 256 multiplies rows, 128 x 1024 (one frame
     # of the large-N layout) runs transposed.
@@ -505,7 +552,7 @@ class TestReferenceRecursion:
         product, copy = block.reshape(2, rows, n)
         buffers = dict(out=block.view(np.int64).reshape(rows, n), received=copy,
                        estimate=_float32((rows, n)), product=product,
-                       decided=np.empty((rows, n), bool))
+                       flags=np.empty((rows, n), np.uint32))
         cfg = IdConfig(20, c)
         id_equalize_frame(cfg, received, **buffers)
         tracemalloc.start()
