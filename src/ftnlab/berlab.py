@@ -22,9 +22,11 @@ results are identical for any worker count, and no batch is computed past
 the stopping point of a curve's last point.
 
 Memory: the curves of a sweep share one frame layout, so each run of curves
-reuses one batch workspace for all its batches; it goes with its run.  With
-more than one Eb/N0 the workspace holds two float64 data-row arrays more,
-the demultiplexed noise and a point's scaled rows.  Of the N x N matrices, a
+reuses one batch workspace for all its batches; it goes with its run.  The
+detector's one `work` array lies in the waveform and the noise, which are
+dead by the time it runs, so detection allocates nothing.  With more than
+one Eb/N0 the workspace holds two float64 data-row arrays more, the
+demultiplexed noise and a point's scaled rows.  Of the N x N matrices, a
 sweep keeps the transform kernel (float64) and one detector C - I (float32),
 which a curve's iteration counts share.
 """
@@ -162,41 +164,29 @@ def _curve_detector(kind, n, alpha):
 def _workspace(config, n_frames, scaled=False):
     """Buffers for one batch of `n_frames` frames, which every batch reuses,
     so a batch allocates (and page-faults) no full-size array but its bit
-    draw.  Three float64 arrays serve several stages each: the transmit rows,
-    then the received data rows; the waveform, then the ID's float32 product
-    and float32 copy of the data rows, then its int64 decisions, which are
-    the received bits; the AWGN scratch, which holds the noise, then the ID's
-    float32 estimate and uint32 band flags.  With `scaled`, for a curve of
-    more than one Eb/N0, two float64 data-row arrays more: the demultiplexed
+    draw.  `rows` takes the transmit rows, then the received data rows.  The
+    waveform and the noise, the AWGN scratch, are the halves of one array,
+    whose start is then the detector's float32 `work`: both halves are dead
+    by the time the detector runs, and two waveforms always hold four
+    float32 arrays of the data rows.  The detector's int64 decisions, the
+    received bits, lie in that `work`.  With `scaled`, for a curve of more
+    than one Eb/N0, two float64 data-row arrays more: the demultiplexed
     noise, and the rows of a point off the reference Eb/N0."""
-    frame_rows = (n_frames, config.symbols_per_frame)
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
     size = math.prod(data_rows)
-
-    def part(buf, dtype, k=0):
-        """The k-th run of `size` entries of `dtype` in `buf`, as data rows."""
-        return buf.reshape(-1).view(dtype)[k * size:(k + 1) * size].reshape(data_rows)
-
     with allocating_for("frames_per_batch", n_frames):
-        rows = np.empty(frame_rows + (config.n,))
-        waveform = np.empty(frame_rows + (config.cp_len + config.n,))
-        noise = np.empty_like(waveform)
+        rows = np.empty((n_frames, config.symbols_per_frame, config.n))
+        pair = np.empty((2, n_frames, config.symbols_per_frame, config.cp_len + config.n))
         wrong = np.empty(n_frames * config.data_bits_per_frame, dtype=bool)
         if scaled:
             noise_rows, scaled_rows = np.empty(data_rows), np.empty(data_rows)
     work = {
         "rows": rows,
-        "waveform": waveform,
-        "noise": noise,
-        "data": part(rows, np.float64).reshape(n_frames, -1, config.n),
-        "product": part(waveform, np.float32),
-        "received": part(waveform, np.float32, 1),
-        "estimate": part(noise, np.float32),
-        "flags": part(noise, np.uint32, 1),
+        "waveform": pair[0],
+        "noise": pair[1],
+        "data": rows.reshape(-1)[:size].reshape(n_frames, -1, config.n),
+        "detector": pair.reshape(-1).view(np.float32)[:4 * size].reshape(4, *data_rows),
         "wrong": wrong,
-        # The ID's final decision reads neither `product` nor `received` (and
-        # at I = 0 it reads only `data`).
-        "index": part(waveform, np.int64),
     }
     if scaled:
         work["noise_rows"] = noise_rows.reshape(work["data"].shape)
@@ -204,7 +194,7 @@ def _workspace(config, n_frames, scaled=False):
     return work
 
 
-def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx, work=None):
+def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx, work):
     """One frame batch of curve number `curve_idx`; returns (bits, the errors
     of each of `points`), which are (detector, Eb/N0) pairs.
 
@@ -215,11 +205,10 @@ def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx
     rows).  The rows are linear in the noise, so a point at Eb/N0 e detects
     the reference rows plus 10^((ref_db - e)/20) - 1 times the demultiplexed
     noise: the noise scaled to e.  A run of points at one Eb/N0 detects rows
-    formed once.  `work` is a `_workspace` of this layout (a new one if None).
+    formed once.  `work` is a `_workspace` of this layout, with the two
+    scaled arrays if a point is off `ref_db`.
     """
     scaled = any(ebn0_db != ref_db for _, ebn0_db in points)
-    if work is None:
-        work = _workspace(config, n_frames, scaled)
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, curve_idx, batch_idx, 0])
     )
@@ -232,7 +221,7 @@ def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx
     waveform = modem.transmit(config, sent, out=work["waveform"], rows=work["rows"])
     channel.apply_awgn(spec, waveform, out=waveform, scratch=work["noise"])
     anchor = modem.receive(config, waveform, out=work["data"]).reshape(-1, config.n)
-    if scaled:  # before any detection, whose work buffers overwrite the noise
+    if scaled:  # before any detection, whose work overwrites the noise
         noise = modem.receive(config, work["noise"], out=work["noise_rows"]).reshape(anchor.shape)
     errors, formed = [], None
     for id_cfg, ebn0_db in points:
@@ -242,10 +231,7 @@ def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx
             work["scaled_rows"] += anchor
             formed = ebn0_db
         rows = anchor if ebn0_db == ref_db else work["scaled_rows"]
-        index = equalize.id_equalize_frame(
-            id_cfg, rows, out=work["index"], received=work["received"],
-            estimate=work["estimate"], product=work["product"], flags=work["flags"],
-        )
+        index = equalize.id_equalize_frame(id_cfg, rows, work=work["detector"])
         wrong = np.not_equal(index.reshape(-1), sent.ravel(), out=work["wrong"])
         errors.append(int(np.count_nonzero(wrong)))
     return sent.size, errors

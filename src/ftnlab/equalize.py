@@ -34,6 +34,16 @@ multiplies (C - I) @ S^T, which OpenBLAS's sgemm runs 5-30% faster at those
 shapes (at 128 x 1024, one frame of N = 1024, the ID takes about a seventh
 less time).  On OpenBLAS the two give the same decisions bit for bit, as the
 tests check, though BLAS does not promise it.
+
+The detector's scratch is one float32 array of shape (4, m, N), its `work`,
+each plane read as an (N, m) transpose when m < N.  Plane 0 takes R rounded
+to float32, planes 1 and 2 hold S_{i-1} and S_i in turn, and plane 3 the
+band map's uint32 flags.  Each product (C - I) @ S_{i-1} goes to the plane
+S_{i-1} does not hold, the residual R - product replaces it there as S_i,
+and the plane of S_{i-1} becomes the band map's magnitude.  The start is
+chosen so that S_I ends in plane 2; the final decision reads only that
+plane, writes the int64 decisions over planes 0-1 and returns them as a
+view there.
 """
 
 import copy
@@ -116,39 +126,32 @@ def _map_band(values, d, mag=None, flags=None):
     return flags
 
 
-def _iterate(config, rows, trace, index, received, estimate, product, flags):
-    """Core recursion on an (m, N) float64 stack of received vectors; returns
-    the level index (`pam_index`) of every entry, written to `index` if not
-    None.  `trace`, if not None, is the `IdTrace` to append each iteration to.
+def id_equalize_frame(config, rows, *, trace=None, work=None):
+    """Equalize an (m, N) stack of received vectors (one vector: m = 1).
 
-    `received`, `estimate` and `product` are float32 scratch of the stack's
-    shape, and `flags` uint32.  `received` takes R rounded once to float32,
-    so every iteration works in one precision.  S_i and S_{i-1} take
-    `estimate` and `product` in turn: the product (C - I) @ S_{i-1} goes to
-    the buffer S_{i-1} does not hold, the residual R - product replaces it
-    there as S_i, and the buffer of S_{i-1} becomes the band map's magnitude;
-    `flags` takes the band map's 0/1 words.
-    The start is chosen so that S_I ends in `estimate`, and the final
-    decision reads only `estimate`, so `index` may share the memory of
-    `received` and `product`, as in the sweep's workspace.
-
-    With m < N the loop runs on the transpose: the float32 buffers and
-    `flags` are read as (N, m) arrays (views, as they are C-contiguous),
-    the copy-in reads `rows.T`, each product is (C - I) @ S^T, and the final
-    decision writes `index.T`.  The residual, band map and trace work entry
-    by entry, so they run unchanged.
+    Returns the 2-PAM decision (`modem.pam_index`) on every entry, which is
+    its bit; `modem.PAM_LEVELS[index]` gives the levels.  An `IdTrace` as
+    `trace` gets each iteration's band and undecided count over the stack.
+    `work` is the detector's scratch, allocated if None: a C-contiguous
+    float32 array of shape (4, m, N) that shares no memory with `rows`
+    (`ParameterError`).  The result is int64, a view of its planes 0-1.
     """
+    rows = check_real_array(rows, "rows", len(config.off_diagonal))
+    if rows.ndim != 2:
+        raise ShapeError(f"rows must be an (m, N) stack, got shape {rows.shape}")
+    if trace is not None and not isinstance(trace, IdTrace):
+        raise ParameterError(f"trace must be an IdTrace or None, got {type(trace).__name__}")
+    m, n = rows.shape
+    check_buffer(work, (4, m, n), np.float32, "work")
+    check_apart(rows=rows, work=work)
+    work = np.empty((4, m, n), np.float32) if work is None else work
+    index = work[:2].reshape(-1).view(np.int64).reshape(m, n)
     if config.iterations == 0:
         return pam_index(rows, out=index)
-    received = np.empty(rows.shape, np.float32) if received is None else received
-    estimate = np.empty(rows.shape, np.float32) if estimate is None else estimate
-    product = np.empty(rows.shape, np.float32) if product is None else product
-    flags = np.empty(rows.shape, np.uint32) if flags is None else flags
-    index = np.empty(rows.shape, dtype=np.int64) if index is None else index
-    m, n = rows.shape
-    if m < n:  # the (N, m) transpose, in views of the same memory
-        received, estimate, product, flags = (
-            a.reshape(n, m) for a in (received, estimate, product, flags))
+    # With m < N each plane is read as its (N, m) transpose, a view.
+    shape = (n, m) if m < n else (m, n)
+    received, product, estimate = (plane.reshape(shape) for plane in work[:3])
+    flags = work[3].view(np.uint32).reshape(shape)
     np.copyto(received, rows.T if m < n else rows)
     total = config.iterations
     # S_1 lands in `estimate` iff I is odd; S_0 = 0 makes the first product
@@ -170,35 +173,7 @@ def _iterate(config, rows, trace, index, received, estimate, product, flags):
             trace.undecided_counts.append(flags.size - int(np.count_nonzero(flags)))
             trace.d_values.append(d)
     # Entries still inside the final band get a plain hard decision, the rule
-    # of `pam_index` on the float32 values themselves.
+    # of `pam_index` on the float32 values themselves; it reads only plane 2,
+    # so it may write planes 0-1.
     np.greater(estimate, PAM_THRESHOLD, out=index.T if m < n else index)
     return index
-
-
-def id_equalize_frame(config, rows, *, trace=None, out=None, received=None, estimate=None,
-                      product=None, flags=None):
-    """Equalize an (m, N) stack of received vectors (one vector: m = 1).
-
-    Returns the 2-PAM decision (`modem.pam_index`) on every entry, which is
-    its bit; `modem.PAM_LEVELS[index]` gives the levels.  An `IdTrace` as
-    `trace` gets each iteration's band and undecided count over the stack.
-    Optional buffers, each of the stack's shape and C-contiguous: int64 `out`
-    for the result, float32 `received` (the rows rounded to float32),
-    `estimate` and `product` and uint32 `flags` for the iteration's work.
-    The work buffers may share no memory with `rows` or with each other
-    (`ParameterError`); `out` may share the memory of `received` and
-    `product`, not that of `estimate`.
-    """
-    rows = check_real_array(rows, "rows", len(config.off_diagonal))
-    if rows.ndim != 2:
-        raise ShapeError(f"rows must be an (m, N) stack, got shape {rows.shape}")
-    if trace is not None and not isinstance(trace, IdTrace):
-        raise ParameterError(f"trace must be an IdTrace or None, got {type(trace).__name__}")
-    check_buffer(out, rows.shape, np.int64, "out")
-    check_buffer(received, rows.shape, np.float32, "received")
-    check_buffer(estimate, rows.shape, np.float32, "estimate")
-    check_buffer(product, rows.shape, np.float32, "product")
-    check_buffer(flags, rows.shape, np.uint32, "flags")
-    check_apart(rows=rows, received=received, estimate=estimate, product=product,
-                flags=flags)
-    return _iterate(config, rows, trace, out, received, estimate, product, flags)

@@ -116,6 +116,7 @@ def pilot_rows(config):
 
 def random_data_bits(config, rng, frames):
     """Uniform data bits for `frames` frames, shape (frames, data_bits_per_frame)."""
+    check_integer(frames, "frames", 1)
     return rng.integers(0, 2, size=(frames, config.data_bits_per_frame))
 
 

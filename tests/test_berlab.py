@@ -32,6 +32,7 @@ from ftnlab.berlab import (
     wilson_interval,
     _curve_detector,
     _simulate_batch,
+    _workspace,
 )
 from ftnlab.exceptions import ParameterError
 from ftnlab.icimodel import correlation_matrix
@@ -264,7 +265,8 @@ class TestSimulateBatch:
             args = (config, n_frames, 6.0, iterations, seed, 2, batch_idx)
             id_cfg = equalize.IdConfig(iterations, correlation_matrix(kind, config.n, alpha))
             bits, [point_errors] = _simulate_batch(
-                config, 6.0, [(id_cfg, 6.0)], n_frames, seed, 2, batch_idx)
+                config, 6.0, [(id_cfg, 6.0)], n_frames, seed, 2, batch_idx,
+                _workspace(config, n_frames))
             assert (bits, point_errors) == _per_frame_batch(*args)
             errors += point_errors
         assert errors > 0
@@ -286,7 +288,8 @@ class TestSimulateBatch:
                   [(0, 2.0), (0, 6.0), (20, 2.0), (0, 9.0), (20, 6.0), (20, 9.0)]]
         seen = set()
         for seed, batch_idx in [(0, 0), (7, 3)]:
-            bits, errors = _simulate_batch(config, 6.0, points, 4, seed, 1, batch_idx)
+            bits, errors = _simulate_batch(config, 6.0, points, 4, seed, 1, batch_idx,
+                                           _workspace(config, 4, True))
             for (id_cfg, ebn0_db), point_errors in zip(points, errors):
                 args = (config, 4, ebn0_db, id_cfg.iterations, seed, 1, batch_idx)
                 assert (bits, point_errors) == _per_frame_batch(*args)

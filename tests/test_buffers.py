@@ -8,7 +8,6 @@ garbage here), and reject a bad buffer with a ShapeError that names it.
 import re
 import tracemalloc
 from functools import partial
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -197,15 +196,11 @@ class TestEqualize:
         config = IdConfig(iterations, correlation_matrix(kind, 32, alpha))
         rows = np.random.default_rng(11).normal(scale=1.2, size=(9, 32))
         want = id_equalize_frame(config, rows)
-        shape = rows.shape
-        buffers = dict(received=garbage(shape, np.float32),
-                       estimate=garbage(shape, np.float32),
-                       product=garbage(shape, np.float32), flags=garbage(shape, np.uint32))
-        out = garbage(shape, np.int64)
+        work = garbage((4,) + rows.shape, np.float32)
         for _ in range(2):
-            got = id_equalize_frame(config, rows, out=out, **buffers)
-            assert got is out
-            assert_same_bytes(out, want)
+            got = id_equalize_frame(config, rows, work=work)
+            assert np.shares_memory(got, work[:2])
+            assert_same_bytes(got, want)
 
 
 def _bad_buffers():
@@ -230,11 +225,12 @@ def _bad_buffers():
         (lambda buf: apply_awgn(spec, waveform, scratch=buf), "scratch", (2, 5, 18), np.float64),
         (lambda buf: measure_sample_energy(rows, scratch=buf), "scratch", (6, 16), np.float64),
     ]
-    cases.append((lambda buf: id_equalize_frame(id_cfg, rows, out=buf), "out", (6, 16), np.int64))
-    for name, dtype in (("estimate", np.float32), ("product", np.float32), ("flags", np.uint32),
-                        ("received", np.float32)):
-        cases.append((lambda buf, n=name: id_equalize_frame(id_cfg, rows, **{n: buf}),
-                      name, (6, 16), dtype))
+    # The detector's `work` at m < N, m = N and m > N (the loop reads the
+    # planes transposed only for m < N), and at I = 0, which skips the loop.
+    for m, iterations in ((6, 3), (16, 3), (20, 3), (6, 0)):
+        cfg, stack = id_cfg.with_iterations(iterations), np.ones((m, 16))
+        cases.append((lambda buf, cfg=cfg, stack=stack: id_equalize_frame(cfg, stack, work=buf),
+                      "work", (4, m, 16), np.float32))
     return cases
 
 
@@ -266,6 +262,16 @@ class TestBadBuffers:
         with pytest.raises(ShapeError, match=f"^{name} must be .* got list$"):
             call(np.zeros(shape, dtype=dtype).tolist())
 
+    @pytest.mark.parametrize("shape", [(6, 16), (3, 6, 16), (5, 6, 16), (2, 6, 16), (4, 16, 6),
+                                       (1, 4, 6, 16)])
+    def test_work_is_four_planes_of_the_stack(self, shape):
+        # One (m, N) plane, a plane count other than 4, the (N, m) transpose
+        # the loop reads for m < N, or an extra axis: each is refused.
+        config = IdConfig(3, correlation_matrix(TransformKind.FRCT, 16, 0.9))
+        with pytest.raises(ShapeError,
+                           match=re.escape("work must be a float32 array of shape (4, 6, 16)")):
+            id_equalize_frame(config, np.ones((6, 16)), work=np.zeros(shape, np.float32))
+
     def test_strided_scratch_rejected(self):
         spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
         x = np.ones((4, 6))
@@ -274,16 +280,16 @@ class TestBadBuffers:
 
 
 
-def _one_allocation(*dtypes):
-    """C-contiguous (6, 16) arrays of `dtypes`, each a view of one allocation."""
-    raw = np.zeros(6 * 16 * 8, dtype=np.uint8)
-    return [raw[:6 * 16 * np.dtype(t).itemsize].view(t).reshape(6, 16) for t in dtypes]
+def _one_allocation(*shapes_dtypes):
+    """C-contiguous arrays of the (shape, dtype) pairs, each a view of the
+    start of one allocation."""
+    raw = np.zeros(4 * 6 * 16 * 4, dtype=np.uint8)
+    return [raw[:np.dtype(t).itemsize * int(np.prod(shape))].view(t).reshape(shape)
+            for shape, t in shapes_dtypes]
 
 
-_ID_ARRAYS = {"rows": np.float64, "received": np.float32, "estimate": np.float32,
-              "product": np.float32, "flags": np.uint32}
 OVERLAPS = [("apply_awgn", "samples", "scratch"), ("measure_sample_energy", "samples", "scratch"),
-            *(("id_equalize_frame", a, b) for a, b in combinations(_ID_ARRAYS, 2))]
+            ("id_equalize_frame", "rows", "work")]
 
 
 class TestOverlappingBuffers:
@@ -294,13 +300,11 @@ class TestOverlappingBuffers:
                              ids=["-".join(case) for case in OVERLAPS])
     def test_refused_naming_both(self, function, first, second):
         if function == "id_equalize_frame":
-            buffers = dict(zip((first, second),
-                               _one_allocation(_ID_ARRAYS[first], _ID_ARRAYS[second])))
-            rows = buffers.pop("rows", np.zeros((6, 16)))
+            rows, work = _one_allocation(((6, 16), np.float64), ((4, 6, 16), np.float32))
             config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
-            call = partial(id_equalize_frame, config, rows, **buffers)
+            call = partial(id_equalize_frame, config, rows, work=work)
         else:
-            samples, scratch = _one_allocation(np.float64, np.float64)
+            samples, scratch = _one_allocation(((6, 16), np.float64), ((6, 16), np.float64))
             samples[:] = np.linspace(-1.0, 1.0, samples.size).reshape(samples.shape)
             spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
             call = partial(apply_awgn, spec) if function == "apply_awgn" else measure_sample_energy
@@ -308,26 +312,35 @@ class TestOverlappingBuffers:
         with pytest.raises(ParameterError, match=f"^{first} and {second} must not share memory$"):
             call()
 
+    # Byte offset of `rows` (768 bytes) from the start of `work` (four planes
+    # of 384 bytes): from sharing only work's first entry to only its last.
+    @pytest.mark.parametrize("offset", [-760, 0, 384, 768, 1152, 1528],
+                             ids=["first-entry", "planes-0-1", "planes-1-2", "planes-2-3",
+                                  "flags-and-past", "last-entry"])
+    def test_rows_anywhere_in_work_refused(self, offset):
+        raw = np.zeros(768 + 1536 + 768, dtype=np.uint8)
+        work = raw[768:768 + 1536].view(np.float32).reshape(4, 6, 16)
+        rows = raw[768 + offset:768 + offset + 768].view(np.float64).reshape(6, 16)
+        config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
+        with pytest.raises(ParameterError, match="^rows and work must not share memory$"):
+            id_equalize_frame(config, rows, work=work)
+
     def test_disjoint_parts_of_one_allocation_pass(self):
         size = 6 * 16
         raw = np.zeros(size * (8 + 4 * 4), dtype=np.uint8)
         rows = raw[:size * 8].view(np.float64).reshape(6, 16)
-        work = raw[size * 8:size * 20]
-        received, estimate, product = work.view(np.float32).reshape(3, 6, 16)
-        flags = raw[size * 20:].view(np.uint32).reshape(6, 16)
+        work = raw[size * 8:].view(np.float32).reshape(4, 6, 16)
         rows[:] = np.random.default_rng(14).normal(size=rows.shape)
         config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
         want = id_equalize_frame(config, rows.copy())
-        got = id_equalize_frame(config, rows, received=received, estimate=estimate,
-                                product=product, flags=flags)
+        got = id_equalize_frame(config, rows, work=work)
         assert_same_bytes(got, want)
-        scratch = work[:size * 8].view(np.float64).reshape(6, 16)
+        scratch = work.reshape(-1)[:size * 2].view(np.float64).reshape(6, 16)
         assert measure_sample_energy(rows, scratch=scratch) == measure_sample_energy(rows.copy())
 
     @pytest.mark.parametrize("iterations", [0, 5])
     def test_the_sweep_workspace_passes(self, iterations):
-        # The sweep's decisions share the memory of the product and the
-        # float32 copy of the rows, which is allowed.
+        # The sweep's detector works in the waveform and the noise.
         config = ModemConfig(n=16, alpha=0.9, data_symbols_per_frame=3, training_symbols=0,
                              sync_symbols=0)
         work = _workspace(config, 2)
@@ -335,20 +348,17 @@ class TestOverlappingBuffers:
         rows[:] = np.random.default_rng(15).normal(size=rows.shape)
         id_cfg = IdConfig(iterations, correlation_matrix(TransformKind.FRCT, 16, 0.9))
         want = id_equalize_frame(id_cfg, rows.copy())
-        got = id_equalize_frame(id_cfg, rows, out=work["index"], received=work["received"],
-                                estimate=work["estimate"], product=work["product"],
-                                flags=work["flags"])
-        assert np.shares_memory(got, work["product"])
-        assert np.shares_memory(got, work["received"])
+        got = id_equalize_frame(id_cfg, rows, work=work["detector"])
+        assert np.shares_memory(got, work["waveform"])
         assert_same_bytes(got, want)
 
 
 class TestWorkspace:
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_id_flags_take_the_free_half_of_the_noise(self, scaled):
-        # The ID's uint32 flags sit in the float32 view of the noise buffer,
-        # past `estimate`: apart from every other buffer the detector writes,
-        # and with no allocation of their own.
+    def test_detector_works_in_the_waveform_and_the_noise(self, scaled):
+        # The detector's `work` is the float32 start of the waveform/noise
+        # pair, which spans both halves in the baseline layout, and apart
+        # from every other buffer: the workspace allocates no bytes for it.
         config = experiment_baseline()
         tracemalloc.start()
         try:
@@ -356,13 +366,16 @@ class TestWorkspace:
             allocated = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        flags = work["flags"]
-        assert (flags.dtype, flags.shape) == (np.uint32, work["estimate"].shape)
-        assert flags.flags.c_contiguous and flags.flags.writeable
-        assert np.shares_memory(flags, work["noise"])
-        for name in ("estimate", "product", "received", "index"):
-            assert not np.shares_memory(flags, work[name]), name
-        owners = ["rows", "waveform", "noise", "wrong"]
-        owners += ["noise_rows", "scaled_rows"] if scaled else []
-        arrays = sum(work[name].nbytes for name in owners)
-        assert arrays <= allocated < arrays + flags.nbytes // 8
+        detector = work["detector"]
+        m = 4 * config.data_symbols_per_frame
+        assert (detector.dtype, detector.shape) == (np.float32, (4, m, config.n))
+        assert detector.flags.c_contiguous and detector.flags.writeable
+        others = [name for name in work if name != "detector"]
+        sharing = [name for name in others if np.shares_memory(detector, work[name])]
+        assert sharing == ["waveform", "noise"]
+        assert work["noise"].base is work["waveform"].base
+        pair = work["waveform"].base
+        owners = [work["rows"], pair, work["wrong"]]
+        owners += [work["noise_rows"], work["scaled_rows"]] if scaled else []
+        arrays = sum(a.nbytes for a in owners)
+        assert arrays <= allocated < arrays + 4096

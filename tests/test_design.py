@@ -1,6 +1,8 @@
 """Design guards over the library source."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -98,6 +100,36 @@ def test_every_public_name_has_a_caller():
     for path in [*SRC.glob("*.py"), *demos]:
         unread -= {through_package.get(name, name) for name in _ftnlab_reads(path)}
     assert sorted(unread) == []
+
+
+# Every keyword-only parameter of a public function: the buffers (`out`,
+# `rows`, `scratch`, `work`) and the detector's `trace`.  A new buffer or
+# other keyword knob has to be added here on purpose.
+KEYWORD_ONLY = {
+    "channel.apply_awgn": ("out", "scratch"),
+    "channel.measure_sample_energy": ("scratch",),
+    "equalize.id_equalize_frame": ("trace", "work"),
+    "modem.pam_index": ("out",),
+    "modem.pam_map": ("out",),
+    "modem.receive": ("out",),
+    "modem.transmit": ("out", "rows"),
+    "transforms.demultiplex": ("out",),
+    "transforms.multiplex": ("out",),
+}
+
+
+def test_buffer_keywords_are_listed():
+    found = {}
+    for module_name in sorted(MODULES):
+        module = importlib.import_module(f"ftnlab.{module_name}")
+        for name, fn in vars(module).items():
+            if _private(name) or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            keywords = tuple(p.name for p in inspect.signature(fn).parameters.values()
+                             if p.kind is p.KEYWORD_ONLY)
+            if keywords:
+                found[f"{module_name}.{name}"] = keywords
+    assert found == KEYWORD_ONLY
 
 
 def test_only_transforms_reads_the_kernel():

@@ -457,9 +457,11 @@ def _reference_indices(off_diagonal, received, iterations):
     return pam_index(s)
 
 
-def _float32(shape):
-    """A float32 buffer full of NaN, as stale contents."""
-    return np.full(shape, np.nan, np.float32)
+def _stale_work(rows, n):
+    """A detector `work` of stale contents: NaN in the float planes, 7 in the flags."""
+    work = np.full((4, rows, n), np.nan, np.float32)
+    work[3].view(np.uint32)[:] = 7
+    return work
 
 
 class TestReferenceRecursion:
@@ -484,25 +486,27 @@ class TestReferenceRecursion:
         cfg = IdConfig(iterations, c)
         expected = _reference_indices(cfg.off_diagonal, received.astype(np.float32),
                                       iterations)
-        buffers = {}
-        # Stale contents must not leak into the result.
-        if layout.startswith("buffers"):
-            buffers = {name: _float32((rows, n)) for name in ("received", "estimate", "product")}
-        if layout == "aliased":
-            # The sweep's layout: `product` and `received` side by side, and
-            # the indices in the memory of both.
-            block = _float32(2 * rows * n)
-            product, copy = block.reshape(2, rows, n)
-            buffers = dict(received=copy, estimate=_float32((rows, n)), product=product,
-                           out=block.view(np.int64).reshape(rows, n))
-        if buffers:
-            buffers["flags"] = np.full((rows, n), 7, np.uint32)
-        if layout.endswith("out"):
-            # An `out` of its own, apart from the work buffers.
-            buffers["out"] = np.full((rows, n), -7, np.int64)
-        got = id_equalize_frame(cfg, received, **buffers)
-        if "out" in buffers:
-            assert got is buffers["out"]
+        # Stale contents of `work` must not leak into the result.  "out":
+        # stale decisions (-7) in planes 0-1; "buffers": NaN in the float
+        # planes and 7 in the flags; "buffers+out": every plane as a previous
+        # call left it; "aliased": the sweep's float32 view of a float64 block.
+        work = None
+        if layout == "out":
+            work = np.full((4, rows, n), np.nan, np.float32)
+            work[:2].reshape(-1).view(np.int64)[:] = -7
+        elif layout == "buffers":
+            work = _stale_work(rows, n)
+        elif layout == "buffers+out":
+            work = _stale_work(rows, n)
+            id_equalize_frame(cfg.with_iterations(iterations + 1), -received, work=work)
+        elif layout == "aliased":
+            block = np.full(4 * rows * n, np.nan)
+            work = block.view(np.float32)[:4 * rows * n].reshape(4, rows, n)
+        got = id_equalize_frame(cfg, received, work=work)
+        if work is not None:
+            # The decisions lie in planes 0-1.
+            assert np.shares_memory(got, work[:2])
+            assert not np.shares_memory(got, work[2:])
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
@@ -542,22 +546,18 @@ class TestReferenceRecursion:
     # of the large-N layout) runs transposed.
     @pytest.mark.parametrize("rows,n", [(512, 256), (128, 1024)])
     def test_two_level_loop_allocates_no_full_size_array(self, rows, n):
-        # With every buffer given, the loop runs in place: the traced peak
-        # stays below the size of one bool array of the stack's shape.
+        # With `work` given, the loop runs in place: the traced peak stays
+        # below the size of one bool array of the stack's shape.
         c = _matrix(n, 0.8)
         rng = np.random.default_rng(12)
         received = _compress(c, 2.0 * rng.integers(0, 2, size=(rows, n)) - 1.0)
         received += 0.1 * rng.normal(size=(rows, n))
-        block = _float32(2 * rows * n)
-        product, copy = block.reshape(2, rows, n)
-        buffers = dict(out=block.view(np.int64).reshape(rows, n), received=copy,
-                       estimate=_float32((rows, n)), product=product,
-                       flags=np.empty((rows, n), np.uint32))
+        work = _stale_work(rows, n)
         cfg = IdConfig(20, c)
-        id_equalize_frame(cfg, received, **buffers)
+        id_equalize_frame(cfg, received, work=work)
         tracemalloc.start()
         try:
-            id_equalize_frame(cfg, received, **buffers)
+            id_equalize_frame(cfg, received, work=work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -587,8 +587,8 @@ class TestFloat64Agreement:
         detector = equalize.id_equalize_frame
         cell = {}
 
-        def compared(config, rows, **buffers):
-            index = detector(config, rows, **buffers)
+        def compared(config, rows, **work):
+            index = detector(config, rows, **work)
             expected = _reference_indices(cell["off_diagonal"], rows, config.iterations)
             cell["differing"] += int(np.count_nonzero(index != expected))
             cell["decisions"] += index.size

@@ -238,6 +238,13 @@ class TestTransmitReceive:
     def _bits(self, cfg, frames=1, seed=0):
         return random_data_bits(cfg, np.random.default_rng(seed), frames)
 
+    @pytest.mark.parametrize("frames", [-1, 0, 2.5, True])
+    def test_frame_count_checked(self, frames):
+        cfg = ModemConfig(n=16, alpha=0.8, data_symbols_per_frame=1)
+        with pytest.raises(ParameterError,
+                           match=f"^frames must be an integer >= 1, got {frames!r}$"):
+            random_data_bits(cfg, np.random.default_rng(0), frames)
+
     def test_single_symbol_no_cp_equals_multiplex(self):
         cfg = ModemConfig(
             n=16, alpha=0.8, cp_len=0,
