@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Monte Carlo BER curves across compression levels.
 
-Runs a small sweep of the full transmit -> AWGN -> receive -> iterative
-detection chain.  Moderate compression (alpha = 0.9) tracks the orthogonal
+Runs a small sweep of 2-PAM rows through the compressed-spacing AWGN link
+(formed in the data domain as S C + sigma W K) and iterative detection.  Moderate compression (alpha = 0.9) tracks the orthogonal
 curve, alpha = 0.8 pays roughly a 2 dB penalty at the 7% FEC threshold,
 and alpha = 0.7 floors.  Takes about a minute.
 """

@@ -23,10 +23,9 @@ from .modem import (
     experiment_baseline,
     pam_map,
     transmit,
-    receive,
     rate_report,
 )
-from .channel import AwgnSpec, apply_awgn, measure_sample_energy
+from .channel import AwgnSpec, apply_awgn
 from .equalize import IdConfig, IdTrace, id_equalize_frame
 from .capacity import (
     CapacityParams,

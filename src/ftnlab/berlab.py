@@ -2,16 +2,24 @@
 spectral density estimation, and structured result export.
 
 Sweeps walk the grid (transform kind) x (alpha) x (iteration count) x
-(Eb/N0); each grid point simulates full transmit -> AWGN -> receive ->
-iterative-detection round trips in fixed-size frame batches, whose 2-PAM
-decisions are the received bits, until it has either seen `min_errors` bit
-errors or spent `max_bits` bits.
+(Eb/N0); each grid point detects frame batches of received data rows with
+the iterative detector, whose 2-PAM decisions are the received bits, until
+it has either seen `min_errors` bit errors or spent `max_bits` bits.
+
+The rows are formed in the data domain.  A data row of 2-PAM levels s,
+multiplexed, sent with its prefix through the AWGN channel, stripped and
+demultiplexed, arrives as s C + w K, with C = K^T K and w the white noise
+on the row's N samples.  So a batch forms its rows S C + sigma W K in two
+GEMMs, S C as S + S (C - I) with the detector's float32 C - I and sigma W K
+through the float64 kernel, and builds no waveform: pilot rows and prefixes
+reach no detector.  They still set sigma, through the layout's expected
+sample energy (`modem.expected_sample_energy`), computed once per curve.
 
 Reproducibility: the points of one (kind, alpha), a curve, share their
 random numbers.  Curves are numbered in (kind, alpha) grid order, and batch
 b of curve c draws its bits and noise from seed sequences derived from
 (sweep seed, c, b).  Every point of the curve detects that batch's one
-waveform, its noise drawn at the curve's first Eb/N0 and scaled to the
+signal S C, its noise drawn at the curve's first Eb/N0 and scaled to the
 point's own; points at one Eb/N0 detect the same rows whatever their
 iteration counts.  A curve runs batches 0, 1, 2, ... in order, each point
 counting until its own rule stops it, so a point stops at the same batch
@@ -23,12 +31,12 @@ the stopping point of a curve's last point.
 
 Memory: the curves of a sweep share one frame layout, so each run of curves
 reuses one batch workspace for all its batches; it goes with its run.  The
-detector's one `work` array lies in the waveform and the noise, which are
+detector's one `work` array lies in the noise and the levels, which are
 dead by the time it runs, so detection allocates nothing.  With more than
-one Eb/N0 the workspace holds two float64 data-row arrays more, the
-demultiplexed noise and a point's scaled rows.  Of the N x N matrices, a
-sweep keeps the transform kernel (float64) and one detector C - I (float32),
-which a curve's iteration counts share.
+one Eb/N0 the workspace holds two float64 data-row arrays more, the signal
+S C and a point's scaled rows.  Of the N x N matrices, a sweep keeps the
+transform kernel (float64) and one detector C - I (float32), which a
+curve's iteration counts and its signal share.
 """
 
 import math
@@ -44,7 +52,7 @@ from . import channel, equalize, icimodel, modem, records
 from .exceptions import (
     ParameterError, allocating_for, check_alpha, check_integer, check_real,
 )
-from .transforms import TransformKind
+from .transforms import TransformKind, make_plan
 
 _Z95 = 1.959963984540054
 
@@ -162,51 +170,42 @@ def _curve_detector(kind, n, alpha):
 
 
 def _workspace(config, n_frames, scaled=False):
-    """Buffers for one batch of `n_frames` frames, which every batch reuses,
-    so a batch allocates (and page-faults) no full-size array but its bit
-    draw.  `rows` takes the transmit rows, then the received data rows.  The
-    waveform and the noise, the AWGN scratch, are the halves of one array,
-    whose start is then the detector's float32 `work`: both halves are dead
-    by the time the detector runs, and two waveforms always hold four
-    float32 arrays of the data rows.  The detector's int64 decisions, the
-    received bits, lie in that `work`.  With `scaled`, for a curve of more
-    than one Eb/N0, two float64 data-row arrays more: the demultiplexed
-    noise, and the rows of a point off the reference Eb/N0."""
+    """Buffers for one batch of `n_frames` frames, m data rows, which every
+    batch reuses, so a batch allocates (and page-faults) no full-size array
+    but its bit draw.  `pair`, (2, m, N) float64, takes the white noise in
+    its first half, whose float32 halves then take the levels S and S (C - I);
+    with one Eb/N0 its second half takes the signal S C.  Then the whole
+    pair is the detector's float32 `work`, whose planes 0-1 take its int64
+    decisions, the received bits.  `rows` takes the noise sigma W K, and with
+    one Eb/N0 then the rows detected.  With `scaled`, for a curve of more
+    than one Eb/N0, two float64 data-row arrays more: the signal, and a
+    point's rows."""
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
-    size = math.prod(data_rows)
     with allocating_for("frames_per_batch", n_frames):
-        rows = np.empty((n_frames, config.symbols_per_frame, config.n))
-        pair = np.empty((2, n_frames, config.symbols_per_frame, config.cp_len + config.n))
-        wrong = np.empty(n_frames * config.data_bits_per_frame, dtype=bool)
+        work = {
+            "pair": np.empty((2, *data_rows)),
+            "rows": np.empty(data_rows),
+            "wrong": np.empty(math.prod(data_rows), dtype=bool),
+        }
         if scaled:
-            noise_rows, scaled_rows = np.empty(data_rows), np.empty(data_rows)
-    work = {
-        "rows": rows,
-        "waveform": pair[0],
-        "noise": pair[1],
-        "data": rows.reshape(-1)[:size].reshape(n_frames, -1, config.n),
-        "detector": pair.reshape(-1).view(np.float32)[:4 * size].reshape(4, *data_rows),
-        "wrong": wrong,
-    }
-    if scaled:
-        work["noise_rows"] = noise_rows.reshape(work["data"].shape)
-        work["scaled_rows"] = scaled_rows
+            work["signal"], work["scaled"] = np.empty(data_rows), np.empty(data_rows)
     return work
 
 
-def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx, work):
+def _simulate_batch(config, energy, ref_db, points, n_frames, seed, curve_idx, batch_idx,
+                    work):
     """One frame batch of curve number `curve_idx`; returns (bits, the errors
-    of each of `points`), which are (detector, Eb/N0) pairs.
+    of each of `points`), which are (detector, Eb/N0) pairs sharing one
+    C - I.  `energy` is the layout's expected sample energy.
 
-    The noise covers the whole waveform (pilots and prefixes included) in
-    transmit order and is drawn at the curve's reference Eb/N0 `ref_db`; only
-    the data rows are demultiplexed and detected, by each point's detector,
-    whose decisions are the received bits (at I = 0 it hard-decides the
-    rows).  The rows are linear in the noise, so a point at Eb/N0 e detects
-    the reference rows plus 10^((ref_db - e)/20) - 1 times the demultiplexed
-    noise: the noise scaled to e.  A run of points at one Eb/N0 detects rows
-    formed once.  `work` is a `_workspace` of this layout, with the two
-    scaled arrays if a point is off `ref_db`.
+    The m data rows are S C + sigma W K (module docstring), the noise drawn
+    at the curve's reference Eb/N0 `ref_db`, and detected by each point's
+    detector, whose decisions are the received bits (at I = 0 it
+    hard-decides the rows).  The rows are linear in the noise, so a point at
+    Eb/N0 e detects S C plus 10^((ref_db - e)/20) times the reference noise:
+    the noise scaled to e.  A run of points at one Eb/N0 detects rows formed
+    once.  `work` is a `_workspace` of this layout, with the two scaled
+    arrays if a point is off `ref_db`.
     """
     scaled = any(ebn0_db != ref_db for _, ebn0_db in points)
     bits_rng = np.random.default_rng(
@@ -218,20 +217,26 @@ def _simulate_batch(config, ref_db, points, n_frames, seed, curve_idx, batch_idx
         bits_per_sample=bits_per_sample(config),
         rng_seed=np.random.SeedSequence([seed, curve_idx, batch_idx, 1]),
     )
-    waveform = modem.transmit(config, sent, out=work["waveform"], rows=work["rows"])
-    channel.apply_awgn(spec, waveform, out=waveform, scratch=work["noise"])
-    anchor = modem.receive(config, waveform, out=work["data"]).reshape(-1, config.n)
-    if scaled:  # before any detection, whose work overwrites the noise
-        noise = modem.receive(config, work["noise"], out=work["noise_rows"]).reshape(anchor.shape)
+    pair, noise = work["pair"], work["rows"]
+    m = len(noise)
+    plan = make_plan(config.kind, config.n, config.alpha)
+    channel.apply_awgn(spec, energy, plan, m, out=noise, scratch=pair[0])
+    # S C = S + S (C - I), the product in float32 from levels rounded exactly.
+    levels, ici = pair[0].reshape(-1).view(np.float32).reshape(2, m, config.n)
+    signal = work["signal"] if scaled else pair[1]
+    modem.pam_map(sent, out=signal.reshape(-1))
+    np.copyto(levels, signal)
+    np.matmul(levels, points[0][0].off_diagonal, out=ici)
+    signal += ici
+    detector_work = pair.reshape(-1).view(np.float32).reshape(4, m, config.n)
     errors, formed = [], None
     for id_cfg, ebn0_db in points:
-        if ebn0_db not in (ref_db, formed):
-            np.multiply(noise, 10.0 ** ((ref_db - ebn0_db) / 20.0) - 1.0,
-                        out=work["scaled_rows"])
-            work["scaled_rows"] += anchor
+        if ebn0_db != formed:  # g noise + S C, one sum at g = 1 whatever the buffer
+            rows = work["scaled"] if scaled else noise
+            gain = 10.0 ** ((ref_db - ebn0_db) / 20.0)
+            np.add(noise if gain == 1.0 else np.multiply(noise, gain, out=rows), signal, out=rows)
             formed = ebn0_db
-        rows = anchor if ebn0_db == ref_db else work["scaled_rows"]
-        index = equalize.id_equalize_frame(id_cfg, rows, work=work["detector"])
+        index = equalize.id_equalize_frame(id_cfg, rows, work=detector_work)
         wrong = np.not_equal(index.reshape(-1), sent.ravel(), out=work["wrong"])
         errors.append(int(np.count_nonzero(wrong)))
     return sent.size, errors
@@ -245,6 +250,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     config = replace(spec.config, kind=kind, alpha=alpha)
     detector = _curve_detector(kind, config.n, alpha)
     detectors = {i: detector.with_iterations(i) for i in spec.iteration_counts}
+    energy = modem.expected_sample_energy(config)
     grid = list(product(spec.iteration_counts, spec.ebn0_dbs))
     # Eb/N0 by Eb/N0, so that a batch forms each point's rows once.
     order = sorted(range(len(grid)), key=lambda k: k % len(spec.ebn0_dbs))
@@ -256,7 +262,8 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     batch_idx = 0
     while live := [k for k in order if running(k)]:
         batch_bits, batch_errors = _simulate_batch(
-            config, spec.ebn0_dbs[0], [(detectors[grid[k][0]], grid[k][1]) for k in live],
+            config, energy, spec.ebn0_dbs[0],
+            [(detectors[grid[k][0]], grid[k][1]) for k in live],
             spec.frames_per_batch, spec.seed, curve_idx, batch_idx, work,
         )
         for k, point_errors in zip(live, batch_errors):

@@ -1,10 +1,11 @@
-"""Transmit/receive chain: 2-PAM mapping, framing, cyclic prefix.
+"""Transmit chain: 2-PAM mapping, framing, cyclic prefix.
 
 Every subcarrier of a data row carries one bit as a 2-PAM level, -1 or +1.
 Frames carry three classes of multicarrier symbols in transmit order
 sync | training | data.  Sync and training rows are fixed pseudo-random +-1
-patterns; the AWGN pipeline never uses them, but they are kept in the frame
-so overhead/rate accounting matches a realistic link budget.
+patterns; no detector reads them, but they are kept in the frame so that
+overhead/rate accounting and the sample energy (`expected_sample_energy`),
+which sets the noise level, match a realistic link budget.
 """
 
 from dataclasses import dataclass, replace
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import FramingError, ParameterError, check_buffer, check_integer, check_real_array
-from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
+from .transforms import TransformKind, make_plan, multiplex, sample_power, validate_transform
 
 # Entropy constant for the fixed sync/training patterns.
 _PILOT_SEED = 0x0F7C
@@ -115,19 +116,18 @@ def pilot_rows(config):
 
 
 def random_data_bits(config, rng, frames):
-    """Uniform data bits for `frames` frames, shape (frames, data_bits_per_frame)."""
+    """Uniform data bits for `frames` frames, a bool array of shape
+    (frames, data_bits_per_frame)."""
     check_integer(frames, "frames", 1)
-    return rng.integers(0, 2, size=(frames, config.data_bits_per_frame))
+    return rng.integers(0, 2, size=(frames, config.data_bits_per_frame), dtype=bool)
 
 
-def transmit(config, data_bits, *, out=None, rows=None):
+def transmit(config, data_bits):
     """Time-domain blocks of whole frames from (frames, data_bits_per_frame) bits.
 
     Each frame's rows sync | training | data are multiplexed in one product
     and get their cyclic prefix; returns (frames, symbols_per_frame,
-    cp_len + n), whose ravel() is the serialized waveform.  `out` receives
-    the blocks and `rows` the frequency-domain rows, (frames,
-    symbols_per_frame, n); both are C-contiguous float64 arrays.
+    cp_len + n), whose ravel() is the serialized waveform.
     """
     data_bits = np.asarray(data_bits)
     if data_bits.ndim != 2 or data_bits.shape[1] != config.data_bits_per_frame:
@@ -135,12 +135,8 @@ def transmit(config, data_bits, *, out=None, rows=None):
             f"data_bits must have shape (frames, {config.data_bits_per_frame}) "
             f"for this layout, got {data_bits.shape}"
         )
-    shape = (data_bits.shape[0], config.symbols_per_frame, config.n)
-    blocks_shape = shape[:2] + (config.cp_len + config.n,)
-    check_buffer(out, blocks_shape, np.float64, "out")
-    check_buffer(rows, shape, np.float64, "rows")
-    out = np.empty(blocks_shape) if out is None else out
-    rows = np.empty(shape) if rows is None else rows
+    rows = np.empty((data_bits.shape[0], config.symbols_per_frame, config.n))
+    out = np.empty(rows.shape[:2] + (config.cp_len + config.n,))
     sync, training = pilot_rows(config)
     first = len(sync) + len(training)
     rows[:, :len(sync)] = sync
@@ -153,28 +149,20 @@ def transmit(config, data_bits, *, out=None, rows=None):
     return out
 
 
-def receive(config, samples, *, out=None):
-    """Strip the cyclic prefixes of whole frames and demultiplex the data rows.
+def expected_sample_energy(config):
+    """The mean squared sample of `transmit`'s waveform, in expectation over
+    uniform data bits, in closed form.  Sample n of a data block has mean
+    square sum_k K[n, k]^2 (`transforms.sample_power`), a pilot block its
+    fixed square, and a prefix repeats the last cp_len samples of its block."""
+    plan = make_plan(config.kind, config.n, config.alpha)
 
-    `samples` may have any shape whose size is a whole number of frames (a
-    raveled waveform or the blocks of `transmit`).  Returns raw
-    frequency-domain rows (frames, data_symbols_per_frame, n), no
-    equalization: for alpha < 1 each equals C @ (transmitted row) plus noise.
-    `out`, if given, receives them (float64, as in `transforms.demultiplex`).
-    """
-    samples = check_real_array(samples, "samples")
-    block = config.cp_len + config.n
-    layout = (
-        f"frames of {config.symbols_per_frame} blocks of "
-        f"cp_len + n = {config.cp_len} + {config.n} samples"
-    )
-    if samples.ndim > 1 and samples.shape[-1] != block:
-        raise FramingError(f"block length {samples.shape[-1]} does not match {layout}")
-    if samples.size == 0 or samples.size % (config.symbols_per_frame * block):
-        raise FramingError(f"{samples.size} samples are not a whole number of {layout}")
-    blocks = samples.reshape(-1, config.symbols_per_frame, block)
-    data = blocks[:, config.sync_symbols + config.training_symbols:, config.cp_len:]
-    return demultiplex(make_plan(config.kind, config.n, config.alpha), data, out=out)
+    def energy(power):  # of the blocks, prefixes included, of these sample powers
+        return power.sum() + power[..., config.n - config.cp_len:].sum()
+
+    total = config.data_symbols_per_frame * energy(sample_power(plan))
+    for rows in pilot_rows(config):
+        total += energy(np.square(multiplex(plan, rows)))
+    return float(total / (config.symbols_per_frame * (config.cp_len + config.n)))
 
 
 # ---------------------------------------------------------------------------

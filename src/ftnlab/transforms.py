@@ -113,6 +113,13 @@ def multiplex(plan, symbols, *, out=None):
     return np.matmul(symbols, plan.kernel.T, out=out)
 
 
+def sample_power(plan):
+    """The mean square of each of the N samples that `multiplex` makes of
+    uncorrelated zero-mean unit-power symbols, such as uniform 2-PAM levels:
+    sum_k kernel[n, k]^2 for sample n, with no N x N temporary."""
+    return np.einsum("nk,nk->n", plan.kernel, plan.kernel)
+
+
 def demultiplex(plan, samples, *, out=None):
     """Time-domain samples -> frequency-domain outputs (kernel.T @ x).
 

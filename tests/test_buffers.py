@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy, noise_sigma
+from ftnlab.channel import AwgnSpec, apply_awgn, noise_sigma
 from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.berlab import _workspace
 from ftnlab.exceptions import ParameterError, ShapeError
@@ -25,10 +25,10 @@ from ftnlab.modem import (
     pam_map,
     pilot_rows,
     random_data_bits,
-    receive,
     transmit,
 )
 from ftnlab.transforms import TransformKind, demultiplex, make_plan, multiplex
+from timedomain import receive
 
 KINDS = [(TransformKind.FRCT, 0.8), (TransformKind.FRHT, 0.45)]
 
@@ -94,51 +94,26 @@ class TestModem:
     @CP_LENS
     @KIND_ALPHA
     def test_transmit(self, kind, alpha, cp_len, pilots):
+        # The waveform equals a prefix concatenated onto a contiguous product.
         config = _config(kind, alpha, cp_len, pilots)
-        rng = np.random.default_rng(4)
-        out = garbage((3, config.symbols_per_frame, cp_len + 32))
-        rows = garbage((3, config.symbols_per_frame, 32))
-        for _ in range(2):  # a reused buffer holds nothing of the last call
-            bits = random_data_bits(config, rng, 3)
-            want = transmit(config, bits)
-            assert transmit(config, bits, out=out, rows=rows) is out
-            assert_same_bytes(out, want)
-        # The allocating form equals a prefix concatenated onto a contiguous product.
+        bits = random_data_bits(config, np.random.default_rng(4), 3)
+        want = transmit(config, bits)
         data = pam_map(bits).reshape(3, 6, 32)
         pilot = np.broadcast_to(np.concatenate(pilot_rows(config)), (3, sum(pilots), 32))
-        full = np.concatenate([pilot, data], axis=1)
-        assert_same_bytes(rows, full)
-        bodies = multiplex(make_plan(kind, 32, alpha), full)
+        bodies = multiplex(make_plan(kind, 32, alpha), np.concatenate([pilot, data], axis=1))
         assert_same_bytes(want, np.concatenate([bodies[..., 32 - cp_len:], bodies], axis=-1))
-
-    @PILOTS
-    @CP_LENS
-    @KIND_ALPHA
-    def test_receive(self, kind, alpha, cp_len, pilots):
-        config = _config(kind, alpha, cp_len, pilots)
-        samples = np.random.default_rng(5).normal(
-            size=(2, config.symbols_per_frame, cp_len + 32))
-        want = receive(config, samples)
-        out = garbage((2, 6, 32))
-        assert receive(config, samples.ravel(), out=out) is out
-        assert_same_bytes(out, want)
 
     @pytest.mark.parametrize("frames", [1, 3])
     @PILOTS
     @CP_LENS
     @KIND_ALPHA
-    def test_loopback_through_the_buffers(self, kind, alpha, cp_len, pilots, frames):
+    def test_loopback(self, kind, alpha, cp_len, pilots, frames):
         # Noise-free, each received data row is C times its 2-PAM levels,
         # whatever the prefix, the pilots and the frame count.
         config = _config(kind, alpha, cp_len, pilots)
         bits = random_data_bits(config, np.random.default_rng(13), frames)
-        blocks = garbage((frames, config.symbols_per_frame, cp_len + 32))
-        rows = garbage((frames, config.symbols_per_frame, 32))
-        out = garbage((frames, 6, 32))
-        transmit(config, bits, out=blocks, rows=rows)
-        assert receive(config, blocks, out=out) is out
-        levels = PAM_LEVELS[bits].reshape(frames, 6, 32)
-        assert_same_bytes(rows[:, sum(pilots):], levels)
+        out = receive(config, transmit(config, bits))
+        levels = PAM_LEVELS[bits.astype(int)].reshape(frames, 6, 32)
         c = correlation_matrix(kind, 32, alpha).entries
         np.testing.assert_allclose(out, levels @ c.T, rtol=0, atol=1e-12)
 
@@ -167,26 +142,20 @@ class TestChannel:
         drawn *= sigma
         assert_same_bytes(drawn, np.random.default_rng(seed).normal(0.0, sigma, size=shape))
 
-    @pytest.mark.parametrize("shape", [(3, 7, 9), (50,)])
-    def test_apply_awgn(self, shape):
-        x = np.random.default_rng(8).normal(size=shape)
+    @KIND_ALPHA
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_apply_awgn(self, kind, alpha, rows):
+        plan = make_plan(kind, 32, alpha)
         spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=0.75, rng_seed=3)
-        want = apply_awgn(spec, x)
-        # The allocating form is the waveform plus normal(0, sigma) noise.
-        sigma = noise_sigma(spec, float(np.mean(x * x)))
-        assert_same_bytes(want, x + np.random.default_rng(3).normal(0.0, sigma, size=shape))
-        out, scratch = garbage(shape), garbage(shape)
-        assert apply_awgn(spec, x, out=out, scratch=scratch) is out
-        assert_same_bytes(out, want)
-        inplace = x.copy()
-        assert apply_awgn(spec, inplace, out=inplace, scratch=garbage(shape)) is inplace
-        assert_same_bytes(inplace, want)
-
-    def test_energy_scratch_holds_the_squares(self):
-        x = np.random.default_rng(10).normal(size=(6, 11))
-        scratch = garbage(x.shape)
-        assert measure_sample_energy(x, scratch=scratch) == measure_sample_energy(x)
-        assert_same_bytes(scratch, x * x)
+        want = apply_awgn(spec, 1.2, plan, rows)
+        # The allocating form is normal(0, sigma) noise, demultiplexed.
+        white = np.random.default_rng(3).normal(0.0, noise_sigma(spec, 1.2), size=(rows, 32))
+        assert_same_bytes(want, demultiplex(plan, white))
+        out, scratch = garbage((rows, 32)), garbage((rows, 32))
+        for _ in range(2):
+            assert apply_awgn(spec, 1.2, plan, rows, out=out, scratch=scratch) is out
+            assert_same_bytes(out, want)
+            assert_same_bytes(scratch, white)
 
 
 class TestEqualize:
@@ -212,18 +181,13 @@ def _bad_buffers():
     id_cfg = IdConfig(3, correlation_matrix(config.kind, 16, 0.9))
     rows = np.ones((6, 16))
     spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
-    waveform = np.ones((2, 5, 18))
     cases = [
         (lambda buf: multiplex(plan, rows, out=buf), "out", (6, 16), np.float64),
         (lambda buf: demultiplex(plan, rows, out=buf), "out", (6, 16), np.float64),
-        (lambda buf: transmit(config, bits, out=buf), "out", (2, 5, 18), np.float64),
-        (lambda buf: transmit(config, bits, rows=buf), "rows", (2, 5, 16), np.float64),
-        (lambda buf: receive(config, waveform, out=buf), "out", (2, 3, 16), np.float64),
         (lambda buf: pam_map(bits[0], out=buf), "out", (48,), np.float64),
         (lambda buf: pam_index(rows, out=buf), "out", (6, 16), np.int64),
-        (lambda buf: apply_awgn(spec, waveform, out=buf), "out", (2, 5, 18), np.float64),
-        (lambda buf: apply_awgn(spec, waveform, scratch=buf), "scratch", (2, 5, 18), np.float64),
-        (lambda buf: measure_sample_energy(rows, scratch=buf), "scratch", (6, 16), np.float64),
+        (lambda buf: apply_awgn(spec, 1.0, plan, 6, out=buf), "out", (6, 16), np.float64),
+        (lambda buf: apply_awgn(spec, 1.0, plan, 6, scratch=buf), "scratch", (6, 16), np.float64),
     ]
     # The detector's `work` at m < N, m = N and m > N (the loop reads the
     # planes transposed only for m < N), and at I = 0, which skips the loop.
@@ -272,11 +236,12 @@ class TestBadBuffers:
                            match=re.escape("work must be a float32 array of shape (4, 6, 16)")):
             id_equalize_frame(config, np.ones((6, 16)), work=np.zeros(shape, np.float32))
 
-    def test_strided_scratch_rejected(self):
+    @pytest.mark.parametrize("name", ["out", "scratch"])
+    def test_strided_noise_buffer_rejected(self, name):
         spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
-        x = np.ones((4, 6))
-        with pytest.raises(ShapeError, match="^scratch must be C-contiguous$"):
-            apply_awgn(spec, x, scratch=np.zeros((6, 4)).T)
+        plan = make_plan(TransformKind.FRCT, 6, 1.0)
+        with pytest.raises(ShapeError, match=f"^{name} must be C-contiguous$"):
+            apply_awgn(spec, 1.0, plan, 4, **{name: np.zeros((6, 4)).T})
 
 
 
@@ -288,8 +253,7 @@ def _one_allocation(*shapes_dtypes):
             for shape, t in shapes_dtypes]
 
 
-OVERLAPS = [("apply_awgn", "samples", "scratch"), ("measure_sample_energy", "samples", "scratch"),
-            ("id_equalize_frame", "rows", "work")]
+OVERLAPS = [("apply_awgn", "out", "scratch"), ("id_equalize_frame", "rows", "work")]
 
 
 class TestOverlappingBuffers:
@@ -304,11 +268,10 @@ class TestOverlappingBuffers:
             config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
             call = partial(id_equalize_frame, config, rows, work=work)
         else:
-            samples, scratch = _one_allocation(((6, 16), np.float64), ((6, 16), np.float64))
-            samples[:] = np.linspace(-1.0, 1.0, samples.size).reshape(samples.shape)
+            out, scratch = _one_allocation(((6, 16), np.float64), ((6, 16), np.float64))
             spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
-            call = partial(apply_awgn, spec) if function == "apply_awgn" else measure_sample_energy
-            call = partial(call, samples, scratch=scratch)
+            call = partial(apply_awgn, spec, 1.0, make_plan(TransformKind.FRCT, 16, 0.9), 6,
+                           out=out, scratch=scratch)
         with pytest.raises(ParameterError, match=f"^{first} and {second} must not share memory$"):
             call()
 
@@ -335,47 +298,62 @@ class TestOverlappingBuffers:
         want = id_equalize_frame(config, rows.copy())
         got = id_equalize_frame(config, rows, work=work)
         assert_same_bytes(got, want)
-        scratch = work.reshape(-1)[:size * 2].view(np.float64).reshape(6, 16)
-        assert measure_sample_energy(rows, scratch=scratch) == measure_sample_energy(rows.copy())
 
     @pytest.mark.parametrize("iterations", [0, 5])
     def test_the_sweep_workspace_passes(self, iterations):
-        # The sweep's detector works in the waveform and the noise.
+        # The sweep's detector works in the noise/signal pair.
         config = ModemConfig(n=16, alpha=0.9, data_symbols_per_frame=3, training_symbols=0,
                              sync_symbols=0)
         work = _workspace(config, 2)
-        rows = work["data"].reshape(-1, 16)
+        rows = work["rows"]
         rows[:] = np.random.default_rng(15).normal(size=rows.shape)
         id_cfg = IdConfig(iterations, correlation_matrix(TransformKind.FRCT, 16, 0.9))
         want = id_equalize_frame(id_cfg, rows.copy())
-        got = id_equalize_frame(id_cfg, rows, work=work["detector"])
-        assert np.shares_memory(got, work["waveform"])
+        detector = work["pair"].reshape(-1).view(np.float32).reshape(4, 6, 16)
+        got = id_equalize_frame(id_cfg, rows, work=detector)
+        assert np.shares_memory(got, work["pair"])
         assert_same_bytes(got, want)
 
 
+# The bytes of the arrays `_workspace` allocated for the benchmark's layouts
+# before the sweep formed its rows in the data domain, when it held the
+# waveform, the frequency-domain frame rows and the noise.  A workspace may
+# not grow past them.
+LAYOUTS = {
+    "ortho_sweep": (ModemConfig(n=256, alpha=1.0, cp_len=0, data_symbols_per_frame=128,
+                                training_symbols=0, sync_symbols=0), 4, True, 5_373_952),
+    "ftn_sweep": (experiment_baseline(alpha=0.8), 4, True, 5_786_624),
+    "large_n": (experiment_baseline(alpha=0.8, n=1024), 1, False, 3_582_720),
+}
+
+
 class TestWorkspace:
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_detector_works_in_the_waveform_and_the_noise(self, scaled):
-        # The detector's `work` is the float32 start of the waveform/noise
-        # pair, which spans both halves in the baseline layout, and apart
-        # from every other buffer: the workspace allocates no bytes for it.
-        config = experiment_baseline()
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_no_more_bytes_than_the_time_domain_chain(self, layout):
+        config, frames, scaled, budget = LAYOUTS[layout]
         tracemalloc.start()
         try:
-            work = _workspace(config, 4, scaled)
+            work = _workspace(config, frames, scaled)
             allocated = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        detector = work["detector"]
-        m = 4 * config.data_symbols_per_frame
-        assert (detector.dtype, detector.shape) == (np.float32, (4, m, config.n))
-        assert detector.flags.c_contiguous and detector.flags.writeable
-        others = [name for name in work if name != "detector"]
-        sharing = [name for name in others if np.shares_memory(detector, work[name])]
-        assert sharing == ["waveform", "noise"]
-        assert work["noise"].base is work["waveform"].base
-        pair = work["waveform"].base
-        owners = [work["rows"], pair, work["wrong"]]
-        owners += [work["noise_rows"], work["scaled_rows"]] if scaled else []
-        arrays = sum(a.nbytes for a in owners)
+        arrays = sum(a.nbytes for a in work.values())
         assert arrays <= allocated < arrays + 4096
+        assert arrays <= budget
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_buffers_are_apart_and_sized(self, scaled):
+        # The detector's float32 `work` is the whole pair; every buffer is
+        # its own allocation, of the data rows' shape.
+        config = experiment_baseline()
+        work = _workspace(config, 4, scaled)
+        m = 4 * config.data_symbols_per_frame
+        names = ["pair", "rows", "wrong"] + (["signal", "scaled"] if scaled else [])
+        assert list(work) == names
+        assert work["pair"].shape == (2, m, config.n)
+        assert work["wrong"].shape == (m * config.n,)
+        assert all(work[name].shape == (m, config.n) for name in names if name not in
+                   ("pair", "wrong"))
+        assert all(a.flags.c_contiguous and a.flags.owndata for a in work.values())
+        detector = work["pair"].reshape(-1).view(np.float32)
+        assert detector.size == 4 * m * config.n

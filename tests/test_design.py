@@ -103,16 +103,13 @@ def test_every_public_name_has_a_caller():
 
 
 # Every keyword-only parameter of a public function: the buffers (`out`,
-# `rows`, `scratch`, `work`) and the detector's `trace`.  A new buffer or
+# `scratch`, `work`) and the detector's `trace`.  A new buffer or
 # other keyword knob has to be added here on purpose.
 KEYWORD_ONLY = {
     "channel.apply_awgn": ("out", "scratch"),
-    "channel.measure_sample_energy": ("scratch",),
     "equalize.id_equalize_frame": ("trace", "work"),
     "modem.pam_index": ("out",),
     "modem.pam_map": ("out",),
-    "modem.receive": ("out",),
-    "modem.transmit": ("out", "rows"),
     "transforms.demultiplex": ("out",),
     "transforms.multiplex": ("out",),
 }

@@ -9,7 +9,7 @@ import pytest
 
 from ftnlab.berlab import BerSweepResult, SweepSpec, required_ebn0_at_ber, wilson_interval
 from ftnlab.capacity import CapacityParams
-from ftnlab.channel import AwgnSpec, apply_awgn, measure_sample_energy
+from ftnlab.channel import AwgnSpec, apply_awgn
 from ftnlab.config import capacity_params
 from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import (
@@ -20,7 +20,7 @@ from ftnlab.icimodel import (
     IciPdfModel, correlation_matrix, fit_sigma_mle, ici_histogram, ks_distance, mixture_cdf,
     mixture_pdf,
 )
-from ftnlab.modem import ModemConfig, pam_index, receive
+from ftnlab.modem import ModemConfig, pam_index
 from ftnlab.transforms import TransformKind, demultiplex, make_plan, multiplex
 
 NOT_REAL = ["1", None, True, False, np.bool_(True), 1j, [0.5], np.array([0.5])]
@@ -120,6 +120,7 @@ REAL_PARAMETERS = [
     ("alpha", lambda v: make_plan(TransformKind.FRCT, 8, v), 0.9),
     ("alpha", lambda v: correlation_matrix(TransformKind.FRCT, 8, v), 0.9),
     ("snr_db", lambda v: capacity_params(snr_db=v), 10.0),
+    ("sample_energy", lambda v: apply_awgn(AwgnSpec(5.0, 1.0), v, _PLAN, 2), 1.5),
 ]
 
 
@@ -141,8 +142,6 @@ class TestRealParameters:
 _N = 8
 _PLAN = make_plan(TransformKind.FRCT, _N, 0.9)
 _ID = IdConfig(2, correlation_matrix(TransformKind.FRCT, _N, 0.9))
-_LINK = ModemConfig(n=_N, alpha=0.9, data_symbols_per_frame=1, training_symbols=0,
-                    sync_symbols=0)
 _MIXTURE = IciPdfModel(sigma=0.5)
 
 # Each public function with a real-array argument: (its name, a call that
@@ -150,9 +149,6 @@ _MIXTURE = IciPdfModel(sigma=0.5)
 REAL_ARRAYS = {
     "multiplex": ("symbols", lambda v: multiplex(_PLAN, v)),
     "demultiplex": ("samples", lambda v: demultiplex(_PLAN, v)),
-    "measure_sample_energy": ("samples", measure_sample_energy),
-    "apply_awgn": ("samples", lambda v: apply_awgn(AwgnSpec(10.0, 1.0), v)),
-    "receive": ("samples", lambda v: receive(_LINK, v)),
     "pam_index": ("values", pam_index),
     "id_equalize_frame": ("rows", lambda v: id_equalize_frame(_ID, [v])),
     "mixture_pdf": ("x", lambda v: mixture_pdf(_MIXTURE, v)),

@@ -13,18 +13,19 @@ from ftnlab.modem import (
     ModemConfig,
     PAM_LEVELS,
     SAMPLE_RATE,
+    expected_sample_energy,
     pam_index,
     pam_map,
     experiment_baseline,
     pilot_rows,
     random_data_bits,
     rate_report,
-    receive,
     transmit,
 )
 from ftnlab import records
 from ftnlab.icimodel import CorrelationMatrix, correlation_matrix
 from ftnlab.transforms import TransformKind, demultiplex, make_plan, multiplex
+from timedomain import measure_sample_energy, receive
 
 
 class TestPamMapping:
@@ -323,6 +324,56 @@ class TestTransmitReceive:
         assert np.array_equal(sync_a, sync_b)
         assert np.array_equal(train_a, train_b)
         assert set(np.unique(sync_a)) == {-1.0, 1.0}
+
+
+class TestExpectedSampleEnergy:
+    """The closed-form energy against the measured energy of `transmit`'s
+    waveforms, the route the sweep's noise level used to take."""
+
+    @pytest.mark.parametrize("config", [
+        experiment_baseline(alpha=0.8),
+        experiment_baseline(alpha=0.45, kind=TransformKind.FRHT),
+        experiment_baseline(alpha=0.8, n=1024),
+    ], ids=["FrCT-0.8", "FrHT-0.45", "FrCT-0.8-N1024"])
+    def test_mean_measured_energy_within_four_standard_errors(self, config):
+        rng = np.random.default_rng(31)
+        frames = 4 if config.n == 256 else 1
+        measured = [measure_sample_energy(transmit(config, random_data_bits(config, rng, frames)))
+                    for _ in range(200)]
+        error = np.std(measured, ddof=1) / np.sqrt(len(measured))
+        assert abs(np.mean(measured) - expected_sample_energy(config)) < 4.0 * error
+
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_orthonormal_layout_without_overhead_is_exact(self, kind):
+        config = ModemConfig(n=64, alpha=1.0, kind=kind, cp_len=0, data_symbols_per_frame=8,
+                             training_symbols=0, sync_symbols=0)
+        measured = measure_sample_energy(
+            transmit(config, random_data_bits(config, np.random.default_rng(2), 3)))
+        assert expected_sample_energy(config) == pytest.approx(measured, rel=1e-12, abs=0)
+        assert expected_sample_energy(config) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    @pytest.mark.parametrize("cp_len", [4, 16])
+    def test_prefix_of_unit_power_samples_keeps_unit_energy(self, kind, cp_len):
+        # At alpha = 1 every data sample has mean square 1 and a prefix
+        # repeats such samples, so the mean stays 1 only if the prefix is
+        # counted in both the energy and the sample count.
+        config = ModemConfig(n=64, alpha=1.0, kind=kind, cp_len=cp_len, data_symbols_per_frame=8,
+                             training_symbols=0, sync_symbols=0)
+        assert expected_sample_energy(config) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    def test_pilot_rows_and_prefixes_count(self):
+        # One data bit per frame, so each frame's energy is almost all pilot
+        # and prefix: the expectation is a weighted sum of exact block energies.
+        config = ModemConfig(n=16, alpha=0.7, cp_len=5, data_symbols_per_frame=1,
+                             training_symbols=3, sync_symbols=2)
+        plan = make_plan(config.kind, 16, 0.7)
+        blocks = transmit(config, random_data_bits(config, np.random.default_rng(3), 1))[0]
+        pilot_energy = np.sum(np.square(blocks[:5]))
+        data_power = np.sum(np.square(plan.kernel), axis=1)
+        data_energy = data_power.sum() + data_power[16 - 5:].sum()
+        expected = (pilot_energy + data_energy) / (6 * 21)
+        assert expected_sample_energy(config) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRateReport:

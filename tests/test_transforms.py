@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.transforms import (
-    TransformKind, _frct_kernel, _frht_kernel, demultiplex, make_plan, multiplex,
+    TransformKind, _frct_kernel, _frht_kernel, demultiplex, make_plan, multiplex, sample_power,
 )
 
 
@@ -180,3 +180,41 @@ class TestInvariants:
         plan = make_plan(TransformKind.FRCT, 32, 0.8)
         v = np.linspace(-1, 1, 32)
         assert np.array_equal(multiplex(plan, v), multiplex(plan, v))
+
+
+class TestSamplePower:
+    """`sample_power`, the per-sample mean square behind the sweep's noise
+    level, against the kernel, the closed-form C and multiplexed levels."""
+
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_is_the_diagonal_of_k_kt(self, kind, alpha, n):
+        plan = make_plan(kind, n, alpha)
+        assert_allclose(sample_power(plan), np.diag(plan.kernel @ plan.kernel.T), rtol=1e-12,
+                        atol=0)
+
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_sums_to_the_trace_of_c(self, kind, alpha, n):
+        # sum_n (K K^T)[n, n] = trace(K^T K): the total power over the
+        # samples is the closed-form C's diagonal sum, which owes nothing to
+        # the kernel's build.
+        total = np.sum(sample_power(make_plan(kind, n, alpha)))
+        assert total == pytest.approx(np.trace(correlation_matrix(kind, n, alpha).entries),
+                                      rel=1e-10)
+
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_unit_at_alpha_one(self, kind, n):
+        # An orthonormal square kernel has K K^T = I as well as K^T K = I.
+        assert_allclose(sample_power(make_plan(kind, n, 1.0)), np.ones(n), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    def test_is_the_mean_square_of_multiplexed_levels(self, kind):
+        plan = make_plan(kind, 32, 0.8)
+        levels = 2.0 * np.random.default_rng(9).integers(0, 2, (4000, 32)) - 1.0
+        square = np.square(multiplex(plan, levels))
+        error = np.std(square, axis=0, ddof=1) / np.sqrt(len(square))
+        assert np.all(np.abs(np.mean(square, axis=0) - sample_power(plan)) < 5.0 * error)
