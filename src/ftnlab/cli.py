@@ -58,7 +58,7 @@ def build_parser():
     add_parser = partial(parser.add_subparsers(dest="subcommand").add_parser, allow_abbrev=False)
 
     p = add_parser("sweep-ber", help="Monte Carlo BER sweep over a parameter grid")
-    p.add_argument("--config", help="key/value config file")
+    p.add_argument("--config", help="sweep file: a JSON object of every sweep key")
     p.add_argument("--seed", type=int, help="RNG seed override")
     _out_flags(p)
     p.add_argument(
@@ -188,13 +188,15 @@ _RUNNERS = {
 
 
 def _resolve(args):
-    """The parameters a run records: those of sweep-ber's config file, the
+    """The parameters a run records: those of sweep-ber's sweep file, the
     CapacityParams of the capacity flags, or else the subcommand's own
     parameter flags that are set, in declaration order."""
     if args.subcommand == "sweep-ber":
         if not args.config:
             raise ConfigError("sweep-ber requires --config")
-        spec = config.sweep_spec_from_file(args.config, seed_override=args.seed)
+        spec = config.sweep_spec_from_file(args.config)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
         return config.sweep_spec_to_dict(spec)
     given = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS and v is not None}
     if args.subcommand != "capacity":

@@ -1,9 +1,8 @@
-"""Flat key/value configuration files and reproducibility manifests.
+"""Sweep files and reproducibility manifests, both JSON objects.
 
-Config format: one `key = value` per line, `#` comments, optional
-`[section]` headers (cosmetic grouping; keys are global and must be
-unique).  Multi-valued axes are comma lists, e.g. `ebn0_db = 4, 6, 8`.
-Unknown keys are rejected so typos fail loudly.
+A sweep file holds a value for every sweep key, exactly as
+`sweep_spec_to_dict` writes it and a sweep manifest records it under
+`resolved`.
 """
 
 import time
@@ -17,7 +16,7 @@ from .exceptions import ConfigError, ExportError, ParameterError, check_real
 from .modem import ModemConfig
 from .transforms import TransformKind
 
-# A sweep axis holds the values of one grid coordinate; its config key is the
+# A sweep axis holds the values of one grid coordinate; its sweep key is the
 # singular.  The alpha and kind axes also set those base ModemConfig fields.
 _AXIS_KEYS = {
     "alphas": "alpha",
@@ -26,14 +25,7 @@ _AXIS_KEYS = {
     "kinds": "kind",
 }
 
-# Defaults that differ from the dataclasses on purpose: a config file describes
-# a link without pilot rows, swept over five Eb/N0 points, and the capacity
-# flags normalise the powers and bandwidth to 1.
-_SWEEP_DEFAULTS = {
-    "training_symbols": 0,
-    "sync_symbols": 0,
-    "ebn0_db": (4.0, 6.0, 8.0, 10.0, 12.0),
-}
+# The capacity flags normalise the powers and bandwidth to 1.
 _CAPACITY_DEFAULTS = {"bandwidth_hz": 1.0, "signal_power": 1.0, "noise_power": 1.0}
 
 # Sweep key -> dataclass field: the ModemConfig fields the axes leave free,
@@ -45,33 +37,6 @@ _SPEC_FIELDS = {
 _SWEEP_FIELDS = {**_MODEM_FIELDS, **_SPEC_FIELDS}
 
 
-def read_key_values(path):
-    """Parse the raw file into {key: (value_string, line_number)}."""
-    try:
-        with records.opened(path) as fh:
-            lines = fh.readlines()
-    except ExportError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            continue  # section headers are grouping only
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ConfigError(f"{path}:{lineno}: empty key")
-        if key in out:
-            raise ConfigError(
-                f"{path}: duplicate key {key!r} on lines {out[key][1]} and {lineno}"
-            )
-        out[key] = (value, lineno)
-    return out
-
-
 def transform_kind(value, where="kind"):
     """The TransformKind named `value`, or a ConfigError naming `where`."""
     try:
@@ -81,70 +46,8 @@ def transform_kind(value, where="kind"):
         raise ConfigError(f"{where} must be {names}, got {value!r}") from None
 
 
-def _convert(path, key, value, lineno, kind):
-    """Parse one value as its field's type: int, float, TransformKind, or a
-    tuple of one of them written as a comma list."""
-    def scalar(text, caster):
-        if caster is TransformKind:
-            return transform_kind(text, f"{path}:{lineno}: {key}")
-        if caster is int:
-            try:
-                return int(text)  # exact for integer literals of any size
-            except ValueError:
-                pass
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: cannot parse {key} value {text!r}")
-        if caster is float:
-            return value
-        # Integral float spellings such as 1e6 are accepted; 16.7 is not truncated.
-        if not value.is_integer():
-            raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {text!r}")
-        return int(value)
-
-    if get_origin(kind) is not tuple:
-        return scalar(value, kind)
-    items = [v.strip() for v in value.split(",")]
-    if not any(items):
-        raise ConfigError(f"{path}:{lineno}: {key} list is empty")
-    if not all(items):
-        raise ConfigError(f"{path}:{lineno}: {key} list has an empty item")
-    return tuple(scalar(v, get_args(kind)[0]) for v in items)
-
-
-def _sweep_spec(values, source):
-    """The SweepSpec of a value for every sweep key; a value that it refuses is
-    a ConfigError naming `source` and the key."""
-    missing = sorted(_SWEEP_FIELDS.keys() - values.keys())
-    if missing:
-        raise ConfigError(f"{source}: missing required key(s) {missing}")
-    try:
-        spec = SweepSpec(
-            config=ModemConfig(**{key: values[key] for key in _MODEM_FIELDS}),
-            **{f.name: values[key] for key, f in _SPEC_FIELDS.items()},
-        )
-    except ParameterError as exc:  # its message starts with the field
-        field, _, rule = str(exc).partition(" ")
-        raise ConfigError(f"{source}: {_AXIS_KEYS.get(field, field)} {rule}") from None
-    return replace(spec, config=replace(spec.config, alpha=spec.alphas[0], kind=spec.kinds[0]))
-
-
-def sweep_spec_from_file(path, seed_override=None):
-    raw = read_key_values(path)
-    unknown = sorted(raw.keys() - _SWEEP_FIELDS.keys())
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys: {sorted(_SWEEP_FIELDS)}")
-    values = {key: f.default for key, f in _SWEEP_FIELDS.items() if f.default is not MISSING}
-    values.update(_SWEEP_DEFAULTS)
-    values.update({key: _convert(path, key, value, lineno, _SWEEP_FIELDS[key].type)
-                   for key, (value, lineno) in raw.items()})
-    spec = _sweep_spec(values, path)
-    return spec if seed_override is None else replace(spec, seed=seed_override)
-
-
 def sweep_spec_to_dict(spec):
-    """The spec as JSON values under its config keys, in schema order."""
+    """The spec as JSON values under its sweep keys, in schema order."""
     def plain(value):
         if isinstance(value, tuple):
             return [plain(v) for v in value]
@@ -157,9 +60,9 @@ def sweep_spec_to_dict(spec):
 
 
 def sweep_spec_from_json_dict(values, source="sweep dict"):
-    """Inverse of `sweep_spec_to_dict`; an unknown key, or a value of the
-    wrong JSON type, raises a ConfigError naming `source` (such as the
-    manifest the values come from) and its key."""
+    """Inverse of `sweep_spec_to_dict`; an unknown or missing key, or a value
+    of the wrong JSON type, raises a ConfigError naming `source` (the sweep
+    file or manifest the values come from) and the key."""
     def typed(key, value, kind):
         if get_origin(kind) is tuple:
             if not isinstance(value, list):
@@ -174,11 +77,25 @@ def sweep_spec_from_json_dict(values, source="sweep dict"):
     unknown = sorted(values.keys() - _SWEEP_FIELDS.keys())
     if unknown:
         raise ConfigError(f"{source}: unknown key(s) {unknown}")
-    return _sweep_spec(
-        {key: typed(key, values[key], f.type)
-         for key, f in _SWEEP_FIELDS.items() if key in values},
-        source,
-    )
+    values = {key: typed(key, values[key], f.type)
+              for key, f in _SWEEP_FIELDS.items() if key in values}
+    missing = sorted(_SWEEP_FIELDS.keys() - values.keys())
+    if missing:
+        raise ConfigError(f"{source}: missing required key(s) {missing}")
+    try:
+        spec = SweepSpec(
+            config=ModemConfig(**{key: values[key] for key in _MODEM_FIELDS}),
+            **{f.name: values[key] for key, f in _SPEC_FIELDS.items()},
+        )
+    except ParameterError as exc:  # its message starts with the field
+        field, _, rule = str(exc).partition(" ")
+        raise ConfigError(f"{source}: {_AXIS_KEYS.get(field, field)} {rule}") from None
+    return replace(spec, config=replace(spec.config, alpha=spec.alphas[0], kind=spec.kinds[0]))
+
+
+def sweep_spec_from_file(path):
+    """The SweepSpec of the sweep file at `path`, which every refusal names."""
+    return sweep_spec_from_json_dict(_json_object(path, "sweep file"), path)
 
 
 def capacity_params(snr_db=None, **values):
@@ -219,13 +136,20 @@ def manifest_path_for(output_path):
     return f"{output_path}.manifest.json"
 
 
-def load_manifest(path):
+def _json_object(path, what):
+    """The JSON object in the file at `path`: a file that cannot be read, or
+    holds no JSON object, is a ConfigError naming `path` and `what` it is."""
     try:
         payload = records.read_json(path)
     except ExportError as exc:
         raise ConfigError(str(exc)) from exc
     if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: a manifest must be a JSON object")
+        raise ConfigError(f"{path}: a {what} must be a JSON object")
+    return payload
+
+
+def load_manifest(path):
+    payload = _json_object(path, "manifest")
     known = fields(RunManifest)
     unknown = sorted(set(payload) - {f.name for f in known})
     if unknown:

@@ -78,16 +78,18 @@ def pam_map(bits, *, out=None):
     """The 2-PAM level of each bit, as a vector: 0 -> -1, 1 -> +1.  `out`, if
     given, receives the levels: a C-contiguous float64 vector, one per bit."""
     bits = np.asarray(bits)
-    # Every bit is 0 or 1: one min/max pass, and for floats an integrality pass.
-    if bits.dtype.kind != "b" and bits.size and not (
-        bits.dtype.kind in "iuf" and bits.min() >= 0 and bits.max() <= 1
-        and (bits.dtype.kind != "f" or np.all(bits == np.floor(bits)))
-    ):
+    # Every bit is 0 or 1: a real dtype, one min/max pass, and for floats an
+    # integrality pass.
+    kind = bits.dtype.kind
+    if kind != "b" and (kind not in "iuf" or bits.size and not (
+        bits.min() >= 0 and bits.max() <= 1 and (kind != "f" or np.all(bits == np.floor(bits)))
+    )):
         bad = [b for b in bits.ravel().tolist() if b not in (0, 1)][:1] or [bits.dtype]
         raise ParameterError(f"bits must be 0 or 1, got {bad[0]!r}")
     check_buffer(out, (bits.size,), np.float64, "out")
-    # Every bit is 0 or 1, so "clip" only spares take() its buffered copy.
-    return np.take(PAM_LEVELS, bits.reshape(-1).astype(np.intp, copy=False), out=out, mode="clip")
+    levels = np.multiply(bits.reshape(-1), 2.0, out=out, dtype=np.float64)
+    levels -= 1.0
+    return levels
 
 
 def pam_index(values, *, out=None):

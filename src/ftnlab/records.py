@@ -40,12 +40,22 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def _object(pairs):
+    """A JSON object's pairs as a dict; a key given twice is a ValueError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def read_json(path):
     with opened(path) as fh:
         text = fh.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, object_pairs_hook=_object)
+    except ValueError as exc:  # bad JSON, a repeated key, or an integer of over 4300 digits
         raise ExportError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -7,6 +7,7 @@ line with the measured values before asserting, so a red run still
 reports every measurement.
 """
 
+import json
 import math
 
 import numpy as np
@@ -309,12 +310,13 @@ class TestCriterion11:
 
 class TestCriterion12:
     def test_criterion_12_manifest_determinism(self, tmp_path, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(
-            "alpha = 0.9\nn = 64\ncp_len = 4\ndata_symbols_per_frame = 16\n"
-            "ebn0_db = 6, 8\niterations = 10\nmin_errors = 100\n"
-            "frames_per_batch = 2\n"
-        )
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "n": 64, "cp_len": 4, "data_symbols_per_frame": 16, "training_symbols": 0,
+            "sync_symbols": 0, "alpha": [0.9], "ebn0_db": [6.0, 8.0], "iterations": [10],
+            "kind": ["FrCT"], "max_bits": 1_000_000, "min_errors": 100,
+            "frames_per_batch": 2, "seed": 0,
+        }))
         out = tmp_path / "sweep.csv"
         assert cli_main(["sweep-ber", "--config", str(cfg), "--out", str(out),
                          "--workers", "1"]) == 0

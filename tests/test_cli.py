@@ -22,18 +22,19 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-_SWEEP_CFG = (
-    "alpha = 0.9\n"
-    "n = 64\n"
-    "cp_len = 4\n"
-    "data_symbols_per_frame = 16\n"
-    "ebn0_db = 6\n"
-    "iterations = 10\n"
-    "min_errors = 50\n"
-    "frames_per_batch = 2\n"
-)
+_SWEEP = {"n": 64, "cp_len": 4, "data_symbols_per_frame": 16, "training_symbols": 0,
+          "sync_symbols": 0, "alpha": [0.9], "ebn0_db": [6.0], "iterations": [10],
+          "kind": ["FrCT"], "max_bits": 1_000_000, "min_errors": 50, "frames_per_batch": 2,
+          "seed": 0}
 
-# One small run of each subcommand; SWEEP_CFG stands for a file of _SWEEP_CFG.
+
+def _write_sweep(path, **edits):
+    """Write `_SWEEP` with `edits` to `path` as a sweep file; returns its path."""
+    path.write_text(json.dumps({**_SWEEP, **edits}))
+    return str(path)
+
+
+# One small run of each subcommand; SWEEP_CFG stands for a sweep file of _SWEEP.
 _SMALL_RUNS = [
     ["sweep-ber", "--config", "SWEEP_CFG"],
     ["corr-row", "--n", "16", "--k", "3"],
@@ -46,9 +47,7 @@ _SMALL_RUNS = [
 
 @pytest.fixture()
 def sweep_cfg(tmp_path):
-    path = tmp_path / "sweep.cfg"
-    path.write_text(_SWEEP_CFG)
-    return str(path)
+    return _write_sweep(tmp_path / "sweep.json")
 
 
 class TestBasics:
@@ -202,12 +201,12 @@ class TestSweepBer:
 
     def test_higher_pam_order_needs_zero_iterations(self, capsys, tmp_path):
         # The link is 2-PAM end to end: pam_order is no key, at any value.
-        cfg = tmp_path / "sweep.cfg"
         out = tmp_path / "sweep.csv"
-        for text in (_SWEEP_CFG, _SWEEP_CFG.replace("iterations = 10", "iterations = 0")):
+        for iterations in ([10], [0]):
             for order in (4, 2):
-                cfg.write_text(text + f"pam_order = {order}\n")
-                code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg),
+                cfg = _write_sweep(tmp_path / "sweep.json", iterations=iterations,
+                                   pam_order=order)
+                code, stdout, err = _run(capsys, "sweep-ber", "--config", cfg,
                                          "--out", str(out))
                 assert code == 2
                 assert "unknown key(s) ['pam_order']" in _one_json_error(err)
@@ -215,37 +214,24 @@ class TestSweepBer:
                 assert not out.exists()
 
     def test_sample_rate_is_no_key(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(_SWEEP_CFG + "sample_rate = 5e9\n")
+        cfg = _write_sweep(tmp_path / "sweep.json", sample_rate=5e9)
         out = tmp_path / "sweep.csv"
-        code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))
+        code, stdout, err = _run(capsys, "sweep-ber", "--config", cfg, "--out", str(out))
         assert code == 2
         assert "unknown key(s) ['sample_rate']" in _one_json_error(err)
         assert stdout == ""
         assert not out.exists()
 
-    def test_empty_list_item_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(_SWEEP_CFG.replace("ebn0_db = 6", "ebn0_db = 4,,8"))
-        out = tmp_path / "sweep.csv"
-        code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))
-        assert code == 2
-        assert _one_json_error(err) == f"{cfg}:5: ebn0_db list has an empty item"
-        assert stdout == ""
-        assert not out.exists()
-
-    @pytest.mark.parametrize("line,bad,message", [
-        ("alpha = 0.9", "alpha = 1.0, 1.0", "alpha has a repeated value 1.0"),
-        ("ebn0_db = 6", "ebn0_db = 6, 4, 6", "ebn0_db has a repeated value 6.0"),
-        ("ebn0_db = 6", "ebn0_db = nan", "ebn0_db must be finite, got nan"),
-        ("frames_per_batch = 2", "frames_per_batch = 0",
-         "frames_per_batch must be an integer >= 1, got 0"),
+    @pytest.mark.parametrize("key,value,message", [
+        ("alpha", [1.0, 1.0], "alpha has a repeated value 1.0"),
+        ("ebn0_db", [6.0, 4.0, 6.0], "ebn0_db has a repeated value 6.0"),
+        ("ebn0_db", [math.nan], "ebn0_db must be finite, got nan"),
+        ("frames_per_batch", 0, "frames_per_batch must be an integer >= 1, got 0"),
     ], ids=["alpha-repeated", "ebn0_db-repeated", "ebn0_db-nan", "frames_per_batch"])
-    def test_refused_value_names_file_and_key(self, capsys, tmp_path, line, bad, message):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(_SWEEP_CFG.replace(line, bad))
+    def test_refused_value_names_file_and_key(self, capsys, tmp_path, key, value, message):
+        cfg = _write_sweep(tmp_path / "sweep.json", **{key: value})
         out = tmp_path / "sweep.csv"
-        code, stdout, err = _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(out))
+        code, stdout, err = _run(capsys, "sweep-ber", "--config", cfg, "--out", str(out))
         assert code == 2
         assert _one_json_error(err) == f"{cfg}: {message}"
         assert stdout == ""
@@ -272,6 +258,33 @@ class TestManifestReplay:
         )
         assert code == 0
         assert out.read_bytes() == original
+
+    @pytest.mark.parametrize("seed", [None, 7], ids=["file-seed", "seed-flag"])
+    def test_resolved_is_a_sweep_file(self, capsys, tmp_path, sweep_cfg, seed):
+        # A sweep manifest's `resolved`, run as a sweep file, writes what the
+        # manifest replays and is recorded as it is, or with the --seed given.
+        out = tmp_path / "sweep.csv"
+        assert _run(capsys, "sweep-ber", "--config", sweep_cfg, "--out", str(out))[0] == 0
+        manifest = tmp_path / "sweep.csv.manifest.json"
+        resolved = json.loads(manifest.read_text())["resolved"]
+        cfg = tmp_path / "resolved.json"
+        cfg.write_text(json.dumps(resolved))
+        again = tmp_path / "again.csv"
+        seed_flag = [] if seed is None else ["--seed", str(seed)]
+        assert _run(capsys, "sweep-ber", "--config", str(cfg), "--out", str(again),
+                    *seed_flag)[0] == 0
+        recorded = json.loads((tmp_path / "again.csv.manifest.json").read_text())
+        assert recorded["resolved"] == (resolved if seed is None else {**resolved, "seed": 7})
+        assert recorded["seed"] == (0 if seed is None else 7)
+        if seed is None:
+            out.unlink()
+            assert _run(capsys, "--manifest", str(manifest))[0] == 0
+            assert again.read_bytes() == out.read_bytes()
+        else:
+            written = again.read_bytes()
+            again.unlink()
+            assert _run(capsys, "--manifest", str(tmp_path / "again.csv.manifest.json"))[0] == 0
+            assert again.read_bytes() == written != out.read_bytes()
 
     def test_subcommand_with_manifest_rejected(self, capsys, tmp_path):
         out = tmp_path / "rates.json"
@@ -356,11 +369,6 @@ class TestManifestReplay:
                                         "format must be 'csv' or 'json', got 'xml'")
         assert not out.exists()
 
-    def test_replay_missing_manifest(self, capsys, tmp_path):
-        code, _, err = _run(capsys, "--manifest", str(tmp_path / "none.json"))
-        assert code == 2
-        assert "error:" in err
-
     @pytest.mark.parametrize(
         "edit,field",
         [
@@ -395,10 +403,10 @@ def small_manifests(tmp_path_factory):
     """The manifest of each of `_SMALL_RUNS`, keyed by subcommand, and a
     directory for edited copies."""
     tmp = tmp_path_factory.mktemp("replays")
-    (tmp / "sweep.cfg").write_text(_SWEEP_CFG)
+    sweep = _write_sweep(tmp / "sweep.json")
     manifests = {}
     for argv in _SMALL_RUNS:
-        argv = [str(tmp / "sweep.cfg") if a == "SWEEP_CFG" else a for a in argv]
+        argv = [sweep if a == "SWEEP_CFG" else a for a in argv]
         out = tmp / f"{argv[0]}.out"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([*argv, "--out", str(out)]) == 0
@@ -459,7 +467,7 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("argv", [["sweep-ber", "--config"], ["--manifest"]],
                              ids=" ".join)
     def test_undecodable_file_names_path(self, capsys, tmp_path, argv):
-        path = tmp_path / "input.cfg"
+        path = tmp_path / "input.json"
         path.write_bytes(_NOT_UTF8)
         out = ["--out", str(tmp_path / "out.json")] if argv[0] != "--manifest" else []
         code, stdout, err = _run(capsys, *argv, str(path), *out)
@@ -467,17 +475,6 @@ class TestBadInputFiles:
         assert _one_json_error(err).startswith(f"{path}: ")
         assert stdout == ""
         assert list(tmp_path.iterdir()) == [path]
-
-    def test_config_with_a_byte_order_mark(self, capsys, tmp_path):
-        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
-        plain.write_text(_SWEEP_CFG, encoding="utf-8")
-        marked.write_bytes(b"\xef\xbb\xbf" + _SWEEP_CFG.encode())
-        outputs = []
-        for path in (plain, marked):
-            out = tmp_path / f"{path.stem}.json"
-            assert _run(capsys, "sweep-ber", "--config", str(path), "--out", str(out))[0] == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("subcommand", [argv[0] for argv in _SMALL_RUNS])
     def test_replayed_unknown_key_rejected(self, small_manifests, subcommand):
@@ -637,11 +634,9 @@ class TestErrorsExitCleanly:
         (["sweep-ber", "--config", "BIG_CFG"], "frames_per_batch = 1000000000000"),
     ], ids=["ici-pdf", "psd", "sweep-ber"])
     def test_run_too_large_to_allocate_names_its_field(self, capsys, tmp_path, argv, field):
-        big_cfg = tmp_path / "big.cfg"
-        big_cfg.write_text(_SWEEP_CFG.replace("frames_per_batch = 2",
-                                              "frames_per_batch = 1000000000000"))
+        big_cfg = _write_sweep(tmp_path / "big.json", frames_per_batch=1_000_000_000_000)
         out = tmp_path / "out.json"
-        argv = [str(big_cfg) if arg == "BIG_CFG" else arg for arg in argv]
+        argv = [big_cfg if arg == "BIG_CFG" else arg for arg in argv]
         code, _, err = _run(capsys, *argv, "--out", str(out))
         assert code == 2
         message = _one_json_error(err)
@@ -659,10 +654,8 @@ class TestErrorsExitCleanly:
 
 
 # A sweep that stops at its first batch: one point, 64 bits, at 0 dB.
-_TINY_SWEEP_CFG = (
-    "alpha = 0.9\nn = 16\ncp_len = 0\ndata_symbols_per_frame = 4\nebn0_db = 0\n"
-    "iterations = 2\nmin_errors = 1\nframes_per_batch = 1\n"
-)
+_TINY_SWEEP = {**_SWEEP, "n": 16, "cp_len": 0, "data_symbols_per_frame": 4,
+               "ebn0_db": [0.0], "iterations": [2], "min_errors": 1, "frames_per_batch": 1}
 _ALPHAS = ["0.8", "1", "0", "-0.5", "1.5", "nan", "inf", "x"]
 _KINDS = ["FrCT", "FrHT", "FrXT", ""]
 _SEEDS = ["0", "7", "-1", "1.5", "x"]
@@ -674,10 +667,10 @@ _FRAMES = ["4", "1", "0", "-1", "x"]
 _FORMATS = ["csv", "json", "xml"]
 
 # Per subcommand, the values drawn for each flag: valid ones, junk and
-# out-of-range ones.  SWEEP_CFG and JUNK_CFG name files.
+# out-of-range ones.  SWEEP_CFG, JUNK_CFG and BYTES_CFG name files.
 _FLAG_VALUES = {
-    "sweep-ber": {"--config": ["SWEEP_CFG", "JUNK_CFG", "missing.cfg"], "--seed": _SEEDS,
-                  "--workers": ["1", "0", "-1", "x"], "--format": _FORMATS},
+    "sweep-ber": {"--config": ["SWEEP_CFG", "JUNK_CFG", "BYTES_CFG", "missing.json"],
+                  "--seed": _SEEDS, "--workers": ["1", "0", "-1", "x"], "--format": _FORMATS},
     "corr-row": {"--n": _NS, "--k": ["3", "0", "15", "16", "-1", "x"], "--kind": _KINDS,
                  "--alpha": _ALPHAS, "--format": _FORMATS},
     "ici-pdf": {"--n": _NS, "--frames": _FRAMES, "--kind": _KINDS, "--alpha": _ALPHAS,
@@ -703,8 +696,9 @@ _STRAY_ARGUMENTS = [["--bogus"], ["--bogus", "1"], ["--workers", "1"], ["--seed"
 @pytest.fixture(scope="module")
 def cli_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
-    (tmp / "SWEEP_CFG").write_text(_TINY_SWEEP_CFG)
-    (tmp / "JUNK_CFG").write_bytes(b"alpha = 2\nn = x\n" + _NOT_UTF8)
+    (tmp / "SWEEP_CFG").write_text(json.dumps(_TINY_SWEEP))
+    (tmp / "JUNK_CFG").write_text(json.dumps({**_TINY_SWEEP, "alpha": [2], "n": "x"}))
+    (tmp / "BYTES_CFG").write_bytes(_NOT_UTF8)
     return tmp
 
 

@@ -1,21 +1,21 @@
-"""Config-file parsing, validation diagnostics, and run manifests."""
+"""Sweep files, validation diagnostics, and run manifests."""
 
 import json
+import math
 import re
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ftnlab.cli import main
 from ftnlab.config import (
     RunManifest,
     capacity_params,
     load_manifest,
     make_manifest,
     manifest_path_for,
-    read_key_values,
     sweep_spec_from_file,
     sweep_spec_from_json_dict,
     sweep_spec_to_dict,
@@ -27,149 +27,72 @@ from ftnlab.exceptions import ConfigError, ParameterError
 from ftnlab.modem import ModemConfig
 from ftnlab.transforms import TransformKind
 
+# A sweep that stops at its first batch: one point, 64 bits, at 0 dB.
+_SWEEP = {"n": 16, "cp_len": 0, "data_symbols_per_frame": 4, "training_symbols": 0,
+          "sync_symbols": 0, "alpha": [0.9], "ebn0_db": [0.0], "iterations": [2],
+          "kind": ["FrCT"], "max_bits": 1_000_000, "min_errors": 1, "frames_per_batch": 1,
+          "seed": 0}
 
-def _write(tmp_path, text, name="run.cfg"):
-    path = tmp_path / name
-    path.write_text(text)
+
+def _sweep_file(tmp_path, **edits):
+    """The path of a sweep file of `_SWEEP` with `edits`; a value of None
+    drops its key."""
+    values = {key: value for key, value in {**_SWEEP, **edits}.items() if value is not None}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(values))
     return str(path)
 
 
-class TestReadKeyValues:
-    def test_comments_sections_and_blanks_ignored(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "# top comment\n[modem]\nn = 64  # inline\n\nalpha = 0.8\n",
-        )
-        raw = read_key_values(path)
-        assert raw == {"n": ("64", 3), "alpha": ("0.8", 5)}
-
-    def test_duplicate_key_reports_both_lines(self, tmp_path):
-        path = _write(tmp_path, "n = 64\nalpha = 0.8\nn = 128\n")
-        with pytest.raises(ConfigError, match="lines 1 and 3"):
-            read_key_values(path)
-
-    def test_malformed_line_reports_line_number(self, tmp_path):
-        path = _write(tmp_path, "n = 64\nbogus line\n")
-        with pytest.raises(ConfigError, match=":2:"):
-            read_key_values(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            read_key_values(str(tmp_path / "nope.cfg"))
-
-    def test_empty_key_reports_path_and_line(self, tmp_path):
-        path = _write(tmp_path, "n = 64\n = 0.8\n")
-        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: empty key")):
-            read_key_values(path)
-
-
 class TestSweepSpec:
-    def test_minimal_file_gets_defaults(self, tmp_path):
-        path = _write(tmp_path, "alpha = 0.8\n")
-        spec = sweep_spec_from_file(path)
-        assert spec.alphas == (0.8,)
-        assert spec.ebn0_dbs == (4.0, 6.0, 8.0, 10.0, 12.0)
-        assert spec.iteration_counts == (20,)
-        assert spec.kinds == (TransformKind.FRCT,)
-        assert spec.config.n == 256
-        assert spec.seed == 0
-
-    def test_comma_lists(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "alpha = 1.0, 0.9, 0.8\nebn0_db = 4, 6\niterations = 10, 20\n"
-            "kind = FrCT, FrHT\n",
-        )
-        spec = sweep_spec_from_file(path)
-        assert spec.alphas == (1.0, 0.9, 0.8)
-        assert spec.ebn0_dbs == (4.0, 6.0)
-        assert spec.iteration_counts == (10, 20)
-        assert spec.kinds == (TransformKind.FRCT, TransformKind.FRHT)
-
-    def test_alpha_required(self, tmp_path):
-        path = _write(tmp_path, "n = 64\n")
-        with pytest.raises(ConfigError, match="alpha"):
-            sweep_spec_from_file(path)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = _write(tmp_path, "alpha = 0.8\nalhpa_typo = 1\n")
-        with pytest.raises(ConfigError, match="alhpa_typo"):
-            sweep_spec_from_file(path)
-
-    def test_bad_value_reports_location(self, tmp_path):
-        path = _write(tmp_path, "alpha = 0.8\nmax_bits = many\n")
-        with pytest.raises(ConfigError, match=":2:"):
-            sweep_spec_from_file(path)
-
-    @pytest.mark.parametrize(
-        "line,key", [("n = 16.7", "n"), ("max_bits = inf", "max_bits"),
-                     ("iterations = 10, 20.5", "iterations")]
-    )
-    def test_non_integral_int_rejected(self, tmp_path, line, key):
-        path = _write(tmp_path, f"alpha = 0.8\n{line}\n")
-        with pytest.raises(ConfigError, match=f":2: {key} must be an integer"):
-            sweep_spec_from_file(path)
-
-    def test_integral_int_spellings_accepted(self, tmp_path):
-        path = _write(
-            tmp_path, "alpha = 0.8\nn = 64.0\nmax_bits = 1e6\nseed = 12345678901234567891\n"
-        )
-        spec = sweep_spec_from_file(path)
-        assert (spec.config.n, spec.max_bits) == (64, 1_000_000)
-        assert spec.seed == 12345678901234567891
-
-    @pytest.mark.parametrize("value", ["", ",", " , ,"])
-    def test_empty_list_names_key_and_line(self, tmp_path, value):
-        path = _write(tmp_path, f"alpha = 0.8\nebn0_db = {value}\n")
-        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: ebn0_db list is empty")):
-            sweep_spec_from_file(path)
-
-    @pytest.mark.parametrize("key,value", [("ebn0_db", "4,,8"), ("alpha", "1.0,"),
-                                           ("alpha", ", 0.8")])
-    def test_empty_list_item_names_key_and_line(self, tmp_path, key, value):
-        path = _write(tmp_path, f"n = 16\n{key} = {value}\n")
+    @pytest.mark.parametrize("key", sorted(config._SWEEP_FIELDS))
+    def test_every_key_required(self, tmp_path, key):
+        # A sweep file has no defaults: it names every key, as a manifest does.
+        path = _sweep_file(tmp_path, **{key: None})
         with pytest.raises(ConfigError,
-                           match=re.escape(f"{path}:2: {key} list has an empty item")):
+                           match=f"^{re.escape(f'{path}: missing required key(s) {[key]}')}$"):
             sweep_spec_from_file(path)
 
-    @pytest.mark.parametrize("text,message", [
-        ("alpha = 0.9, 0.8, 0.9\n", "alpha has a repeated value 0.9"),
-        ("alpha = 0.8\nebn0_db = 4, 4.0\n", "ebn0_db has a repeated value 4.0"),
-        ("alpha = 0.8\niterations = 20, 10, 20\n", "iterations has a repeated value 20"),
-        ("alpha = 0.8\nkind = FrHT, FrHT\n", "kind has a repeated value FrHT"),
+    @pytest.mark.parametrize("key", ["alhpa_typo", "pam_order", "sample_rate"])
+    def test_unknown_key_rejected(self, tmp_path, key):
+        # A typo is no key; nor are a PAM order or a sample rate, as the link is
+        # 2-PAM end to end at a fixed sample rate.
+        path = _sweep_file(tmp_path, **{key: 2})
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: unknown key(s) {[key]}')}$"):
+            sweep_spec_from_file(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_bits", "many", "bad max_bits value 'many'"),
+        ("n", 16.7, "bad n value 16.7"),
+        ("n", 16.0, "bad n value 16.0"),
+        ("max_bits", math.inf, "bad max_bits value inf"),
+        ("iterations", [10, 20.5], "bad iterations value 20.5"),
+        ("seed", True, "bad seed value True"),
+        ("alpha", 0.9, "alpha must be a list, got 0.9"),
+        ("ebn0_db", [], "ebn0_db must be a nonempty tuple, got ()"),
+        ("frames_per_batch", 0, "frames_per_batch must be an integer >= 1, got 0"),
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, key, value, message):
+        path = _sweep_file(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            sweep_spec_from_file(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("alpha", [0.9, 0.8, 0.9], "alpha has a repeated value 0.9"),
+        ("ebn0_db", [4, 4.0], "ebn0_db has a repeated value 4.0"),
+        ("iterations", [20, 10, 20], "iterations has a repeated value 20"),
+        ("kind", ["FrHT", "FrHT"], "kind has a repeated value FrHT"),
     ], ids=["alpha", "ebn0_db", "iterations", "kind"])
-    def test_repeated_axis_value_rejected(self, tmp_path, text, message):
+    def test_repeated_axis_value_rejected(self, tmp_path, key, value, message):
         # Two results for one grid point: the file, the key and the value are named.
-        path = _write(tmp_path, text)
+        path = _sweep_file(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
             sweep_spec_from_file(path)
 
     def test_bad_kind_rejected(self, tmp_path):
-        path = _write(tmp_path, "alpha = 0.8\nkind = DFT\n")
-        with pytest.raises(ConfigError, match="FrCT or FrHT"):
+        path = _sweep_file(tmp_path, kind=["DFT"])
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(f'{path}: kind must be FrCT or FrHT')}"):
             sweep_spec_from_file(path)
-
-    def test_higher_pam_order_needs_zero_iterations(self, tmp_path):
-        # The link is 2-PAM end to end: pam_order is no key, at any value.
-        for text in ("pam_order = 4\n", "pam_order = 4\niterations = 0\n", "pam_order = 2\n"):
-            path = _write(tmp_path, "alpha = 0.8\n" + text)
-            with pytest.raises(ConfigError, match=re.escape("unknown key(s) ['pam_order']")):
-                sweep_spec_from_file(path)
-
-    def test_seed_override(self, tmp_path):
-        path = _write(tmp_path, "alpha = 0.8\nseed = 3\n")
-        assert sweep_spec_from_file(path).seed == 3
-        assert sweep_spec_from_file(path, seed_override=9).seed == 9
-
-    def test_dict_round_trip(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "alpha = 0.9, 0.8\nn = 64\nkind = FrHT\nmin_errors = 50\n",
-        )
-        spec = sweep_spec_from_file(path)
-        # JSON round trip preserves the spec exactly.
-        payload = json.loads(json.dumps(sweep_spec_to_dict(spec)))
-        assert sweep_spec_from_json_dict(payload) == spec
 
 
 def _axis(elements):
@@ -179,8 +102,8 @@ def _axis(elements):
 
 @st.composite
 def _sweep_specs(draw):
-    """Any valid SweepSpec without pilot rows, whose base config takes the
-    first alpha and kind, as every parsed spec does."""
+    """Any valid SweepSpec whose base config takes the first alpha and kind,
+    as every parsed spec does."""
     alphas = draw(_axis(st.floats(0.0, 1.0, exclude_min=True)))
     kinds = draw(_axis(st.sampled_from(TransformKind)))
     n = draw(st.integers(2, 4096))
@@ -188,7 +111,7 @@ def _sweep_specs(draw):
         n=n, alpha=alphas[0], kind=kinds[0],
         cp_len=draw(st.integers(0, n)),
         data_symbols_per_frame=draw(st.integers(1, 512)),
-        training_symbols=0, sync_symbols=0,
+        training_symbols=draw(st.integers(0, 16)), sync_symbols=draw(st.integers(0, 4)),
     )
     return SweepSpec(
         config=config, alphas=alphas, kinds=kinds,
@@ -207,68 +130,51 @@ class TestSweepSpecRoundTrip:
         payload = json.loads(json.dumps(sweep_spec_to_dict(spec)))
         assert sweep_spec_from_json_dict(payload) == spec
 
-    @given(_sweep_specs())
-    def test_config_file(self, spec):
-        lines = [
-            f"{key} = " + ", ".join(map(str, v if isinstance(v, list) else [v]))
-            for key, v in sweep_spec_to_dict(spec).items()
-            if key not in ("training_symbols", "sync_symbols")  # 0 in a file by default
-        ]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "sweep.cfg"
-            path.write_text("\n".join(lines) + "\n")
-            assert sweep_spec_from_file(str(path)) == spec
 
-
-_NUMBER_TEXTS = st.one_of(
-    st.floats(-1e308, 1e308, allow_nan=False).map(repr),
-    st.integers(-2**70, 2**70).map(str),
+# Any JSON value: NaN and +-inf as Python's json reads them, integers up to
+# the 4300 digits it parses, strings, the kind names, and nestings of these.
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.integers(),
+              st.sampled_from([2**63, -2**64, 10**400, -10**4000]),
+              st.text(max_size=8), st.sampled_from([k.value for k in TransformKind])),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
 )
-_VALUE_TEXTS = st.one_of(
-    _NUMBER_TEXTS,
-    st.lists(_NUMBER_TEXTS, max_size=4).map(", ".join),
-    st.sampled_from([k.value for k in TransformKind]),
-    st.text(st.characters(codec="ascii", exclude_characters="\n\r"), max_size=12),
-)
-_SWEEP_LINES = _sweep_specs().map(lambda spec: [
-    (key, ", ".join(map(str, v if isinstance(v, list) else [v])))
-    for key, v in sweep_spec_to_dict(spec).items()
-])
 
 
 @st.composite
-def _config_lines(draw, valid_lines, keys):
-    """The (key, value text) lines of a valid file, some dropped, some given
-    other values, and at times a stray line whose key is unknown or repeated,
-    in any order."""
-    lines = dict(draw(valid_lines))
-    for key in draw(st.lists(st.sampled_from(sorted(lines)), unique=True, max_size=2)
-                    if lines else st.just([])):
-        del lines[key]
+def _sweep_dicts(draw):
+    """The dict of a valid spec, with some keys dropped, some given any JSON
+    value, and at times a stray key."""
+    values = sweep_spec_to_dict(draw(_sweep_specs()))
+    keys = sorted(values)
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=2)):
+        del values[key]
     for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
-        lines[key] = draw(_VALUE_TEXTS)
-    strays = st.tuples(st.sampled_from(keys) | st.from_regex(r"[a-z_]{1,12}", fullmatch=True),
-                       _VALUE_TEXTS)
-    return draw(st.permutations(list(lines.items()) + draw(st.lists(strays, max_size=1))))
+        values[key] = draw(_JSON_VALUES)
+    for key in draw(st.lists(st.from_regex(r"[a-z_]{1,12}", fullmatch=True), max_size=1)):
+        values[key] = draw(_JSON_VALUES)
+    return values
 
 
-class TestConfigTextProperty:
-    @pytest.mark.parametrize("parser,valid_lines,keys,result_type", [
-        (sweep_spec_from_file, _SWEEP_LINES, sorted(config._SWEEP_FIELDS), SweepSpec),
-    ], ids=["sweep"])
-    @given(data=st.data())
-    def test_parses_or_names_a_key(self, parser, valid_lines, keys, result_type, data):
-        # Parse only: any text of key/value lines gives a spec, or a
-        # ConfigError naming the file and a key; never another exception.
-        lines = data.draw(_config_lines(valid_lines, keys))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "run.cfg"
-            path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
-            try:
-                assert isinstance(parser(str(path)), result_type)
-            except ConfigError as exc:
-                assert str(exc).startswith(str(path))
-                assert any(name in str(exc) for name in {*keys, *(k for k, _ in lines)})
+class TestSweepDictProperty:
+    @given(_sweep_dicts())
+    def test_parses_or_names_a_key(self, values):
+        # Parse only: any JSON object gives a spec, or a ConfigError naming
+        # its source and a key; never another exception.
+        keys = config._SWEEP_FIELDS.keys()
+        try:
+            assert isinstance(sweep_spec_from_json_dict(values, "sweep.json"), SweepSpec)
+        except ConfigError as exc:
+            source, _, message = str(exc).partition(": ")
+            assert source == "sweep.json"
+            if message.startswith("unknown key(s) "):
+                assert message == f"unknown key(s) {sorted(values.keys() - keys)}"
+            elif message.startswith("missing required key(s) "):
+                assert message == f"missing required key(s) {sorted(keys - values.keys())}"
+            else:
+                assert message.removeprefix("bad ").split(" ")[0] in keys
 
 
 class TestCapacityParams:
@@ -286,6 +192,20 @@ class TestCapacityParams:
     def test_snr_db_bounded(self, snr_db):
         with pytest.raises(ParameterError, match="^snr_db must "):
             capacity_params(snr_db=snr_db)
+
+
+# The CLI's readers of a JSON object file: a sweep file and a manifest.
+_READERS = ["--config", "--manifest"]
+
+
+def _read_with(capsys, flag, path, out):
+    """The exit code and error message (None if none) of the CLI reading the
+    file at `path` through `flag`; a sweep file's run writes `out`."""
+    argv = (["sweep-ber", "--config", str(path), "--out", str(out)] if flag == "--config"
+            else ["--manifest", str(path)])
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code, json.loads(err.removeprefix("error: "))["message"] if err else None
 
 
 class TestManifests:
@@ -307,20 +227,49 @@ class TestManifests:
     def test_path_convention(self):
         assert manifest_path_for("out/sweep.csv") == "out/sweep.csv.manifest.json"
 
-    def test_invalid_json_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            load_manifest(str(bad))
+    @pytest.mark.parametrize("flag", _READERS)
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "invalid JSON"),
+        ('{"n": ' + "9" * 5000 + "}", "invalid JSON"),  # past the digits json parses
+        ("[]", "must be a JSON object"),
+        ('"sweep"', "must be a JSON object"),
+        ('{"n": 16, "seed": 0, "n": 32}', "duplicate key 'n'"),
+    ], ids=["not-json", "5000-digits", "list", "string", "duplicate-key"])
+    def test_no_json_object_rejected(self, capsys, tmp_path, flag, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, error = _read_with(capsys, flag, path, tmp_path / "out.csv")
+        assert code == 2
+        assert error.startswith(f"{path}: ")
+        assert message in error
 
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_manifest(str(tmp_path / "none.json"))
+    @pytest.mark.parametrize("flag", _READERS)
+    def test_missing_file_rejected(self, capsys, tmp_path, flag):
+        path = tmp_path / "none.json"
+        code, error = _read_with(capsys, flag, path, tmp_path / "out.csv")
+        assert code == 2
+        assert error.startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("flag", _READERS)
+    def test_byte_order_mark_skipped(self, capsys, tmp_path, flag):
+        out = tmp_path / "out.json"
+        if flag == "--config":
+            text = json.dumps(_SWEEP)
+        else:
+            assert main(["rates", "--out", str(out)]) == 0
+            text = Path(manifest_path_for(out)).read_text()
+        outputs = []
+        for name, mark in (("plain.json", b""), ("marked.json", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(mark + text.encode())
+            assert _read_with(capsys, flag, path, out) == (0, None)
+            outputs.append(out.read_bytes())
+            out.unlink()
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "payload,message",
         [
-            ([], "JSON object"),
             ({"subcommand": "rates", "resolved": {}, "seed": 0}, "'outputs'"),
             ({"subcommand": "rates", "resolved": {}, "seed": 0, "outputs": [], "x": 1},
              "['x']"),
@@ -353,3 +302,13 @@ class TestManifests:
         manifest = make_manifest("rates", {}, 0, [])
         assert isinstance(manifest, RunManifest)
         assert manifest.tool_version
+
+
+class TestDocumentedFormat:
+    def test_readme_sweep_file_is_accepted(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"^### Sweep files$.*?^```json\n(.*?)^```$", readme,
+                          re.MULTILINE | re.DOTALL)
+        values = json.loads(block.group(1))
+        spec = sweep_spec_from_json_dict(values, "README.md")
+        assert sweep_spec_to_dict(spec) == values

@@ -44,7 +44,8 @@ class TestPamMapping:
         assert np.array_equal(pam_index(pam_map(bits)), bits)
 
     @pytest.mark.parametrize(
-        "bits", [[2, 0], [-1, 1], [0.5, 1.0], [0.0, np.nan], [1.0, np.inf], ["0", "1"]]
+        "bits", [[2, 0], [-1, 1], [0.5, 1.0], [0.0, np.nan], [1.0, np.inf], ["0", "1"],
+                 np.array([], dtype=complex)]
     )
     def test_non_binary_bits_rejected(self, bits):
         with pytest.raises(ParameterError, match="bits must be 0 or 1"):
@@ -53,6 +54,8 @@ class TestPamMapping:
     def test_bool_and_float_bits_accepted(self):
         assert list(pam_map(np.array([True, False]))) == [1.0, -1.0]
         assert list(pam_map([1.0, 0.0, 0.0, 1.0])) == list(pam_map([1, 0, 0, 1]))
+        # float32 bits give float64 levels, as every other dtype does.
+        assert_array_equal(pam_map(np.array([1, 0], dtype=np.float32)), [1.0, -1.0], strict=True)
 
     def test_table_equals_level_formula(self):
         # Both bits against the unit-energy level formula at M = 2, bit for bit.
