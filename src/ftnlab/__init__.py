@@ -25,7 +25,7 @@ from .modem import (
     transmit,
     rate_report,
 )
-from .channel import AwgnSpec, apply_awgn
+from .channel import apply_awgn
 from .equalize import IdConfig, IdTrace, id_equalize_frame
 from .capacity import (
     CapacityParams,

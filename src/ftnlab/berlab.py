@@ -10,24 +10,23 @@ The rows are formed in the data domain.  A data row of 2-PAM levels s,
 multiplexed, sent with its prefix through the AWGN channel, stripped and
 demultiplexed, arrives as s C + w K, with C = K^T K and w the white noise
 on the row's N samples.  So a batch forms its rows S C + sigma W K in two
-GEMMs, S C as S + S (C - I) with the detector's float32 C - I and sigma W K
+GEMMs, S C as S + S (C - I) with the detector's float32 C - I and W K
 through the float64 kernel, and builds no waveform: pilot rows and prefixes
 reach no detector.  They still set sigma, through the layout's expected
-sample energy (`modem.expected_sample_energy`), computed once per curve.
+sample energy (`modem.expected_sample_energy`): one per Eb/N0 and curve.
 
 Reproducibility: the points of one (kind, alpha), a curve, share their
 random numbers.  Curves are numbered in (kind, alpha) grid order, and batch
-b of curve c draws its bits and noise from seed sequences derived from
-(sweep seed, c, b).  Every point of the curve detects that batch's one
-signal S C, its noise drawn at the curve's first Eb/N0 and scaled to the
-point's own; points at one Eb/N0 detect the same rows whatever their
-iteration counts.  A curve runs batches 0, 1, 2, ... in order, each point
-counting until its own rule stops it, so a point stops at the same batch
-wherever it runs, and a one-point curve runs exactly the chain of a lone
-point.  At `workers` > 1 the curves are cut into contiguous runs, no more
-than the CPUs the process may use, each run in its own worker process;
-results are identical for any worker count, and no batch is computed past
-the stopping point of a curve's last point.
+b of curve c draws its bits and unit noise W K from seed sequences derived
+from (sweep seed, c, b).  Every point of the curve detects that batch's one
+signal S C plus W K scaled by its own sigma, so its rows are those of a
+lone point at its Eb/N0, and points at one Eb/N0 detect the same rows
+whatever their iteration counts.  A curve runs batches 0, 1, 2, ... in
+order, each point counting until its own rule stops it, so every point
+runs exactly the chain of a lone point.  At `workers` > 1 the curves are
+cut into contiguous runs, no more than the CPUs the process may use, each
+run in its own worker process; results are identical for any worker count,
+and no batch is computed past the stopping point of a curve's last point.
 
 Memory: the curves of a sweep share one frame layout, so each run of curves
 reuses one batch workspace for all its batches; it goes with its run.  The
@@ -99,7 +98,7 @@ class SweepSpec:
         for alpha in self.alphas:
             check_alpha(alpha)
         for ebn0_db in self.ebn0_dbs:
-            check_real(ebn0_db, "ebn0_dbs")
+            check_real(ebn0_db, "ebn0_dbs", *channel.EBN0_DB_RANGE, "[]")
         for kind in self.kinds:
             if not isinstance(kind, TransformKind):
                 raise ParameterError(f"kinds must be TransformKind members, got {kind!r}")
@@ -172,14 +171,14 @@ def _curve_detector(kind, n, alpha):
 def _workspace(config, n_frames, scaled=False):
     """Buffers for one batch of `n_frames` frames, m data rows, which every
     batch reuses, so a batch allocates (and page-faults) no full-size array
-    but its bit draw.  `pair`, (2, m, N) float64, takes the white noise in
+    but its bit draw.  `pair`, (2, m, N) float64, takes the white noise W in
     its first half, whose float32 halves then take the levels S and S (C - I);
-    with one Eb/N0 its second half takes the signal S C.  Then the whole
+    with one sigma its second half takes the signal S C.  Then the whole
     pair is the detector's float32 `work`, whose planes 0-1 take its int64
-    decisions, the received bits.  `rows` takes the noise sigma W K, and with
-    one Eb/N0 then the rows detected.  With `scaled`, for a curve of more
-    than one Eb/N0, two float64 data-row arrays more: the signal, and a
-    point's rows."""
+    decisions, the received bits.  `rows` takes the noise W K, and with one
+    sigma then the rows detected.  With `scaled`, for a curve of more than
+    one Eb/N0, two float64 data-row arrays more: the signal, and a point's
+    rows."""
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
     with allocating_for("frames_per_batch", n_frames):
         work = {
@@ -192,35 +191,28 @@ def _workspace(config, n_frames, scaled=False):
     return work
 
 
-def _simulate_batch(config, energy, ref_db, points, n_frames, seed, curve_idx, batch_idx,
-                    work):
+def _simulate_batch(config, points, n_frames, seed, curve_idx, batch_idx, work):
     """One frame batch of curve number `curve_idx`; returns (bits, the errors
-    of each of `points`), which are (detector, Eb/N0) pairs sharing one
-    C - I.  `energy` is the layout's expected sample energy.
+    of each of `points`), which are (detector, sigma) pairs sharing one C - I.
 
-    The m data rows are S C + sigma W K (module docstring), the noise drawn
-    at the curve's reference Eb/N0 `ref_db`, and detected by each point's
-    detector, whose decisions are the received bits (at I = 0 it
-    hard-decides the rows).  The rows are linear in the noise, so a point at
-    Eb/N0 e detects S C plus 10^((ref_db - e)/20) times the reference noise:
-    the noise scaled to e.  A run of points at one Eb/N0 detects rows formed
-    once.  `work` is a `_workspace` of this layout, with the two scaled
-    arrays if a point is off `ref_db`.
+    The m data rows are S C + sigma W K (module docstring), W K drawn once,
+    and detected by each point's detector, whose decisions are the received
+    bits (at I = 0 it hard-decides the rows).  Each point's rows are formed
+    alike, sigma W K + S C, so they do not depend on the other points; a run
+    of points at one sigma detects rows formed once.  `work` is a
+    `_workspace` of this layout, with the two scaled arrays if the points
+    hold more than one sigma.
     """
-    scaled = any(ebn0_db != ref_db for _, ebn0_db in points)
+    scaled = len({sigma for _, sigma in points}) > 1
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, curve_idx, batch_idx, 0])
     )
     sent = modem.random_data_bits(config, bits_rng, n_frames)
-    spec = channel.AwgnSpec(
-        eb_n0_db=ref_db,
-        bits_per_sample=bits_per_sample(config),
-        rng_seed=np.random.SeedSequence([seed, curve_idx, batch_idx, 1]),
-    )
     pair, noise = work["pair"], work["rows"]
     m = len(noise)
     plan = make_plan(config.kind, config.n, config.alpha)
-    channel.apply_awgn(spec, energy, plan, m, out=noise, scratch=pair[0])
+    channel.apply_awgn(np.random.SeedSequence([seed, curve_idx, batch_idx, 1]), plan, m,
+                       out=noise, scratch=pair[0])
     # S C = S + S (C - I), the product in float32 from levels rounded exactly.
     levels, ici = pair[0].reshape(-1).view(np.float32).reshape(2, m, config.n)
     signal = work["signal"] if scaled else pair[1]
@@ -229,13 +221,13 @@ def _simulate_batch(config, energy, ref_db, points, n_frames, seed, curve_idx, b
     np.matmul(levels, points[0][0].off_diagonal, out=ici)
     signal += ici
     detector_work = pair.reshape(-1).view(np.float32).reshape(4, m, config.n)
+    rows = work["scaled"] if scaled else noise
     errors, formed = [], None
-    for id_cfg, ebn0_db in points:
-        if ebn0_db != formed:  # g noise + S C, one sum at g = 1 whatever the buffer
-            rows = work["scaled"] if scaled else noise
-            gain = 10.0 ** ((ref_db - ebn0_db) / 20.0)
-            np.add(noise if gain == 1.0 else np.multiply(noise, gain, out=rows), signal, out=rows)
-            formed = ebn0_db
+    for id_cfg, sigma in points:
+        if sigma != formed:  # in place with one sigma: the noise is then dead
+            np.multiply(noise, sigma, out=rows)
+            rows += signal
+            formed = sigma
         index = equalize.id_equalize_frame(id_cfg, rows, work=detector_work)
         wrong = np.not_equal(index.reshape(-1), sent.ravel(), out=work["wrong"])
         errors.append(int(np.count_nonzero(wrong)))
@@ -251,6 +243,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     detector = _curve_detector(kind, config.n, alpha)
     detectors = {i: detector.with_iterations(i) for i in spec.iteration_counts}
     energy = modem.expected_sample_energy(config)
+    sigmas = {e: channel.noise_sigma(e, bits_per_sample(config), energy) for e in spec.ebn0_dbs}
     grid = list(product(spec.iteration_counts, spec.ebn0_dbs))
     # Eb/N0 by Eb/N0, so that a batch forms each point's rows once.
     order = sorted(range(len(grid)), key=lambda k: k % len(spec.ebn0_dbs))
@@ -262,8 +255,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     batch_idx = 0
     while live := [k for k in order if running(k)]:
         batch_bits, batch_errors = _simulate_batch(
-            config, energy, spec.ebn0_dbs[0],
-            [(detectors[grid[k][0]], grid[k][1]) for k in live],
+            config, [(detectors[grid[k][0]], sigmas[grid[k][1]]) for k in live],
             spec.frames_per_batch, spec.seed, curve_idx, batch_idx, work,
         )
         for k, point_errors in zip(live, batch_errors):

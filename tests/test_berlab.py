@@ -136,7 +136,7 @@ class TestSweepSpec:
         "overrides,message",
         [
             ({"alphas": (0.8, 1.5)}, "alpha must lie in (0, 1], got 1.5"),
-            ({"ebn0_dbs": (6.0, math.nan)}, "ebn0_dbs must be finite, got nan"),
+            ({"ebn0_dbs": (6.0, math.nan)}, "ebn0_dbs must lie in [-300, 300], got nan"),
             ({"kinds": ("FrCT",)}, "kinds must be TransformKind members, got 'FrCT'"),
             ({"iteration_counts": (-1,)}, "iteration_counts must be an integer >= 0, got -1"),
             ({"iteration_counts": (5, 2.5)},
@@ -154,6 +154,9 @@ class TestSweepSpec:
              "kinds has a repeated value FrHT"),
             ({"ebn0_dbs": (0.0, 2.0, -0.0)}, "ebn0_dbs has a repeated value -0.0"),
             ({"alphas": (1, 0.9, 1.0)}, "alphas has a repeated value 1.0"),
+            # Refused before any curve runs: sigma would overflow or divide by zero.
+            ({"ebn0_dbs": (6.0, 4000.0)}, "ebn0_dbs must lie in [-300, 300], got 4000.0"),
+            ({"ebn0_dbs": (-3300.0,)}, "ebn0_dbs must lie in [-300, 300], got -3300.0"),
         ],
     )
     def test_bad_entry_rejected(self, overrides, message):
@@ -222,10 +225,16 @@ def _ici_tolerance(kind, n, alpha):
     return (n + 1) * 2.0**-24 * np.abs(off_diagonal).sum(axis=0).max() + 1e-12
 
 
-def _detected_rows(monkeypatch, config, ref_db, points, n_frames, seed, batch_idx,
-                   noise_free=False):
-    """Run one `_simulate_batch` of curve 2; returns (its bits and errors,
-    the white noise sigma W it drew, the rows each point's detector got)."""
+def _sigma(config, ebn0_db):
+    """The noise's sigma at `ebn0_db` for the layout `config`."""
+    return channel.noise_sigma(ebn0_db, bits_per_sample(config),
+                               modem.expected_sample_energy(config))
+
+
+def _detected_rows(monkeypatch, config, points, n_frames, seed, batch_idx, noise_free=False):
+    """Run one `_simulate_batch` of curve 2 on `points`, (detector, Eb/N0)
+    pairs; returns (its bits and errors, the unit white noise W it drew, the
+    rows each point's detector got)."""
     apply_awgn, detector = channel.apply_awgn, equalize.id_equalize_frame
     drawn, rows = [], []
 
@@ -242,8 +251,8 @@ def _detected_rows(monkeypatch, config, ref_db, points, n_frames, seed, batch_id
 
     monkeypatch.setattr(channel, "apply_awgn", recorded_noise)
     monkeypatch.setattr(equalize, "id_equalize_frame", recorded_rows)
-    counts = _simulate_batch(config, modem.expected_sample_energy(config), ref_db, points,
-                             n_frames, seed, 2, batch_idx,
+    counts = _simulate_batch(config, [(d, _sigma(config, e)) for d, e in points], n_frames,
+                             seed, 2, batch_idx,
                              _workspace(config, n_frames, len({e for _, e in points}) > 1))
     monkeypatch.undo()
     [white] = drawn
@@ -272,8 +281,7 @@ class TestSimulateBatch:
         id_cfg = equalize.IdConfig(iterations, correlation_matrix(kind, config.n, alpha))
         for seed, batch_idx in [(0, 0), (7, 3)]:
             (bits, [errors]), white, [rows] = _detected_rows(
-                monkeypatch, config, 6.0, [(id_cfg, 6.0)], n_frames, seed, batch_idx,
-                noise_free=True)
+                monkeypatch, config, [(id_cfg, 6.0)], n_frames, seed, batch_idx, noise_free=True)
             sent = _sent_bits(config, n_frames, seed, 2, batch_idx)
             want = receive(config, modem.transmit(config, sent)).reshape(rows.shape)
             assert not white.any() and bits == sent.size
@@ -286,10 +294,10 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("cp_len", [0, 16])
     def test_each_point_gets_its_noise_on_the_data_bodies(self, monkeypatch, cp_len, kind,
                                                           alpha):
-        # The noise drawn at the reference 6 dB and scaled to each point's
-        # Eb/N0, against that white noise scaled the same way and placed on
-        # the bodies of the waveform's data blocks.  The order returns to 2 dB
-        # after the reference and to 6 dB after 9 dB.
+        # The unit noise, drawn once and scaled to each point's sigma, against
+        # that white noise scaled the same way and placed on the bodies of the
+        # waveform's data blocks.  The order returns to 2 dB after 6 dB and to
+        # 6 dB after 9 dB.
         config = _small_config(
             cp_len=cp_len, kind=kind, alpha=alpha, training_symbols=2, sync_symbols=1,
         )
@@ -300,13 +308,13 @@ class TestSimulateBatch:
         seen = set()
         for seed, batch_idx in [(0, 0), (7, 3)]:
             (bits, errors), white, rows = _detected_rows(
-                monkeypatch, config, 6.0, points, 4, seed, batch_idx)
+                monkeypatch, config, points, 4, seed, batch_idx)
             sent = _sent_bits(config, 4, seed, 2, batch_idx)
             clean = modem.transmit(config, sent)
             for (id_cfg, ebn0_db), point_rows, point_errors in zip(points, rows, errors):
                 blocks = clean.copy()
                 data_bodies(config, blocks)[:] += (
-                    10.0 ** ((6.0 - ebn0_db) / 20.0) * white.reshape(4, -1, config.n))
+                    _sigma(config, ebn0_db) * white.reshape(4, -1, config.n))
                 want = receive(config, blocks).reshape(point_rows.shape)
                 np.testing.assert_allclose(point_rows, want, rtol=0, atol=tolerance)
                 index = equalize.id_equalize_frame(id_cfg, point_rows)
@@ -326,7 +334,8 @@ class TestSimulateBatch:
             apply_awgn(*args, out=out, scratch=scratch)
             sent = _sent_bits(batch["config"], 4, 0, 0, batch["index"])
             levels = modem.pam_map(sent).reshape(-1, baseline.n)
-            batch.update(exact=levels @ batch["c"] + out, index=batch["index"] + 1)
+            batch.update(exact=levels @ batch["c"] + batch["sigma"] * out,
+                         index=batch["index"] + 1)
             return out
 
         def compared(id_cfg, rows, **buffers):
@@ -347,7 +356,7 @@ class TestSimulateBatch:
             config = replace(baseline, kind=kind, alpha=alpha)
             for iterations, ebn0_db in product(iteration_counts, ebn0_dbs):
                 batch.update(config=config, c=correlation_matrix(kind, baseline.n, alpha).entries,
-                             index=0, differing=0, decisions=0)
+                             sigma=_sigma(config, ebn0_db), index=0, differing=0, decisions=0)
                 run_ber_sweep(SweepSpec(
                     config=baseline, alphas=(alpha,), ebn0_dbs=(ebn0_db,),
                     iteration_counts=(iterations,), kinds=(kind,),
@@ -607,16 +616,37 @@ class TestCurveStreams:
             at_4db, at_7db = {r for _, r in calls[:3]}, {r for _, r in calls[3:]}
             assert len(at_4db) == len(at_7db) == 1 and at_4db != at_7db
 
-    def test_reference_point_stops_as_a_lone_point(self):
-        # The reference 6 dB point of a curve whose other points stop
-        # earlier (0 dB) or later (12 dB) gets the result of a one-point sweep.
+    def test_every_point_stops_as_a_lone_point(self):
+        # Each point of a curve whose points stop at different batches, the
+        # first listed (6 dB), the earliest (0 dB) and the latest (12 dB),
+        # gets the result of a one-point sweep at its Eb/N0.
         spec = _fast_spec(ebn0_dbs=(6.0, 0.0, 12.0), iteration_counts=(0, 10), min_errors=100)
         curve = run_ber_sweep(spec)
         for iterations in (0, 10):
             points = curve.curve(TransformKind.FRCT, 0.9, iterations)
             assert len({p.bits for p in points}) == 3
-            alone = run_ber_sweep(_fast_spec(iteration_counts=(iterations,), min_errors=100))
-            assert [p for p in points if p.ebn0_db == 6.0] == list(alone.points)
+            for point in points:
+                alone = run_ber_sweep(_fast_spec(ebn0_dbs=(point.ebn0_db,),
+                                                 iteration_counts=(iterations,), min_errors=100))
+                assert alone.points == (point,)
+
+    def test_a_points_rows_do_not_depend_on_its_grid(self, monkeypatch):
+        # The float64 rows detected at 12 dB are the bytes of a lone 12 dB
+        # point's, also when the curve lists other Eb/N0 first.
+        detector = equalize.id_equalize_frame
+        seen = []
+
+        def recorded(config, rows, **buffers):
+            seen.append(rows.tobytes())
+            return detector(config, rows, **buffers)
+
+        monkeypatch.setattr(equalize, "id_equalize_frame", recorded)
+        run_ber_sweep(_fast_spec(ebn0_dbs=(12.0,), iteration_counts=(0,), min_errors=0, seed=5))
+        alone, seen[:] = seen[:], []
+        run_ber_sweep(_fast_spec(ebn0_dbs=(6.0, 0.0, 12.0), iteration_counts=(0,), min_errors=0,
+                                 seed=5))
+        assert len(alone) == 49 and len(seen) == 3 * 49  # 2048 bits a batch
+        assert seen[2::3] == alone
 
     @pytest.mark.parametrize("spec,expected", [
         (SweepSpec(config=experiment_baseline(), alphas=(0.8,), ebn0_dbs=(10.0,),
@@ -730,8 +760,7 @@ class TestNoiseIntegratedReference:
         ebn0_db, frames, draws = 4.0, 4, 16
         config = experiment_baseline(alpha=alpha, kind=kind)
         c = correlation_matrix(kind, config.n, alpha).entries
-        awgn = channel.AwgnSpec(ebn0_db, bits_per_sample(config))
-        sigma = channel.noise_sigma(awgn, modem.expected_sample_energy(config))
+        sigma = _sigma(config, ebn0_db)
         rng = np.random.default_rng(2024)
         probs = []
         for _ in range(draws):

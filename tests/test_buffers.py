@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ftnlab.channel import AwgnSpec, apply_awgn, noise_sigma
+from ftnlab.channel import apply_awgn
 from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.berlab import _workspace
 from ftnlab.exceptions import ParameterError, ShapeError
@@ -146,14 +146,13 @@ class TestChannel:
     @pytest.mark.parametrize("rows", [1, 9])
     def test_apply_awgn(self, kind, alpha, rows):
         plan = make_plan(kind, 32, alpha)
-        spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=0.75, rng_seed=3)
-        want = apply_awgn(spec, 1.2, plan, rows)
-        # The allocating form is normal(0, sigma) noise, demultiplexed.
-        white = np.random.default_rng(3).normal(0.0, noise_sigma(spec, 1.2), size=(rows, 32))
+        want = apply_awgn(3, plan, rows)
+        # The allocating form is standard normal noise, demultiplexed.
+        white = np.random.default_rng(3).normal(0.0, 1.0, size=(rows, 32))
         assert_same_bytes(want, demultiplex(plan, white))
         out, scratch = garbage((rows, 32)), garbage((rows, 32))
         for _ in range(2):
-            assert apply_awgn(spec, 1.2, plan, rows, out=out, scratch=scratch) is out
+            assert apply_awgn(3, plan, rows, out=out, scratch=scratch) is out
             assert_same_bytes(out, want)
             assert_same_bytes(scratch, white)
 
@@ -180,14 +179,13 @@ def _bad_buffers():
     plan = make_plan(config.kind, 16, 1.0)
     id_cfg = IdConfig(3, correlation_matrix(config.kind, 16, 0.9))
     rows = np.ones((6, 16))
-    spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
     cases = [
         (lambda buf: multiplex(plan, rows, out=buf), "out", (6, 16), np.float64),
         (lambda buf: demultiplex(plan, rows, out=buf), "out", (6, 16), np.float64),
         (lambda buf: pam_map(bits[0], out=buf), "out", (48,), np.float64),
         (lambda buf: pam_index(rows, out=buf), "out", (6, 16), np.int64),
-        (lambda buf: apply_awgn(spec, 1.0, plan, 6, out=buf), "out", (6, 16), np.float64),
-        (lambda buf: apply_awgn(spec, 1.0, plan, 6, scratch=buf), "scratch", (6, 16), np.float64),
+        (lambda buf: apply_awgn(0, plan, 6, out=buf), "out", (6, 16), np.float64),
+        (lambda buf: apply_awgn(0, plan, 6, scratch=buf), "scratch", (6, 16), np.float64),
     ]
     # The detector's `work` at m < N, m = N and m > N (the loop reads the
     # planes transposed only for m < N), and at I = 0, which skips the loop.
@@ -238,10 +236,9 @@ class TestBadBuffers:
 
     @pytest.mark.parametrize("name", ["out", "scratch"])
     def test_strided_noise_buffer_rejected(self, name):
-        spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
         plan = make_plan(TransformKind.FRCT, 6, 1.0)
         with pytest.raises(ShapeError, match=f"^{name} must be C-contiguous$"):
-            apply_awgn(spec, 1.0, plan, 4, **{name: np.zeros((6, 4)).T})
+            apply_awgn(0, plan, 4, **{name: np.zeros((6, 4)).T})
 
 
 
@@ -269,8 +266,7 @@ class TestOverlappingBuffers:
             call = partial(id_equalize_frame, config, rows, work=work)
         else:
             out, scratch = _one_allocation(((6, 16), np.float64), ((6, 16), np.float64))
-            spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
-            call = partial(apply_awgn, spec, 1.0, make_plan(TransformKind.FRCT, 16, 0.9), 6,
+            call = partial(apply_awgn, 0, make_plan(TransformKind.FRCT, 16, 0.9), 6,
                            out=out, scratch=scratch)
         with pytest.raises(ParameterError, match=f"^{first} and {second} must not share memory$"):
             call()

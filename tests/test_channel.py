@@ -1,11 +1,13 @@
 """AWGN channel: the data-domain noise and its calibration against the
 antipodal-signaling bound."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from ftnlab.channel import AwgnSpec, apply_awgn, noise_sigma
+from ftnlab.channel import apply_awgn, noise_sigma
 from ftnlab.exceptions import ParameterError
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.modem import (
@@ -36,41 +38,35 @@ class TestSampleEnergyOracle:
 
 class TestApplyAwgn:
     def test_noiseless_limit(self):
-        spec = AwgnSpec(eb_n0_db=200.0, bits_per_sample=1.0, rng_seed=1)
-        assert np.max(np.abs(apply_awgn(spec, 1.0, PLAN, 50))) < 1e-8
+        sigma = noise_sigma(200.0, 1.0, 1.0)
+        assert np.max(np.abs(sigma * apply_awgn(1, PLAN, 50))) < 1e-8
 
     def test_deterministic_per_seed(self):
-        spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0, rng_seed=42)
-        assert np.array_equal(apply_awgn(spec, 1.0, PLAN, 32), apply_awgn(spec, 1.0, PLAN, 32))
+        assert np.array_equal(apply_awgn(42, PLAN, 32), apply_awgn(42, PLAN, 32))
 
     def test_noise_follows_c_order(self):
         # Fewer rows get the first rows of the same draw.
-        spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0, rng_seed=42)
         few, many = np.empty((3, 16)), np.empty((8, 16))
-        apply_awgn(spec, 1.0, PLAN, 3, scratch=few)
-        apply_awgn(spec, 1.0, PLAN, 8, scratch=many)
+        apply_awgn(42, PLAN, 3, scratch=few)
+        apply_awgn(42, PLAN, 8, scratch=many)
         assert np.array_equal(few, many[:3])
 
     def test_different_seeds_differ(self):
-        a = apply_awgn(AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0, rng_seed=1), 1.0, PLAN, 8)
-        b = apply_awgn(AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0, rng_seed=2), 1.0, PLAN, 8)
-        assert not np.array_equal(a, b)
+        assert not np.array_equal(apply_awgn(1, PLAN, 8), apply_awgn(2, PLAN, 8))
 
     @pytest.mark.parametrize("rows", [0, -1, 2.5, True])
     def test_row_count_checked(self, rows):
-        spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
         with pytest.raises(ParameterError, match="^rows must be an integer >= 1"):
-            apply_awgn(spec, 1.0, PLAN, rows)
+            apply_awgn(0, PLAN, rows)
 
     @pytest.mark.parametrize("energy", [0.0, -1.0, float("nan"), "1"])
     def test_sample_energy_checked(self, energy):
-        spec = AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0)
         with pytest.raises(ParameterError, match="^sample_energy must be"):
-            apply_awgn(spec, energy, PLAN, 4)
+            noise_sigma(5.0, 1.0, energy)
 
     def test_bits_per_sample_positive(self):
         with pytest.raises(ParameterError, match="bits_per_sample"):
-            AwgnSpec(eb_n0_db=5.0, bits_per_sample=0.0)
+            noise_sigma(5.0, 0.0, 1.0)
 
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -80,35 +76,46 @@ class TestApplyAwgn:
          ({"bits_per_sample": float("nan")}, "bits_per_sample")],
     )
     def test_seed_and_density_checked(self, kwargs, field):
+        calls = {"rng_seed": lambda v: apply_awgn(v, PLAN, 4),
+                 "bits_per_sample": lambda v: noise_sigma(5.0, v, 1.0)}
         with pytest.raises(ParameterError, match=field):
-            AwgnSpec(**{"eb_n0_db": 5.0, "bits_per_sample": 1.0, **kwargs})
+            calls[field](kwargs[field])
         # A SeedSequence is a valid seed, as the sweep passes one per batch.
-        AwgnSpec(eb_n0_db=5.0, bits_per_sample=1.0, rng_seed=np.random.SeedSequence(3))
+        apply_awgn(np.random.SeedSequence(3), PLAN, 4)
 
-    @pytest.mark.parametrize("eb_n0_db", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("eb_n0_db", [float("nan"), float("inf"), -float("inf"),
+                                          4000.0, -3300.0, np.nextafter(300.0, 301.0)])
     def test_eb_n0_finite(self, eb_n0_db):
-        with pytest.raises(ParameterError, match="eb_n0_db"):
-            AwgnSpec(eb_n0_db=eb_n0_db, bits_per_sample=1.0)
+        # Out of [-300, 300] dB, out as far as 10^(Eb/N0 / 10) overflowing or
+        # sigma dividing by zero, is refused naming the field.
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"eb_n0_db must lie in [-300, 300], got {eb_n0_db!r}")):
+            noise_sigma(eb_n0_db, 1.0, 1.0)
+
+    @pytest.mark.parametrize("eb_n0_db", [-300, 300.0])
+    def test_eb_n0_range_ends_give_finite_noise(self, eb_n0_db):
+        # At either end sigma is finite and nonzero, at a sparse bit density
+        # as at one bit per sample, and so are the float32 rows.
+        for bits_per_sample in (1e-6, 1.0):
+            sigma = noise_sigma(eb_n0_db, bits_per_sample, 1.0)
+            assert 0.0 < sigma < np.inf
+            assert np.isfinite((sigma * apply_awgn(1, PLAN, 8)).astype(np.float32)).all()
 
     def test_noise_variance_matches_derivation(self):
-        # White samples of variance sigma^2, and rows whose entry k has
-        # variance sigma^2 C_kk after the demultiplexer.
-        spec = AwgnSpec(eb_n0_db=3.0, bits_per_sample=0.9, rng_seed=3)
-        sigma = noise_sigma(spec, 1.3)
+        # White samples of unit variance, and rows whose entry k has
+        # variance C_kk after the demultiplexer.
         white = np.empty((100_000, 16))
-        rows = apply_awgn(spec, 1.3, PLAN, len(white), scratch=white)
-        assert np.var(white) == pytest.approx(sigma**2, rel=0.01)
+        rows = apply_awgn(3, PLAN, len(white), scratch=white)
+        assert np.var(white) == pytest.approx(1.0, rel=0.01)
         c = correlation_matrix(TransformKind.FRCT, 16, 0.8).entries
-        np.testing.assert_allclose(np.var(rows, axis=0), sigma**2 * np.diag(c), rtol=0.03)
+        np.testing.assert_allclose(np.var(rows, axis=0), np.diag(c), rtol=0.03)
 
     def test_scratch_holds_the_white_noise(self):
         # `out` is the white noise in `scratch`, demultiplexed, and that
-        # noise is normal(0, sigma) in C order.
-        spec = AwgnSpec(eb_n0_db=3.0, bits_per_sample=0.9, rng_seed=8)
-        sigma = noise_sigma(spec, 0.7)
+        # noise is standard normal in C order.
         scratch = np.empty((5, 16))
-        out = apply_awgn(spec, 0.7, PLAN, 5, scratch=scratch)
-        assert np.array_equal(scratch, np.random.default_rng(8).normal(0.0, sigma, (5, 16)))
+        out = apply_awgn(8, PLAN, 5, scratch=scratch)
+        assert np.array_equal(scratch, np.random.default_rng(8).normal(0.0, 1.0, (5, 16)))
         assert np.array_equal(out, demultiplex(PLAN, scratch))
 
 
@@ -123,9 +130,8 @@ class TestTimeDomainAgreement:
         config = ModemConfig(n=16, alpha=alpha, kind=kind, cp_len=cp_len,
                              data_symbols_per_frame=5, sync_symbols=pilots[0],
                              training_symbols=pilots[1])
-        spec = AwgnSpec(eb_n0_db=4.0, bits_per_sample=1.0, rng_seed=4)
         white = np.empty((3 * 5, 16))
-        rows = apply_awgn(spec, 1.0, make_plan(kind, 16, alpha), 15, scratch=white)
+        rows = apply_awgn(4, make_plan(kind, 16, alpha), 15, scratch=white)
         blocks = np.random.default_rng(5).normal(size=(3, config.symbols_per_frame, cp_len + 16))
         noisy = blocks.copy()
         noisy[:, sum(pilots):, cp_len:] += white.reshape(3, 5, 16)
@@ -139,16 +145,15 @@ class TestBerCalibration:
         cfg = ModemConfig(n=256, alpha=1.0, kind=TransformKind.FRCT,
                           data_symbols_per_frame=64, training_symbols=0, sync_symbols=0)
         plan = make_plan(cfg.kind, cfg.n, cfg.alpha)
-        energy = expected_sample_energy(cfg)
+        sigma = noise_sigma(ebn0_db, 1.0, expected_sample_energy(cfg))
         rng = np.random.default_rng(int(ebn0_db))
         errors = 0
         bits_done = 0
         frame_bits = cfg.data_symbols_per_frame * cfg.n
         while bits_done < total_bits:
             bits = random_data_bits(cfg, rng, 1)
-            spec = AwgnSpec(eb_n0_db=ebn0_db, bits_per_sample=1.0,
-                            rng_seed=np.random.SeedSequence([17, bits_done]))
-            rows = pam_map(bits) + apply_awgn(spec, energy, plan, 64).ravel()
+            noise = apply_awgn(np.random.SeedSequence([17, bits_done]), plan, 64)
+            rows = pam_map(bits) + sigma * noise.ravel()
             errors += np.sum(pam_index(rows) != bits.ravel())
             bits_done += frame_bits
         gamma = 10 ** (ebn0_db / 10)

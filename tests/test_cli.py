@@ -225,9 +225,12 @@ class TestSweepBer:
     @pytest.mark.parametrize("key,value,message", [
         ("alpha", [1.0, 1.0], "alpha has a repeated value 1.0"),
         ("ebn0_db", [6.0, 4.0, 6.0], "ebn0_db has a repeated value 6.0"),
-        ("ebn0_db", [math.nan], "ebn0_db must be finite, got nan"),
+        ("ebn0_db", [math.nan], "ebn0_db must lie in [-300, 300], got nan"),
         ("frames_per_batch", 0, "frames_per_batch must be an integer >= 1, got 0"),
-    ], ids=["alpha-repeated", "ebn0_db-repeated", "ebn0_db-nan", "frames_per_batch"])
+        ("ebn0_db", [6.0, 4000.0], "ebn0_db must lie in [-300, 300], got 4000.0"),
+        ("ebn0_db", [-3300.0], "ebn0_db must lie in [-300, 300], got -3300.0"),
+    ], ids=["alpha-repeated", "ebn0_db-repeated", "ebn0_db-nan", "frames_per_batch",
+            "ebn0_db-huge", "ebn0_db-tiny"])
     def test_refused_value_names_file_and_key(self, capsys, tmp_path, key, value, message):
         cfg = _write_sweep(tmp_path / "sweep.json", **{key: value})
         out = tmp_path / "sweep.csv"

@@ -115,7 +115,7 @@ def _sweep_specs(draw):
     )
     return SweepSpec(
         config=config, alphas=alphas, kinds=kinds,
-        ebn0_dbs=draw(_axis(st.floats(allow_nan=False, allow_infinity=False))),
+        ebn0_dbs=draw(_axis(st.floats(-300, 300))),
         iteration_counts=draw(_axis(st.integers(0, 100))),
         max_bits=draw(st.integers(100_000, 10**12)),
         min_errors=draw(st.integers(0, 10**6)),
