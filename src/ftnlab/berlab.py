@@ -12,8 +12,9 @@ demultiplexed, arrives as s C + w K, with C = K^T K and w the white noise
 on the row's N samples.  So a batch forms its rows S C + sigma W K in two
 GEMMs, S C as S + S (C - I) with the detector's float32 C - I and W K
 through the float64 kernel, and builds no waveform: pilot rows and prefixes
-reach no detector.  They still set sigma, through the layout's expected
-sample energy (`modem.expected_sample_energy`): one per Eb/N0 and curve.
+reach no detector.  They still set sigma, which `channel.noise_sigma`
+works out from the layout's sample energy and bit density: one per Eb/N0
+and curve.
 
 Reproducibility: the points of one (kind, alpha), a curve, share their
 random numbers.  Curves are numbered in (kind, alpha) grid order, and batch
@@ -91,6 +92,8 @@ class SweepSpec:
     def __post_init__(self):
         if not isinstance(self.config, modem.ModemConfig):
             raise ParameterError(f"config must be a ModemConfig, got {type(self.config).__name__}")
+        if self.config.data_symbols_per_frame == 0:
+            raise ParameterError("data_symbols_per_frame must be >= 1 in a BER sweep, got 0")
         for name in ("alphas", "ebn0_dbs", "iteration_counts", "kinds"):
             axis = getattr(self, name)
             if not isinstance(axis, tuple) or not axis:
@@ -151,12 +154,6 @@ class BerSweepResult:
             key=lambda k: (k[0].value, k[1], k[2]),
         )
         return {k: self.curve(*k) for k in keys}
-
-
-def bits_per_sample(config):
-    """Net information bits per transmitted sample (overhead symbols and the
-    cyclic prefix carry no counted bits)."""
-    return config.data_bits_per_frame / ((config.n + config.cp_len) * config.symbols_per_frame)
 
 
 # One entry, like the plan cache: the grid walks (kind, alpha) outermost, so
@@ -242,8 +239,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     config = replace(spec.config, kind=kind, alpha=alpha)
     detector = _curve_detector(kind, config.n, alpha)
     detectors = {i: detector.with_iterations(i) for i in spec.iteration_counts}
-    energy = modem.expected_sample_energy(config)
-    sigmas = {e: channel.noise_sigma(e, bits_per_sample(config), energy) for e in spec.ebn0_dbs}
+    sigmas = {e: channel.noise_sigma(e, config) for e in spec.ebn0_dbs}
     grid = list(product(spec.iteration_counts, spec.ebn0_dbs))
     # Eb/N0 by Eb/N0, so that a batch forms each point's rows once.
     order = sorted(range(len(grid)), key=lambda k: k % len(spec.ebn0_dbs))
@@ -318,8 +314,6 @@ def run_ber_sweep(spec, workers=1):
     spawned process each, so a script calling this needs a __main__ guard.
     """
     check_integer(workers, "workers", 1)
-    if spec.config.data_symbols_per_frame == 0:
-        raise ParameterError("data_symbols_per_frame must be >= 1 in a BER sweep, got 0")
     runs = _runs(spec, min(workers, _usable_cpus()))
     if len(runs) == 1:
         return BerSweepResult(points=tuple(_run_curves(spec, runs[0])))

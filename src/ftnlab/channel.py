@@ -5,12 +5,12 @@ sample, with standard deviation
 
     sigma^2 = E_s / (2 * (Eb/N0)_linear * bits_per_sample)
 
-where E_s is the layout's expected mean squared sample
-(`modem.expected_sample_energy`, pilots and prefixes included) and
-bits_per_sample is the net information-bit density of the stream.  With a
-unit-energy 2-PAM alphabet through an orthonormal kernel (alpha = 1, no
-prefix) this makes the end-to-end bit error rate equal the antipodal bound
-Q(sqrt(2 Eb/N0)).  `noise_sigma` is that law.
+where E_s (`modem.expected_sample_energy`) and bits_per_sample
+(`ModemConfig.bits_per_sample`) are the layout's expected mean squared
+sample and net information-bit density: pilots and prefixes carry energy
+but no bits.  With a unit-energy 2-PAM alphabet through an orthonormal
+kernel (alpha = 1, no prefix) the end-to-end bit error rate is then the
+antipodal bound Q(sqrt(2 Eb/N0)).  `noise_sigma` is that law.
 
 Only the noise on the data blocks' N body samples reaches a detector: the
 receiver strips the prefixes and demultiplexes the data rows, so a row of
@@ -25,7 +25,8 @@ reproduces the same noise regardless of worker count.
 
 import numpy as np
 
-from .exceptions import check_apart, check_buffer, check_integer, check_real
+from .exceptions import ParameterError, check_apart, check_buffer, check_integer, check_real
+from .modem import ModemConfig, expected_sample_energy
 from .transforms import demultiplex
 
 # The Eb/N0 values accepted, in dB: within them sigma, and the detector's
@@ -33,15 +34,15 @@ from .transforms import demultiplex
 EBN0_DB_RANGE = (-300, 300)
 
 
-def noise_sigma(eb_n0_db, bits_per_sample, sample_energy):
-    """The noise's standard deviation per sample at `eb_n0_db`, for a stream
-    of `bits_per_sample` information bits per sample whose expected mean
-    squared sample is `sample_energy`."""
+def noise_sigma(eb_n0_db, config):
+    """The noise's standard deviation per sample at `eb_n0_db` for the frame
+    layout `config`, a ModemConfig with data rows."""
     check_real(eb_n0_db, "eb_n0_db", *EBN0_DB_RANGE, "[]")
-    check_real(bits_per_sample, "bits_per_sample", 0)
-    check_real(sample_energy, "sample_energy", 0)
+    if not isinstance(config, ModemConfig):
+        raise ParameterError(f"config must be a ModemConfig, got {type(config).__name__}")
+    check_integer(config.data_symbols_per_frame, "data_symbols_per_frame", 1)
     gamma = 10.0 ** (eb_n0_db / 10.0)
-    return float(np.sqrt(sample_energy / (2.0 * gamma * bits_per_sample)))
+    return float(np.sqrt(expected_sample_energy(config) / (2.0 * gamma * config.bits_per_sample)))
 
 
 def apply_awgn(rng_seed, plan, rows, *, out=None, scratch=None):

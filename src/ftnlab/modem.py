@@ -3,12 +3,13 @@
 Every subcarrier of a data row carries one bit as a 2-PAM level, -1 or +1.
 Frames carry three classes of multicarrier symbols in transmit order
 sync | training | data.  Sync and training rows are fixed pseudo-random +-1
-patterns; no detector reads them, but they are kept in the frame so that
-overhead/rate accounting and the sample energy (`expected_sample_energy`),
-which sets the noise level, match a realistic link budget.
+patterns; no detector reads them, but they count, as in a realistic link
+budget, in the bit density (`ModemConfig.bits_per_sample`) and the sample
+energy (`expected_sample_energy`), which set the rate and the noise level.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +55,11 @@ class ModemConfig:
     @property
     def data_bits_per_frame(self):
         return self.data_symbols_per_frame * self.bits_per_symbol
+
+    @property
+    def bits_per_sample(self):
+        """Net information bits per sample; pilot rows and prefixes carry none."""
+        return self.data_bits_per_frame / ((self.n + self.cp_len) * self.symbols_per_frame)
 
 
 def experiment_baseline(alpha=0.8, **overrides):
@@ -137,20 +143,15 @@ def transmit(config, data_bits):
             f"data_bits must have shape (frames, {config.data_bits_per_frame}) "
             f"for this layout, got {data_bits.shape}"
         )
-    rows = np.empty((data_bits.shape[0], config.symbols_per_frame, config.n))
-    out = np.empty(rows.shape[:2] + (config.cp_len + config.n,))
-    sync, training = pilot_rows(config)
-    first = len(sync) + len(training)
-    rows[:, :len(sync)] = sync
-    rows[:, len(sync):first] = training
-    for frame, bits in zip(rows, data_bits):
-        pam_map(bits, out=frame[first:].reshape(-1))
-    # The bodies go behind the prefixes, which then copy their tails.
-    multiplex(make_plan(config.kind, config.n, config.alpha), rows, out=out[..., config.cp_len:])
-    out[..., :config.cp_len] = out[..., config.n:]
-    return out
+    pilots = np.concatenate(pilot_rows(config))
+    data = pam_map(data_bits).reshape(len(data_bits), config.data_symbols_per_frame, config.n)
+    rows = np.concatenate((np.broadcast_to(pilots, (len(data),) + pilots.shape), data), axis=1)
+    body = multiplex(make_plan(config.kind, config.n, config.alpha), rows)
+    return np.concatenate((body[..., config.n - config.cp_len:], body), axis=-1)
 
 
+# One entry, like the plan cache: a sweep curve asks once per Eb/N0.
+@lru_cache(maxsize=1)
 def expected_sample_energy(config):
     """The mean squared sample of `transmit`'s waveform, in expectation over
     uniform data bits, in closed form.  Sample n of a data block has mean
@@ -182,14 +183,11 @@ class RateReport:
 def rate_report(config):
     fs = SAMPLE_RATE
     period = config.n / fs
-    overhead = (config.n / (config.n + config.cp_len)) * (
-        config.data_symbols_per_frame / config.symbols_per_frame
-    )
     return RateReport(
         symbol_rate=fs,
         nyquist_rate=config.alpha * fs,
         baseband_bandwidth=config.alpha * fs / 2.0,
         baseband_bandwidth_exact=(config.n - 1) * config.alpha / (2.0 * period)
         + 1.0 / period,
-        net_bit_rate=fs * overhead,
+        net_bit_rate=fs * config.bits_per_sample,
     )

@@ -68,6 +68,9 @@ def write_table(path, format, columns, **fields):
     """Equal-length named columns: as CSV, a header row and then one row per
     index; as JSON, one list per column followed by the scalar `fields`."""
     check_format(format)
+    lengths = {k: len(v) for k, v in columns.items()}
+    if len(set(lengths.values())) > 1:  # zip would drop the longer columns' tails
+        raise ParameterError(f"columns must have equal lengths, got {lengths}")
     if format == "csv":
         write_csv(path, [list(columns), *zip(*columns.values())])
     else:

@@ -100,17 +100,13 @@ def _cached_plan(kind, n, alpha):
     return TransformPlan(kind=kind, n=n, alpha=alpha, kernel=build(n, alpha))
 
 
-def multiplex(plan, symbols, *, out=None):
+def multiplex(plan, symbols):
     """Frequency-domain symbols -> time-domain samples (kernel @ X).
 
-    Accepts a length-N vector or an (..., N) stack of vectors.  `out`, if
-    given, receives the samples: a float64 array of the result's shape that
-    may be a strided view (the blocks after a cyclic prefix, say); with a
-    unit-stride last axis the product is byte-identical to the allocating one.
+    Accepts a length-N vector or an (..., N) stack of vectors.
     """
     symbols = check_real_array(symbols, "symbols", plan.n)
-    check_buffer(out, symbols.shape, np.float64, "out", contiguous=False)
-    return np.matmul(symbols, plan.kernel.T, out=out)
+    return np.matmul(symbols, plan.kernel.T)
 
 
 def sample_power(plan):
@@ -124,7 +120,8 @@ def demultiplex(plan, samples, *, out=None):
     """Time-domain samples -> frequency-domain outputs (kernel.T @ x).
 
     For alpha < 1 the round trip demultiplex(multiplex(v)) equals C @ v,
-    where C is the subcarrier correlation matrix.  `out` is as in `multiplex`.
+    where C is the subcarrier correlation matrix.  `out`, if given, receives
+    the outputs: a float64 array of the result's shape, strided or not.
     """
     samples = check_real_array(samples, "samples", plan.n)
     check_buffer(out, samples.shape, np.float64, "out", contiguous=False)

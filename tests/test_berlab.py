@@ -26,7 +26,6 @@ from ftnlab.berlab import (
     PsdEstimate,
     RequiredEbn0,
     SweepSpec,
-    bits_per_sample,
     estimate_psd,
     export_results,
     psd_edge,
@@ -198,17 +197,21 @@ class TestSweepSpec:
 class TestBitsPerSample:
     def test_no_overhead(self):
         cfg = _small_config(cp_len=0)
-        assert bits_per_sample(cfg) == pytest.approx(1.0)
+        assert cfg.bits_per_sample == pytest.approx(1.0)
 
     def test_experiment_layout(self):
         cfg = experiment_baseline()
         expected = 1.0 * 256 * 128 / (272 * 139)
-        assert bits_per_sample(cfg) == pytest.approx(expected, rel=1e-12)
+        assert cfg.bits_per_sample == pytest.approx(expected, rel=1e-12)
 
     def test_overhead_only_reduces(self):
-        assert bits_per_sample(_small_config(cp_len=8)) < bits_per_sample(
-            _small_config(cp_len=0)
-        )
+        assert _small_config(cp_len=8).bits_per_sample < _small_config(cp_len=0).bits_per_sample
+
+    def test_pilot_rows_only_reduce(self):
+        # Pilot rows carry energy but no bits.
+        plain = _small_config()
+        assert _small_config(training_symbols=4, sync_symbols=1).bits_per_sample == (
+            pytest.approx(plain.bits_per_sample * 16 / 21, rel=1e-12))
 
 
 def _sent_bits(config, n_frames, seed, curve_idx, batch_idx):
@@ -227,8 +230,7 @@ def _ici_tolerance(kind, n, alpha):
 
 def _sigma(config, ebn0_db):
     """The noise's sigma at `ebn0_db` for the layout `config`."""
-    return channel.noise_sigma(ebn0_db, bits_per_sample(config),
-                               modem.expected_sample_energy(config))
+    return channel.noise_sigma(ebn0_db, config)
 
 
 def _detected_rows(monkeypatch, config, points, n_frames, seed, batch_idx, noise_free=False):
@@ -549,9 +551,8 @@ class TestRunSweep:
             run_ber_sweep(_fast_spec(), workers=workers)
 
     def test_layout_without_data_rows_rejected(self):
-        spec = _fast_spec(config=_small_config(data_symbols_per_frame=0, sync_symbols=1))
         with pytest.raises(ParameterError, match="^data_symbols_per_frame must be >= 1"):
-            run_ber_sweep(spec)
+            _fast_spec(config=_small_config(data_symbols_per_frame=0, sync_symbols=1))
 
     def test_seed_changes_results(self):
         a = run_ber_sweep(_fast_spec(seed=0))

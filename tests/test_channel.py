@@ -11,7 +11,8 @@ from ftnlab.channel import apply_awgn, noise_sigma
 from ftnlab.exceptions import ParameterError
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.modem import (
-    ModemConfig, expected_sample_energy, pam_index, pam_map, random_data_bits, transmit,
+    ModemConfig, expected_sample_energy, experiment_baseline, pam_index, pam_map,
+    random_data_bits, transmit,
 )
 from ftnlab.transforms import TransformKind, demultiplex, make_plan
 from timedomain import measure_sample_energy, receive
@@ -22,6 +23,9 @@ def qfunc(x):
 
 
 PLAN = make_plan(TransformKind.FRCT, 16, 0.8)
+# A layout of PLAN's transform.
+CONFIG = ModemConfig(n=16, alpha=0.8, data_symbols_per_frame=4, training_symbols=2,
+                     sync_symbols=1)
 
 
 class TestSampleEnergyOracle:
@@ -38,7 +42,7 @@ class TestSampleEnergyOracle:
 
 class TestApplyAwgn:
     def test_noiseless_limit(self):
-        sigma = noise_sigma(200.0, 1.0, 1.0)
+        sigma = noise_sigma(200.0, CONFIG)
         assert np.max(np.abs(sigma * apply_awgn(1, PLAN, 50))) < 1e-8
 
     def test_deterministic_per_seed(self):
@@ -59,27 +63,22 @@ class TestApplyAwgn:
         with pytest.raises(ParameterError, match="^rows must be an integer >= 1"):
             apply_awgn(0, PLAN, rows)
 
-    @pytest.mark.parametrize("energy", [0.0, -1.0, float("nan"), "1"])
-    def test_sample_energy_checked(self, energy):
-        with pytest.raises(ParameterError, match="^sample_energy must be"):
-            noise_sigma(5.0, 1.0, energy)
+    @pytest.mark.parametrize("config", [None, 1.0, {"n": 16}, PLAN],
+                             ids=["None", "float", "dict", "plan"])
+    def test_config_checked(self, config):
+        with pytest.raises(ParameterError, match="^config must be a ModemConfig, got "):
+            noise_sigma(6.0, config)
 
-    def test_bits_per_sample_positive(self):
-        with pytest.raises(ParameterError, match="bits_per_sample"):
-            noise_sigma(5.0, 0.0, 1.0)
+    def test_layout_without_data_rows_rejected(self):
+        # No bits: sigma would divide by zero.
+        config = ModemConfig(n=16, data_symbols_per_frame=0)
+        with pytest.raises(ParameterError, match="^data_symbols_per_frame must be an integer >= 1"):
+            noise_sigma(5.0, config)
 
-    @pytest.mark.parametrize(
-        "kwargs,field",
-        [({"rng_seed": -1}, "rng_seed"), ({"rng_seed": "x"}, "rng_seed"),
-         ({"rng_seed": 1.5}, "rng_seed"), ({"rng_seed": True}, "rng_seed"),
-         ({"rng_seed": None}, "rng_seed"), ({"bits_per_sample": float("inf")}, "bits_per_sample"),
-         ({"bits_per_sample": float("nan")}, "bits_per_sample")],
-    )
-    def test_seed_and_density_checked(self, kwargs, field):
-        calls = {"rng_seed": lambda v: apply_awgn(v, PLAN, 4),
-                 "bits_per_sample": lambda v: noise_sigma(5.0, v, 1.0)}
-        with pytest.raises(ParameterError, match=field):
-            calls[field](kwargs[field])
+    @pytest.mark.parametrize("rng_seed", [-1, "x", 1.5, True, None])
+    def test_seed_checked(self, rng_seed):
+        with pytest.raises(ParameterError, match="^rng_seed must be"):
+            apply_awgn(rng_seed, PLAN, 4)
         # A SeedSequence is a valid seed, as the sweep passes one per batch.
         apply_awgn(np.random.SeedSequence(3), PLAN, 4)
 
@@ -90,16 +89,51 @@ class TestApplyAwgn:
         # sigma dividing by zero, is refused naming the field.
         with pytest.raises(ParameterError,
                            match=re.escape(f"eb_n0_db must lie in [-300, 300], got {eb_n0_db!r}")):
-            noise_sigma(eb_n0_db, 1.0, 1.0)
+            noise_sigma(eb_n0_db, CONFIG)
 
     @pytest.mark.parametrize("eb_n0_db", [-300, 300.0])
-    def test_eb_n0_range_ends_give_finite_noise(self, eb_n0_db):
-        # At either end sigma is finite and nonzero, at a sparse bit density
-        # as at one bit per sample, and so are the float32 rows.
-        for bits_per_sample in (1e-6, 1.0):
-            sigma = noise_sigma(eb_n0_db, bits_per_sample, 1.0)
-            assert 0.0 < sigma < np.inf
-            assert np.isfinite((sigma * apply_awgn(1, PLAN, 8)).astype(np.float32)).all()
+    @pytest.mark.parametrize("config", [
+        # About 5e-6 bits per sample: one data row of N = 2 among 10^5 pilots,
+        # all with a prefix as long as the block.
+        ModemConfig(n=2, cp_len=2, data_symbols_per_frame=1, training_symbols=100_000,
+                    sync_symbols=0),
+        # One bit per sample, orthonormal.
+        ModemConfig(n=16, alpha=1.0, data_symbols_per_frame=1, training_symbols=0,
+                    sync_symbols=0),
+        experiment_baseline(n=1024),
+    ], ids=["sparse", "dense", "baseline-1024"])
+    def test_eb_n0_range_ends_give_finite_noise(self, eb_n0_db, config):
+        # At either end sigma is finite and nonzero for any valid layout, and
+        # so are its float32 rows.
+        sigma = noise_sigma(eb_n0_db, config)
+        assert 0.0 < sigma < np.inf
+        plan = make_plan(config.kind, config.n, config.alpha)
+        assert np.isfinite((sigma * apply_awgn(1, plan, 8)).astype(np.float32)).all()
+
+    @pytest.mark.parametrize("config", [
+        ModemConfig(n=16, alpha=1.0, data_symbols_per_frame=1, training_symbols=0,
+                    sync_symbols=0),
+        CONFIG,
+        experiment_baseline(),
+    ], ids=["orthonormal", "pilots", "baseline"])
+    def test_sigma_is_the_layout_law(self, config):
+        # sigma^2 = E_s / (2 (Eb/N0) bits_per_sample), bits_per_sample being
+        # the data bits of a frame over its samples, prefixes included.
+        density = (config.data_symbols_per_frame * config.n
+                   / (config.symbols_per_frame * (config.n + config.cp_len)))
+        for eb_n0_db in (-3.0, 4.0, 12.5):
+            gamma = 10.0 ** (eb_n0_db / 10.0)
+            want = expected_sample_energy(config) / (2.0 * gamma * density)
+            assert noise_sigma(eb_n0_db, config) ** 2 == pytest.approx(want, rel=1e-12)
+
+    def test_sample_energy_worked_out_once_per_layout(self):
+        # A curve asks for sigma at each of its Eb/N0 values for one layout,
+        # and E_s is worked out for the first only.
+        expected_sample_energy.cache_clear()
+        for eb_n0_db in (0.0, 4.0, 8.0):
+            noise_sigma(eb_n0_db, CONFIG)
+        info = expected_sample_energy.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_noise_variance_matches_derivation(self):
         # White samples of unit variance, and rows whose entry k has
@@ -145,7 +179,7 @@ class TestBerCalibration:
         cfg = ModemConfig(n=256, alpha=1.0, kind=TransformKind.FRCT,
                           data_symbols_per_frame=64, training_symbols=0, sync_symbols=0)
         plan = make_plan(cfg.kind, cfg.n, cfg.alpha)
-        sigma = noise_sigma(ebn0_db, 1.0, expected_sample_energy(cfg))
+        sigma = noise_sigma(ebn0_db, cfg)
         rng = np.random.default_rng(int(ebn0_db))
         errors = 0
         bits_done = 0

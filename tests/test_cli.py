@@ -240,6 +240,17 @@ class TestSweepBer:
         assert stdout == ""
         assert not out.exists()
 
+    def test_layout_without_data_rows_refused_when_parsed(self, capsys, tmp_path):
+        cfg = _write_sweep(tmp_path / "sweep.json", data_symbols_per_frame=0, sync_symbols=1)
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = _run(capsys, "sweep-ber", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert _one_json_error(err) == (
+            f"{cfg}: data_symbols_per_frame must be >= 1 in a BER sweep, got 0"
+        )
+        assert stdout == ""
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "sweep.json"]  # no output, no manifest
+
     def test_seed_override_changes_result(self, capsys, tmp_path, sweep_cfg):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -111,7 +111,6 @@ KEYWORD_ONLY = {
     "modem.pam_index": ("out",),
     "modem.pam_map": ("out",),
     "transforms.demultiplex": ("out",),
-    "transforms.multiplex": ("out",),
 }
 
 

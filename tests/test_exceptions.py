@@ -108,8 +108,7 @@ REAL_PARAMETERS = [
     ("ici_power", lambda v: CapacityParams(1, 1, 1, ici_power=v), 0),
     ("alpha", lambda v: CapacityParams(1, 1, 1, alpha=v), 0.5),
     ("symbol_duration", lambda v: CapacityParams(1, 1, 1, symbol_duration=v), 2.0),
-    ("eb_n0_db", lambda v: noise_sigma(v, 1.0, 1.0), -3.0),
-    ("bits_per_sample", lambda v: noise_sigma(5.0, v, 1.0), 0.5),
+    ("eb_n0_db", lambda v: noise_sigma(v, ModemConfig(n=16)), -3.0),
     ("alpha", lambda v: ModemConfig(alpha=v), 0.8),
     ("sigma", lambda v: IciPdfModel(sigma=v), 0.3),
     ("alpha", lambda v: _sweep(alphas=(1.0, v)), 0.9),
@@ -120,7 +119,6 @@ REAL_PARAMETERS = [
     ("alpha", lambda v: make_plan(TransformKind.FRCT, 8, v), 0.9),
     ("alpha", lambda v: correlation_matrix(TransformKind.FRCT, 8, v), 0.9),
     ("snr_db", lambda v: capacity_params(snr_db=v), 10.0),
-    ("sample_energy", lambda v: noise_sigma(5.0, 1.0, v), 1.5),
 ]
 
 

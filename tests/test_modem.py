@@ -395,6 +395,31 @@ class TestRateReport:
         expected = 1.0 * 10e9 * (256 / 272) * (128 / 139)
         assert report.net_bit_rate == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("config", [
+        experiment_baseline(),
+        experiment_baseline(n=1024),
+        ModemConfig(n=16, cp_len=5, data_symbols_per_frame=15, training_symbols=1,
+                    sync_symbols=1),
+        ModemConfig(n=1024, cp_len=32, data_symbols_per_frame=1, training_symbols=10,
+                    sync_symbols=0),
+        ModemConfig(n=64, data_symbols_per_frame=64, training_symbols=0, sync_symbols=0),
+    ], ids=["baseline", "baseline-1024", "cp5-pilots2", "one-data-row", "no-overhead"])
+    def test_net_bit_rate_is_the_bit_density(self, config):
+        # The rate reads the density that sets the noise.  It is the share of
+        # samples outside the prefix times the share of data rows, up to the
+        # last bits of a float.
+        report = rate_report(config)
+        assert report.net_bit_rate == SAMPLE_RATE * config.bits_per_sample
+        overhead = (config.n / (config.n + config.cp_len)) * (
+            config.data_symbols_per_frame / config.symbols_per_frame)
+        assert report.net_bit_rate == pytest.approx(SAMPLE_RATE * overhead, rel=1e-14, abs=0)
+
+    def test_bits_per_sample_is_read_only(self):
+        config = experiment_baseline()
+        with pytest.raises(AttributeError):
+            config.bits_per_sample = 1.0
+        assert config.bits_per_sample == 256 * 128 / (272 * 139)
+
     def test_ftn_rate_ratio(self):
         report = rate_report(experiment_baseline(alpha=0.8))
         assert report.symbol_rate / report.nyquist_rate == pytest.approx(1.25, abs=0)

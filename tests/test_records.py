@@ -137,3 +137,13 @@ class TestErrors:
     def test_bad_table_format(self, tmp_path):
         with pytest.raises(ParameterError, match="format"):
             records.write_table(tmp_path / "x", "xml", {"a": [1.0]})
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_unequal_columns_refused(self, tmp_path, format):
+        # Refused before the file is opened: CSV rows would drop the longer
+        # columns' tails.
+        path = tmp_path / f"table.{format}"
+        message = "columns must have equal lengths, got {'a': 3, 'b': 1}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            records.write_table(path, format, {"a": [1, 2, 3], "b": np.array([1.0])})
+        assert not path.exists()
