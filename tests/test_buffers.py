@@ -158,7 +158,8 @@ class TestEqualize:
 
 
 def _bad_buffers():
-    """(call taking buffer `name`, name, correct shape, dtype) per buffer."""
+    """(call taking buffer `name`, name, correct shape, dtype) per buffer, each
+    with the function and buffer as its id."""
     config = ModemConfig(n=16, cp_len=2, data_symbols_per_frame=3, sync_symbols=1,
                          training_symbols=1)
     bits = random_data_bits(config, np.random.default_rng(0), 2)
@@ -166,45 +167,50 @@ def _bad_buffers():
     id_cfg = IdConfig(3, correlation_matrix(config.kind, 16, 0.9))
     rows = np.ones((6, 16))
     cases = [
-        (lambda buf: demultiplex(plan, rows, out=buf), "out", (6, 16), np.float64),
-        (lambda buf: pam_map(bits[0], out=buf), "out", (48,), np.float64),
-        (lambda buf: pam_index(rows, out=buf), "out", (6, 16), np.int64),
-        (lambda buf: apply_awgn(0, plan, 6, out=buf), "out", (6, 16), np.float64),
-        (lambda buf: apply_awgn(0, plan, 6, scratch=buf), "scratch", (6, 16), np.float64),
+        pytest.param(lambda buf: demultiplex(plan, rows, out=buf), "out", (6, 16), np.float64,
+                     id="demultiplex-out"),
+        pytest.param(lambda buf: pam_map(bits[0], out=buf), "out", (48,), np.float64,
+                     id="pam_map-out"),
+        pytest.param(lambda buf: pam_index(rows, out=buf), "out", (6, 16), np.int64,
+                     id="pam_index-out"),
+        pytest.param(lambda buf: apply_awgn(0, plan, 6, out=buf), "out", (6, 16), np.float64,
+                     id="apply_awgn-out"),
+        pytest.param(lambda buf: apply_awgn(0, plan, 6, scratch=buf), "scratch", (6, 16),
+                     np.float64, id="apply_awgn-scratch"),
     ]
     # The detector's `work` at m < N, m = N and m > N (the loop reads the
     # planes transposed only for m < N), and at I = 0, which skips the loop.
     for m, iterations in ((6, 3), (16, 3), (20, 3), (6, 0)):
         cfg, stack = id_cfg.with_iterations(iterations), np.ones((m, 16))
-        cases.append((lambda buf, cfg=cfg, stack=stack: id_equalize_frame(cfg, stack, work=buf),
-                      "work", (4, m, 16), np.float32))
+        cases.append(pytest.param(
+            lambda buf, cfg=cfg, stack=stack: id_equalize_frame(cfg, stack, work=buf),
+            "work", (4, m, 16), np.float32, id=f"id_equalize_frame-work-m{m}-I{iterations}"))
     return cases
 
 
 BAD_BUFFERS = _bad_buffers()
-BAD_IDS = [f"{i}-{case[1]}" for i, case in enumerate(BAD_BUFFERS)]
 
 
 class TestBadBuffers:
-    @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS, ids=BAD_IDS)
+    @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS)
     def test_wrong_shape(self, call, name, shape, dtype):
         with pytest.raises(ShapeError, match=f"^{name} must be a .* array of shape"):
             call(np.zeros(shape[:-1] + (shape[-1] + 1,), dtype=dtype))
 
-    @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS, ids=BAD_IDS)
+    @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS)
     def test_wrong_dtype(self, call, name, shape, dtype):
         wrong = np.float64 if dtype == np.float32 else np.float32
         with pytest.raises(ShapeError, match=re.escape(f"{name} must be a {np.dtype(dtype)}")):
             call(np.zeros(shape, dtype=wrong))
 
-    @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS, ids=BAD_IDS)
+    @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS)
     def test_read_only(self, call, name, shape, dtype):
         buf = np.zeros(shape, dtype=dtype)
         buf.setflags(write=False)
         with pytest.raises(ShapeError, match=f"^{name} must be writable$"):
             call(buf)
 
-    @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS, ids=BAD_IDS)
+    @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS)
     def test_not_an_array(self, call, name, shape, dtype):
         with pytest.raises(ShapeError, match=f"^{name} must be .* got list$"):
             call(np.zeros(shape, dtype=dtype).tolist())

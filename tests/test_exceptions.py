@@ -100,30 +100,37 @@ def _sweep(**kwargs):
                                                    **kwargs})
 
 
-# Each real-valued parameter: (field, a call that sets it to `value`, a valid value).
+# Each real-valued parameter: (field, a call that sets it to `value`, a valid
+# value), with the name of the function or class that takes it as its id.
+def _real(owner, field, call, valid):
+    return pytest.param(field, call, valid, id=f"{owner}-{field}")
+
+
 REAL_PARAMETERS = [
-    ("bandwidth_hz", lambda v: CapacityParams(v, 1, 1), 1e9),
-    ("signal_power", lambda v: CapacityParams(1, v, 1), 0.0),
-    ("noise_power", lambda v: CapacityParams(1, 1, v), 1),
-    ("ici_power", lambda v: CapacityParams(1, 1, 1, ici_power=v), 0),
-    ("alpha", lambda v: CapacityParams(1, 1, 1, alpha=v), 0.5),
-    ("symbol_duration", lambda v: CapacityParams(1, 1, 1, symbol_duration=v), 2.0),
-    ("eb_n0_db", lambda v: noise_sigma(v, ModemConfig(n=16)), -3.0),
-    ("alpha", lambda v: ModemConfig(alpha=v), 0.8),
-    ("sigma", lambda v: IciPdfModel(sigma=v), 0.3),
-    ("alpha", lambda v: _sweep(alphas=(1.0, v)), 0.9),
-    ("ebn0_dbs", lambda v: _sweep(ebn0_dbs=(4.0, v)), -2),
-    ("target_ber", lambda v: required_ebn0_at_ber(BerSweepResult(points=()), v), 3.8e-3),
-    ("bits", lambda v: wilson_interval(0, v), 10),
-    ("errors", lambda v: wilson_interval(v, 10), 3),
-    ("alpha", lambda v: make_plan(TransformKind.FRCT, 8, v), 0.9),
-    ("alpha", lambda v: correlation_matrix(TransformKind.FRCT, 8, v), 0.9),
-    ("snr_db", lambda v: capacity_params(snr_db=v), 10.0),
+    _real("CapacityParams", "bandwidth_hz", lambda v: CapacityParams(v, 1, 1), 1e9),
+    _real("CapacityParams", "signal_power", lambda v: CapacityParams(1, v, 1), 0.0),
+    _real("CapacityParams", "noise_power", lambda v: CapacityParams(1, 1, v), 1),
+    _real("CapacityParams", "ici_power", lambda v: CapacityParams(1, 1, 1, ici_power=v), 0),
+    _real("CapacityParams", "alpha", lambda v: CapacityParams(1, 1, 1, alpha=v), 0.5),
+    _real("CapacityParams", "symbol_duration",
+          lambda v: CapacityParams(1, 1, 1, symbol_duration=v), 2.0),
+    _real("noise_sigma", "eb_n0_db", lambda v: noise_sigma(v, ModemConfig(n=16)), -3.0),
+    _real("ModemConfig", "alpha", lambda v: ModemConfig(alpha=v), 0.8),
+    _real("IciPdfModel", "sigma", lambda v: IciPdfModel(sigma=v), 0.3),
+    _real("SweepSpec", "alpha", lambda v: _sweep(alphas=(1.0, v)), 0.9),
+    _real("SweepSpec", "ebn0_dbs", lambda v: _sweep(ebn0_dbs=(4.0, v)), -2),
+    _real("required_ebn0_at_ber", "target_ber",
+          lambda v: required_ebn0_at_ber(BerSweepResult(points=()), v), 3.8e-3),
+    _real("wilson_interval", "bits", lambda v: wilson_interval(0, v), 10),
+    _real("wilson_interval", "errors", lambda v: wilson_interval(v, 10), 3),
+    _real("make_plan", "alpha", lambda v: make_plan(TransformKind.FRCT, 8, v), 0.9),
+    _real("correlation_matrix", "alpha",
+          lambda v: correlation_matrix(TransformKind.FRCT, 8, v), 0.9),
+    _real("capacity_params", "snr_db", lambda v: capacity_params(snr_db=v), 10.0),
 ]
 
 
-@pytest.mark.parametrize("field,call,valid", REAL_PARAMETERS,
-                         ids=[f"{i}-{p[0]}" for i, p in enumerate(REAL_PARAMETERS)])
+@pytest.mark.parametrize("field,call,valid", REAL_PARAMETERS)
 class TestRealParameters:
     # check_real's verdict on each bad value is TestCheckReal's; here one
     # wrong-typed and one non-finite value show the parameter goes through it.
