@@ -11,10 +11,10 @@ multiplexed, sent with its prefix through the AWGN channel, stripped and
 demultiplexed, arrives as s C + w K, with C = K^T K and w the white noise
 on the row's N samples.  So a batch forms its rows S C + sigma W K in two
 GEMMs, S C as S + S (C - I) with the detector's float32 C - I and W K
-through the float64 kernel, and builds no waveform: pilot rows and prefixes
-reach no detector.  They still set sigma, which `channel.noise_sigma`
-works out from the layout's sample energy and bit density: one per Eb/N0
-and curve.
+through the float32 kernel, all in float32 from float32 noise, and builds
+no waveform: pilot rows and prefixes reach no detector.  They still set
+sigma, which `channel.noise_sigma` works out from the layout's sample
+energy and bit density: one per Eb/N0 and curve.
 
 Reproducibility: the points of one (kind, alpha), a curve, share their
 random numbers.  Curves are numbered in (kind, alpha) grid order, and batch
@@ -30,13 +30,15 @@ run in its own worker process; results are identical for any worker count,
 and no batch is computed past the stopping point of a curve's last point.
 
 Memory: the curves of a sweep share one frame layout, so each run of curves
-reuses one batch workspace for all its batches; it goes with its run.  The
-detector's one `work` array lies in the noise and the levels, which are
-dead by the time it runs, so detection allocates nothing.  With more than
-one Eb/N0 the workspace holds two float64 data-row arrays more, the signal
-S C and a point's scaled rows.  Of the N x N matrices, a sweep keeps the
-transform kernel (float64) and one detector C - I (float32), which a
-curve's iteration counts and its signal share.
+reuses one float32 batch workspace for all its batches; it goes with its
+run.  The noise W, the levels and S (C - I) lie in the planes of the
+detector's one `work` array, which are dead by the time it runs, so
+detection allocates nothing; with one Eb/N0 the workspace is that and the
+rows.  With more than one it holds two data-row arrays more, W K and the
+signal S C.  Of the N x N matrices, a sweep keeps two, both float32: the
+transform kernel and one detector C - I, which a curve's iteration counts
+and its signal share.  It allocates no float64 kernel: the float32 one and
+the noise level's sample energy are built from it in blocks of rows.
 """
 
 import math
@@ -166,25 +168,24 @@ def _curve_detector(kind, n, alpha):
 
 
 def _workspace(config, n_frames, scaled=False):
-    """Buffers for one batch of `n_frames` frames, m data rows, which every
-    batch reuses, so a batch allocates (and page-faults) no full-size array
-    but its bit draw.  `pair`, (2, m, N) float64, takes the white noise W in
-    its first half, whose float32 halves then take the levels S and S (C - I);
-    with one sigma its second half takes the signal S C.  Then the whole
-    pair is the detector's float32 `work`, whose planes 0-1 take its int64
-    decisions, the received bits.  `rows` takes the noise W K, and with one
-    sigma then the rows detected.  With `scaled`, for a curve of more than
-    one Eb/N0, two float64 data-row arrays more: the signal, and a point's
-    rows."""
+    """Float32 buffers for one batch of `n_frames` frames, m data rows, which
+    every batch reuses, so a batch allocates (and page-faults) no full-size
+    array but its bit draw.  `planes`, (4, m, N), is the detector's `work`:
+    plane 0 takes the white noise W, plane 2 the product S (C - I), and with
+    one sigma plane 1 the levels S and then the signal S C; `rows` takes the
+    noise W K and then the rows detected.  With `scaled`, for a curve of
+    more than one Eb/N0, two data-row arrays more: `noise` keeps W K,
+    `signal` takes S and then S C, and `rows` takes each point's rows in
+    turn.  `wrong` flags the errors."""
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
     with allocating_for("frames_per_batch", n_frames):
         work = {
-            "pair": np.empty((2, *data_rows)),
-            "rows": np.empty(data_rows),
+            "planes": np.empty((4, *data_rows), np.float32),
+            "rows": np.empty(data_rows, np.float32),
             "wrong": np.empty(math.prod(data_rows), dtype=bool),
         }
         if scaled:
-            work["signal"], work["scaled"] = np.empty(data_rows), np.empty(data_rows)
+            work["noise"], work["signal"] = (np.empty(data_rows, np.float32) for _ in range(2))
     return work
 
 
@@ -193,40 +194,36 @@ def _simulate_batch(config, points, n_frames, seed, curve_idx, batch_idx, work):
     of each of `points`), which are (detector, sigma) pairs sharing one C - I.
 
     The m data rows are S C + sigma W K (module docstring), W K drawn once,
-    and detected by each point's detector, whose decisions are the received
-    bits (at I = 0 it hard-decides the rows).  Each point's rows are formed
-    alike, sigma W K + S C, so they do not depend on the other points; a run
-    of points at one sigma detects rows formed once.  `work` is a
-    `_workspace` of this layout, with the two scaled arrays if the points
-    hold more than one sigma.
+    all in float32, and detected by each point's detector, whose one-byte
+    decisions are the received bits (at I = 0 it hard-decides the rows).
+    Each point's rows are formed alike, sigma W K + S C, so they do not
+    depend on the other points; a run of points at one sigma detects rows
+    formed once.  `work` is a `_workspace` of this layout, with the two
+    scaled arrays if the points hold more than one sigma.
     """
     scaled = len({sigma for _, sigma in points}) > 1
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, curve_idx, batch_idx, 0])
     )
     sent = modem.random_data_bits(config, bits_rng, n_frames)
-    pair, noise = work["pair"], work["rows"]
-    m = len(noise)
-    plan = make_plan(config.kind, config.n, config.alpha)
-    channel.apply_awgn(np.random.SeedSequence([seed, curve_idx, batch_idx, 1]), plan, m,
-                       out=noise, scratch=pair[0])
-    # S C = S + S (C - I), the product in float32 from levels rounded exactly.
-    levels, ici = pair[0].reshape(-1).view(np.float32).reshape(2, m, config.n)
-    signal = work["signal"] if scaled else pair[1]
+    planes, rows = work["planes"], work["rows"]
+    noise, signal = (work["noise"], work["signal"]) if scaled else (rows, planes[1])
+    plan = make_plan(config.kind, config.n, config.alpha, np.float32)
+    channel.apply_awgn(np.random.SeedSequence([seed, curve_idx, batch_idx, 1]), plan, len(rows),
+                       out=noise, scratch=planes[0])
+    # S C = S + S (C - I), from the exact float32 levels S.
     modem.pam_map(sent, out=signal.reshape(-1))
-    np.copyto(levels, signal)
-    np.matmul(levels, points[0][0].off_diagonal, out=ici)
-    signal += ici
-    detector_work = pair.reshape(-1).view(np.float32).reshape(4, m, config.n)
-    rows = work["scaled"] if scaled else noise
+    np.matmul(signal, points[0][0].off_diagonal, out=planes[2])
+    signal += planes[2]
     errors, formed = [], None
     for id_cfg, sigma in points:
         if sigma != formed:  # in place with one sigma: the noise is then dead
             np.multiply(noise, sigma, out=rows)
             rows += signal
             formed = sigma
-        index = equalize.id_equalize_frame(id_cfg, rows, work=detector_work)
-        wrong = np.not_equal(index.reshape(-1), sent.ravel(), out=work["wrong"])
+        index = equalize.id_equalize_frame(id_cfg, rows, work=planes)
+        wrong = np.not_equal(index.reshape(-1), sent.view(np.uint8).reshape(-1),
+                             out=work["wrong"])
         errors.append(int(np.count_nonzero(wrong)))
     return sent.size, errors
 

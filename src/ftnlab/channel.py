@@ -16,7 +16,9 @@ Only the noise on the data blocks' N body samples reaches a detector: the
 receiver strips the prefixes and demultiplexes the data rows, so a row of
 white noise w arrives as w K, K the multiplexing kernel.  `apply_awgn`
 draws exactly that noise at unit variance, nothing on the pilots or
-prefixes, and a receiver scales it by each Eb/N0's sigma.
+prefixes, and a receiver scales it by each Eb/N0's sigma.  It draws w in
+float32, the precision in which the sweep forms its rows, and through the
+sweep's float32 plan W K is one float32 GEMM.
 
 Seeding accepts an integer >= 0 or a numpy SeedSequence; callers running
 blocks in parallel derive child sequences so a fixed (seed, layout) pair
@@ -47,19 +49,20 @@ def noise_sigma(eb_n0_db, config):
 
 def apply_awgn(rng_seed, plan, rows, *, out=None, scratch=None):
     """Unit white noise on `rows` received data rows, as the demultiplexer of
-    `plan` passes it on: W K, with W of shape (rows, N) standard normals
-    drawn in C order, deterministic per `rng_seed`.  A receiver adds sigma
-    times it to its noise-free rows S C.
+    `plan` passes it on: W K, with W of shape (rows, N) float32 standard
+    normals drawn in C order, deterministic per `rng_seed`, and W K in the
+    plan's precision (float32 for the sweep's float32 plan).  A receiver
+    adds sigma times it to its noise-free rows S C.
 
-    `scratch` receives W and `out` W K; both are C-contiguous float64
-    (rows, N) arrays, apart.
+    `scratch` receives W and `out` W K; both are C-contiguous (rows, N)
+    arrays, apart, of float32 and of the plan's dtype.
     """
     if not isinstance(rng_seed, np.random.SeedSequence):
         check_integer(rng_seed, "rng_seed", 0)
     check_integer(rows, "rows", 1)
     shape = (rows, plan.n)
-    check_buffer(out, shape, np.float64, "out")
-    check_buffer(scratch, shape, np.float64, "scratch")
+    check_buffer(out, shape, plan.dtype, "out")
+    check_buffer(scratch, shape, np.float32, "scratch")
     check_apart(out=out, scratch=scratch)
-    noise = np.random.default_rng(rng_seed).standard_normal(shape, out=scratch)
+    noise = np.random.default_rng(rng_seed).standard_normal(shape, np.float32, out=scratch)
     return demultiplex(plan, noise, out=out)

@@ -16,15 +16,17 @@ Iteration i maps with the band of the previous iteration, threshold
 1 - (i-1)/I, and then shrinks it.
 
 The detector reads C only through C - I, which `IdConfig` keeps in place of C,
-in float32.  At I >= 1 it iterates in float32 too: R is rounded once, and the
+in float32.  At I >= 1 it iterates in float32 too: R is taken as it is if
+float32 (the sweep forms its rows so) and rounded once otherwise, and the
 GEMMs, residuals and band maps all run on float32 arrays, since a float32
 GEMM at these shapes takes about half the time of a float64 one and one
 precision throughout spares a mixed-type pass per iteration.  Each entry of
 C - I is rounded once from float64 (the diagonal C_kk - 1 is formed in
-float64 first), and the final decision compares the float32 estimate with
-`modem.PAM_THRESHOLD`, 2**-53, which float32 holds exactly.  At I = 0 the
-float64 rows are decided as they are.  The band map leaves a uint32 0/1
-flag per entry, 1 where it snapped, from which a trace counts the undecided.
+float64 first), and the final decision is `modem.pam_index` of the float32
+estimate, a comparison with 2**-53, which float32 holds exactly.  The band
+map leaves a uint32 0/1 flag per entry, 1 where it snapped, from which a
+trace counts the undecided.  The last iteration's map changes no sign, so
+it is skipped unless a trace is to count its flags.
 
 An (m, N) stack is the rows S of m vectors, and each iteration's GEMM takes
 one of two orientations by the stack's shape alone, both reading C - I as
@@ -36,14 +38,15 @@ less time).  On OpenBLAS the two give the same decisions bit for bit, as the
 tests check, though BLAS does not promise it.
 
 The detector's scratch is one float32 array of shape (4, m, N), its `work`,
-each plane read as an (N, m) transpose when m < N.  Plane 0 takes R rounded
-to float32, planes 1 and 2 hold S_{i-1} and S_i in turn, and plane 3 the
-band map's uint32 flags.  Each product (C - I) @ S_{i-1} goes to the plane
+each plane read as an (N, m) transpose when m < N.  Plane 0 takes R in
+float32, planes 1 and 2 hold S_{i-1} and S_i in turn, and plane 3 the band
+map's uint32 flags.  Each product (C - I) @ S_{i-1} goes to the plane
 S_{i-1} does not hold, the residual R - product replaces it there as S_i,
 and the plane of S_{i-1} becomes the band map's magnitude.  The start is
 chosen so that S_I ends in plane 2; the final decision reads only that
-plane, writes the int64 decisions over planes 0-1 and returns them as a
-view there.
+plane, writes the one-byte decisions over the first quarter of plane 0 and
+returns them as a view there.  At I = 0 the rows are decided as they are,
+into the same bytes.
 """
 
 import copy
@@ -55,7 +58,7 @@ from .exceptions import (
     ParameterError, ShapeError, check_apart, check_buffer, check_integer, check_real_array,
 )
 from .icimodel import CorrelationMatrix
-from .modem import PAM_THRESHOLD, pam_index
+from .modem import pam_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +135,12 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
     Returns the 2-PAM decision (`modem.pam_index`) on every entry, which is
     its bit; `modem.PAM_LEVELS[index]` gives the levels.  An `IdTrace` as
     `trace` gets each iteration's band and undecided count over the stack.
-    `work` is the detector's scratch, allocated if None: a C-contiguous
-    float32 array of shape (4, m, N) that shares no memory with `rows`
-    (`ParameterError`).  The result is int64, a view of its planes 0-1.
+    Float32 rows are read as they are, other dtypes as float64.  `work` is
+    the detector's scratch, allocated if None: a C-contiguous float32 array
+    of shape (4, m, N) that shares no memory with `rows` (`ParameterError`).
+    The result is uint8, a view of the start of its plane 0.
     """
-    rows = check_real_array(rows, "rows", len(config.off_diagonal))
+    rows = check_real_array(rows, "rows", len(config.off_diagonal), (np.float64, np.float32))
     if rows.ndim != 2:
         raise ShapeError(f"rows must be an (m, N) stack, got shape {rows.shape}")
     if trace is not None and not isinstance(trace, IdTrace):
@@ -145,7 +149,7 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
     check_buffer(work, (4, m, n), np.float32, "work")
     check_apart(rows=rows, work=work)
     work = np.empty((4, m, n), np.float32) if work is None else work
-    index = work[:2].reshape(-1).view(np.int64).reshape(m, n)
+    index = work[0].reshape(-1).view(np.uint8)[:m * n].reshape(m, n)
     if config.iterations == 0:
         return pam_index(rows, out=index)
     # With m < N each plane is read as its (N, m) transpose, a view.
@@ -167,13 +171,16 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
             else:
                 np.matmul(spare, config.off_diagonal, out=current)
             np.subtract(received, current, out=current)
-        _map_band(current, d, spare, flags)
+        # The last map changes no sign, so the final decision does not need
+        # it; only a trace reads its flags.
+        if i < total or trace is not None:
+            _map_band(current, d, spare, flags)
         d = 1.0 - i / total
         if trace is not None:
             trace.undecided_counts.append(flags.size - int(np.count_nonzero(flags)))
             trace.d_values.append(d)
-    # Entries still inside the final band get a plain hard decision, the rule
-    # of `pam_index` on the float32 values themselves; it reads only plane 2,
-    # so it may write planes 0-1.
-    np.greater(estimate, PAM_THRESHOLD, out=index.T if m < n else index)
+    # Every entry gets the plain hard decision of `pam_index` on its float32
+    # value, snapped or still inside the band; it reads only plane 2, so it
+    # may write plane 0.
+    pam_index(estimate, out=index.T if m < n else index)
     return index

@@ -57,9 +57,10 @@ def check_integer(value, name, minimum):
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def check_real_array(values, name, last_axis=None):
-    """`values`, real numbers in a rectangular nesting, as float64 (never a
-    copy of a float64 array); with `last_axis`, the last axis has that length."""
+def check_real_array(values, name, last_axis=None, floats=(np.float64,)):
+    """`values`, real numbers in a rectangular nesting, as an array of one of
+    the float dtypes `floats`: as it is if it has one (never a copy), else
+    converted to the first; with `last_axis`, the last axis has that length."""
     try:
         values = np.asarray(values)
     except ValueError as exc:  # a ragged nesting
@@ -69,7 +70,7 @@ def check_real_array(values, name, last_axis=None):
     if last_axis is not None and values.shape[-1:] != (last_axis,):
         got = values.shape[-1] if values.ndim else "no axis"
         raise ShapeError(f"{name} last axis must have length {last_axis}, got {got}")
-    return values.astype(np.float64, copy=False)
+    return values if values.dtype in floats else values.astype(floats[0])
 
 
 def check_buffer(buf, shape, dtype, name, contiguous=True):

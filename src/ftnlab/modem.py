@@ -82,7 +82,8 @@ PAM_THRESHOLD = 2.0**-53
 
 def pam_map(bits, *, out=None):
     """The 2-PAM level of each bit, as a vector: 0 -> -1, 1 -> +1.  `out`, if
-    given, receives the levels: a C-contiguous float64 vector, one per bit."""
+    given, receives the levels: a C-contiguous float64 or float32 vector,
+    one per bit."""
     bits = np.asarray(bits)
     # Every bit is 0 or 1: a real dtype, one min/max pass, and for floats an
     # integrality pass.
@@ -92,8 +93,9 @@ def pam_map(bits, *, out=None):
     )):
         bad = [b for b in bits.ravel().tolist() if b not in (0, 1)][:1] or [bits.dtype]
         raise ParameterError(f"bits must be 0 or 1, got {bad[0]!r}")
-    check_buffer(out, (bits.size,), np.float64, "out")
-    levels = np.multiply(bits.reshape(-1), 2.0, out=out, dtype=np.float64)
+    dtype = np.float32 if getattr(out, "dtype", None) == np.float32 else np.float64
+    check_buffer(out, (bits.size,), dtype, "out")
+    levels = np.multiply(bits.reshape(-1), 2.0, out=out, dtype=dtype)
     levels -= 1.0
     return levels
 
@@ -102,12 +104,16 @@ def pam_index(values, *, out=None):
     """The 2-PAM decision on each value, which is its bit: 1 iff v > 2**-53
     (`PAM_THRESHOLD`), else 0, NaN included.  In float64 this is the nearest
     level with ties to the lower, fl(1 + v) > 1; in float32 that sum would tie
-    at 2**-24 instead, so the rule is the comparison, not the sum.
-    `out` (int64, of the shape of `values`) receives the indices."""
-    values = check_real_array(values, "values")
-    check_buffer(out, values.shape, np.int64, "out", contiguous=False)
-    out = np.empty(values.shape, dtype=np.int64) if out is None else out
-    return np.greater(values, PAM_THRESHOLD, out=out)
+    at 2**-24 instead, so the rule is the comparison, not the sum.  Float32
+    values are compared as they are, other dtypes as float64.
+
+    The decisions are one byte each, uint8 0 or 1, and so also indices into
+    `PAM_LEVELS`; `out` (uint8, of the shape of `values`) receives them."""
+    values = check_real_array(values, "values", floats=(np.float64, np.float32))
+    check_buffer(out, values.shape, np.uint8, "out", contiguous=False)
+    out = np.empty(values.shape, dtype=np.uint8) if out is None else out
+    np.greater(values, PAM_THRESHOLD, out=out.view(bool))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +161,13 @@ def transmit(config, data_bits):
 def expected_sample_energy(config):
     """The mean squared sample of `transmit`'s waveform, in expectation over
     uniform data bits, in closed form.  Sample n of a data block has mean
-    square sum_k K[n, k]^2 (`transforms.sample_power`), a pilot block its
-    fixed square, and a prefix repeats the last cp_len samples of its block."""
-    plan = make_plan(config.kind, config.n, config.alpha)
-
-    def energy(power):  # of the blocks, prefixes included, of these sample powers
-        return power.sum() + power[..., config.n - config.cp_len:].sum()
-
-    total = config.data_symbols_per_frame * energy(sample_power(plan))
-    for rows in pilot_rows(config):
-        total += energy(np.square(multiplex(plan, rows)))
+    square sum_k K[n, k]^2, a pilot block its fixed square (both from
+    `transforms.sample_power`, which holds no N x N kernel), and a prefix
+    repeats the last cp_len samples of its block."""
+    power = sample_power(config.kind, config.n, config.alpha, np.concatenate(pilot_rows(config)))
+    # The energy of a data block, then of each pilot block, prefixes included.
+    energy = power.sum(axis=1) + power[:, config.n - config.cp_len:].sum(axis=1)
+    total = config.data_symbols_per_frame * energy[0] + energy[1:].sum()
     return float(total / (config.symbols_per_frame * (config.cp_len + config.n)))
 
 

@@ -325,9 +325,10 @@ class TestSimulateBatch:
         assert len(seen) > 4
 
     def test_ici_precision_leaves_the_gate_decisions(self, monkeypatch):
-        # Over the first four batches of each of the gate's ID cells (seed 0),
-        # the detector decides the rows formed with the float32 S (C - I) as
-        # it decides rows formed with S C in float64.
+        # Over the first four batches of each of the gate's cells (seed 0),
+        # at I = 0 and I > 0, the detector decides the float32 batch's rows
+        # as it decides float64 rows S C + sigma W K formed from the same
+        # white noise W, upcast, through the float64 kernel.
         apply_awgn, detector = channel.apply_awgn, equalize.id_equalize_frame
         baseline = experiment_baseline()
         batch = {}
@@ -336,11 +337,13 @@ class TestSimulateBatch:
             apply_awgn(*args, out=out, scratch=scratch)
             sent = _sent_bits(batch["config"], 4, 0, 0, batch["index"])
             levels = modem.pam_map(sent).reshape(-1, baseline.n)
-            batch.update(exact=levels @ batch["c"] + batch["sigma"] * out,
+            white = scratch.astype(np.float64)
+            batch.update(exact=levels @ batch["c"] + batch["sigma"] * (white @ batch["kernel"]),
                          index=batch["index"] + 1)
             return out
 
         def compared(id_cfg, rows, **buffers):
+            assert rows.dtype == np.float32
             index = detector(id_cfg, rows, **buffers).copy()
             exact = detector(id_cfg, batch["exact"])
             batch["differing"] += int(np.count_nonzero(index != exact))
@@ -350,15 +353,18 @@ class TestSimulateBatch:
         monkeypatch.setattr(channel, "apply_awgn", noise_kept)
         monkeypatch.setattr(equalize, "id_equalize_frame", compared)
         differing = decisions = 0
-        for kind, alpha, ebn0_dbs, iteration_counts in [
-            (TransformKind.FRCT, 0.8, (10.0, 20.0), (5, 20)),
-            (TransformKind.FRCT, 0.7, (20.0,), (20, 40)),
-            (TransformKind.FRHT, 0.45, (10.0, 20.0), (20,)),
-        ]:
+        cells = [
+            (TransformKind.FRCT, 0.8, (10.0, 20.0), (0, 5, 20)),
+            (TransformKind.FRCT, 0.7, (20.0,), (0, 20, 40)),
+            (TransformKind.FRHT, 0.45, (10.0, 20.0), (0, 20)),
+        ]
+        for kind, alpha, ebn0_dbs, iteration_counts in cells:
             config = replace(baseline, kind=kind, alpha=alpha)
+            kernel = transforms.make_plan(kind, baseline.n, alpha).kernel
             for iterations, ebn0_db in product(iteration_counts, ebn0_dbs):
                 batch.update(config=config, c=correlation_matrix(kind, baseline.n, alpha).entries,
-                             sigma=_sigma(config, ebn0_db), index=0, differing=0, decisions=0)
+                             kernel=kernel, sigma=_sigma(config, ebn0_db), index=0,
+                             differing=0, decisions=0)
                 run_ber_sweep(SweepSpec(
                     config=baseline, alphas=(alpha,), ebn0_dbs=(ebn0_db,),
                     iteration_counts=(iterations,), kinds=(kind,),
@@ -368,7 +374,8 @@ class TestSimulateBatch:
                       f"{batch['differing']} of {batch['decisions']} decisions differ")
                 differing += batch["differing"]
                 decisions += batch["decisions"]
-        assert decisions == 8 * 4 * 4 * baseline.data_bits_per_frame
+        cell_count = sum(len(e) * len(i) for _, _, e, i in cells)
+        assert decisions == cell_count * 4 * 4 * baseline.data_bits_per_frame
         assert differing <= 1e-5 * decisions, (differing, decisions)
 
 
@@ -632,7 +639,7 @@ class TestCurveStreams:
                 assert alone.points == (point,)
 
     def test_a_points_rows_do_not_depend_on_its_grid(self, monkeypatch):
-        # The float64 rows detected at 12 dB are the bytes of a lone 12 dB
+        # The float32 rows detected at 12 dB are the bytes of a lone 12 dB
         # point's, also when the curve lists other Eb/N0 first.
         detector = equalize.id_equalize_frame
         seen = []
@@ -651,14 +658,14 @@ class TestCurveStreams:
 
     @pytest.mark.parametrize("spec,expected", [
         (SweepSpec(config=experiment_baseline(), alphas=(0.8,), ebn0_dbs=(10.0,),
-                   max_bits=200_000, min_errors=0, seed=3), (262144, 381)),
-        (_fast_spec(), (14336, 51)),
+                   max_bits=200_000, min_errors=0, seed=3), (262144, 400)),
+        (_fast_spec(), (12288, 51)),
     ])
     def test_one_point_sweeps_keep_their_counts(self, spec, expected):
         # (bits, errors) of two one-point sweeps, pinned: a one-point curve
         # runs the chain of a lone point, so only a change to the chain or
-        # its streams moves them.  They last moved when the rows came to be
-        # formed in the data domain, from bool bit draws.
+        # its streams moves them.  They last moved when the batch came to be
+        # formed in float32, from float32 noise draws.
         [point] = run_ber_sweep(spec).points
         assert (point.bits, point.errors) == expected
 
@@ -698,8 +705,10 @@ class TestTraceContract:
 
 
 class TestSweepMemory:
-    """A sweep keeps two N x N matrices, the float64 kernel and the detector's
-    float32 C - I: 1.5 x 8 N^2 bytes."""
+    """A sweep keeps two N x N matrices, both float32, the kernel and the
+    detector's C - I: 1.0 x 8 N^2 bytes, and its workspace.  The float64 C
+    it builds C - I from is its peak's largest part, and it never builds a
+    float64 kernel."""
 
     N = 1024
 
@@ -720,7 +729,32 @@ class TestSweepMemory:
             tracemalloc.stop()
         matrix_bytes = 8 * self.N**2
         assert (peak - base) < 2.5 * matrix_bytes
-        assert (held - base) < 2.0 * matrix_bytes
+        assert (held - base) < 1.5 * matrix_bytes
+
+    def test_sweep_builds_no_float64_kernel(self, monkeypatch):
+        # Its plan is float32, and its sample energy reads the float64 kernel
+        # a block of rows at a time: 32 rows at N = 1024.
+        dtypes, blocks = [], []
+        cached_plan, kernel_blocks = transforms._cached_plan, transforms._kernel_blocks
+
+        def plan(*args):
+            dtypes.append(args[-1])
+            return cached_plan(*args)
+
+        def block_rows(*args):
+            for start, rows in kernel_blocks(*args):
+                blocks.append(rows.shape)
+                yield start, rows
+
+        monkeypatch.setattr(transforms, "_cached_plan", plan)
+        monkeypatch.setattr(transforms, "_kernel_blocks", block_rows)
+        modem.expected_sample_energy.cache_clear()
+        run_ber_sweep(SweepSpec(
+            config=experiment_baseline(n=self.N), alphas=(0.8,), ebn0_dbs=(6.0, 9.0),
+            iteration_counts=(0, 2), frames_per_batch=1, max_bits=100_000, min_errors=0,
+        ))
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        assert blocks and max(blocks) == (32, self.N)
 
     def test_sweep_keeps_no_correlation_matrix(self, monkeypatch):
         built = []

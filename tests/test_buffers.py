@@ -40,7 +40,7 @@ def assert_same_bytes(got, want):
 
 def garbage(shape, dtype=np.float64):
     fill = {np.dtype(np.float64): np.nan, np.dtype(np.float32): np.nan,
-            np.dtype(np.int64): -7, np.dtype(np.uint32): 7}
+            np.dtype(np.uint8): 7, np.dtype(np.uint32): 7}
     return np.full(shape, fill[np.dtype(dtype)], dtype=dtype)
 
 
@@ -103,10 +103,12 @@ class TestModem:
         c = correlation_matrix(kind, 32, alpha).entries
         np.testing.assert_allclose(out, levels @ c.T, rtol=0, atol=1e-12)
 
-    def test_pam_map(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pam_map(self, dtype):
+        # The levels are exact in either float dtype.
         bits = np.random.default_rng(6).integers(0, 2, size=60 * 3)
-        want = pam_map(bits)
-        out = garbage(want.shape)
+        want = pam_map(bits).astype(dtype)
+        out = garbage(want.shape, dtype)
         assert pam_map(bits, out=out) is out
         assert_same_bytes(out, want)
 
@@ -115,7 +117,7 @@ class TestModem:
         special = np.concatenate([PAM_LEVELS, [0.0, -0.0, np.inf, -np.inf, np.nan]])
         values.flat[:special.size] = special
         want = pam_index(values)
-        out = garbage(values.shape, np.int64)
+        out = garbage(values.shape, np.uint8)
         assert pam_index(values, out=out) is out
         assert_same_bytes(out, want)
 
@@ -130,13 +132,15 @@ class TestChannel:
 
     @KIND_ALPHA
     @pytest.mark.parametrize("rows", [1, 9])
-    def test_apply_awgn(self, kind, alpha, rows):
-        plan = make_plan(kind, 32, alpha)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_apply_awgn(self, kind, alpha, rows, dtype):
+        plan = make_plan(kind, 32, alpha, dtype)
         want = apply_awgn(3, plan, rows)
-        # The allocating form is standard normal noise, demultiplexed.
-        white = np.random.default_rng(3).normal(0.0, 1.0, size=(rows, 32))
+        # The allocating form is float32 standard normal noise, demultiplexed
+        # in the plan's precision.
+        white = np.random.default_rng(3).standard_normal((rows, 32), np.float32)
         assert_same_bytes(want, demultiplex(plan, white))
-        out, scratch = garbage((rows, 32)), garbage((rows, 32))
+        out, scratch = garbage((rows, 32), dtype), garbage((rows, 32), np.float32)
         for _ in range(2):
             assert apply_awgn(3, plan, rows, out=out, scratch=scratch) is out
             assert_same_bytes(out, want)
@@ -153,7 +157,7 @@ class TestEqualize:
         work = garbage((4,) + rows.shape, np.float32)
         for _ in range(2):
             got = id_equalize_frame(config, rows, work=work)
-            assert np.shares_memory(got, work[:2])
+            assert np.shares_memory(got, work[0])
             assert_same_bytes(got, want)
 
 
@@ -164,6 +168,7 @@ def _bad_buffers():
                          training_symbols=1)
     bits = random_data_bits(config, np.random.default_rng(0), 2)
     plan = make_plan(config.kind, 16, 1.0)
+    narrow = make_plan(config.kind, 16, 1.0, np.float32)
     id_cfg = IdConfig(3, correlation_matrix(config.kind, 16, 0.9))
     rows = np.ones((6, 16))
     cases = [
@@ -171,12 +176,12 @@ def _bad_buffers():
                      id="demultiplex-out"),
         pytest.param(lambda buf: pam_map(bits[0], out=buf), "out", (48,), np.float64,
                      id="pam_map-out"),
-        pytest.param(lambda buf: pam_index(rows, out=buf), "out", (6, 16), np.int64,
+        pytest.param(lambda buf: pam_index(rows, out=buf), "out", (6, 16), np.uint8,
                      id="pam_index-out"),
-        pytest.param(lambda buf: apply_awgn(0, plan, 6, out=buf), "out", (6, 16), np.float64,
+        pytest.param(lambda buf: apply_awgn(0, narrow, 6, out=buf), "out", (6, 16), np.float32,
                      id="apply_awgn-out"),
-        pytest.param(lambda buf: apply_awgn(0, plan, 6, scratch=buf), "scratch", (6, 16),
-                     np.float64, id="apply_awgn-scratch"),
+        pytest.param(lambda buf: apply_awgn(0, narrow, 6, scratch=buf), "scratch", (6, 16),
+                     np.float32, id="apply_awgn-scratch"),
     ]
     # The detector's `work` at m < N, m = N and m > N (the loop reads the
     # planes transposed only for m < N), and at I = 0, which skips the loop.
@@ -199,7 +204,8 @@ class TestBadBuffers:
 
     @pytest.mark.parametrize("call,name,shape,dtype", BAD_BUFFERS)
     def test_wrong_dtype(self, call, name, shape, dtype):
-        wrong = np.float64 if dtype == np.float32 else np.float32
+        # `pam_map` takes float32 as well as float64 levels.
+        wrong = np.int32 if dtype == np.float64 else np.float64
         with pytest.raises(ShapeError, match=re.escape(f"{name} must be a {np.dtype(dtype)}")):
             call(np.zeros(shape, dtype=wrong))
 
@@ -227,9 +233,9 @@ class TestBadBuffers:
 
     @pytest.mark.parametrize("name", ["out", "scratch"])
     def test_strided_noise_buffer_rejected(self, name):
-        plan = make_plan(TransformKind.FRCT, 6, 1.0)
+        plan = make_plan(TransformKind.FRCT, 6, 1.0, np.float32)
         with pytest.raises(ShapeError, match=f"^{name} must be C-contiguous$"):
-            apply_awgn(0, plan, 4, **{name: np.zeros((6, 4)).T})
+            apply_awgn(0, plan, 4, **{name: np.zeros((6, 4), np.float32).T})
 
 
 
@@ -256,7 +262,7 @@ class TestOverlappingBuffers:
             config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
             call = partial(id_equalize_frame, config, rows, work=work)
         else:
-            out, scratch = _one_allocation(((6, 16), np.float64), ((6, 16), np.float64))
+            out, scratch = _one_allocation(((6, 16), np.float64), ((6, 16), np.float32))
             call = partial(apply_awgn, 0, make_plan(TransformKind.FRCT, 16, 0.9), 6,
                            out=out, scratch=scratch)
         with pytest.raises(ParameterError, match=f"^{first} and {second} must not share memory$"):
@@ -288,7 +294,7 @@ class TestOverlappingBuffers:
 
     @pytest.mark.parametrize("iterations", [0, 5])
     def test_the_sweep_workspace_passes(self, iterations):
-        # The sweep's detector works in the noise/signal pair.
+        # The sweep's detector works in the workspace's planes, on its rows.
         config = ModemConfig(n=16, alpha=0.9, data_symbols_per_frame=3, training_symbols=0,
                              sync_symbols=0)
         work = _workspace(config, 2)
@@ -296,9 +302,8 @@ class TestOverlappingBuffers:
         rows[:] = np.random.default_rng(15).normal(size=rows.shape)
         id_cfg = IdConfig(iterations, correlation_matrix(TransformKind.FRCT, 16, 0.9))
         want = id_equalize_frame(id_cfg, rows.copy())
-        detector = work["pair"].reshape(-1).view(np.float32).reshape(4, 6, 16)
-        got = id_equalize_frame(id_cfg, rows, work=detector)
-        assert np.shares_memory(got, work["pair"])
+        got = id_equalize_frame(id_cfg, rows, work=work["planes"])
+        assert np.shares_memory(got, work["planes"])
         assert_same_bytes(got, want)
 
 
@@ -330,17 +335,15 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_buffers_are_apart_and_sized(self, scaled):
-        # The detector's float32 `work` is the whole pair; every buffer is
-        # its own allocation, of the data rows' shape.
+        # The detector's `work` is the planes; every buffer is its own
+        # float32 allocation of the data rows' shape, but the error flags.
         config = experiment_baseline()
         work = _workspace(config, 4, scaled)
         m = 4 * config.data_symbols_per_frame
-        names = ["pair", "rows", "wrong"] + (["signal", "scaled"] if scaled else [])
+        names = ["planes", "rows", "wrong"] + (["noise", "signal"] if scaled else [])
         assert list(work) == names
-        assert work["pair"].shape == (2, m, config.n)
-        assert work["wrong"].shape == (m * config.n,)
-        assert all(work[name].shape == (m, config.n) for name in names if name not in
-                   ("pair", "wrong"))
+        assert (work["planes"].dtype, work["planes"].shape) == (np.float32, (4, m, config.n))
+        assert (work["wrong"].dtype, work["wrong"].shape) == (bool, (m * config.n,))
+        assert all((work[name].dtype, work[name].shape) == (np.float32, (m, config.n))
+                   for name in names if name not in ("planes", "wrong"))
         assert all(a.flags.c_contiguous and a.flags.owndata for a in work.values())
-        detector = work["pair"].reshape(-1).view(np.float32)
-        assert detector.size == 4 * m * config.n

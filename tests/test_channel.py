@@ -50,7 +50,7 @@ class TestApplyAwgn:
 
     def test_noise_follows_c_order(self):
         # Fewer rows get the first rows of the same draw.
-        few, many = np.empty((3, 16)), np.empty((8, 16))
+        few, many = np.empty((3, 16), np.float32), np.empty((8, 16), np.float32)
         apply_awgn(42, PLAN, 3, scratch=few)
         apply_awgn(42, PLAN, 8, scratch=many)
         assert np.array_equal(few, many[:3])
@@ -104,11 +104,12 @@ class TestApplyAwgn:
     ], ids=["sparse", "dense", "baseline-1024"])
     def test_eb_n0_range_ends_give_finite_noise(self, eb_n0_db, config):
         # At either end sigma is finite and nonzero for any valid layout, and
-        # so are its float32 rows.
+        # so are its float32 rows, the sweep's noise through its float32 plan.
         sigma = noise_sigma(eb_n0_db, config)
         assert 0.0 < sigma < np.inf
-        plan = make_plan(config.kind, config.n, config.alpha)
-        assert np.isfinite((sigma * apply_awgn(1, plan, 8)).astype(np.float32)).all()
+        plan = make_plan(config.kind, config.n, config.alpha, np.float32)
+        noise = sigma * apply_awgn(1, plan, 8)
+        assert noise.dtype == np.float32 and np.isfinite(noise).all()
 
     @pytest.mark.parametrize("config", [
         ModemConfig(n=16, alpha=1.0, data_symbols_per_frame=1, training_symbols=0,
@@ -138,19 +139,23 @@ class TestApplyAwgn:
     def test_noise_variance_matches_derivation(self):
         # White samples of unit variance, and rows whose entry k has
         # variance C_kk after the demultiplexer.
-        white = np.empty((100_000, 16))
+        white = np.empty((100_000, 16), np.float32)
         rows = apply_awgn(3, PLAN, len(white), scratch=white)
         assert np.var(white) == pytest.approx(1.0, rel=0.01)
         c = correlation_matrix(TransformKind.FRCT, 16, 0.8).entries
         np.testing.assert_allclose(np.var(rows, axis=0), np.diag(c), rtol=0.03)
 
-    def test_scratch_holds_the_white_noise(self):
-        # `out` is the white noise in `scratch`, demultiplexed, and that
-        # noise is standard normal in C order.
-        scratch = np.empty((5, 16))
-        out = apply_awgn(8, PLAN, 5, scratch=scratch)
-        assert np.array_equal(scratch, np.random.default_rng(8).normal(0.0, 1.0, (5, 16)))
-        assert np.array_equal(out, demultiplex(PLAN, scratch))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scratch_holds_the_white_noise(self, dtype):
+        # `out` is the white noise in `scratch`, demultiplexed in the plan's
+        # precision, and that noise is float32 standard normal in C order.
+        plan = make_plan(TransformKind.FRCT, 16, 0.8, dtype)
+        scratch = np.empty((5, 16), np.float32)
+        out = apply_awgn(8, plan, 5, scratch=scratch)
+        assert np.array_equal(scratch,
+                              np.random.default_rng(8).standard_normal((5, 16), np.float32))
+        assert out.dtype == dtype
+        assert out.tobytes() == demultiplex(plan, scratch).tobytes()
 
 
 class TestTimeDomainAgreement:
@@ -164,7 +169,7 @@ class TestTimeDomainAgreement:
         config = ModemConfig(n=16, alpha=alpha, kind=kind, cp_len=cp_len,
                              data_symbols_per_frame=5, sync_symbols=pilots[0],
                              training_symbols=pilots[1])
-        white = np.empty((3 * 5, 16))
+        white = np.empty((3 * 5, 16), np.float32)
         rows = apply_awgn(4, make_plan(kind, 16, alpha), 15, scratch=white)
         blocks = np.random.default_rng(5).normal(size=(3, config.symbols_per_frame, cp_len + 16))
         noisy = blocks.copy()

@@ -182,7 +182,7 @@ class TestNoiselessRecovery:
         cfg = IdConfig(iterations=3, matrix=c)
         rng = np.random.default_rng(1)
         out = id_equalize_frame(cfg, rng.normal(size=(32, 16)))
-        assert out.dtype == np.int64
+        assert out.dtype == np.uint8
         assert np.all(np.isin(out, (0, 1)))
 
     def test_order_variants_agree_on_clean_input(self):
@@ -341,7 +341,8 @@ class TestMapBand:
             return _map_band(values, d, *args)
 
         monkeypatch.setattr(equalize, "_map_band", recording_map_band)
-        id_equalize_frame(IdConfig(iterations, _matrix(8, 0.9)), np.ones((2, 8)))
+        # With a trace every iteration maps, the last one too.
+        id_equalize_frame(IdConfig(iterations, _matrix(8, 0.9)), np.ones((2, 8)), trace=IdTrace())
         assert len(bands) == iterations
         assert_allclose(min(bands), 1.0 / iterations)
         assert min(bands) >= 2.0**-53
@@ -399,6 +400,44 @@ class TestTrace:
         traced = id_equalize_frame(cfg, rows, trace=trace)
         assert traced.tobytes() == id_equalize_frame(cfg, rows).tobytes()
         assert len(trace.d_values) == len(trace.undecided_counts) == iterations
+
+    @pytest.mark.parametrize("m", [12, 16, 40])
+    @pytest.mark.parametrize("iterations", [1, 2, 20])
+    def test_last_map_is_skipped_without_a_trace(self, iterations, m, monkeypatch):
+        # The final decision reads signs only, which the band map never
+        # changes, so the last iteration maps only for a trace: the decisions
+        # are the same either way, at m < N, m = N and m > N, and the trace
+        # still gets the last iteration's undecided count.
+        c = _matrix(16, 0.8)
+        cfg = IdConfig(iterations=iterations, matrix=c)
+        rng = np.random.default_rng(10)
+        rows = _compress(c, PAM_LEVELS[rng.integers(0, 2, size=(m, 16))])
+        rows += 0.4 * rng.normal(size=rows.shape)
+        maps = []
+
+        def counted(values, d, *args):
+            maps.append(d)
+            return _map_band(values, d, *args)
+
+        monkeypatch.setattr(equalize, "_map_band", counted)
+        plain = id_equalize_frame(cfg, rows).copy()
+        assert len(maps) == iterations - 1
+        trace = IdTrace()
+        traced = id_equalize_frame(cfg, rows, trace=trace)
+        assert len(maps) == 2 * iterations - 1
+        assert traced.tobytes() == plain.tobytes()
+        assert len(trace.undecided_counts) == iterations
+        # The last count is that of the entries inside the last band, 1/I, in
+        # the float32 recursion (as `_reference_indices`, stopped before the
+        # last map).
+        received = rows.astype(np.float32)
+        estimate = np.zeros_like(received)
+        for i in range(1, iterations + 1):
+            estimate = received - estimate @ cfg.off_diagonal.T
+            d = 1.0 - (i - 1) / iterations
+            undecided = int(np.count_nonzero(np.abs(estimate) <= d))
+            estimate = np.where(np.abs(estimate) > d, np.copysign(1.0, estimate), estimate)
+        assert trace.undecided_counts[-1] == undecided
 
     @pytest.mark.parametrize("trace", [[], {}, "trace"])
     def test_trace_must_be_an_id_trace(self, trace):
@@ -487,13 +526,13 @@ class TestReferenceRecursion:
         expected = _reference_indices(cfg.off_diagonal, received.astype(np.float32),
                                       iterations)
         # Stale contents of `work` must not leak into the result.  "out":
-        # stale decisions (-7) in planes 0-1; "buffers": NaN in the float
+        # stale decision bytes (7) in plane 0; "buffers": NaN in the float
         # planes and 7 in the flags; "buffers+out": every plane as a previous
-        # call left it; "aliased": the sweep's float32 view of a float64 block.
+        # call left it; "aliased": a float32 view of a float64 block.
         work = None
         if layout == "out":
             work = np.full((4, rows, n), np.nan, np.float32)
-            work[:2].reshape(-1).view(np.int64)[:] = -7
+            work[0].reshape(-1).view(np.uint8)[:] = 7
         elif layout == "buffers":
             work = _stale_work(rows, n)
         elif layout == "buffers+out":
@@ -504,9 +543,9 @@ class TestReferenceRecursion:
             work = block.view(np.float32)[:4 * rows * n].reshape(4, rows, n)
         got = id_equalize_frame(cfg, received, work=work)
         if work is not None:
-            # The decisions lie in planes 0-1.
-            assert np.shares_memory(got, work[:2])
-            assert not np.shares_memory(got, work[2:])
+            # The decisions lie in plane 0.
+            assert np.shares_memory(got, work[0])
+            assert not np.shares_memory(got, work[1:])
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 

@@ -96,7 +96,7 @@ def _binary_formula(values):
     t = np.asarray(values, dtype=np.float64) + 1.0
     t /= 2.0
     t -= 0.5
-    return np.fmin(np.fmax(np.ceil(t), 0), 1).astype(np.int64)
+    return np.fmin(np.fmax(np.ceil(t), 0), 1).astype(np.uint8)
 
 
 _TIE = 2.0**-53
@@ -149,7 +149,7 @@ class TestPamIndex:
         if literal is not None:
             assert list(want) == literal
         assert_array_equal(pam_index(values), want, strict=True)
-        out = np.full(values.shape, -7, np.int64)
+        out = np.full(values.shape, 7, np.uint8)
         assert pam_index(values, out=out) is out
         assert_array_equal(out, want)
 
@@ -170,9 +170,9 @@ class TestPamIndex:
         # shape of the input and through `out=`.
         values = _LAYOUTS[layout](_edge_values(dtype))
         want = np.array([int(v > _TIE) for v in values.ravel().tolist()],
-                        dtype=np.int64).reshape(values.shape)
+                        dtype=np.uint8).reshape(values.shape)
         assert_array_equal(pam_index(values), want, strict=True)
-        out = np.full(values.shape, -7, np.int64)
+        out = np.full(values.shape, 7, np.uint8)
         assert pam_index(values, out=out) is out
         assert_array_equal(out, want, strict=True)
 
@@ -189,7 +189,7 @@ class TestPamMapDtypes:
         out = np.full(bits.size, np.nan)
         assert pam_map(bits, out=out) is out
         assert_array_equal(out, want, strict=True)
-        assert_array_equal(pam_index(out), bits.ravel().astype(np.int64), strict=True)
+        assert_array_equal(pam_index(out), bits.ravel().astype(np.uint8), strict=True)
 
 
 class TestConfig:

@@ -80,13 +80,38 @@ class TestMakePlan:
 
 
 class TestKernelBuild:
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    @pytest.mark.parametrize("n", [2, 100, 1024, 3000])
+    def test_plans_are_the_one_build_in_row_blocks(self, kind, n):
+        # The plan's kernel is put together from row blocks (one block up to
+        # N = 181, 10 rows a block at N = 3000), the bytes of the kernel
+        # built whole; the float32 plan is that kernel rounded once.
+        build = _frct_kernel if kind is TransformKind.FRCT else _frht_kernel
+        whole = build(n, 0.8, 0, n)
+        plan = make_plan(kind, n, 0.8)
+        assert plan.dtype == np.float64 and plan.kernel.tobytes() == whole.tobytes()
+        narrow = make_plan(kind, n, 0.8, np.float32)
+        assert narrow.dtype == np.float32
+        assert narrow.kernel.tobytes() == whole.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, "float32", None])
+    def test_plan_dtype_checked(self, dtype):
+        with pytest.raises(ParameterError, match="^dtype must be numpy.float64 or numpy.float32"):
+            make_plan(TransformKind.FRCT, 8, 0.9, dtype)
+
+    def test_float32_plan_multiplexes_in_float32(self):
+        plan = make_plan(TransformKind.FRCT, 16, 0.9, np.float32)
+        v = np.random.default_rng(12).normal(size=(3, 16))
+        assert multiplex(plan, v).dtype == demultiplex(plan, v).dtype == np.float32
+        assert demultiplex(plan, v).tobytes() == (v.astype(np.float32) @ plan.kernel).tobytes()
+
     @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45, 0.1, np.float64(0.7)])
     @pytest.mark.parametrize("n", [2, 3, 16, 100, 256, 1024])
     @pytest.mark.parametrize(
         "build,reference", [(_frct_kernel, _frct_reference), (_frht_kernel, _frht_reference)]
     )
     def test_in_place_build_is_byte_identical(self, build, reference, n, alpha):
-        kernel = build(n, alpha)
+        kernel = build(n, alpha, 0, n)
         assert kernel.dtype == np.float64 and kernel.shape == (n, n)
         assert kernel.tobytes() == reference(n, alpha).tobytes()
 
@@ -191,8 +216,8 @@ class TestSamplePower:
     @pytest.mark.parametrize("n", [16, 64])
     def test_is_the_diagonal_of_k_kt(self, kind, alpha, n):
         plan = make_plan(kind, n, alpha)
-        assert_allclose(sample_power(plan), np.diag(plan.kernel @ plan.kernel.T), rtol=1e-12,
-                        atol=0)
+        assert_allclose(sample_power(kind, n, alpha)[0], np.diag(plan.kernel @ plan.kernel.T),
+                        rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
     @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45])
@@ -201,7 +226,7 @@ class TestSamplePower:
         # sum_n (K K^T)[n, n] = trace(K^T K): the total power over the
         # samples is the closed-form C's diagonal sum, which owes nothing to
         # the kernel's build.
-        total = np.sum(sample_power(make_plan(kind, n, alpha)))
+        total = np.sum(sample_power(kind, n, alpha)[0])
         assert total == pytest.approx(np.trace(correlation_matrix(kind, n, alpha).entries),
                                       rel=1e-10)
 
@@ -209,7 +234,7 @@ class TestSamplePower:
     @pytest.mark.parametrize("n", [8, 64])
     def test_unit_at_alpha_one(self, kind, n):
         # An orthonormal square kernel has K K^T = I as well as K^T K = I.
-        assert_allclose(sample_power(make_plan(kind, n, 1.0)), np.ones(n), rtol=0, atol=1e-12)
+        assert_allclose(sample_power(kind, n, 1.0), np.ones((1, n)), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
     def test_is_the_mean_square_of_multiplexed_levels(self, kind):
@@ -217,4 +242,20 @@ class TestSamplePower:
         levels = 2.0 * np.random.default_rng(9).integers(0, 2, (4000, 32)) - 1.0
         square = np.square(multiplex(plan, levels))
         error = np.std(square, axis=0, ddof=1) / np.sqrt(len(square))
-        assert np.all(np.abs(np.mean(square, axis=0) - sample_power(plan)) < 5.0 * error)
+        assert np.all(np.abs(np.mean(square, axis=0) - sample_power(kind, 32, 0.8)[0])
+                      < 5.0 * error)
+
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    @pytest.mark.parametrize("n", [16, 2001])
+    def test_fixed_rows_give_their_multiplexed_squares(self, kind, n):
+        # At n = 2001 the kernel is read in blocks of 16 rows, the last one short.
+        fixed = np.random.default_rng(10).normal(size=(3, n))
+        power = sample_power(kind, n, 0.7, fixed)
+        assert power.shape == (4, n)
+        assert_allclose(power[1:], np.square(multiplex(make_plan(kind, n, 0.7), fixed)),
+                        rtol=1e-9, atol=1e-12)
+        assert power[0].tobytes() == sample_power(kind, n, 0.7)[0].tobytes()
+
+    def test_fixed_rows_must_have_n_symbols(self):
+        with pytest.raises(ShapeError, match="^fixed last axis must have length 8"):
+            sample_power(TransformKind.FRCT, 8, 0.9, np.ones((2, 7)))
