@@ -35,10 +35,10 @@ run.  The noise W, the levels and S (C - I) lie in the planes of the
 detector's one `work` array, which are dead by the time it runs, so
 detection allocates nothing; with one Eb/N0 the workspace is that and the
 rows.  With more than one it holds two data-row arrays more, W K and the
-signal S C.  Of the N x N matrices, a sweep keeps two, both float32: the
-transform kernel and one detector C - I, which a curve's iteration counts
-and its signal share.  It allocates no float64 kernel: the float32 one and
-the noise level's sample energy are built from it in blocks of rows.
+signal S C.  Of the N x N matrices, a sweep keeps two, both float32, in its
+curve cache: the transform kernel and one detector C - I, which a curve's
+iteration counts and its signal share.  It allocates no float64 kernel: the
+float32 one and sigma's sample energy read it in blocks of rows.
 """
 
 import math
@@ -158,13 +158,16 @@ class BerSweepResult:
         return {k: self.curve(*k) for k in keys}
 
 
-# One entry, like the plan cache: the grid walks (kind, alpha) outermost, so
-# one detector serves a curve, whose iteration counts share its C - I
-# (`IdConfig.with_iterations`), and repeated sweeps of it.  It holds C - I
-# only, in float32 (4 N^2 bytes); C itself is freed as soon as C - I exists.
+# The package's one cache, of one entry, as the grid walks (kind, alpha)
+# outermost: a curve's detector, whose C - I its iteration counts share, and
+# float32 plan, 4 N^2 bytes each (C is freed before the plan is built), and
+# sigma at each of `ebn0_dbs`, for the curve and repeated sweeps of it.
 @lru_cache(maxsize=1)
-def _curve_detector(kind, n, alpha):
-    return equalize.IdConfig(0, icimodel.correlation_matrix(kind, n, alpha))
+def _curve(config, ebn0_dbs):
+    detector = equalize.IdConfig(0, icimodel.correlation_matrix(config.kind, config.n,
+                                                                 config.alpha))
+    plan = make_plan(config.kind, config.n, config.alpha, np.float32)
+    return plan, detector, {e: channel.noise_sigma(e, config) for e in ebn0_dbs}
 
 
 def _workspace(config, n_frames, scaled=False):
@@ -189,9 +192,10 @@ def _workspace(config, n_frames, scaled=False):
     return work
 
 
-def _simulate_batch(config, points, n_frames, seed, curve_idx, batch_idx, work):
-    """One frame batch of curve number `curve_idx`; returns (bits, the errors
-    of each of `points`), which are (detector, sigma) pairs sharing one C - I.
+def _simulate_batch(config, plan, points, n_frames, seed, curve_idx, batch_idx, work):
+    """Batch `batch_idx` of curve `curve_idx`, through its float32 `plan`;
+    returns (bits, the errors of each of `points`), (detector, sigma) pairs
+    sharing one C - I.
 
     The m data rows are S C + sigma W K (module docstring), W K drawn once,
     all in float32, and detected by each point's detector, whose one-byte
@@ -208,7 +212,6 @@ def _simulate_batch(config, points, n_frames, seed, curve_idx, batch_idx, work):
     sent = modem.random_data_bits(config, bits_rng, n_frames)
     planes, rows = work["planes"], work["rows"]
     noise, signal = (work["noise"], work["signal"]) if scaled else (rows, planes[1])
-    plan = make_plan(config.kind, config.n, config.alpha, np.float32)
     channel.apply_awgn(np.random.SeedSequence([seed, curve_idx, batch_idx, 1]), plan, len(rows),
                        out=noise, scratch=planes[0])
     # S C = S + S (C - I), from the exact float32 levels S.
@@ -234,9 +237,8 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     each point takes batches until its own `min_errors` or `max_bits` stops
     it, and the curve stops with its last point."""
     config = replace(spec.config, kind=kind, alpha=alpha)
-    detector = _curve_detector(kind, config.n, alpha)
+    plan, detector, sigmas = _curve(config, spec.ebn0_dbs)
     detectors = {i: detector.with_iterations(i) for i in spec.iteration_counts}
-    sigmas = {e: channel.noise_sigma(e, config) for e in spec.ebn0_dbs}
     grid = list(product(spec.iteration_counts, spec.ebn0_dbs))
     # Eb/N0 by Eb/N0, so that a batch forms each point's rows once.
     order = sorted(range(len(grid)), key=lambda k: k % len(spec.ebn0_dbs))
@@ -248,7 +250,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     batch_idx = 0
     while live := [k for k in order if running(k)]:
         batch_bits, batch_errors = _simulate_batch(
-            config, [(detectors[grid[k][0]], sigmas[grid[k][1]]) for k in live],
+            config, plan, [(detectors[grid[k][0]], sigmas[grid[k][1]]) for k in live],
             spec.frames_per_batch, spec.seed, curve_idx, batch_idx, work,
         )
         for k, point_errors in zip(live, batch_errors):

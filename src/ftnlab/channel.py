@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import ParameterError, check_apart, check_buffer, check_integer, check_real
 from .modem import ModemConfig, expected_sample_energy
-from .transforms import demultiplex
+from .transforms import TransformPlan, demultiplex
 
 # The Eb/N0 values accepted, in dB: within them sigma, and the detector's
 # float32 rows, stay finite for any layout.
@@ -59,6 +59,8 @@ def apply_awgn(rng_seed, plan, rows, *, out=None, scratch=None):
     """
     if not isinstance(rng_seed, np.random.SeedSequence):
         check_integer(rng_seed, "rng_seed", 0)
+    if not isinstance(plan, TransformPlan):
+        raise ParameterError(f"plan must be a TransformPlan, got {type(plan).__name__}")
     check_integer(rows, "rows", 1)
     shape = (rows, plan.n)
     check_buffer(out, shape, plan.dtype, "out")

@@ -42,8 +42,8 @@ each plane read as an (N, m) transpose when m < N.  Plane 0 takes R in
 float32, planes 1 and 2 hold S_{i-1} and S_i in turn, and plane 3 the band
 map's uint32 flags.  Each product (C - I) @ S_{i-1} goes to the plane
 S_{i-1} does not hold, the residual R - product replaces it there as S_i,
-and the plane of S_{i-1} becomes the band map's magnitude.  The start is
-chosen so that S_I ends in plane 2; the final decision reads only that
+and the plane of S_{i-1} becomes the band map's magnitude.  S_1 starts in
+plane 1, so S_I ends in plane 1 or 2; the final decision reads only that
 plane, writes the one-byte decisions over the first quarter of plane 0 and
 returns them as a view there.  At I = 0 the rows are decided as they are,
 into the same bytes.
@@ -140,6 +140,8 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
     of shape (4, m, N) that shares no memory with `rows` (`ParameterError`).
     The result is uint8, a view of the start of its plane 0.
     """
+    if not isinstance(config, IdConfig):
+        raise ParameterError(f"config must be an IdConfig, got {type(config).__name__}")
     rows = check_real_array(rows, "rows", len(config.off_diagonal), (np.float64, np.float32))
     if rows.ndim != 2:
         raise ShapeError(f"rows must be an (m, N) stack, got shape {rows.shape}")
@@ -154,13 +156,11 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
         return pam_index(rows, out=index)
     # With m < N each plane is read as its (N, m) transpose, a view.
     shape = (n, m) if m < n else (m, n)
-    received, product, estimate = (plane.reshape(shape) for plane in work[:3])
+    received, current, spare = (plane.reshape(shape) for plane in work[:3])
     flags = work[3].view(np.uint32).reshape(shape)
     np.copyto(received, rows.T if m < n else rows)
     total = config.iterations
-    # S_1 lands in `estimate` iff I is odd; S_0 = 0 makes the first product
-    # exactly +0, so S_1 = R.
-    current, spare = (estimate, product) if total % 2 else (product, estimate)
+    # S_0 = 0 makes the first product exactly +0, so S_1 = R.
     np.copyto(current, received)
     d = 1.0
     for i in range(1, total + 1):
@@ -180,7 +180,7 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
             trace.undecided_counts.append(flags.size - int(np.count_nonzero(flags)))
             trace.d_values.append(d)
     # Every entry gets the plain hard decision of `pam_index` on its float32
-    # value, snapped or still inside the band; it reads only plane 2, so it
-    # may write plane 0.
-    pam_index(estimate, out=index.T if m < n else index)
+    # value, snapped or still inside the band; it reads only S_I's plane, 1
+    # or 2, so it may write plane 0.
+    pam_index(current, out=index.T if m < n else index)
     return index

@@ -62,35 +62,37 @@ def _geometric_sums(n, t):
     return ratio * np.cos(phase), ratio * np.sin(phase)
 
 
-def _toeplitz_plus_hankel(a, b, n):
-    """The n x n matrix a[|l - m|] + b[l + m], for a and b of length 2n - 1;
-    symmetric to the last bit, since entries (l, m) and (m, l) add the same
-    two numbers."""
+def _toeplitz_plus_hankel(a, b, out):
+    """Into the n x n `out`, a[|l - m|] + b[l + m], for a and b of length
+    2n - 1; symmetric to the last bit, since entries (l, m) and (m, l) add
+    the same two numbers."""
+    n = len(out)
     # Over (a[n-1], ..., a[1], a[0], ..., a[n-1]), window p holds
     # a[|p + m - (n-1)|] at column m; reversing the windows gives a[|l - m|].
     toeplitz = sliding_window_view(np.concatenate((a[n - 1:0:-1], a[:n])), n)[::-1]
-    return toeplitz + sliding_window_view(b, n)
+    np.add(toeplitz, sliding_window_view(b, n), out=out)
 
 
 def correlation_matrix(kind, n, alpha):
     """Evaluate the subcarrier correlation matrix in closed form, in O(N^2)."""
     validate_transform(kind, n, alpha)
-    n = int(n)
-    alpha = float(alpha)
+    n, alpha = int(n), float(alpha)
+    with allocating_for("n", n):
+        entries = np.empty((n, n))
     j = np.arange(2 * n - 1)
     if kind is TransformKind.FRCT:
         # g(j) = Re(exp(i*pi*s) * sum_n exp(2i*pi*n*s)) with s = alpha*j/(2N).
         s = alpha * j / (2 * n)
         cos_sum, sin_sum = _geometric_sums(n, s)
         g = np.cos(np.pi * s) * cos_sum - np.sin(np.pi * s) * sin_sum
-        entries = _toeplitz_plus_hankel(g, g, n)
+        _toeplitz_plus_hankel(g, g, entries)
         entries /= n
         weight = 1.0 / np.sqrt(2.0)
         entries[0] *= weight
         entries[:, 0] *= weight
     else:
         cos_sum, sin_sum = _geometric_sums(n, alpha * j / n)
-        entries = _toeplitz_plus_hankel(cos_sum, sin_sum, n)
+        _toeplitz_plus_hankel(cos_sum, sin_sum, entries)
         entries /= n
     return CorrelationMatrix(kind=kind, n=n, alpha=alpha, entries=entries)
 
@@ -143,13 +145,18 @@ def mixture_cdf(model, x):
     return 0.5 * (stats.norm.cdf((x + 1.0) / s) + stats.norm.cdf((x - 1.0) / s))
 
 
+def _check_samples(samples, name):
+    samples = check_real_array(samples, name)
+    if samples.size == 0 or not np.all(np.isfinite(samples)):
+        raise ParameterError(f"{name} must be nonempty and finite")
+    return samples
+
+
 def fit_sigma_mle(samples):
     """Maximum-likelihood sigma of the +/-1 Gaussian mixture for pooled samples."""
     from scipy import optimize
 
-    samples = check_real_array(samples, "samples")
-    if samples.size == 0 or not np.all(np.isfinite(samples)):
-        raise ParameterError("samples must be nonempty and finite")
+    samples = _check_samples(samples, "samples")
 
     def nll(s):
         return -np.sum(np.log(mixture_pdf(IciPdfModel(sigma=s), samples) + 1e-300))
@@ -160,7 +167,7 @@ def fit_sigma_mle(samples):
 
 def ks_distance(samples, model):
     """Kolmogorov-Smirnov distance between the sample CDF and the mixture CDF."""
-    x = np.sort(check_real_array(samples, "samples"))
+    x = np.sort(_check_samples(samples, "samples"))
     m = x.size
     cdf = mixture_cdf(model, x)
     ecdf_hi = np.arange(1, m + 1) / m
@@ -200,9 +207,7 @@ class IciHistogram:
 def ici_histogram(values):
     """Histogram of samples (the `ici_samples` values) on a fixed [-2, 2]
     grid with 0.02-wide bins."""
-    values = check_real_array(values, "values")
-    if values.size == 0 or not np.all(np.isfinite(values)):
-        raise ParameterError("values must be nonempty and finite")
+    values = _check_samples(values, "values")
     nbins = int(round((HIST_RANGE[1] - HIST_RANGE[0]) / HIST_BIN_WIDTH))
     counts, edges = np.histogram(values, bins=nbins, range=HIST_RANGE)
     density = counts / (values.size * HIST_BIN_WIDTH)

@@ -9,7 +9,6 @@ energy (`expected_sample_energy`), which set the rate and the noise level.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -156,8 +155,6 @@ def transmit(config, data_bits):
     return np.concatenate((body[..., config.n - config.cp_len:], body), axis=-1)
 
 
-# One entry, like the plan cache: a sweep curve asks once per Eb/N0.
-@lru_cache(maxsize=1)
 def expected_sample_energy(config):
     """The mean squared sample of `transmit`'s waveform, in expectation over
     uniform data bits, in closed form.  Sample n of a data block has mean

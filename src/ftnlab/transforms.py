@@ -20,17 +20,12 @@ alpha.  FrHT at alpha/2 therefore occupies the same spacing as FrCT at alpha.
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ParameterError, check_alpha, check_buffer, check_integer, check_real_array
-
-# Plans kept alive by make_plan.  A BER sweep walks (kind, alpha) as the outer
-# loop of its grid, so one plan serves a whole curve and repeated sweeps of
-# it; each plan holds an N^2 kernel, 8 N^2 bytes in float64 (128 MB at N =
-# 4096) and half that in float32.
-_PLAN_CACHE_SIZE = 1
+from .exceptions import (
+    ParameterError, allocating_for, check_alpha, check_buffer, check_integer, check_real_array,
+)
 
 # The kernel is built this many entries at a time, in blocks of whole rows
 # (256 KB of float64), so a float32 plan or the sample power allocates no
@@ -110,18 +105,16 @@ def make_plan(kind, n, alpha, dtype=np.float64):
     (kind, n, alpha), in `dtype`, numpy.float64 or numpy.float32.  A float32
     kernel is the float64 one rounded once, entry by entry.
 
-    Plans are cached and shared between callers: identical arguments, also
-    as numpy scalars, return the same plan, whose kernel is read-only.
+    Each call builds its own plan, N^2 entries (8 N^2 bytes in float64, half
+    that in float32), with a read-only kernel; numpy scalar arguments give
+    the plan's n and alpha as int and float.
     """
     validate_transform(kind, n, alpha)
     if dtype not in (np.float64, np.float32):
         raise ParameterError(f"dtype must be numpy.float64 or numpy.float32, got {dtype!r}")
-    return _cached_plan(kind, int(n), float(alpha), np.dtype(dtype))
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _cached_plan(kind, n, alpha, dtype):
-    kernel = np.empty((n, n), dtype)
+    n, alpha = int(n), float(alpha)
+    with allocating_for("n", n):
+        kernel = np.empty((n, n), dtype)
     for start, rows in _kernel_blocks(kind, n, alpha):
         kernel[start:start + len(rows)] = rows
     return TransformPlan(kind=kind, n=n, alpha=alpha, kernel=kernel)

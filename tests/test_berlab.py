@@ -32,7 +32,7 @@ from ftnlab.berlab import (
     required_ebn0_at_ber,
     run_ber_sweep,
     wilson_interval,
-    _curve_detector,
+    _curve,
     _simulate_batch,
     _workspace,
 )
@@ -253,8 +253,9 @@ def _detected_rows(monkeypatch, config, points, n_frames, seed, batch_idx, noise
 
     monkeypatch.setattr(channel, "apply_awgn", recorded_noise)
     monkeypatch.setattr(equalize, "id_equalize_frame", recorded_rows)
-    counts = _simulate_batch(config, [(d, _sigma(config, e)) for d, e in points], n_frames,
-                             seed, 2, batch_idx,
+    plan = transforms.make_plan(config.kind, config.n, config.alpha, np.float32)
+    counts = _simulate_batch(config, plan, [(d, _sigma(config, e)) for d, e in points],
+                             n_frames, seed, 2, batch_idx,
                              _workspace(config, n_frames, len({e for _, e in points}) > 1))
     monkeypatch.undo()
     [white] = drawn
@@ -585,9 +586,33 @@ class TestRunSweep:
         tight = result.curve(TransformKind.FRCT, 0.7, 10)[0]
         assert tight.ber > ortho.ber
 
-    def test_point_matrix_cache_holds_one_c(self):
+    def test_curve_cache_holds_one_curve(self):
         run_ber_sweep(_fast_spec(alphas=(0.9, 0.8, 0.7)))
-        assert _curve_detector.cache_info().currsize == 1
+        assert _curve.cache_info().currsize == 1
+
+    def test_repeated_sweep_builds_its_curve_once(self, monkeypatch):
+        # The plan, C and E_s of a curve are built in its first sweep, E_s
+        # once for each Eb/N0, and not again when it is swept again.
+        built = collections.Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def call(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(berlab, "make_plan")
+        counted(icimodel, "correlation_matrix")
+        counted(channel, "expected_sample_energy")
+        _curve.cache_clear()
+        spec = _fast_spec(ebn0_dbs=(4.0, 6.0), iteration_counts=(0, 10))
+        first = run_ber_sweep(spec)
+        assert built == {"make_plan": 1, "correlation_matrix": 1, "expected_sample_energy": 2}
+        assert run_ber_sweep(spec) == first
+        assert built == {"make_plan": 1, "correlation_matrix": 1, "expected_sample_energy": 2}
 
     def test_curves_grouping(self):
         spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0))
@@ -717,8 +742,7 @@ class TestSweepMemory:
             config=experiment_baseline(n=self.N), alphas=(0.8,), ebn0_dbs=(6.0,),
             iteration_counts=(2,), frames_per_batch=1, max_bits=100_000, min_errors=0,
         )
-        _curve_detector.cache_clear()
-        transforms._cached_plan.cache_clear()
+        _curve.cache_clear()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -735,20 +759,20 @@ class TestSweepMemory:
         # Its plan is float32, and its sample energy reads the float64 kernel
         # a block of rows at a time: 32 rows at N = 1024.
         dtypes, blocks = [], []
-        cached_plan, kernel_blocks = transforms._cached_plan, transforms._kernel_blocks
+        post_init, kernel_blocks = transforms.TransformPlan.__post_init__, transforms._kernel_blocks
 
-        def plan(*args):
-            dtypes.append(args[-1])
-            return cached_plan(*args)
+        def plan_built(plan):
+            dtypes.append(plan.dtype)
+            post_init(plan)
 
         def block_rows(*args):
             for start, rows in kernel_blocks(*args):
                 blocks.append(rows.shape)
                 yield start, rows
 
-        monkeypatch.setattr(transforms, "_cached_plan", plan)
+        monkeypatch.setattr(transforms.TransformPlan, "__post_init__", plan_built)
         monkeypatch.setattr(transforms, "_kernel_blocks", block_rows)
-        modem.expected_sample_energy.cache_clear()
+        _curve.cache_clear()
         run_ber_sweep(SweepSpec(
             config=experiment_baseline(n=self.N), alphas=(0.8,), ebn0_dbs=(6.0, 9.0),
             iteration_counts=(0, 2), frames_per_batch=1, max_bits=100_000, min_errors=0,
@@ -766,7 +790,7 @@ class TestSweepMemory:
             return c
 
         monkeypatch.setattr(icimodel, "correlation_matrix", tracked)
-        _curve_detector.cache_clear()
+        _curve.cache_clear()
         run_ber_sweep(_fast_spec(alphas=(0.9, 0.8), iteration_counts=(0, 10)), workers=1)
         assert built and all(ref() is None for ref in built)
         # One build per curve, (kind, alpha), whatever its iteration counts.

@@ -63,6 +63,11 @@ class TestApplyAwgn:
         with pytest.raises(ParameterError, match="^rows must be an integer >= 1"):
             apply_awgn(0, PLAN, rows)
 
+    @pytest.mark.parametrize("plan", ["x", None, CONFIG], ids=["str", "None", "config"])
+    def test_plan_checked(self, plan):
+        with pytest.raises(ParameterError, match="^plan must be a TransformPlan, got "):
+            apply_awgn(0, plan, 3)
+
     @pytest.mark.parametrize("config", [None, 1.0, {"n": 16}, PLAN],
                              ids=["None", "float", "dict", "plan"])
     def test_config_checked(self, config):
@@ -126,15 +131,6 @@ class TestApplyAwgn:
             gamma = 10.0 ** (eb_n0_db / 10.0)
             want = expected_sample_energy(config) / (2.0 * gamma * density)
             assert noise_sigma(eb_n0_db, config) ** 2 == pytest.approx(want, rel=1e-12)
-
-    def test_sample_energy_worked_out_once_per_layout(self):
-        # A curve asks for sigma at each of its Eb/N0 values for one layout,
-        # and E_s is worked out for the first only.
-        expected_sample_energy.cache_clear()
-        for eb_n0_db in (0.0, 4.0, 8.0):
-            noise_sigma(eb_n0_db, CONFIG)
-        info = expected_sample_energy.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
 
     def test_noise_variance_matches_derivation(self):
         # White samples of unit variance, and rows whose entry k has

@@ -14,6 +14,7 @@ from ftnlab import berlab, icimodel
 from ftnlab.cli import main
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.transforms import TransformKind
+from hostmemory import refused_outright
 
 
 def _run(capsys, *argv):
@@ -656,6 +657,16 @@ class TestErrorsExitCleanly:
         message = _one_json_error(err)
         assert message.startswith(field + " asks for more memory than can be allocated: ")
         assert "Unable to allocate" in message
+        assert not out.exists()
+
+    def test_correlation_matrix_too_large_to_allocate_names_n(self, capsys, tmp_path):
+        if not refused_outright(8 * 10**12):
+            pytest.skip("this host might grant the N x N matrix and then page it in")
+        out = tmp_path / "row.csv"
+        code, _, err = _run(capsys, "corr-row", "--n", "1000000", "--k", "1", "--out", str(out))
+        assert code == 2
+        assert _one_json_error(err).startswith(
+            "n = 1000000 asks for more memory than can be allocated: Unable to allocate")
         assert not out.exists()
 
     def test_zero_workers(self, capsys, tmp_path, sweep_cfg):

@@ -472,6 +472,12 @@ class TestShapes:
         with pytest.raises(ShapeError):
             id_equalize_frame(cfg, np.zeros(8))
 
+    @pytest.mark.parametrize("config", ["x", None, 2, _matrix(8, 0.9)],
+                             ids=["str", "None", "int", "matrix"])
+    def test_config_checked(self, config):
+        with pytest.raises(ParameterError, match="^config must be an IdConfig, got "):
+            id_equalize_frame(config, np.zeros((4, 8)))
+
     def test_frame_matches_per_vector(self):
         c = _matrix(8, 0.8)
         cfg = IdConfig(iterations=6, matrix=c)

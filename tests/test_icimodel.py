@@ -22,6 +22,7 @@ from ftnlab.icimodel import (
 )
 from ftnlab.modem import ModemConfig
 from ftnlab.transforms import TransformKind, make_plan
+from hostmemory import refused_outright
 
 
 class TestCorrelationMatrix:
@@ -57,6 +58,15 @@ class TestCorrelationMatrix:
     def test_parameter_errors(self, n, alpha):
         with pytest.raises(ParameterError):
             correlation_matrix(TransformKind.FRCT, n, alpha)
+
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    def test_too_large_to_allocate_names_n(self, kind):
+        n = 10**6
+        if not refused_outright(8 * n * n):
+            pytest.skip("this host might grant the N x N matrix and then page it in")
+        with pytest.raises(ParameterError, match=(
+                "^n = 1000000 asks for more memory than can be allocated: Unable to allocate")):
+            correlation_matrix(kind, n, 0.8)
 
     # The FrHT sums are singular where alpha*j/N is an integer: alpha = 1 at
     # j = N, and alpha = 0.8 at j = 5N/4 for N divisible by 4.  Their float
@@ -168,7 +178,9 @@ class TestMixturePdf:
         [(lambda: IciPdfModel(sigma=np.inf), "sigma"),
          (lambda: IciPdfModel(sigma=np.nan), "sigma"),
          (lambda: fit_sigma_mle([np.nan]), "samples"),
-         (lambda: fit_sigma_mle([0.9, -np.inf, 1.1]), "samples")],
+         (lambda: fit_sigma_mle([0.9, -np.inf, 1.1]), "samples"),
+         (lambda: ks_distance([], IciPdfModel(sigma=0.5)), "samples"),
+         (lambda: ks_distance([0.5, np.nan], IciPdfModel(sigma=0.5)), "samples")],
     )
     def test_non_finite_inputs_named(self, call, field):
         with pytest.raises(ParameterError, match=f"^{field} must be .*finite"):

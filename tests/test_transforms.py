@@ -11,6 +11,7 @@ from ftnlab.icimodel import correlation_matrix
 from ftnlab.transforms import (
     TransformKind, _frct_kernel, _frht_kernel, demultiplex, make_plan, multiplex, sample_power,
 )
+from hostmemory import refused_outright
 
 
 def _frct_reference(n, alpha):
@@ -66,17 +67,24 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             plan.kernel[0, 0] = 0.0
 
-    def test_numpy_scalar_arguments_share_the_cached_plan(self):
-        plan = make_plan(TransformKind.FRCT, 16, 0.8)
-        same = make_plan(TransformKind.FRCT, np.int64(16), np.float64(0.8))
-        assert same is plan
-        assert type(same.n) is int and type(same.alpha) is float
+    def test_numpy_scalar_arguments_give_int_and_float(self):
+        plan = make_plan(TransformKind.FRCT, np.int64(16), np.float64(0.8))
+        assert type(plan.n) is int and type(plan.alpha) is float
         with pytest.raises(ValueError):
-            same.kernel[0, 0] = 0.0
+            plan.kernel[0, 0] = 0.0
 
     def test_bad_kind(self):
         with pytest.raises(ParameterError, match="kind"):
             make_plan("FrCT", 8, 0.9)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_kernel_too_large_to_allocate_names_n(self, dtype):
+        n = 10**6
+        if not refused_outright(n * n * np.dtype(dtype).itemsize):
+            pytest.skip("this host might grant the N x N kernel and then page it in")
+        with pytest.raises(ParameterError, match=(
+                "^n = 1000000 asks for more memory than can be allocated: Unable to allocate")):
+            make_plan(TransformKind.FRCT, n, 0.8, dtype)
 
 
 class TestKernelBuild:
