@@ -202,10 +202,10 @@ def _simulate_batch(config, plan, points, n_frames, seed, curve_idx, batch_idx, 
     decisions are the received bits (at I = 0 it hard-decides the rows).
     Each point's rows are formed alike, sigma W K + S C, so they do not
     depend on the other points; a run of points at one sigma detects rows
-    formed once.  `work` is a `_workspace` of this layout, with the two
-    scaled arrays if the points hold more than one sigma.
+    formed once.  `work` is a `_workspace` of this layout; if it holds the
+    two scaled arrays, W K and S C are kept in them, else formed in place.
     """
-    scaled = len({sigma for _, sigma in points}) > 1
+    scaled = "noise" in work
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, curve_idx, batch_idx, 0])
     )

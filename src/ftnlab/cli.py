@@ -12,7 +12,7 @@ from dataclasses import asdict, fields, replace
 from functools import partial
 
 from . import __version__, berlab, capacity, config, icimodel, modem, records
-from .exceptions import ConfigError, ExportError, ParameterError
+from .exceptions import ConfigError, ExportError, ParameterError, check_keys
 from .transforms import TransformKind
 
 
@@ -223,12 +223,7 @@ def main(argv=None):
                 config.sweep_spec_from_json_dict(manifest.resolved, args.manifest)
             else:
                 recorded = _resolve(parser.parse_args([manifest.subcommand, "--out", "-"]))
-                missing = sorted(recorded.keys() - manifest.resolved.keys())
-                if missing:
-                    raise ConfigError(f"{args.manifest}: resolved lacks field(s) {missing}")
-                unknown = sorted(manifest.resolved.keys() - recorded.keys())
-                if unknown:
-                    raise ConfigError(f"{args.manifest}: unknown resolved field(s) {unknown}")
+                check_keys(f"{args.manifest}: resolved", manifest.resolved, recorded)
             if not manifest.outputs and manifest.subcommand not in ("capacity", "rates"):
                 raise ConfigError(f"{args.manifest}: manifest field 'outputs' is empty, "
                                   f"but {manifest.subcommand} requires --out")

@@ -7,12 +7,11 @@ A sweep file holds a value for every sweep key, exactly as
 
 import time
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import get_args, get_origin
 
 from . import __version__, records
 from .berlab import SweepSpec
 from .capacity import CapacityParams
-from .exceptions import ConfigError, ExportError, ParameterError, check_real
+from .exceptions import ConfigError, ExportError, ParameterError, check_keys, check_real
 from .modem import ModemConfig
 from .transforms import TransformKind
 
@@ -61,27 +60,14 @@ def sweep_spec_to_dict(spec):
 
 def sweep_spec_from_json_dict(values, source="sweep dict"):
     """Inverse of `sweep_spec_to_dict`; an unknown or missing key, or a value
-    of the wrong JSON type, raises a ConfigError naming `source` (the sweep
-    file or manifest the values come from) and the key."""
-    def typed(key, value, kind):
-        if get_origin(kind) is tuple:
-            if not isinstance(value, list):
-                raise ConfigError(f"{source}: {key} must be a list, got {value!r}")
-            return tuple(typed(key, v, get_args(kind)[0]) for v in value)
-        if kind is TransformKind:
-            return transform_kind(value, f"{source}: {key}")
-        if not isinstance(value, int if kind is int else (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{source}: bad {key} value {value!r}")
-        return value
-
-    unknown = sorted(values.keys() - _SWEEP_FIELDS.keys())
-    if unknown:
-        raise ConfigError(f"{source}: unknown key(s) {unknown}")
-    values = {key: typed(key, values[key], f.type)
-              for key, f in _SWEEP_FIELDS.items() if key in values}
-    missing = sorted(_SWEEP_FIELDS.keys() - values.keys())
-    if missing:
-        raise ConfigError(f"{source}: missing required key(s) {missing}")
+    that `SweepSpec` or `ModemConfig` refuses, raises a ConfigError naming
+    `source` (the sweep file or manifest the values come from) and the key."""
+    check_keys(source, values, _SWEEP_FIELDS)
+    values = dict(values)
+    for key in _AXIS_KEYS.values():  # JSON lists become the axes' tuples
+        if isinstance(values[key], list):
+            values[key] = tuple(transform_kind(v, f"{source}: {key}") if key == "kind" else v
+                                for v in values[key])
     try:
         spec = SweepSpec(
             config=ModemConfig(**{key: values[key] for key in _MODEM_FIELDS}),
@@ -151,12 +137,9 @@ def _json_object(path, what):
 def load_manifest(path):
     payload = _json_object(path, "manifest")
     known = fields(RunManifest)
-    unknown = sorted(set(payload) - {f.name for f in known})
-    if unknown:
-        raise ConfigError(f"{path}: unknown manifest field(s) {unknown}")
+    check_keys(path, payload, [f.name for f in known if f.default is MISSING],
+               [f.name for f in known])
     for f in known:
-        if f.name not in payload and f.default is MISSING:
-            raise ConfigError(f"{path}: missing manifest field {f.name!r}")
         if f.name in payload and not isinstance(payload[f.name], f.type):
             raise ConfigError(
                 f"{path}: manifest field {f.name!r} must be a JSON {f.type.__name__}"

@@ -96,14 +96,28 @@ def check_apart(**buffers):
             raise ParameterError(f"{name} and {other} must not share memory")
 
 
+def check_keys(source, given, required, optional=()):
+    """The keys `given` are every one of `required` and any of `optional`;
+    else a ConfigError naming `source` and the unknown or missing keys."""
+    unknown = sorted(set(given) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"{source}: unknown key(s) {unknown}")
+    missing = sorted(set(required) - set(given))
+    if missing:
+        raise ConfigError(f"{source}: missing required key(s) {missing}")
+
+
 @contextmanager
 def allocating_for(name, value):
-    """Allocations whose size the parameter `name` sets: a MemoryError inside
-    becomes a ParameterError naming `name` and `value`, followed by numpy's
-    message, which gives the size asked."""
+    """Allocations whose size the parameter `name` sets: a MemoryError inside,
+    or numpy's refusal of a size it cannot index (a ValueError or
+    OverflowError), becomes a ParameterError naming `name` and `value`,
+    followed by numpy's message.  A ParameterError passes unchanged."""
     try:
         yield
-    except MemoryError as exc:
+    except ParameterError:
+        raise
+    except (MemoryError, ValueError, OverflowError) as exc:
         raise ParameterError(
             f"{name} = {value!r} asks for more memory than can be allocated: "
             f"{str(exc) or 'out of memory'}"

@@ -28,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exceptions import (
     ParameterError, allocating_for, check_integer, check_real, check_real_array,
 )
+from .modem import pam_map
 from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
 
 HIST_RANGE = (-2.0, 2.0)
@@ -188,7 +189,7 @@ def ici_samples(config, frames, rng_seed):
     diag = np.diag(correlation_matrix(config.kind, config.n, config.alpha).entries)
     rng = np.random.default_rng(rng_seed)
     with allocating_for("frames", frames):
-        sent = 2.0 * rng.integers(0, 2, size=(frames, config.n)) - 1.0
+        sent = pam_map(rng.integers(0, 2, size=(frames, config.n))).reshape(frames, config.n)
         received = demultiplex(plan, multiplex(plan, sent)) / diag
         return received.ravel(), (received - sent).ravel()
 

@@ -12,7 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import FramingError, ParameterError, check_buffer, check_integer, check_real_array
+from .exceptions import (
+    FramingError, ParameterError, allocating_for, check_buffer, check_integer, check_real_array,
+)
 from .transforms import TransformKind, make_plan, multiplex, sample_power, validate_transform
 
 # Entropy constant for the fixed sync/training patterns.
@@ -122,9 +124,12 @@ def pilot_rows(config):
     """The fixed sync and training rows: one pseudo-random +-1 pattern each,
     repeated on every row."""
     rng = np.random.default_rng(np.random.SeedSequence(_PILOT_SEED))
-    signs = 2.0 * rng.integers(0, 2, size=(1 + 1, config.n)) - 1.0
-    sync = np.tile(signs[0], (config.sync_symbols, 1))
-    training = np.tile(signs[1], (config.training_symbols, 1))
+    with allocating_for("n", config.n):
+        signs = pam_map(rng.integers(0, 2, size=(1 + 1, config.n))).reshape(2, config.n)
+    with allocating_for("sync_symbols", config.sync_symbols):
+        sync = np.tile(signs[0], (config.sync_symbols, 1))
+    with allocating_for("training_symbols", config.training_symbols):
+        training = np.tile(signs[1], (config.training_symbols, 1))
     return sync, training
 
 

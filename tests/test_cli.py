@@ -503,7 +503,7 @@ class TestBadInputFiles:
         # The PSD is Welch at fixed settings, so an old record of one is no key.
         code, err = _replay_edited(small_manifests, "psd", key, value)
         assert code == 2
-        assert f"unknown resolved field(s) ['{key}']" in _one_json_error(err)
+        assert f"resolved: unknown key(s) ['{key}']" in _one_json_error(err)
 
     @pytest.mark.parametrize("subcommand", ["sweep-ber", "corr-row", "ici-pdf", "psd"])
     def test_replay_without_outputs_refused_before_the_run(self, small_manifests, subcommand):
@@ -657,6 +657,33 @@ class TestErrorsExitCleanly:
         message = _one_json_error(err)
         assert message.startswith(field + " asks for more memory than can be allocated: ")
         assert "Unable to allocate" in message
+        assert not out.exists()
+
+    # Sizes numpy cannot index (a dimension past its index type, or a count
+    # past a C long): it refuses them before allocating anything.
+    @pytest.mark.parametrize("argv,edits", [
+        (["psd", "--n", str(10**21)], {}),
+        (["corr-row", "--n", str(10**21)], {}),
+        (["ici-pdf", "--frames", str(10**21)], {}),
+        (["psd", "--frames", str(10**21)], {}),
+        (["sweep-ber", "--config", "BIG_CFG"], {"n": 10**30}),
+        (["sweep-ber", "--config", "BIG_CFG"], {"data_symbols_per_frame": 10**24}),
+        (["sweep-ber", "--config", "BIG_CFG"], {"frames_per_batch": 10**24}),
+        (["sweep-ber", "--config", "BIG_CFG"], {"training_symbols": 10**27}),
+        (["sweep-ber", "--config", "BIG_CFG"], {"sync_symbols": 10**35}),
+    ], ids=["psd-n", "corr-row-n", "ici-pdf-frames", "psd-frames", "sweep-n",
+            "sweep-data_symbols_per_frame", "sweep-frames_per_batch",
+            "sweep-training_symbols", "sweep-sync_symbols"])
+    def test_size_numpy_cannot_index_names_a_field(self, capsys, tmp_path, argv, edits):
+        big_cfg = _write_sweep(tmp_path / "big.json", **edits)
+        out = tmp_path / "out.csv"
+        argv = [big_cfg if arg == "BIG_CFG" else arg for arg in argv]
+        code, _, err = _run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        field, _, rest = _one_json_error(err).partition(" = ")
+        assert field in {"n", "frames", "frames_per_batch", "data_symbols_per_frame",
+                         "training_symbols", "sync_symbols"}
+        assert " asks for more memory than can be allocated: " in rest
         assert not out.exists()
 
     def test_correlation_matrix_too_large_to_allocate_names_n(self, capsys, tmp_path):

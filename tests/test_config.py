@@ -43,6 +43,29 @@ def _sweep_file(tmp_path, **edits):
     return str(path)
 
 
+# Sweep-file values that SweepSpec or ModemConfig refuse, with the refusal
+# after the file's name.
+_BAD_VALUES = [
+    ("max_bits", "many", "max_bits must be an integer >= 100000, got 'many'"),
+    ("n", 16.7, "n must be an integer >= 2, got 16.7"),
+    ("n", 16.0, "n must be an integer >= 2, got 16.0"),
+    ("max_bits", math.inf, "max_bits must be an integer >= 100000, got inf"),
+    ("iterations", [10, 20.5], "iterations must be an integer >= 0, got 20.5"),
+    ("seed", True, "seed must be an integer >= 0, got True"),
+    ("alpha", 0.9, "alpha must be a nonempty tuple, got 0.9"),
+    ("ebn0_db", [], "ebn0_db must be a nonempty tuple, got ()"),
+    ("frames_per_batch", 0, "frames_per_batch must be an integer >= 1, got 0"),
+]
+_BAD_VALUE_IDS = ["max_bits-many", "n-16.7", "n-16.0", "max_bits-inf", "iterations-20.5",
+                  "seed-True", "alpha-0.9", "ebn0_db-empty", "frames_per_batch-0"]
+_REPEATED_VALUES = [
+    ("alpha", [0.9, 0.8, 0.9], "alpha has a repeated value 0.9"),
+    ("ebn0_db", [4, 4.0], "ebn0_db has a repeated value 4.0"),
+    ("iterations", [20, 10, 20], "iterations has a repeated value 20"),
+    ("kind", ["FrHT", "FrHT"], "kind has a repeated value FrHT"),
+]
+
+
 class TestSweepSpec:
     @pytest.mark.parametrize("key", sorted(config._SWEEP_FIELDS))
     def test_every_key_required(self, tmp_path, key):
@@ -60,32 +83,37 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: unknown key(s) {[key]}')}$"):
             sweep_spec_from_file(path)
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("max_bits", "many", "bad max_bits value 'many'"),
-        ("n", 16.7, "bad n value 16.7"),
-        ("n", 16.0, "bad n value 16.0"),
-        ("max_bits", math.inf, "bad max_bits value inf"),
-        ("iterations", [10, 20.5], "bad iterations value 20.5"),
-        ("seed", True, "bad seed value True"),
-        ("alpha", 0.9, "alpha must be a list, got 0.9"),
-        ("ebn0_db", [], "ebn0_db must be a nonempty tuple, got ()"),
-        ("frames_per_batch", 0, "frames_per_batch must be an integer >= 1, got 0"),
-    ])
+    @pytest.mark.parametrize("key,value,message", _BAD_VALUES, ids=_BAD_VALUE_IDS)
     def test_bad_value_names_file_and_key(self, tmp_path, key, value, message):
         path = _sweep_file(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
             sweep_spec_from_file(path)
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("alpha", [0.9, 0.8, 0.9], "alpha has a repeated value 0.9"),
-        ("ebn0_db", [4, 4.0], "ebn0_db has a repeated value 4.0"),
-        ("iterations", [20, 10, 20], "iterations has a repeated value 20"),
-        ("kind", ["FrHT", "FrHT"], "kind has a repeated value FrHT"),
-    ], ids=["alpha", "ebn0_db", "iterations", "kind"])
+    @pytest.mark.parametrize("key,value,message", _REPEATED_VALUES,
+                             ids=["alpha", "ebn0_db", "iterations", "kind"])
     def test_repeated_axis_value_rejected(self, tmp_path, key, value, message):
         # Two results for one grid point: the file, the key and the value are named.
         path = _sweep_file(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            sweep_spec_from_file(path)
+
+    @pytest.mark.parametrize(
+        "key,value", [row[:2] for row in _BAD_VALUES + _REPEATED_VALUES],
+        ids=_BAD_VALUE_IDS + [f"repeated-{key}" for key, _, _ in _REPEATED_VALUES])
+    def test_refusal_is_the_python_callers(self, tmp_path, key, value):
+        # A file's value meets the very checks a Python caller's does: its
+        # refusal is the SweepSpec/ModemConfig rule, under the file's key.
+        values = {k: tuple(v) if isinstance(v, list) else v
+                  for k, v in {**_SWEEP, key: value}.items()}
+        values["kind"] = tuple(TransformKind(k) for k in values["kind"])
+        with pytest.raises(ParameterError) as python:
+            SweepSpec(
+                config=ModemConfig(**{f.name: values[k] for k, f in config._MODEM_FIELDS.items()}),
+                **{f.name: values[k] for k, f in config._SPEC_FIELDS.items()},
+            )
+        rule = str(python.value).partition(" ")[2]
+        path = _sweep_file(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {key} {rule}')}$"):
             sweep_spec_from_file(path)
 
     def test_bad_kind_rejected(self, tmp_path):

@@ -242,6 +242,17 @@ def test_only_records_opens_files():
 
 
 
+def test_only_exceptions_checks_keys():
+    # Sweep files, manifests and replayed parameters meet one key check,
+    # `exceptions.check_keys`, so an unknown or missing key reads alike.
+    wordings = ("unknown key", "missing required key", "lacks field")
+    sites = sorted(
+        f"{path.name}: {wording}" for path in SRC.glob("*.py") if path.name != "exceptions.py"
+        for wording in wordings if wording in path.read_text()
+    )
+    assert sites == []
+
+
 def test_one_parallel_mechanism():
     # A sweep's workers are processes that berlab starts; no module runs
     # threads of its own or another pool.

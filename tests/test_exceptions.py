@@ -14,7 +14,7 @@ from ftnlab.config import capacity_params
 from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import (
     ConfigError, ExportError, FramingError, ParameterError, ShapeError, allocating_for,
-    check_real, check_real_array,
+    check_keys, check_real, check_real_array,
 )
 from ftnlab.icimodel import (
     IciPdfModel, correlation_matrix, fit_sigma_mle, ici_histogram, ks_distance, mixture_cdf,
@@ -38,7 +38,10 @@ def test_every_bad_input_is_a_parameter_error():
 @pytest.mark.parametrize("error,said", [
     (MemoryError("Unable to allocate 186. TiB"), "Unable to allocate 186. TiB"),
     (MemoryError(), "out of memory"),
-], ids=["numpy", "bare"])
+    (ValueError("Maximum allowed dimension exceeded"), "Maximum allowed dimension exceeded"),
+    (OverflowError("Python int too large to convert to C long"),
+     "Python int too large to convert to C long"),
+], ids=["numpy", "bare", "dimension", "overflow"])
 def test_allocation_failure_names_the_field(error, said):
     with pytest.raises(ParameterError) as caught:
         with allocating_for("frames", 10**11):
@@ -46,6 +49,30 @@ def test_allocation_failure_names_the_field(error, said):
     assert str(caught.value) == (
         f"frames = 100000000000 asks for more memory than can be allocated: {said}"
     )
+
+
+def test_parameter_error_passes_allocating_for_unchanged():
+    error = FramingError("data_bits must have shape (frames, 256)")
+    with pytest.raises(FramingError) as caught:
+        with allocating_for("frames", 4):
+            raise error
+    assert caught.value is error
+
+
+@pytest.mark.parametrize("given,message", [
+    ({"a": 1, "x": 2, "w": 3}, "f.json: unknown key(s) ['w', 'x']"),
+    ({"b": 1}, "f.json: missing required key(s) ['a']"),
+    ({"b": 1, "z": 2}, "f.json: unknown key(s) ['z']"),  # unknown keys first
+], ids=["unknown", "missing", "both"])
+def test_check_keys_names_the_source_and_keys(given, message):
+    with pytest.raises(ConfigError) as caught:
+        check_keys("f.json", given, ["a"], ["b"])
+    assert str(caught.value) == message
+
+
+def test_check_keys_accepts_required_with_any_optional():
+    check_keys("f.json", {"a": 1}, ["a"], ["b"])
+    check_keys("f.json", {"a": 1, "b": 2}, ["a"], ["b"])
 
 
 class TestCheckReal:
