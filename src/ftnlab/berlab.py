@@ -16,6 +16,14 @@ no waveform: pilot rows and prefixes reach no detector.  They still set
 sigma, which `channel.noise_sigma` works out from the layout's sample
 energy and bit density: one per Eb/N0 and curve.
 
+Where C - I cannot move a float32 level, the first GEMM is skipped and S C
+is taken as S, which gives the same bytes.  That holds when N max|C - I|
+< 2**-26, as at alpha = 1, where C - I is rounding residue: every term of
+an entry of S (C - I) is exact, at most max|C - I|, so for N < 2**22 the
+float32 sum of its N terms, in any order, is below (4/3) N max|C - I| <
+2**-25, and +-1 plus anything below 2**-25 rounds back to +-1.  A curve
+decides this once (`_ici_product`).
+
 Reproducibility: the points of one (kind, alpha), a curve, share their
 random numbers.  Curves are numbered in (kind, alpha) grid order, and batch
 b of curve c draws its bits and unit noise W K from seed sequences derived
@@ -158,30 +166,41 @@ class BerSweepResult:
         return {k: self.curve(*k) for k in keys}
 
 
+def _ici_product(off_diagonal):
+    """What a batch multiplies its levels S by to form S (C - I): the
+    detector's float32 C - I, or None where N max|C - I| < 2**-26 (module
+    docstring).  Two reductions, which allocate no N x N temporary."""
+    largest = max(float(off_diagonal.max()), -float(off_diagonal.min()))
+    return None if len(off_diagonal) * largest < 2.0**-26 else off_diagonal
+
+
 # The package's one cache, of one entry, as the grid walks (kind, alpha)
-# outermost: a curve's detector, whose C - I its iteration counts share, and
-# float32 plan, 4 N^2 bytes each (C is freed before the plan is built), and
-# sigma at each of `ebn0_dbs`, for the curve and repeated sweeps of it.
+# outermost: a curve's float32 plan and detector, whose C - I its iteration
+# counts share, 4 N^2 bytes each (C is freed before the plan is built), the
+# matrix of its ICI product (that C - I or None), and sigma at each of
+# `ebn0_dbs`, for the curve and repeated sweeps of it.
 @lru_cache(maxsize=1)
 def _curve(config, ebn0_dbs):
     detector = equalize.IdConfig(0, icimodel.correlation_matrix(config.kind, config.n,
                                                                  config.alpha))
     plan = make_plan(config.kind, config.n, config.alpha, np.float32)
-    return plan, detector, {e: channel.noise_sigma(e, config) for e in ebn0_dbs}
+    return (plan, detector, _ici_product(detector.off_diagonal),
+            {e: channel.noise_sigma(e, config) for e in ebn0_dbs})
 
 
 def _workspace(config, n_frames, scaled=False):
     """Float32 buffers for one batch of `n_frames` frames, m data rows, which
     every batch reuses, so a batch allocates (and page-faults) no full-size
     array but its bit draw.  `planes`, (4, m, N), is the detector's `work`:
-    plane 0 takes the white noise W, plane 2 the product S (C - I), and with
+    plane 0 takes the white noise W, plane 2 any product S (C - I), and with
     one sigma plane 1 the levels S and then the signal S C; `rows` takes the
     noise W K and then the rows detected.  With `scaled`, for a curve of
     more than one Eb/N0, two data-row arrays more: `noise` keeps W K,
     `signal` takes S and then S C, and `rows` takes each point's rows in
     turn.  `wrong` flags the errors."""
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
-    with allocating_for("frames_per_batch", n_frames):
+    with allocating_for(frames_per_batch=n_frames,
+                        data_symbols_per_frame=config.data_symbols_per_frame, n=config.n):
         work = {
             "planes": np.empty((4, *data_rows), np.float32),
             "rows": np.empty(data_rows, np.float32),
@@ -192,15 +211,15 @@ def _workspace(config, n_frames, scaled=False):
     return work
 
 
-def _simulate_batch(config, plan, points, n_frames, seed, curve_idx, batch_idx, work):
+def _simulate_batch(config, plan, ici, points, n_frames, seed, curve_idx, batch_idx, work):
     """Batch `batch_idx` of curve `curve_idx`, through its float32 `plan`;
-    returns (bits, the errors of each of `points`), (detector, sigma) pairs
-    sharing one C - I.
+    returns (bits, the errors of each of `points`), (detector, sigma) pairs.
 
     The m data rows are S C + sigma W K (module docstring), W K drawn once,
-    all in float32, and detected by each point's detector, whose one-byte
-    decisions are the received bits (at I = 0 it hard-decides the rows).
-    Each point's rows are formed alike, sigma W K + S C, so they do not
+    all in float32, S C formed as S + S `ici`, or as S, the same bytes,
+    where `ici` is None (`_ici_product`), and detected by each point's
+    detector, whose one-byte decisions are the received bits (at I = 0 it
+    hard-decides the rows).  Each point's rows are formed alike, sigma W K + S C, so they do not
     depend on the other points; a run of points at one sigma detects rows
     formed once.  `work` is a `_workspace` of this layout; if it holds the
     two scaled arrays, W K and S C are kept in them, else formed in place.
@@ -216,8 +235,9 @@ def _simulate_batch(config, plan, points, n_frames, seed, curve_idx, batch_idx, 
                        out=noise, scratch=planes[0])
     # S C = S + S (C - I), from the exact float32 levels S.
     modem.pam_map(sent, out=signal.reshape(-1))
-    np.matmul(signal, points[0][0].off_diagonal, out=planes[2])
-    signal += planes[2]
+    if ici is not None:
+        np.matmul(signal, ici, out=planes[2])
+        signal += planes[2]
     errors, formed = [], None
     for id_cfg, sigma in points:
         if sigma != formed:  # in place with one sigma: the noise is then dead
@@ -237,7 +257,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     each point takes batches until its own `min_errors` or `max_bits` stops
     it, and the curve stops with its last point."""
     config = replace(spec.config, kind=kind, alpha=alpha)
-    plan, detector, sigmas = _curve(config, spec.ebn0_dbs)
+    plan, detector, ici, sigmas = _curve(config, spec.ebn0_dbs)
     detectors = {i: detector.with_iterations(i) for i in spec.iteration_counts}
     grid = list(product(spec.iteration_counts, spec.ebn0_dbs))
     # Eb/N0 by Eb/N0, so that a batch forms each point's rows once.
@@ -250,7 +270,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     batch_idx = 0
     while live := [k for k in order if running(k)]:
         batch_bits, batch_errors = _simulate_batch(
-            config, plan, [(detectors[grid[k][0]], sigmas[grid[k][1]]) for k in live],
+            config, plan, ici, [(detectors[grid[k][0]], sigmas[grid[k][1]]) for k in live],
             spec.frames_per_batch, spec.seed, curve_idx, batch_idx, work,
         )
         for k, point_errors in zip(live, batch_errors):
@@ -384,7 +404,8 @@ def estimate_psd(config, frames, seed):
     check_integer(frames, "frames", 1)
     check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    with allocating_for("frames", frames):
+    with allocating_for(frames=frames, data_symbols_per_frame=config.data_symbols_per_frame,
+                        n=config.n):
         waveform = modem.transmit(config, modem.random_data_bits(config, rng, frames)).ravel()
     if PSD_SEGMENT > waveform.size:
         raise ParameterError(

@@ -240,7 +240,14 @@ def main(argv=None):
             # Only sweep-ber has workers.
             workers = getattr(args, "workers", 1)
         out = output["path"]
-        code = _RUNNERS[manifest.subcommand](manifest.resolved, out, output["format"], workers)
+        try:
+            code = _RUNNERS[manifest.subcommand](manifest.resolved, out, output["format"],
+                                                 workers)
+        except (ConfigError, ParameterError) as exc:
+            if not args.manifest:
+                raise
+            # A replayed run reads every value from the manifest's `resolved`.
+            raise ConfigError(f"{args.manifest}: resolved: {exc}") from None
         if out:
             records.write_json(config.manifest_path_for(out), asdict(manifest))
         return code

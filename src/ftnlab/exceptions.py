@@ -108,16 +108,18 @@ def check_keys(source, given, required, optional=()):
 
 
 @contextmanager
-def allocating_for(name, value):
-    """Allocations whose size the parameter `name` sets: a MemoryError inside,
-    or numpy's refusal of a size it cannot index (a ValueError or
-    OverflowError), becomes a ParameterError naming `name` and `value`,
-    followed by numpy's message.  A ParameterError passes unchanged."""
+def allocating_for(**sizes):
+    """Allocations whose size the parameters `sizes`, given as name=value,
+    set as factors: a MemoryError inside, or numpy's refusal of a size it
+    cannot index (a ValueError or OverflowError), becomes a ParameterError
+    naming the largest factor, which does most to set the size, and its
+    value, followed by numpy's message.  A ParameterError passes unchanged."""
     try:
         yield
     except ParameterError:
         raise
     except (MemoryError, ValueError, OverflowError) as exc:
+        name, value = max(sizes.items(), key=lambda size: size[1])
         raise ParameterError(
             f"{name} = {value!r} asks for more memory than can be allocated: "
             f"{str(exc) or 'out of memory'}"

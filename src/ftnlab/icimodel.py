@@ -78,7 +78,7 @@ def correlation_matrix(kind, n, alpha):
     """Evaluate the subcarrier correlation matrix in closed form, in O(N^2)."""
     validate_transform(kind, n, alpha)
     n, alpha = int(n), float(alpha)
-    with allocating_for("n", n):
+    with allocating_for(n=n):
         entries = np.empty((n, n))
     j = np.arange(2 * n - 1)
     if kind is TransformKind.FRCT:
@@ -188,7 +188,7 @@ def ici_samples(config, frames, rng_seed):
     plan = make_plan(config.kind, config.n, config.alpha)
     diag = np.diag(correlation_matrix(config.kind, config.n, config.alpha).entries)
     rng = np.random.default_rng(rng_seed)
-    with allocating_for("frames", frames):
+    with allocating_for(frames=frames):
         sent = pam_map(rng.integers(0, 2, size=(frames, config.n))).reshape(frames, config.n)
         received = demultiplex(plan, multiplex(plan, sent)) / diag
         return received.ravel(), (received - sent).ravel()

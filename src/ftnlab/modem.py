@@ -124,11 +124,11 @@ def pilot_rows(config):
     """The fixed sync and training rows: one pseudo-random +-1 pattern each,
     repeated on every row."""
     rng = np.random.default_rng(np.random.SeedSequence(_PILOT_SEED))
-    with allocating_for("n", config.n):
+    with allocating_for(n=config.n):
         signs = pam_map(rng.integers(0, 2, size=(1 + 1, config.n))).reshape(2, config.n)
-    with allocating_for("sync_symbols", config.sync_symbols):
+    with allocating_for(sync_symbols=config.sync_symbols):
         sync = np.tile(signs[0], (config.sync_symbols, 1))
-    with allocating_for("training_symbols", config.training_symbols):
+    with allocating_for(training_symbols=config.training_symbols):
         training = np.tile(signs[1], (config.training_symbols, 1))
     return sync, training
 

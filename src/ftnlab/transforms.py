@@ -113,7 +113,7 @@ def make_plan(kind, n, alpha, dtype=np.float64):
     if dtype not in (np.float64, np.float32):
         raise ParameterError(f"dtype must be numpy.float64 or numpy.float32, got {dtype!r}")
     n, alpha = int(n), float(alpha)
-    with allocating_for("n", n):
+    with allocating_for(n=n):
         kernel = np.empty((n, n), dtype)
     for start, rows in _kernel_blocks(kind, n, alpha):
         kernel[start:start + len(rows)] = rows

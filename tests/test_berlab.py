@@ -33,6 +33,7 @@ from ftnlab.berlab import (
     run_ber_sweep,
     wilson_interval,
     _curve,
+    _ici_product,
     _simulate_batch,
     _workspace,
 )
@@ -254,7 +255,8 @@ def _detected_rows(monkeypatch, config, points, n_frames, seed, batch_idx, noise
     monkeypatch.setattr(channel, "apply_awgn", recorded_noise)
     monkeypatch.setattr(equalize, "id_equalize_frame", recorded_rows)
     plan = transforms.make_plan(config.kind, config.n, config.alpha, np.float32)
-    counts = _simulate_batch(config, plan, [(d, _sigma(config, e)) for d, e in points],
+    ici = _ici_product(points[0][0].off_diagonal)
+    counts = _simulate_batch(config, plan, ici, [(d, _sigma(config, e)) for d, e in points],
                              n_frames, seed, 2, batch_idx,
                              _workspace(config, n_frames, len({e for _, e in points}) > 1))
     monkeypatch.undo()
@@ -378,6 +380,75 @@ class TestSimulateBatch:
         cell_count = sum(len(e) * len(i) for _, _, e, i in cells)
         assert decisions == cell_count * 4 * 4 * baseline.data_bits_per_frame
         assert differing <= 1e-5 * decisions, (differing, decisions)
+
+
+def _plus_ici_product(levels, off_diagonal):
+    """S + S (C - I) for float32 levels S, through the GEMM a batch runs."""
+    product = np.empty_like(levels)
+    np.matmul(levels, off_diagonal, out=product)
+    return levels + product
+
+
+class TestIciProduct:
+    """A curve skips S (C - I) where C - I cannot move a float32 2-PAM level,
+    N max|C - I| < 2**-26, as at alpha = 1, and the batch is the same bytes."""
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 256, 1024])
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_orthogonal_curve_takes_no_product(self, kind, n):
+        config = _small_config(n=n, cp_len=0, kind=kind, alpha=1.0)
+        _curve.cache_clear()
+        _, detector, ici, _ = _curve(config, (6.0,))
+        assert ici is None
+        rng = np.random.default_rng(n)
+        for m in (max(1, n // 2), n, 2 * n + 1):  # rows below, at and above N
+            levels = np.where(rng.integers(0, 2, size=(m, n), dtype=bool),
+                              np.float32(1), np.float32(-1))
+            formed = _plus_ici_product(levels, detector.off_diagonal)
+            assert formed.tobytes() == levels.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.999, 0.9, 0.5])
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_compressed_curve_keeps_the_product(self, kind, n, alpha):
+        _curve.cache_clear()
+        _, detector, ici, _ = _curve(_small_config(n=n, kind=kind, alpha=alpha), (6.0,))
+        assert ici is detector.off_diagonal
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bound_is_strict(self, sign):
+        # N max|C - I| exactly 2**-26 keeps the product; one float32 step
+        # under it skips it, and then even a C - I full of that value, on
+        # rows of one level, leaves every level as it is.
+        n = 16
+        at = np.float32(2.0**-26 / n)
+        under = np.nextafter(at, np.float32(0))
+        for value, kept in [(at, True), (under, False)]:
+            off = np.zeros((n, n), np.float32)
+            off[3, 5] = sign * value
+            assert (_ici_product(off) is off) == kept
+        full = np.full((n, n), sign * under, np.float32)
+        assert _ici_product(full) is None
+        for level in (1, -1):
+            levels = np.full((2 * n, n), level, np.float32)
+            assert _plus_ici_product(levels, full).tobytes() == levels.tobytes()
+
+    def test_orthogonal_sweep_equals_one_with_the_product(self, monkeypatch):
+        spec = _fast_spec(alphas=(1.0,), ebn0_dbs=(0.0, 4.0, 8.0), iteration_counts=(0, 3),
+                          kinds=(TransformKind.FRCT, TransformKind.FRHT), min_errors=200)
+        _curve.cache_clear()
+        skipped = repr(run_ber_sweep(spec).points)
+        curve, products = berlab._curve, []
+
+        def forced(config, ebn0_dbs):
+            plan, detector, ici, sigmas = curve(config, ebn0_dbs)
+            assert ici is None
+            products.append(detector.off_diagonal)
+            return plan, detector, detector.off_diagonal, sigmas
+
+        monkeypatch.setattr(berlab, "_curve", forced)
+        assert repr(run_ber_sweep(spec).points) == skipped
+        assert len(products) == 2
 
 
 class TestRunSweep:
@@ -754,6 +825,19 @@ class TestSweepMemory:
         matrix_bytes = 8 * self.N**2
         assert (peak - base) < 2.5 * matrix_bytes
         assert (held - base) < 1.5 * matrix_bytes
+
+    def test_ici_bound_allocates_no_matrix(self):
+        # Two reductions over C - I, no N x N temporary such as |C - I|.
+        off = np.zeros((self.N, self.N), np.float32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert _ici_product(off) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 4 * self.N  # under one float32 row
 
     def test_sweep_builds_no_float64_kernel(self, monkeypatch):
         # Its plan is float32, and its sample energy reads the float64 kernel

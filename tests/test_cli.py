@@ -444,16 +444,20 @@ def _replay_edited(small_manifests, subcommand, key, value):
 
 
 class TestReplayedValuesChecked:
+    # A refusal names the manifest and its `resolved`, as a sweep manifest's does.
     @pytest.mark.parametrize(
         "subcommand,key,value",
         [("capacity", "alpha", "0.5"), ("rates", "alpha", "0.8"),
          ("psd", "alpha", "0.8"), ("corr-row", "kind", "FrXT"),
-         ("ici-pdf", "kind", "FrXT"), ("psd", "kind", "FrXT")],
+         ("ici-pdf", "kind", "FrXT"), ("psd", "kind", "FrXT"),
+         ("corr-row", "n", "16"), ("ici-pdf", "n", "16"), ("psd", "n", "16"),
+         ("rates", "n", "16"), ("capacity", "bandwidth_hz", "1e9")],
     )
     def test_bad_value_names_field(self, small_manifests, subcommand, key, value):
         code, err = _replay_edited(small_manifests, subcommand, key, value)
         assert code == 2
-        assert _one_json_error(err).startswith(f"{key} must ")
+        path = small_manifests[1] / "edited.json"
+        assert _one_json_error(err).startswith(f"{path}: resolved: {key} must ")
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -661,29 +665,31 @@ class TestErrorsExitCleanly:
 
     # Sizes numpy cannot index (a dimension past its index type, or a count
     # past a C long): it refuses them before allocating anything.
-    @pytest.mark.parametrize("argv,edits", [
-        (["psd", "--n", str(10**21)], {}),
-        (["corr-row", "--n", str(10**21)], {}),
-        (["ici-pdf", "--frames", str(10**21)], {}),
-        (["psd", "--frames", str(10**21)], {}),
-        (["sweep-ber", "--config", "BIG_CFG"], {"n": 10**30}),
-        (["sweep-ber", "--config", "BIG_CFG"], {"data_symbols_per_frame": 10**24}),
-        (["sweep-ber", "--config", "BIG_CFG"], {"frames_per_batch": 10**24}),
-        (["sweep-ber", "--config", "BIG_CFG"], {"training_symbols": 10**27}),
-        (["sweep-ber", "--config", "BIG_CFG"], {"sync_symbols": 10**35}),
+    # The field named is the one set too large, whichever allocation numpy
+    # refuses first.
+    @pytest.mark.parametrize("argv,edits,field", [
+        (["psd", "--n", str(10**21)], {}, "n"),
+        (["corr-row", "--n", str(10**21)], {}, "n"),
+        (["ici-pdf", "--frames", str(10**21)], {}, "frames"),
+        (["psd", "--frames", str(10**21)], {}, "frames"),
+        (["sweep-ber", "--config", "BIG_CFG"], {"n": 10**30}, "n"),
+        (["sweep-ber", "--config", "BIG_CFG"], {"data_symbols_per_frame": 10**24},
+         "data_symbols_per_frame"),
+        (["sweep-ber", "--config", "BIG_CFG"], {"frames_per_batch": 10**24}, "frames_per_batch"),
+        (["sweep-ber", "--config", "BIG_CFG"], {"training_symbols": 10**27}, "training_symbols"),
+        (["sweep-ber", "--config", "BIG_CFG"], {"sync_symbols": 10**35}, "sync_symbols"),
     ], ids=["psd-n", "corr-row-n", "ici-pdf-frames", "psd-frames", "sweep-n",
             "sweep-data_symbols_per_frame", "sweep-frames_per_batch",
             "sweep-training_symbols", "sweep-sync_symbols"])
-    def test_size_numpy_cannot_index_names_a_field(self, capsys, tmp_path, argv, edits):
+    def test_size_numpy_cannot_index_names_a_field(self, capsys, tmp_path, argv, edits, field):
         big_cfg = _write_sweep(tmp_path / "big.json", **edits)
         out = tmp_path / "out.csv"
         argv = [big_cfg if arg == "BIG_CFG" else arg for arg in argv]
         code, _, err = _run(capsys, *argv, "--out", str(out))
         assert code == 2
-        field, _, rest = _one_json_error(err).partition(" = ")
-        assert field in {"n", "frames", "frames_per_batch", "data_symbols_per_frame",
-                         "training_symbols", "sync_symbols"}
-        assert " asks for more memory than can be allocated: " in rest
+        value = argv[argv.index("--" + field) + 1] if not edits else str(edits[field])
+        assert _one_json_error(err).startswith(
+            f"{field} = {value} asks for more memory than can be allocated: ")
         assert not out.exists()
 
     def test_correlation_matrix_too_large_to_allocate_names_n(self, capsys, tmp_path):

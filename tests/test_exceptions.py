@@ -44,17 +44,35 @@ def test_every_bad_input_is_a_parameter_error():
 ], ids=["numpy", "bare", "dimension", "overflow"])
 def test_allocation_failure_names_the_field(error, said):
     with pytest.raises(ParameterError) as caught:
-        with allocating_for("frames", 10**11):
+        with allocating_for(frames=10**11):
             raise error
     assert str(caught.value) == (
         f"frames = 100000000000 asks for more memory than can be allocated: {said}"
     )
 
 
+@pytest.mark.parametrize("sizes,named", [
+    (dict(frames_per_batch=4, data_symbols_per_frame=10**24, n=64),
+     "data_symbols_per_frame = 1000000000000000000000000"),
+    (dict(frames_per_batch=4, data_symbols_per_frame=16, n=10**30),
+     "n = 1000000000000000000000000000000"),
+    (dict(frames_per_batch=10**12, data_symbols_per_frame=16, n=64),
+     "frames_per_batch = 1000000000000"),
+    (dict(frames=64, data_symbols_per_frame=64, n=64), "frames = 64"),  # a tie: the first
+], ids=["data_symbols_per_frame", "n", "frames_per_batch", "tie"])
+def test_allocation_failure_names_the_largest_factor(sizes, named):
+    with pytest.raises(ParameterError) as caught:
+        with allocating_for(**sizes):
+            raise ValueError("Maximum allowed dimension exceeded")
+    assert str(caught.value) == (
+        f"{named} asks for more memory than can be allocated: Maximum allowed dimension exceeded"
+    )
+
+
 def test_parameter_error_passes_allocating_for_unchanged():
     error = FramingError("data_bits must have shape (frames, 256)")
     with pytest.raises(FramingError) as caught:
-        with allocating_for("frames", 4):
+        with allocating_for(frames=4):
             raise error
     assert caught.value is error
 
