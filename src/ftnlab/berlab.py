@@ -9,12 +9,14 @@ it has either seen `min_errors` bit errors or spent `max_bits` bits.
 The rows are formed in the data domain.  A data row of 2-PAM levels s,
 multiplexed, sent with its prefix through the AWGN channel, stripped and
 demultiplexed, arrives as s C + w K, with C = K^T K and w the white noise
-on the row's N samples.  So a batch forms its rows S C + sigma W K in two
-GEMMs, S C as S + S (C - I) with the detector's float32 C - I and W K
-through the float32 kernel, all in float32 from float32 noise, and builds
-no waveform: pilot rows and prefixes reach no detector.  They still set
-sigma, which `channel.noise_sigma` works out from the layout's sample
-energy and bit density: one per Eb/N0 and curve.
+on the row's N samples.  So a batch forms its rows S C + sigma W K, all in
+float32 from float32 noise, in two GEMMs below alpha = 1 and in none at
+alpha = 1: S C as S + S (C - I) with the detector's float32 C - I, and W K
+through the float32 kernel, taken at alpha = 1, where K is orthonormal, as
+W itself (`channel.apply_awgn`).  It builds no waveform: pilot rows and
+prefixes reach no detector.  They still set sigma, which
+`channel.noise_sigma` works out from the layout's sample energy and bit
+density: one per Eb/N0 and curve.
 
 Where C - I cannot move a float32 level, the first GEMM is skipped and S C
 is taken as S, which gives the same bytes.  That holds when N max|C - I|
@@ -39,10 +41,10 @@ and no batch is computed past the stopping point of a curve's last point.
 
 Memory: the curves of a sweep share one frame layout, so each run of curves
 reuses one float32 batch workspace for all its batches; it goes with its
-run.  The noise W, the levels and S (C - I) lie in the planes of the
-detector's one `work` array, which are dead by the time it runs, so
-detection allocates nothing; with one Eb/N0 the workspace is that and the
-rows.  With more than one it holds two data-row arrays more, W K and the
+run.  The noise W (below alpha = 1), the levels and S (C - I) lie in the
+planes of the detector's one `work` array, which are dead by the time it
+runs, so detection allocates nothing; with one Eb/N0 the workspace is that
+and the rows.  With more than one it holds two data-row arrays more, W K and the
 signal S C.  Of the N x N matrices, a sweep keeps two, both float32, in its
 curve cache: the transform kernel and one detector C - I, which a curve's
 iteration counts and its signal share.  It allocates no float64 kernel: the
@@ -192,7 +194,8 @@ def _workspace(config, n_frames, scaled=False):
     """Float32 buffers for one batch of `n_frames` frames, m data rows, which
     every batch reuses, so a batch allocates (and page-faults) no full-size
     array but its bit draw.  `planes`, (4, m, N), is the detector's `work`:
-    plane 0 takes the white noise W, plane 2 any product S (C - I), and with
+    plane 0 takes the white noise W below alpha = 1 (at alpha = 1 the noise
+    is W, drawn where W K goes), plane 2 any product S (C - I), and with
     one sigma plane 1 the levels S and then the signal S C; `rows` takes the
     noise W K and then the rows detected.  With `scaled`, for a curve of
     more than one Eb/N0, two data-row arrays more: `noise` keeps W K,
@@ -215,10 +218,10 @@ def _simulate_batch(config, plan, ici, points, n_frames, seed, curve_idx, batch_
     """Batch `batch_idx` of curve `curve_idx`, through its float32 `plan`;
     returns (bits, the errors of each of `points`), (detector, sigma) pairs.
 
-    The m data rows are S C + sigma W K (module docstring), W K drawn once,
-    all in float32, S C formed as S + S `ici`, or as S, the same bytes,
-    where `ici` is None (`_ici_product`), and detected by each point's
-    detector, whose one-byte decisions are the received bits (at I = 0 it
+    The m data rows are S C + sigma W K (module docstring), W K drawn once
+    (as W at alpha = 1), all in float32, S C formed as S + S `ici`, or as S,
+    the same bytes, where `ici` is None (`_ici_product`), and detected by
+    each point's detector, whose one-byte decisions are the received bits (at I = 0 it
     hard-decides the rows).  Each point's rows are formed alike, sigma W K + S C, so they do not
     depend on the other points; a run of points at one sigma detects rows
     formed once.  `work` is a `_workspace` of this layout; if it holds the

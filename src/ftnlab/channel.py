@@ -20,6 +20,14 @@ prefixes, and a receiver scales it by each Eb/N0's sigma.  It draws w in
 float32, the precision in which the sweep forms its rows, and through the
 sweep's float32 plan W K is one float32 GEMM.
 
+At alpha = 1 it returns W itself, with no GEMM.  There K is orthonormal
+(the DCT-II or the DHT), so a row w K of white noise is again white noise:
+zero-mean Gaussian with covariance K^T K = C = I.  The computed C
+(`icimodel.correlation_matrix`) differs from I by rounding residue only,
+N max|C - I| < 2**-26, the bound below which `berlab` skips S (C - I), so
+the laws of W K and of W differ below the float32 resolution that W is
+drawn in.
+
 Seeding accepts an integer >= 0 or a numpy SeedSequence; callers running
 blocks in parallel derive child sequences so a fixed (seed, layout) pair
 reproduces the same noise regardless of worker count.
@@ -51,11 +59,15 @@ def apply_awgn(rng_seed, plan, rows, *, out=None, scratch=None):
     """Unit white noise on `rows` received data rows, as the demultiplexer of
     `plan` passes it on: W K, with W of shape (rows, N) float32 standard
     normals drawn in C order, deterministic per `rng_seed`, and W K in the
-    plan's precision (float32 for the sweep's float32 plan).  A receiver
-    adds sigma times it to its noise-free rows S C.
+    plan's precision (float32 for the sweep's float32 plan).  At alpha = 1
+    it is W itself, in the plan's precision, which has the law of W K
+    (module docstring).  A receiver adds sigma times it to its noise-free
+    rows S C.
 
-    `scratch` receives W and `out` W K; both are C-contiguous (rows, N)
-    arrays, apart, of float32 and of the plan's dtype.
+    `scratch` receives W below alpha = 1 and is not written at alpha = 1,
+    where W goes straight into a float32 `out`; `out` receives the result.
+    Both are C-contiguous (rows, N) arrays, apart, of float32 and of the
+    plan's dtype.
     """
     if not isinstance(rng_seed, np.random.SeedSequence):
         check_integer(rng_seed, "rng_seed", 0)
@@ -66,5 +78,12 @@ def apply_awgn(rng_seed, plan, rows, *, out=None, scratch=None):
     check_buffer(out, shape, plan.dtype, "out")
     check_buffer(scratch, shape, np.float32, "scratch")
     check_apart(out=out, scratch=scratch)
-    noise = np.random.default_rng(rng_seed).standard_normal(shape, np.float32, out=scratch)
-    return demultiplex(plan, noise, out=out)
+    rng = np.random.default_rng(rng_seed)
+    if plan.alpha != 1:
+        return demultiplex(plan, rng.standard_normal(shape, np.float32, out=scratch), out=out)
+    if out is None:
+        out = np.empty(shape, plan.dtype)
+    if out.dtype == np.float32:
+        return rng.standard_normal(shape, np.float32, out=out)
+    out[...] = rng.standard_normal(shape, np.float32)
+    return out

@@ -756,12 +756,16 @@ class TestCurveStreams:
         (SweepSpec(config=experiment_baseline(), alphas=(0.8,), ebn0_dbs=(10.0,),
                    max_bits=200_000, min_errors=0, seed=3), (262144, 400)),
         (_fast_spec(), (12288, 51)),
+        (SweepSpec(config=experiment_baseline(), alphas=(1.0,), ebn0_dbs=(6.0,),
+                   iteration_counts=(0,), max_bits=200_000, min_errors=0, seed=3), (262144, 1144)),
     ])
     def test_one_point_sweeps_keep_their_counts(self, spec, expected):
-        # (bits, errors) of two one-point sweeps, pinned: a one-point curve
+        # (bits, errors) of three one-point sweeps, pinned: a one-point curve
         # runs the chain of a lone point, so only a change to the chain or
-        # its streams moves them.  They last moved when the batch came to be
-        # formed in float32, from float32 noise draws.
+        # its streams moves them.  The first two last moved when the batch
+        # came to be formed in float32, from float32 noise draws; the
+        # orthonormal one (alpha = 1, I = 0) when its noise came to be taken
+        # as drawn, W instead of W K.
         [point] = run_ber_sweep(spec).points
         assert (point.bits, point.errors) == expected
 
@@ -770,7 +774,8 @@ class TestTraceContract:
     """What a span trace of a sweep reads from its call counts (perfbench's
     `--trace 1` takes the `channel.apply_awgn` calls as its batch count):
     one noise call per curve batch, one detector call per live point and
-    batch, and no time-domain chain."""
+    batch, and no time-domain chain.  The noise is demultiplexed once per
+    curve batch below alpha = 1 and not at all at alpha = 1."""
 
     def test_calls_per_batch(self, monkeypatch):
         calls = collections.Counter()
@@ -796,6 +801,7 @@ class TestTraceContract:
         point_batches = [p.bits // bits_per_batch for p in points]
         assert len(set(point_batches)) > 1  # the points stop at different batches
         assert calls["channel.apply_awgn"] == sum(curve_batches.values())
+        assert calls["transforms.demultiplex"] == curve_batches[(TransformKind.FRCT, 0.8)]
         assert calls["equalize.id_equalize_frame"] == sum(point_batches)
         assert calls["modem.receive"] == calls["modem.transmit"] == 0
 

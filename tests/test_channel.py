@@ -154,6 +154,56 @@ class TestApplyAwgn:
         assert out.tobytes() == demultiplex(plan, scratch).tobytes()
 
 
+class TestOrthonormalNoise:
+    """At alpha = 1 the kernel is orthonormal, W K has the law of W, and
+    `apply_awgn` returns W as drawn; below it, W K."""
+
+    @pytest.mark.parametrize("buffers", [False, True], ids=["allocating", "out"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [2, 3, 16, 256])
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_alpha_one_is_the_draw(self, kind, n, dtype, buffers):
+        plan = make_plan(kind, n, 1.0, dtype)
+        white = np.random.default_rng(6).standard_normal((5, n), np.float32)
+        if buffers:
+            out = np.full((5, n), np.nan, dtype)
+            scratch = np.full((5, n), np.nan, np.float32)
+            assert apply_awgn(6, plan, 5, out=out, scratch=scratch) is out
+            assert np.isnan(scratch).all()  # checked, not written
+        else:
+            out = apply_awgn(6, plan, 5)
+        assert out.dtype == dtype
+        assert out.tobytes() == white.astype(dtype).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_below_one_is_demultiplexed(self, kind, dtype):
+        plan = make_plan(kind, 16, 0.999, dtype)
+        white = np.random.default_rng(6).standard_normal((5, 16), np.float32)
+        assert apply_awgn(6, plan, 5).tobytes() == demultiplex(plan, white).tobytes()
+
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_alpha_one_law_is_white(self, kind):
+        # The rows' covariance, and that of the time-domain rows (the same
+        # white noise on the data bodies, received), is the identity within
+        # sampling error, and C = cov(W K) is the identity to far below
+        # float32 resolution.
+        n, frames, data_rows = 16, 10_000, 10
+        config = ModemConfig(n=n, alpha=1.0, kind=kind, data_symbols_per_frame=data_rows,
+                             training_symbols=0, sync_symbols=0)
+        c = correlation_matrix(kind, n, 1.0).entries
+        assert n * np.abs(c - np.eye(n)).max() < 2.0**-26
+        rows = apply_awgn(2, make_plan(kind, n, 1.0, np.float32), frames * data_rows)
+        blocks = rows.astype(np.float64).reshape(frames, data_rows, n)
+        received = receive(config, blocks).reshape(rows.shape)
+        # Entries of a sample covariance of m white rows have a standard
+        # error of at most sqrt(2 / m).
+        bound = 5.0 * np.sqrt(2.0 / len(rows))
+        for noise in (rows, received):
+            np.testing.assert_allclose(np.cov(noise, rowvar=False), np.eye(n), rtol=0,
+                                       atol=bound)
+
+
 class TestTimeDomainAgreement:
     @pytest.mark.parametrize("kind,alpha,cp_len,pilots", [
         (TransformKind.FRCT, 0.8, 4, (1, 2)), (TransformKind.FRHT, 0.45, 0, (0, 0)),
