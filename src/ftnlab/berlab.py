@@ -34,10 +34,8 @@ signal S C plus W K scaled by its own sigma, so its rows are those of a
 lone point at its Eb/N0, and points at one Eb/N0 detect the same rows
 whatever their iteration counts.  A curve runs batches 0, 1, 2, ... in
 order, each point counting until its own rule stops it, so every point
-runs exactly the chain of a lone point.  At `workers` > 1 the curves are
-cut into contiguous runs, no more than the CPUs the process may use, each
-run in its own worker process; results are identical for any worker count,
-and no batch is computed past the stopping point of a curve's last point.
+runs exactly the chain of a lone point, at any worker count, and no batch
+is computed past the stopping point of a curve's last point.
 
 Memory: the curves of a sweep share one frame layout, so each run of curves
 reuses one float32 batch workspace for all its batches; it goes with its
@@ -51,9 +49,11 @@ iteration counts and its signal share.  It allocates no float64 kernel: the
 float32 one and sigma's sample energy read it in blocks of rows.
 """
 
+import ctypes
+import glob
 import math
-import multiprocessing
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from itertools import product
@@ -301,26 +301,6 @@ def _runs(spec, workers):
     return [curves[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-# A spawned worker loads numpy, which sizes the BLAS thread pool, before it
-# runs our code, so these are set in the environment that it starts with.
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _starmap_pinned(fn, arglists):
-    """`[fn(*args) for args in arglists]`, one spawned process per entry, BLAS at
-    one thread.  The caller's environment is left as it was; no worker outlives the call."""
-    saved = {name: os.environ[name] for name in _BLAS_THREADS if name in os.environ}
-    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
-    try:
-        pool = multiprocessing.get_context("spawn").Pool(len(arglists))
-    finally:
-        for name in _BLAS_THREADS:
-            del os.environ[name]
-        os.environ.update(saved)
-    with pool:  # terminates and joins the workers, also when a call raises
-        return pool.starmap(fn, arglists)
-
-
 def _usable_cpus():
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -328,19 +308,39 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def _openblas():
+    """numpy's scipy-openblas through `ctypes`, or None where numpy has none with a thread setter."""
+    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*")
+    blas = ctypes.CDLL(libs[0]) if libs else None
+    if not hasattr(blas, "scipy_openblas_set_num_threads64_"):
+        return None
+    get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return blas
+
+
 def run_ber_sweep(spec, workers=1):
     """Run every grid point; deterministic for a fixed spec, any worker count.
 
     The curves are cut into min(`workers`, curves, usable CPUs) contiguous
-    runs, as more processes than CPUs would only contend; several run in one
-    spawned process each, so a script calling this needs a __main__ guard.
+    runs.  Several run on one thread each, with numpy's OpenBLAS pinned to
+    one thread until the call returns: the pin is process-wide.  Where it
+    cannot be pinned, the runs run serially, with the same points.
     """
     check_integer(workers, "workers", 1)
     runs = _runs(spec, min(workers, _usable_cpus()))
-    if len(runs) == 1:
-        return BerSweepResult(points=tuple(_run_curves(spec, runs[0])))
-    results = _starmap_pinned(_run_curves, [(spec, run) for run in runs])
-    return BerSweepResult(points=tuple(p for points in results for p in points))
+    blas = _openblas() if len(runs) > 1 else None
+    if blas is None:
+        return BerSweepResult(points=tuple(p for run in runs for p in _run_curves(spec, run)))
+    threads = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(1)
+    try:
+        with ThreadPoolExecutor(len(runs)) as pool:
+            results = pool.map(_run_curves, [spec] * len(runs), runs)
+            return BerSweepResult(points=tuple(p for points in results for p in points))
+    finally:
+        blas.scipy_openblas_set_num_threads64_(threads)
 
 
 # ---------------------------------------------------------------------------

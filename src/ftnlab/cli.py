@@ -62,7 +62,7 @@ def build_parser():
     p.add_argument("--seed", type=int, help="RNG seed override")
     _out_flags(p)
     p.add_argument(
-        "--workers", type=int, default=1, help="worker processes sharing the grid's points"
+        "--workers", type=int, default=1, help="worker threads sharing the grid's curves"
     )
 
     p = add_parser("corr-row", help="export one row of the correlation matrix")

@@ -1,18 +1,19 @@
 """Monte Carlo harness: intervals, sweeps, determinism, thresholds, PSD, export."""
 
 import collections
+import contextlib
 import csv
 import json
 import inspect
 import math
-import multiprocessing
-import os
 import re
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import asdict, fields, replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -479,8 +480,8 @@ class TestRunSweep:
 
     def test_worker_count_invariant_at_larger_n(self):
         # 16 data rows at N = 256: the detector runs its loop transposed.  The
-        # two curves run in spawned workers at one BLAS thread, the serial
-        # sweep here at the calling process's thread count.
+        # two curves run on worker threads at one BLAS thread, the serial
+        # sweep at the calling process's thread count.
         spec = _fast_spec(
             config=_small_config(n=256, cp_len=16), kinds=(TransformKind.FRCT, TransformKind.FRHT),
             alphas=(0.8,), iteration_counts=(0, 10), ebn0_dbs=(4.0, 8.0), frames_per_batch=1,
@@ -492,9 +493,8 @@ class TestRunSweep:
 
     @staticmethod
     def _check_pooled_runs(spec, monkeypatch):
-        # The runs a `workers=4` sweep hands its worker processes, run here
-        # instead, where the counters see them: a spawned worker does not see
-        # a monkeypatch.
+        # A `workers=4` sweep, its runs on threads, which see the counters.
+        serial = run_ber_sweep(spec)
         apply_awgn, workspace = channel.apply_awgn, berlab._workspace
         calls, made = [], []
 
@@ -508,18 +508,17 @@ class TestRunSweep:
 
         monkeypatch.setattr(channel, "apply_awgn", counted_awgn)
         monkeypatch.setattr(berlab, "_workspace", counted_workspace)
-        runs = berlab._runs(spec, 4)
-        assert len(runs) == len(spec.kinds) * len(spec.alphas)
-        points = tuple(p for run in runs for p in berlab._run_curves(spec, run))
-        assert points == run_ber_sweep(spec, workers=4).points
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(berlab, "_usable_cpus", lambda: 4)
+        points = run_ber_sweep(spec, workers=4).points
+        assert points == serial.points
         # A curve's batches serve all its points and stop with its last one.
         bits_per_batch = spec.frames_per_batch * spec.config.data_bits_per_frame
         curves = {}
         for p in points:
             curves.setdefault((p.kind, p.alpha), []).append(p.bits)
         assert len(calls) == sum(max(bits) // bits_per_batch for bits in curves.values())
-        assert len(made) == len(runs)
+        # One workspace per run, and one run per curve.
+        assert len(made) == len(curves)
 
     def test_no_batch_past_the_stopping_point(self, monkeypatch):
         self._check_pooled_runs(_fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0)),
@@ -588,40 +587,98 @@ class TestRunSweep:
             assert [len(run) for run in runs] == lengths
             assert [c for run in runs for c in run] == list(enumerate(curves))
 
-    @pytest.mark.parametrize("cpus,processes", [(1, 0), (2, 2), (3, 2), (8, 2)])
-    def test_no_more_processes_than_usable_cpus(self, monkeypatch, cpus, processes):
-        # The runs a `workers=4` sweep would hand its processes are run here;
-        # its two curves make at most two.
-        spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0))
-        serial = run_ber_sweep(spec)
-        started = []
+    @staticmethod
+    def _blas_threads():
+        return berlab._openblas().scipy_openblas_get_num_threads64_()
 
-        def in_process(fn, arglists):
-            started.append(len(arglists))
-            return [fn(*args) for args in arglists]
+    @staticmethod
+    def _pooled_two_curves(monkeypatch, cpus=2):
+        # A sweep of two curves at `cpus` usable CPUs, and a list that takes
+        # every thread started from now on.
+        start, started = threading.Thread.start, []
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
 
         monkeypatch.setattr(berlab, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(berlab, "_starmap_pinned", in_process)
-        assert run_ber_sweep(spec, workers=4) == serial
-        assert sum(started) == processes
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0, 8.0)), started
 
-    def test_raising_run_leaves_no_process_behind(self):
-        # A worker's exception reaches the caller, and its pool goes with it.
-        with pytest.raises(ValueError, match="invalid literal"):
-            berlab._starmap_pinned(int, [("1",), ("x",)])
-        assert multiprocessing.active_children() == []
+    @pytest.mark.parametrize("cpus,threads", [(1, 0), (2, 2), (3, 2), (8, 2)])
+    def test_no_more_threads_than_usable_cpus(self, monkeypatch, cpus, threads):
+        # A `workers=4` sweep of two curves starts at most two threads, and
+        # none outlives it.
+        spec, started = self._pooled_two_curves(monkeypatch, cpus)
+        assert run_ber_sweep(spec, workers=4) == run_ber_sweep(spec, workers=1)
+        assert len(started) == threads
+        assert not any(thread.is_alive() for thread in started)
 
-    @pytest.mark.parametrize("preset", [None, "3"])
-    def test_workers_run_blas_at_one_thread(self, monkeypatch, preset):
-        for name in berlab._BLAS_THREADS:
-            if preset is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, preset)
-        seen = berlab._starmap_pinned(os.getenv, [(name,) for name in berlab._BLAS_THREADS])
-        assert seen == ["1"] * 3
-        # The caller's environment is as it was.
-        assert [os.environ.get(name) for name in berlab._BLAS_THREADS] == [preset] * 3
+    @pytest.mark.parametrize("lookup", ["no library", "no setter"])
+    def test_unpinnable_blas_runs_serially(self, monkeypatch, lookup):
+        # Where numpy's BLAS has no thread setter, a pooled sweep starts no
+        # thread and gives the serial points.
+        spec, started = self._pooled_two_curves(monkeypatch)
+        if lookup == "no library":
+            monkeypatch.setattr(berlab, "glob", SimpleNamespace(glob=lambda pattern: []))
+        else:
+            monkeypatch.setattr(berlab, "ctypes",
+                                SimpleNamespace(CDLL=lambda path: SimpleNamespace()))
+        assert berlab._openblas() is None
+        assert run_ber_sweep(spec, workers=2) == run_ber_sweep(spec, workers=1)
+        assert started == []
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _caller_blas_threads(count):
+        # The calling thread sets BLAS to `count` threads, and the test's
+        # count comes back after.
+        blas = berlab._openblas()
+        before = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(count)
+        try:
+            yield
+        finally:
+            blas.scipy_openblas_set_num_threads64_(before)
+
+    @pytest.mark.skipif(berlab._openblas() is None, reason="numpy's BLAS cannot be pinned")
+    def test_raising_run_restores_blas_threads(self, monkeypatch):
+        # A run's exception reaches the caller, and the caller's BLAS thread
+        # count comes back.
+        spec, started = self._pooled_two_curves(monkeypatch)
+        run_curves = berlab._run_curves
+
+        def raising(spec, run):
+            if run[0][0] == 1:
+                raise ValueError("curve 1 failed")
+            return run_curves(spec, run)
+
+        monkeypatch.setattr(berlab, "_run_curves", raising)
+        with self._caller_blas_threads(2):
+            with pytest.raises(ValueError, match="curve 1 failed"):
+                run_ber_sweep(spec, workers=2)
+            assert self._blas_threads() == 2
+        assert len(started) == 2 and not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.skipif(berlab._openblas() is None, reason="numpy's BLAS cannot be pinned")
+    @pytest.mark.parametrize("caller", [1, 2])
+    def test_workers_run_blas_at_one_thread(self, monkeypatch, caller):
+        # Each run on a thread of its own, at one BLAS thread; then the
+        # caller's count is back.
+        spec, started = self._pooled_two_curves(monkeypatch)
+        run_curves, seen = berlab._run_curves, []
+
+        def recorded(spec, run):
+            seen.append((threading.current_thread(), self._blas_threads()))
+            return run_curves(spec, run)
+
+        monkeypatch.setattr(berlab, "_run_curves", recorded)
+        with self._caller_blas_threads(caller):
+            run_ber_sweep(spec, workers=2)
+            assert self._blas_threads() == caller
+        assert sorted(count for _, count in seen) == [1, 1]
+        assert {thread for thread, _ in seen} == set(started)
+        assert len(started) == 2
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5])
     def test_bad_worker_count_rejected(self, workers):

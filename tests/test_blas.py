@@ -9,7 +9,6 @@ points.
 """
 
 import ctypes
-import glob
 import json
 import os
 import subprocess
@@ -20,7 +19,7 @@ import numpy as np
 import pytest
 
 import ftnlab
-from ftnlab.berlab import SweepSpec, run_ber_sweep
+from ftnlab.berlab import SweepSpec, _openblas, run_ber_sweep
 from ftnlab.modem import ModemConfig
 from ftnlab.transforms import TransformKind
 
@@ -61,9 +60,7 @@ def _dynamic_openblas():
 
 def core_name():
     """The OpenBLAS core that numpy's bundled scipy-openblas runs on."""
-    [path] = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
-                                    "libscipy_openblas*"))
-    get = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    get = _openblas().scipy_openblas_get_corename64_
     get.argtypes, get.restype = [], ctypes.c_char_p
     return get().decode()
 

@@ -718,7 +718,7 @@ _ALPHAS = ["0.8", "1", "0", "-0.5", "1.5", "nan", "inf", "x"]
 _KINDS = ["FrCT", "FrHT", "FrXT", ""]
 _SEEDS = ["0", "7", "-1", "1.5", "x"]
 _COUNTS = ["0", "1", "-1", "x", "1.5"]
-# Never more than 16 subcarriers, 4 frames or one worker process: a valid
+# Never more than 16 subcarriers, 4 frames or one worker: a valid
 # argument list runs in milliseconds.
 _NS = ["16", "2", "1", "0", "-4", "x", "1.5", "nan", ""]
 _FRAMES = ["4", "1", "0", "-1", "x"]

@@ -254,8 +254,8 @@ def test_only_exceptions_checks_keys():
 
 
 def test_one_parallel_mechanism():
-    # A sweep's workers are processes that berlab starts; no module runs
-    # threads of its own or another pool.
+    # A sweep's workers are threads of berlab's one executor, with BLAS pinned
+    # through ctypes; no module starts processes, threads of its own or another pool.
     imports = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -268,8 +268,8 @@ def test_one_parallel_mechanism():
             for name in names:
                 imports.setdefault(name.split(".")[0], set()).add(path.name)
     thread_modules = {name for name in sys.stdlib_module_names if "thread" in name}
-    assert not (thread_modules | {"concurrent"}) & imports.keys()
-    assert imports["multiprocessing"] == {"berlab.py"}
+    assert not (thread_modules | {"multiprocessing"}) & imports.keys()
+    assert imports["concurrent"] == imports["ctypes"] == {"berlab.py"}
 
 
 def test_every_sweep_key_changes_a_sweep():
