@@ -62,7 +62,7 @@ import numpy as np
 
 from . import channel, equalize, icimodel, modem, records
 from .exceptions import (
-    ParameterError, allocating_for, check_alpha, check_integer, check_real,
+    ParameterError, allocating_for, check_alpha, check_integer, check_real, check_type,
 )
 from .transforms import TransformKind, make_plan
 
@@ -102,8 +102,7 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.config, modem.ModemConfig):
-            raise ParameterError(f"config must be a ModemConfig, got {type(self.config).__name__}")
+        check_type(self.config, modem.ModemConfig, "config")
         if self.config.data_symbols_per_frame == 0:
             raise ParameterError("data_symbols_per_frame must be >= 1 in a BER sweep, got 0")
         for name in ("alphas", "ebn0_dbs", "iteration_counts", "kinds"):
@@ -115,8 +114,7 @@ class SweepSpec:
         for ebn0_db in self.ebn0_dbs:
             check_real(ebn0_db, "ebn0_dbs", *channel.EBN0_DB_RANGE, "[]")
         for kind in self.kinds:
-            if not isinstance(kind, TransformKind):
-                raise ParameterError(f"kinds must be TransformKind members, got {kind!r}")
+            check_type(kind, TransformKind, "kinds")
         for count in self.iteration_counts:
             check_integer(count, "iteration_counts", 0)
         for name in ("alphas", "ebn0_dbs", "iteration_counts", "kinds"):
@@ -200,14 +198,13 @@ def _workspace(config, n_frames, scaled=False):
     noise W K and then the rows detected.  With `scaled`, for a curve of
     more than one Eb/N0, two data-row arrays more: `noise` keeps W K,
     `signal` takes S and then S C, and `rows` takes each point's rows in
-    turn.  `wrong` flags the errors."""
+    turn."""
     data_rows = (n_frames * config.data_symbols_per_frame, config.n)
     with allocating_for(frames_per_batch=n_frames,
                         data_symbols_per_frame=config.data_symbols_per_frame, n=config.n):
         work = {
             "planes": np.empty((4, *data_rows), np.float32),
             "rows": np.empty(data_rows, np.float32),
-            "wrong": np.empty(math.prod(data_rows), dtype=bool),
         }
         if scaled:
             work["noise"], work["signal"] = (np.empty(data_rows, np.float32) for _ in range(2))
@@ -247,9 +244,9 @@ def _simulate_batch(config, plan, ici, points, n_frames, seed, curve_idx, batch_
             np.multiply(noise, sigma, out=rows)
             rows += signal
             formed = sigma
-        index = equalize.id_equalize_frame(id_cfg, rows, work=planes)
-        wrong = np.not_equal(index.reshape(-1), sent.view(np.uint8).reshape(-1),
-                             out=work["wrong"])
+        # The decisions are dead once compared, so they take the error flags.
+        index = equalize.id_equalize_frame(id_cfg, rows, work=planes).reshape(-1)
+        wrong = np.not_equal(index, sent.view(np.uint8).reshape(-1), out=index.view(bool))
         errors.append(int(np.count_nonzero(wrong)))
     return sent.size, errors
 

@@ -35,7 +35,9 @@ reproduces the same noise regardless of worker count.
 
 import numpy as np
 
-from .exceptions import ParameterError, check_apart, check_buffer, check_integer, check_real
+from .exceptions import (
+    allocating_for, check_apart, check_buffer, check_integer, check_real, check_type,
+)
 from .modem import ModemConfig, expected_sample_energy
 from .transforms import TransformPlan, demultiplex
 
@@ -48,8 +50,7 @@ def noise_sigma(eb_n0_db, config):
     """The noise's standard deviation per sample at `eb_n0_db` for the frame
     layout `config`, a ModemConfig with data rows."""
     check_real(eb_n0_db, "eb_n0_db", *EBN0_DB_RANGE, "[]")
-    if not isinstance(config, ModemConfig):
-        raise ParameterError(f"config must be a ModemConfig, got {type(config).__name__}")
+    check_type(config, ModemConfig, "config")
     check_integer(config.data_symbols_per_frame, "data_symbols_per_frame", 1)
     gamma = 10.0 ** (eb_n0_db / 10.0)
     return float(np.sqrt(expected_sample_energy(config) / (2.0 * gamma * config.bits_per_sample)))
@@ -71,19 +72,19 @@ def apply_awgn(rng_seed, plan, rows, *, out=None, scratch=None):
     """
     if not isinstance(rng_seed, np.random.SeedSequence):
         check_integer(rng_seed, "rng_seed", 0)
-    if not isinstance(plan, TransformPlan):
-        raise ParameterError(f"plan must be a TransformPlan, got {type(plan).__name__}")
+    check_type(plan, TransformPlan, "plan")
     check_integer(rows, "rows", 1)
     shape = (rows, plan.n)
     check_buffer(out, shape, plan.dtype, "out")
     check_buffer(scratch, shape, np.float32, "scratch")
     check_apart(out=out, scratch=scratch)
     rng = np.random.default_rng(rng_seed)
-    if plan.alpha != 1:
-        return demultiplex(plan, rng.standard_normal(shape, np.float32, out=scratch), out=out)
-    if out is None:
-        out = np.empty(shape, plan.dtype)
-    if out.dtype == np.float32:
-        return rng.standard_normal(shape, np.float32, out=out)
-    out[...] = rng.standard_normal(shape, np.float32)
-    return out
+    with allocating_for(rows=rows, n=plan.n):
+        if plan.alpha != 1:
+            return demultiplex(plan, rng.standard_normal(shape, np.float32, out=scratch), out=out)
+        if out is None:
+            out = np.empty(shape, plan.dtype)
+        if out.dtype == np.float32:
+            return rng.standard_normal(shape, np.float32, out=out)
+        out[...] = rng.standard_normal(shape, np.float32)
+        return out

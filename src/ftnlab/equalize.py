@@ -55,7 +55,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .exceptions import (
-    ParameterError, ShapeError, check_apart, check_buffer, check_integer, check_real_array,
+    ShapeError, check_apart, check_buffer, check_integer, check_real_array, check_type,
 )
 from .icimodel import CorrelationMatrix
 from .modem import pam_index
@@ -79,10 +79,7 @@ class IdConfig:
 
     def __post_init__(self, matrix):
         check_integer(self.iterations, "iterations", 0)
-        if not isinstance(matrix, CorrelationMatrix):
-            raise ParameterError(
-                f"matrix must be an icimodel.CorrelationMatrix, got {type(matrix).__name__}"
-            )
+        check_type(matrix, CorrelationMatrix, "matrix")
         off = np.empty(matrix.entries.shape, np.float32)
         np.copyto(off, matrix.entries)
         off.flat[:: matrix.n + 1] = np.diagonal(matrix.entries) - 1.0
@@ -140,13 +137,12 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
     of shape (4, m, N) that shares no memory with `rows` (`ParameterError`).
     The result is uint8, a view of the start of its plane 0.
     """
-    if not isinstance(config, IdConfig):
-        raise ParameterError(f"config must be an IdConfig, got {type(config).__name__}")
+    check_type(config, IdConfig, "config")
     rows = check_real_array(rows, "rows", len(config.off_diagonal), (np.float64, np.float32))
     if rows.ndim != 2:
         raise ShapeError(f"rows must be an (m, N) stack, got shape {rows.shape}")
-    if trace is not None and not isinstance(trace, IdTrace):
-        raise ParameterError(f"trace must be an IdTrace or None, got {type(trace).__name__}")
+    if trace is not None:
+        check_type(trace, IdTrace, "trace")
     m, n = rows.shape
     check_buffer(work, (4, m, n), np.float32, "work")
     check_apart(rows=rows, work=work)

@@ -57,6 +57,13 @@ def check_integer(value, name, minimum):
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_type(value, cls, name):
+    """An instance of the class `cls`."""
+    if not isinstance(value, cls):
+        named = ("an " if cls.__name__[0] in "AEIOU" else "a ") + cls.__name__
+        raise ParameterError(f"{name} must be {named}, got {type(value).__name__}")
+
+
 def check_real_array(values, name, last_axis=None, floats=(np.float64,)):
     """`values`, real numbers in a rectangular nesting, as an array of one of
     the float dtypes `floats`: as it is if it has one (never a copy), else
@@ -73,15 +80,20 @@ def check_real_array(values, name, last_axis=None, floats=(np.float64,)):
     return values if values.dtype in floats else values.astype(floats[0])
 
 
+def check_array(buf, shape, dtypes, name):
+    """An ndarray of exactly `shape` and one of the dtypes `dtypes`."""
+    if not isinstance(buf, np.ndarray) or buf.shape != tuple(shape) or buf.dtype not in dtypes:
+        got = f"{buf.dtype} {buf.shape}" if isinstance(buf, np.ndarray) else type(buf).__name__
+        dtypes = " or ".join(str(np.dtype(dtype)) for dtype in dtypes)
+        raise ShapeError(f"{name} must be a {dtypes} array of shape {tuple(shape)}, got {got}")
+
+
 def check_buffer(buf, shape, dtype, name, contiguous=True):
     """A caller's output or scratch array, if not None, is a writable ndarray
     of exactly `shape` and `dtype`, C-contiguous unless `contiguous` is False."""
     if buf is None:
         return
-    shape, dtype = tuple(shape), np.dtype(dtype)
-    if not isinstance(buf, np.ndarray) or buf.shape != shape or buf.dtype != dtype:
-        got = f"{buf.dtype} {buf.shape}" if isinstance(buf, np.ndarray) else type(buf).__name__
-        raise ShapeError(f"{name} must be a {dtype} array of shape {shape}, got {got}")
+    check_array(buf, shape, (dtype,), name)
     if not buf.flags.writeable:
         raise ShapeError(f"{name} must be writable")
     if contiguous and not buf.flags.c_contiguous:

@@ -26,10 +26,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import (
-    ParameterError, allocating_for, check_integer, check_real, check_real_array,
+    ParameterError, allocating_for, check_array, check_integer, check_real, check_real_array,
 )
 from .modem import pam_map
-from .transforms import TransformKind, demultiplex, make_plan, multiplex, validate_transform
+from .transforms import TransformKind, validate_transform
 
 HIST_RANGE = (-2.0, 2.0)
 HIST_BIN_WIDTH = 0.02
@@ -43,6 +43,8 @@ class CorrelationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        validate_transform(self.kind, self.n, self.alpha)
+        check_array(self.entries, (self.n, self.n), (np.float64,), "entries")
         self.entries.setflags(write=False)
 
 
@@ -100,8 +102,7 @@ def correlation_matrix(kind, n, alpha):
 
 def _check_subcarrier(c, k):
     check_integer(k, "k", 0)
-    if k >= c.n:
-        raise ParameterError(f"k must lie in [0, {c.n}), got {k!r}")
+    check_real(k, "k", 0, c.n, "[)")
 
 
 def ici_power(c, k):
@@ -177,7 +178,7 @@ def ks_distance(samples, model):
 
 
 def ici_samples(config, frames, rng_seed):
-    """Noiseless transmit/demodulate round trips, pooled over all subcarriers.
+    """Noiseless received rows S C of random +/-1 rows S, pooled over all subcarriers.
 
     Returns (values, residuals): demodulated outputs normalized by the
     per-subcarrier diagonal gain C[k, k], and the same values minus the
@@ -185,12 +186,11 @@ def ici_samples(config, frames, rng_seed):
     """
     check_integer(frames, "frames", 1)
     check_integer(rng_seed, "rng_seed", 0)
-    plan = make_plan(config.kind, config.n, config.alpha)
-    diag = np.diag(correlation_matrix(config.kind, config.n, config.alpha).entries)
+    entries = correlation_matrix(config.kind, config.n, config.alpha).entries
     rng = np.random.default_rng(rng_seed)
     with allocating_for(frames=frames):
         sent = pam_map(rng.integers(0, 2, size=(frames, config.n))).reshape(frames, config.n)
-        received = demultiplex(plan, multiplex(plan, sent)) / diag
+        received = sent @ entries / np.diag(entries)
         return received.ravel(), (received - sent).ravel()
 
 

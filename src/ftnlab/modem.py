@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import (
-    FramingError, ParameterError, allocating_for, check_buffer, check_integer, check_real_array,
+    FramingError, ParameterError, allocating_for, check_buffer, check_integer, check_real,
+    check_real_array,
 )
 from .transforms import TransformKind, make_plan, multiplex, sample_power, validate_transform
 
@@ -38,8 +39,7 @@ class ModemConfig:
         validate_transform(self.kind, self.n, self.alpha)
         for name in ("cp_len", "data_symbols_per_frame", "training_symbols", "sync_symbols"):
             check_integer(getattr(self, name), name, 0)
-        if self.cp_len > self.n:
-            raise ParameterError(f"cp_len must be <= n = {self.n}, got {self.cp_len!r}")
+        check_real(self.cp_len, "cp_len", 0, self.n, "[]")
         if self.symbols_per_frame == 0:
             raise ParameterError(
                 "sync_symbols + training_symbols + data_symbols_per_frame must be >= 1"

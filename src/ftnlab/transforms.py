@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    ParameterError, allocating_for, check_alpha, check_buffer, check_integer, check_real_array,
+    ParameterError, allocating_for, check_alpha, check_array, check_buffer, check_integer,
+    check_real_array, check_type,
 )
 
 # The kernel is built this many entries at a time, in blocks of whole rows
@@ -43,8 +44,7 @@ def validate_transform(kind, n, alpha):
     integer n >= 2 and alpha in (0, 1]."""
     check_integer(n, "n", 2)
     check_alpha(alpha)
-    if not isinstance(kind, TransformKind):
-        raise ParameterError(f"kind must be a TransformKind, got {kind!r}")
+    check_type(kind, TransformKind, "kind")
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ class TransformPlan:
     kernel: np.ndarray  # kernel[n, k]; multiplex is kernel @ X
 
     def __post_init__(self):
+        validate_transform(self.kind, self.n, self.alpha)
+        check_array(self.kernel, (self.n, self.n), (np.float64, np.float32), "kernel")
         self.kernel.setflags(write=False)
 
     @property

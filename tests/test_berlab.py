@@ -138,7 +138,7 @@ class TestSweepSpec:
         [
             ({"alphas": (0.8, 1.5)}, "alpha must lie in (0, 1], got 1.5"),
             ({"ebn0_dbs": (6.0, math.nan)}, "ebn0_dbs must lie in [-300, 300], got nan"),
-            ({"kinds": ("FrCT",)}, "kinds must be TransformKind members, got 'FrCT'"),
+            ({"kinds": ("FrCT",)}, "kinds must be a TransformKind, got str"),
             ({"iteration_counts": (-1,)}, "iteration_counts must be an integer >= 0, got -1"),
             ({"iteration_counts": (5, 2.5)},
              "iteration_counts must be an integer >= 0, got 2.5"),

@@ -335,15 +335,14 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_buffers_are_apart_and_sized(self, scaled):
-        # The detector's `work` is the planes; every buffer is its own
-        # float32 allocation of the data rows' shape, but the error flags.
+        # The detector's `work` is the planes; every other buffer is its own
+        # float32 allocation of the data rows' shape.
         config = experiment_baseline()
         work = _workspace(config, 4, scaled)
         m = 4 * config.data_symbols_per_frame
-        names = ["planes", "rows", "wrong"] + (["noise", "signal"] if scaled else [])
+        names = ["planes", "rows"] + (["noise", "signal"] if scaled else [])
         assert list(work) == names
         assert (work["planes"].dtype, work["planes"].shape) == (np.float32, (4, m, config.n))
-        assert (work["wrong"].dtype, work["wrong"].shape) == (bool, (m * config.n,))
         assert all((work[name].dtype, work[name].shape) == (np.float32, (m, config.n))
-                   for name in names if name not in ("planes", "wrong"))
+                   for name in names if name != "planes")
         assert all(a.flags.c_contiguous and a.flags.owndata for a in work.values())

@@ -68,6 +68,14 @@ class TestApplyAwgn:
         with pytest.raises(ParameterError, match="^plan must be a TransformPlan, got "):
             apply_awgn(0, plan, 3)
 
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    def test_rows_too_many_to_allocate_named(self, alpha):
+        # 10**15 rows of 4 samples ask for petabytes, which numpy refuses
+        # before touching a page, on either path (W K below alpha = 1, W at 1).
+        message = "^rows = 1000000000000000 asks for more memory than can be allocated: "
+        with pytest.raises(ParameterError, match=message):
+            apply_awgn(0, make_plan(TransformKind.FRCT, 4, alpha), 10**15)
+
     @pytest.mark.parametrize("config", [None, 1.0, {"n": 16}, PLAN],
                              ids=["None", "float", "dict", "plan"])
     def test_config_checked(self, config):

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import ftnlab
-from ftnlab import config
+from ftnlab import config, exceptions
 from ftnlab.berlab import run_ber_sweep
 
 SRC = Path(ftnlab.__file__).parent
@@ -196,6 +196,38 @@ def test_real_parameters_are_checked_in_one_place():
                 continue
             raises = [r for stmt in node.body for r in ast.walk(stmt) if isinstance(r, ast.Raise)]
             if any(isinstance(r.exc, ast.Call) and _called_name(r.exc) == "ParameterError"
+                   for r in raises):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _refuses_a_type(test):
+    """Whether an `if` test is `not isinstance(...)`, alone or as a term of
+    an `and`: a test whose body refuses the argument for its type."""
+    conjunction = isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
+    return any(isinstance(term, ast.UnaryOp) and isinstance(term.op, ast.Not)
+               and isinstance(term.operand, ast.Call)
+               and _called_name(term.operand) == "isinstance"
+               for term in (test.values if conjunction else [test]))
+
+
+def test_types_are_checked_in_one_place():
+    # An object argument of the wrong class is refused by exceptions.check_type,
+    # in one wording, so no other module raises a ParameterError (or a subclass)
+    # from an `if not isinstance(...)` of its own.  A compound rule such as
+    # "a nonempty tuple" (`not isinstance(...) or not axis`) is a rule of its
+    # own, and a type dispatch tests `isinstance` without `not`.
+    refusals = {name for name, obj in vars(exceptions).items()
+                if isinstance(obj, type) and issubclass(obj, exceptions.ParameterError)}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "exceptions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.If) or not _refuses_a_type(node.test):
+                continue
+            raises = [r for stmt in node.body for r in ast.walk(stmt) if isinstance(r, ast.Raise)]
+            if any(isinstance(r.exc, ast.Call) and _called_name(r.exc) in refusals
                    for r in raises):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

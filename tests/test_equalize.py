@@ -74,7 +74,7 @@ class TestIdConfig:
 
     @pytest.mark.parametrize("matrix", [np.eye(4), None, "C"])
     def test_matrix_must_be_a_correlation_matrix(self, matrix):
-        with pytest.raises(ParameterError, match="^matrix must be an icimodel.CorrelationMatrix"):
+        with pytest.raises(ParameterError, match="^matrix must be a CorrelationMatrix"):
             IdConfig(3, matrix)
 
     def test_keeps_only_the_off_diagonal(self):

@@ -14,14 +14,14 @@ from ftnlab.config import capacity_params
 from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import (
     ConfigError, ExportError, FramingError, ParameterError, ShapeError, allocating_for,
-    check_keys, check_real, check_real_array,
+    check_keys, check_real, check_real_array, check_type,
 )
 from ftnlab.icimodel import (
-    IciPdfModel, correlation_matrix, fit_sigma_mle, ici_histogram, ks_distance, mixture_cdf,
-    mixture_pdf,
+    CorrelationMatrix, IciPdfModel, correlation_matrix, fit_sigma_mle, ici_histogram, ici_power,
+    ks_distance, mixture_cdf, mixture_pdf,
 )
 from ftnlab.modem import ModemConfig, pam_index
-from ftnlab.transforms import TransformKind, demultiplex, make_plan, multiplex
+from ftnlab.transforms import TransformKind, TransformPlan, demultiplex, make_plan, multiplex
 
 NOT_REAL = ["1", None, True, False, np.bool_(True), 1j, [0.5], np.array([0.5])]
 NOT_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf")]
@@ -91,6 +91,52 @@ def test_check_keys_names_the_source_and_keys(given, message):
 def test_check_keys_accepts_required_with_any_optional():
     check_keys("f.json", {"a": 1}, ["a"], ["b"])
     check_keys("f.json", {"a": 1, "b": 2}, ["a"], ["b"])
+
+
+@pytest.mark.parametrize("value,cls,message", [
+    ("FrCT", TransformKind, "kind must be a TransformKind, got str"),
+    (None, IdConfig, "kind must be an IdConfig, got NoneType"),
+    (TransformKind.FRCT, ModemConfig, "kind must be a ModemConfig, got TransformKind"),
+], ids=["a", "an", "enum"])
+def test_check_type_names_the_class_and_the_type_given(value, cls, message):
+    with pytest.raises(ParameterError) as caught:
+        check_type(value, cls, "kind")
+    assert str(caught.value) == message
+
+
+FRCT = TransformKind.FRCT
+
+
+# A correlation matrix or a plan whose array does not fit its (kind, n,
+# alpha) is refused when built, not left to build a detector of the wrong
+# size or to fail in numpy later.
+@pytest.mark.parametrize("use,message", [
+    (lambda: IdConfig(1, CorrelationMatrix(FRCT, 4, 0.8, np.zeros((3, 3)))),
+     "entries must be a float64 array of shape (4, 4), got float64 (3, 3)"),
+    (lambda: CorrelationMatrix(FRCT, 4, 0.8, np.eye(4).tolist()),
+     "entries must be a float64 array of shape (4, 4), got list"),
+    (lambda: ici_power(CorrelationMatrix(FRCT, 4, 0.8, np.eye(3)), 3),
+     "entries must be a float64 array of shape (4, 4), got float64 (3, 3)"),
+    (lambda: multiplex(TransformPlan(FRCT, 4, 0.8, np.eye(3)), np.ones(4)),
+     "kernel must be a float64 or float32 array of shape (4, 4), got float64 (3, 3)"),
+    (lambda: CorrelationMatrix(FRCT, 4, 0.8, np.eye(4, dtype=np.float32)),
+     "entries must be a float64 array of shape (4, 4), got float32 (4, 4)"),
+    (lambda: TransformPlan(FRCT, 4, 0.8, np.eye(4, dtype=np.int64)),
+     "kernel must be a float64 or float32 array of shape (4, 4), got int64 (4, 4)"),
+], ids=["detector", "list", "ici_power", "multiplex", "entries-dtype", "kernel-dtype"])
+def test_matrix_must_fit_its_transform(use, message):
+    with pytest.raises(ShapeError) as caught:
+        use()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("cls", [CorrelationMatrix, TransformPlan])
+@pytest.mark.parametrize("kind,n,alpha,field", [
+    (None, 4, 0.8, "kind"), (FRCT, 1, 0.8, "n"), (FRCT, 4, 1.5, "alpha"),
+])
+def test_matrix_transform_is_validated(cls, kind, n, alpha, field):
+    with pytest.raises(ParameterError, match=f"^{field} must "):
+        cls(kind, n, alpha, np.eye(4))
 
 
 class TestCheckReal:
