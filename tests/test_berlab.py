@@ -159,6 +159,13 @@ class TestSweepSpec:
             ({"ebn0_dbs": (6.0, 4000.0)}, "ebn0_dbs must lie in [-300, 300], got 4000.0"),
             ({"ebn0_dbs": (-3300.0,)}, "ebn0_dbs must lie in [-300, 300], got -3300.0"),
         ],
+        # The field and the case, so that a new wording renames no test.
+        ids=["alphas-above-1", "ebn0_dbs-nan", "kinds-str", "iteration_counts-negative",
+             "iteration_counts-fraction", "frames_per_batch-fraction", "seed-negative",
+             "max_bits-float", "min_errors-fraction", "alphas-repeated", "ebn0_dbs-repeated",
+             "iteration_counts-repeated", "kinds-repeated", "kinds-repeated-apart",
+             "ebn0_dbs-signed-zero", "alphas-int-and-float", "ebn0_dbs-above-range",
+             "ebn0_dbs-below-range"],
     )
     def test_bad_entry_rejected(self, overrides, message):
         with pytest.raises(ParameterError, match=re.escape(message)):

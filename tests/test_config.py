@@ -319,6 +319,8 @@ class TestManifests:
               "outputs": [{"path": "r.json", "format": "json"}, {"path": "r", "format": ""}]},
              "manifest field 'outputs': format must be 'csv' or 'json', got ''"),
         ],
+        ids=["outputs-missing", "x-unknown", "resolved-list", "outputs-empty-entry",
+             "path-bool", "format-none", "format-xml", "format-upper-case", "format-empty"],
     )
     def test_malformed_rejected_naming_field(self, tmp_path, payload, message):
         path = tmp_path / "m.json"

@@ -179,6 +179,8 @@ class TestCheckReal:
             ((0, 1, "(]"), "x must lie in (0, 1], got 'a'"),
             ((0, 1, "[)"), "x must lie in [0, 1), got 'a'"),
         ],
+        ids=["x-unbounded", "x-above-low", "x-from-low", "x-low-open-high-closed",
+             "x-low-closed-high-open"],
     )
     def test_message_names_the_rule(self, bounds, message):
         with pytest.raises(ParameterError) as info:
