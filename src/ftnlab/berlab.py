@@ -103,8 +103,7 @@ class SweepSpec:
 
     def __post_init__(self):
         check_type(self.config, modem.ModemConfig, "config")
-        if self.config.data_symbols_per_frame == 0:
-            raise ParameterError("data_symbols_per_frame must be >= 1 in a BER sweep, got 0")
+        check_integer(self.config.data_symbols_per_frame, "data_symbols_per_frame", 1)
         for name in ("alphas", "ebn0_dbs", "iteration_counts", "kinds"):
             axis = getattr(self, name)
             if not isinstance(axis, tuple) or not axis:

@@ -694,7 +694,8 @@ class TestRunSweep:
             run_ber_sweep(_fast_spec(), workers=workers)
 
     def test_layout_without_data_rows_rejected(self):
-        with pytest.raises(ParameterError, match="^data_symbols_per_frame must be >= 1"):
+        message = "^data_symbols_per_frame must be an integer >= 1, got 0$"
+        with pytest.raises(ParameterError, match=message):
             _fast_spec(config=_small_config(data_symbols_per_frame=0, sync_symbols=1))
 
     def test_seed_changes_results(self):

@@ -247,7 +247,7 @@ class TestSweepBer:
         code, stdout, err = _run(capsys, "sweep-ber", "--config", cfg, "--out", str(out))
         assert code == 2
         assert _one_json_error(err) == (
-            f"{cfg}: data_symbols_per_frame must be >= 1 in a BER sweep, got 0"
+            f"{cfg}: data_symbols_per_frame must be an integer >= 1, got 0"
         )
         assert stdout == ""
         assert sorted(tmp_path.iterdir()) == [tmp_path / "sweep.json"]  # no output, no manifest
