@@ -15,8 +15,8 @@ alpha = 1: S C as S + S (C - I) with the detector's float32 C - I, and W K
 through the float32 kernel, taken at alpha = 1, where K is orthonormal, as
 W itself (`channel.apply_awgn`).  It builds no waveform: pilot rows and
 prefixes reach no detector.  They still set sigma, which
-`channel.noise_sigma` works out from the layout's sample energy and bit
-density: one per Eb/N0 and curve.
+`channel.noise_sigma` works out from the layout's sample energy, a closed
+form of the curve's C, and bit density: one per Eb/N0 and curve.
 
 Where C - I cannot move a float32 level, the first GEMM is skipped and S C
 is taken as S, which gives the same bytes.  That holds when N max|C - I|
@@ -46,7 +46,8 @@ and the rows.  With more than one it holds two data-row arrays more, W K and the
 signal S C.  Of the N x N matrices, a sweep keeps two, both float32, in its
 curve cache: the transform kernel and one detector C - I, which a curve's
 iteration counts and its signal share.  It allocates no float64 kernel: the
-float32 one and sigma's sample energy read it in blocks of rows.
+float32 one is rounded from it in blocks of rows, and sigma's sample energy
+reads C and only the cp_len kernel rows of the prefix.
 """
 
 import ctypes
@@ -175,16 +176,18 @@ def _ici_product(off_diagonal):
 
 # The package's one cache, of one entry, as the grid walks (kind, alpha)
 # outermost: a curve's float32 plan and detector, whose C - I its iteration
-# counts share, 4 N^2 bytes each (C is freed before the plan is built), the
-# matrix of its ICI product (that C - I or None), and sigma at each of
-# `ebn0_dbs`, for the curve and repeated sweeps of it.
+# counts share, 4 N^2 bytes each, the matrix of its ICI product (that C - I
+# or None), and sigma at each of `ebn0_dbs`, for the curve and repeated
+# sweeps of it.  C gives sigma and the detector, and is freed before the
+# plan is built.
 @lru_cache(maxsize=1)
 def _curve(config, ebn0_dbs):
-    detector = equalize.IdConfig(0, icimodel.correlation_matrix(config.kind, config.n,
-                                                                 config.alpha))
+    matrix = icimodel.correlation_matrix(config.kind, config.n, config.alpha)
+    sigmas = {e: channel.noise_sigma(e, config, matrix) for e in ebn0_dbs}
+    detector = equalize.IdConfig(0, matrix)
+    del matrix
     plan = make_plan(config.kind, config.n, config.alpha, np.float32)
-    return (plan, detector, _ici_product(detector.off_diagonal),
-            {e: channel.noise_sigma(e, config) for e in ebn0_dbs})
+    return plan, detector, _ici_product(detector.off_diagonal), sigmas
 
 
 def _workspace(config, n_frames, scaled=False):

@@ -5,12 +5,13 @@ sample, with standard deviation
 
     sigma^2 = E_s / (2 * (Eb/N0)_linear * bits_per_sample)
 
-where E_s (`modem.expected_sample_energy`) and bits_per_sample
-(`ModemConfig.bits_per_sample`) are the layout's expected mean squared
-sample and net information-bit density: pilots and prefixes carry energy
-but no bits.  With a unit-energy 2-PAM alphabet through an orthonormal
-kernel (alpha = 1, no prefix) the end-to-end bit error rate is then the
-antipodal bound Q(sqrt(2 Eb/N0)).  `noise_sigma` is that law.
+where E_s (`modem.expected_sample_energy`, from the layout's correlation
+matrix C) and bits_per_sample (`ModemConfig.bits_per_sample`) are the
+layout's expected mean squared sample and net information-bit density:
+pilots and prefixes carry energy but no bits.  With a unit-energy 2-PAM
+alphabet through an orthonormal kernel (alpha = 1, no prefix) the
+end-to-end bit error rate is then the antipodal bound Q(sqrt(2 Eb/N0)).
+`noise_sigma` is that law.
 
 Only the noise on the data blocks' N body samples reaches a detector: the
 receiver strips the prefixes and demultiplexes the data rows, so a row of
@@ -46,14 +47,16 @@ from .transforms import TransformPlan, demultiplex
 EBN0_DB_RANGE = (-300, 300)
 
 
-def noise_sigma(eb_n0_db, config):
+def noise_sigma(eb_n0_db, config, matrix):
     """The noise's standard deviation per sample at `eb_n0_db` for the frame
-    layout `config`, a ModemConfig with data rows."""
+    layout `config`, a ModemConfig with data rows, whose correlation matrix
+    C is `matrix`."""
     check_real(eb_n0_db, "eb_n0_db", *EBN0_DB_RANGE, "[]")
     check_type(config, ModemConfig, "config")
     check_integer(config.data_symbols_per_frame, "data_symbols_per_frame", 1)
+    energy = expected_sample_energy(config, matrix)
     gamma = 10.0 ** (eb_n0_db / 10.0)
-    return float(np.sqrt(expected_sample_energy(config) / (2.0 * gamma * config.bits_per_sample)))
+    return float(np.sqrt(energy / (2.0 * gamma * config.bits_per_sample)))
 
 
 def apply_awgn(rng_seed, plan, rows, *, out=None, scratch=None):

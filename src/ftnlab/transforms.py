@@ -25,12 +25,11 @@ import numpy as np
 
 from .exceptions import (
     ParameterError, allocating_for, check_alpha, check_array, check_buffer, check_integer,
-    check_real_array, check_type,
+    check_real, check_real_array, check_type,
 )
 
 # The kernel is built this many entries at a time, in blocks of whole rows
-# (256 KB of float64), so a float32 plan or the sample power allocates no
-# float64 N x N array.
+# (256 KB of float64), so a float32 plan allocates no float64 N x N array.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -93,13 +92,16 @@ def _frht_kernel(n, alpha, start, stop):
     return np.multiply(np.sqrt(1.0 / n), kernel, out=kernel)
 
 
-def _kernel_blocks(kind, n, alpha):
-    """The float64 kernel as consecutive blocks of rows, (first row, rows)
-    pairs of `_BLOCK_ENTRIES` entries or fewer: the one kernel definition."""
+def kernel_rows(kind, n, alpha, start, stop):
+    """Rows `start`:`stop` of the float64 kernel of (kind, n, alpha), a
+    (stop - start, N) array, 0 <= start <= stop <= N: the one kernel
+    definition, bit for bit the rows of `make_plan`'s float64 kernel."""
+    validate_transform(kind, n, alpha)
+    check_integer(start, "start", 0)
+    check_integer(stop, "stop", start)
+    check_real(stop, "stop", 0, n, "[]")
     build = _frct_kernel if kind is TransformKind.FRCT else _frht_kernel
-    step = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, step):
-        yield start, build(n, alpha, start, min(n, start + step))
+    return build(int(n), float(alpha), start, stop)
 
 
 def make_plan(kind, n, alpha, dtype=np.float64):
@@ -117,8 +119,9 @@ def make_plan(kind, n, alpha, dtype=np.float64):
     n, alpha = int(n), float(alpha)
     with allocating_for(n=n):
         kernel = np.empty((n, n), dtype)
-    for start, rows in _kernel_blocks(kind, n, alpha):
-        kernel[start:start + len(rows)] = rows
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        kernel[start:start + step] = kernel_rows(kind, n, alpha, start, min(n, start + step))
     return TransformPlan(kind=kind, n=n, alpha=alpha, kernel=kernel)
 
 
@@ -130,24 +133,6 @@ def multiplex(plan, symbols):
     """
     symbols = check_real_array(symbols, "symbols", plan.n, (plan.dtype,))
     return np.matmul(symbols, plan.kernel.T)
-
-
-def sample_power(kind, n, alpha, fixed=None):
-    """The mean square of each of the N samples that `multiplex` makes, from
-    the float64 kernel of (kind, n, alpha) read in row blocks, with no N x N
-    array.  Row 0 is that of uncorrelated zero-mean unit-power symbols, such
-    as uniform 2-PAM levels, sum_k kernel[n, k]^2 for sample n; row 1 + r is
-    the square of the samples of `fixed[r]`, if given, a fixed row of N
-    symbols.  Returns a (1 + len(fixed), N) float64 array."""
-    validate_transform(kind, n, alpha)
-    fixed = np.empty((0, n)) if fixed is None else check_real_array(fixed, "fixed", n)
-    fixed = fixed.reshape(-1, n)
-    power = np.empty((1 + len(fixed), n))
-    for start, rows in _kernel_blocks(kind, n, alpha):
-        block = power[:, start:start + len(rows)]
-        block[0] = np.einsum("nk,nk->n", rows, rows)
-        np.square(fixed @ rows.T, out=block[1:])
-    return power
 
 
 def demultiplex(plan, samples, *, out=None):

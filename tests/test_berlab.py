@@ -239,7 +239,22 @@ def _ici_tolerance(kind, n, alpha):
 
 def _sigma(config, ebn0_db):
     """The noise's sigma at `ebn0_db` for the layout `config`."""
-    return channel.noise_sigma(ebn0_db, config)
+    return channel.noise_sigma(ebn0_db, config, correlation_matrix(config.kind, config.n,
+                                                                   config.alpha))
+
+
+def _kernel_row_blocks(monkeypatch):
+    """The shape of each block of float64 kernel rows built from here on,
+    through either kind's builder, as a list that grows."""
+    shapes = []
+    for name in ("_frct_kernel", "_frht_kernel"):
+        def counted(*args, build=getattr(transforms, name)):
+            rows = build(*args)
+            shapes.append(rows.shape)
+            return rows
+
+        monkeypatch.setattr(transforms, name, counted)
+    return shapes
 
 
 def _detected_rows(monkeypatch, config, points, n_frames, seed, batch_idx, noise_free=False):
@@ -750,6 +765,19 @@ class TestRunSweep:
         assert run_ber_sweep(spec) == first
         assert built == {"make_plan": 1, "correlation_matrix": 1, "expected_sample_energy": 2}
 
+    def test_a_curve_builds_the_float64_kernel_once(self, monkeypatch):
+        # Its N rows, rounded into the float32 plan, and for each Eb/N0's
+        # sigma only the cp_len rows a prefix repeats, beside C; none when
+        # the curve is swept again.
+        blocks = _kernel_row_blocks(monkeypatch)
+        _curve.cache_clear()
+        spec = _fast_spec(ebn0_dbs=(4.0, 6.0, 8.0), iteration_counts=(0, 10))
+        first = run_ber_sweep(spec)
+        assert sum(rows for rows, _ in blocks) == spec.config.n + 3 * spec.config.cp_len
+        blocks.clear()
+        assert run_ber_sweep(spec) == first
+        assert blocks == []
+
     def test_curves_grouping(self):
         spec = _fast_spec(alphas=(1.0, 0.9), ebn0_dbs=(4.0, 6.0))
         result = run_ber_sweep(spec)
@@ -911,22 +939,17 @@ class TestSweepMemory:
         assert peak - base < 4 * self.N  # under one float32 row
 
     def test_sweep_builds_no_float64_kernel(self, monkeypatch):
-        # Its plan is float32, and its sample energy reads the float64 kernel
-        # a block of rows at a time: 32 rows at N = 1024.
-        dtypes, blocks = [], []
-        post_init, kernel_blocks = transforms.TransformPlan.__post_init__, transforms._kernel_blocks
+        # Its plan is float32, and the float64 kernel is built a block of
+        # rows at a time: 32 rows at N = 1024.
+        dtypes = []
+        post_init = transforms.TransformPlan.__post_init__
 
         def plan_built(plan):
             dtypes.append(plan.dtype)
             post_init(plan)
 
-        def block_rows(*args):
-            for start, rows in kernel_blocks(*args):
-                blocks.append(rows.shape)
-                yield start, rows
-
         monkeypatch.setattr(transforms.TransformPlan, "__post_init__", plan_built)
-        monkeypatch.setattr(transforms, "_kernel_blocks", block_rows)
+        blocks = _kernel_row_blocks(monkeypatch)
         _curve.cache_clear()
         run_ber_sweep(SweepSpec(
             config=experiment_baseline(n=self.N), alphas=(0.8,), ebn0_dbs=(6.0, 9.0),

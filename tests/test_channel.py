@@ -26,6 +26,12 @@ PLAN = make_plan(TransformKind.FRCT, 16, 0.8)
 # A layout of PLAN's transform.
 CONFIG = ModemConfig(n=16, alpha=0.8, data_symbols_per_frame=4, training_symbols=2,
                      sync_symbols=1)
+C = correlation_matrix(TransformKind.FRCT, 16, 0.8)
+
+
+def _c(config):
+    """The correlation matrix C of the layout `config`."""
+    return correlation_matrix(config.kind, config.n, config.alpha)
 
 
 class TestSampleEnergyOracle:
@@ -42,7 +48,7 @@ class TestSampleEnergyOracle:
 
 class TestApplyAwgn:
     def test_noiseless_limit(self):
-        sigma = noise_sigma(200.0, CONFIG)
+        sigma = noise_sigma(200.0, CONFIG, C)
         assert np.max(np.abs(sigma * apply_awgn(1, PLAN, 50))) < 1e-8
 
     def test_deterministic_per_seed(self):
@@ -80,13 +86,13 @@ class TestApplyAwgn:
                              ids=["None", "float", "dict", "plan"])
     def test_config_checked(self, config):
         with pytest.raises(ParameterError, match="^config must be a ModemConfig, got "):
-            noise_sigma(6.0, config)
+            noise_sigma(6.0, config, C)
 
     def test_layout_without_data_rows_rejected(self):
         # No bits: sigma would divide by zero.
         config = ModemConfig(n=16, data_symbols_per_frame=0)
         with pytest.raises(ParameterError, match="^data_symbols_per_frame must be an integer >= 1"):
-            noise_sigma(5.0, config)
+            noise_sigma(5.0, config, _c(config))
 
     @pytest.mark.parametrize("rng_seed", [-1, "x", 1.5, True, None])
     def test_seed_checked(self, rng_seed):
@@ -102,7 +108,7 @@ class TestApplyAwgn:
         # sigma dividing by zero, is refused naming the field.
         with pytest.raises(ParameterError,
                            match=re.escape(f"eb_n0_db must lie in [-300, 300], got {eb_n0_db!r}")):
-            noise_sigma(eb_n0_db, CONFIG)
+            noise_sigma(eb_n0_db, CONFIG, C)
 
     @pytest.mark.parametrize("eb_n0_db", [-300, 300.0])
     @pytest.mark.parametrize("config", [
@@ -118,7 +124,7 @@ class TestApplyAwgn:
     def test_eb_n0_range_ends_give_finite_noise(self, eb_n0_db, config):
         # At either end sigma is finite and nonzero for any valid layout, and
         # so are its float32 rows, the sweep's noise through its float32 plan.
-        sigma = noise_sigma(eb_n0_db, config)
+        sigma = noise_sigma(eb_n0_db, config, _c(config))
         assert 0.0 < sigma < np.inf
         plan = make_plan(config.kind, config.n, config.alpha, np.float32)
         noise = sigma * apply_awgn(1, plan, 8)
@@ -135,10 +141,11 @@ class TestApplyAwgn:
         # the data bits of a frame over its samples, prefixes included.
         density = (config.data_symbols_per_frame * config.n
                    / (config.symbols_per_frame * (config.n + config.cp_len)))
+        c = _c(config)
         for eb_n0_db in (-3.0, 4.0, 12.5):
             gamma = 10.0 ** (eb_n0_db / 10.0)
-            want = expected_sample_energy(config) / (2.0 * gamma * density)
-            assert noise_sigma(eb_n0_db, config) ** 2 == pytest.approx(want, rel=1e-12)
+            want = expected_sample_energy(config, c) / (2.0 * gamma * density)
+            assert noise_sigma(eb_n0_db, config, c) ** 2 == pytest.approx(want, rel=1e-12)
 
     def test_noise_variance_matches_derivation(self):
         # White samples of unit variance, and rows whose entry k has
@@ -238,7 +245,7 @@ class TestBerCalibration:
         cfg = ModemConfig(n=256, alpha=1.0, kind=TransformKind.FRCT,
                           data_symbols_per_frame=64, training_symbols=0, sync_symbols=0)
         plan = make_plan(cfg.kind, cfg.n, cfg.alpha)
-        sigma = noise_sigma(ebn0_db, cfg)
+        sigma = noise_sigma(ebn0_db, cfg, _c(cfg))
         rng = np.random.default_rng(int(ebn0_db))
         errors = 0
         bits_done = 0
@@ -257,4 +264,4 @@ class TestBerCalibration:
                           training_symbols=0, sync_symbols=0)
         samples = transmit(cfg, random_data_bits(cfg, np.random.default_rng(0), 1))
         assert measure_sample_energy(samples) == pytest.approx(1.0, rel=1e-10)
-        assert expected_sample_energy(cfg) == pytest.approx(1.0, rel=1e-12)
+        assert expected_sample_energy(cfg, _c(cfg)) == pytest.approx(1.0, rel=1e-12)

@@ -20,8 +20,10 @@ from ftnlab.icimodel import (
     CorrelationMatrix, IciPdfModel, correlation_matrix, fit_sigma_mle, ici_histogram, ici_power,
     ks_distance, mixture_cdf, mixture_pdf,
 )
-from ftnlab.modem import ModemConfig, pam_index
-from ftnlab.transforms import TransformKind, TransformPlan, demultiplex, make_plan, multiplex
+from ftnlab.modem import ModemConfig, expected_sample_energy, pam_index
+from ftnlab.transforms import (
+    TransformKind, TransformPlan, demultiplex, kernel_rows, make_plan, multiplex,
+)
 
 NOT_REAL = ["1", None, True, False, np.bool_(True), 1j, [0.5], np.array([0.5])]
 NOT_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf")]
@@ -107,27 +109,53 @@ def test_check_type_names_the_class_and_the_type_given(value, cls, message):
 FRCT = TransformKind.FRCT
 
 
+_LAYOUT = ModemConfig(n=4, alpha=0.8)
+
+
 # A correlation matrix or a plan whose array does not fit its (kind, n,
 # alpha) is refused when built, not left to build a detector of the wrong
-# size or to fail in numpy later.
-@pytest.mark.parametrize("use,message", [
-    (lambda: IdConfig(1, CorrelationMatrix(FRCT, 4, 0.8, np.zeros((3, 3)))),
+# size or to fail in numpy later; so are a layout's C of another transform
+# and a range of kernel rows outside the kernel.
+@pytest.mark.parametrize("use,error,message", [
+    (lambda: IdConfig(1, CorrelationMatrix(FRCT, 4, 0.8, np.zeros((3, 3)))), ShapeError,
      "entries must be a float64 array of shape (4, 4), got float64 (3, 3)"),
-    (lambda: CorrelationMatrix(FRCT, 4, 0.8, np.eye(4).tolist()),
+    (lambda: CorrelationMatrix(FRCT, 4, 0.8, np.eye(4).tolist()), ShapeError,
      "entries must be a float64 array of shape (4, 4), got list"),
-    (lambda: ici_power(CorrelationMatrix(FRCT, 4, 0.8, np.eye(3)), 3),
+    (lambda: ici_power(CorrelationMatrix(FRCT, 4, 0.8, np.eye(3)), 3), ShapeError,
      "entries must be a float64 array of shape (4, 4), got float64 (3, 3)"),
-    (lambda: multiplex(TransformPlan(FRCT, 4, 0.8, np.eye(3)), np.ones(4)),
+    (lambda: multiplex(TransformPlan(FRCT, 4, 0.8, np.eye(3)), np.ones(4)), ShapeError,
      "kernel must be a float64 or float32 array of shape (4, 4), got float64 (3, 3)"),
-    (lambda: CorrelationMatrix(FRCT, 4, 0.8, np.eye(4, dtype=np.float32)),
+    (lambda: CorrelationMatrix(FRCT, 4, 0.8, np.eye(4, dtype=np.float32)), ShapeError,
      "entries must be a float64 array of shape (4, 4), got float32 (4, 4)"),
-    (lambda: TransformPlan(FRCT, 4, 0.8, np.eye(4, dtype=np.int64)),
+    (lambda: TransformPlan(FRCT, 4, 0.8, np.eye(4, dtype=np.int64)), ShapeError,
      "kernel must be a float64 or float32 array of shape (4, 4), got int64 (4, 4)"),
-], ids=["detector", "list", "ici_power", "multiplex", "entries-dtype", "kernel-dtype"])
-def test_matrix_must_fit_its_transform(use, message):
-    with pytest.raises(ShapeError) as caught:
+    (lambda: expected_sample_energy(_LAYOUT, np.eye(4)), ParameterError,
+     "matrix must be a CorrelationMatrix, got ndarray"),
+    (lambda: noise_sigma(6.0, _LAYOUT, None), ParameterError,
+     "matrix must be a CorrelationMatrix, got NoneType"),
+    (lambda: noise_sigma(6.0, _LAYOUT, correlation_matrix(TransformKind.FRHT, 4, 0.8)),
+     ParameterError,
+     "matrix must be C of the layout's ('FrCT', 4, 0.8), got C of ('FrHT', 4, 0.8)"),
+    (lambda: noise_sigma(6.0, _LAYOUT, correlation_matrix(FRCT, 8, 0.8)), ParameterError,
+     "matrix must be C of the layout's ('FrCT', 4, 0.8), got C of ('FrCT', 8, 0.8)"),
+    (lambda: expected_sample_energy(_LAYOUT, correlation_matrix(FRCT, 4, 0.9)), ParameterError,
+     "matrix must be C of the layout's ('FrCT', 4, 0.8), got C of ('FrCT', 4, 0.9)"),
+    (lambda: kernel_rows(FRCT, 4, 0.8, -1, 2), ParameterError,
+     "start must be an integer >= 0, got -1"),
+    (lambda: kernel_rows(FRCT, 4, 0.8, 1.0, 2), ParameterError,
+     "start must be an integer >= 0, got 1.0"),
+    (lambda: kernel_rows(FRCT, 4, 0.8, 3, 2), ParameterError,
+     "stop must be an integer >= 3, got 2"),
+    (lambda: kernel_rows(FRCT, 4, 0.8, 0, 5), ParameterError, "stop must lie in [0, 4], got 5"),
+    (lambda: kernel_rows(FRCT, 4, 0.8, 0, None), ParameterError,
+     "stop must be an integer >= 0, got None"),
+], ids=["detector", "list", "ici_power", "multiplex", "entries-dtype", "kernel-dtype",
+        "matrix-array", "matrix-none", "matrix-kind", "matrix-n", "matrix-alpha",
+        "start-negative", "start-float", "stop-before-start", "stop-past-n", "stop-none"])
+def test_matrix_must_fit_its_transform(use, error, message):
+    with pytest.raises(error) as caught:
         use()
-    assert str(caught.value) == message
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 @pytest.mark.parametrize("cls", [CorrelationMatrix, TransformPlan])
@@ -188,6 +216,9 @@ class TestCheckReal:
         assert str(info.value) == message
 
 
+_C16 = correlation_matrix(TransformKind.FRCT, 16, 1.0)
+
+
 def _sweep(**kwargs):
     return SweepSpec(config=ModemConfig(n=16), **{"alphas": (1.0,), "ebn0_dbs": (4.0,),
                                                    **kwargs})
@@ -207,7 +238,7 @@ REAL_PARAMETERS = [
     _real("CapacityParams", "alpha", lambda v: CapacityParams(1, 1, 1, alpha=v), 0.5),
     _real("CapacityParams", "symbol_duration",
           lambda v: CapacityParams(1, 1, 1, symbol_duration=v), 2.0),
-    _real("noise_sigma", "eb_n0_db", lambda v: noise_sigma(v, ModemConfig(n=16)), -3.0),
+    _real("noise_sigma", "eb_n0_db", lambda v: noise_sigma(v, ModemConfig(n=16), _C16), -3.0),
     _real("ModemConfig", "alpha", lambda v: ModemConfig(alpha=v), 0.8),
     _real("IciPdfModel", "sigma", lambda v: IciPdfModel(sigma=v), 0.3),
     _real("SweepSpec", "alpha", lambda v: _sweep(alphas=(1.0, v)), 0.9),

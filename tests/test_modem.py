@@ -329,6 +329,11 @@ class TestTransmitReceive:
         assert set(np.unique(sync_a)) == {-1.0, 1.0}
 
 
+def _c(config):
+    """The correlation matrix C of the layout `config`."""
+    return correlation_matrix(config.kind, config.n, config.alpha)
+
+
 class TestExpectedSampleEnergy:
     """The closed-form energy against the measured energy of `transmit`'s
     waveforms, the route the sweep's noise level used to take."""
@@ -344,7 +349,7 @@ class TestExpectedSampleEnergy:
         measured = [measure_sample_energy(transmit(config, random_data_bits(config, rng, frames)))
                     for _ in range(200)]
         error = np.std(measured, ddof=1) / np.sqrt(len(measured))
-        assert abs(np.mean(measured) - expected_sample_energy(config)) < 4.0 * error
+        assert abs(np.mean(measured) - expected_sample_energy(config, _c(config))) < 4.0 * error
 
     @pytest.mark.parametrize("kind", list(TransformKind))
     def test_orthonormal_layout_without_overhead_is_exact(self, kind):
@@ -352,8 +357,9 @@ class TestExpectedSampleEnergy:
                              training_symbols=0, sync_symbols=0)
         measured = measure_sample_energy(
             transmit(config, random_data_bits(config, np.random.default_rng(2), 3)))
-        assert expected_sample_energy(config) == pytest.approx(measured, rel=1e-12, abs=0)
-        assert expected_sample_energy(config) == pytest.approx(1.0, rel=1e-12, abs=0)
+        energy = expected_sample_energy(config, _c(config))
+        assert energy == pytest.approx(measured, rel=1e-12, abs=0)
+        assert energy == pytest.approx(1.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("kind", list(TransformKind))
     @pytest.mark.parametrize("cp_len", [4, 16])
@@ -363,7 +369,8 @@ class TestExpectedSampleEnergy:
         # counted in both the energy and the sample count.
         config = ModemConfig(n=64, alpha=1.0, kind=kind, cp_len=cp_len, data_symbols_per_frame=8,
                              training_symbols=0, sync_symbols=0)
-        assert expected_sample_energy(config) == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert expected_sample_energy(config, _c(config)) == pytest.approx(1.0, rel=1e-12,
+                                                                            abs=0)
 
     def test_pilot_rows_and_prefixes_count(self):
         # One data bit per frame, so each frame's energy is almost all pilot
@@ -376,7 +383,7 @@ class TestExpectedSampleEnergy:
         data_power = np.sum(np.square(plan.kernel), axis=1)
         data_energy = data_power.sum() + data_power[16 - 5:].sum()
         expected = (pilot_energy + data_energy) / (6 * 21)
-        assert expected_sample_energy(config) == pytest.approx(expected, rel=1e-12)
+        assert expected_sample_energy(config, _c(config)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRateReport:

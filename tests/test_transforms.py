@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.transforms import (
-    TransformKind, _frct_kernel, _frht_kernel, demultiplex, make_plan, multiplex, sample_power,
+    TransformKind, _frct_kernel, _frht_kernel, demultiplex, kernel_rows, make_plan, multiplex,
 )
 from hostmemory import refused_outright
 
@@ -101,6 +101,19 @@ class TestKernelBuild:
         narrow = make_plan(kind, n, 0.8, np.float32)
         assert narrow.dtype == np.float32
         assert narrow.kernel.tobytes() == whole.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45])
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    def test_kernel_rows_are_the_plans_rows(self, kind, n, alpha):
+        # Any range is the plan's rows byte for byte: the empty one (a layout
+        # without a prefix), one row, a prefix's tail, a range across row
+        # blocks, and all rows.
+        kernel = make_plan(kind, n, alpha).kernel
+        for start, stop in [(n, n), (0, 0), (n - 1, n), (3, 4), (n - 16, n), (5, n - 3), (0, n)]:
+            rows = kernel_rows(kind, n, alpha, start, stop)
+            assert rows.dtype == np.float64 and rows.shape == (stop - start, n)
+            assert rows.tobytes() == kernel[start:stop].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int64, "float32", None])
     def test_plan_dtype_checked(self, dtype):
@@ -214,56 +227,3 @@ class TestInvariants:
         v = np.linspace(-1, 1, 32)
         assert np.array_equal(multiplex(plan, v), multiplex(plan, v))
 
-
-class TestSamplePower:
-    """`sample_power`, the per-sample mean square behind the sweep's noise
-    level, against the kernel, the closed-form C and multiplexed levels."""
-
-    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
-    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45])
-    @pytest.mark.parametrize("n", [16, 64])
-    def test_is_the_diagonal_of_k_kt(self, kind, alpha, n):
-        plan = make_plan(kind, n, alpha)
-        assert_allclose(sample_power(kind, n, alpha)[0], np.diag(plan.kernel @ plan.kernel.T),
-                        rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
-    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45])
-    @pytest.mark.parametrize("n", [16, 64])
-    def test_sums_to_the_trace_of_c(self, kind, alpha, n):
-        # sum_n (K K^T)[n, n] = trace(K^T K): the total power over the
-        # samples is the closed-form C's diagonal sum, which owes nothing to
-        # the kernel's build.
-        total = np.sum(sample_power(kind, n, alpha)[0])
-        assert total == pytest.approx(np.trace(correlation_matrix(kind, n, alpha).entries),
-                                      rel=1e-10)
-
-    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
-    @pytest.mark.parametrize("n", [8, 64])
-    def test_unit_at_alpha_one(self, kind, n):
-        # An orthonormal square kernel has K K^T = I as well as K^T K = I.
-        assert_allclose(sample_power(kind, n, 1.0), np.ones((1, n)), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
-    def test_is_the_mean_square_of_multiplexed_levels(self, kind):
-        plan = make_plan(kind, 32, 0.8)
-        levels = 2.0 * np.random.default_rng(9).integers(0, 2, (4000, 32)) - 1.0
-        square = np.square(multiplex(plan, levels))
-        error = np.std(square, axis=0, ddof=1) / np.sqrt(len(square))
-        assert np.all(np.abs(np.mean(square, axis=0) - sample_power(kind, 32, 0.8)[0])
-                      < 5.0 * error)
-
-    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
-    @pytest.mark.parametrize("n", [16, 2001])
-    def test_fixed_rows_give_their_multiplexed_squares(self, kind, n):
-        # At n = 2001 the kernel is read in blocks of 16 rows, the last one short.
-        fixed = np.random.default_rng(10).normal(size=(3, n))
-        power = sample_power(kind, n, 0.7, fixed)
-        assert power.shape == (4, n)
-        assert_allclose(power[1:], np.square(multiplex(make_plan(kind, n, 0.7), fixed)),
-                        rtol=1e-9, atol=1e-12)
-        assert power[0].tobytes() == sample_power(kind, n, 0.7)[0].tobytes()
-
-    def test_fixed_rows_must_have_n_symbols(self):
-        with pytest.raises(ShapeError, match="^fixed last axis must have length 8"):
-            sample_power(TransformKind.FRCT, 8, 0.9, np.ones((2, 7)))
