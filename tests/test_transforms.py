@@ -227,3 +227,38 @@ class TestInvariants:
         v = np.linspace(-1, 1, 32)
         assert np.array_equal(multiplex(plan, v), multiplex(plan, v))
 
+
+class TestSampleEnergyTerms:
+    """The identities behind `modem.expected_sample_energy`'s closed form:
+    the kernel rows' squares against the correlation matrix C = K^T K."""
+
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    @pytest.mark.parametrize("alpha", [1.0, 0.8, 0.45])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_kernel_power_sums_to_the_trace_of_c(self, kind, alpha, n):
+        # sum_n (K K^T)[n, n] = trace(K^T K): a data block's N samples carry
+        # the closed-form C's diagonal sum, which owes nothing to the kernel.
+        rows = kernel_rows(kind, n, alpha, 0, n)
+        assert np.sum(rows * rows) == pytest.approx(
+            np.trace(correlation_matrix(kind, n, alpha).entries), rel=1e-10)
+
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_unit_row_power_at_alpha_one(self, kind, n):
+        # An orthonormal square kernel has K K^T = I as well as K^T K = I.
+        rows = kernel_rows(kind, n, 1.0, 0, n)
+        assert_allclose(np.sum(rows * rows, axis=1), np.ones(n), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
+    @pytest.mark.parametrize("n", [16, 257])
+    def test_fixed_row_energy_is_its_quadratic_form_in_c(self, kind, n):
+        # A pilot block of the fixed row p carries |K p|^2 = p C p^T, and its
+        # prefix the squares of the last rows' samples.
+        fixed = np.random.default_rng(10).normal(size=(3, n))
+        samples = multiplex(make_plan(kind, n, 0.7), fixed)
+        c = correlation_matrix(kind, n, 0.7).entries
+        assert_allclose(np.sum(fixed @ c * fixed, axis=1), np.sum(samples * samples, axis=1),
+                        rtol=1e-10, atol=0)
+        tail = kernel_rows(kind, n, 0.7, n - 5, n)
+        assert_allclose(np.square(fixed @ tail.T), np.square(samples[:, n - 5:]),
+                        rtol=1e-9, atol=1e-12)
