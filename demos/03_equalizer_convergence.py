@@ -22,7 +22,7 @@ def main():
     sent = 2.0 * rng.integers(0, 2, size=16) - 1.0
     received = c.entries @ sent
     trace = IdTrace()
-    index = id_equalize_frame(IdConfig(iterations=10, matrix=c), received[None, :], trace=trace)
+    index = id_equalize_frame(IdConfig(c), received[None, :], 10, trace=trace)
     recovered = PAM_LEVELS[index[0]]
     print("  iter   band d   undecided")
     for i, (d, undecided) in enumerate(zip(trace.d_values, trace.undecided_counts), 1):
@@ -35,7 +35,7 @@ def main():
     print("=" * 70)
     c = correlation_matrix(TransformKind.FRCT, 8, 0.9)
     words = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
-    out = PAM_LEVELS[id_equalize_frame(IdConfig(iterations=20, matrix=c), words @ c.entries.T)]
+    out = PAM_LEVELS[id_equalize_frame(IdConfig(c), words @ c.entries.T, 20)]
     print(f"  words recovered: {int(np.sum(np.all(out == words, axis=1)))}/256")
 
 

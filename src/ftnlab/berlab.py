@@ -44,8 +44,8 @@ planes of the detector's one `work` array, which are dead by the time it
 runs, so detection allocates nothing; with one Eb/N0 the workspace is that
 and the rows.  With more than one it holds two data-row arrays more, W K and the
 signal S C.  Of the N x N matrices, a sweep keeps two, both float32, in its
-curve cache: the transform kernel and one detector C - I, which a curve's
-iteration counts and its signal share.  It allocates no float64 kernel: the
+curve cache: the transform kernel and one detector C - I, which all of a
+curve's iteration counts and its signal share.  It allocates no float64 kernel: the
 float32 one is rounded from it in blocks of rows, and sigma's sample energy
 reads C and only the cp_len kernel rows of the prefix.
 """
@@ -175,16 +175,16 @@ def _ici_product(off_diagonal):
 
 
 # The package's one cache, of one entry, as the grid walks (kind, alpha)
-# outermost: a curve's float32 plan and detector, whose C - I its iteration
-# counts share, 4 N^2 bytes each, the matrix of its ICI product (that C - I
-# or None), and sigma at each of `ebn0_dbs`, for the curve and repeated
-# sweeps of it.  C gives sigma and the detector, and is freed before the
-# plan is built.
+# outermost: a curve's float32 plan and its one detector, which runs every
+# iteration count, 4 N^2 bytes each, the matrix of its ICI product (the
+# detector's C - I or None), and sigma at each of `ebn0_dbs`, for the curve
+# and repeated sweeps of it.  C gives sigma and the detector, and is freed
+# before the plan is built.
 @lru_cache(maxsize=1)
 def _curve(config, ebn0_dbs):
     matrix = icimodel.correlation_matrix(config.kind, config.n, config.alpha)
     sigmas = {e: channel.noise_sigma(e, config, matrix) for e in ebn0_dbs}
-    detector = equalize.IdConfig(0, matrix)
+    detector = equalize.IdConfig(matrix)
     del matrix
     plan = make_plan(config.kind, config.n, config.alpha, np.float32)
     return plan, detector, _ici_product(detector.off_diagonal), sigmas
@@ -213,19 +213,21 @@ def _workspace(config, n_frames, scaled=False):
     return work
 
 
-def _simulate_batch(config, plan, ici, points, n_frames, seed, curve_idx, batch_idx, work):
-    """Batch `batch_idx` of curve `curve_idx`, through its float32 `plan`;
-    returns (bits, the errors of each of `points`), (detector, sigma) pairs.
+def _simulate_batch(config, curve, points, n_frames, seed, curve_idx, batch_idx, work):
+    """Batch `batch_idx` of curve `curve_idx`, whose `_curve` entry is `curve`;
+    returns (bits, the errors of each of `points`), (iterations, sigma) pairs.
 
     The m data rows are S C + sigma W K (module docstring), W K drawn once
-    (as W at alpha = 1), all in float32, S C formed as S + S `ici`, or as S,
-    the same bytes, where `ici` is None (`_ici_product`), and detected by
-    each point's detector, whose one-byte decisions are the received bits (at I = 0 it
-    hard-decides the rows).  Each point's rows are formed alike, sigma W K + S C, so they do not
-    depend on the other points; a run of points at one sigma detects rows
-    formed once.  `work` is a `_workspace` of this layout; if it holds the
-    two scaled arrays, W K and S C are kept in them, else formed in place.
+    (as W at alpha = 1) through the curve's float32 plan, all in float32, S C
+    formed as S + S (C - I), or as S where `_ici_product` is None, and
+    detected by the curve's detector at each point's iteration count; its
+    one-byte decisions are the received bits.  Each point's rows are formed
+    alike, sigma W K + S C, so they do not depend on the other points; a run
+    of points at one sigma detects rows formed once.  `work` is a `_workspace`
+    of this layout; if it holds the two scaled arrays, W K and S C are kept in
+    them, else formed in place.
     """
+    plan, detector, ici, _ = curve
     scaled = "noise" in work
     bits_rng = np.random.default_rng(
         np.random.SeedSequence([seed, curve_idx, batch_idx, 0])
@@ -241,13 +243,13 @@ def _simulate_batch(config, plan, ici, points, n_frames, seed, curve_idx, batch_
         np.matmul(signal, ici, out=planes[2])
         signal += planes[2]
     errors, formed = [], None
-    for id_cfg, sigma in points:
+    for iterations, sigma in points:
         if sigma != formed:  # in place with one sigma: the noise is then dead
             np.multiply(noise, sigma, out=rows)
             rows += signal
             formed = sigma
         # The decisions are dead once compared, so they take the error flags.
-        index = equalize.id_equalize_frame(id_cfg, rows, work=planes).reshape(-1)
+        index = equalize.id_equalize_frame(detector, rows, iterations, work=planes).reshape(-1)
         wrong = np.not_equal(index, sent.view(np.uint8).reshape(-1), out=index.view(bool))
         errors.append(int(np.count_nonzero(wrong)))
     return sent.size, errors
@@ -259,8 +261,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     each point takes batches until its own `min_errors` or `max_bits` stops
     it, and the curve stops with its last point."""
     config = replace(spec.config, kind=kind, alpha=alpha)
-    plan, detector, ici, sigmas = _curve(config, spec.ebn0_dbs)
-    detectors = {i: detector.with_iterations(i) for i in spec.iteration_counts}
+    curve = _curve(config, spec.ebn0_dbs)
     grid = list(product(spec.iteration_counts, spec.ebn0_dbs))
     # Eb/N0 by Eb/N0, so that a batch forms each point's rows once.
     order = sorted(range(len(grid)), key=lambda k: k % len(spec.ebn0_dbs))
@@ -272,7 +273,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     batch_idx = 0
     while live := [k for k in order if running(k)]:
         batch_bits, batch_errors = _simulate_batch(
-            config, plan, ici, [(detectors[grid[k][0]], sigmas[grid[k][1]]) for k in live],
+            config, curve, [(grid[k][0], curve[3][grid[k][1]]) for k in live],
             spec.frames_per_batch, spec.seed, curve_idx, batch_idx, work,
         )
         for k, point_errors in zip(live, batch_errors):

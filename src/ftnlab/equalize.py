@@ -49,7 +49,6 @@ returns them as a view there.  At I = 0 the rows are decided as they are,
 into the same bytes.
 """
 
-import copy
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -63,35 +62,25 @@ from .modem import pam_index
 
 @dataclass(frozen=True, eq=False)
 class IdConfig:
-    """2-PAM detector settings for one correlation matrix C.
+    """The 2-PAM detector for one correlation matrix C, at any iteration count.
 
     Only C - I is kept, as `off_diagonal`: a read-only float32 array (4 N^2
     bytes), rounded once from C, with no float64 C - I built on the way.
     The `matrix` argument itself is not retained, so C can be freed once the
-    config exists; `with_iterations` gives the detector at another iteration
-    count on the same array.  Two configs compare equal only if they are the
-    same object.
+    config exists.  Two configs compare equal only if they are the same
+    object.
     """
 
-    iterations: int
     matrix: InitVar[CorrelationMatrix]
     off_diagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, matrix):
-        check_integer(self.iterations, "iterations", 0)
         check_type(matrix, CorrelationMatrix, "matrix")
         off = np.empty(matrix.entries.shape, np.float32)
         np.copyto(off, matrix.entries)
         off.flat[:: matrix.n + 1] = np.diagonal(matrix.entries) - 1.0
         off.setflags(write=False)
         object.__setattr__(self, "off_diagonal", off)
-
-    def with_iterations(self, iterations):
-        """This detector at `iterations` iterations, sharing its C - I."""
-        check_integer(iterations, "iterations", 0)
-        config = copy.copy(self)
-        object.__setattr__(config, "iterations", iterations)
-        return config
 
 
 @dataclass
@@ -126,8 +115,8 @@ def _map_band(values, d, mag=None, flags=None):
     return flags
 
 
-def id_equalize_frame(config, rows, *, trace=None, work=None):
-    """Equalize an (m, N) stack of received vectors (one vector: m = 1).
+def id_equalize_frame(config, rows, iterations, *, trace=None, work=None):
+    """Equalize an (m, N) stack of received vectors (one vector: m = 1), `iterations` >= 0 times.
 
     Returns the 2-PAM decision (`modem.pam_index`) on every entry, which is
     its bit; `modem.PAM_LEVELS[index]` gives the levels.  An `IdTrace` as
@@ -138,6 +127,7 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
     The result is uint8, a view of the start of its plane 0.
     """
     check_type(config, IdConfig, "config")
+    check_integer(iterations, "iterations", 0)
     rows = check_real_array(rows, "rows", len(config.off_diagonal), (np.float64, np.float32))
     if rows.ndim != 2:
         raise ShapeError(f"rows must be an (m, N) stack, got shape {rows.shape}")
@@ -148,18 +138,17 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
     check_apart(rows=rows, work=work)
     work = np.empty((4, m, n), np.float32) if work is None else work
     index = work[0].reshape(-1).view(np.uint8)[:m * n].reshape(m, n)
-    if config.iterations == 0:
+    if iterations == 0:
         return pam_index(rows, out=index)
     # With m < N each plane is read as its (N, m) transpose, a view.
     shape = (n, m) if m < n else (m, n)
     received, current, spare = (plane.reshape(shape) for plane in work[:3])
     flags = work[3].view(np.uint32).reshape(shape)
     np.copyto(received, rows.T if m < n else rows)
-    total = config.iterations
     # S_0 = 0 makes the first product exactly +0, so S_1 = R.
     np.copyto(current, received)
     d = 1.0
-    for i in range(1, total + 1):
+    for i in range(1, iterations + 1):
         if i > 1:
             current, spare = spare, current
             if m < n:
@@ -169,9 +158,9 @@ def id_equalize_frame(config, rows, *, trace=None, work=None):
             np.subtract(received, current, out=current)
         # The last map changes no sign, so the final decision does not need
         # it; only a trace reads its flags.
-        if i < total or trace is not None:
+        if i < iterations or trace is not None:
             _map_band(current, d, spare, flags)
-        d = 1.0 - i / total
+        d = 1.0 - i / iterations
         if trace is not None:
             trace.undecided_counts.append(flags.size - int(np.count_nonzero(flags)))
             trace.d_values.append(d)

@@ -258,9 +258,9 @@ def _kernel_row_blocks(monkeypatch):
 
 
 def _detected_rows(monkeypatch, config, points, n_frames, seed, batch_idx, noise_free=False):
-    """Run one `_simulate_batch` of curve 2 on `points`, (detector, Eb/N0)
-    pairs; returns (its bits and errors, the unit white noise W it drew, the
-    rows each point's detector got)."""
+    """Run one `_simulate_batch` of curve 2 on `points`, (iterations, Eb/N0)
+    pairs, with the layout's detector; returns (its bits and errors, the unit
+    white noise W it drew, the rows the detector got at each point)."""
     apply_awgn, detector = channel.apply_awgn, equalize.id_equalize_frame
     drawn, rows = [], []
 
@@ -271,15 +271,16 @@ def _detected_rows(monkeypatch, config, points, n_frames, seed, batch_idx, noise
         drawn.append(scratch.copy())
         return out
 
-    def recorded_rows(id_cfg, received, **buffers):
+    def recorded_rows(id_cfg, received, iterations, **buffers):
         rows.append(received.copy())
-        return detector(id_cfg, received, **buffers)
+        return detector(id_cfg, received, iterations, **buffers)
 
     monkeypatch.setattr(channel, "apply_awgn", recorded_noise)
     monkeypatch.setattr(equalize, "id_equalize_frame", recorded_rows)
     plan = transforms.make_plan(config.kind, config.n, config.alpha, np.float32)
-    ici = _ici_product(points[0][0].off_diagonal)
-    counts = _simulate_batch(config, plan, ici, [(d, _sigma(config, e)) for d, e in points],
+    id_cfg = equalize.IdConfig(correlation_matrix(config.kind, config.n, config.alpha))
+    curve = (plan, id_cfg, _ici_product(id_cfg.off_diagonal), None)
+    counts = _simulate_batch(config, curve, [(i, _sigma(config, e)) for i, e in points],
                              n_frames, seed, 2, batch_idx,
                              _workspace(config, n_frames, len({e for _, e in points}) > 1))
     monkeypatch.undo()
@@ -306,16 +307,17 @@ class TestSimulateBatch:
         config = _small_config(
             cp_len=cp_len, kind=kind, alpha=alpha, training_symbols=2, sync_symbols=1,
         )
-        id_cfg = equalize.IdConfig(iterations, correlation_matrix(kind, config.n, alpha))
+        id_cfg = equalize.IdConfig(correlation_matrix(kind, config.n, alpha))
         for seed, batch_idx in [(0, 0), (7, 3)]:
             (bits, [errors]), white, [rows] = _detected_rows(
-                monkeypatch, config, [(id_cfg, 6.0)], n_frames, seed, batch_idx, noise_free=True)
+                monkeypatch, config, [(iterations, 6.0)], n_frames, seed, batch_idx,
+                noise_free=True)
             sent = _sent_bits(config, n_frames, seed, 2, batch_idx)
             want = receive(config, modem.transmit(config, sent)).reshape(rows.shape)
             assert not white.any() and bits == sent.size
             np.testing.assert_allclose(rows, want, rtol=0,
                                        atol=_ici_tolerance(kind, config.n, alpha))
-            index = equalize.id_equalize_frame(id_cfg, rows)
+            index = equalize.id_equalize_frame(id_cfg, rows, iterations)
             assert errors == np.count_nonzero(index.ravel() != sent.ravel())
 
     @KIND_ALPHA
@@ -329,9 +331,8 @@ class TestSimulateBatch:
         config = _small_config(
             cp_len=cp_len, kind=kind, alpha=alpha, training_symbols=2, sync_symbols=1,
         )
-        matrix = correlation_matrix(kind, config.n, alpha)
-        points = [(equalize.IdConfig(iterations, matrix), ebn0_db) for iterations, ebn0_db in
-                  [(0, 2.0), (0, 6.0), (20, 2.0), (0, 9.0), (20, 6.0), (20, 9.0)]]
+        id_cfg = equalize.IdConfig(correlation_matrix(kind, config.n, alpha))
+        points = [(0, 2.0), (0, 6.0), (20, 2.0), (0, 9.0), (20, 6.0), (20, 9.0)]
         tolerance = _ici_tolerance(kind, config.n, alpha)
         seen = set()
         for seed, batch_idx in [(0, 0), (7, 3)]:
@@ -339,13 +340,13 @@ class TestSimulateBatch:
                 monkeypatch, config, points, 4, seed, batch_idx)
             sent = _sent_bits(config, 4, seed, 2, batch_idx)
             clean = modem.transmit(config, sent)
-            for (id_cfg, ebn0_db), point_rows, point_errors in zip(points, rows, errors):
+            for (iterations, ebn0_db), point_rows, point_errors in zip(points, rows, errors):
                 blocks = clean.copy()
                 data_bodies(config, blocks)[:] += (
                     _sigma(config, ebn0_db) * white.reshape(4, -1, config.n))
                 want = receive(config, blocks).reshape(point_rows.shape)
                 np.testing.assert_allclose(point_rows, want, rtol=0, atol=tolerance)
-                index = equalize.id_equalize_frame(id_cfg, point_rows)
+                index = equalize.id_equalize_frame(id_cfg, point_rows, iterations)
                 assert point_errors == np.count_nonzero(index.ravel() != sent.ravel())
                 seen.add(point_errors)
         assert len(seen) > 4
@@ -368,10 +369,10 @@ class TestSimulateBatch:
                          index=batch["index"] + 1)
             return out
 
-        def compared(id_cfg, rows, **buffers):
+        def compared(id_cfg, rows, iterations, **buffers):
             assert rows.dtype == np.float32
-            index = detector(id_cfg, rows, **buffers).copy()
-            exact = detector(id_cfg, batch["exact"])
+            index = detector(id_cfg, rows, iterations, **buffers).copy()
+            exact = detector(id_cfg, batch["exact"], iterations)
             batch["differing"] += int(np.count_nonzero(index != exact))
             batch["decisions"] += index.size
             return index
@@ -797,9 +798,9 @@ class TestCurveStreams:
         detector = equalize.id_equalize_frame
         seen = []
 
-        def recorded(config, rows, **buffers):
-            seen.append((config.iterations, rows.tobytes()))
-            return detector(config, rows, **buffers)
+        def recorded(config, rows, iterations, **buffers):
+            seen.append((iterations, rows.tobytes()))
+            return detector(config, rows, iterations, **buffers)
 
         monkeypatch.setattr(equalize, "id_equalize_frame", recorded)
         spec = _fast_spec(ebn0_dbs=(4.0, 7.0), iteration_counts=(0, 5, 10), min_errors=0,
@@ -833,9 +834,9 @@ class TestCurveStreams:
         detector = equalize.id_equalize_frame
         seen = []
 
-        def recorded(config, rows, **buffers):
+        def recorded(config, rows, iterations, **buffers):
             seen.append(rows.tobytes())
-            return detector(config, rows, **buffers)
+            return detector(config, rows, iterations, **buffers)
 
         monkeypatch.setattr(equalize, "id_equalize_frame", recorded)
         run_ber_sweep(_fast_spec(ebn0_dbs=(12.0,), iteration_counts=(0,), min_errors=0, seed=5))
@@ -1021,13 +1022,13 @@ class TestNoiseFreeFloor:
         # detector's own; FrCT alpha 0.9 at I = 20 makes none in 2 M bits.
         frames, draws = 4, 16
         config = experiment_baseline(alpha=0.9)
-        id_cfg = equalize.IdConfig(20, correlation_matrix(config.kind, config.n, config.alpha))
+        id_cfg = equalize.IdConfig(correlation_matrix(config.kind, config.n, config.alpha))
         rng = np.random.default_rng(9)
         bits = errors = 0
         for _ in range(draws):
             sent = modem.random_data_bits(config, rng, frames)
             received = receive(config, modem.transmit(config, sent))
-            index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n))
+            index = equalize.id_equalize_frame(id_cfg, received.reshape(-1, config.n), 20)
             bits += sent.size
             errors += int(np.count_nonzero(index.ravel() != sent.ravel()))
         assert bits == 2_097_152

@@ -151,12 +151,12 @@ class TestEqualize:
     @pytest.mark.parametrize("iterations", [0, 7])
     @KIND_ALPHA
     def test_id_equalize_frame(self, kind, alpha, iterations):
-        config = IdConfig(iterations, correlation_matrix(kind, 32, alpha))
+        config = IdConfig(correlation_matrix(kind, 32, alpha))
         rows = np.random.default_rng(11).normal(scale=1.2, size=(9, 32))
-        want = id_equalize_frame(config, rows)
+        want = id_equalize_frame(config, rows, iterations)
         work = garbage((4,) + rows.shape, np.float32)
         for _ in range(2):
-            got = id_equalize_frame(config, rows, work=work)
+            got = id_equalize_frame(config, rows, iterations, work=work)
             assert np.shares_memory(got, work[0])
             assert_same_bytes(got, want)
 
@@ -169,7 +169,7 @@ def _bad_buffers():
     bits = random_data_bits(config, np.random.default_rng(0), 2)
     plan = make_plan(config.kind, 16, 1.0)
     narrow = make_plan(config.kind, 16, 1.0, np.float32)
-    id_cfg = IdConfig(3, correlation_matrix(config.kind, 16, 0.9))
+    id_cfg = IdConfig(correlation_matrix(config.kind, 16, 0.9))
     rows = np.ones((6, 16))
     cases = [
         pytest.param(lambda buf: demultiplex(plan, rows, out=buf), "out", (6, 16), np.float64,
@@ -186,9 +186,10 @@ def _bad_buffers():
     # The detector's `work` at m < N, m = N and m > N (the loop reads the
     # planes transposed only for m < N), and at I = 0, which skips the loop.
     for m, iterations in ((6, 3), (16, 3), (20, 3), (6, 0)):
-        cfg, stack = id_cfg.with_iterations(iterations), np.ones((m, 16))
+        stack = np.ones((m, 16))
         cases.append(pytest.param(
-            lambda buf, cfg=cfg, stack=stack: id_equalize_frame(cfg, stack, work=buf),
+            lambda buf, stack=stack, iterations=iterations: id_equalize_frame(
+                id_cfg, stack, iterations, work=buf),
             "work", (4, m, 16), np.float32, id=f"id_equalize_frame-work-m{m}-I{iterations}"))
     return cases
 
@@ -226,10 +227,10 @@ class TestBadBuffers:
     def test_work_is_four_planes_of_the_stack(self, shape):
         # One (m, N) plane, a plane count other than 4, the (N, m) transpose
         # the loop reads for m < N, or an extra axis: each is refused.
-        config = IdConfig(3, correlation_matrix(TransformKind.FRCT, 16, 0.9))
+        config = IdConfig(correlation_matrix(TransformKind.FRCT, 16, 0.9))
         with pytest.raises(ShapeError,
                            match=re.escape("work must be a float32 array of shape (4, 6, 16)")):
-            id_equalize_frame(config, np.ones((6, 16)), work=np.zeros(shape, np.float32))
+            id_equalize_frame(config, np.ones((6, 16)), 3, work=np.zeros(shape, np.float32))
 
     @pytest.mark.parametrize("name", ["out", "scratch"])
     def test_strided_noise_buffer_rejected(self, name):
@@ -259,8 +260,8 @@ class TestOverlappingBuffers:
     def test_refused_naming_both(self, function, first, second):
         if function == "id_equalize_frame":
             rows, work = _one_allocation(((6, 16), np.float64), ((4, 6, 16), np.float32))
-            config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
-            call = partial(id_equalize_frame, config, rows, work=work)
+            config = IdConfig(correlation_matrix(TransformKind.FRCT, 16, 0.9))
+            call = partial(id_equalize_frame, config, rows, 5, work=work)
         else:
             out, scratch = _one_allocation(((6, 16), np.float64), ((6, 16), np.float32))
             call = partial(apply_awgn, 0, make_plan(TransformKind.FRCT, 16, 0.9), 6,
@@ -277,9 +278,9 @@ class TestOverlappingBuffers:
         raw = np.zeros(768 + 1536 + 768, dtype=np.uint8)
         work = raw[768:768 + 1536].view(np.float32).reshape(4, 6, 16)
         rows = raw[768 + offset:768 + offset + 768].view(np.float64).reshape(6, 16)
-        config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
+        config = IdConfig(correlation_matrix(TransformKind.FRCT, 16, 0.9))
         with pytest.raises(ParameterError, match="^rows and work must not share memory$"):
-            id_equalize_frame(config, rows, work=work)
+            id_equalize_frame(config, rows, 5, work=work)
 
     def test_disjoint_parts_of_one_allocation_pass(self):
         size = 6 * 16
@@ -287,9 +288,9 @@ class TestOverlappingBuffers:
         rows = raw[:size * 8].view(np.float64).reshape(6, 16)
         work = raw[size * 8:].view(np.float32).reshape(4, 6, 16)
         rows[:] = np.random.default_rng(14).normal(size=rows.shape)
-        config = IdConfig(5, correlation_matrix(TransformKind.FRCT, 16, 0.9))
-        want = id_equalize_frame(config, rows.copy())
-        got = id_equalize_frame(config, rows, work=work)
+        config = IdConfig(correlation_matrix(TransformKind.FRCT, 16, 0.9))
+        want = id_equalize_frame(config, rows.copy(), 5)
+        got = id_equalize_frame(config, rows, 5, work=work)
         assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("iterations", [0, 5])
@@ -300,9 +301,9 @@ class TestOverlappingBuffers:
         work = _workspace(config, 2)
         rows = work["rows"]
         rows[:] = np.random.default_rng(15).normal(size=rows.shape)
-        id_cfg = IdConfig(iterations, correlation_matrix(TransformKind.FRCT, 16, 0.9))
-        want = id_equalize_frame(id_cfg, rows.copy())
-        got = id_equalize_frame(id_cfg, rows, work=work["planes"])
+        id_cfg = IdConfig(correlation_matrix(TransformKind.FRCT, 16, 0.9))
+        want = id_equalize_frame(id_cfg, rows.copy(), iterations)
+        got = id_equalize_frame(id_cfg, rows, iterations, work=work["planes"])
         assert np.shares_memory(got, work["planes"])
         assert_same_bytes(got, want)
 

@@ -26,10 +26,10 @@ def _compress(c, sent):
     return sent @ c.entries.T
 
 
-def _equalize_one(cfg, r):
+def _equalize_one(cfg, r, iterations):
     """One received vector as a one-row stack: (decided levels, its IdTrace)."""
     trace = IdTrace()
-    index = id_equalize_frame(cfg, np.asarray(r)[None, :], trace=trace)
+    index = id_equalize_frame(cfg, np.asarray(r)[None, :], iterations, trace=trace)
     return PAM_LEVELS[index[0]], trace
 
 
@@ -57,30 +57,20 @@ _SPECIAL_VALUES32 = np.concatenate([
 
 
 class TestIdConfig:
-    def test_negative_iterations(self):
-        with pytest.raises(ParameterError, match="iterations"):
-            IdConfig(iterations=-1, matrix=_matrix(4, 0.9))
-
-    @pytest.mark.parametrize("iterations", [2.5, "3", None])
-    def test_non_integral_iterations(self, iterations):
-        message = f"iterations must be an integer >= 0, got {iterations!r}"
-        with pytest.raises(ParameterError, match=re.escape(message)):
-            IdConfig(iterations=iterations, matrix=_matrix(4, 0.9))
-
     def test_takes_no_constellation(self):
-        # The detector is 2-PAM only: iterations and the matrix are its settings.
+        # The detector is 2-PAM only: the matrix is its one setting.
         with pytest.raises(TypeError):
-            IdConfig(5, _matrix(4, 0.9), 4)
+            IdConfig(_matrix(4, 0.9), 4)
 
     @pytest.mark.parametrize("matrix", [np.eye(4), None, "C"])
     def test_matrix_must_be_a_correlation_matrix(self, matrix):
         with pytest.raises(ParameterError, match="^matrix must be a CorrelationMatrix"):
-            IdConfig(3, matrix)
+            IdConfig(matrix)
 
     def test_keeps_only_the_off_diagonal(self):
         n = 8
         c = _matrix(n, 0.9)
-        cfg = IdConfig(3, c)
+        cfg = IdConfig(c)
         assert not hasattr(cfg, "matrix")
         off = cfg.off_diagonal
         assert off.dtype == np.float32 and not off.flags.writeable
@@ -93,11 +83,11 @@ class TestIdConfig:
     def test_off_diagonal_is_c_minus_i_rounded_once(self, kind, alpha):
         n = 16
         c = _matrix(n, alpha, kind)
-        off = IdConfig(3, c).off_diagonal
+        off = IdConfig(c).off_diagonal
         assert off.tobytes() == (c.entries - np.eye(n)).astype(np.float32).tobytes()
 
     def test_off_diagonal_is_one_read_only_array(self):
-        cfg = IdConfig(3, _matrix(16, 0.45, TransformKind.FRHT))
+        cfg = IdConfig(_matrix(16, 0.45, TransformKind.FRHT))
         off = cfg.off_diagonal
         assert off is cfg.off_diagonal
         with pytest.raises(ValueError):
@@ -110,53 +100,50 @@ class TestIdConfig:
         c = _matrix(n, 0.8)
         tracemalloc.start()
         try:
-            IdConfig(3, c)
+            IdConfig(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert 4 * n * n <= peak < 5 * n * n
 
-    def test_with_iterations_shares_the_off_diagonal(self):
-        cfg = IdConfig(3, _matrix(8, 0.9))
-        other = cfg.with_iterations(20)
-        assert (cfg.iterations, other.iterations) == (3, 20)
-        assert other.off_diagonal is cfg.off_diagonal and other != cfg
+    def test_one_detector_decides_at_each_count_as_a_fresh_one(self):
+        # Whatever counts a detector ran before, at count I it decides as a
+        # fresh detector of the same C at I, and its C - I is never written.
+        c = _matrix(8, 0.9)
+        cfg = IdConfig(c)
+        off = cfg.off_diagonal.tobytes()
         rows = np.random.default_rng(16).normal(size=(5, 8))
-        assert np.array_equal(id_equalize_frame(other, rows),
-                              id_equalize_frame(IdConfig(20, _matrix(8, 0.9)), rows))
-
-    @pytest.mark.parametrize("iterations", [-1, 2.5, None])
-    def test_with_iterations_checks_the_count(self, iterations):
-        message = f"iterations must be an integer >= 0, got {iterations!r}"
-        with pytest.raises(ParameterError, match=re.escape(message)):
-            IdConfig(3, _matrix(4, 0.9)).with_iterations(iterations)
+        for iterations in (3, 20, 0, 1, 20, 3):
+            got = id_equalize_frame(cfg, rows, iterations)
+            assert got.tobytes() == id_equalize_frame(IdConfig(c), rows, iterations).tobytes()
+        assert cfg.off_diagonal.tobytes() == off
 
     def test_configs_of_different_matrices_differ(self):
-        a = IdConfig(3, _matrix(8, 0.9))
+        a = IdConfig(_matrix(8, 0.9))
         assert a == a
-        assert a != IdConfig(3, _matrix(8, 0.8))
-        assert a != IdConfig(3, _matrix(8, 0.9))
+        assert a != IdConfig(_matrix(8, 0.8))
+        assert a != IdConfig(_matrix(8, 0.9))
 
 
 class TestNoiselessRecovery:
     def test_identity_matrix_is_hard_decision(self):
-        cfg = IdConfig(iterations=5, matrix=_matrix(8, 1.0))
+        cfg = IdConfig(_matrix(8, 1.0))
         r = np.array([0.4, -0.1, 1.2, -2.0, 0.3, 0.6, -0.6, 1.0])
-        out, _ = _equalize_one(cfg, r)
+        out, _ = _equalize_one(cfg, r, 5)
         assert np.array_equal(out, np.where(r > 0, 1.0, -1.0))
 
     @pytest.mark.parametrize("iterations", [1, 20])
     @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
     def test_orthogonal_spacing_is_hard_decision(self, kind, iterations):
         # At alpha = 1, C - I is zero to rounding: there is nothing to cancel.
-        cfg = IdConfig(iterations, _matrix(32, 1.0, kind))
+        cfg = IdConfig(_matrix(32, 1.0, kind))
         rows = np.random.default_rng(4).normal(size=(16, 32))
-        assert np.array_equal(id_equalize_frame(cfg, rows), pam_index(rows))
+        assert np.array_equal(id_equalize_frame(cfg, rows, iterations), pam_index(rows))
 
     def test_zero_iterations_is_plain_hard_decision(self):
-        cfg = IdConfig(iterations=0, matrix=_matrix(8, 0.8))
+        cfg = IdConfig(_matrix(8, 0.8))
         r = np.array([0.4, -0.1, 1.2, -2.0, 0.0, 0.6, -0.6, 1.0])
-        out, _ = _equalize_one(cfg, r)
+        out, _ = _equalize_one(cfg, r, 0)
         expected = np.where(r > 0, 1.0, -1.0)
         # A tie at zero decides toward the lower level.
         expected[4] = -1.0
@@ -165,23 +152,20 @@ class TestNoiselessRecovery:
     def test_exhaustive_recovery_n8(self):
         # Every 2-PAM word of length 8 survives compression at alpha = 0.9.
         c = _matrix(8, 0.9)
-        cfg = IdConfig(iterations=20, matrix=c)
         words = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
-        out = PAM_LEVELS[id_equalize_frame(cfg, _compress(c, words))]
+        out = PAM_LEVELS[id_equalize_frame(IdConfig(c), _compress(c, words), 20)]
         assert np.array_equal(out, words)
 
     def test_exhaustive_recovery_n4_alpha08(self):
         c = _matrix(4, 0.8)
-        cfg = IdConfig(iterations=20, matrix=c)
         words = 2.0 * ((np.arange(16)[:, None] >> np.arange(4)) & 1) - 1.0
-        out = PAM_LEVELS[id_equalize_frame(cfg, _compress(c, words))]
+        out = PAM_LEVELS[id_equalize_frame(IdConfig(c), _compress(c, words), 20)]
         assert np.array_equal(out, words)
 
     def test_output_is_always_on_levels(self):
         c = _matrix(16, 0.7)
-        cfg = IdConfig(iterations=3, matrix=c)
         rng = np.random.default_rng(1)
-        out = id_equalize_frame(cfg, rng.normal(size=(32, 16)))
+        out = id_equalize_frame(IdConfig(c), rng.normal(size=(32, 16)), 3)
         assert out.dtype == np.uint8
         assert np.all(np.isin(out, (0, 1)))
 
@@ -190,7 +174,7 @@ class TestNoiselessRecovery:
         rng = np.random.default_rng(2)
         sent = 2.0 * rng.integers(0, 2, size=(64, 16)) - 1.0
         r = _compress(c, sent)
-        a = PAM_LEVELS[id_equalize_frame(IdConfig(iterations=20, matrix=c), r)]
+        a = PAM_LEVELS[id_equalize_frame(IdConfig(c), r, 20)]
         assert np.array_equal(a, sent)
 
     def test_more_iterations_never_hurt_noiseless(self):
@@ -198,9 +182,9 @@ class TestNoiselessRecovery:
         rng = np.random.default_rng(3)
         sent = 2.0 * rng.integers(0, 2, size=(256, 32)) - 1.0
         r = _compress(c, sent)
-        errs = []
+        cfg, errs = IdConfig(c), []
         for iters in (1, 5, 20):
-            out = PAM_LEVELS[id_equalize_frame(IdConfig(iterations=iters, matrix=c), r)]
+            out = PAM_LEVELS[id_equalize_frame(cfg, r, iters)]
             errs.append(int(np.sum(out != sent)))
         assert errs[0] >= errs[1] >= errs[2]
 
@@ -342,7 +326,7 @@ class TestMapBand:
 
         monkeypatch.setattr(equalize, "_map_band", recording_map_band)
         # With a trace every iteration maps, the last one too.
-        id_equalize_frame(IdConfig(iterations, _matrix(8, 0.9)), np.ones((2, 8)), trace=IdTrace())
+        id_equalize_frame(IdConfig(_matrix(8, 0.9)), np.ones((2, 8)), iterations, trace=IdTrace())
         assert len(bands) == iterations
         assert_allclose(min(bands), 1.0 / iterations)
         assert min(bands) >= 2.0**-53
@@ -361,29 +345,27 @@ class TestMapBand:
 
 class TestTrace:
     def test_band_shrinks_to_zero(self):
-        cfg = IdConfig(iterations=4, matrix=_matrix(8, 0.9))
-        _, trace = _equalize_one(cfg, np.zeros(8))
+        _, trace = _equalize_one(IdConfig(_matrix(8, 0.9)), np.zeros(8), 4)
         assert_allclose(trace.d_values, [0.75, 0.5, 0.25, 0.0])
 
     def test_undecided_counts_monotone_on_clean_input(self):
         c = _matrix(16, 0.85)
-        cfg = IdConfig(iterations=10, matrix=c)
         rng = np.random.default_rng(4)
         sent = 2.0 * rng.integers(0, 2, size=16) - 1.0
-        _, trace = _equalize_one(cfg, c.entries @ sent)
+        _, trace = _equalize_one(IdConfig(c), c.entries @ sent, 10)
         counts = trace.undecided_counts
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] == 0
 
     def test_stack_trace_pools_its_rows(self):
         c = _matrix(16, 0.8)
-        cfg = IdConfig(iterations=8, matrix=c)
+        cfg = IdConfig(c)
         rng = np.random.default_rng(8)
         rows = _compress(c, PAM_LEVELS[rng.integers(0, 2, size=(12, 16))])
         rows += 0.2 * rng.normal(size=rows.shape)
         pooled = IdTrace()
-        id_equalize_frame(cfg, rows, trace=pooled)
-        singles = [_equalize_one(cfg, row)[1] for row in rows]
+        id_equalize_frame(cfg, rows, 8, trace=pooled)
+        singles = [_equalize_one(cfg, row, 8)[1] for row in rows]
         for single in singles:
             assert single.d_values == pooled.d_values
         assert_allclose(pooled.d_values, [1.0 - i / 8 for i in range(1, 9)])
@@ -394,11 +376,11 @@ class TestTrace:
     @pytest.mark.parametrize("iterations", [0, 1, 6])
     def test_trace_leaves_the_indices_unchanged(self, iterations):
         c = _matrix(16, 0.8)
-        cfg = IdConfig(iterations=iterations, matrix=c)
+        cfg = IdConfig(c)
         rows = np.random.default_rng(9).normal(size=(20, 16))
         trace = IdTrace()
-        traced = id_equalize_frame(cfg, rows, trace=trace)
-        assert traced.tobytes() == id_equalize_frame(cfg, rows).tobytes()
+        traced = id_equalize_frame(cfg, rows, iterations, trace=trace)
+        assert traced.tobytes() == id_equalize_frame(cfg, rows, iterations).tobytes()
         assert len(trace.d_values) == len(trace.undecided_counts) == iterations
 
     @pytest.mark.parametrize("m", [12, 16, 40])
@@ -409,7 +391,7 @@ class TestTrace:
         # are the same either way, at m < N, m = N and m > N, and the trace
         # still gets the last iteration's undecided count.
         c = _matrix(16, 0.8)
-        cfg = IdConfig(iterations=iterations, matrix=c)
+        cfg = IdConfig(c)
         rng = np.random.default_rng(10)
         rows = _compress(c, PAM_LEVELS[rng.integers(0, 2, size=(m, 16))])
         rows += 0.4 * rng.normal(size=rows.shape)
@@ -420,10 +402,10 @@ class TestTrace:
             return _map_band(values, d, *args)
 
         monkeypatch.setattr(equalize, "_map_band", counted)
-        plain = id_equalize_frame(cfg, rows).copy()
+        plain = id_equalize_frame(cfg, rows, iterations).copy()
         assert len(maps) == iterations - 1
         trace = IdTrace()
-        traced = id_equalize_frame(cfg, rows, trace=trace)
+        traced = id_equalize_frame(cfg, rows, iterations, trace=trace)
         assert len(maps) == 2 * iterations - 1
         assert traced.tobytes() == plain.tobytes()
         assert len(trace.undecided_counts) == iterations
@@ -441,13 +423,11 @@ class TestTrace:
 
     @pytest.mark.parametrize("trace", [[], {}, "trace"])
     def test_trace_must_be_an_id_trace(self, trace):
-        cfg = IdConfig(iterations=2, matrix=_matrix(8, 0.9))
         with pytest.raises(ParameterError, match="^trace must be an IdTrace"):
-            id_equalize_frame(cfg, np.zeros((1, 8)), trace=trace)
+            id_equalize_frame(IdConfig(_matrix(8, 0.9)), np.zeros((1, 8)), 2, trace=trace)
 
     def test_csv_export(self, tmp_path):
-        cfg = IdConfig(iterations=3, matrix=_matrix(8, 0.9))
-        _, trace = _equalize_one(cfg, np.ones(8))
+        _, trace = _equalize_one(IdConfig(_matrix(8, 0.9)), np.ones(8), 3)
         path = tmp_path / "trace.csv"
         records.write_table(path, "csv", {
             "iteration": range(1, len(trace.d_values) + 1),
@@ -461,31 +441,40 @@ class TestTrace:
 
 class TestShapes:
     def test_vector_length_checked(self):
-        cfg = IdConfig(iterations=2, matrix=_matrix(8, 0.9))
         with pytest.raises(ShapeError):
-            _equalize_one(cfg, np.zeros(7))
+            _equalize_one(IdConfig(_matrix(8, 0.9)), np.zeros(7), 2)
 
     def test_frame_shape_checked(self):
-        cfg = IdConfig(iterations=2, matrix=_matrix(8, 0.9))
+        cfg = IdConfig(_matrix(8, 0.9))
         with pytest.raises(ShapeError):
-            id_equalize_frame(cfg, np.zeros((4, 7)))
+            id_equalize_frame(cfg, np.zeros((4, 7)), 2)
         with pytest.raises(ShapeError):
-            id_equalize_frame(cfg, np.zeros(8))
+            id_equalize_frame(cfg, np.zeros(8), 2)
 
     @pytest.mark.parametrize("config", ["x", None, 2, _matrix(8, 0.9)],
                              ids=["str", "None", "int", "matrix"])
     def test_config_checked(self, config):
         with pytest.raises(ParameterError, match="^config must be an IdConfig, got "):
-            id_equalize_frame(config, np.zeros((4, 8)))
+            id_equalize_frame(config, np.zeros((4, 8)), 2)
+
+    def test_negative_iterations(self):
+        with pytest.raises(ParameterError, match="iterations"):
+            id_equalize_frame(IdConfig(_matrix(4, 0.9)), np.zeros((1, 4)), -1)
+
+    @pytest.mark.parametrize("iterations", [2.5, "3", None])
+    def test_non_integral_iterations(self, iterations):
+        message = f"iterations must be an integer >= 0, got {iterations!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            id_equalize_frame(IdConfig(_matrix(4, 0.9)), np.zeros((1, 4)), iterations)
 
     def test_frame_matches_per_vector(self):
         c = _matrix(8, 0.8)
-        cfg = IdConfig(iterations=6, matrix=c)
+        cfg = IdConfig(c)
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(10, 8))
-        batch = PAM_LEVELS[id_equalize_frame(cfg, rows)]
+        batch = PAM_LEVELS[id_equalize_frame(cfg, rows, 6)]
         for i in range(10):
-            single, _ = _equalize_one(cfg, rows[i])
+            single, _ = _equalize_one(cfg, rows[i], 6)
             assert np.array_equal(batch[i], single)
 
 
@@ -528,7 +517,7 @@ class TestReferenceRecursion:
         rng = np.random.default_rng(11)
         sent = PAM_LEVELS[rng.integers(0, 2, size=(rows, n))]
         received = _compress(c, sent) + noise * rng.normal(size=(rows, n))
-        cfg = IdConfig(iterations, c)
+        cfg = IdConfig(c)
         expected = _reference_indices(cfg.off_diagonal, received.astype(np.float32),
                                       iterations)
         # Stale contents of `work` must not leak into the result.  "out":
@@ -543,11 +532,11 @@ class TestReferenceRecursion:
             work = _stale_work(rows, n)
         elif layout == "buffers+out":
             work = _stale_work(rows, n)
-            id_equalize_frame(cfg.with_iterations(iterations + 1), -received, work=work)
+            id_equalize_frame(cfg, -received, iterations + 1, work=work)
         elif layout == "aliased":
             block = np.full(4 * rows * n, np.nan)
             work = block.view(np.float32)[:4 * rows * n].reshape(4, rows, n)
-        got = id_equalize_frame(cfg, received, work=work)
+        got = id_equalize_frame(cfg, received, iterations, work=work)
         if work is not None:
             # The decisions lie in plane 0.
             assert np.shares_memory(got, work[0])
@@ -566,11 +555,11 @@ class TestReferenceRecursion:
         received += 0.6 * rng.normal(size=(m, n))
         tall = 100.0 * PAM_LEVELS[rng.integers(0, 2, size=(2 * n, n))]
         tall[5:5 + m] = received
+        cfg = IdConfig(c)
         for iterations in (1, 2, 5, 20):
-            cfg = IdConfig(iterations, c)
             alone, inside = IdTrace(), IdTrace()
-            got = id_equalize_frame(cfg, received, trace=alone)
-            expected = id_equalize_frame(cfg, tall, trace=inside)[5:5 + m]
+            got = id_equalize_frame(cfg, received, iterations, trace=alone)
+            expected = id_equalize_frame(cfg, tall, iterations, trace=inside)[5:5 + m]
             assert got.tobytes() == expected.tobytes()
             assert alone == inside
             assert sum(alone.undecided_counts) > 0
@@ -584,7 +573,7 @@ class TestReferenceRecursion:
     def test_off_diagonal_is_symmetric_to_the_last_bit(self, kind, alpha, n):
         # Both loops multiply by C - I as stored, where the recursion
         # multiplies by its transpose.
-        off = IdConfig(1, _matrix(n, alpha, kind)).off_diagonal
+        off = IdConfig(_matrix(n, alpha, kind)).off_diagonal
         assert off.tobytes() == np.ascontiguousarray(off.T).tobytes()
 
     # The sweep's stacks: 512 x 256 multiplies rows, 128 x 1024 (one frame
@@ -598,11 +587,11 @@ class TestReferenceRecursion:
         received = _compress(c, 2.0 * rng.integers(0, 2, size=(rows, n)) - 1.0)
         received += 0.1 * rng.normal(size=(rows, n))
         work = _stale_work(rows, n)
-        cfg = IdConfig(20, c)
-        id_equalize_frame(cfg, received, work=work)
+        cfg = IdConfig(c)
+        id_equalize_frame(cfg, received, 20, work=work)
         tracemalloc.start()
         try:
-            id_equalize_frame(cfg, received, work=work)
+            id_equalize_frame(cfg, received, 20, work=work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -632,9 +621,9 @@ class TestFloat64Agreement:
         detector = equalize.id_equalize_frame
         cell = {}
 
-        def compared(config, rows, **work):
-            index = detector(config, rows, **work)
-            expected = _reference_indices(cell["off_diagonal"], rows, config.iterations)
+        def compared(config, rows, iterations, **work):
+            index = detector(config, rows, iterations, **work)
+            expected = _reference_indices(cell["off_diagonal"], rows, iterations)
             cell["differing"] += int(np.count_nonzero(index != expected))
             cell["decisions"] += index.size
             return index

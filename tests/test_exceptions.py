@@ -117,7 +117,7 @@ _LAYOUT = ModemConfig(n=4, alpha=0.8)
 # size or to fail in numpy later; so are a layout's C of another transform
 # and a range of kernel rows outside the kernel.
 @pytest.mark.parametrize("use,error,message", [
-    (lambda: IdConfig(1, CorrelationMatrix(FRCT, 4, 0.8, np.zeros((3, 3)))), ShapeError,
+    (lambda: IdConfig(CorrelationMatrix(FRCT, 4, 0.8, np.zeros((3, 3)))), ShapeError,
      "entries must be a float64 array of shape (4, 4), got float64 (3, 3)"),
     (lambda: CorrelationMatrix(FRCT, 4, 0.8, np.eye(4).tolist()), ShapeError,
      "entries must be a float64 array of shape (4, 4), got list"),
@@ -270,7 +270,7 @@ class TestRealParameters:
 
 _N = 8
 _PLAN = make_plan(TransformKind.FRCT, _N, 0.9)
-_ID = IdConfig(2, correlation_matrix(TransformKind.FRCT, _N, 0.9))
+_ID = IdConfig(correlation_matrix(TransformKind.FRCT, _N, 0.9))
 _MIXTURE = IciPdfModel(sigma=0.5)
 
 # Each public function with a real-array argument: (its name, a call that
@@ -279,7 +279,7 @@ REAL_ARRAYS = {
     "multiplex": ("symbols", lambda v: multiplex(_PLAN, v)),
     "demultiplex": ("samples", lambda v: demultiplex(_PLAN, v)),
     "pam_index": ("values", pam_index),
-    "id_equalize_frame": ("rows", lambda v: id_equalize_frame(_ID, [v])),
+    "id_equalize_frame": ("rows", lambda v: id_equalize_frame(_ID, [v], 2)),
     "mixture_pdf": ("x", lambda v: mixture_pdf(_MIXTURE, v)),
     "mixture_cdf": ("x", lambda v: mixture_cdf(_MIXTURE, v)),
     "fit_sigma_mle": ("samples", fit_sigma_mle),
@@ -324,7 +324,7 @@ class TestRealArrays:
     @pytest.mark.parametrize("value", [np.float64(0.5), np.zeros(_N - 1), np.zeros((1, _N - 1))])
     def test_detector_shapes(self, value):
         with pytest.raises(ShapeError):
-            id_equalize_frame(_ID, value)
+            id_equalize_frame(_ID, value, 2)
 
     def test_float64_input_is_not_copied(self):
         values = np.zeros((3, _N))

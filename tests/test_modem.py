@@ -86,7 +86,7 @@ class TestPamMapping:
         ])
         n = values.size
         matrix = CorrelationMatrix(kind=TransformKind.FRCT, n=n, alpha=1.0, entries=np.eye(n))
-        decided = levels[id_equalize_frame(IdConfig(0, matrix), values[None, :])]
+        decided = levels[id_equalize_frame(IdConfig(matrix), values[None, :], 0)]
         assert set(decided.ravel()) <= set(levels)
         assert np.array_equal(pam_index(decided).ravel(), pam_index(values))
 
