@@ -328,6 +328,7 @@ def run_ber_sweep(spec, workers=1):
     one thread until the call returns: the pin is process-wide.  Where it
     cannot be pinned, the runs run serially, with the same points.
     """
+    check_type(spec, SweepSpec, "spec")
     check_integer(workers, "workers", 1)
     runs = _runs(spec, min(workers, _usable_cpus()))
     blas = _openblas() if len(runs) > 1 else None
@@ -380,6 +381,7 @@ def _interp_ebn0(curve, target_ber):
 def required_ebn0_at_ber(result, target_ber):
     """Log-linear interpolation (linear in dB, log in BER) of the Eb/N0 at
     which each curve crosses `target_ber`; one outcome per curve."""
+    check_type(result, BerSweepResult, "result")
     check_real(target_ber, "target_ber", 0, 1)
     return {key: _interp_ebn0(curve, target_ber) for key, curve in result.curves().items()}
 

@@ -5,7 +5,7 @@ sample, with standard deviation
 
     sigma^2 = E_s / (2 * (Eb/N0)_linear * bits_per_sample)
 
-where E_s (`modem.expected_sample_energy`, from the layout's correlation
+where E_s (`expected_sample_energy`, from the layout's correlation
 matrix C) and bits_per_sample (`ModemConfig.bits_per_sample`) are the
 layout's expected mean squared sample and net information-bit density:
 pilots and prefixes carry energy but no bits.  With a unit-energy 2-PAM
@@ -37,14 +37,36 @@ reproduces the same noise regardless of worker count.
 import numpy as np
 
 from .exceptions import (
-    allocating_for, check_apart, check_buffer, check_integer, check_real, check_type,
+    ParameterError, allocating_for, check_apart, check_buffer, check_integer, check_real,
+    check_type,
 )
-from .modem import ModemConfig, expected_sample_energy
-from .transforms import TransformPlan, demultiplex
+from .icimodel import CorrelationMatrix
+from .modem import ModemConfig, pilot_rows
+from .transforms import TransformPlan, demultiplex, kernel_rows
 
 # The Eb/N0 values accepted, in dB: within them sigma, and the detector's
 # float32 rows, stay finite for any layout.
 EBN0_DB_RANGE = (-300, 300)
+
+
+def expected_sample_energy(config, matrix):
+    """The mean squared sample of `modem.transmit`'s waveform for the layout
+    `config`, in expectation over uniform data bits, in closed form from
+    `matrix`, the layout's correlation matrix C = K^T K, and the kernel's
+    last cp_len rows K_tail, which a prefix repeats.  The N samples of a data
+    block carry trace(C), and those of a pilot block of the fixed row p carry
+    p C p^T; its prefix carries |K_tail|^2 or |K_tail p^T|^2."""
+    check_type(config, ModemConfig, "config")
+    check_type(matrix, CorrelationMatrix, "matrix")
+    layout, given = ((c.kind.value, c.n, c.alpha) for c in (config, matrix))
+    if layout != given:
+        raise ParameterError(f"matrix must be C of the layout's {layout}, got C of {given}")
+    tail = kernel_rows(config.kind, config.n, config.alpha, config.n - config.cp_len, config.n)
+    total = config.data_symbols_per_frame * (np.trace(matrix.entries) + np.sum(tail * tail))
+    for rows in pilot_rows(config):  # each block repeats one row p, if it has rows
+        p = rows[:1]
+        total += len(rows) * (np.sum(p @ matrix.entries * p) + np.sum(np.square(p @ tail.T)))
+    return float(total / (config.symbols_per_frame * (config.cp_len + config.n)))
 
 
 def noise_sigma(eb_n0_db, config, matrix):

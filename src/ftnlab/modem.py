@@ -5,8 +5,8 @@ Frames carry three classes of multicarrier symbols in transmit order
 sync | training | data.  Sync and training rows are fixed pseudo-random +-1
 patterns; no detector reads them, but they count, as in a realistic link
 budget, in the bit density (`ModemConfig.bits_per_sample`) and the sample
-energy (`expected_sample_energy`, from the correlation matrix C), which set
-the rate and the noise level.
+energy (`channel.expected_sample_energy`, from the correlation matrix C),
+which set the rate and the noise level.
 """
 
 from dataclasses import dataclass, replace
@@ -15,9 +15,9 @@ import numpy as np
 
 from .exceptions import (
     FramingError, ParameterError, allocating_for, check_buffer, check_integer, check_real,
-    check_real_array, check_type,
+    check_real_array,
 )
-from .transforms import TransformKind, kernel_rows, make_plan, multiplex, validate_transform
+from .transforms import TransformKind, make_plan, multiplex, validate_transform
 
 # Entropy constant for the fixed sync/training patterns.
 _PILOT_SEED = 0x0F7C
@@ -159,26 +159,6 @@ def transmit(config, data_bits):
     rows = np.concatenate((np.broadcast_to(pilots, (len(data),) + pilots.shape), data), axis=1)
     body = multiplex(make_plan(config.kind, config.n, config.alpha), rows)
     return np.concatenate((body[..., config.n - config.cp_len:], body), axis=-1)
-
-
-def expected_sample_energy(config, matrix):
-    """The mean squared sample of `transmit`'s waveform, in expectation over
-    uniform data bits, in closed form from `matrix`, the layout's correlation
-    matrix C = K^T K, and the kernel's last cp_len rows K_tail, which a
-    prefix repeats.  The N samples of a data block carry trace(C), and
-    those of a pilot block of the fixed row p carry p C p^T; its prefix
-    carries |K_tail|^2 or |K_tail p^T|^2."""
-    from .icimodel import CorrelationMatrix  # icimodel imports this module
-    check_type(matrix, CorrelationMatrix, "matrix")
-    layout, given = ((c.kind.value, c.n, c.alpha) for c in (config, matrix))
-    if layout != given:
-        raise ParameterError(f"matrix must be C of the layout's {layout}, got C of {given}")
-    tail = kernel_rows(config.kind, config.n, config.alpha, config.n - config.cp_len, config.n)
-    total = config.data_symbols_per_frame * (np.trace(matrix.entries) + np.sum(tail * tail))
-    for rows in pilot_rows(config):  # each block repeats one row p, if it has rows
-        p = rows[:1]
-        total += len(rows) * (np.sum(p @ matrix.entries * p) + np.sum(np.square(p @ tail.T)))
-    return float(total / (config.symbols_per_frame * (config.cp_len + config.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,20 @@ class TestIciProduct:
         assert len(products) == 2
 
 
+# The sweep's two entry points refuse an object of another class by name,
+# not with an AttributeError from deep inside.
+@pytest.mark.parametrize("value", [None, {"alphas": (1.0,)}, ModemConfig()],
+                         ids=["none", "dict", "modem-config"])
+@pytest.mark.parametrize("call,expected", [
+    (run_ber_sweep, "spec must be a SweepSpec"),
+    (lambda value: required_ebn0_at_ber(value, 1e-3), "result must be a BerSweepResult"),
+], ids=["run_ber_sweep", "required_ebn0_at_ber"])
+def test_entry_point_refuses_another_class(call, expected, value):
+    with pytest.raises(ParameterError) as caught:
+        call(value)
+    assert str(caught.value) == f"{expected}, got {type(value).__name__}"
+
+
 class TestRunSweep:
     def test_point_fields_consistent(self):
         result = run_ber_sweep(_fast_spec())

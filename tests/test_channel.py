@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from ftnlab.channel import apply_awgn, noise_sigma
+from ftnlab.channel import apply_awgn, expected_sample_energy, noise_sigma
 from ftnlab.exceptions import ParameterError
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.modem import (
-    ModemConfig, expected_sample_energy, experiment_baseline, pam_index, pam_map,
-    random_data_bits, transmit,
+    ModemConfig, experiment_baseline, pam_index, pam_map, random_data_bits, transmit,
 )
 from ftnlab.transforms import TransformKind, demultiplex, make_plan
 from timedomain import measure_sample_energy, receive

@@ -42,6 +42,22 @@ def test_no_module_reads_another_modules_private_names():
     assert found == []
 
 
+def test_no_function_imports_a_sibling_module():
+    # Siblings are imported at module level, so the import graph is the one
+    # the module headers show and a cycle fails at import, not at a call.
+    # A function may still import a heavy third-party module (scipy) lazily.
+    found = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level >= 1 or (node.module or "").split(".")[0] == "ftnlab")
+    })
+    assert found == []
+
+
 def _ftnlab_imports(tree):
     """The names a module binds by importing from ftnlab: {bound name:
     `module.name`} for functions and classes, and {bound name: module} for

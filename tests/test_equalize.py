@@ -15,7 +15,7 @@ from ftnlab import equalize, records
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
 from ftnlab.modem import PAM_LEVELS, experiment_baseline, pam_index
-from ftnlab.transforms import TransformKind
+from ftnlab.transforms import TransformKind, demultiplex, make_plan
 
 
 def _matrix(n, alpha, kind=TransformKind.FRCT):
@@ -649,3 +649,71 @@ class TestFloat64Agreement:
                     decisions += cell["decisions"]
         assert decisions == 8 * self.BATCHES * batch_bits
         assert differing <= self.BOUND * decisions, (differing, decisions)
+
+
+# Every 2-PAM word of length 12: row j holds the levels of j's bits.
+_ML_N = 12
+_ML_WORDS = PAM_LEVELS[(np.arange(2**_ML_N)[:, None] >> np.arange(_ML_N)) & 1]
+
+
+def _ml_indices(c, rows):
+    """Exhaustive maximum-likelihood decisions at N = 12, as level indices.
+    A data row is r = s C + w K, whose noise has covariance sigma^2 C, so the
+    most likely s in {-1, +1}^N maximises 2 s.r - s C s^T: no inverse of C."""
+    energy = np.einsum("jk,kl,jl->j", _ML_WORDS, c.entries, _ML_WORDS)
+    best = np.concatenate([np.argmax(2.0 * chunk @ _ML_WORDS.T - energy, axis=1)
+                           for chunk in np.array_split(rows, 8)])
+    return ((best[:, None] >> np.arange(_ML_N)) & 1).astype(np.uint8)
+
+
+def _ml_cell(kind, alpha, sigma, seed, m=3072):
+    """C, the sent bits and m received rows s C + sigma W K at N = 12, W K
+    the white noise W through the float64 demultiplexer."""
+    c = _matrix(_ML_N, alpha, kind)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(m, _ML_N)).astype(np.uint8)
+    rows = _compress(c, PAM_LEVELS[bits])
+    if sigma:
+        rows += sigma * demultiplex(make_plan(kind, _ML_N, alpha), rng.standard_normal(rows.shape))
+    return c, bits, rows
+
+
+# The compressed cells of the gate's kinds, each with its own seed.
+_ML_FTN_CELLS = pytest.mark.parametrize("kind,alpha,seed", [
+    (TransformKind.FRHT, 0.45, 21), (TransformKind.FRCT, 0.7, 22), (TransformKind.FRCT, 0.8, 23),
+], ids=["FrHT-0.45", "FrCT-0.7", "FrCT-0.8"])
+
+
+class TestMaximumLikelihood:
+    """The detector against the exact ML decision at N = 12, an exhaustive
+    search over the 4096 words: where the ID errs on rows that ML decides,
+    the errors are the detector's, not the signal's."""
+
+    @_ML_FTN_CELLS
+    def test_ml_decides_every_noise_free_bit(self, kind, alpha, seed):
+        c, bits, rows = _ml_cell(kind, alpha, 0.0, seed)
+        ml = int(np.count_nonzero(_ml_indices(c, rows) != bits))
+        detected = int(np.count_nonzero(id_equalize_frame(IdConfig(c), rows, 20) != bits))
+        print(f"[ml oracle] {kind.value} alpha={alpha} noise-free I=20: "
+              f"ML {ml}, ID {detected} of {bits.size} bits wrong")
+        assert ml == 0 < detected
+
+    @_ML_FTN_CELLS
+    def test_ml_errs_no_more_than_the_detector_at_10_db(self, kind, alpha, seed):
+        c, bits, rows = _ml_cell(kind, alpha, 1.0 / np.sqrt(2.0 * 10.0), seed)
+        ml = int(np.count_nonzero(_ml_indices(c, rows) != bits))
+        detected = int(np.count_nonzero(id_equalize_frame(IdConfig(c), rows, 20) != bits))
+        print(f"[ml oracle] {kind.value} alpha={alpha} 10 dB I=20: "
+              f"ML {ml}, ID {detected} of {bits.size} bits wrong")
+        assert ml <= detected
+
+    @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+    def test_orthogonal_detector_is_ml(self, kind):
+        # At alpha = 1 there is no ICI to cancel: at every count the ID
+        # decides as ML, also where thousands of bits are wrong.
+        c, bits, rows = _ml_cell(kind, 1.0, 1.0, 24)
+        ml = _ml_indices(c, rows)
+        assert np.count_nonzero(ml != bits) > 1000
+        cfg = IdConfig(c)
+        for iterations in (0, 5, 20):
+            assert id_equalize_frame(cfg, rows, iterations).tobytes() == ml.tobytes()

@@ -9,7 +9,7 @@ import pytest
 
 from ftnlab.berlab import BerSweepResult, SweepSpec, required_ebn0_at_ber, wilson_interval
 from ftnlab.capacity import CapacityParams
-from ftnlab.channel import noise_sigma
+from ftnlab.channel import expected_sample_energy, noise_sigma
 from ftnlab.config import capacity_params
 from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import (
@@ -20,7 +20,7 @@ from ftnlab.icimodel import (
     CorrelationMatrix, IciPdfModel, correlation_matrix, fit_sigma_mle, ici_histogram, ici_power,
     ks_distance, mixture_cdf, mixture_pdf,
 )
-from ftnlab.modem import ModemConfig, expected_sample_energy, pam_index
+from ftnlab.modem import ModemConfig, pam_index
 from ftnlab.transforms import (
     TransformKind, TransformPlan, demultiplex, kernel_rows, make_plan, multiplex,
 )
@@ -114,8 +114,9 @@ _LAYOUT = ModemConfig(n=4, alpha=0.8)
 
 # A correlation matrix or a plan whose array does not fit its (kind, n,
 # alpha) is refused when built, not left to build a detector of the wrong
-# size or to fail in numpy later; so are a layout's C of another transform
-# and a range of kernel rows outside the kernel.
+# size or to fail in numpy later; so are a layout's C of another transform,
+# a layout that is not a ModemConfig and a range of kernel rows outside the
+# kernel.
 @pytest.mark.parametrize("use,error,message", [
     (lambda: IdConfig(CorrelationMatrix(FRCT, 4, 0.8, np.zeros((3, 3)))), ShapeError,
      "entries must be a float64 array of shape (4, 4), got float64 (3, 3)"),
@@ -140,6 +141,8 @@ _LAYOUT = ModemConfig(n=4, alpha=0.8)
      "matrix must be C of the layout's ('FrCT', 4, 0.8), got C of ('FrCT', 8, 0.8)"),
     (lambda: expected_sample_energy(_LAYOUT, correlation_matrix(FRCT, 4, 0.9)), ParameterError,
      "matrix must be C of the layout's ('FrCT', 4, 0.8), got C of ('FrCT', 4, 0.9)"),
+    (lambda: expected_sample_energy(None, correlation_matrix(FRCT, 4, 0.8)), ParameterError,
+     "config must be a ModemConfig, got NoneType"),
     (lambda: kernel_rows(FRCT, 4, 0.8, -1, 2), ParameterError,
      "start must be an integer >= 0, got -1"),
     (lambda: kernel_rows(FRCT, 4, 0.8, 1.0, 2), ParameterError,
@@ -151,7 +154,7 @@ _LAYOUT = ModemConfig(n=4, alpha=0.8)
      "stop must be an integer >= 0, got None"),
 ], ids=["detector", "list", "ici_power", "multiplex", "entries-dtype", "kernel-dtype",
         "matrix-array", "matrix-none", "matrix-kind", "matrix-n", "matrix-alpha",
-        "start-negative", "start-float", "stop-before-start", "stop-past-n", "stop-none"])
+        "config-none", "start-negative", "start-float", "stop-before-start", "stop-past-n", "stop-none"])
 def test_matrix_must_fit_its_transform(use, error, message):
     with pytest.raises(error) as caught:
         use()

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from ftnlab.channel import expected_sample_energy
 from ftnlab.equalize import IdConfig, id_equalize_frame
 from ftnlab.exceptions import FramingError, ParameterError
 from ftnlab.modem import (
     ModemConfig,
     PAM_LEVELS,
     SAMPLE_RATE,
-    expected_sample_energy,
     pam_index,
     pam_map,
     experiment_baseline,

@@ -229,7 +229,7 @@ class TestInvariants:
 
 
 class TestSampleEnergyTerms:
-    """The identities behind `modem.expected_sample_energy`'s closed form:
+    """The identities behind `channel.expected_sample_energy`'s closed form:
     the kernel rows' squares against the correlation matrix C = K^T K."""
 
     @pytest.mark.parametrize("kind", [TransformKind.FRCT, TransformKind.FRHT])
