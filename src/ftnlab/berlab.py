@@ -262,6 +262,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     it, and the curve stops with its last point."""
     config = replace(spec.config, kind=kind, alpha=alpha)
     curve = _curve(config, spec.ebn0_dbs)
+    sigmas = curve[3]
     grid = list(product(spec.iteration_counts, spec.ebn0_dbs))
     # Eb/N0 by Eb/N0, so that a batch forms each point's rows once.
     order = sorted(range(len(grid)), key=lambda k: k % len(spec.ebn0_dbs))
@@ -273,7 +274,7 @@ def _run_curve(spec, curve_idx, kind, alpha, work):
     batch_idx = 0
     while live := [k for k in order if running(k)]:
         batch_bits, batch_errors = _simulate_batch(
-            config, curve, [(grid[k][0], curve[3][grid[k][1]]) for k in live],
+            config, curve, [(grid[k][0], sigmas[grid[k][1]]) for k in live],
             spec.frames_per_batch, spec.seed, curve_idx, batch_idx, work,
         )
         for k, point_errors in zip(live, batch_errors):

@@ -116,7 +116,7 @@ def _map_band(values, d, mag=None, flags=None):
 
 
 def id_equalize_frame(config, rows, iterations, *, trace=None, work=None):
-    """Equalize an (m, N) stack of received vectors (one vector: m = 1), `iterations` >= 0 times.
+    """Equalize an (m, N) stack of received vectors (one vector: m = 1) in `iterations` >= 0 iterations.
 
     Returns the 2-PAM decision (`modem.pam_index`) on every entry, which is
     its bit; `modem.PAM_LEVELS[index]` gives the levels.  An `IdTrace` as
