@@ -127,10 +127,6 @@ class SweepSpec:
         check_integer(self.frames_per_batch, "frames_per_batch", 1)
         check_integer(self.seed, "seed", 0)
 
-    def grid(self):
-        """Grid points in their fixed enumeration (and output) order."""
-        return list(product(self.kinds, self.alphas, self.iteration_counts, self.ebn0_dbs))
-
 
 @dataclass(frozen=True)
 class BerPoint:

@@ -29,8 +29,8 @@ N max|C - I| < 2**-26, the bound below which `berlab` skips S (C - I), so
 the laws of W K and of W differ below the float32 resolution that W is
 drawn in.
 
-Seeding accepts an integer >= 0 or a numpy SeedSequence; callers running
-blocks in parallel derive child sequences so a fixed (seed, layout) pair
+The noise is seeded by a numpy SeedSequence, one per batch, which the
+sweep derives from (seed, curve, batch), so a fixed (seed, layout) pair
 reproduces the same noise regardless of worker count.
 """
 
@@ -83,33 +83,27 @@ def noise_sigma(eb_n0_db, config, matrix):
 
 def apply_awgn(rng_seed, plan, rows, *, out=None, scratch=None):
     """Unit white noise on `rows` received data rows, as the demultiplexer of
-    `plan` passes it on: W K, with W of shape (rows, N) float32 standard
-    normals drawn in C order, deterministic per `rng_seed`, and W K in the
-    plan's precision (float32 for the sweep's float32 plan).  At alpha = 1
-    it is W itself, in the plan's precision, which has the law of W K
+    the float32 `plan` passes it on: W K, float32, with W of shape (rows, N)
+    float32 standard normals drawn in C order from the SeedSequence
+    `rng_seed`.  At alpha = 1 it is W itself, which has the law of W K
     (module docstring).  A receiver adds sigma times it to its noise-free
     rows S C.
 
     `scratch` receives W below alpha = 1 and is not written at alpha = 1,
-    where W goes straight into a float32 `out`; `out` receives the result.
-    Both are C-contiguous (rows, N) arrays, apart, of float32 and of the
-    plan's dtype.
+    where W is drawn straight into `out`; `out` receives the result.  Both
+    are C-contiguous float32 (rows, N) arrays, apart.
     """
-    if not isinstance(rng_seed, np.random.SeedSequence):
-        check_integer(rng_seed, "rng_seed", 0)
+    check_type(rng_seed, np.random.SeedSequence, "rng_seed")
     check_type(plan, TransformPlan, "plan")
+    if plan.dtype != np.float32:
+        raise ParameterError(f"plan must be a float32 plan, got a {plan.dtype} plan")
     check_integer(rows, "rows", 1)
     shape = (rows, plan.n)
-    check_buffer(out, shape, plan.dtype, "out")
+    check_buffer(out, shape, np.float32, "out")
     check_buffer(scratch, shape, np.float32, "scratch")
     check_apart(out=out, scratch=scratch)
     rng = np.random.default_rng(rng_seed)
     with allocating_for(rows=rows, n=plan.n):
         if plan.alpha != 1:
             return demultiplex(plan, rng.standard_normal(shape, np.float32, out=scratch), out=out)
-        if out is None:
-            out = np.empty(shape, plan.dtype)
-        if out.dtype == np.float32:
-            return rng.standard_normal(shape, np.float32, out=out)
-        out[...] = rng.standard_normal(shape, np.float32)
-        return out
+        return rng.standard_normal(shape, np.float32, out=out)

@@ -91,23 +91,23 @@ class IdTrace:
     undecided_counts: list = field(default_factory=list)
 
 
-def _map_band(values, d, mag=None, flags=None):
+def _map_band(values, d, mag, flags):
     """In place, the 2-PAM band map: |v| > d -> sign(v), else unchanged, bit
-    for bit, each entry keeping its own sign bit.  Returns the flags of the
-    snapped entries, 1 where snapped and 0 elsewhere, as words of the unsigned
-    dtype of the float's width; `mag` and `flags` are optional scratch arrays
-    of the shape of `values`, of its float dtype and that unsigned dtype.  The
-    band d is compared in the float dtype.  Needs d >= 2**-53 (the loop's
-    bands are about 1/I or wider): `pam_index` puts (0, 2**-53] on the lower
-    level, so only then does every snapped entry get the level it decides."""
+    for bit, each entry keeping its own sign bit.  Returns `flags`, filled with
+    1 where an entry snapped and 0 elsewhere, as words of the unsigned dtype of
+    the float's width; `mag` and `flags` are the caller's scratch, of the shape
+    of `values`, of its float dtype and that unsigned dtype.  The band d is
+    compared in the float dtype.  Needs d >= 2**-53 (the loop's bands are
+    about 1/I or wider): `pam_index` puts (0, 2**-53] on the lower level, so
+    only then does every snapped entry get the level it decides."""
     # Branch-free and exact, in five passes on the float's unsigned word.  The
     # bits of v and |v| differ in the sign bit alone, so v ^ |v| ^ 1.0 is
     # copysign(1, v); multiplying |v| ^ 1.0 by the 0/1 flag first leaves every
     # undecided entry as it is (NaN compares false, so -0 and NaN payloads
     # keep their bits).
     word = f"u{values.itemsize}"
-    mag = np.abs(values, out=mag)
-    flags = np.greater(mag, d, out=np.empty(values.shape, word) if flags is None else flags)
+    np.abs(values, out=mag)
+    np.greater(mag, d, out=flags)
     bits = mag.view(word)
     bits ^= np.array(1.0, values.dtype).view(word)
     bits *= flags
@@ -167,5 +167,5 @@ def id_equalize_frame(config, rows, iterations, *, trace=None, work=None):
     # Every entry gets the plain hard decision of `pam_index` on its float32
     # value, snapped or still inside the band; it reads only S_I's plane, 1
     # or 2, so it may write plane 0.
-    pam_index(current, out=index.T if m < n else index)
+    pam_index(current.T if m < n else current, out=index)
     return index

@@ -88,15 +88,15 @@ def check_array(buf, shape, dtypes, name):
         raise ShapeError(f"{name} must be a {dtypes} array of shape {tuple(shape)}, got {got}")
 
 
-def check_buffer(buf, shape, dtype, name, contiguous=True):
-    """A caller's output or scratch array, if not None, is a writable ndarray
-    of exactly `shape` and `dtype`, C-contiguous unless `contiguous` is False."""
+def check_buffer(buf, shape, dtype, name):
+    """A caller's output or scratch array, if not None, is a writable,
+    C-contiguous ndarray of exactly `shape` and `dtype`."""
     if buf is None:
         return
     check_array(buf, shape, (dtype,), name)
     if not buf.flags.writeable:
         raise ShapeError(f"{name} must be writable")
-    if contiguous and not buf.flags.c_contiguous:
+    if not buf.flags.c_contiguous:
         raise ShapeError(f"{name} must be C-contiguous")
 
 

@@ -110,9 +110,9 @@ def pam_index(values, *, out=None):
     values are compared as they are, other dtypes as float64.
 
     The decisions are one byte each, uint8 0 or 1, and so also indices into
-    `PAM_LEVELS`; `out` (uint8, of the shape of `values`) receives them."""
+    `PAM_LEVELS`; `out`, C-contiguous uint8 of the shape of `values`, takes them."""
     values = check_real_array(values, "values", floats=(np.float64, np.float32))
-    check_buffer(out, values.shape, np.uint8, "out", contiguous=False)
+    check_buffer(out, values.shape, np.uint8, "out")
     out = np.empty(values.shape, dtype=np.uint8) if out is None else out
     np.greater(values, PAM_THRESHOLD, out=out.view(bool))
     return out

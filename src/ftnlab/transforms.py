@@ -141,9 +141,9 @@ def demultiplex(plan, samples, *, out=None):
 
     For alpha < 1 the round trip demultiplex(multiplex(v)) equals C @ v,
     where C is the subcarrier correlation matrix.  `out`, if given, receives
-    the outputs: an array of the plan's dtype and the result's shape,
-    strided or not.
+    the outputs: a C-contiguous array of the plan's dtype and the result's
+    shape.
     """
     samples = check_real_array(samples, "samples", plan.n, (plan.dtype,))
-    check_buffer(out, samples.shape, plan.dtype, "out", contiguous=False)
+    check_buffer(out, samples.shape, plan.dtype, "out")
     return np.matmul(samples, plan.kernel, out=out)

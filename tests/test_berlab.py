@@ -119,11 +119,14 @@ class TestSweepSpec:
             alphas=(1.0, 0.9),
             ebn0_dbs=(4.0, 6.0),
         )
-        grid = spec.grid()
-        assert len(grid) == 8
-        assert grid[0] == (TransformKind.FRCT, 1.0, 10, 4.0)
-        assert grid[1] == (TransformKind.FRCT, 1.0, 10, 6.0)
-        assert grid[-1] == (TransformKind.FRHT, 0.9, 10, 6.0)
+        # The points come out in (kind, alpha, iterations, Eb/N0) order.
+        order = [(p.kind, p.alpha, p.iterations, p.ebn0_db) for p in run_ber_sweep(spec).points]
+        assert order == list(product(spec.kinds, spec.alphas, spec.iteration_counts,
+                                     spec.ebn0_dbs))
+        assert len(order) == 8
+        assert order[0] == (TransformKind.FRCT, 1.0, 10, 4.0)
+        assert order[1] == (TransformKind.FRCT, 1.0, 10, 6.0)
+        assert order[-1] == (TransformKind.FRHT, 0.9, 10, 6.0)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ParameterError, match="alphas"):
@@ -176,7 +179,9 @@ class TestSweepSpec:
         ebn0_dbs = (4.0, math.nextafter(4.0, 5.0))
         spec = _fast_spec(alphas=alphas, ebn0_dbs=ebn0_dbs, iteration_counts=(0, 10))
         assert (spec.alphas, spec.ebn0_dbs) == (alphas, ebn0_dbs)
-        assert len(set(spec.grid())) == len(spec.grid()) == 8
+        order = [(p.kind, p.alpha, p.iterations, p.ebn0_db) for p in run_ber_sweep(spec).points]
+        assert order == list(product(spec.kinds, alphas, (0, 10), ebn0_dbs))
+        assert len(set(order)) == 8
 
     @pytest.mark.parametrize(
         "field,value",

@@ -132,17 +132,17 @@ class TestChannel:
 
     @KIND_ALPHA
     @pytest.mark.parametrize("rows", [1, 9])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_apply_awgn(self, kind, alpha, rows, dtype):
-        plan = make_plan(kind, 32, alpha, dtype)
-        want = apply_awgn(3, plan, rows)
+    def test_apply_awgn(self, kind, alpha, rows):
+        plan = make_plan(kind, 32, alpha, np.float32)
+        want = apply_awgn(np.random.SeedSequence(3), plan, rows)
         # The allocating form is float32 standard normal noise, demultiplexed
-        # in the plan's precision.
+        # in float32.
         white = np.random.default_rng(3).standard_normal((rows, 32), np.float32)
         assert_same_bytes(want, demultiplex(plan, white))
-        out, scratch = garbage((rows, 32), dtype), garbage((rows, 32), np.float32)
+        out, scratch = garbage((rows, 32), np.float32), garbage((rows, 32), np.float32)
         for _ in range(2):
-            assert apply_awgn(3, plan, rows, out=out, scratch=scratch) is out
+            assert apply_awgn(np.random.SeedSequence(3), plan, rows, out=out,
+                              scratch=scratch) is out
             assert_same_bytes(out, want)
             assert_same_bytes(scratch, white)
 
@@ -169,6 +169,7 @@ def _bad_buffers():
     bits = random_data_bits(config, np.random.default_rng(0), 2)
     plan = make_plan(config.kind, 16, 1.0)
     narrow = make_plan(config.kind, 16, 1.0, np.float32)
+    seed = np.random.SeedSequence(0)
     id_cfg = IdConfig(correlation_matrix(config.kind, 16, 0.9))
     rows = np.ones((6, 16))
     cases = [
@@ -178,9 +179,9 @@ def _bad_buffers():
                      id="pam_map-out"),
         pytest.param(lambda buf: pam_index(rows, out=buf), "out", (6, 16), np.uint8,
                      id="pam_index-out"),
-        pytest.param(lambda buf: apply_awgn(0, narrow, 6, out=buf), "out", (6, 16), np.float32,
-                     id="apply_awgn-out"),
-        pytest.param(lambda buf: apply_awgn(0, narrow, 6, scratch=buf), "scratch", (6, 16),
+        pytest.param(lambda buf: apply_awgn(seed, narrow, 6, out=buf), "out", (6, 16),
+                     np.float32, id="apply_awgn-out"),
+        pytest.param(lambda buf: apply_awgn(seed, narrow, 6, scratch=buf), "scratch", (6, 16),
                      np.float32, id="apply_awgn-scratch"),
     ]
     # The detector's `work` at m < N, m = N and m > N (the loop reads the
@@ -195,6 +196,7 @@ def _bad_buffers():
 
 
 BAD_BUFFERS = _bad_buffers()
+STRIDED_PLAN = make_plan(TransformKind.FRCT, 6, 1.0, np.float32)
 
 
 class TestBadBuffers:
@@ -232,11 +234,20 @@ class TestBadBuffers:
                            match=re.escape("work must be a float32 array of shape (4, 6, 16)")):
             id_equalize_frame(config, np.ones((6, 16)), 3, work=np.zeros(shape, np.float32))
 
-    @pytest.mark.parametrize("name", ["out", "scratch"])
-    def test_strided_noise_buffer_rejected(self, name):
-        plan = make_plan(TransformKind.FRCT, 6, 1.0, np.float32)
+    @pytest.mark.parametrize("call,name,dtype", [
+        (lambda buf: apply_awgn(np.random.SeedSequence(0), STRIDED_PLAN, 4, out=buf), "out",
+         np.float32),
+        (lambda buf: apply_awgn(np.random.SeedSequence(0), STRIDED_PLAN, 4, scratch=buf),
+         "scratch", np.float32),
+        (lambda buf: demultiplex(STRIDED_PLAN, np.ones((4, 6), np.float32), out=buf), "out",
+         np.float32),
+        (lambda buf: pam_index(np.ones((4, 6)), out=buf), "out", np.uint8),
+    ], ids=["apply_awgn-out", "apply_awgn-scratch", "demultiplex-out", "pam_index-out"])
+    def test_strided_buffer_rejected(self, call, name, dtype):
+        # A (4, 6) transpose of a C-contiguous (6, 4) array, of the right
+        # shape and dtype.
         with pytest.raises(ShapeError, match=f"^{name} must be C-contiguous$"):
-            apply_awgn(0, plan, 4, **{name: np.zeros((6, 4), np.float32).T})
+            call(np.zeros((6, 4), dtype).T)
 
 
 
@@ -263,8 +274,9 @@ class TestOverlappingBuffers:
             config = IdConfig(correlation_matrix(TransformKind.FRCT, 16, 0.9))
             call = partial(id_equalize_frame, config, rows, 5, work=work)
         else:
-            out, scratch = _one_allocation(((6, 16), np.float64), ((6, 16), np.float32))
-            call = partial(apply_awgn, 0, make_plan(TransformKind.FRCT, 16, 0.9), 6,
+            out, scratch = _one_allocation(((6, 16), np.float32), ((6, 16), np.float32))
+            call = partial(apply_awgn, np.random.SeedSequence(0),
+                           make_plan(TransformKind.FRCT, 16, 0.9, np.float32), 6,
                            out=out, scratch=scratch)
         with pytest.raises(ParameterError, match=f"^{first} and {second} must not share memory$"):
             call()

@@ -21,11 +21,16 @@ def qfunc(x):
     return 0.5 * erfc(x / np.sqrt(2.0))
 
 
-PLAN = make_plan(TransformKind.FRCT, 16, 0.8)
+PLAN = make_plan(TransformKind.FRCT, 16, 0.8, np.float32)
 # A layout of PLAN's transform.
 CONFIG = ModemConfig(n=16, alpha=0.8, data_symbols_per_frame=4, training_symbols=2,
                      sync_symbols=1)
 C = correlation_matrix(TransformKind.FRCT, 16, 0.8)
+
+
+def _seed(n):
+    """The noise seed of `n`, which draws the stream of numpy's seed `n`."""
+    return np.random.SeedSequence(n)
 
 
 def _c(config):
@@ -48,30 +53,38 @@ class TestSampleEnergyOracle:
 class TestApplyAwgn:
     def test_noiseless_limit(self):
         sigma = noise_sigma(200.0, CONFIG, C)
-        assert np.max(np.abs(sigma * apply_awgn(1, PLAN, 50))) < 1e-8
+        assert np.max(np.abs(sigma * apply_awgn(_seed(1), PLAN, 50))) < 1e-8
 
     def test_deterministic_per_seed(self):
-        assert np.array_equal(apply_awgn(42, PLAN, 32), apply_awgn(42, PLAN, 32))
+        first, again = (apply_awgn(_seed(42), PLAN, 32) for _ in range(2))
+        assert np.array_equal(first, again)
 
     def test_noise_follows_c_order(self):
         # Fewer rows get the first rows of the same draw.
         few, many = np.empty((3, 16), np.float32), np.empty((8, 16), np.float32)
-        apply_awgn(42, PLAN, 3, scratch=few)
-        apply_awgn(42, PLAN, 8, scratch=many)
+        apply_awgn(_seed(42), PLAN, 3, scratch=few)
+        apply_awgn(_seed(42), PLAN, 8, scratch=many)
         assert np.array_equal(few, many[:3])
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(apply_awgn(1, PLAN, 8), apply_awgn(2, PLAN, 8))
+        assert not np.array_equal(apply_awgn(_seed(1), PLAN, 8), apply_awgn(_seed(2), PLAN, 8))
 
     @pytest.mark.parametrize("rows", [0, -1, 2.5, True])
     def test_row_count_checked(self, rows):
         with pytest.raises(ParameterError, match="^rows must be an integer >= 1"):
-            apply_awgn(0, PLAN, rows)
+            apply_awgn(_seed(0), PLAN, rows)
 
-    @pytest.mark.parametrize("plan", ["x", None, CONFIG], ids=["str", "None", "config"])
-    def test_plan_checked(self, plan):
-        with pytest.raises(ParameterError, match="^plan must be a TransformPlan, got "):
-            apply_awgn(0, plan, 3)
+    @pytest.mark.parametrize("plan,message", [
+        ("x", "plan must be a TransformPlan, got str"),
+        (None, "plan must be a TransformPlan, got NoneType"),
+        (CONFIG, "plan must be a TransformPlan, got ModemConfig"),
+        # The noise is float32 through a float32 plan, as the sweep forms it.
+        (make_plan(TransformKind.FRCT, 16, 0.8),
+         "plan must be a float32 plan, got a float64 plan"),
+    ], ids=["str", "None", "config", "float64"])
+    def test_plan_checked(self, plan, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            apply_awgn(_seed(0), plan, 3)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.0])
     def test_rows_too_many_to_allocate_named(self, alpha):
@@ -79,7 +92,7 @@ class TestApplyAwgn:
         # before touching a page, on either path (W K below alpha = 1, W at 1).
         message = "^rows = 1000000000000000 asks for more memory than can be allocated: "
         with pytest.raises(ParameterError, match=message):
-            apply_awgn(0, make_plan(TransformKind.FRCT, 4, alpha), 10**15)
+            apply_awgn(_seed(0), make_plan(TransformKind.FRCT, 4, alpha, np.float32), 10**15)
 
     @pytest.mark.parametrize("config", [None, 1.0, {"n": 16}, PLAN],
                              ids=["None", "float", "dict", "plan"])
@@ -93,9 +106,10 @@ class TestApplyAwgn:
         with pytest.raises(ParameterError, match="^data_symbols_per_frame must be an integer >= 1"):
             noise_sigma(5.0, config, _c(config))
 
-    @pytest.mark.parametrize("rng_seed", [-1, "x", 1.5, True, None])
+    @pytest.mark.parametrize("rng_seed", [-1, "x", 1.5, True, None, 3])
     def test_seed_checked(self, rng_seed):
-        with pytest.raises(ParameterError, match="^rng_seed must be"):
+        # An integer, even one numpy would take, is refused by its type.
+        with pytest.raises(ParameterError, match="^rng_seed must be a SeedSequence, got "):
             apply_awgn(rng_seed, PLAN, 4)
         # A SeedSequence is a valid seed, as the sweep passes one per batch.
         apply_awgn(np.random.SeedSequence(3), PLAN, 4)
@@ -126,7 +140,7 @@ class TestApplyAwgn:
         sigma = noise_sigma(eb_n0_db, config, _c(config))
         assert 0.0 < sigma < np.inf
         plan = make_plan(config.kind, config.n, config.alpha, np.float32)
-        noise = sigma * apply_awgn(1, plan, 8)
+        noise = sigma * apply_awgn(_seed(1), plan, 8)
         assert noise.dtype == np.float32 and np.isfinite(noise).all()
 
     @pytest.mark.parametrize("config", [
@@ -150,22 +164,21 @@ class TestApplyAwgn:
         # White samples of unit variance, and rows whose entry k has
         # variance C_kk after the demultiplexer.
         white = np.empty((100_000, 16), np.float32)
-        rows = apply_awgn(3, PLAN, len(white), scratch=white)
+        rows = apply_awgn(_seed(3), PLAN, len(white), scratch=white)
         assert np.var(white) == pytest.approx(1.0, rel=0.01)
         c = correlation_matrix(TransformKind.FRCT, 16, 0.8).entries
         np.testing.assert_allclose(np.var(rows, axis=0), np.diag(c), rtol=0.03)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_scratch_holds_the_white_noise(self, dtype):
-        # `out` is the white noise in `scratch`, demultiplexed in the plan's
-        # precision, and that noise is float32 standard normal in C order.
-        plan = make_plan(TransformKind.FRCT, 16, 0.8, dtype)
+    def test_scratch_holds_the_white_noise(self):
+        # `out` is the white noise in `scratch`, demultiplexed in float32,
+        # and that noise is float32 standard normal in C order, the stream
+        # of numpy's seed 8.
         scratch = np.empty((5, 16), np.float32)
-        out = apply_awgn(8, plan, 5, scratch=scratch)
+        out = apply_awgn(_seed(8), PLAN, 5, scratch=scratch)
         assert np.array_equal(scratch,
                               np.random.default_rng(8).standard_normal((5, 16), np.float32))
-        assert out.dtype == dtype
-        assert out.tobytes() == demultiplex(plan, scratch).tobytes()
+        assert out.dtype == np.float32
+        assert out.tobytes() == demultiplex(PLAN, scratch).tobytes()
 
 
 class TestOrthonormalNoise:
@@ -173,28 +186,26 @@ class TestOrthonormalNoise:
     `apply_awgn` returns W as drawn; below it, W K."""
 
     @pytest.mark.parametrize("buffers", [False, True], ids=["allocating", "out"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [2, 3, 16, 256])
     @pytest.mark.parametrize("kind", list(TransformKind))
-    def test_alpha_one_is_the_draw(self, kind, n, dtype, buffers):
-        plan = make_plan(kind, n, 1.0, dtype)
+    def test_alpha_one_is_the_draw(self, kind, n, buffers):
+        plan = make_plan(kind, n, 1.0, np.float32)
         white = np.random.default_rng(6).standard_normal((5, n), np.float32)
         if buffers:
-            out = np.full((5, n), np.nan, dtype)
+            out = np.full((5, n), np.nan, np.float32)
             scratch = np.full((5, n), np.nan, np.float32)
-            assert apply_awgn(6, plan, 5, out=out, scratch=scratch) is out
+            assert apply_awgn(_seed(6), plan, 5, out=out, scratch=scratch) is out
             assert np.isnan(scratch).all()  # checked, not written
         else:
-            out = apply_awgn(6, plan, 5)
-        assert out.dtype == dtype
-        assert out.tobytes() == white.astype(dtype).tobytes()
+            out = apply_awgn(_seed(6), plan, 5)
+        assert out.dtype == np.float32
+        assert out.tobytes() == white.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", list(TransformKind))
-    def test_below_one_is_demultiplexed(self, kind, dtype):
-        plan = make_plan(kind, 16, 0.999, dtype)
+    def test_below_one_is_demultiplexed(self, kind):
+        plan = make_plan(kind, 16, 0.999, np.float32)
         white = np.random.default_rng(6).standard_normal((5, 16), np.float32)
-        assert apply_awgn(6, plan, 5).tobytes() == demultiplex(plan, white).tobytes()
+        assert apply_awgn(_seed(6), plan, 5).tobytes() == demultiplex(plan, white).tobytes()
 
     @pytest.mark.parametrize("kind", list(TransformKind))
     def test_alpha_one_law_is_white(self, kind):
@@ -207,7 +218,7 @@ class TestOrthonormalNoise:
                              training_symbols=0, sync_symbols=0)
         c = correlation_matrix(kind, n, 1.0).entries
         assert n * np.abs(c - np.eye(n)).max() < 2.0**-26
-        rows = apply_awgn(2, make_plan(kind, n, 1.0, np.float32), frames * data_rows)
+        rows = apply_awgn(_seed(2), make_plan(kind, n, 1.0, np.float32), frames * data_rows)
         blocks = rows.astype(np.float64).reshape(frames, data_rows, n)
         received = receive(config, blocks).reshape(rows.shape)
         # Entries of a sample covariance of m white rows have a standard
@@ -224,18 +235,22 @@ class TestTimeDomainAgreement:
     ])
     def test_noise_on_the_data_bodies_is_the_noise_rows(self, kind, alpha, cp_len, pilots):
         # The white noise placed on the bodies of the data blocks of a
-        # waveform reaches the received rows as apply_awgn's rows; noise on
-        # the pilots and prefixes reaches none.
+        # waveform reaches the received rows as its demultiplexed rows, the
+        # rows apply_awgn returns in float32; noise on the pilots and
+        # prefixes reaches none.
         config = ModemConfig(n=16, alpha=alpha, kind=kind, cp_len=cp_len,
                              data_symbols_per_frame=5, sync_symbols=pilots[0],
                              training_symbols=pilots[1])
         white = np.empty((3 * 5, 16), np.float32)
-        rows = apply_awgn(4, make_plan(kind, 16, alpha), 15, scratch=white)
+        narrow = make_plan(kind, 16, alpha, np.float32)
+        rows = apply_awgn(_seed(4), narrow, 15, scratch=white)
+        assert rows.tobytes() == demultiplex(narrow, white).tobytes()
         blocks = np.random.default_rng(5).normal(size=(3, config.symbols_per_frame, cp_len + 16))
         noisy = blocks.copy()
         noisy[:, sum(pilots):, cp_len:] += white.reshape(3, 5, 16)
+        exact = demultiplex(make_plan(kind, 16, alpha), white)
         np.testing.assert_allclose(receive(config, noisy) - receive(config, blocks),
-                                   rows.reshape(3, 5, 16), rtol=0, atol=1e-12)
+                                   exact.reshape(3, 5, 16), rtol=0, atol=1e-12)
 
 
 class TestBerCalibration:
@@ -243,7 +258,7 @@ class TestBerCalibration:
     def test_orthogonal_hard_decision_matches_qfunction(self, ebn0_db, total_bits):
         cfg = ModemConfig(n=256, alpha=1.0, kind=TransformKind.FRCT,
                           data_symbols_per_frame=64, training_symbols=0, sync_symbols=0)
-        plan = make_plan(cfg.kind, cfg.n, cfg.alpha)
+        plan = make_plan(cfg.kind, cfg.n, cfg.alpha, np.float32)
         sigma = noise_sigma(ebn0_db, cfg, _c(cfg))
         rng = np.random.default_rng(int(ebn0_db))
         errors = 0

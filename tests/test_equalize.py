@@ -189,6 +189,12 @@ class TestNoiselessRecovery:
         assert errs[0] >= errs[1] >= errs[2]
 
 
+def _band_scratch(values):
+    """`_map_band`'s scratch for `values`, full of garbage: NaN magnitudes and
+    flags of 7, in the unsigned dtype of the float's width."""
+    return np.full_like(values, np.nan), np.full(values.shape, 7, f"u{values.itemsize}")
+
+
 def _six_pass_map(values, d):
     """The band map as min/max passes, as a reference: a copy of `values`
     mapped, and the bool mask of the snapped entries.  A snapped entry gets
@@ -218,23 +224,23 @@ class TestMapBand:
         )
         expected = np.where(values > d, 1.0, np.where(values < -d, -1.0, values))
         mapped = values.copy()
-        _map_band(mapped, d)
+        _map_band(mapped, d, *_band_scratch(mapped))
         np.testing.assert_array_equal(mapped, expected)
         np.testing.assert_array_equal(np.signbit(mapped), np.signbit(expected))
 
     @given(
         values=arrays(np.float64, st.integers(0, 64), elements=st.floats(width=64)),
         d=st.floats(0.0, 1.0),
-        scratch=st.booleans(),
     )
-    def test_two_level_map_is_sign_outside_band(self, values, d, scratch):
+    def test_two_level_map_is_sign_outside_band(self, values, d):
         # Compared bit for bit: array equality treats every NaN alike and
         # -0 like +0, so it cannot see a slip in the sign transfer.
         values = np.concatenate([values, _SPECIAL_VALUES])
         expected = np.where(np.abs(values) > d, np.copysign(1.0, values), values)
         mapped = values.copy()
-        buffers = (np.empty_like(values), np.full(values.shape, 7, np.uint64)) if scratch else ()
+        buffers = _band_scratch(mapped)
         flags = _map_band(mapped, d, *buffers)
+        assert flags is buffers[1]
         np.testing.assert_array_equal(mapped.view(np.uint64), expected.view(np.uint64))
         assert flags.dtype == np.uint64 and set(np.unique(flags)) <= {0, 1}
         np.testing.assert_array_equal(flags != 0, np.abs(values) > d)
@@ -242,17 +248,17 @@ class TestMapBand:
     @given(
         values=arrays(np.float32, st.integers(0, 64), elements=st.floats(width=32)),
         d=st.one_of(st.floats(0.0, 1.0), st.just(2.0**-53)),
-        scratch=st.booleans(),
     )
-    def test_two_level_map_is_sign_outside_band_in_float32(self, values, d, scratch):
+    def test_two_level_map_is_sign_outside_band_in_float32(self, values, d):
         # As above, bit for bit, on the detector's float32 iterates: the band is
         # compared in float32, and the sign bit is the 32-bit word's.
         values = np.concatenate([values, _SPECIAL_VALUES32])
         band = np.float32(d)
         expected = np.where(np.abs(values) > band, np.copysign(np.float32(1.0), values), values)
         mapped = values.copy()
-        buffers = (np.empty_like(values), np.full(values.shape, 7, np.uint32)) if scratch else ()
+        buffers = _band_scratch(mapped)
         flags = _map_band(mapped, d, *buffers)
+        assert flags is buffers[1]
         assert mapped.dtype == np.float32
         np.testing.assert_array_equal(mapped.view(np.uint32), expected.view(np.uint32))
         assert flags.dtype == np.uint32 and set(np.unique(flags)) <= {0, 1}
@@ -279,7 +285,7 @@ class TestMapBand:
         d = float(d)
         expected, decided = _six_pass_map(values, d)
         mapped = values.copy()
-        flags = _map_band(mapped, d)
+        flags = _map_band(mapped, d, *_band_scratch(mapped))
         np.testing.assert_array_equal(mapped.view(word), expected.view(word))
         assert flags.dtype == word
         np.testing.assert_array_equal(flags, decided.astype(word))
@@ -298,7 +304,7 @@ class TestMapBand:
         to_midpoint = np.min(np.abs(values[:, None] - midpoints), axis=1) / half_gap
         clear = np.abs(to_midpoint - d) > 1e-9
         mapped = values.copy()
-        snapped = _map_band(mapped, d) != 0
+        snapped = _map_band(mapped, d, *_band_scratch(mapped)) != 0
         np.testing.assert_array_equal(snapped[clear], to_midpoint[clear] > d)
         np.testing.assert_array_equal(mapped[snapped], levels[pam_index(values)][snapped])
         np.testing.assert_array_equal(mapped[~snapped], values[~snapped])
@@ -313,7 +319,7 @@ class TestMapBand:
         values = np.concatenate([values, _SPECIAL_VALUES, [1e-20, 2.0**-53, -2.0**-53,
                                                            np.nextafter(2.0**-53, 1.0)]])
         mapped = values.copy()
-        snapped = _map_band(mapped, d) != 0
+        snapped = _map_band(mapped, d, *_band_scratch(mapped)) != 0
         np.testing.assert_array_equal(mapped[snapped], PAM_LEVELS[pam_index(values)][snapped])
 
     @pytest.mark.parametrize("iterations", [1, 2, 3, 7, 20, 1000])
@@ -338,7 +344,7 @@ class TestMapBand:
         outer = [levels[0] - 0.9 * half_gap, levels[-1] + 0.9 * half_gap]
         values = np.concatenate([midpoints, [np.nan], outer])
         mapped = values.copy()
-        flags = _map_band(mapped, 0.25)
+        flags = _map_band(mapped, 0.25, *_band_scratch(mapped))
         np.testing.assert_array_equal(flags, [0, 0, 1, 1])
         np.testing.assert_array_equal(mapped, [*midpoints, np.nan, levels[0], levels[-1]])
 
