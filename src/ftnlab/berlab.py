@@ -15,8 +15,8 @@ alpha = 1: S C as S + S (C - I) with the detector's float32 C - I, and W K
 through the float32 kernel, taken at alpha = 1, where K is orthonormal, as
 W itself (`channel.apply_awgn`).  It builds no waveform: pilot rows and
 prefixes reach no detector.  They still set sigma, which
-`channel.noise_sigma` works out from the layout's sample energy, a closed
-form of the curve's C, and bit density: one per Eb/N0 and curve.
+`channel.noise_sigma` works out from the layout's bit density and its
+sample energy, a closed form of the curve's C taken once per curve.
 
 Where C - I cannot move a float32 level, the first GEMM is skipped and S C
 is taken as S, which gives the same bytes.  That holds when N max|C - I|
@@ -174,12 +174,13 @@ def _ici_product(off_diagonal):
 # outermost: a curve's float32 plan and its one detector, which runs every
 # iteration count, 4 N^2 bytes each, the matrix of its ICI product (the
 # detector's C - I or None), and sigma at each of `ebn0_dbs`, for the curve
-# and repeated sweeps of it.  C gives sigma and the detector, and is freed
-# before the plan is built.
+# and repeated sweeps of it.  C gives the sample energy of every sigma and
+# the detector, and is freed before the plan is built.
 @lru_cache(maxsize=1)
 def _curve(config, ebn0_dbs):
     matrix = icimodel.correlation_matrix(config.kind, config.n, config.alpha)
-    sigmas = {e: channel.noise_sigma(e, config, matrix) for e in ebn0_dbs}
+    energy = channel.expected_sample_energy(config, matrix)
+    sigmas = {e: channel.noise_sigma(e, config, energy) for e in ebn0_dbs}
     detector = equalize.IdConfig(matrix)
     del matrix
     plan = make_plan(config.kind, config.n, config.alpha, np.float32)

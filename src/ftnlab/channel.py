@@ -69,14 +69,14 @@ def expected_sample_energy(config, matrix):
     return float(total / (config.symbols_per_frame * (config.cp_len + config.n)))
 
 
-def noise_sigma(eb_n0_db, config, matrix):
+def noise_sigma(eb_n0_db, config, energy):
     """The noise's standard deviation per sample at `eb_n0_db` for the frame
-    layout `config`, a ModemConfig with data rows, whose correlation matrix
-    C is `matrix`."""
+    layout `config`, a ModemConfig with data rows, whose mean squared sample
+    is `energy` (`expected_sample_energy`, once per layout)."""
     check_real(eb_n0_db, "eb_n0_db", *EBN0_DB_RANGE, "[]")
     check_type(config, ModemConfig, "config")
     check_integer(config.data_symbols_per_frame, "data_symbols_per_frame", 1)
-    energy = expected_sample_energy(config, matrix)
+    check_real(energy, "energy", 0)
     gamma = 10.0 ** (eb_n0_db / 10.0)
     return float(np.sqrt(energy / (2.0 * gamma * config.bits_per_sample)))
 

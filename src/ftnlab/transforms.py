@@ -131,6 +131,7 @@ def multiplex(plan, symbols):
 
     Accepts a length-N vector or an (..., N) stack of vectors.
     """
+    check_type(plan, TransformPlan, "plan")
     symbols = check_real_array(symbols, "symbols", plan.n, (plan.dtype,))
     return np.matmul(symbols, plan.kernel.T)
 
@@ -144,6 +145,7 @@ def demultiplex(plan, samples, *, out=None):
     the outputs: a C-contiguous array of the plan's dtype and the result's
     shape.
     """
+    check_type(plan, TransformPlan, "plan")
     samples = check_real_array(samples, "samples", plan.n, (plan.dtype,))
     check_buffer(out, samples.shape, plan.dtype, "out")
     return np.matmul(samples, plan.kernel, out=out)

@@ -244,8 +244,8 @@ def _ici_tolerance(kind, n, alpha):
 
 def _sigma(config, ebn0_db):
     """The noise's sigma at `ebn0_db` for the layout `config`."""
-    return channel.noise_sigma(ebn0_db, config, correlation_matrix(config.kind, config.n,
-                                                                   config.alpha))
+    matrix = correlation_matrix(config.kind, config.n, config.alpha)
+    return channel.noise_sigma(ebn0_db, config, channel.expected_sample_energy(config, matrix))
 
 
 def _kernel_row_blocks(monkeypatch):
@@ -762,8 +762,9 @@ class TestRunSweep:
         assert _curve.cache_info().currsize == 1
 
     def test_repeated_sweep_builds_its_curve_once(self, monkeypatch):
-        # The plan, C and E_s of a curve are built in its first sweep, E_s
-        # once for each Eb/N0, and not again when it is swept again.
+        # The plan, C and E_s of a curve are built once in its first sweep,
+        # E_s once for all its Eb/N0 values, and not again when it is swept
+        # again.
         built = collections.Counter()
 
         def counted(module, name):
@@ -781,19 +782,19 @@ class TestRunSweep:
         _curve.cache_clear()
         spec = _fast_spec(ebn0_dbs=(4.0, 6.0), iteration_counts=(0, 10))
         first = run_ber_sweep(spec)
-        assert built == {"make_plan": 1, "correlation_matrix": 1, "expected_sample_energy": 2}
+        assert built == {"make_plan": 1, "correlation_matrix": 1, "expected_sample_energy": 1}
         assert run_ber_sweep(spec) == first
-        assert built == {"make_plan": 1, "correlation_matrix": 1, "expected_sample_energy": 2}
+        assert built == {"make_plan": 1, "correlation_matrix": 1, "expected_sample_energy": 1}
 
     def test_a_curve_builds_the_float64_kernel_once(self, monkeypatch):
-        # Its N rows, rounded into the float32 plan, and for each Eb/N0's
-        # sigma only the cp_len rows a prefix repeats, beside C; none when
-        # the curve is swept again.
+        # Its N rows, rounded into the float32 plan, and for the sample
+        # energy of every Eb/N0's sigma only the cp_len rows a prefix
+        # repeats, once, beside C; none when the curve is swept again.
         blocks = _kernel_row_blocks(monkeypatch)
         _curve.cache_clear()
         spec = _fast_spec(ebn0_dbs=(4.0, 6.0, 8.0), iteration_counts=(0, 10))
         first = run_ber_sweep(spec)
-        assert sum(rows for rows, _ in blocks) == spec.config.n + 3 * spec.config.cp_len
+        assert sum(rows for rows, _ in blocks) == spec.config.n + spec.config.cp_len
         blocks.clear()
         assert run_ber_sweep(spec) == first
         assert blocks == []

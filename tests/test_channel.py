@@ -25,17 +25,18 @@ PLAN = make_plan(TransformKind.FRCT, 16, 0.8, np.float32)
 # A layout of PLAN's transform.
 CONFIG = ModemConfig(n=16, alpha=0.8, data_symbols_per_frame=4, training_symbols=2,
                      sync_symbols=1)
-C = correlation_matrix(TransformKind.FRCT, 16, 0.8)
-
-
-def _seed(n):
-    """The noise seed of `n`, which draws the stream of numpy's seed `n`."""
-    return np.random.SeedSequence(n)
+# Its mean squared sample, which sets sigma.
+ENERGY = expected_sample_energy(CONFIG, correlation_matrix(TransformKind.FRCT, 16, 0.8))
 
 
 def _c(config):
     """The correlation matrix C of the layout `config`."""
     return correlation_matrix(config.kind, config.n, config.alpha)
+
+
+def _energy(config):
+    """The mean squared sample of the layout `config`, from its C."""
+    return expected_sample_energy(config, _c(config))
 
 
 class TestSampleEnergyOracle:
@@ -52,27 +53,28 @@ class TestSampleEnergyOracle:
 
 class TestApplyAwgn:
     def test_noiseless_limit(self):
-        sigma = noise_sigma(200.0, CONFIG, C)
-        assert np.max(np.abs(sigma * apply_awgn(_seed(1), PLAN, 50))) < 1e-8
+        sigma = noise_sigma(200.0, CONFIG, ENERGY)
+        assert np.max(np.abs(sigma * apply_awgn(np.random.SeedSequence(1), PLAN, 50))) < 1e-8
 
     def test_deterministic_per_seed(self):
-        first, again = (apply_awgn(_seed(42), PLAN, 32) for _ in range(2))
+        first, again = (apply_awgn(np.random.SeedSequence(42), PLAN, 32) for _ in range(2))
         assert np.array_equal(first, again)
 
     def test_noise_follows_c_order(self):
         # Fewer rows get the first rows of the same draw.
         few, many = np.empty((3, 16), np.float32), np.empty((8, 16), np.float32)
-        apply_awgn(_seed(42), PLAN, 3, scratch=few)
-        apply_awgn(_seed(42), PLAN, 8, scratch=many)
+        apply_awgn(np.random.SeedSequence(42), PLAN, 3, scratch=few)
+        apply_awgn(np.random.SeedSequence(42), PLAN, 8, scratch=many)
         assert np.array_equal(few, many[:3])
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(apply_awgn(_seed(1), PLAN, 8), apply_awgn(_seed(2), PLAN, 8))
+        one, two = (apply_awgn(np.random.SeedSequence(seed), PLAN, 8) for seed in (1, 2))
+        assert not np.array_equal(one, two)
 
     @pytest.mark.parametrize("rows", [0, -1, 2.5, True])
     def test_row_count_checked(self, rows):
         with pytest.raises(ParameterError, match="^rows must be an integer >= 1"):
-            apply_awgn(_seed(0), PLAN, rows)
+            apply_awgn(np.random.SeedSequence(0), PLAN, rows)
 
     @pytest.mark.parametrize("plan,message", [
         ("x", "plan must be a TransformPlan, got str"),
@@ -84,27 +86,28 @@ class TestApplyAwgn:
     ], ids=["str", "None", "config", "float64"])
     def test_plan_checked(self, plan, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-            apply_awgn(_seed(0), plan, 3)
+            apply_awgn(np.random.SeedSequence(0), plan, 3)
 
     @pytest.mark.parametrize("alpha", [0.8, 1.0])
     def test_rows_too_many_to_allocate_named(self, alpha):
         # 10**15 rows of 4 samples ask for petabytes, which numpy refuses
         # before touching a page, on either path (W K below alpha = 1, W at 1).
         message = "^rows = 1000000000000000 asks for more memory than can be allocated: "
+        plan = make_plan(TransformKind.FRCT, 4, alpha, np.float32)
         with pytest.raises(ParameterError, match=message):
-            apply_awgn(_seed(0), make_plan(TransformKind.FRCT, 4, alpha, np.float32), 10**15)
+            apply_awgn(np.random.SeedSequence(0), plan, 10**15)
 
     @pytest.mark.parametrize("config", [None, 1.0, {"n": 16}, PLAN],
                              ids=["None", "float", "dict", "plan"])
     def test_config_checked(self, config):
         with pytest.raises(ParameterError, match="^config must be a ModemConfig, got "):
-            noise_sigma(6.0, config, C)
+            noise_sigma(6.0, config, ENERGY)
 
     def test_layout_without_data_rows_rejected(self):
         # No bits: sigma would divide by zero.
         config = ModemConfig(n=16, data_symbols_per_frame=0)
         with pytest.raises(ParameterError, match="^data_symbols_per_frame must be an integer >= 1"):
-            noise_sigma(5.0, config, _c(config))
+            noise_sigma(5.0, config, _energy(config))
 
     @pytest.mark.parametrize("rng_seed", [-1, "x", 1.5, True, None, 3])
     def test_seed_checked(self, rng_seed):
@@ -121,7 +124,7 @@ class TestApplyAwgn:
         # sigma dividing by zero, is refused naming the field.
         with pytest.raises(ParameterError,
                            match=re.escape(f"eb_n0_db must lie in [-300, 300], got {eb_n0_db!r}")):
-            noise_sigma(eb_n0_db, CONFIG, C)
+            noise_sigma(eb_n0_db, CONFIG, ENERGY)
 
     @pytest.mark.parametrize("eb_n0_db", [-300, 300.0])
     @pytest.mark.parametrize("config", [
@@ -137,10 +140,10 @@ class TestApplyAwgn:
     def test_eb_n0_range_ends_give_finite_noise(self, eb_n0_db, config):
         # At either end sigma is finite and nonzero for any valid layout, and
         # so are its float32 rows, the sweep's noise through its float32 plan.
-        sigma = noise_sigma(eb_n0_db, config, _c(config))
+        sigma = noise_sigma(eb_n0_db, config, _energy(config))
         assert 0.0 < sigma < np.inf
         plan = make_plan(config.kind, config.n, config.alpha, np.float32)
-        noise = sigma * apply_awgn(_seed(1), plan, 8)
+        noise = sigma * apply_awgn(np.random.SeedSequence(1), plan, 8)
         assert noise.dtype == np.float32 and np.isfinite(noise).all()
 
     @pytest.mark.parametrize("config", [
@@ -154,17 +157,17 @@ class TestApplyAwgn:
         # the data bits of a frame over its samples, prefixes included.
         density = (config.data_symbols_per_frame * config.n
                    / (config.symbols_per_frame * (config.n + config.cp_len)))
-        c = _c(config)
+        energy = _energy(config)
         for eb_n0_db in (-3.0, 4.0, 12.5):
             gamma = 10.0 ** (eb_n0_db / 10.0)
-            want = expected_sample_energy(config, c) / (2.0 * gamma * density)
-            assert noise_sigma(eb_n0_db, config, c) ** 2 == pytest.approx(want, rel=1e-12)
+            want = energy / (2.0 * gamma * density)
+            assert noise_sigma(eb_n0_db, config, energy) ** 2 == pytest.approx(want, rel=1e-12)
 
     def test_noise_variance_matches_derivation(self):
         # White samples of unit variance, and rows whose entry k has
         # variance C_kk after the demultiplexer.
         white = np.empty((100_000, 16), np.float32)
-        rows = apply_awgn(_seed(3), PLAN, len(white), scratch=white)
+        rows = apply_awgn(np.random.SeedSequence(3), PLAN, len(white), scratch=white)
         assert np.var(white) == pytest.approx(1.0, rel=0.01)
         c = correlation_matrix(TransformKind.FRCT, 16, 0.8).entries
         np.testing.assert_allclose(np.var(rows, axis=0), np.diag(c), rtol=0.03)
@@ -174,7 +177,7 @@ class TestApplyAwgn:
         # and that noise is float32 standard normal in C order, the stream
         # of numpy's seed 8.
         scratch = np.empty((5, 16), np.float32)
-        out = apply_awgn(_seed(8), PLAN, 5, scratch=scratch)
+        out = apply_awgn(np.random.SeedSequence(8), PLAN, 5, scratch=scratch)
         assert np.array_equal(scratch,
                               np.random.default_rng(8).standard_normal((5, 16), np.float32))
         assert out.dtype == np.float32
@@ -194,10 +197,10 @@ class TestOrthonormalNoise:
         if buffers:
             out = np.full((5, n), np.nan, np.float32)
             scratch = np.full((5, n), np.nan, np.float32)
-            assert apply_awgn(_seed(6), plan, 5, out=out, scratch=scratch) is out
+            assert apply_awgn(np.random.SeedSequence(6), plan, 5, out=out, scratch=scratch) is out
             assert np.isnan(scratch).all()  # checked, not written
         else:
-            out = apply_awgn(_seed(6), plan, 5)
+            out = apply_awgn(np.random.SeedSequence(6), plan, 5)
         assert out.dtype == np.float32
         assert out.tobytes() == white.tobytes()
 
@@ -205,7 +208,8 @@ class TestOrthonormalNoise:
     def test_below_one_is_demultiplexed(self, kind):
         plan = make_plan(kind, 16, 0.999, np.float32)
         white = np.random.default_rng(6).standard_normal((5, 16), np.float32)
-        assert apply_awgn(_seed(6), plan, 5).tobytes() == demultiplex(plan, white).tobytes()
+        rows = apply_awgn(np.random.SeedSequence(6), plan, 5)
+        assert rows.tobytes() == demultiplex(plan, white).tobytes()
 
     @pytest.mark.parametrize("kind", list(TransformKind))
     def test_alpha_one_law_is_white(self, kind):
@@ -218,7 +222,8 @@ class TestOrthonormalNoise:
                              training_symbols=0, sync_symbols=0)
         c = correlation_matrix(kind, n, 1.0).entries
         assert n * np.abs(c - np.eye(n)).max() < 2.0**-26
-        rows = apply_awgn(_seed(2), make_plan(kind, n, 1.0, np.float32), frames * data_rows)
+        rows = apply_awgn(np.random.SeedSequence(2), make_plan(kind, n, 1.0, np.float32),
+                          frames * data_rows)
         blocks = rows.astype(np.float64).reshape(frames, data_rows, n)
         received = receive(config, blocks).reshape(rows.shape)
         # Entries of a sample covariance of m white rows have a standard
@@ -243,7 +248,7 @@ class TestTimeDomainAgreement:
                              training_symbols=pilots[1])
         white = np.empty((3 * 5, 16), np.float32)
         narrow = make_plan(kind, 16, alpha, np.float32)
-        rows = apply_awgn(_seed(4), narrow, 15, scratch=white)
+        rows = apply_awgn(np.random.SeedSequence(4), narrow, 15, scratch=white)
         assert rows.tobytes() == demultiplex(narrow, white).tobytes()
         blocks = np.random.default_rng(5).normal(size=(3, config.symbols_per_frame, cp_len + 16))
         noisy = blocks.copy()
@@ -259,7 +264,7 @@ class TestBerCalibration:
         cfg = ModemConfig(n=256, alpha=1.0, kind=TransformKind.FRCT,
                           data_symbols_per_frame=64, training_symbols=0, sync_symbols=0)
         plan = make_plan(cfg.kind, cfg.n, cfg.alpha, np.float32)
-        sigma = noise_sigma(ebn0_db, cfg, _c(cfg))
+        sigma = noise_sigma(ebn0_db, cfg, _energy(cfg))
         rng = np.random.default_rng(int(ebn0_db))
         errors = 0
         bits_done = 0
@@ -278,4 +283,4 @@ class TestBerCalibration:
                           training_symbols=0, sync_symbols=0)
         samples = transmit(cfg, random_data_bits(cfg, np.random.default_rng(0), 1))
         assert measure_sample_energy(samples) == pytest.approx(1.0, rel=1e-10)
-        assert expected_sample_energy(cfg, _c(cfg)) == pytest.approx(1.0, rel=1e-12)
+        assert _energy(cfg) == pytest.approx(1.0, rel=1e-12)

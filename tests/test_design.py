@@ -118,6 +118,22 @@ def test_every_public_name_has_a_caller():
     assert sorted(unread) == []
 
 
+def test_every_public_method_has_a_caller():
+    # Each public method or property of a class in the package is read as an
+    # attribute by a module of the package or by a demo: not only by the tests.
+    demos = sorted((SRC.parents[1] / "demos").glob("*.py"))
+    read = {node.attr for path in [*SRC.glob("*.py"), *demos]
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
+    unread = sorted(
+        f"{path.stem}.{cls.name}.{method.name}" for path in SRC.glob("*.py")
+        for cls in ast.parse(path.read_text()).body if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+        and method.name not in read
+    )
+    assert unread == []
+
+
 # Every keyword-only parameter of a public function: the buffers (`out`,
 # `scratch`, `work`) and the detector's `trace`.  A new buffer or
 # other keyword knob has to be added here on purpose.

@@ -132,12 +132,12 @@ _LAYOUT = ModemConfig(n=4, alpha=0.8)
      "kernel must be a float64 or float32 array of shape (4, 4), got int64 (4, 4)"),
     (lambda: expected_sample_energy(_LAYOUT, np.eye(4)), ParameterError,
      "matrix must be a CorrelationMatrix, got ndarray"),
-    (lambda: noise_sigma(6.0, _LAYOUT, None), ParameterError,
+    (lambda: expected_sample_energy(_LAYOUT, None), ParameterError,
      "matrix must be a CorrelationMatrix, got NoneType"),
-    (lambda: noise_sigma(6.0, _LAYOUT, correlation_matrix(TransformKind.FRHT, 4, 0.8)),
+    (lambda: expected_sample_energy(_LAYOUT, correlation_matrix(TransformKind.FRHT, 4, 0.8)),
      ParameterError,
      "matrix must be C of the layout's ('FrCT', 4, 0.8), got C of ('FrHT', 4, 0.8)"),
-    (lambda: noise_sigma(6.0, _LAYOUT, correlation_matrix(FRCT, 8, 0.8)), ParameterError,
+    (lambda: expected_sample_energy(_LAYOUT, correlation_matrix(FRCT, 8, 0.8)), ParameterError,
      "matrix must be C of the layout's ('FrCT', 4, 0.8), got C of ('FrCT', 8, 0.8)"),
     (lambda: expected_sample_energy(_LAYOUT, correlation_matrix(FRCT, 4, 0.9)), ParameterError,
      "matrix must be C of the layout's ('FrCT', 4, 0.8), got C of ('FrCT', 4, 0.9)"),
@@ -219,7 +219,6 @@ class TestCheckReal:
         assert str(info.value) == message
 
 
-_C16 = correlation_matrix(TransformKind.FRCT, 16, 1.0)
 
 
 def _sweep(**kwargs):
@@ -241,7 +240,8 @@ REAL_PARAMETERS = [
     _real("CapacityParams", "alpha", lambda v: CapacityParams(1, 1, 1, alpha=v), 0.5),
     _real("CapacityParams", "symbol_duration",
           lambda v: CapacityParams(1, 1, 1, symbol_duration=v), 2.0),
-    _real("noise_sigma", "eb_n0_db", lambda v: noise_sigma(v, ModemConfig(n=16), _C16), -3.0),
+    _real("noise_sigma", "eb_n0_db", lambda v: noise_sigma(v, ModemConfig(n=16), 1.0), -3.0),
+    _real("noise_sigma", "energy", lambda v: noise_sigma(4.0, ModemConfig(n=16), v), 0.5),
     _real("ModemConfig", "alpha", lambda v: ModemConfig(alpha=v), 0.8),
     _real("IciPdfModel", "sigma", lambda v: IciPdfModel(sigma=v), 0.3),
     _real("SweepSpec", "alpha", lambda v: _sweep(alphas=(1.0, v)), 0.9),

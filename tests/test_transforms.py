@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from ftnlab.exceptions import ParameterError, ShapeError
 from ftnlab.icimodel import correlation_matrix
+from ftnlab.modem import ModemConfig
 from ftnlab.transforms import (
     TransformKind, _frct_kernel, _frht_kernel, demultiplex, kernel_rows, make_plan, multiplex,
 )
@@ -169,6 +170,13 @@ class TestMultiplex:
             multiplex(plan, np.zeros(7))
         with pytest.raises(ShapeError):
             demultiplex(plan, np.zeros(9))
+
+    @pytest.mark.parametrize("use", [multiplex, demultiplex], ids=["multiplex", "demultiplex"])
+    @pytest.mark.parametrize("plan,got", [(None, "NoneType"), (ModemConfig(n=8), "ModemConfig")],
+                             ids=["None", "config"])
+    def test_plan_checked(self, use, plan, got):
+        with pytest.raises(ParameterError, match=f"^plan must be a TransformPlan, got {got}$"):
+            use(plan, np.zeros(8))
 
     def test_zero_input(self):
         plan = make_plan(TransformKind.FRHT, 8, 0.4)
