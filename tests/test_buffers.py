@@ -69,6 +69,22 @@ class TestTransforms:
         assert demultiplex(plan, data, out=out) is out
         assert_same_bytes(out, want)
 
+    @KIND_ALPHA
+    @pytest.mark.parametrize("rows", [1, 9])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_demultiplex_float32_noise(self, kind, alpha, rows, dtype):
+        # float32 noise rows, as `apply_awgn` draws them, are demultiplexed in
+        # the plan's precision: as they are through a float32 plan, widened
+        # through a float64 one.
+        plan = make_plan(kind, 32, alpha, dtype)
+        white = np.random.default_rng(3).standard_normal((rows, 32), np.float32)
+        want = demultiplex(plan, white)
+        assert_same_bytes(want, white.astype(dtype) @ plan.kernel)
+        out = garbage((rows, 32), dtype)
+        for _ in range(2):
+            assert demultiplex(plan, white, out=out) is out
+            assert_same_bytes(out, want)
+
     def test_vector_form(self):
         plan = make_plan(TransformKind.FRCT, 16, 0.9)
         v = np.random.default_rng(3).normal(size=16)
@@ -241,8 +257,11 @@ class TestBadBuffers:
          "scratch", np.float32),
         (lambda buf: demultiplex(STRIDED_PLAN, np.ones((4, 6), np.float32), out=buf), "out",
          np.float32),
+        (lambda buf: demultiplex(make_plan(TransformKind.FRCT, 6, 0.8), np.ones((4, 6)),
+                                 out=buf), "out", np.float64),
         (lambda buf: pam_index(np.ones((4, 6)), out=buf), "out", np.uint8),
-    ], ids=["apply_awgn-out", "apply_awgn-scratch", "demultiplex-out", "pam_index-out"])
+    ], ids=["apply_awgn-out", "apply_awgn-scratch", "demultiplex-out", "demultiplex-float64-out",
+            "pam_index-out"])
     def test_strided_buffer_rejected(self, call, name, dtype):
         # A (4, 6) transpose of a C-contiguous (6, 4) array, of the right
         # shape and dtype.

@@ -83,7 +83,10 @@ class TestApplyAwgn:
         # The noise is float32 through a float32 plan, as the sweep forms it.
         (make_plan(TransformKind.FRCT, 16, 0.8),
          "plan must be a float32 plan, got a float64 plan"),
-    ], ids=["str", "None", "config", "float64"])
+        # Also at alpha = 1, whose draw never reads the plan's kernel.
+        (make_plan(TransformKind.FRHT, 16, 1.0),
+         "plan must be a float32 plan, got a float64 plan"),
+    ], ids=["str", "None", "config", "float64", "float64-alpha1"])
     def test_plan_checked(self, plan, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             apply_awgn(np.random.SeedSequence(0), plan, 3)
@@ -109,9 +112,11 @@ class TestApplyAwgn:
         with pytest.raises(ParameterError, match="^data_symbols_per_frame must be an integer >= 1"):
             noise_sigma(5.0, config, _energy(config))
 
-    @pytest.mark.parametrize("rng_seed", [-1, "x", 1.5, True, None, 3])
+    @pytest.mark.parametrize("rng_seed", [-1, "x", 1.5, True, None, 3, np.int64(3),
+                                          np.random.default_rng(3)])
     def test_seed_checked(self, rng_seed):
-        # An integer, even one numpy would take, is refused by its type.
+        # An integer or a Generator, even one numpy would take, is refused by
+        # its type.
         with pytest.raises(ParameterError, match="^rng_seed must be a SeedSequence, got "):
             apply_awgn(rng_seed, PLAN, 4)
         # A SeedSequence is a valid seed, as the sweep passes one per batch.
